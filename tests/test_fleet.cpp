@@ -13,14 +13,17 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "fleet/metrics.hpp"
 #include "fleet/policy.hpp"
 #include "fleet/runner.hpp"
 #include "model/interference_model.hpp"
 #include "obs/trace.hpp"
+#include "scenario/runner.hpp"
 #include "scenario/scenario.hpp"
 #include "sched/registry.hpp"
+#include "signatures.hpp"
 
 namespace {
 
@@ -516,6 +519,86 @@ TEST(FleetDeterminism, SimThreadsByFleetThreadsMatrix) {
             EXPECT_EQ(sig, want)
                 << "sim_threads=" << sim_threads
                 << " fleet_threads=" << fleet_threads << " diverged";
+        }
+    }
+}
+
+TEST(FleetPins, FourNodeInterferenceAwareDigest) {
+    // Captured before the three quantum drivers merged into one loop: four
+    // 2-context nodes under an arrival rate that keeps the fleet saturated,
+    // so admission, queueing and priority preemption all run.
+    scenario::ScenarioSpec spec = fleet_spec();
+    spec.arrival_rate = 2.0;
+    const scenario::ScenarioTrace trace =
+        scenario::build_trace(spec, node_config(1, 1, 2));
+    fleet::FleetOptions fo = fleet_options("fleet-interference-aware", /*nodes=*/4);
+    fo.node_config = node_config(1, 1, 2);
+    fo.record_timeline = true;
+    const fleet::FleetResult r = fleet::FleetRunner(trace, std::move(fo)).run();
+    ASSERT_TRUE(r.completed);
+    EXPECT_GT(r.preemptions, 0u);
+    std::string sig = fleet::run_signature(r);
+    for (const fleet::FleetQuantumSample& q : r.timeline)
+        sig += "|" + std::to_string(q.live) + ":" + std::to_string(q.queued) + ":" +
+               std::to_string(testsig::bits(q.aggregate_ipc));
+    EXPECT_EQ(testsig::digest(sig), 0x69a7bd311a870a45ull);
+}
+
+// ------------------------------------------------- differential oracle --
+
+/// A 1-node fleet with nothing to prioritize or preempt is the open-system
+/// single-platform run: the same trace must produce the same schedule, task
+/// by task, to the last bit.
+TEST(FleetOracle, OneNodeFleetEqualsOpenRun) {
+    for (const std::string node_policy : {"linux", "synpa"}) {
+        for (const int width : {2, 4}) {
+            for (const int chips : {1, 2}) {
+                const uarch::SimConfig cfg = node_config(chips, 2, width);
+                scenario::ScenarioSpec spec = fleet_spec();
+                spec.lc_fraction = 0.0;
+                spec.arrival_rate = 0.5 * chips * width;
+                const scenario::ScenarioTrace trace = scenario::build_trace(spec, cfg);
+
+                fleet::FleetOptions fo = fleet_options("fleet-least-loaded", /*nodes=*/1);
+                fo.node_config = cfg;
+                fo.node_policy = node_policy;
+                fo.preemption = false;
+                const fleet::FleetResult f = fleet::FleetRunner(trace, fo).run();
+
+                // Node 0's policy seed, as Fleet derives it.
+                sched::PolicyConfig pc = fo.policy_config;
+                pc.seed = common::derive_key(pc.seed, 0xf1e7, 0);
+                uarch::Platform platform(cfg);
+                const auto policy = sched::make_policy(node_policy, pc);
+                const scenario::ScenarioResult o =
+                    scenario::ScenarioRunner(platform, *policy, trace,
+                                             {.max_quanta = fo.max_quanta})
+                        .run();
+
+                const std::string where = node_policy + " width=" + std::to_string(width) +
+                                          " chips=" + std::to_string(chips);
+                ASSERT_TRUE(o.completed) << where;
+                ASSERT_TRUE(f.completed) << where;
+                EXPECT_EQ(f.quanta_executed, o.quanta_executed) << where;
+                EXPECT_EQ(f.migrations, o.migrations) << where;
+                EXPECT_EQ(f.cross_chip_migrations, o.cross_chip_migrations) << where;
+                EXPECT_EQ(f.completed_tasks, o.completed_tasks) << where;
+                ASSERT_EQ(f.tasks.size(), o.tasks.size()) << where;
+                for (std::size_t i = 0; i < o.tasks.size(); ++i) {
+                    const fleet::FleetTaskRecord& a = f.tasks[i];
+                    const scenario::TaskRecord& b = o.tasks[i];
+                    EXPECT_EQ(a.task_id, b.task_id) << where << " task " << i;
+                    EXPECT_EQ(a.admit_quantum, b.admit_quantum) << where << " task " << i;
+                    EXPECT_EQ(testsig::bits(a.finish_quantum), testsig::bits(b.finish_quantum))
+                        << where << " task " << i;
+                    EXPECT_EQ(testsig::bits(a.slowdown), testsig::bits(b.slowdown))
+                        << where << " task " << i;
+                    EXPECT_EQ(testsig::bits(a.turnaround_quanta),
+                              testsig::bits(b.turnaround_quanta))
+                        << where << " task " << i;
+                    EXPECT_EQ(a.queue_quanta, b.queue_quanta) << where << " task " << i;
+                }
+            }
         }
     }
 }

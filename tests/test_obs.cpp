@@ -14,7 +14,6 @@
 //     tools/trace_summary.py --validate checks for.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <memory>
 #include <sstream>
@@ -30,6 +29,7 @@
 #include "scenario/scenario.hpp"
 #include "sched/registry.hpp"
 #include "sched/thread_manager.hpp"
+#include "signatures.hpp"
 #include "uarch/platform.hpp"
 
 namespace {
@@ -206,7 +206,7 @@ TEST(TraceConfig, DeriveTracePathInsertsTag) {
 
 // ----------------------------------------------------------- determinism --
 
-std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+using testsig::signature;
 
 uarch::SimConfig shape_config(int chips, int smt_ways, int sim_threads) {
     uarch::SimConfig cfg;
@@ -237,31 +237,6 @@ std::vector<sched::TaskSpec> closed_specs(int count) {
                          .target_insts = 12'000,
                          .isolated_ipc = 1.0});
     return specs;
-}
-
-std::string signature(const sched::RunResult& r) {
-    std::string sig = std::to_string(r.quanta_executed) + "/" +
-                      std::to_string(r.migrations) + "/" +
-                      std::to_string(r.cross_chip_migrations) + "/" +
-                      std::to_string(bits(r.turnaround_quanta));
-    for (const sched::TaskOutcome& out : r.outcomes)
-        sig += ";" + std::to_string(out.slot_index) + ":" +
-               std::to_string(bits(out.finish_quantum)) + ":" +
-               std::to_string(bits(out.ipc_smt)) + ":" + std::to_string(out.final_core);
-    return sig;
-}
-
-std::string signature(const scenario::ScenarioResult& r) {
-    std::string sig = std::to_string(r.quanta_executed) + "/" +
-                      std::to_string(r.migrations) + "/" +
-                      std::to_string(r.cross_chip_migrations) + "/" +
-                      std::to_string(r.completed_tasks);
-    for (const scenario::TaskRecord& rec : r.tasks)
-        sig += ";" + std::to_string(rec.task_id) + ":" +
-               std::to_string(rec.admit_quantum) + ":" +
-               std::to_string(bits(rec.finish_quantum)) + ":" +
-               std::to_string(bits(rec.slowdown)) + ":" + std::to_string(rec.chip_id);
-    return sig;
 }
 
 obs::TraceConfig memory_trace_config() {
@@ -350,18 +325,29 @@ TEST(TracedDeterminism, ChipEventStreamIdenticalAcrossThreadCounts) {
     const auto event_stream = [](int threads) {
         obs::Tracer tracer(memory_trace_config());
         run_closed(4, 2, threads, &tracer);
-        std::string s;
-        for (std::size_t i = 0; i < tracer.events().size(); ++i) {
-            const obs::TraceEvent& e = tracer.events().at(i);
-            s += std::string(obs::event_kind_name(e.kind)) + ":" +
-                 std::to_string(e.quantum) + ":" + std::to_string(e.chip) + ":" +
-                 std::to_string(e.task) + ":" + std::to_string(e.core) + ";";
-        }
-        return s;
+        return testsig::event_stream(tracer);
     };
     const std::string serial = event_stream(1);
     EXPECT_FALSE(serial.empty());
     EXPECT_EQ(event_stream(4), serial);
+}
+
+TEST(TracedDeterminism, EventStreamDigestsArePinned) {
+    // Captured before the three quantum drivers merged into one loop: the
+    // (kind, quantum, chip, task, core) stream of one closed and one open run.
+    obs::Tracer closed(memory_trace_config());
+    run_closed(2, 2, 1, &closed);
+    EXPECT_EQ(testsig::digest(testsig::event_stream(closed)), 0x640445c420454998ull);
+
+    const uarch::SimConfig cfg = shape_config(2, 2, 1);
+    const scenario::ScenarioTrace trace = scenario::build_trace(open_spec(), cfg);
+    uarch::Platform platform(cfg);
+    const auto policy = sched::make_policy("synpa", policy_config());
+    obs::Tracer open(memory_trace_config());
+    scenario::ScenarioRunner(platform, *policy, trace,
+                             {.max_quanta = 400, .record_timeline = false, .tracer = &open})
+        .run();
+    EXPECT_EQ(testsig::digest(testsig::event_stream(open)), 0x5fa5b4a270bc290eull);
 }
 
 // ------------------------------------------------------- event structure --

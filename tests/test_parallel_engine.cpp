@@ -17,7 +17,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -31,6 +30,7 @@
 #include "scenario/scenario.hpp"
 #include "sched/registry.hpp"
 #include "sched/thread_manager.hpp"
+#include "signatures.hpp"
 #include "uarch/parallel_engine.hpp"
 #include "uarch/platform.hpp"
 
@@ -81,9 +81,7 @@ TEST(ParallelQuantumEngine, ShardExceptionReachesTheBarrier) {
 
 // --------------------------------------------------------- bit-identity --
 
-/// Exact bit pattern of a double — string-formatted doubles would hide
-/// low-bit drift, which is precisely what this suite must catch.
-std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+using testsig::signature;
 
 uarch::SimConfig shape_config(int chips, int smt_ways, int sim_threads) {
     uarch::SimConfig cfg;
@@ -115,31 +113,6 @@ std::vector<sched::TaskSpec> closed_specs(int count) {
                          .target_insts = 12'000,
                          .isolated_ipc = 1.0});
     return specs;
-}
-
-std::string signature(const sched::RunResult& r) {
-    std::string sig = std::to_string(r.quanta_executed) + "/" +
-                      std::to_string(r.migrations) + "/" +
-                      std::to_string(r.cross_chip_migrations) + "/" +
-                      std::to_string(bits(r.turnaround_quanta));
-    for (const sched::TaskOutcome& out : r.outcomes)
-        sig += ";" + std::to_string(out.slot_index) + ":" +
-               std::to_string(bits(out.finish_quantum)) + ":" +
-               std::to_string(bits(out.ipc_smt)) + ":" + std::to_string(out.final_core);
-    return sig;
-}
-
-std::string signature(const scenario::ScenarioResult& r) {
-    std::string sig = std::to_string(r.quanta_executed) + "/" +
-                      std::to_string(r.migrations) + "/" +
-                      std::to_string(r.cross_chip_migrations) + "/" +
-                      std::to_string(r.completed_tasks);
-    for (const scenario::TaskRecord& rec : r.tasks)
-        sig += ";" + std::to_string(rec.task_id) + ":" +
-               std::to_string(rec.admit_quantum) + ":" +
-               std::to_string(bits(rec.finish_quantum)) + ":" +
-               std::to_string(bits(rec.slowdown)) + ":" + std::to_string(rec.chip_id);
-    return sig;
 }
 
 std::string run_closed(int chips, int smt_ways, int sim_threads,

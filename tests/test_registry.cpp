@@ -16,6 +16,7 @@
 #include "scenario/scenario.hpp"
 #include "sched/registry.hpp"
 #include "sched/thread_manager.hpp"
+#include "signatures.hpp"
 #include "uarch/platform.hpp"
 #include "workloads/groups.hpp"
 
@@ -72,17 +73,6 @@ void ensure_calibrated(const uarch::SimConfig& cfg) {
     if (done.insert(cfg.smt_ways).second) workloads::calibrate_suite(cfg, 4, 1);
 }
 
-/// Compact run signature for determinism comparisons (exact doubles).
-std::string run_signature(const scenario::ScenarioResult& result) {
-    std::string sig = std::to_string(result.quanta_executed) + "/" +
-                      std::to_string(result.migrations);
-    for (const scenario::TaskRecord& rec : result.tasks) {
-        sig += ";" + std::to_string(rec.task_id) + ":" +
-               std::to_string(rec.finish_quantum) + ":" +
-               std::to_string(rec.admit_quantum);
-    }
-    return sig;
-}
 
 class RegistryPolicyTest : public ::testing::TestWithParam<sched::PolicyInfo> {};
 
@@ -166,7 +156,7 @@ TEST_P(RegistryPolicyTest, RunsClosedAndOpenAtBothWidthsDeterministically) {
                 }
                 EXPECT_EQ(ids.size(), result.completed_tasks);
                 EXPECT_EQ(result.adaptive, info.adaptive) << info.name;
-                signatures.push_back(run_signature(result));
+                signatures.push_back(testsig::signature(result));
             }
             // Determinism: identical trace + fresh policy => identical run.
             EXPECT_EQ(signatures[0], signatures[1])

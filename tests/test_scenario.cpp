@@ -20,6 +20,7 @@
 #include "scenario/scenario.hpp"
 #include "sched/baselines.hpp"
 #include "sched/thread_manager.hpp"
+#include "signatures.hpp"
 #include "uarch/platform.hpp"
 
 namespace {
@@ -290,6 +291,44 @@ TEST(ScenarioRunner, OpenSystemIsDeterministic) {
     EXPECT_EQ(a.quanta_executed, b.quanta_executed);
     for (std::size_t i = 0; i < a.tasks.size(); ++i)
         EXPECT_EQ(a.tasks[i].finish_quantum, b.tasks[i].finish_quantum);
+}
+
+/// A bursty open run on 2 chips x 2 cores: bursts of 10 overfill the SMT-2
+/// platform (queueing) and drain before the next wave (idle quanta).  The
+/// signature covers every task record and every timeline sample.
+std::string pinned_open_run(int smt_ways) {
+    uarch::SimConfig cfg;
+    cfg.cores = 2;
+    cfg.num_chips = 2;
+    cfg.smt_ways = smt_ways;
+    cfg.cycles_per_quantum = 4'000;
+    scenario::ScenarioSpec spec;
+    spec.name = "pinned-burst";
+    spec.process = scenario::ArrivalProcess::kBurst;
+    spec.app_mix = {"mcf", "leela_r", "gobmk", "nab_r"};
+    spec.burst_period = 12;
+    spec.burst_size = 10;
+    spec.service_quanta = 3;
+    spec.horizon_quanta = 36;
+    spec.seed = 3;
+    const scenario::ScenarioTrace trace = scenario::build_trace(spec, cfg);
+    uarch::Platform platform(cfg);
+    core::SynpaPolicy policy{model::InterferenceModel::paper_table4()};
+    const scenario::ScenarioResult r = scenario::ScenarioRunner(platform, policy, trace).run();
+    EXPECT_TRUE(r.completed);
+    std::string sig = testsig::signature(r);
+    for (const scenario::QuantumSample& q : r.timeline)
+        sig += "|" + std::to_string(q.quantum) + ":" + std::to_string(q.live) + ":" +
+               std::to_string(q.queued) + ":" + std::to_string(testsig::bits(q.utilization)) +
+               ":" + std::to_string(testsig::bits(q.aggregate_ipc)) + ":" +
+               std::to_string(q.migrations);
+    return sig;
+}
+
+TEST(ScenarioPins, OpenRunDigestsAtSmt2AndSmt4) {
+    // Captured before the three quantum drivers merged into one loop.
+    EXPECT_EQ(testsig::digest(pinned_open_run(2)), 0xd9b58312573e5ba0ull);
+    EXPECT_EQ(testsig::digest(pinned_open_run(4)), 0xc324d55f6d68e551ull);
 }
 
 TEST(ScenarioRunner, Smt4OpenSystemCompletesAndConservesTasks) {

@@ -23,6 +23,7 @@
 #include "scenario/runner.hpp"
 #include "scenario/scenario.hpp"
 #include "sched/policy.hpp"
+#include "signatures.hpp"
 #include "uarch/platform.hpp"
 
 namespace {
@@ -494,19 +495,6 @@ scenario::ScenarioSpec sweep_open_spec() {
     return spec;
 }
 
-/// Exact run signature (quanta, migrations, per-task float schedule) — any
-/// allocation divergence between the cached and uncached paths shows up
-/// here within a quantum or two.
-std::string run_signature(const scenario::ScenarioResult& result) {
-    std::string sig = std::to_string(result.quanta_executed) + "/" +
-                      std::to_string(result.migrations);
-    for (const scenario::TaskRecord& rec : result.tasks) {
-        sig += ";" + std::to_string(rec.task_id) + ":" +
-               std::to_string(rec.finish_quantum) + ":" +
-               std::to_string(rec.admit_quantum);
-    }
-    return sig;
-}
 
 TEST(WeightCacheIdentity, CachedRunsMatchUncachedEverywhere) {
     // The tentpole's acceptance sweep: widths {2,4} x chips {1,4} x
@@ -541,7 +529,7 @@ TEST(WeightCacheIdentity, CachedRunsMatchUncachedEverywhere) {
                     const scenario::ScenarioResult result = runner.run();
                     EXPECT_TRUE(result.completed)
                         << "width " << width << " chips " << chips;
-                    signatures.push_back(run_signature(result));
+                    signatures.push_back(testsig::signature(result));
                     const WeightCache::Stats& stats = policy.weight_cache_stats();
                     if (cached) {
                         cached_lookups = stats.hits + stats.misses + stats.solve_reuse;
