@@ -5,31 +5,18 @@
 #include <utility>
 
 #include "apps/spec_suite.hpp"
-#include "sched/quantum_loop.hpp"
 
 namespace synpa::fleet {
 
 FleetNode::FleetNode(int id, const uarch::SimConfig& cfg,
                      std::unique_ptr<sched::AllocationPolicy> policy,
                      std::shared_ptr<const model::InterferenceModel> scoring_model)
-    : id_(id), platform_(cfg), policy_(std::move(policy)) {
-    if (policy_ == nullptr)
-        throw std::invalid_argument("FleetNode: node policy must not be null");
+    : id_(id), platform_(cfg),
+      policy_(policy != nullptr
+                  ? std::move(policy)
+                  : throw std::invalid_argument("FleetNode: node policy must not be null")),
+      loop_(platform_, *policy_, /*tracer=*/nullptr, /*full_groups=*/false) {
     if (scoring_model != nullptr) estimator_.emplace(*scoring_model);
-}
-
-uarch::CpuSlot FleetNode::admission_slot() const {
-    uarch::CpuSlot where{-1, -1};
-    int best_load = platform_.config().smt_ways;
-    for (int c = 0; c < platform_.core_count(); ++c) {
-        const int load = platform_.core(c).active_threads();
-        if (load >= best_load) continue;
-        best_load = load;
-        int slot = 0;
-        while (platform_.core(c).slot(slot).bound()) ++slot;
-        where = {c, slot};
-    }
-    return where;
 }
 
 void FleetNode::admit(WorkItem item, std::uint64_t quantum) {
@@ -37,31 +24,28 @@ void FleetNode::admit(WorkItem item, std::uint64_t quantum) {
         throw std::logic_error("FleetNode::admit: node is full");
     if (item.task_id < 0)
         throw std::invalid_argument("FleetNode::admit: item has no task id");
-    if (item.instance == nullptr)
-        item.instance = std::make_unique<apps::AppInstance>(
-            item.task_id, apps::find_app(item.app_name), item.behaviour_seed);
-
-    const uarch::CpuSlot where = admission_slot();
-    platform_.bind(*item.instance, where);
+    // A re-admitted item resumes from its preserved progress.
+    loop_.admit({.task = item.instance != nullptr
+                             ? std::move(item.instance)
+                             : std::make_unique<apps::AppInstance>(
+                                   item.task_id, apps::find_app(item.app_name),
+                                   item.behaviour_seed),
+                 .app_name = item.app_name,
+                 .slot_index = static_cast<int>(item.plan_index),
+                 .finish_insts = item.service_insts},
+                quantum);
 
     if (!item.admitted_once) {
         item.admitted_once = true;
         item.first_admit_quantum = quantum;
     }
     item.queue_wait_quanta += quantum - item.enqueue_quantum;
-
-    Resident r;
-    // A re-admitted item resumes counting from its preserved progress, so
-    // the next observation's delta covers exactly the next quantum.
-    r.prev_bank = item.instance->counters();
-    r.insts_prev = item.instance->insts_retired();
-    r.item = std::move(item);
-    residents_.push_back(std::move(r));
+    items_.push_back(std::move(item));
 }
 
 double FleetNode::admission_cost(const WorkItem& item) const {
     if (!estimator_) return 0.0;
-    const uarch::CpuSlot where = admission_slot();
+    const uarch::CpuSlot where = loop_.admission_slot();
     if (where.core < 0) return 0.0;  // full — callers filter these nodes out
     // Group on the target core, plus the candidate.
     std::vector<int> group;
@@ -75,104 +59,49 @@ double FleetNode::admission_cost(const WorkItem& item) const {
 
 FleetNode::VictimInfo FleetNode::best_victim(int below_priority) const {
     VictimInfo best;
-    for (const Resident& r : residents_) {
-        if (r.item.priority >= below_priority) continue;
-        const VictimInfo cand{r.item.task_id, r.item.priority,
-                              r.item.instance->insts_retired()};
-        if (best.task_id < 0 || cand.priority < best.priority ||
-            (cand.priority == best.priority &&
-             (cand.insts_retired < best.insts_retired ||
-              (cand.insts_retired == best.insts_retired && cand.task_id < best.task_id))))
-            best = cand;
+    for (std::size_t i = 0; i < items_.size(); ++i) {
+        const WorkItem& item = items_[i];
+        if (item.priority >= below_priority) continue;
+        const VictimInfo cand{item.task_id, item.priority,
+                              loop_.residents()[i].task->insts_retired()};
+        if (best.task_id < 0 || cand.weaker_than(best)) best = cand;
     }
     return best;
 }
 
 WorkItem FleetNode::preempt(int task_id) {
-    const auto it = std::find_if(
-        residents_.begin(), residents_.end(),
-        [task_id](const Resident& r) { return r.item.task_id == task_id; });
-    if (it == residents_.end())
+    const auto it = std::find_if(items_.begin(), items_.end(),
+                                 [task_id](const WorkItem& w) { return w.task_id == task_id; });
+    if (it == items_.end())
         throw std::logic_error("FleetNode::preempt: task not resident here");
-    platform_.unbind(task_id);
-    // The task may come back on any node: drop every node-local trace of it
-    // (migration history, policy state, estimate).  Its instance keeps the
-    // architectural progress.
-    platform_.forget_task(task_id);
-    policy_->on_task_preempted(task_id);
+    WorkItem item = std::move(*it);
+    items_.erase(it);
+    item.instance = loop_.preempt(task_id);
     if (estimator_) estimator_->forget(task_id);
-    WorkItem item = std::move(it->item);
-    residents_.erase(it);
     ++item.preemptions;
     return item;
 }
 
-FleetNode::StepResult FleetNode::step(std::uint64_t quantum) {
-    StepResult result;
-    platform_.run_quantum();
-    if (residents_.empty()) return result;
-
-    // Observe every resident (residency order — the stable slot order shared
-    // with bind_allocation below).
-    std::vector<sched::TaskObservation> obs;
-    obs.reserve(residents_.size());
-    for (Resident& r : residents_) {
-        obs.push_back(sched::observe_task(platform_, *r.item.instance,
-                                          static_cast<int>(r.item.plan_index),
-                                          r.item.app_name, r.prev_bank));
-        result.aggregate_ipc += obs.back().breakdown.ipc();
-    }
+void FleetNode::observed(std::uint64_t, std::span<const sched::TaskObservation> obs) {
     if (estimator_) estimator_->observe(obs);
-
-    // Retire residents whose service demand completed this quantum.
-    for (std::size_t i = 0; i < residents_.size();) {
-        Resident& r = residents_[i];
-        const std::uint64_t insts_now = r.item.instance->insts_retired();
-        if (insts_now >= r.item.service_insts) {
-            const double frac =
-                sched::finish_fraction(r.insts_prev, insts_now, r.item.service_insts);
-            const int id = r.item.task_id;
-            Retired done;
-            done.finish_quantum = static_cast<double>(quantum) + frac;
-            done.final_core = platform_.placement(id).core;
-            platform_.unbind(id);
-            platform_.forget_task(id);  // retired for good; ids never reused
-            policy_->on_task_finished(id);
-            if (estimator_) estimator_->forget(id);
-            done.item = std::move(r.item);
-            result.retired.push_back(std::move(done));
-            residents_.erase(residents_.begin() + static_cast<std::ptrdiff_t>(i));
-            obs.erase(obs.begin() + static_cast<std::ptrdiff_t>(i));
-            continue;
-        }
-        r.prev_bank = r.item.instance->counters();
-        r.insts_prev = insts_now;
-        ++i;
-    }
-
-    // Node-local regroup (partial allocations allowed, as in the open-system
-    // single-node driver).
-    if (!residents_.empty()) {
-        sched::CoreAllocation alloc = policy_->reallocate(obs);
-        if (alloc.size() > static_cast<std::size_t>(platform_.core_count()))
-            throw std::runtime_error("FleetNode: allocation exceeds core count");
-        alloc.resize(static_cast<std::size_t>(platform_.core_count()));
-        std::vector<apps::AppInstance*> tasks;
-        tasks.reserve(residents_.size());
-        for (Resident& r : residents_) tasks.push_back(r.item.instance.get());
-        const sched::BindStats stats = sched::bind_allocation(
-            platform_, alloc, tasks, /*require_full_groups=*/false, nullptr);
-        result.migrations = stats.migrations;
-        result.cross_chip_migrations = stats.cross_chip;
-    }
-    return result;
 }
 
-std::vector<int> FleetNode::resident_ids() const {
-    std::vector<int> ids;
-    ids.reserve(residents_.size());
-    for (const Resident& r : residents_) ids.push_back(r.item.task_id);
-    return ids;
+std::unique_ptr<apps::AppInstance> FleetNode::finished(std::size_t index,
+                                                       const sched::TaskObservation& o,
+                                                       double finish_quantum) {
+    if (estimator_) estimator_->forget(o.task_id);
+    retired_.push_back({.item = std::move(items_[index]),
+                        .finish_quantum = finish_quantum,
+                        .final_core = o.core});
+    items_.erase(items_.begin() + static_cast<std::ptrdiff_t>(index));
+    return nullptr;
+}
+
+FleetNode::StepResult FleetNode::step(std::uint64_t quantum) {
+    const sched::NodeLoop::Report report = loop_.step(quantum, *this);
+    StepResult result{.retired = std::move(retired_), .report = report};
+    retired_.clear();
+    return result;
 }
 
 }  // namespace synpa::fleet

@@ -3,29 +3,32 @@
 // here) and, when the fleet policy wants interference scoring, a node-owned
 // core::SynpaEstimator fed from the node's own observations.
 //
-// The node owns the full per-quantum cycle for its residents — run the
-// platform, observe, retire finished work, let the local policy regroup,
-// rebind — which is exactly the ScenarioRunner open-system loop scoped to
-// one platform.  The fleet runner steps nodes concurrently (they share no
-// mutable state; each node's estimator is touched only by the thread
-// stepping that node) and performs all admission/preemption serially on the
-// coordinator thread between quanta, which is what keeps fleet runs
-// bit-identical at every fleet-thread and SYNPA_SIM_THREADS count.
+// The node's quantum is sched::NodeLoop's, configured for a fleet node:
+// admission and preemption come from the fleet front end, finished work
+// retires, the observations also feed the scoring estimator, and no tracer
+// is attached (only the coordinator emits).  The fleet runner steps nodes
+// concurrently (they share no mutable state; each node's estimator is
+// touched only by the thread stepping that node) and performs all
+// admission/preemption serially on the coordinator thread between quanta,
+// which is what keeps fleet runs bit-identical at every fleet-thread and
+// SYNPA_SIM_THREADS count.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
+#include <tuple>
 #include <vector>
 
 #include "core/estimator.hpp"
 #include "fleet/work_item.hpp"
-#include "sched/policy.hpp"
+#include "sched/node_loop.hpp"
 #include "uarch/platform.hpp"
 
 namespace synpa::fleet {
 
-class FleetNode {
+class FleetNode : private sched::NodeLoop::Lifecycle {
 public:
     /// A resident that crossed its finish line during step().
     struct Retired {
@@ -38,9 +41,7 @@ public:
     /// ascending node order).
     struct StepResult {
         std::vector<Retired> retired;  ///< residency order
-        double aggregate_ipc = 0.0;
-        std::uint64_t migrations = 0;
-        std::uint64_t cross_chip_migrations = 0;
+        sched::NodeLoop::Report report;
     };
 
     /// A preemption candidate as ranked by the front end.
@@ -48,6 +49,13 @@ public:
         int task_id = -1;  ///< -1 = no eligible victim on this node
         int priority = 0;
         std::uint64_t insts_retired = 0;
+
+        /// The deterministic victim order: lowest priority, then least
+        /// progress, then lowest id.
+        bool weaker_than(const VictimInfo& other) const noexcept {
+            return std::tie(priority, insts_retired, task_id) <
+                   std::tie(other.priority, other.insts_retired, other.task_id);
+        }
     };
 
     /// `scoring_model`: when non-null the node builds its own SynpaEstimator
@@ -59,9 +67,8 @@ public:
 
     int id() const noexcept { return id_; }
     const uarch::Platform& platform() const noexcept { return platform_; }
-    uarch::Platform& platform() noexcept { return platform_; }
     int capacity() const noexcept { return platform_.hw_contexts(); }
-    int live_count() const noexcept { return static_cast<int>(residents_.size()); }
+    int live_count() const noexcept { return static_cast<int>(items_.size()); }
     int free_contexts() const noexcept { return capacity() - live_count(); }
 
     /// The node's interference estimator; null when built without a model.
@@ -96,23 +103,25 @@ public:
     StepResult step(std::uint64_t quantum);
 
     /// Resident task ids in residency (admission) order.
-    std::vector<int> resident_ids() const;
+    std::vector<int> resident_ids() const { return loop_.resident_ids(); }
 
 private:
-    struct Resident {
-        WorkItem item;
-        pmu::CounterBank prev_bank{};
-        std::uint64_t insts_prev = 0;
-    };
-
-    /// The slot admit() would use right now (least-loaded spread).
-    uarch::CpuSlot admission_slot() const;
+    /// NodeLoop::Lifecycle: feed the scoring estimator, hand finished work
+    /// back to the coordinator.
+    void observed(std::uint64_t quantum, std::span<const sched::TaskObservation> obs) override;
+    std::unique_ptr<apps::AppInstance> finished(std::size_t index,
+                                                const sched::TaskObservation& o,
+                                                double finish_quantum) override;
 
     int id_;
     uarch::Platform platform_;
     std::unique_ptr<sched::AllocationPolicy> policy_;
     std::optional<core::SynpaEstimator> estimator_;
-    std::vector<Resident> residents_;  ///< residency order (stable slot order)
+    sched::NodeLoop loop_;
+    /// items_[i] is the request of loop_.residents()[i] (its instance lives
+    /// in the loop while resident).
+    std::vector<WorkItem> items_;
+    std::vector<Retired> retired_;  ///< this step's retirements
 };
 
 }  // namespace synpa::fleet

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <future>
 #include <stdexcept>
 #include <utility>
 
@@ -25,10 +24,8 @@ FleetRunner::FleetRunner(const scenario::ScenarioTrace& trace, FleetOptions opts
           if (trace.spec.process == scenario::ArrivalProcess::kClosed)
               throw std::invalid_argument(
                   "FleetRunner: closed scenarios have no arrivals to balance");
-          for (std::size_t i = 1; i < trace.tasks.size(); ++i)
-              if (trace.tasks[i - 1].arrival_quantum > trace.tasks[i].arrival_quantum)
-                  throw std::invalid_argument(
-                      "FleetRunner: trace tasks must be arrival-sorted");
+          if (!trace.arrival_sorted())
+              throw std::invalid_argument("FleetRunner: trace tasks must be arrival-sorted");
           const FleetPolicyInfo* info = find_fleet_policy(opts_.fleet_policy);
           if (info == nullptr)
               make_fleet_policy(opts_.fleet_policy, {});  // throws with inventory
@@ -103,12 +100,7 @@ void FleetRunner::admit_and_preempt(std::uint64_t quantum) {
             FleetNode::VictimInfo best;
             for (int n = 0; n < fleet_.node_count(); ++n) {
                 const FleetNode::VictimInfo v = fleet_.node(n).best_victim(item.priority);
-                if (v.task_id < 0) continue;
-                if (victim_node < 0 || v.priority < best.priority ||
-                    (v.priority == best.priority &&
-                     (v.insts_retired < best.insts_retired ||
-                      (v.insts_retired == best.insts_retired &&
-                       v.task_id < best.task_id)))) {
+                if (v.task_id >= 0 && (victim_node < 0 || v.weaker_than(best))) {
                     best = v;
                     victim_node = n;
                 }
@@ -117,18 +109,16 @@ void FleetRunner::admit_and_preempt(std::uint64_t quantum) {
                 WorkItem loser = fleet_.node(victim_node).preempt(best.task_id);
                 ++progress_.preemptions;
                 loser.enqueue_quantum = quantum;
-                if (tracer_ != nullptr && tracer_->wants(obs::EventKind::kPreemption)) {
-                    obs::TraceEvent e;
-                    e.kind = obs::EventKind::kPreemption;
-                    e.quantum = quantum;
-                    e.task = loser.task_id;
-                    e.core = victim_node;  // node id, per the kind contract
-                    e.a = loser.priority;
-                    e.b = item.priority;
-                    e.detail = loser.app_name;
-                    tracer_->emit(std::move(e));
+                if (tracer_ != nullptr) {
+                    tracer_->emit({.kind = obs::EventKind::kPreemption,
+                                   .quantum = quantum,
+                                   .task = loser.task_id,
+                                   .core = victim_node,  // node id, per the kind contract
+                                   .a = loser.priority,
+                                   .b = item.priority,
+                                   .detail = loser.app_name});
+                    tracer_->metrics().counter("fleet.preemptions").add();
                 }
-                if (tracer_ != nullptr) tracer_->metrics().counter("fleet.preemptions").add();
                 demoted.push_back(std::move(loser));
                 target = victim_node;
             }
@@ -138,20 +128,16 @@ void FleetRunner::admit_and_preempt(std::uint64_t quantum) {
             waiting.push_back(std::move(item));
             continue;
         }
-        const int task_id = item.task_id;
-        const std::string app = item.app_name;
+        if (tracer_ != nullptr) {
+            tracer_->emit({.kind = obs::EventKind::kAdmission,
+                           .quantum = quantum,
+                           .task = item.task_id,
+                           .core = target,  // node id (fleet-level admission)
+                           .detail = item.app_name});
+            tracer_->metrics().counter("fleet.admissions").add();
+        }
         fleet_.node(target).admit(std::move(item), quantum);
         ++progress_.admissions;
-        if (tracer_ != nullptr && tracer_->wants(obs::EventKind::kAdmission)) {
-            obs::TraceEvent e;
-            e.kind = obs::EventKind::kAdmission;
-            e.quantum = quantum;
-            e.task = task_id;
-            e.core = target;  // node id (fleet-level admission)
-            e.detail = app;
-            tracer_->emit(std::move(e));
-        }
-        if (tracer_ != nullptr) tracer_->metrics().counter("fleet.admissions").add();
     }
     queue_ = std::move(waiting);
     for (WorkItem& d : demoted) {
@@ -182,8 +168,6 @@ FleetResult FleetRunner::run() {
         rec.isolated_ipc = plan.isolated_ipc;
     }
 
-    const double qcycles =
-        static_cast<double>(opts_.node_config.cycles_per_quantum);
     const int capacity = fleet_.total_capacity();
     std::vector<FleetNode::StepResult> steps(
         static_cast<std::size_t>(fleet_.node_count()));
@@ -209,30 +193,27 @@ FleetResult FleetRunner::run() {
         // Step every node — concurrently when a pool exists.  Nodes share no
         // mutable state; results are folded in ascending node order below,
         // so the fold is identical at every fleet-thread count.
-        if (pool_ != nullptr) {
-            std::vector<std::future<FleetNode::StepResult>> futures;
-            futures.reserve(steps.size());
-            for (int n = 0; n < fleet_.node_count(); ++n) {
-                FleetNode* node = &fleet_.node(n);
-                futures.push_back(pool_->submit_waitable(
-                    [node, quantum] { return node->step(quantum); }));
-            }
-            for (std::size_t n = 0; n < futures.size(); ++n) steps[n] = futures[n].get();
-        } else {
-            for (int n = 0; n < fleet_.node_count(); ++n)
+        for (int n = 0; n < fleet_.node_count(); ++n) {
+            const auto step = [this, &steps, n, quantum] {
                 steps[static_cast<std::size_t>(n)] = fleet_.node(n).step(quantum);
+            };
+            if (pool_ == nullptr)
+                step();
+            else
+                pool_->submit(step);
         }
+        if (pool_ != nullptr) pool_->wait_idle();
         qstats.simulate_us = sw.lap_us();
 
         // Fold: retirements, counters and trace events in node order.
         double aggregate_ipc = 0.0;
         for (int n = 0; n < fleet_.node_count(); ++n) {
             FleetNode::StepResult& sr = steps[static_cast<std::size_t>(n)];
-            result.migrations += sr.migrations;
-            result.cross_chip_migrations += sr.cross_chip_migrations;
-            qstats.migrations += sr.migrations;
-            qstats.cross_chip += sr.cross_chip_migrations;
-            aggregate_ipc += sr.aggregate_ipc;
+            result.migrations += sr.report.binds.migrations;
+            result.cross_chip_migrations += sr.report.binds.cross_chip;
+            qstats.migrations += sr.report.binds.migrations;
+            qstats.cross_chip += sr.report.binds.cross_chip;
+            aggregate_ipc += sr.report.aggregate_ipc;
             for (FleetNode::Retired& done : sr.retired) {
                 FleetTaskRecord& rec = result.tasks[done.item.plan_index];
                 rec.task_id = done.item.task_id;
@@ -243,14 +224,8 @@ FleetResult FleetRunner::run() {
                     done.finish_quantum - static_cast<double>(rec.arrival_quantum);
                 rec.queue_quanta = static_cast<double>(done.item.queue_wait_quanta);
                 rec.preemptions = done.item.preemptions;
-                const double isolated_quanta =
-                    rec.isolated_ipc > 0.0
-                        ? static_cast<double>(rec.service_insts) /
-                              (rec.isolated_ipc * qcycles)
-                        : 0.0;
-                rec.slowdown = isolated_quanta > 0.0
-                                   ? rec.turnaround_quanta / isolated_quanta
-                                   : 0.0;
+                rec.slowdown = trace_.tasks[done.item.plan_index].slowdown(
+                    rec.turnaround_quanta, opts_.node_config.cycles_per_quantum);
                 rec.completed = true;
                 rec.deadline_met = rec.deadline_quantum <= 0.0 ||
                                    rec.finish_quantum <= rec.deadline_quantum;
@@ -265,17 +240,13 @@ FleetResult FleetRunner::run() {
                     m.histogram("fleet.slowdown_milli")
                         .record(static_cast<std::uint64_t>(
                             std::llround(std::max(0.0, rec.slowdown) * 1000.0)));
-                    if (tracer_->wants(obs::EventKind::kRetirement)) {
-                        obs::TraceEvent e;
-                        e.kind = obs::EventKind::kRetirement;
-                        e.quantum = quantum;
-                        e.task = rec.task_id;
-                        e.chip = n;  // the serving node
-                        e.core = done.final_core;
-                        e.value = done.finish_quantum;
-                        e.detail = rec.app_name;
-                        tracer_->emit(std::move(e));
-                    }
+                    tracer_->emit({.kind = obs::EventKind::kRetirement,
+                                   .quantum = quantum,
+                                   .chip = n,  // the serving node
+                                   .task = rec.task_id,
+                                   .core = done.final_core,
+                                   .value = done.finish_quantum,
+                                   .detail = rec.app_name});
                 }
             }
         }

@@ -265,12 +265,25 @@ void write_metrics_csv(std::ostream& os, const Tracer& tracer) {
     }
 }
 
+namespace {
+
+/// `trace_path` with its ".json" suffix (if any) replaced by `suffix`.
+std::string sibling_path(const std::string& trace_path, const std::string& suffix) {
+    const std::string json = ".json";
+    if (trace_path.size() > json.size() &&
+        trace_path.compare(trace_path.size() - json.size(), json.size(), json) == 0)
+        return trace_path.substr(0, trace_path.size() - json.size()) + suffix;
+    return trace_path + suffix;
+}
+
+}  // namespace
+
 std::string metrics_csv_path(const std::string& trace_path) {
-    const std::string suffix = ".json";
-    if (trace_path.size() > suffix.size() &&
-        trace_path.compare(trace_path.size() - suffix.size(), suffix.size(), suffix) == 0)
-        return trace_path.substr(0, trace_path.size() - suffix.size()) + ".metrics.csv";
-    return trace_path + ".metrics.csv";
+    return sibling_path(trace_path, ".metrics.csv");
+}
+
+std::string registry_csv_path(const std::string& trace_path) {
+    return sibling_path(trace_path, ".registry.csv");
 }
 
 }  // namespace synpa::obs

@@ -23,11 +23,16 @@ void write_chrome_trace(std::ostream& os, const Tracer& tracer);
 /// Per-quantum sample rows:
 /// quantum,live,queued,utilization,migrations,cross_chip,simulate_us,
 /// observe_us,decide_us,bind_us.  (Aggregate instrument summaries come
-/// from MetricsRegistry::write_csv separately.)
+/// from MetricsRegistry::write_csv; see registry_csv_path.)
 void write_metrics_csv(std::ostream& os, const Tracer& tracer);
 
 /// Where the metrics CSV lands for a given trace path: "t.json" ->
 /// "t.metrics.csv" (non-.json paths just append ".metrics.csv").
 std::string metrics_csv_path(const std::string& trace_path);
+
+/// Where the metrics-registry CSV (MetricsRegistry::write_csv: every
+/// counter, gauge and histogram recorded during the run) lands for a given
+/// trace path: "t.json" -> "t.registry.csv".
+std::string registry_csv_path(const std::string& trace_path);
 
 }  // namespace synpa::obs

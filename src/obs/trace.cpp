@@ -189,17 +189,15 @@ void Tracer::merge_chip_events() {
 void Tracer::finish() {
     if (finished_ || !cfg_.enabled || cfg_.file.empty()) return;
     finished_ = true;
-    {
-        std::ofstream os(cfg_.file);
-        if (!os) throw std::runtime_error("Tracer: cannot open trace file " + cfg_.file);
-        write_chrome_trace(os, *this);
-        if (!os) throw std::runtime_error("Tracer: failed writing trace file " + cfg_.file);
-    }
-    const std::string csv = metrics_csv_path(cfg_.file);
-    std::ofstream os(csv);
-    if (!os) throw std::runtime_error("Tracer: cannot open metrics file " + csv);
-    write_metrics_csv(os, *this);
-    if (!os) throw std::runtime_error("Tracer: failed writing metrics file " + csv);
+    const auto write = [](const std::string& path, const auto& body) {
+        std::ofstream os(path);
+        if (!os) throw std::runtime_error("Tracer: cannot open " + path);
+        body(os);
+        if (!os) throw std::runtime_error("Tracer: failed writing " + path);
+    };
+    write(cfg_.file, [this](std::ostream& os) { write_chrome_trace(os, *this); });
+    write(metrics_csv_path(cfg_.file), [this](std::ostream& os) { write_metrics_csv(os, *this); });
+    write(registry_csv_path(cfg_.file), [this](std::ostream& os) { metrics_.write_csv(os); });
 }
 
 std::string derive_trace_path(const std::string& base, const std::string& tag) {

@@ -62,7 +62,7 @@ struct TraceEvent {
     int a = 0;           ///< small kind-specific payload
     int b = 0;           ///< second kind-specific payload
     double value = 0.0;  ///< kind-specific measurement
-    std::string detail;  ///< optional human-readable payload
+    std::string detail{};  ///< optional human-readable payload
 };
 
 /// Bounded drop-oldest ring buffer (index 0 = oldest retained element).
@@ -117,8 +117,9 @@ using EventRing = Ring<TraceEvent>;
 /// Tracing knobs (see docs/REFERENCE.md).
 struct TraceConfig {
     bool enabled = false;
-    /// Chrome-trace JSON path; empty = record in memory only.  The metrics
-    /// CSV lands next to it (metrics_csv_path in export.hpp).
+    /// Chrome-trace JSON path; empty = record in memory only.  The
+    /// per-quantum metrics CSV and the metrics-registry CSV land next to it
+    /// (metrics_csv_path / registry_csv_path in export.hpp).
     std::string file;
     /// Bit per EventKind; parse_event_mask builds it from the
     /// SYNPA_TRACE_EVENTS group list.
@@ -229,7 +230,8 @@ public:
     MetricsRegistry& metrics() noexcept { return metrics_; }
     const MetricsRegistry& metrics() const noexcept { return metrics_; }
 
-    /// Writes the Chrome-trace JSON (and the metrics CSV next to it) when
+    /// Writes the Chrome-trace JSON (and the metrics and registry CSVs next
+    /// to it) when
     /// TraceConfig::file is set.  Idempotent; throws std::runtime_error on
     /// I/O failure.
     void finish();

@@ -4,8 +4,6 @@
 #include <stdexcept>
 
 #include "apps/spec_suite.hpp"
-#include "obs/trace.hpp"
-#include "sched/quantum_loop.hpp"
 #include "sched/thread_manager.hpp"
 
 namespace synpa::scenario {
@@ -19,44 +17,52 @@ double ScenarioResult::mean_utilization() const noexcept {
 
 ScenarioRunner::ScenarioRunner(uarch::Platform& platform, sched::AllocationPolicy& policy,
                                const ScenarioTrace& trace, Options opts)
-    : platform_(platform), policy_(policy), trace_(trace), opts_(opts) {
-    // Null out a disabled tracer once; closed scenarios re-wire through the
-    // delegated ThreadManager instead.
-    if (opts_.tracer != nullptr && opts_.tracer->enabled() &&
-        trace_.spec.process != ArrivalProcess::kClosed) {
-        tracer_ = opts_.tracer;
-        platform_.set_tracer(tracer_);
-        policy_.set_tracer(tracer_);
-    }
+    : platform_(platform), policy_(policy), trace_(trace), opts_(opts),
+      // Closed scenarios wire the tracer through the delegated ThreadManager.
+      loop_(platform, policy,
+            trace.spec.process == ArrivalProcess::kClosed ? nullptr : opts_.tracer,
+            /*full_groups=*/false) {
     if (trace_.spec.process == ArrivalProcess::kClosed &&
         trace_.tasks.size() != static_cast<std::size_t>(platform_.hw_contexts()))
         throw std::invalid_argument(
             "ScenarioRunner: closed scenarios must fill the platform");
-    for (std::size_t i = 1; i < trace_.tasks.size(); ++i)
-        if (trace_.tasks[i - 1].arrival_quantum > trace_.tasks[i].arrival_quantum)
-            throw std::invalid_argument("ScenarioRunner: trace tasks must be arrival-sorted");
+    if (!trace_.arrival_sorted())
+        throw std::invalid_argument("ScenarioRunner: trace tasks must be arrival-sorted");
 }
 
 ScenarioResult ScenarioRunner::run() {
-    ScenarioResult result =
-        trace_.spec.process == ArrivalProcess::kClosed ? run_closed() : run_open();
+    result_.scenario = trace_.spec.name;
+    result_.policy_name = policy_.name();
+    result_.tasks.resize(trace_.tasks.size());
+    for (std::size_t i = 0; i < trace_.tasks.size(); ++i) {
+        TaskRecord& rec = result_.tasks[i];
+        rec.plan_index = i;
+        rec.app_name = trace_.tasks[i].app_name;
+        rec.arrival_quantum = trace_.tasks[i].arrival_quantum;
+        rec.service_insts = trace_.tasks[i].service_insts;
+        rec.isolated_ipc = trace_.tasks[i].isolated_ipc;
+    }
+    if (trace_.spec.process == ArrivalProcess::kClosed)
+        run_closed();
+    else
+        run_open();
     // Online-adaptation accounting: policies that retrain their model at
     // runtime expose counters through sched::OnlinePolicy; frozen-model
     // policies leave the fields at their zero defaults.
     if (const auto* online = dynamic_cast<const sched::OnlinePolicy*>(&policy_)) {
-        result.adaptive = true;
-        result.phase_changes = online->phase_changes();
-        result.model_refits = online->model_refits();
+        result_.adaptive = true;
+        result_.phase_changes = online->phase_changes();
+        result_.model_refits = online->model_refits();
     }
-    return result;
+    return std::move(result_);
 }
 
 // ---------------------------------------------------------------- closed --
 
-ScenarioResult ScenarioRunner::run_closed() {
+void ScenarioRunner::run_closed() {
     // The closed system *is* the paper's methodology: delegate to the
     // classic manager so turnaround results are bit-identical with a direct
-    // ThreadManager run (the quantum mechanics are shared either way).
+    // ThreadManager run.
     std::vector<sched::TaskSpec> specs;
     specs.reserve(trace_.tasks.size());
     for (const PlannedTask& t : trace_.tasks)
@@ -72,46 +78,30 @@ ScenarioResult ScenarioRunner::run_closed() {
          .on_quantum = opts_.on_quantum});
     const sched::RunResult run = manager.run();
 
-    ScenarioResult result;
-    result.scenario = trace_.spec.name;
-    result.policy_name = run.policy_name;
-    result.quanta_executed = run.quanta_executed;
-    result.migrations = run.migrations;
-    result.cross_chip_migrations = run.cross_chip_migrations;
-    result.completed = run.completed;
-    result.turnaround_quanta = run.turnaround_quanta;
-
-    const double qcycles = static_cast<double>(platform_.config().cycles_per_quantum);
-    result.tasks.resize(trace_.tasks.size());
-    for (std::size_t s = 0; s < trace_.tasks.size(); ++s) {
-        TaskRecord& rec = result.tasks[s];
-        rec.plan_index = s;
-        rec.app_name = trace_.tasks[s].app_name;
-        rec.service_insts = trace_.tasks[s].service_insts;
-        rec.isolated_ipc = trace_.tasks[s].isolated_ipc;
-    }
+    result_.quanta_executed = run.quanta_executed;
+    result_.migrations = run.migrations;
+    result_.cross_chip_migrations = run.cross_chip_migrations;
+    result_.completed = run.completed;
+    result_.turnaround_quanta = run.turnaround_quanta;
     for (const sched::TaskOutcome& out : run.outcomes) {
-        TaskRecord& rec = result.tasks[static_cast<std::size_t>(out.slot_index)];
+        TaskRecord& rec = result_.tasks[static_cast<std::size_t>(out.slot_index)];
         rec.task_id = out.slot_index + 1;  // ThreadManager ids originals 1..N
         rec.chip_id = out.final_core >= 0 ? platform_.chip_of_core(out.final_core) : -1;
         rec.finish_quantum = out.finish_quantum;
         rec.turnaround_quanta = out.finish_quantum;
-        const double isolated_quanta =
-            rec.isolated_ipc > 0.0
-                ? static_cast<double>(rec.service_insts) / (rec.isolated_ipc * qcycles)
-                : 0.0;
-        rec.slowdown = isolated_quanta > 0.0 ? out.finish_quantum / isolated_quanta : 0.0;
+        rec.slowdown = trace_.tasks[static_cast<std::size_t>(out.slot_index)].slowdown(
+            out.finish_quantum, platform_.config().cycles_per_quantum);
         rec.completed = true;
-        ++result.completed_tasks;
+        ++result_.completed_tasks;
     }
 
     if (opts_.record_timeline && !run.traces.empty()) {
         // ThreadManager does not attribute migrations to quanta, so closed
         // timelines leave every sample's cumulative-migrations field at 0;
         // the run total is in result.migrations.
-        result.timeline.resize(static_cast<std::size_t>(run.quanta_executed));
-        for (std::size_t q = 0; q < result.timeline.size(); ++q) {
-            QuantumSample& sample = result.timeline[q];
+        result_.timeline.resize(static_cast<std::size_t>(run.quanta_executed));
+        for (std::size_t q = 0; q < result_.timeline.size(); ++q) {
+            QuantumSample& sample = result_.timeline[q];
             sample.quantum = q;
             sample.live = static_cast<int>(trace_.tasks.size());
             sample.utilization = 1.0;  // the closed system keeps the chip full
@@ -119,7 +109,6 @@ ScenarioResult ScenarioRunner::run_closed() {
                 if (q < trace.size()) sample.aggregate_ipc += trace[q].ipc;
         }
     }
-    return result;
 }
 
 // ------------------------------------------------------------------ open --
@@ -136,213 +125,79 @@ void ScenarioRunner::admit(std::uint64_t quantum) {
     const auto capacity = static_cast<std::size_t>(platform_.hw_contexts());
     while (next_plan_ < trace_.tasks.size() &&
            trace_.tasks[next_plan_].arrival_quantum <= quantum &&
-           live_.size() < capacity) {
+           loop_.residents().size() < capacity) {
         const PlannedTask& plan = trace_.tasks[next_plan_];
-        Live lv;
-        lv.plan_index = next_plan_;
-        lv.admit_quantum = quantum;
-        lv.task = std::make_unique<apps::AppInstance>(
-            next_task_id_++, apps::find_app(plan.app_name), plan.seed);
-
-        // Spread before doubling up (the CFS behaviour the paper observes):
-        // an arrival takes the least-loaded core platform-wide (ties to the
-        // lowest global index, so chip 0 fills first at equal load) in its
-        // lowest free SMT slot.  The policy regroups it from the next
-        // boundary.
-        uarch::CpuSlot where{-1, -1};
-        int best_load = platform_.config().smt_ways;
-        for (int c = 0; c < platform_.core_count(); ++c) {
-            const int load = platform_.core(c).active_threads();
-            if (load >= best_load) continue;
-            best_load = load;
-            int slot = 0;
-            while (platform_.core(c).slot(slot).bound()) ++slot;
-            where = {c, slot};
-        }
-        platform_.bind(*lv.task, where);
-        if (tracer_ != nullptr && tracer_->wants(obs::EventKind::kAdmission)) {
-            obs::TraceEvent e;
-            e.kind = obs::EventKind::kAdmission;
-            e.quantum = quantum;
-            e.task = lv.task->id();
-            e.core = where.core;
-            e.detail = plan.app_name;
-            tracer_->emit(std::move(e));
-        }
-        live_.push_back(std::move(lv));
+        // Ids in admission order, which FIFO admission makes plan order.
+        TaskRecord& rec = result_.tasks[next_plan_];
+        rec.task_id = static_cast<int>(next_plan_) + 1;
+        rec.admit_quantum = quantum;
+        // The policy regroups the arrival from the next boundary.
+        loop_.admit({.task = std::make_unique<apps::AppInstance>(
+                         rec.task_id, apps::find_app(plan.app_name), plan.seed),
+                     .app_name = plan.app_name,
+                     .slot_index = static_cast<int>(next_plan_),
+                     .finish_insts = plan.service_insts},
+                    quantum);
         ++next_plan_;
     }
 }
 
-ScenarioResult ScenarioRunner::run_open() {
-    ScenarioResult result;
-    result.scenario = trace_.spec.name;
-    result.policy_name = policy_.name();
-    result.tasks.resize(trace_.tasks.size());
-    for (std::size_t i = 0; i < trace_.tasks.size(); ++i) {
-        TaskRecord& rec = result.tasks[i];
-        rec.plan_index = i;
-        rec.app_name = trace_.tasks[i].app_name;
-        rec.arrival_quantum = trace_.tasks[i].arrival_quantum;
-        rec.service_insts = trace_.tasks[i].service_insts;
-        rec.isolated_ipc = trace_.tasks[i].isolated_ipc;
-    }
+std::unique_ptr<apps::AppInstance> ScenarioRunner::finished(std::size_t,
+                                                            const sched::TaskObservation& o,
+                                                            double finish_quantum) {
+    const PlannedTask& plan = trace_.tasks[static_cast<std::size_t>(o.slot_index)];
+    TaskRecord& rec = result_.tasks[static_cast<std::size_t>(o.slot_index)];
+    rec.chip_id = o.chip;
+    rec.finish_quantum = finish_quantum;
+    rec.turnaround_quanta = finish_quantum - static_cast<double>(plan.arrival_quantum);
+    rec.queue_quanta = static_cast<double>(rec.admit_quantum - plan.arrival_quantum);
+    rec.slowdown = plan.slowdown(rec.turnaround_quanta, platform_.config().cycles_per_quantum);
+    rec.completed = true;
+    ++result_.completed_tasks;
+    result_.turnaround_quanta = std::max(result_.turnaround_quanta, finish_quantum);
+    return nullptr;
+}
 
-    const double qcycles = static_cast<double>(platform_.config().cycles_per_quantum);
+void ScenarioRunner::run_open() {
     const int capacity = platform_.hw_contexts();
     std::uint64_t quantum = 0;
-
     while (quantum < opts_.max_quanta) {
         admit(quantum);
-        if (live_.empty() && next_plan_ >= trace_.tasks.size()) break;  // drained
+        const int live = static_cast<int>(loop_.residents().size());
+        if (live == 0 && next_plan_ >= trace_.tasks.size()) break;  // drained
 
+        // Idle gaps before the next arrival are simulated too.
         const int queued = queued_at(quantum);
-
-        // Flight recorder: stamp the boundary and time the four phases with
-        // host wall-clock (the "observe" bucket covers observe + retire).
-        // Tracing only reads simulated state — traced runs are bit-identical
-        // to untraced ones.
-        const std::uint64_t q = quantum;
-        obs::QuantumStats qstats;
-        qstats.quantum = q;
-        qstats.live = static_cast<int>(live_.size());
-        qstats.queued = queued;
-        qstats.utilization =
-            static_cast<double>(live_.size()) / static_cast<double>(capacity);
-        obs::PhaseStopwatch sw(tracer_ != nullptr);
-        if (tracer_ != nullptr) tracer_->begin_quantum(q, qstats.live, queued);
-
-        platform_.run_quantum();
-        ++quantum;
-        qstats.simulate_us = sw.lap_us();
-
-        if (live_.empty()) {
-            // Idle gap before the next arrival.
-            if (opts_.record_timeline)
-                result.timeline.push_back({.quantum = quantum - 1,
-                                           .queued = queued,
-                                           .migrations = result.migrations});
-            if (tracer_ != nullptr) tracer_->end_quantum(qstats);
-            continue;
-        }
-
-        // Observe every live task (admission order — the stable slot order
-        // shared with bind_allocation below).
-        std::vector<sched::TaskObservation> obs;
-        obs.reserve(live_.size());
-        double aggregate_ipc = 0.0;
-        for (Live& lv : live_) {
-            obs.push_back(sched::observe_task(platform_, *lv.task,
-                                              static_cast<int>(lv.plan_index),
-                                              trace_.tasks[lv.plan_index].app_name,
-                                              lv.prev_bank));
-            aggregate_ipc += obs.back().breakdown.ipc();
-        }
-
+        const std::uint64_t migrations_before = result_.migrations;
+        const sched::NodeLoop::Report report = loop_.step(quantum, *this, queued);
+        result_.migrations += report.binds.migrations;
+        result_.cross_chip_migrations += report.binds.cross_chip;
         if (opts_.record_timeline)
-            result.timeline.push_back(
-                {.quantum = quantum - 1,
-                 .live = static_cast<int>(live_.size()),
+            result_.timeline.push_back(
+                {.quantum = quantum,
+                 .live = live,
                  .queued = queued,
-                 .utilization = static_cast<double>(live_.size()) /
-                                static_cast<double>(capacity),
-                 .aggregate_ipc = aggregate_ipc,
-                 .migrations = result.migrations});
-
-        // Retire tasks whose service demand completed this quantum.
-        for (std::size_t i = 0; i < live_.size();) {
-            Live& lv = live_[i];
-            const PlannedTask& plan = trace_.tasks[lv.plan_index];
-            const std::uint64_t insts_now = lv.task->insts_retired();
-            if (insts_now >= plan.service_insts) {
-                const double frac =
-                    sched::finish_fraction(lv.insts_prev, insts_now, plan.service_insts);
-                TaskRecord& rec = result.tasks[lv.plan_index];
-                rec.task_id = lv.task->id();
-                rec.admit_quantum = lv.admit_quantum;
-                rec.finish_quantum = static_cast<double>(quantum - 1) + frac;
-                rec.turnaround_quanta =
-                    rec.finish_quantum - static_cast<double>(plan.arrival_quantum);
-                rec.queue_quanta =
-                    static_cast<double>(lv.admit_quantum - plan.arrival_quantum);
-                const double isolated_quanta =
-                    plan.isolated_ipc > 0.0
-                        ? static_cast<double>(plan.service_insts) /
-                              (plan.isolated_ipc * qcycles)
-                        : 0.0;
-                rec.slowdown =
-                    isolated_quanta > 0.0 ? rec.turnaround_quanta / isolated_quanta : 0.0;
-                rec.completed = true;
-                ++result.completed_tasks;
-                result.turnaround_quanta =
-                    std::max(result.turnaround_quanta, rec.finish_quantum);
-
-                const int id = lv.task->id();
-                rec.chip_id = platform_.chip_of_core(platform_.placement(id).core);
-                if (tracer_ != nullptr && tracer_->wants(obs::EventKind::kRetirement)) {
-                    obs::TraceEvent e;
-                    e.kind = obs::EventKind::kRetirement;
-                    e.quantum = q;
-                    e.task = id;
-                    e.core = platform_.placement(id).core;
-                    e.value = rec.finish_quantum;
-                    e.detail = plan.app_name;
-                    tracer_->emit(std::move(e));
-                }
-                platform_.unbind(id);
-                platform_.forget_task(id);  // retired for good; ids never reused
-                policy_.on_task_finished(id);
-                live_.erase(live_.begin() + static_cast<std::ptrdiff_t>(i));
-                obs.erase(obs.begin() + static_cast<std::ptrdiff_t>(i));
-                continue;
-            }
-            lv.prev_bank = lv.task->counters();
-            lv.insts_prev = insts_now;
-            ++i;
-        }
-
-        qstats.observe_us = sw.lap_us();
-
-        // Let the policy re-pair the survivors (partial allocations allowed;
-        // a short answer means trailing cores idle).
-        if (!live_.empty()) {
-            sched::CoreAllocation alloc = policy_.reallocate(obs);
-            qstats.decide_us = sw.lap_us();
-            if (alloc.size() > static_cast<std::size_t>(platform_.core_count()))
-                throw std::runtime_error("ScenarioRunner: allocation exceeds core count");
-            alloc.resize(static_cast<std::size_t>(platform_.core_count()));
-            std::vector<apps::AppInstance*> tasks;
-            tasks.reserve(live_.size());
-            for (Live& lv : live_) tasks.push_back(lv.task.get());
-            const sched::BindStats stats =
-                sched::bind_allocation(platform_, alloc, tasks,
-                                       /*require_full_groups=*/false, tracer_);
-            result.migrations += stats.migrations;
-            result.cross_chip_migrations += stats.cross_chip;
-            qstats.bind_us = sw.lap_us();
-            qstats.migrations = stats.migrations;
-            qstats.cross_chip = stats.cross_chip;
-        }
-        if (tracer_ != nullptr) tracer_->end_quantum(qstats);
+                 .utilization = static_cast<double>(live) / static_cast<double>(capacity),
+                 .aggregate_ipc = report.aggregate_ipc,
+                 .migrations = migrations_before});
+        ++quantum;
         if (opts_.on_quantum) opts_.on_quantum(platform_);
     }
 
     // Unfinished work (safety cap or never admitted) marks the run
     // incomplete; records keep whatever is known about the task.
-    result.quanta_executed = quantum;
-    for (Live& lv : live_) {
-        TaskRecord& rec = result.tasks[lv.plan_index];
-        rec.task_id = lv.task->id();
-        rec.admit_quantum = lv.admit_quantum;
-        rec.chip_id = platform_.chip_of_core(platform_.placement(lv.task->id()).core);
-        platform_.unbind(lv.task->id());
-        platform_.forget_task(lv.task->id());
+    result_.quanta_executed = quantum;
+    for (const sched::NodeLoop::Resident& r : loop_.residents()) {
+        const int id = r.task->id();
+        result_.tasks[static_cast<std::size_t>(r.slot_index)].chip_id =
+            platform_.chip_of_core(platform_.placement(id).core);
+        platform_.unbind(id);
+        platform_.forget_task(id);
     }
-    result.completed = result.completed_tasks == trace_.tasks.size();
+    result_.completed = result_.completed_tasks == trace_.tasks.size();
     // Match the classic manager's convention for incomplete runs: report
     // the executed quanta rather than the (possibly zero) best finish time.
-    if (!result.completed) result.turnaround_quanta = static_cast<double>(quantum);
-    return result;
+    if (!result_.completed) result_.turnaround_quanta = static_cast<double>(quantum);
 }
 
 }  // namespace synpa::scenario

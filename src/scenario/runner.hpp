@@ -4,9 +4,10 @@
 // allocations (cores running fewer than smt_ways threads, idle cores)
 // whenever the runnable count differs from smt_ways x cores.
 //
-// Shares its quantum mechanics (sched/quantum_loop.hpp) with the classic
-// ThreadManager; a kClosed trace is delegated to ThreadManager outright, so
-// a scenario with no arrivals/departures and a full chip reproduces the
+// The quantum itself is sched::NodeLoop's, configured for an open system:
+// FIFO arrivals on the least-loaded slot, retirement at the finish line,
+// partial groups.  A kClosed trace is delegated to ThreadManager outright,
+// so a scenario with no arrivals/departures and a full chip reproduces the
 // paper-methodology results bit-identically (asserted in
 // tests/test_scenario.cpp).
 #pragma once
@@ -17,9 +18,8 @@
 #include <string>
 #include <vector>
 
-#include "pmu/counters.hpp"
 #include "scenario/scenario.hpp"
-#include "sched/policy.hpp"
+#include "sched/node_loop.hpp"
 #include "uarch/platform.hpp"
 
 namespace synpa::scenario {
@@ -75,7 +75,7 @@ struct ScenarioResult {
     double mean_utilization() const noexcept;
 };
 
-class ScenarioRunner {
+class ScenarioRunner : private sched::NodeLoop::Lifecycle {
 public:
     struct Options {
         std::uint64_t max_quanta = 20'000;  ///< safety cap
@@ -102,27 +102,22 @@ public:
     ScenarioResult run();
 
 private:
-    struct Live {
-        std::size_t plan_index = 0;
-        std::unique_ptr<apps::AppInstance> task;
-        std::uint64_t admit_quantum = 0;
-        pmu::CounterBank prev_bank;
-        std::uint64_t insts_prev = 0;
-    };
-
-    ScenarioResult run_closed();
-    ScenarioResult run_open();
+    void run_closed();
+    void run_open();
     void admit(std::uint64_t quantum);
     int queued_at(std::uint64_t quantum) const;
+    /// NodeLoop::Lifecycle: record the finished task and retire it.
+    std::unique_ptr<apps::AppInstance> finished(std::size_t index,
+                                                const sched::TaskObservation& o,
+                                                double finish_quantum) override;
 
     uarch::Platform& platform_;
     sched::AllocationPolicy& policy_;
     const ScenarioTrace& trace_;
     Options opts_;
-    obs::Tracer* tracer_ = nullptr;  ///< opts_.tracer when enabled, else null
-    std::vector<Live> live_;       ///< admission order
-    std::size_t next_plan_ = 0;    ///< first not-yet-admitted plan index
-    int next_task_id_ = 1;
+    sched::NodeLoop loop_;       ///< open runs; residents keyed by plan index
+    ScenarioResult result_;      ///< the run being measured
+    std::size_t next_plan_ = 0;  ///< first not-yet-admitted plan index
 };
 
 }  // namespace synpa::scenario

@@ -157,7 +157,6 @@ ScenarioTrace build_trace(const ScenarioSpec& spec, const uarch::SimConfig& cfg)
     // SLO classes come from their own stream: enabling lc_fraction must not
     // perturb the arrival process or the demand sampling above.
     common::Rng slo_rng(spec.seed, 0x510c);
-    const double qcycles = static_cast<double>(cfg.cycles_per_quantum);
     for (std::size_t i = 0; i < arrivals.size(); ++i) {
         const ServiceBaseline& base = baselines.of(arrivals[i].app_name);
         const double jitter = spec.service_jitter > 0.0
@@ -176,10 +175,7 @@ ScenarioTrace build_trace(const ScenarioSpec& spec, const uarch::SimConfig& cfg)
         const bool lc = spec.lc_fraction > 0.0 && slo_rng.chance(spec.lc_fraction);
         task.slo = lc ? SloClass::kLatencyCritical : SloClass::kBatch;
         task.priority = lc ? spec.lc_priority : spec.batch_priority;
-        const double isolated_quanta =
-            base.ipc > 0.0
-                ? static_cast<double>(task.service_insts) / (base.ipc * qcycles)
-                : 0.0;
+        const double isolated_quanta = task.isolated_quanta(cfg.cycles_per_quantum);
         const double slack = lc ? spec.lc_deadline_slack : spec.batch_deadline_slack;
         task.deadline_quantum = isolated_quanta > 0.0
                                     ? static_cast<double>(task.arrival_quantum) +

@@ -12,6 +12,7 @@
 // (runner.hpp) executes it.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -106,6 +107,19 @@ struct PlannedTask {
     SloClass slo = SloClass::kBatch;
     int priority = 0;               ///< admission priority (class default)
     double deadline_quantum = 0.0;  ///< absolute deadline; 0 = no deadline
+
+    /// Isolated service time in quanta: the finish line at the isolated
+    /// IPC (0 when the task has no isolated IPC).
+    double isolated_quanta(std::uint64_t cycles_per_quantum) const noexcept {
+        return isolated_ipc > 0.0 ? static_cast<double>(service_insts) /
+                                        (isolated_ipc * static_cast<double>(cycles_per_quantum))
+                                  : 0.0;
+    }
+    /// `turnaround_quanta` over the isolated service time (0 without one).
+    double slowdown(double turnaround_quanta, std::uint64_t cycles_per_quantum) const noexcept {
+        const double isolated = isolated_quanta(cycles_per_quantum);
+        return isolated > 0.0 ? turnaround_quanta / isolated : 0.0;
+    }
 };
 
 /// A fully sampled scenario, ready to run.  Tasks are sorted by arrival
@@ -113,6 +127,15 @@ struct PlannedTask {
 struct ScenarioTrace {
     ScenarioSpec spec;
     std::vector<PlannedTask> tasks;
+
+    /// Whether the tasks are in non-decreasing arrival order (the drivers'
+    /// FIFO admission contract).
+    bool arrival_sorted() const {
+        return std::is_sorted(tasks.begin(), tasks.end(),
+                              [](const PlannedTask& a, const PlannedTask& b) {
+                                  return a.arrival_quantum < b.arrival_quantum;
+                              });
+    }
 };
 
 /// Samples the arrival process, draws each task's application and service

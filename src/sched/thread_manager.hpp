@@ -22,7 +22,7 @@
 #include "apps/instance.hpp"
 #include "model/categories.hpp"
 #include "sched/policy.hpp"
-#include "sched/quantum_loop.hpp"
+#include "sched/node_loop.hpp"
 #include "uarch/platform.hpp"
 
 namespace synpa::sched {
@@ -72,7 +72,7 @@ struct RunResult {
     bool completed = true;  ///< false if the safety quantum cap was hit
 };
 
-class ThreadManager {
+class ThreadManager : private NodeLoop::Lifecycle {
 public:
     struct Options {
         std::uint64_t max_quanta = 20'000;  ///< safety cap
@@ -101,26 +101,28 @@ public:
 private:
     struct Slot {
         TaskSpec spec;
-        std::unique_ptr<apps::AppInstance> task;
         std::uint64_t relaunches = 0;
-        pmu::CounterBank prev_bank;  ///< snapshot at the last quantum boundary
-        std::uint64_t insts_at_last_quantum = 0;
-        bool original_finished = false;
-        std::optional<TaskOutcome> outcome;
+        std::optional<TaskOutcome> outcome{};  ///< set when the original finished
         // Accumulated categories for mean_fractions of the original task.
         std::array<double, model::kCategoryCount> category_cycles{};
         double cycles_observed = 0.0;
+        std::vector<QuantumTrace> trace{};
     };
 
-    void apply_allocation(const CoreAllocation& alloc);
+    // NodeLoop::Lifecycle: record traces, relaunch finished originals, and
+    // stop regrouping once every original has finished.
+    void observed(std::uint64_t quantum, std::span<const TaskObservation> obs) override;
+    std::unique_ptr<apps::AppInstance> finished(std::size_t index, const TaskObservation& o,
+                                                double finish_quantum) override;
+    bool regroup() const override { return finished_ < slots_.size(); }
 
     uarch::Platform& platform_;
     AllocationPolicy& policy_;
     Options opts_;
-    obs::Tracer* tracer_ = nullptr;  ///< opts_.tracer when enabled, else null
+    NodeLoop loop_;
     std::vector<Slot> slots_;
     int next_task_id_ = 1;
-    BindStats bind_stats_;
+    std::size_t finished_ = 0;  ///< originals past their finish line
 };
 
 }  // namespace synpa::sched

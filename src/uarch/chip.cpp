@@ -40,7 +40,7 @@ double shared_hit_fraction(double hit_iso, double capacity, double share, double
 
 }  // namespace
 
-Chip::Chip(const SimConfig& cfg) : cfg_(cfg), memory_(cfg_) {
+Chip::Chip(const SimConfig& cfg) : cfg_(cfg.validate()), memory_(cfg_) {
     cores_.assign(static_cast<std::size_t>(cfg_.cores), SmtCore(cfg_));
 }
 

@@ -8,9 +8,7 @@
 
 namespace synpa::uarch {
 
-Platform::Platform(const SimConfig& cfg) : cfg_(cfg) {
-    if (cfg_.num_chips < 1)
-        throw std::invalid_argument("Platform: num_chips must be at least 1");
+Platform::Platform(const SimConfig& cfg) : cfg_(cfg.validate()) {
     chips_.reserve(static_cast<std::size_t>(cfg_.num_chips));
     for (int c = 0; c < cfg_.num_chips; ++c) chips_.push_back(std::make_unique<Chip>(cfg_));
     if (cfg_.sim_threads > 1 && cfg_.num_chips > 1)

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <type_traits>
 
@@ -70,16 +72,13 @@ SimConfig SimConfig::from_env() {
     using common::env_int;
     SimConfig c;
     c.cores = static_cast<int>(env_int("SYNPA_CORES", c.cores));
-    c.num_chips = static_cast<int>(
-        std::max<std::int64_t>(env_int("SYNPA_NUM_CHIPS", c.num_chips), 1));
-    c.cross_chip_warmup_quanta = static_cast<int>(std::max<std::int64_t>(
-        env_int("SYNPA_XCHIP_WARMUP_QUANTA", c.cross_chip_warmup_quanta), 0));
+    c.num_chips = static_cast<int>(env_int("SYNPA_NUM_CHIPS", c.num_chips));
+    c.cross_chip_warmup_quanta =
+        static_cast<int>(env_int("SYNPA_XCHIP_WARMUP_QUANTA", c.cross_chip_warmup_quanta));
     c.cross_chip_miss_multiplier =
         env_double("SYNPA_XCHIP_MISS_MULT", c.cross_chip_miss_multiplier);
-    c.sim_threads = static_cast<int>(
-        std::max<std::int64_t>(env_int("SYNPA_SIM_THREADS", c.sim_threads), 1));
-    c.smt_ways = static_cast<int>(
-        std::clamp<std::int64_t>(env_int("SYNPA_SMT_WAYS", c.smt_ways), 1, kMaxSmtWays));
+    c.sim_threads = static_cast<int>(env_int("SYNPA_SIM_THREADS", c.sim_threads));
+    c.smt_ways = static_cast<int>(env_int("SYNPA_SMT_WAYS", c.smt_ways));
     c.cycles_per_quantum = static_cast<std::uint64_t>(
         env_int("SYNPA_QUANTUM_CYCLES", static_cast<std::int64_t>(c.cycles_per_quantum)));
     c.mem_latency = static_cast<int>(env_int("SYNPA_MEM_LATENCY", c.mem_latency));
@@ -94,6 +93,39 @@ SimConfig SimConfig::from_env() {
     c.mshr_serialization_cap =
         static_cast<int>(env_int("SYNPA_MSHR_CAP", c.mshr_serialization_cap));
     return c;
+}
+
+const SimConfig& SimConfig::validate() const {
+    const auto require = [](bool ok, const char* knob, const char* rule, const std::string& got) {
+        if (!ok)
+            throw std::invalid_argument(std::string("SimConfig: ") + knob + " must be " + rule +
+                                        ", got " + got);
+    };
+    const auto str = [](auto v) { return std::to_string(v); };
+    // Unsigned fields read back as signed so a wrapped negative is caught.
+    const auto as_signed = [](std::uint64_t v) { return static_cast<std::int64_t>(v); };
+    require(cores >= 1, "SYNPA_CORES", ">= 1", str(cores));
+    require(smt_ways == 1 || smt_ways == 2 || smt_ways == 4, "SYNPA_SMT_WAYS", "1, 2 or 4",
+            str(smt_ways));
+    require(num_chips >= 1, "SYNPA_NUM_CHIPS", ">= 1", str(num_chips));
+    require(sim_threads >= 1, "SYNPA_SIM_THREADS", ">= 1", str(sim_threads));
+    require(as_signed(cycles_per_quantum) >= 1, "SYNPA_QUANTUM_CYCLES", ">= 1",
+            str(as_signed(cycles_per_quantum)));
+    require(cross_chip_warmup_quanta >= 0, "SYNPA_XCHIP_WARMUP_QUANTA", ">= 0",
+            str(cross_chip_warmup_quanta));
+    require(cross_chip_miss_multiplier >= 1.0, "SYNPA_XCHIP_MISS_MULT", ">= 1",
+            str(cross_chip_miss_multiplier));
+    require(mem_latency >= 0, "SYNPA_MEM_LATENCY", ">= 0", str(mem_latency));
+    require(llc_latency >= 0, "SYNPA_LLC_LATENCY", ">= 0", str(llc_latency));
+    require(l2_latency >= 0, "SYNPA_L2_LATENCY", ">= 0", str(l2_latency));
+    require(mem_bw_accesses_per_cycle > 0.0, "SYNPA_MEM_BW", "> 0",
+            str(mem_bw_accesses_per_cycle));
+    require(cache_pressure_exponent >= 0.0, "SYNPA_CACHE_PRESSURE_EXP", ">= 0",
+            str(cache_pressure_exponent));
+    require(as_signed(warmup_insts) >= 0, "SYNPA_WARMUP_INSTS", ">= 0",
+            str(as_signed(warmup_insts)));
+    require(mshr_serialization_cap >= 0, "SYNPA_MSHR_CAP", ">= 0", str(mshr_serialization_cap));
+    return *this;
 }
 
 }  // namespace synpa::uarch

@@ -110,8 +110,16 @@ struct SimConfig {
 
     /// Loads defaults then applies SYNPA_* environment overrides
     /// (SYNPA_QUANTUM_CYCLES, SYNPA_CORES, SYNPA_NUM_CHIPS,
-    /// SYNPA_MEM_LATENCY, ...).
+    /// SYNPA_MEM_LATENCY, ...) verbatim; validate() rejects bad values.
     static SimConfig from_env();
+
+    /// Throws std::invalid_argument naming the SYNPA_* knob of the first
+    /// field out of range (cores, chips, sim threads and cycles per quantum
+    /// >= 1; smt_ways 1, 2 or 4; latencies, caps and warmup windows >= 0;
+    /// the cross-chip miss multiplier >= 1; memory bandwidth > 0).  Returns
+    /// *this so constructors can validate in their initializer lists; every
+    /// Chip and Platform does.
+    const SimConfig& validate() const;
 };
 
 /// Deterministic fingerprint over every configuration field that can

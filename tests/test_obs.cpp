@@ -15,6 +15,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -440,6 +442,25 @@ TEST(TraceExport, ChromeTraceCarriesRequiredFields) {
 TEST(TraceExport, MetricsCsvPathDerivation) {
     EXPECT_EQ(obs::metrics_csv_path("t.json"), "t.metrics.csv");
     EXPECT_EQ(obs::metrics_csv_path("trace"), "trace.metrics.csv");
+    EXPECT_EQ(obs::registry_csv_path("t.json"), "t.registry.csv");
+    EXPECT_EQ(obs::registry_csv_path("trace"), "trace.registry.csv");
+}
+
+TEST(TraceExport, FinishExportsTheMetricsRegistry) {
+    // Every recorded instrument is exported: a traced synpa run's weight
+    // cache counters reach the registry CSV written next to the trace.
+    obs::TraceConfig cfg = memory_trace_config();
+    cfg.file = ::testing::TempDir() + "obs-registry-export.json";
+    obs::Tracer tracer(cfg);
+    run_closed(2, 2, 1, &tracer);
+    ASSERT_NE(tracer.metrics().find_counter("weight_cache.hits"), nullptr);
+    tracer.finish();
+
+    std::ifstream in(obs::registry_csv_path(cfg.file));
+    ASSERT_TRUE(in) << "no registry CSV next to " << cfg.file;
+    const std::string csv((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+    EXPECT_EQ(csv.find("name,kind,"), 0u);
+    EXPECT_NE(csv.find("\nweight_cache.hits,counter,"), std::string::npos);
 }
 
 TEST(TraceExport, LargeScenarioTraceExportsCleanly) {

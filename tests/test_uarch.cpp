@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "apps/instance.hpp"
 #include "apps/spec_suite.hpp"
@@ -125,14 +129,60 @@ TEST(Config, EnvOverride) {
     ::unsetenv("SYNPA_QUANTUM_CYCLES");
 }
 
-TEST(Config, SmtWaysEnvOverrideIsClamped) {
+TEST(Config, SmtWaysEnvOverrideIsReadVerbatim) {
+    // from_env never repairs a value: out-of-range widths reach validate().
     ::setenv("SYNPA_SMT_WAYS", "4", 1);
     EXPECT_EQ(SimConfig::from_env().smt_ways, 4);
-    ::setenv("SYNPA_SMT_WAYS", "9", 1);  // beyond kMaxSmtWays
-    EXPECT_EQ(SimConfig::from_env().smt_ways, kMaxSmtWays);
-    ::setenv("SYNPA_SMT_WAYS", "0", 1);
-    EXPECT_EQ(SimConfig::from_env().smt_ways, 1);
+    ::setenv("SYNPA_SMT_WAYS", "9", 1);
+    EXPECT_EQ(SimConfig::from_env().smt_ways, 9);
     ::unsetenv("SYNPA_SMT_WAYS");
+}
+
+/// Building a platform from `knob=value` must fail with a message naming
+/// the knob.
+void expect_env_rejected(const char* knob, const char* value) {
+    ::setenv(knob, value, 1);
+    const SimConfig cfg = SimConfig::from_env();
+    ::unsetenv(knob);
+    try {
+        Platform platform(cfg);
+        ADD_FAILURE() << knob << "=" << value << " was accepted";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(knob), std::string::npos) << e.what();
+    }
+}
+
+TEST(ConfigValidation, RejectsZeroCores) { expect_env_rejected("SYNPA_CORES", "0"); }
+
+TEST(ConfigValidation, RejectsNegativeCores) { expect_env_rejected("SYNPA_CORES", "-2"); }
+
+TEST(ConfigValidation, RejectsZeroQuantumCycles) {
+    expect_env_rejected("SYNPA_QUANTUM_CYCLES", "0");
+}
+
+TEST(ConfigValidation, RejectsSmtWaysThree) { expect_env_rejected("SYNPA_SMT_WAYS", "3"); }
+
+TEST(ConfigValidation, RejectsSmtWaysNine) { expect_env_rejected("SYNPA_SMT_WAYS", "9"); }
+
+TEST(ConfigValidation, RejectsEveryOtherOutOfRangeKnob) {
+    const std::vector<std::pair<const char*, const char*>> bad = {
+        {"SYNPA_NUM_CHIPS", "0"},           {"SYNPA_SIM_THREADS", "0"},
+        {"SYNPA_QUANTUM_CYCLES", "-1"},     {"SYNPA_SMT_WAYS", "0"},
+        {"SYNPA_XCHIP_WARMUP_QUANTA", "-1"}, {"SYNPA_XCHIP_MISS_MULT", "0.5"},
+        {"SYNPA_MEM_LATENCY", "-50"},       {"SYNPA_LLC_LATENCY", "-1"},
+        {"SYNPA_L2_LATENCY", "-1"},         {"SYNPA_MEM_BW", "0"},
+        {"SYNPA_CACHE_PRESSURE_EXP", "-1"}, {"SYNPA_WARMUP_INSTS", "-1"},
+        {"SYNPA_MSHR_CAP", "-1"},
+    };
+    for (const auto& [knob, value] : bad) expect_env_rejected(knob, value);
+}
+
+TEST(ConfigValidation, ChipValidatesToo) {
+    // Trainer and the extended model build bare chips.
+    SimConfig cfg;
+    cfg.cores = 0;
+    EXPECT_THROW(Chip chip(cfg), std::invalid_argument);
+    EXPECT_NO_THROW(SimConfig().validate());
 }
 
 TEST(Config, FingerprintSensitivity) {

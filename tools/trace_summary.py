@@ -13,8 +13,9 @@ Usage:
 
 --validate asserts the shape the CI trace-smoke job relies on: the file
 parses as JSON, every traceEvents entry carries ph/ts/pid, the "quantum"
-X-slices have strictly increasing timestamps, and at least one counter
-track is present.
+X-slices have strictly increasing timestamps, at least one counter track is
+present, and the metrics-registry CSV the recorder writes next to the trace
+("t.json" -> "t.registry.csv") exists with its header row.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import argparse
 import json
 import sys
 from collections import Counter
+
+REGISTRY_HEADER = "name,kind,count,value,mean,p50,p90,p99,min,max"
 
 
 def percentile(values: list[float], p: float) -> float:
@@ -40,6 +43,23 @@ def percentile(values: list[float], p: float) -> float:
 def load(path: str) -> dict:
     with open(path) as f:
         return json.load(f)
+
+
+def registry_path(trace_path: str) -> str:
+    """Where the recorder writes the metrics registry for `trace_path`."""
+    base = trace_path[: -len(".json")] if trace_path.endswith(".json") else trace_path
+    return base + ".registry.csv"
+
+
+def validate_registry(path: str) -> list[str]:
+    try:
+        with open(path) as f:
+            header = f.readline().strip()
+    except OSError as err:
+        return [f"metrics registry missing: {err}"]
+    if header != REGISTRY_HEADER:
+        return [f"{path}: unexpected header {header!r}"]
+    return []
 
 
 def validate(doc: dict) -> list[str]:
@@ -145,7 +165,7 @@ def main() -> int:
         return 1
 
     if args.validate:
-        errors = validate(doc)
+        errors = validate(doc) + validate_registry(registry_path(args.trace))
         if errors:
             sys.stderr.write("\n".join(errors) + "\n")
             return 1
