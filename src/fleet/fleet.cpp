@@ -20,7 +20,7 @@ Fleet::Fleet(const FleetConfig& cfg) {
         node_pc.seed = common::derive_key(cfg.policy_config.seed, 0xf1e7,
                                           static_cast<std::uint64_t>(n));
         nodes_.push_back(std::make_unique<FleetNode>(
-            n, cfg.node_config, sched::make_policy(cfg.node_policy, node_pc),
+            cfg.node_config, sched::make_policy(cfg.node_policy, node_pc),
             cfg.with_estimators ? cfg.policy_config.model : nullptr));
     }
 }

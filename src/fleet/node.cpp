@@ -8,10 +8,9 @@
 
 namespace synpa::fleet {
 
-FleetNode::FleetNode(int id, const uarch::SimConfig& cfg,
-                     std::unique_ptr<sched::AllocationPolicy> policy,
+FleetNode::FleetNode(const uarch::SimConfig& cfg, std::unique_ptr<sched::AllocationPolicy> policy,
                      std::shared_ptr<const model::InterferenceModel> scoring_model)
-    : id_(id), platform_(cfg),
+    : platform_(cfg),
       policy_(policy != nullptr
                   ? std::move(policy)
                   : throw std::invalid_argument("FleetNode: node policy must not be null")),

@@ -61,20 +61,13 @@ public:
     /// `scoring_model`: when non-null the node builds its own SynpaEstimator
     /// (fed each quantum) for fleet-level interference scoring; null skips
     /// it (fleet policies that never score save the inversion work).
-    FleetNode(int id, const uarch::SimConfig& cfg,
-              std::unique_ptr<sched::AllocationPolicy> policy,
+    FleetNode(const uarch::SimConfig& cfg, std::unique_ptr<sched::AllocationPolicy> policy,
               std::shared_ptr<const model::InterferenceModel> scoring_model);
 
-    int id() const noexcept { return id_; }
     const uarch::Platform& platform() const noexcept { return platform_; }
     int capacity() const noexcept { return platform_.hw_contexts(); }
     int live_count() const noexcept { return static_cast<int>(items_.size()); }
     int free_contexts() const noexcept { return capacity() - live_count(); }
-
-    /// The node's interference estimator; null when built without a model.
-    const core::SynpaEstimator* estimator() const noexcept {
-        return estimator_ ? &*estimator_ : nullptr;
-    }
 
     /// Binds the item here (creating its AppInstance on first admission,
     /// reusing it after a preemption) on the least-loaded core, lowest
@@ -113,7 +106,6 @@ private:
                                                 const sched::TaskObservation& o,
                                                 double finish_quantum) override;
 
-    int id_;
     uarch::Platform platform_;
     std::unique_ptr<sched::AllocationPolicy> policy_;
     std::optional<core::SynpaEstimator> estimator_;

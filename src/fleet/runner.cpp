@@ -110,13 +110,14 @@ void FleetRunner::admit_and_preempt(std::uint64_t quantum) {
                 ++progress_.preemptions;
                 loser.enqueue_quantum = quantum;
                 if (tracer_ != nullptr) {
-                    tracer_->emit({.kind = obs::EventKind::kPreemption,
-                                   .quantum = quantum,
-                                   .task = loser.task_id,
-                                   .core = victim_node,  // node id, per the kind contract
-                                   .a = loser.priority,
-                                   .b = item.priority,
-                                   .detail = loser.app_name});
+                    if (tracer_->wants(obs::EventKind::kPreemption))
+                        tracer_->emit({.kind = obs::EventKind::kPreemption,
+                                       .quantum = quantum,
+                                       .task = loser.task_id,
+                                       .core = victim_node,  // node id, per the kind contract
+                                       .a = loser.priority,
+                                       .b = item.priority,
+                                       .detail = loser.app_name});
                     tracer_->metrics().counter("fleet.preemptions").add();
                 }
                 demoted.push_back(std::move(loser));
@@ -129,11 +130,12 @@ void FleetRunner::admit_and_preempt(std::uint64_t quantum) {
             continue;
         }
         if (tracer_ != nullptr) {
-            tracer_->emit({.kind = obs::EventKind::kAdmission,
-                           .quantum = quantum,
-                           .task = item.task_id,
-                           .core = target,  // node id (fleet-level admission)
-                           .detail = item.app_name});
+            if (tracer_->wants(obs::EventKind::kAdmission))
+                tracer_->emit({.kind = obs::EventKind::kAdmission,
+                               .quantum = quantum,
+                               .task = item.task_id,
+                               .core = target,  // node id (fleet-level admission)
+                               .detail = item.app_name});
             tracer_->metrics().counter("fleet.admissions").add();
         }
         fleet_.node(target).admit(std::move(item), quantum);
@@ -240,13 +242,14 @@ FleetResult FleetRunner::run() {
                     m.histogram("fleet.slowdown_milli")
                         .record(static_cast<std::uint64_t>(
                             std::llround(std::max(0.0, rec.slowdown) * 1000.0)));
-                    tracer_->emit({.kind = obs::EventKind::kRetirement,
-                                   .quantum = quantum,
-                                   .chip = n,  // the serving node
-                                   .task = rec.task_id,
-                                   .core = done.final_core,
-                                   .value = done.finish_quantum,
-                                   .detail = rec.app_name});
+                    if (tracer_->wants(obs::EventKind::kRetirement))
+                        tracer_->emit({.kind = obs::EventKind::kRetirement,
+                                       .quantum = quantum,
+                                       .chip = n,  // the serving node
+                                       .task = rec.task_id,
+                                       .core = done.final_core,
+                                       .value = done.finish_quantum,
+                                       .detail = rec.app_name});
                 }
             }
         }

@@ -2,8 +2,8 @@
 //
 // A Tracer records structured TraceEvents into bounded drop-oldest ring
 // buffers and per-quantum QuantumStats samples into a MetricsRegistry.  It
-// is wired through every layer — drivers stamp quantum boundaries and
-// phase wall-clock, bind_allocation emits per-task migrations, the SYNPA
+// is wired through every layer — sched::NodeLoop stamps quantum boundaries
+// and phase wall-clock and emits per-task migrations, the SYNPA
 // policies report allocation decisions / phase alarms / model refits, and
 // the Platform times each chip's quantum inside the parallel shards.
 //

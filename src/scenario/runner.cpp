@@ -113,15 +113,7 @@ void ScenarioRunner::run_closed() {
 
 // ------------------------------------------------------------------ open --
 
-int ScenarioRunner::queued_at(std::uint64_t quantum) const {
-    std::size_t arrived = next_plan_;
-    while (arrived < trace_.tasks.size() &&
-           trace_.tasks[arrived].arrival_quantum <= quantum)
-        ++arrived;
-    return static_cast<int>(arrived - next_plan_);
-}
-
-void ScenarioRunner::admit(std::uint64_t quantum) {
+int ScenarioRunner::admit(std::uint64_t quantum) {
     const auto capacity = static_cast<std::size_t>(platform_.hw_contexts());
     while (next_plan_ < trace_.tasks.size() &&
            trace_.tasks[next_plan_].arrival_quantum <= quantum &&
@@ -140,6 +132,10 @@ void ScenarioRunner::admit(std::uint64_t quantum) {
                     quantum);
         ++next_plan_;
     }
+    std::size_t arrived = next_plan_;
+    while (arrived < trace_.tasks.size() && trace_.tasks[arrived].arrival_quantum <= quantum)
+        ++arrived;
+    return static_cast<int>(arrived - next_plan_);
 }
 
 std::unique_ptr<apps::AppInstance> ScenarioRunner::finished(std::size_t,
@@ -162,12 +158,11 @@ void ScenarioRunner::run_open() {
     const int capacity = platform_.hw_contexts();
     std::uint64_t quantum = 0;
     while (quantum < opts_.max_quanta) {
-        admit(quantum);
+        const int queued = admit(quantum);
         const int live = static_cast<int>(loop_.residents().size());
         if (live == 0 && next_plan_ >= trace_.tasks.size()) break;  // drained
 
         // Idle gaps before the next arrival are simulated too.
-        const int queued = queued_at(quantum);
         const std::uint64_t migrations_before = result_.migrations;
         const sched::NodeLoop::Report report = loop_.step(quantum, *this, queued);
         result_.migrations += report.binds.migrations;

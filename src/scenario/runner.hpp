@@ -104,8 +104,9 @@ public:
 private:
     void run_closed();
     void run_open();
-    void admit(std::uint64_t quantum);
-    int queued_at(std::uint64_t quantum) const;
+    /// Admits arrivals up to `quantum` while threads are free (FIFO);
+    /// returns how many arrived tasks still wait.
+    int admit(std::uint64_t quantum);
     /// NodeLoop::Lifecycle: record the finished task and retire it.
     std::unique_ptr<apps::AppInstance> finished(std::size_t index,
                                                 const sched::TaskObservation& o,

@@ -37,7 +37,7 @@ inline constexpr int kNoTask = -1;
 
 /// The tasks co-scheduled on one SMT core: up to uarch::kMaxSmtWays task
 /// ids, occupied slots first, kNoTask-padded.  How many slots are *legal*
-/// is the chip's runtime smt_ways — bind_allocation rejects groups that
+/// is the chip's runtime smt_ways — NodeLoop::bind rejects groups that
 /// overflow it.  {kNoTask, ...} is an idle core; {task, kNoTask, ...} a
 /// core running a single thread (the partial-allocation contract of the
 /// open-system driver, generalized from the old {task, kNoTask} pairs).

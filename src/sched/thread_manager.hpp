@@ -1,8 +1,9 @@
 // The user-level experimental manager (paper §V-A / §V-B).
 //
 // Owns the workload run: creates one task per workload slot, performs the
-// initial allocation, then loops quanta — run, read counters per task,
-// characterize, let the policy re-pair, migrate.  Implements the paper's
+// initial allocation, then runs sched::NodeLoop's quantum (run, read
+// counters per task, characterize, let the policy re-pair, migrate) in its
+// closed configuration — fixed slots, full groups.  Implements the paper's
 // measurement methodology: each original task carries a target instruction
 // count (from isolated profiling); when it reaches the target its finish
 // time and IPC are recorded and a fresh instance of the same application is

@@ -518,7 +518,7 @@ TEST(GoldenSmt2, RandomBitIdenticalToPreRedesignEngine) {
 
 TEST(Smt4, ClosedSystemConservesTasksAcrossPolicies) {
     // A 2-core SMT-4 chip running 8 threads: every quantum's allocation is
-    // validated as a permutation of the live set (bind_allocation throws
+    // validated as a permutation of the live set (NodeLoop::bind throws
     // otherwise), and the chip must stay saturated to the finish line.
     uarch::SimConfig cfg;
     cfg.cores = 2;
