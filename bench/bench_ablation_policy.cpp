@@ -1,9 +1,9 @@
 // Design-choice ablations for the SYNPA policy on the showcased workloads:
-//   * pair selector: Blossom (paper) vs exact subset DP vs greedy,
+//   * pair selector: Blossom (paper) vs greedy,
 //   * hysteresis: on (default) vs off (re-solve every quantum),
 //   * baselines: Linux, Random, Oracle (true phase categories).
 //
-// One campaign: 3 workloads x 7 policy columns; the trained model and the
+// One campaign: 3 workloads x 6 policy columns; the trained model and the
 // oracle's phase calibration are shared artifacts resolved once.
 #include <iostream>
 #include <memory>
@@ -49,7 +49,6 @@ int main() {
              return std::make_unique<sched::OraclePolicy>(artifacts.training->model);
          }},
         synpa_with("synpa (blossom)", core::PairSelector::kBlossom, true),
-        synpa_with("synpa (subset-dp)", core::PairSelector::kSubsetDp, true),
         synpa_with("synpa (greedy)", core::PairSelector::kGreedy, true),
         synpa_with("synpa (no hysteresis)", core::PairSelector::kBlossom, false),
     };

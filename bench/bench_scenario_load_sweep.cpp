@@ -134,5 +134,12 @@ int main() {
                  "every load; gains over the linux (no-migration) baseline grow with\n"
                  "load until the chip saturates, where queueing dominates.  wall "
               << result.wall_seconds << " s\n";
-    return 0;
+    bool drained = true;
+    for (const auto& cell : result.cells)
+        if (!cell.summary.all_completed) {
+            std::cout << "FAIL: " << cell.scenario << " / " << cell.policy
+                      << " hit the quantum cap before draining\n";
+            drained = false;
+        }
+    return drained ? 0 : 1;
 }

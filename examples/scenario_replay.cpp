@@ -110,5 +110,10 @@ int main() {
               << " tasks in " << result.quanta_executed << " quanta, "
               << result.migrations << " migrations, mean utilization "
               << common::format_double(result.mean_utilization(), 2) << "\n";
+    if (!result.completed) {
+        std::cout << "FAIL: " << spec.name << " / " << policy_name
+                  << " hit the quantum cap before draining\n";
+        return 1;
+    }
     return 0;
 }

@@ -117,7 +117,6 @@ std::string SynpaPolicy::name() const {
     std::string base = "synpa";
     switch (opts_.selector) {
         case PairSelector::kBlossom: break;
-        case PairSelector::kSubsetDp: base += "-dp"; break;
         case PairSelector::kGreedy: base += "-greedy"; break;
     }
     if (opts_.objective != Objective::kTotalSlowdown)
@@ -202,7 +201,6 @@ const matching::Matcher& SynpaPolicy::matcher() const {
     static const GreedyMatcher greedy;
     switch (opts_.selector) {
         case PairSelector::kBlossom: return blossom_;
-        case PairSelector::kSubsetDp: return subset_dp_;
         case PairSelector::kGreedy: return greedy;
     }
     return blossom_;

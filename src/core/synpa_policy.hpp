@@ -6,8 +6,8 @@
 //   Step 2 — predict the slowdown of every candidate pair with the forward
 //            model (Equation 1 applied in both directions),
 //   Step 3 — pick the minimum-total-slowdown perfect matching (Blossom, as
-//            in the paper; exact subset-DP and greedy selectors are
-//            available for the ablation benches) and allocate pairs to
+//            in the paper; a greedy selector is available for the
+//            ablation benches) and allocate pairs to
 //            cores, preferring placements that avoid migrations.
 //
 // SMT width is a runtime property: at smt_ways == 2 Step 3 runs the paper's
@@ -37,7 +37,6 @@ bool weight_cache_default();
 /// Pair-selection strategy for Step 3.
 enum class PairSelector {
     kBlossom,   ///< Edmonds' Blossom algorithm (the paper's choice)
-    kSubsetDp,  ///< exact subset DP (identical pairs, different solver)
     kGreedy,    ///< best-first greedy (ablation: cheaper, possibly worse)
 };
 
@@ -186,7 +185,6 @@ private:
     Options opts_;
     SynpaEstimator estimator_;
     matching::BlossomMatcher blossom_;
-    matching::SubsetDpMatcher subset_dp_;
     obs::Tracer* tracer_ = nullptr;  ///< flight recorder (not owned)
     mutable WeightCache cache_;      ///< bit-exact memo; mutable: caching is
                                      ///< invisible to logical const-ness

@@ -1,11 +1,7 @@
 #include "exp/campaign.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <cstdio>
 #include <map>
-#include <mutex>
 #include <ostream>
 #include <stdexcept>
 #include <utility>
@@ -13,7 +9,6 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "metrics/metrics.hpp"
-#include "obs/trace.hpp"
 #include "sched/registry.hpp"
 #include "workloads/groups.hpp"
 
@@ -23,12 +18,15 @@ namespace {
 /// The paper's repetition aggregation (§V-B): CV-based outlier discard on
 /// the turnaround samples, then averaging of the retained metrics.  This is
 /// the single implementation — workloads::run_workload goes through here.
-workloads::RepeatedResult aggregate_repetitions(
-    const workloads::WorkloadSpec& spec, std::vector<sched::RunResult> runs,
-    const std::vector<metrics::WorkloadMetrics>& run_metrics, double cv_limit) {
+workloads::RepeatedResult aggregate_repetitions(const workloads::WorkloadSpec& spec,
+                                                std::vector<sched::RunResult> runs,
+                                                double cv_limit) {
+    std::vector<metrics::WorkloadMetrics> run_metrics;
     std::vector<double> tts;
-    tts.reserve(run_metrics.size());
-    for (const auto& m : run_metrics) tts.push_back(m.turnaround_quanta);
+    for (const sched::RunResult& run : runs) {
+        run_metrics.push_back(metrics::compute_metrics(run));
+        tts.push_back(run_metrics.back().turnaround_quanta);
+    }
     const std::vector<double> kept = common::discard_outliers_until_cv(tts, cv_limit);
 
     workloads::RepeatedResult result;
@@ -38,13 +36,12 @@ workloads::RepeatedResult aggregate_repetitions(
 
     metrics::WorkloadMetrics mean{};
     int used = 0;
-    for (std::size_t rep = 0; rep < run_metrics.size(); ++rep) {
-        const double tt = run_metrics[rep].turnaround_quanta;
-        if (std::find(kept.begin(), kept.end(), tt) == kept.end()) continue;
-        mean.turnaround_quanta += run_metrics[rep].turnaround_quanta;
-        mean.fairness += run_metrics[rep].fairness;
-        mean.ipc_geomean += run_metrics[rep].ipc_geomean;
-        mean.antt += run_metrics[rep].antt;
+    for (const metrics::WorkloadMetrics& m : run_metrics) {
+        if (std::find(kept.begin(), kept.end(), m.turnaround_quanta) == kept.end()) continue;
+        mean.turnaround_quanta += m.turnaround_quanta;
+        mean.fairness += m.fairness;
+        mean.ipc_geomean += m.ipc_geomean;
+        mean.antt += m.antt;
         ++used;
     }
     if (used > 0) {
@@ -80,22 +77,17 @@ PolicySpec registry_policy(std::string name) {
     spec.make = [name = std::move(name)](const ArtifactSet& artifacts,
                                          std::uint64_t rep_seed) {
         sched::PolicyConfig config;
-        if (artifacts.training)
-            // Aliasing pointer: the model lives inside the shared training
-            // artifact, which stays alive as long as any cell holds it.
-            config.model = std::shared_ptr<const model::InterferenceModel>(
-                artifacts.training, &artifacts.training->model);
+        config.model = artifacts.model();
         config.seed = rep_seed;
         return sched::make_policy(name, config);
     };
     return spec;
 }
 
-std::vector<PolicySpec> registry_policies(std::span<const std::string> names) {
-    std::vector<PolicySpec> specs;
-    specs.reserve(names.size());
-    for (const std::string& name : names) specs.push_back(registry_policy(name));
-    return specs;
+std::vector<PolicySpec> policy_axis(std::vector<PolicySpec> columns,
+                                    std::span<const std::string> names) {
+    for (const std::string& name : names) columns.push_back(registry_policy(name));
+    return columns;
 }
 
 const CellResult* CampaignResult::find(const std::string& workload,
@@ -105,176 +97,78 @@ const CellResult* CampaignResult::find(const std::string& workload,
     return nullptr;
 }
 
-CampaignRunner::CampaignRunner() : CampaignRunner(Options{}) {}
-
-CampaignRunner::CampaignRunner(Options opts, ArtifactCache* cache)
-    : opts_(opts),
-      cache_(cache != nullptr ? cache : &ArtifactCache::global()),
-      pool_(opts.threads) {}
+CampaignRunner::CampaignRunner(Options opts, ArtifactCache* cache) : engine_(opts, cache) {}
 
 CampaignResult CampaignRunner::run(const Campaign& campaign,
                                    const std::vector<Aggregator*>& aggregators) {
-    const auto start = std::chrono::steady_clock::now();
+    const auto start = GridEngine::Clock::now();
     if (campaign.configs.empty()) throw std::invalid_argument("campaign: no configs");
-    // The policy axis: explicit columns first, then registered names.
-    std::vector<PolicySpec> policies = campaign.policies;
-    for (const std::string& name : campaign.policy_names)
-        policies.push_back(registry_policy(name));
+    const std::vector<PolicySpec> policies = policy_axis(campaign.policies, campaign.policy_names);
     if (policies.empty()) throw std::invalid_argument("campaign: no policies");
 
     // ---- resolve shared artifacts and the workload axis per config -------
-    struct ConfigPlan {
-        uarch::SimConfig cfg;
-        ArtifactSet artifacts;
-        std::vector<workloads::WorkloadSpec> workloads;
-    };
-    std::vector<ConfigPlan> plans;
-    plans.reserve(campaign.configs.size());
-    for (const auto& cfg : campaign.configs) {
-        ConfigPlan plan;
-        plan.cfg = cfg;
-        if (campaign.needs_training) {
-            const std::vector<std::string> apps = campaign.training_apps.empty()
-                                                      ? workloads::training_apps()
-                                                      : campaign.training_apps;
-            plan.artifacts.training = cache_->training(cfg, campaign.trainer, apps);
-        }
-        if (campaign.needs_characterizations || campaign.use_paper_workloads)
-            plan.artifacts.characterizations = cache_->characterizations(
-                cfg, campaign.characterization_quanta, campaign.methodology.seed);
-        if (campaign.needs_calibration)
-            workloads::calibrate_suite(cfg, campaign.calibration_quanta,
-                                       campaign.methodology.seed);
-        plan.workloads = campaign.use_paper_workloads
-                             ? workloads::paper_workloads(*plan.artifacts.characterizations,
-                                                          campaign.methodology.seed)
-                             : campaign.workloads;
-        if (plan.workloads.empty()) throw std::invalid_argument("campaign: no workloads");
-        plans.push_back(std::move(plan));
-    }
-
-    // ---- build the flat cell list in grid order ---------------------------
-    const int reps = std::max(1, campaign.methodology.reps);
-    struct CellState {
-        std::size_t index = 0;  ///< position in grid order
-        std::size_t config_index = 0, workload_index = 0, policy_index = 0;
-        const ConfigPlan* plan = nullptr;
-        const workloads::WorkloadSpec* spec = nullptr;
-        const PolicySpec* policy = nullptr;
-        std::vector<sched::RunResult> runs;
-        std::vector<metrics::WorkloadMetrics> run_metrics;
-        std::atomic<int> remaining{0};
-    };
-    std::vector<std::unique_ptr<CellState>> cells;
-    for (std::size_t ci = 0; ci < plans.size(); ++ci)
-        for (std::size_t wi = 0; wi < plans[ci].workloads.size(); ++wi)
-            for (std::size_t pi = 0; pi < policies.size(); ++pi) {
-                auto cell = std::make_unique<CellState>();
-                cell->index = cells.size();
-                cell->config_index = ci;
-                cell->workload_index = wi;
-                cell->policy_index = pi;
-                cell->plan = &plans[ci];
-                cell->spec = &plans[ci].workloads[wi];
-                cell->policy = &policies[pi];
-                cell->runs.resize(static_cast<std::size_t>(reps));
-                cell->run_metrics.resize(static_cast<std::size_t>(reps));
-                cell->remaining.store(reps, std::memory_order_relaxed);
-                cells.push_back(std::move(cell));
-            }
-
-    // ---- reorder buffer: release finished cells in grid order -------------
-    std::mutex emit_mutex;
-    std::vector<std::unique_ptr<CellResult>> finished(cells.size());
-    std::size_t next_emit = 0;
-    std::vector<CellResult> emitted;
-    emitted.reserve(cells.size());
-    const auto emit_ready = [&](std::unique_ptr<CellResult> done, std::size_t index) {
-        const std::lock_guard lock(emit_mutex);
-        finished[index] = std::move(done);
-        while (next_emit < finished.size() && finished[next_emit]) {
-            CellResult& cell = *finished[next_emit];
-            for (Aggregator* agg : aggregators) agg->on_cell(cell);
-            if (opts_.log != nullptr)
-                *opts_.log << "[" << (next_emit + 1) << "/" << cells.size() << "] "
-                           << cell.workload << " / " << cell.policy
-                           << " TT=" << cell.result.mean_metrics.turnaround_quanta << "\n";
-            emitted.push_back(std::move(cell));
-            finished[next_emit].reset();
-            ++next_emit;
-        }
-    };
-
-    // Per-cell flight recording: with SYNPA_TRACE and a SYNPA_TRACE_FILE
-    // set, every repetition gets its own tracer and trace file (tagged
-    // c<config>w<workload>p<policy>r<rep>), so parallel cells never share a
-    // recorder and memoized artifacts stay byte-identical.
-    const obs::TraceConfig trace_cfg = obs::TraceConfig::from_env();
-
-    // ---- schedule every repetition over the persistent pool ---------------
-    for (const auto& cell_ptr : cells) {
-        CellState* cell = cell_ptr.get();
-        for (int rep = 0; rep < reps; ++rep) {
-            pool_.submit([this, &campaign, cell, rep, &emit_ready, &trace_cfg] {
-                const workloads::MethodologyOptions& opts = campaign.methodology;
-                workloads::MethodologyOptions rep_opts = opts;
-                rep_opts.record_traces = opts.record_traces && rep == 0;
-                rep_opts.threads = 1;  // parallelism lives at the rep grain
-                std::unique_ptr<obs::Tracer> tracer;
-                if (trace_cfg.enabled && !trace_cfg.file.empty()) {
-                    char tag[64];
-                    std::snprintf(tag, sizeof(tag), "c%zuw%zup%zur%d", cell->config_index,
-                                  cell->workload_index, cell->policy_index, rep);
-                    obs::TraceConfig cell_trace = trace_cfg;
-                    cell_trace.file = obs::derive_trace_path(trace_cfg.file, tag);
-                    tracer = std::make_unique<obs::Tracer>(std::move(cell_trace));
-                    rep_opts.tracer = tracer.get();
-                }
-                const auto prepared = cache_->prepared(*cell->spec, cell->plan->cfg, opts, rep);
-                const std::uint64_t rep_seed = common::derive_key(
-                    opts.seed, common::hash_string(cell->spec->name), 0x9001,
-                    static_cast<std::uint64_t>(rep));
-                const auto pol = cell->policy->make(cell->plan->artifacts, rep_seed);
-                // Nested parallelism composes by capping: repetitions
-                // already fan out over this pool, so the cell's platform
-                // only keeps sim_threads the host has spare (results are
-                // identical at any thread count).
-                uarch::SimConfig cell_cfg = cell->plan->cfg;
-                cell_cfg.sim_threads =
-                    uarch::nested_sim_threads(cell_cfg.sim_threads, pool_.size());
-                cell->runs[static_cast<std::size_t>(rep)] = workloads::run_workload_once(
-                    *prepared, cell_cfg, *pol, rep_opts);
-                if (tracer) tracer->finish();
-                cell->run_metrics[static_cast<std::size_t>(rep)] =
-                    metrics::compute_metrics(cell->runs[static_cast<std::size_t>(rep)]);
-                if (cell->remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
-                // Last repetition of this cell: finalize and stream it out.
-                auto done = std::make_unique<CellResult>();
-                done->config_index = cell->config_index;
-                done->workload_index = cell->workload_index;
-                done->policy_index = cell->policy_index;
-                done->chips = campaign.configs[cell->config_index].num_chips;
-                done->cores = campaign.configs[cell->config_index].cores;
-                done->smt_ways = campaign.configs[cell->config_index].smt_ways;
-                done->workload = cell->spec->name;
-                done->policy = cell->policy->label;
-                done->adaptive = cell->policy->adaptive;
-                done->result = aggregate_repetitions(*cell->spec, std::move(cell->runs),
-                                                     cell->run_metrics, opts.cv_limit);
-                emit_ready(std::move(done), cell->index);
-            });
-        }
-    }
-    pool_.wait_idle();  // rethrows the first repetition failure, if any
-
-    for (Aggregator* agg : aggregators) agg->finish();
-
+    const workloads::MethodologyOptions& opts = campaign.methodology;
     CampaignResult result;
-    result.cells = std::move(emitted);
-    for (const auto& plan : plans) result.artifacts.push_back(plan.artifacts);
-    result.reps_executed = cells.size() * static_cast<std::size_t>(reps);
-    result.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    result.artifacts = engine_.training(campaign.configs, campaign.needs_training,
+                                        campaign.trainer, campaign.training_apps);
+    // Every config has the same row count: the explicit list, or the
+    // paper's twenty sampled from that config's characterization.
+    std::vector<std::vector<workloads::WorkloadSpec>> workloads;
+    for (std::size_t ci = 0; ci < campaign.configs.size(); ++ci) {
+        const uarch::SimConfig& cfg = campaign.configs[ci];
+        ArtifactSet& artifacts = result.artifacts[ci];
+        if (campaign.needs_characterizations || campaign.use_paper_workloads)
+            artifacts.characterizations = engine_.cache().characterizations(
+                cfg, campaign.characterization_quanta, opts.seed);
+        if (campaign.needs_calibration)
+            workloads::calibrate_suite(cfg, campaign.calibration_quanta, opts.seed);
+        workloads.push_back(campaign.use_paper_workloads
+                                ? workloads::paper_workloads(*artifacts.characterizations,
+                                                             opts.seed)
+                                : campaign.workloads);
+        if (workloads.back().empty()) throw std::invalid_argument("campaign: no workloads");
+    }
+
+    const auto run_rep = [&](const GridPoint& p, int rep, obs::Tracer* tracer) {
+        const workloads::WorkloadSpec& spec = workloads[p.config][p.row];
+        workloads::MethodologyOptions rep_opts = opts;
+        rep_opts.record_traces = opts.record_traces && rep == 0;
+        rep_opts.threads = 1;  // parallelism lives at the rep grain
+        rep_opts.tracer = tracer;
+        const auto prepared = engine_.cache().prepared(spec, campaign.configs[p.config], opts, rep);
+        const std::uint64_t rep_seed = common::derive_key(
+            opts.seed, common::hash_string(spec.name), 0x9001, static_cast<std::uint64_t>(rep));
+        const auto pol = policies[p.policy].make(result.artifacts[p.config], rep_seed);
+        uarch::SimConfig cell_cfg = campaign.configs[p.config];
+        cell_cfg.sim_threads = engine_.nested_threads(cell_cfg.sim_threads);
+        return workloads::run_workload_once(*prepared, cell_cfg, *pol, rep_opts);
+    };
+    const auto fold = [&](const GridPoint& p, std::vector<sched::RunResult> runs) {
+        const uarch::SimConfig& cfg = campaign.configs[p.config];
+        const workloads::WorkloadSpec& spec = workloads[p.config][p.row];
+        return CellResult{
+            .config_index = p.config,
+            .workload_index = p.row,
+            .policy_index = p.policy,
+            .chips = cfg.num_chips,
+            .cores = cfg.cores,
+            .smt_ways = cfg.smt_ways,
+            .workload = spec.name,
+            .policy = policies[p.policy].label,
+            .adaptive = policies[p.policy].adaptive,
+            .result = aggregate_repetitions(spec, std::move(runs), opts.cv_limit)};
+    };
+    const auto describe = [](std::ostream& os, const CellResult& cell) {
+        os << cell.workload << " / " << cell.policy
+           << " TT=" << cell.result.mean_metrics.turnaround_quanta;
+    };
+    engine_.run(result, start,
+                {.configs = campaign.configs.size(),
+                 .rows = workloads.front().size(),
+                 .policies = policies.size(),
+                 .reps = opts.reps,
+                 .axis = 'w'},
+                run_rep, fold, describe, aggregators);
     return result;
 }
 

@@ -5,39 +5,26 @@
 // declares that grid once — which configs, which workloads (explicit or
 // the paper's 20), which policies, which shared artifacts (trained model,
 // suite characterization, phase calibration) — and the CampaignRunner
-// executes every repetition over a persistent thread pool.
+// executes every repetition on the GridEngine (exp/grid_engine.hpp).
 //
 // Determinism: each repetition derives its RNG streams purely from
-// (methodology seed, workload name, rep), and finished cells are released
-// to aggregators in grid order through a reorder buffer, so campaign
-// results are bit-identical for threads=1 and threads=N.
+// (methodology seed, workload name, rep), and the engine releases finished
+// cells in grid order, so campaign results are bit-identical for threads=1
+// and threads=N.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.hpp"
-#include "exp/artifact_cache.hpp"
-#include "model/trainer.hpp"
+#include "exp/grid_engine.hpp"
 #include "sched/policy.hpp"
-#include "uarch/sim_config.hpp"
 #include "workloads/methodology.hpp"
-#include "workloads/workload.hpp"
 
 namespace synpa::exp {
-
-/// Shared inputs resolved (through the ArtifactCache) for one campaign
-/// config before any of its cells run.  Entries the campaign did not
-/// request stay null.
-struct ArtifactSet {
-    std::shared_ptr<const model::TrainingResult> training;
-    std::shared_ptr<const std::vector<workloads::AppCharacterization>> characterizations;
-};
 
 /// One policy column of the grid.  The factory runs once per repetition and
 /// receives the config's artifacts plus the deterministic repetition seed.
@@ -59,8 +46,10 @@ PolicySpec policy(std::string label, workloads::PolicyFactory factory);
 /// repetition seed into sched::make_policy.  Throws for unknown names.
 PolicySpec registry_policy(std::string name);
 
-/// Expands a `policy=` axis of registered names into grid columns.
-std::vector<PolicySpec> registry_policies(std::span<const std::string> names);
+/// A grid's policy axis: the explicit `columns`, then one registry_policy
+/// column per `names` entry (the `policy=` axis).
+std::vector<PolicySpec> policy_axis(std::vector<PolicySpec> columns,
+                                    std::span<const std::string> names);
 
 /// Declarative description of an evaluation grid.
 struct Campaign {
@@ -107,41 +96,22 @@ struct CellResult {
     workloads::RepeatedResult result;
 };
 
-/// Streaming consumer of finished cells.  on_cell is called exactly once
-/// per cell, in grid order (config-major, then workload, then policy),
-/// regardless of how execution interleaves across threads.
-class Aggregator {
-public:
-    virtual ~Aggregator() = default;
-    virtual void on_cell(const CellResult& cell) = 0;
-    /// Called once after the last cell.
-    virtual void finish() {}
-};
+/// Streaming consumer of finished cells (grid order: config-major, then
+/// workload, then policy).
+using Aggregator = CellSink<CellResult>;
 
-struct CampaignResult {
-    std::vector<CellResult> cells;  ///< grid order
-    /// The shared artifacts the runner resolved, one per campaign config —
-    /// so consumers (e.g. bench_table5) reuse exactly what the cells saw
-    /// instead of re-deriving cache keys.
-    std::vector<ArtifactSet> artifacts;
-    std::size_t reps_executed = 0;
-    double wall_seconds = 0.0;
-
+struct CampaignResult : GridResult<CellResult> {
     /// First cell matching (workload, policy label); null when absent.
     const CellResult* find(const std::string& workload, const std::string& policy) const;
 };
 
 class CampaignRunner {
 public:
-    struct Options {
-        std::size_t threads = 0;      ///< workers; 0 = hardware concurrency
-        std::ostream* log = nullptr;  ///< optional per-cell progress lines
-    };
+    using Options = GridOptions;
 
     /// `cache` defaults to ArtifactCache::global(); pass a local cache to
     /// isolate artifact reuse (tests do).
-    CampaignRunner();
-    explicit CampaignRunner(Options opts, ArtifactCache* cache = nullptr);
+    explicit CampaignRunner(Options opts = {}, ArtifactCache* cache = nullptr);
 
     /// Executes the whole grid; streams cells into `aggregators` (in grid
     /// order) and returns them all.  The first exception thrown by any
@@ -150,9 +120,7 @@ public:
                        const std::vector<Aggregator*>& aggregators = {});
 
 private:
-    Options opts_;
-    ArtifactCache* cache_;
-    common::ThreadPool pool_;  ///< persistent across run() calls
+    GridEngine engine_;
 };
 
 /// The paper's paired speedups/deltas for one workload's (baseline,

@@ -1,15 +1,12 @@
 #include "exp/fleet_grid.hpp"
 
-#include <atomic>
-#include <chrono>
+#include <algorithm>
 #include <memory>
-#include <mutex>
 #include <ostream>
 #include <stdexcept>
 
 #include "common/rng.hpp"
 #include "fleet/policy.hpp"
-#include "workloads/groups.hpp"
 
 namespace synpa::exp {
 
@@ -20,152 +17,69 @@ const FleetCellResult* FleetGridResult::find(const std::string& scenario,
     return nullptr;
 }
 
-FleetGridRunner::FleetGridRunner() : FleetGridRunner(Options{}) {}
-
-FleetGridRunner::FleetGridRunner(Options opts, ArtifactCache* cache)
-    : opts_(opts),
-      cache_(cache != nullptr ? cache : &ArtifactCache::global()),
-      pool_(opts.threads) {}
+FleetGridRunner::FleetGridRunner(Options opts, ArtifactCache* cache) : engine_(opts, cache) {}
 
 FleetGridResult FleetGridRunner::run(const FleetCampaign& campaign,
                                      const std::vector<FleetAggregator*>& aggregators) {
-    const auto start = std::chrono::steady_clock::now();
+    const auto start = GridEngine::Clock::now();
     if (campaign.node_configs.empty()) throw std::invalid_argument("fleet grid: no configs");
     if (campaign.scenarios.empty()) throw std::invalid_argument("fleet grid: no scenarios");
     if (campaign.fleet_policies.empty())
         throw std::invalid_argument("fleet grid: no fleet policies");
     for (const std::string& name : campaign.fleet_policies)
-        if (fleet::find_fleet_policy(name) == nullptr)
-            fleet::make_fleet_policy(name, {});  // throws with the inventory
-
-    // ---- resolve shared artifacts per config ------------------------------
-    std::vector<ArtifactSet> artifacts(campaign.node_configs.size());
-    for (std::size_t ci = 0; ci < campaign.node_configs.size(); ++ci) {
-        if (campaign.needs_training) {
-            const std::vector<std::string> apps = campaign.training_apps.empty()
-                                                      ? workloads::training_apps()
-                                                      : campaign.training_apps;
-            artifacts[ci].training =
-                cache_->training(campaign.node_configs[ci], campaign.trainer, apps);
-        }
-    }
-
-    // ---- flat cell list in grid order -------------------------------------
-    const int reps = std::max(1, campaign.reps);
-    struct CellState {
-        std::size_t index = 0;
-        std::size_t config_index = 0, scenario_index = 0, policy_index = 0;
-        std::vector<fleet::FleetResult> runs;
-        std::atomic<int> remaining{0};
-    };
-    std::vector<std::unique_ptr<CellState>> cells;
-    for (std::size_t ci = 0; ci < campaign.node_configs.size(); ++ci)
-        for (std::size_t si = 0; si < campaign.scenarios.size(); ++si)
-            for (std::size_t pi = 0; pi < campaign.fleet_policies.size(); ++pi) {
-                auto cell = std::make_unique<CellState>();
-                cell->index = cells.size();
-                cell->config_index = ci;
-                cell->scenario_index = si;
-                cell->policy_index = pi;
-                cell->runs.resize(static_cast<std::size_t>(reps));
-                cell->remaining.store(reps, std::memory_order_relaxed);
-                cells.push_back(std::move(cell));
-            }
-
-    // ---- reorder buffer: release finished cells in grid order -------------
-    std::mutex emit_mutex;
-    std::vector<std::unique_ptr<FleetCellResult>> finished(cells.size());
-    std::size_t next_emit = 0;
-    std::vector<FleetCellResult> emitted;
-    emitted.reserve(cells.size());
-    const auto emit_ready = [&](std::unique_ptr<FleetCellResult> done, std::size_t index) {
-        const std::lock_guard lock(emit_mutex);
-        finished[index] = std::move(done);
-        while (next_emit < finished.size() && finished[next_emit]) {
-            FleetCellResult& cell = *finished[next_emit];
-            for (FleetAggregator* agg : aggregators) agg->on_cell(cell);
-            if (opts_.log != nullptr)
-                *opts_.log << "[" << (next_emit + 1) << "/" << cells.size() << "] "
-                           << cell.scenario << " / " << cell.fleet_policy
-                           << " p99_slowdown=" << cell.summary.all.p99_slowdown
-                           << " goodput=" << cell.summary.goodput << "\n";
-            emitted.push_back(std::move(cell));
-            finished[next_emit].reset();
-            ++next_emit;
-        }
-    };
-
-    // ---- schedule every repetition over the persistent pool ---------------
-    for (const auto& cell_ptr : cells) {
-        CellState* cell = cell_ptr.get();
-        for (int rep = 0; rep < reps; ++rep) {
-            pool_.submit([this, &campaign, &artifacts, cell, rep, &emit_ready] {
-                const uarch::SimConfig& cfg = campaign.node_configs[cell->config_index];
-                // Repetitions re-sample the arrival process with a derived
-                // seed; rep 0 keeps the spec verbatim so its memoized trace
-                // is shared with direct scenario_trace callers.
-                scenario::ScenarioSpec spec = campaign.scenarios[cell->scenario_index];
-                if (rep > 0)
-                    spec.seed = common::derive_key(spec.seed, 0x9e9,
-                                                   static_cast<std::uint64_t>(rep));
-                const auto trace = cache_->scenario_trace(spec, cfg);
-                const std::uint64_t rep_seed =
-                    common::derive_key(spec.seed, 0x9001, static_cast<std::uint64_t>(rep));
-
-                fleet::FleetOptions fo;
-                fo.nodes = campaign.nodes;
-                fo.node_config = cfg;
-                fo.node_policy = campaign.node_policy;
-                fo.fleet_policy = campaign.fleet_policies[cell->policy_index];
-                fo.fleet_seed = common::derive_key(rep_seed, 0xf1ee);
-                fo.preemption = campaign.preemption;
-                // Nested parallelism composes by capping under the grid pool
-                // (identical results at any thread count).
-                fo.threads = static_cast<std::size_t>(uarch::nested_sim_threads(
-                    static_cast<int>(std::max<std::size_t>(campaign.fleet_threads, 1)),
-                    pool_.size()));
-                fo.max_quanta = campaign.max_quanta;
-                fo.record_timeline = campaign.record_timelines;
-                const ArtifactSet& arts = artifacts[cell->config_index];
-                if (arts.training)
-                    fo.policy_config.model =
-                        std::shared_ptr<const model::InterferenceModel>(
-                            arts.training, &arts.training->model);
-                else if (campaign.model)
-                    fo.policy_config.model = campaign.model;
-                fo.policy_config.seed = rep_seed;
-
-                fleet::FleetRunner runner(*trace, std::move(fo));
-                cell->runs[static_cast<std::size_t>(rep)] = runner.run();
-                if (cell->remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
-                // Last repetition of this cell: finalize and stream it out.
-                auto done = std::make_unique<FleetCellResult>();
-                done->config_index = cell->config_index;
-                done->scenario_index = cell->scenario_index;
-                done->policy_index = cell->policy_index;
-                done->nodes = campaign.nodes;
-                done->chips = cfg.num_chips;
-                done->cores = cfg.cores;
-                done->smt_ways = cfg.smt_ways;
-                done->scenario = campaign.scenarios[cell->scenario_index].name;
-                done->fleet_policy = campaign.fleet_policies[cell->policy_index];
-                done->node_policy = campaign.node_policy;
-                done->runs = std::move(cell->runs);
-                done->summary = fleet::summarize(done->runs);
-                emit_ready(std::move(done), cell->index);
-            });
-        }
-    }
-    pool_.wait_idle();  // rethrows the first repetition failure, if any
-
-    for (FleetAggregator* agg : aggregators) agg->finish();
+        (void)fleet::make_fleet_policy(name, {});  // throws with the inventory
 
     FleetGridResult result;
-    result.cells = std::move(emitted);
-    result.artifacts = std::move(artifacts);
-    result.reps_executed = cells.size() * static_cast<std::size_t>(reps);
-    result.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    result.artifacts = engine_.training(campaign.node_configs, campaign.needs_training,
+                                        campaign.trainer, campaign.training_apps);
+    const auto run_rep = [&](const GridPoint& p, int rep, obs::Tracer* tracer) {
+        const uarch::SimConfig& cfg = campaign.node_configs[p.config];
+        const auto [trace, rep_seed] = engine_.scenario_rep(campaign.scenarios[p.row], cfg, rep);
+        fleet::FleetOptions fo;
+        fo.nodes = campaign.nodes;
+        fo.node_config = cfg;
+        fo.node_policy = campaign.node_policy;
+        fo.fleet_policy = campaign.fleet_policies[p.policy];
+        fo.fleet_seed = common::derive_key(rep_seed, 0xf1ee);
+        fo.preemption = campaign.preemption;
+        fo.threads = static_cast<std::size_t>(engine_.nested_threads(
+            static_cast<int>(std::max<std::size_t>(campaign.fleet_threads, 1))));
+        fo.max_quanta = campaign.max_quanta;
+        fo.record_timeline = campaign.record_timelines;
+        fo.tracer = tracer;
+        const ArtifactSet& arts = result.artifacts[p.config];
+        fo.policy_config.model = arts.training ? arts.model() : campaign.model;
+        fo.policy_config.seed = rep_seed;
+        return fleet::FleetRunner(*trace, std::move(fo)).run();
+    };
+    const auto fold = [&](const GridPoint& p, std::vector<fleet::FleetResult> runs) {
+        const uarch::SimConfig& cfg = campaign.node_configs[p.config];
+        fleet::FleetSummary summary = fleet::summarize(runs);
+        return FleetCellResult{.config_index = p.config,
+                               .scenario_index = p.row,
+                               .policy_index = p.policy,
+                               .nodes = campaign.nodes,
+                               .chips = cfg.num_chips,
+                               .cores = cfg.cores,
+                               .smt_ways = cfg.smt_ways,
+                               .scenario = campaign.scenarios[p.row].name,
+                               .fleet_policy = campaign.fleet_policies[p.policy],
+                               .node_policy = campaign.node_policy,
+                               .runs = std::move(runs),
+                               .summary = summary};
+    };
+    const auto describe = [](std::ostream& os, const FleetCellResult& cell) {
+        os << cell.scenario << " / " << cell.fleet_policy
+           << " p99_slowdown=" << cell.summary.all.p99_slowdown
+           << " goodput=" << cell.summary.goodput;
+    };
+    engine_.run(result, start,
+                {.configs = campaign.node_configs.size(),
+                 .rows = campaign.scenarios.size(),
+                 .policies = campaign.fleet_policies.size(),
+                 .reps = campaign.reps,
+                 .axis = 's'},
+                run_rep, fold, describe, aggregators);
     return result;
 }
 

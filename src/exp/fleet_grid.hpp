@@ -1,18 +1,16 @@
 // Fleet-grid campaigns: the cluster-scale counterpart of the scenario grid.
 //
 // A FleetCampaign declares a (config x scenario x fleet-policy x repetition)
-// grid of whole-cluster runs; FleetGridRunner executes every repetition over
-// a persistent thread pool with the scenario grid's guarantees —
-// deterministic per-rep seeds, traces and training memoized in the
-// ArtifactCache, and finished cells streamed to aggregators in grid order
-// through a reorder buffer, so results are bit-identical for threads=1 and
-// threads=N.  Each cell's FleetRunner keeps its own node-stepping threads
-// capped under the grid pool (nested_sim_threads), like grid cells cap
-// their chip shards.
+// grid of whole-cluster runs; FleetGridRunner executes every repetition on
+// the GridEngine with the scenario grid's guarantees — deterministic per-rep
+// seeds, traces and training memoized in the ArtifactCache, per-rep trace
+// files, and finished cells streamed to aggregators in grid order, so
+// results are bit-identical for threads=1 and threads=N.  Each cell's
+// FleetRunner keeps its own node-stepping threads capped under the grid
+// pool (nested_sim_threads), like grid cells cap their chip shards.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -68,40 +66,24 @@ struct FleetCellResult {
 };
 
 /// Streaming consumer of finished fleet cells (grid order, exactly once).
-class FleetAggregator {
-public:
-    virtual ~FleetAggregator() = default;
-    virtual void on_cell(const FleetCellResult& cell) = 0;
-    virtual void finish() {}
-};
+using FleetAggregator = CellSink<FleetCellResult>;
 
-struct FleetGridResult {
-    std::vector<FleetCellResult> cells;  ///< grid order
-    std::vector<ArtifactSet> artifacts;  ///< one per campaign config
-    std::size_t reps_executed = 0;
-    double wall_seconds = 0.0;
-
+struct FleetGridResult : GridResult<FleetCellResult> {
     const FleetCellResult* find(const std::string& scenario,
                                 const std::string& fleet_policy) const;
 };
 
 class FleetGridRunner {
 public:
-    struct Options {
-        std::size_t threads = 0;      ///< workers; 0 = hardware concurrency
-        std::ostream* log = nullptr;  ///< optional per-cell progress lines
-    };
+    using Options = GridOptions;
 
-    FleetGridRunner();
-    explicit FleetGridRunner(Options opts, ArtifactCache* cache = nullptr);
+    explicit FleetGridRunner(Options opts = {}, ArtifactCache* cache = nullptr);
 
     FleetGridResult run(const FleetCampaign& campaign,
                         const std::vector<FleetAggregator*>& aggregators = {});
 
 private:
-    Options opts_;
-    ArtifactCache* cache_;
-    common::ThreadPool pool_;
+    GridEngine engine_;
 };
 
 /// One CSV row per cell: grid indices, labels, and the pooled SLO summary.

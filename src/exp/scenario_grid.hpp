@@ -2,15 +2,14 @@
 //
 // A ScenarioCampaign declares a (config x scenario x policy x repetition)
 // grid of dynamic-workload runs; ScenarioGridRunner executes every
-// repetition over a persistent thread pool with the same guarantees as the
-// classic engine — deterministic per-rep seeds, scenario traces memoized in
-// the ArtifactCache (shared across policy columns), and finished cells
-// streamed to aggregators in grid order through a reorder buffer, so
-// results are bit-identical for threads=1 and threads=N.
+// repetition on the GridEngine with the same guarantees as the classic
+// campaign — deterministic per-rep seeds, scenario traces memoized in the
+// ArtifactCache (shared across policy columns), and finished cells streamed
+// to aggregators in grid order, so results are bit-identical for threads=1
+// and threads=N.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <span>
 #include <string>
@@ -18,7 +17,6 @@
 #include <vector>
 
 #include "common/stats.hpp"
-#include "common/thread_pool.hpp"
 #include "exp/campaign.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/scenario.hpp"
@@ -87,40 +85,24 @@ struct ScenarioCellResult {
 };
 
 /// Streaming consumer of finished scenario cells (grid order, exactly once).
-class ScenarioAggregator {
-public:
-    virtual ~ScenarioAggregator() = default;
-    virtual void on_cell(const ScenarioCellResult& cell) = 0;
-    virtual void finish() {}
-};
+using ScenarioAggregator = CellSink<ScenarioCellResult>;
 
-struct ScenarioGridResult {
-    std::vector<ScenarioCellResult> cells;  ///< grid order
-    std::vector<ArtifactSet> artifacts;     ///< one per campaign config
-    std::size_t reps_executed = 0;
-    double wall_seconds = 0.0;
-
+struct ScenarioGridResult : GridResult<ScenarioCellResult> {
     const ScenarioCellResult* find(const std::string& scenario,
                                    const std::string& policy) const;
 };
 
 class ScenarioGridRunner {
 public:
-    struct Options {
-        std::size_t threads = 0;      ///< workers; 0 = hardware concurrency
-        std::ostream* log = nullptr;  ///< optional per-cell progress lines
-    };
+    using Options = GridOptions;
 
-    ScenarioGridRunner();
-    explicit ScenarioGridRunner(Options opts, ArtifactCache* cache = nullptr);
+    explicit ScenarioGridRunner(Options opts = {}, ArtifactCache* cache = nullptr);
 
     ScenarioGridResult run(const ScenarioCampaign& campaign,
                            const std::vector<ScenarioAggregator*>& aggregators = {});
 
 private:
-    Options opts_;
-    ArtifactCache* cache_;
-    common::ThreadPool pool_;
+    GridEngine engine_;
 };
 
 // ---------------------------------------------------------- aggregators --

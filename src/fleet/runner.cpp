@@ -26,6 +26,8 @@ FleetRunner::FleetRunner(const scenario::ScenarioTrace& trace, FleetOptions opts
                   "FleetRunner: closed scenarios have no arrivals to balance");
           if (!trace.arrival_sorted())
               throw std::invalid_argument("FleetRunner: trace tasks must be arrival-sorted");
+          if (opts_.max_quanta == 0)
+              throw std::invalid_argument("FleetRunner: max_quanta must be > 0");
           const FleetPolicyInfo* info = find_fleet_policy(opts_.fleet_policy);
           if (info == nullptr)
               make_fleet_policy(opts_.fleet_policy, {});  // throws with inventory

@@ -1,7 +1,6 @@
 #include "model/trainer.hpp"
 
 #include <algorithm>
-#include <mutex>
 #include <stdexcept>
 
 #include "apps/instance.hpp"
@@ -265,20 +264,22 @@ TrainingResult Trainer::train(std::span<const std::string> app_names) const {
             pairs.emplace_back(i, j);
         }
 
-    std::vector<TrainingSample> all_samples;
-    std::mutex mutex;
+    // Samples are concatenated in pair order, not completion order: fit()
+    // draws its random subset by sample index.
+    std::vector<std::vector<TrainingSample>> pair_samples(pairs.size());
     common::parallel_for(
         pairs.size(),
         [&](std::size_t p) {
             const auto [i, j] = pairs[p];
-            auto samples =
+            pair_samples[p] =
                 collect_pair_samples(*train_apps[i], *train_apps[j], profiles[i], profiles[j],
                                      common::derive_key(opts_.seed, 0x150, i),
                                      common::derive_key(opts_.seed, 0x150, j));
-            const std::lock_guard lock(mutex);
-            all_samples.insert(all_samples.end(), samples.begin(), samples.end());
         },
         opts_.threads);
+    std::vector<TrainingSample> all_samples;
+    for (const std::vector<TrainingSample>& samples : pair_samples)
+        all_samples.insert(all_samples.end(), samples.begin(), samples.end());
 
     TrainingResult result = fit(std::move(all_samples), opts_);
     result.pair_runs = pairs.size();

@@ -97,6 +97,16 @@ ScenarioTrace build_trace(const ScenarioSpec& spec, const uarch::SimConfig& cfg)
         throw std::invalid_argument("build_trace: lc_fraction must be in [0, 1]");
     if (spec.lc_deadline_slack <= 0.0 || spec.batch_deadline_slack <= 0.0)
         throw std::invalid_argument("build_trace: deadline slacks must be > 0");
+    if (!std::isfinite(spec.arrival_rate) || spec.arrival_rate < 0.0)
+        throw std::invalid_argument("build_trace: arrival_rate must be finite and >= 0");
+    for (const LoadPhase& phase : spec.load_profile)
+        if (!std::isfinite(phase.rate_scale) || phase.rate_scale < 0.0)
+            throw std::invalid_argument(
+                "build_trace: load_profile rate_scale must be finite and >= 0");
+    // A zero-quantum isolated profile retires no instructions, so every task
+    // would carry a zero-instruction service demand.
+    if (spec.service_quanta == 0)
+        throw std::invalid_argument("build_trace: service_quanta must be > 0");
 
     // rate_scale_at takes the last matching phase, so phases must be in
     // start order — sort a copy rather than trusting the spec's order.

@@ -22,8 +22,6 @@ constexpr PolicyInfo kRegistry[] = {
      "upper bound using calibrated per-phase categories"},
     {"synpa", "total slowdown", true, false,
      "the paper's policy: invert, predict, min-weight matching (Blossom)"},
-    {"synpa-dp", "total slowdown", true, false,
-     "SYNPA with the exact subset-DP selector"},
     {"synpa-greedy", "total slowdown", true, false,
      "SYNPA with the greedy selector (ablation)"},
     {"synpa-stp", "throughput (STP)", true, false,
@@ -78,8 +76,6 @@ std::unique_ptr<AllocationPolicy> make_policy(std::string_view name,
                                               config.synpa.cross_chip_penalty);
     if (name == "synpa")
         return make_synpa(config, name, config.synpa.selector, Objective::kTotalSlowdown);
-    if (name == "synpa-dp")
-        return make_synpa(config, name, PairSelector::kSubsetDp, Objective::kTotalSlowdown);
     if (name == "synpa-greedy")
         return make_synpa(config, name, PairSelector::kGreedy, Objective::kTotalSlowdown);
     if (name == "synpa-stp")

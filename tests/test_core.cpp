@@ -119,9 +119,6 @@ TEST(Estimator, PairWeightSymmetricSum) {
 TEST(SynpaPolicyTest, NamesReflectSelector) {
     const model::InterferenceModel m = model::InterferenceModel::paper_table4();
     EXPECT_EQ(SynpaPolicy(m).name(), "synpa");
-    SynpaPolicy::Options dp;
-    dp.selector = PairSelector::kSubsetDp;
-    EXPECT_EQ(SynpaPolicy(m, dp).name(), "synpa-dp");
     SynpaPolicy::Options gr;
     gr.selector = PairSelector::kGreedy;
     EXPECT_EQ(SynpaPolicy(m, gr).name(), "synpa-greedy");
@@ -136,8 +133,7 @@ TEST(SynpaPolicyTest, SelectorsAgreeOnClearCutMatrix) {
     w.set(0, 3, 9.0);
     w.set(1, 2, 9.0);
     w.set(1, 3, 9.0);
-    for (PairSelector sel :
-         {PairSelector::kBlossom, PairSelector::kSubsetDp, PairSelector::kGreedy}) {
+    for (PairSelector sel : {PairSelector::kBlossom, PairSelector::kGreedy}) {
         SynpaPolicy::Options opts;
         opts.selector = sel;
         const SynpaPolicy policy(m, opts);

@@ -1,16 +1,26 @@
 // Campaign-engine tests: thread-count determinism, artifact memoization
-// (the trainer runs exactly once), grid-order aggregator streaming, and the
-// methodology wrappers' equivalence with a hand-built campaign.
+// (the trainer runs exactly once), grid-order aggregator streaming, the
+// methodology wrappers' equivalence with a hand-built campaign, and per-rep
+// flight recording on every grid runner.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "exp/aggregators.hpp"
 #include "exp/artifact_cache.hpp"
 #include "exp/campaign.hpp"
+#include "exp/fleet_grid.hpp"
+#include "exp/scenario_grid.hpp"
+#include "fleet/metrics.hpp"
+#include "obs/export.hpp"
 #include "scenario/scenario.hpp"
 #include "sched/baselines.hpp"
 #include "workloads/methodology.hpp"
@@ -252,6 +262,82 @@ TEST(Campaign, CsvAndJsonExportEveryCell) {
          ++pos)
         ++objects;
     EXPECT_EQ(objects, 4u);
+}
+
+/// With SYNPA_TRACE and SYNPA_TRACE_FILE set, every grid runner writes one
+/// trace (and its registry CSV) per repetition, tagged by grid point, and the
+/// rep really records into it — and a traced fleet cell stays bit-identical
+/// to the untraced one.
+TEST(GridTracing, EveryRunnerWritesOneTracePerRep) {
+    const std::filesystem::path dir = std::filesystem::temp_directory_path() /
+                                      ("synpa-grid-trace-" + std::to_string(::getpid()));
+    std::filesystem::create_directories(dir);
+    const auto expect_traces = [&](const std::string& base, const std::string& cell) {
+        for (const char* rep : {"r0", "r1"}) {
+            const std::string path = (dir / (base + "-" + cell + rep + ".json")).string();
+            EXPECT_TRUE(std::filesystem::exists(path)) << path;
+            std::ifstream registry(obs::registry_csv_path(path));
+            std::size_t rows = 0;
+            for (std::string line; std::getline(registry, line);) ++rows;
+            EXPECT_GT(rows, 1u) << "no metrics recorded beside " << path;
+        }
+        EXPECT_FALSE(std::filesystem::exists(dir / (base + "-" + cell + "r2.json")));
+    };
+    const auto trace_to = [&](const std::string& base) {
+        ::setenv("SYNPA_TRACE_FILE", (dir / (base + ".json")).string().c_str(), 1);
+    };
+    const auto linux_policy = exp::policy(
+        "linux", [](std::uint64_t) { return std::make_unique<sched::LinuxPolicy>(); });
+    scenario::ScenarioSpec spec;
+    spec.name = "traced";
+    spec.process = scenario::ArrivalProcess::kPoisson;
+    spec.app_mix = {"mcf", "leela_r"};
+    spec.arrival_rate = 0.4;
+    spec.service_quanta = 4;
+    spec.horizon_quanta = 12;
+    spec.seed = 5;
+    exp::ArtifactCache cache;
+    ::setenv("SYNPA_TRACE", "1", 1);
+
+    exp::Campaign campaign = small_campaign();
+    campaign.workloads.resize(1);
+    campaign.policies = {linux_policy};
+    trace_to("campaign");
+    exp::CampaignRunner({.threads = 2}, &cache).run(campaign);
+    expect_traces("campaign", "c0w0p0");
+
+    exp::ScenarioCampaign scenarios;
+    scenarios.configs = {small_config()};
+    scenarios.scenarios = {spec};
+    scenarios.policies = {linux_policy};
+    scenarios.reps = 2;
+    trace_to("scenario");
+    exp::ScenarioGridRunner({.threads = 2}, &cache).run(scenarios);
+    expect_traces("scenario", "c0s0p0");
+
+    exp::FleetCampaign fleets;
+    fleets.node_configs = {small_config()};
+    fleets.scenarios = {spec};
+    fleets.fleet_policies = {"fleet-least-loaded"};
+    fleets.node_policy = "linux";
+    fleets.nodes = 2;
+    fleets.reps = 2;
+    fleets.max_quanta = 2'000;
+    trace_to("fleet");
+    const exp::FleetGridResult traced = exp::FleetGridRunner({.threads = 2}, &cache).run(fleets);
+    expect_traces("fleet", "c0s0p0");
+
+    ::unsetenv("SYNPA_TRACE");
+    ::unsetenv("SYNPA_TRACE_FILE");
+    const exp::FleetGridResult untraced =
+        exp::FleetGridRunner({.threads = 2}, &cache).run(fleets);
+    ASSERT_EQ(traced.cells.size(), 1u);
+    ASSERT_EQ(untraced.cells.size(), 1u);
+    for (std::size_t rep = 0; rep < 2; ++rep)
+        EXPECT_EQ(fleet::run_signature(traced.cells[0].runs[rep]),
+                  fleet::run_signature(untraced.cells[0].runs[rep]))
+            << "tracing perturbed fleet rep " << rep;
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Campaign, RepFailuresSurfaceAsExceptions) {

@@ -11,6 +11,7 @@
 #include <memory>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -230,6 +231,18 @@ TEST(FleetRunner, RejectsClosedTraces) {
     const scenario::ScenarioTrace closed = scenario::closed_trace("closed", specs);
     EXPECT_THROW(fleet::FleetRunner(closed, fleet_options("fleet-least-loaded")),
                  std::invalid_argument);
+}
+
+TEST(FleetRunner, RejectsZeroMaxQuanta) {
+    const scenario::ScenarioTrace trace = scenario::build_trace(fleet_spec(), node_config());
+    fleet::FleetOptions fo = fleet_options("fleet-least-loaded");
+    fo.max_quanta = 0;
+    try {
+        fleet::FleetRunner runner(trace, std::move(fo));
+        ADD_FAILURE() << "FleetRunner accepted max_quanta = 0";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("max_quanta"), std::string::npos) << e.what();
+    }
 }
 
 // -------------------------------------------------------- preemption --

@@ -245,6 +245,24 @@ TEST(Trainer, SmallTrainingRunProducesSaneModel) {
     }
 }
 
+TEST(Trainer, ResultIsIdenticalForOneAndManyThreads) {
+    TrainerOptions opts;
+    opts.isolated_quanta = 24;
+    opts.pair_quanta = 10;
+    const std::vector<std::string> apps = {"mcf", "nab_r", "gobmk", "bwaves"};
+    opts.threads = 1;
+    const TrainingResult serial = Trainer(train_config(), opts).train(apps);
+    opts.threads = 4;
+    const TrainingResult parallel = Trainer(train_config(), opts).train(apps);
+    EXPECT_EQ(serial.sample_count, parallel.sample_count);
+    for (std::size_t c = 0; c < kCategoryCount; ++c) {
+        const auto cat = static_cast<Category>(c);
+        EXPECT_EQ(serial.model.coefficients(cat).beta, parallel.model.coefficients(cat).beta);
+        EXPECT_EQ(serial.model.coefficients(cat).alpha, parallel.model.coefficients(cat).alpha);
+        EXPECT_EQ(serial.mse[c], parallel.mse[c]);
+    }
+}
+
 // ---------- extended (ablation) characterization ----------
 
 TEST(Extended, CategoriesSumToCycles) {

@@ -6,11 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -107,6 +110,37 @@ TEST(ScenarioTrace, BurstProcessArrivesInWaves) {
     ASSERT_EQ(trace.tasks.size(), 9u);  // bursts at 0, 10, 20
     for (const scenario::PlannedTask& t : trace.tasks)
         EXPECT_EQ(t.arrival_quantum % 10, 0u);
+}
+
+/// build_trace must reject `spec` with an invalid_argument naming `field`.
+void expect_rejected(const scenario::ScenarioSpec& spec, const std::string& field) {
+    try {
+        (void)scenario::build_trace(spec, chip4x2_config());
+        ADD_FAILURE() << "build_trace accepted a bad " << field;
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+    }
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(ScenarioTrace, RejectsNegativeOrNonFiniteArrivalRate) {
+    for (const double rate : {-0.5, kInf, std::nan("")})
+        expect_rejected(poisson_spec(rate), "arrival_rate");
+}
+
+TEST(ScenarioTrace, RejectsNegativeOrNonFiniteRateScale) {
+    for (const double scale : {-1.0, kInf, std::nan("")}) {
+        scenario::ScenarioSpec spec = poisson_spec(0.5);
+        spec.load_profile = {{0, 1.0}, {20, scale}};
+        expect_rejected(spec, "rate_scale");
+    }
+}
+
+TEST(ScenarioTrace, RejectsZeroServiceQuanta) {
+    scenario::ScenarioSpec spec = poisson_spec(0.5);
+    spec.service_quanta = 0;
+    expect_rejected(spec, "service_quanta");
 }
 
 TEST(ScenarioTrace, FingerprintSeparatesSeedAndShape) {
