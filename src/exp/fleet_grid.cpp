@@ -66,7 +66,7 @@ FleetGridResult FleetGridRunner::run(const FleetCampaign& campaign,
                                .fleet_policy = campaign.fleet_policies[p.policy],
                                .node_policy = campaign.node_policy,
                                .runs = std::move(runs),
-                               .summary = summary};
+                               .summary = std::move(summary)};
     };
     const auto describe = [](std::ostream& os, const FleetCellResult& cell) {
         os << cell.scenario << " / " << cell.fleet_policy

@@ -58,6 +58,9 @@ struct ArtifactSet {
 template <class Cell>
 class CellSink {
 public:
+    CellSink() = default;
+    CellSink(const CellSink&) = delete;  // runners hold sinks by pointer
+    CellSink& operator=(const CellSink&) = delete;
     virtual ~CellSink() = default;
     virtual void on_cell(const Cell& cell) = 0;
     /// Called once after the last cell.

@@ -105,7 +105,7 @@ ScenarioGridResult ScenarioGridRunner::run(
                                   .policy = policies[p.policy].label,
                                   .adaptive = policies[p.policy].adaptive,
                                   .runs = std::move(runs),
-                                  .summary = summary};
+                                  .summary = std::move(summary)};
     };
     const auto describe = [](std::ostream& os, const ScenarioCellResult& cell) {
         os << cell.scenario << " / " << cell.policy
