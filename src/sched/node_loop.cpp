@@ -159,8 +159,16 @@ NodeLoop::Report NodeLoop::step(std::uint64_t quantum, Lifecycle& life, int queu
     obs::PhaseStopwatch sw(tracer_ != nullptr);
     if (tracer_ != nullptr) tracer_->begin_quantum(quantum, qs.live, queued);
 
+    const uarch::CycleCounts before =
+        tracer_ != nullptr ? platform_.cycle_counts() : uarch::CycleCounts{};
     platform_.run_quantum();
     qs.simulate_us = sw.lap_us();
+    if (tracer_ != nullptr) {
+        const uarch::CycleCounts after = platform_.cycle_counts();
+        obs::MetricsRegistry& m = tracer_->metrics();
+        m.counter("uarch.cycles_ticked").add(after.ticked - before.ticked);
+        m.counter("uarch.cycles_skipped").add(after.skipped - before.skipped);
+    }
 
     Report report;
     if (!residents_.empty()) {

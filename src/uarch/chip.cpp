@@ -180,12 +180,19 @@ void Chip::refresh_rates() {
     }
 }
 
+CycleCounts Chip::cycle_counts() const noexcept {
+    CycleCounts n;
+    for (const SmtCore& core : cores_) n += core.cycle_counts();
+    return n;
+}
+
 void Chip::run_quantum() {
     refresh_rates();
     std::uint64_t mem_accesses = 0;
     const std::uint64_t cycles = cfg_.cycles_per_quantum;
-    for (std::uint64_t c = 0; c < cycles; ++c)
-        for (auto& core : cores_) mem_accesses += core.tick();
+    // Core-major: no core reads another core's state inside a quantum, so
+    // running each through the whole quantum equals the lockstep order.
+    for (auto& core : cores_) mem_accesses += core.run(cycles);
     memory_.end_quantum(mem_accesses, cycles);
     now_ += cycles;
     ++quanta_;

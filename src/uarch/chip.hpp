@@ -12,6 +12,14 @@
 // profile rates describe its isolated behaviour, so multipliers are the
 // ratio of shared-coverage to isolated-coverage miss factors.  Running an
 // app alone on the chip reproduces its isolated profile by construction.
+//
+// Within a quantum the cores are independent: each has its own ICache miss
+// port and rotation pointers, every task is bound to one slot and carries
+// its own RNG streams and counters, and the DRAM queue factor is read in
+// refresh_rates and written only after the last cycle.  run_quantum
+// therefore runs each core through the whole quantum in turn (core-major,
+// SmtCore::run), which cannot be told apart from ticking all cores in
+// lockstep.
 #pragma once
 
 #include <cstdint>
@@ -63,8 +71,13 @@ public:
     std::vector<apps::AppInstance*> bound_tasks() const;
 
     /// Runs one scheduling quantum (config().cycles_per_quantum cycles):
-    /// refreshes contention rates, ticks every core, updates the DRAM model.
+    /// refreshes contention rates, runs every core through the quantum,
+    /// updates the DRAM model.
     void run_quantum();
+
+    /// Core-cycles ticked and skipped so far over every core; ticked +
+    /// skipped == core_count() x now().
+    CycleCounts cycle_counts() const noexcept;
 
     /// Cycles simulated so far.
     std::uint64_t now() const noexcept { return now_; }

@@ -113,6 +113,12 @@ void Platform::run_quantum() {
     ++quanta_;
 }
 
+CycleCounts Platform::cycle_counts() const noexcept {
+    CycleCounts n;
+    for (const auto& chip : chips_) n += chip->cycle_counts();
+    return n;
+}
+
 pmu::CounterBank Platform::task_counters(int task_id) const {
     const int* it = last_chip_.find(task_id);
     if (it == nullptr) throw std::logic_error("Platform::task_counters: unknown task");

@@ -112,6 +112,10 @@ public:
     /// Quanta completed so far.
     std::uint64_t quanta_elapsed() const noexcept { return quanta_; }
 
+    /// Core-cycles ticked and skipped so far, summed over every chip (see
+    /// Chip::cycle_counts); read between quanta, after the join.
+    CycleCounts cycle_counts() const noexcept;
+
     /// Cross-chip migrations charged so far (each one started a cross-chip
     /// warmup window on the moved task).
     std::uint64_t cross_chip_migrations() const noexcept { return cross_chip_migrations_; }

@@ -1,7 +1,9 @@
 #include "uarch/smt_core.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 
 #include "pmu/events.hpp"
 
@@ -141,8 +143,8 @@ void SmtCore::fetch_stage() noexcept {
     // that need instructions and are not frontend-stalled.
     const int ways = smt_ways();
     int chosen = -1;
-    for (int k = 0; k < ways; ++k) {
-        const int idx = (fetch_rr_ + k) % ways;
+    int idx = fetch_rr_;
+    for (int k = 0; k < ways; ++k, idx = idx + 1 == ways ? 0 : idx + 1) {
         ThreadContext& t = slots_[static_cast<std::size_t>(idx)];
         if (!t.bound() || t.fe_stall > 0) continue;
         if (t.fetch_buffer >= cfg_->fetch_buffer_entries) continue;
@@ -150,7 +152,7 @@ void SmtCore::fetch_stage() noexcept {
         break;
     }
     if (chosen < 0) return;
-    fetch_rr_ = (chosen + 1) % ways;
+    fetch_rr_ = chosen + 1 == ways ? 0 : chosen + 1;
 
     ThreadContext& t = slots_[static_cast<std::size_t>(chosen)];
     apps::AppInstance& task = *t.task();
@@ -190,12 +192,13 @@ std::uint64_t SmtCore::dispatch_stage() noexcept {
     // rotation order) share what remains.
     std::array<int, kMaxSmtWays> grant{};
     int remaining = cfg_->dispatch_width;
-    for (int k = 0; k < ways; ++k) {
-        const auto idx = static_cast<std::size_t>((dispatch_pri_ + k) % ways);
-        grant[idx] = std::min(want[idx], remaining);
-        remaining -= grant[idx];
+    int idx = dispatch_pri_;
+    for (int k = 0; k < ways; ++k, idx = idx + 1 == ways ? 0 : idx + 1) {
+        const auto i = static_cast<std::size_t>(idx);
+        grant[i] = std::min(want[i], remaining);
+        remaining -= grant[i];
     }
-    dispatch_pri_ = (dispatch_pri_ + 1) % ways;
+    dispatch_pri_ = dispatch_pri_ + 1 == ways ? 0 : dispatch_pri_ + 1;
 
     std::uint64_t mem_accesses = 0;
     for (int i = 0; i < ways; ++i) {
@@ -249,6 +252,84 @@ std::uint64_t SmtCore::tick() noexcept {
     }
     fetch_stage();
     return dispatch_stage();
+}
+
+std::uint64_t SmtCore::idle_cycles() const noexcept {
+    // A slot can fetch in the cycle its fe_stall reaches 0 (tick decrements
+    // before fetching) unless its buffer is full; it can dispatch once
+    // be_stall is 0 unless its buffer is empty (a buffer that stays empty
+    // keeps it from dispatching however much credit accrues).
+    std::uint64_t k = std::numeric_limits<std::uint64_t>::max();
+    const int ways = smt_ways();
+    for (int s = 0; s < ways; ++s) {
+        const ThreadContext& t = slots_[static_cast<std::size_t>(s)];
+        if (!t.bound()) continue;
+        if (t.fetch_buffer < cfg_->fetch_buffer_entries) {
+            if (t.fe_stall <= 1) return 0;
+            k = std::min(k, static_cast<std::uint64_t>(t.fe_stall - 1));
+        }
+        if (t.be_stall > 0)
+            k = std::min(k, static_cast<std::uint64_t>(t.be_stall));
+        else if (t.fetch_buffer != 0)
+            return 0;
+    }
+    return k;
+}
+
+void SmtCore::skip(std::uint64_t k) noexcept {
+    // Exactly what k idle tick() calls do: nothing is fetched or granted,
+    // so each bound slot counts k cycles of its stall and its timers run down.
+    const double credit_cap = 2.0 * static_cast<double>(cfg_->dispatch_width);
+    const auto run_down = [k](int timer) {
+        return k >= static_cast<std::uint64_t>(timer) ? 0 : timer - static_cast<int>(k);
+    };
+    const int ways = smt_ways();
+    for (int s = 0; s < ways; ++s) {
+        ThreadContext& t = slots_[static_cast<std::size_t>(s)];
+        if (!t.bound()) continue;
+        pmu::CounterBank& counters = t.task()->counters();
+        counters.increment(Event::kCpuCycles, k);
+        if (t.be_stall > 0) {
+            counters.increment(Event::kStallBackend, k);
+            counters.increment(Event::kStallBackendRob, k);
+            t.be_stall -= static_cast<int>(k);
+            if (t.be_stall == 0) t.dram_stall = false;
+        } else {
+            counters.increment(Event::kStallFrontend, k);
+            // The credit recurrence one cycle at a time, as dispatch_stage
+            // runs it, until it reaches a bitwise fixed point.
+            double credit = t.dispatch_credit;
+            for (std::uint64_t c = 0; c < k; ++c) {
+                const double next = std::min(credit + t.rates.dispatch_demand, credit_cap);
+                if (std::bit_cast<std::uint64_t>(next) == std::bit_cast<std::uint64_t>(credit))
+                    break;
+                credit = next;
+            }
+            t.dispatch_credit = credit;
+        }
+        t.fe_stall = run_down(t.fe_stall);
+    }
+    icache_busy_ = run_down(icache_busy_);
+    const auto w = static_cast<std::uint64_t>(ways);
+    dispatch_pri_ = static_cast<int>((static_cast<std::uint64_t>(dispatch_pri_) + k % w) % w);
+}
+
+std::uint64_t SmtCore::run(std::uint64_t cycles) noexcept {
+    std::uint64_t mem_accesses = 0;
+    std::uint64_t left = cycles;
+    while (left > 0) {
+        const std::uint64_t k = std::min(idle_cycles(), left);
+        if (k == 0) {
+            mem_accesses += tick();
+            ++cycles_.ticked;
+            --left;
+        } else {
+            skip(k);
+            cycles_.skipped += k;
+            left -= k;
+        }
+    }
+    return mem_accesses;
 }
 
 }  // namespace synpa::uarch

@@ -11,6 +11,14 @@
 //  * backend stall episodes hide less latency in SMT because the ROB is
 //    partitioned among the *active* threads (headroom comes in via
 //    EffectiveRates, computed by the chip).
+//
+// tick() is the one definition of a cycle.  run(n) equals n tick() calls bit
+// for bit but applies idle stretches in one step: while no bound slot can
+// fetch (each is frontend-stalled or holds a full fetch buffer) and none can
+// dispatch (each is backend-stalled or has an empty fetch buffer), a cycle
+// draws no random number and only moves stall timers, stall counters,
+// dispatch credit and the dispatch-priority rotator, all of which advance
+// in closed form.  A core with no bound slot is idle for the whole call.
 #pragma once
 
 #include <array>
@@ -20,6 +28,20 @@
 #include "uarch/thread_context.hpp"
 
 namespace synpa::uarch {
+
+/// Core-cycles SmtCore::run executed through tick() and core-cycles it
+/// applied in bulk as idle.  Deterministic work: both depend only on the
+/// simulated state, never on the host.
+struct CycleCounts {
+    std::uint64_t ticked = 0;
+    std::uint64_t skipped = 0;
+
+    CycleCounts& operator+=(const CycleCounts& o) noexcept {
+        ticked += o.ticked;
+        skipped += o.skipped;
+        return *this;
+    }
+};
 
 class SmtCore {
 public:
@@ -45,7 +67,22 @@ public:
     /// accesses (LLC misses) triggered this cycle, for the bandwidth model.
     std::uint64_t tick() noexcept;
 
+    /// Advances the core `cycles` cycles; identical to that many tick()
+    /// calls (same state, counters and RNG streams afterwards) and returns
+    /// the sum of their memory accesses.
+    std::uint64_t run(std::uint64_t cycles) noexcept;
+
+    /// Cycles run() has ticked and skipped so far.
+    const CycleCounts& cycle_counts() const noexcept { return cycles_; }
+
 private:
+    /// How many cycles from now are certainly idle (see the file comment);
+    /// 0 when the next cycle may fetch or dispatch, UINT64_MAX when no slot
+    /// is bound.
+    std::uint64_t idle_cycles() const noexcept;
+    /// Applies `k` idle cycles, k <= idle_cycles().
+    void skip(std::uint64_t k) noexcept;
+
     void fetch_stage() noexcept;
     std::uint64_t dispatch_stage() noexcept;
     void trigger_frontend_event(ThreadContext& t) noexcept;
@@ -60,6 +97,7 @@ private:
     int fetch_rr_ = 0;      ///< fetch-port round-robin pointer
     int dispatch_pri_ = 0;  ///< dispatch-priority rotator
     int icache_busy_ = 0;   ///< cycles until the ICache miss port frees up
+    CycleCounts cycles_;
 };
 
 }  // namespace synpa::uarch

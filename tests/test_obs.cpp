@@ -11,7 +11,8 @@
 //     (bucket edges, percentiles, merge-of-shards associativity), and the
 //     registry's stable instrument identity.
 //  4. Export — the Chrome-trace JSON and metrics CSV contain the fields
-//     tools/trace_summary.py --validate checks for.
+//     tools/trace_summary.py --validate checks for, and the registry's
+//     deterministic cycle counters cover every simulated core-cycle.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -21,6 +22,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "model/interference_model.hpp"
@@ -461,6 +463,34 @@ TEST(TraceExport, FinishExportsTheMetricsRegistry) {
     const std::string csv((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
     EXPECT_EQ(csv.find("name,kind,"), 0u);
     EXPECT_NE(csv.find("\nweight_cache.hits,counter,"), std::string::npos);
+}
+
+TEST(TraceExport, CycleCountersCoverEveryCoreCycleAtEveryThreadCount) {
+    // uarch.cycles_ticked + uarch.cycles_skipped account for every simulated
+    // core-cycle (chips x cores x cycles_per_quantum x quanta), and both are
+    // deterministic work: the same at SYNPA_SIM_THREADS 1 and 4.
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> seen;
+    for (const int threads : {1, 4}) {
+        obs::Tracer tracer(memory_trace_config());
+        run_closed(4, 2, threads, &tracer);
+        const obs::MetricsRegistry& m = tracer.metrics();
+        const obs::Counter* ticked = m.find_counter("uarch.cycles_ticked");
+        const obs::Counter* skipped = m.find_counter("uarch.cycles_skipped");
+        const obs::Counter* quanta = m.find_counter("quanta");
+        ASSERT_NE(ticked, nullptr);
+        ASSERT_NE(skipped, nullptr);
+        ASSERT_NE(quanta, nullptr);
+        const uarch::SimConfig cfg = shape_config(4, 2, threads);
+        EXPECT_EQ(ticked->value() + skipped->value(),
+                  static_cast<std::uint64_t>(cfg.num_chips) *
+                      static_cast<std::uint64_t>(cfg.cores) * cfg.cycles_per_quantum *
+                      quanta->value())
+            << "threads=" << threads;
+        EXPECT_GT(ticked->value(), 0u);
+        EXPECT_GT(skipped->value(), 0u);
+        seen.emplace_back(ticked->value(), skipped->value());
+    }
+    EXPECT_EQ(seen[0], seen[1]);
 }
 
 TEST(TraceExport, LargeScenarioTraceExportsCleanly) {

@@ -1,9 +1,13 @@
 // Tests for the simulator substrate: cache-sharing math, the DRAM queue,
-// configuration, and chip-level invariants (counter identities, determinism,
+// configuration, the SMT core's idle-cycle skip (run() against repeated
+// tick()), and chip-level invariants (counter identities, determinism,
 // SMT slowdown, migration warmup, fetch-port contention).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cstdlib>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -11,6 +15,7 @@
 
 #include "apps/instance.hpp"
 #include "apps/spec_suite.hpp"
+#include "common/rng.hpp"
 #include "model/categories.hpp"
 #include "uarch/cache.hpp"
 #include "uarch/chip.hpp"
@@ -351,6 +356,144 @@ TEST(Chip, QuantaAndCyclesAdvance) {
 TEST(Chip, TaskCountersThrowOnUnknown) {
     Chip chip(small_config());
     EXPECT_THROW(chip.task_counters(3), std::logic_error);
+}
+
+// ---------- SmtCore::run vs repeated tick ----------
+
+/// One core plus the tasks bound to it (each copy owns its instances).
+struct CoreUnderTest {
+    explicit CoreUnderTest(const SimConfig& cfg) : core(cfg) {}
+    SmtCore core;
+    std::vector<std::unique_ptr<apps::AppInstance>> tasks;
+};
+
+/// Compares every public slot field, every counter, the retired count and
+/// the next draw of both event RNG streams (consuming one draw on each side).
+void expect_same_core(CoreUnderTest& a, CoreUnderTest& b, const std::string& where) {
+    for (int s = 0; s < kMaxSmtWays; ++s) {
+        ThreadContext& x = a.core.slot(s);
+        ThreadContext& y = b.core.slot(s);
+        const std::string at = where + " slot " + std::to_string(s);
+        ASSERT_EQ(x.bound(), y.bound()) << at;
+        EXPECT_EQ(x.fetch_buffer, y.fetch_buffer) << at;
+        EXPECT_EQ(x.fe_stall, y.fe_stall) << at;
+        EXPECT_EQ(x.be_stall, y.be_stall) << at;
+        EXPECT_EQ(x.dram_stall, y.dram_stall) << at;
+        EXPECT_EQ(x.insts_until_fe, y.insts_until_fe) << at;
+        EXPECT_EQ(x.insts_until_be, y.insts_until_be) << at;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(x.dispatch_credit),
+                  std::bit_cast<std::uint64_t>(y.dispatch_credit))
+            << at;
+        if (!x.bound()) continue;
+        for (std::size_t i = 0; i < pmu::kEventCount; ++i) {
+            const auto e = static_cast<pmu::Event>(i);
+            EXPECT_EQ(x.task()->counters().value(e), y.task()->counters().value(e))
+                << at << " " << pmu::event_name(e);
+        }
+        EXPECT_EQ(x.task()->insts_retired(), y.task()->insts_retired()) << at;
+        EXPECT_EQ(x.task()->fe_rng()(), y.task()->fe_rng()()) << at;
+        EXPECT_EQ(x.task()->be_rng()(), y.task()->be_rng()()) << at;
+    }
+}
+
+TEST(SmtCore, RunEqualsRepeatedTick) {
+    // Differential fuzz of the idle-cycle skip: run(n) on one copy against
+    // n tick() calls on another, over widths, occupancies, apps, warmup
+    // windows and chunk lengths.  Rates come from a one-cycle chip quantum
+    // over a third set of identical instances.
+    const std::vector<apps::AppProfile>& suite = apps::spec_suite();
+    std::uint64_t ticked = 0;
+    std::uint64_t skipped = 0;
+    for (std::uint64_t c = 0; c < 500; ++c) {
+        common::Rng rng(0x5a1f, c);
+        SimConfig cfg;
+        cfg.cores = 1;
+        cfg.smt_ways = c == 1 ? 4 : std::array{1, 2, 4}[rng.below(3)];
+        cfg.cycles_per_quantum = 1;
+
+        std::vector<int> bound;
+        if (c == 1) {
+            bound = {static_cast<int>(rng.below(4))};  // one thread on SMT-4
+        } else if (c != 0) {  // case 0: an empty core
+            for (int s = 0; s < cfg.smt_ways; ++s)
+                if (rng.chance(0.75)) bound.push_back(s);
+        }
+        const int zero_demand = c % 7 == 3 && !bound.empty()
+                                    ? bound[rng.below(bound.size())]
+                                    : -1;
+
+        Chip probe(cfg);
+        CoreUnderTest chunked(cfg);
+        CoreUnderTest stepped(cfg);
+        std::vector<std::unique_ptr<apps::AppInstance>> probe_tasks;
+        for (const int s : bound) {
+            const apps::AppProfile& app = suite[rng.below(suite.size())];
+            const std::uint64_t seed = rng();
+            const std::uint64_t warmup = rng.chance(0.3) ? rng.below(20'000) : 0;
+            const double warmup_mult = rng.uniform(1.0, 3.0);
+            for (auto* tasks : {&probe_tasks, &chunked.tasks, &stepped.tasks}) {
+                tasks->push_back(std::make_unique<apps::AppInstance>(s + 1, app, seed));
+                if (warmup > 0) tasks->back()->start_warmup(warmup, warmup_mult);
+            }
+            probe.bind(*probe_tasks.back(), {.core = 0, .slot = s});
+            chunked.core.slot(s).bind(chunked.tasks.back().get());
+            stepped.core.slot(s).bind(stepped.tasks.back().get());
+        }
+        probe.run_quantum();
+        for (const int s : bound) {
+            EffectiveRates rates = probe.core(0).slot(s).rates;
+            if (s == zero_demand) rates.dispatch_demand = 0.0;
+            chunked.core.slot(s).rates = rates;
+            stepped.core.slot(s).rates = rates;
+        }
+
+        const std::string name =
+            "case " + std::to_string(c) + " ways " + std::to_string(cfg.smt_ways);
+        const int chunks = 1 + static_cast<int>(rng.below(8));
+        for (int k = 0; k < chunks; ++k) {
+            const std::uint64_t n = 1 + rng.below(5'000);
+            std::uint64_t want = 0;
+            for (std::uint64_t i = 0; i < n; ++i) want += stepped.core.tick();
+            ASSERT_EQ(chunked.core.run(n), want) << name << " chunk " << k;
+            expect_same_core(chunked, stepped, name + " chunk " + std::to_string(k));
+            if (::testing::Test::HasFailure()) return;
+        }
+        // Hidden state (fetch and dispatch rotation, the ICache miss port)
+        // shows up as divergence once both copies tick on.
+        for (int i = 0; i < 1'000; ++i)
+            ASSERT_EQ(chunked.core.tick(), stepped.core.tick()) << name << " tail " << i;
+        expect_same_core(chunked, stepped, name + " tail");
+        if (::testing::Test::HasFailure()) return;
+        ticked += chunked.core.cycle_counts().ticked;
+        skipped += chunked.core.cycle_counts().skipped;
+    }
+    // The fuzz must actually exercise both paths.
+    EXPECT_GT(ticked, skipped / 4);
+    EXPECT_GT(skipped, ticked / 4);
+}
+
+TEST(SmtCore, EmptyCoreSkipsTheWholeRun) {
+    SimConfig cfg;
+    cfg.cores = 1;
+    SmtCore core(cfg);
+    EXPECT_EQ(core.run(std::uint64_t{1} << 40), 0u);
+    EXPECT_EQ(core.cycle_counts().ticked, 0u);
+    EXPECT_EQ(core.cycle_counts().skipped, std::uint64_t{1} << 40);
+}
+
+TEST(Chip, TickedPlusSkippedCoversEveryCoreCycle) {
+    SimConfig cfg = small_config(3);
+    cfg.smt_ways = 4;
+    Chip chip(cfg);
+    apps::AppInstance a(1, apps::find_app("mcf"), 3);
+    apps::AppInstance b(2, apps::find_app("lbm_r"), 4);
+    chip.bind(a, {.core = 0, .slot = 0});
+    chip.bind(b, {.core = 0, .slot = 2});  // cores 1 and 2 stay empty
+    for (int q = 0; q < 3; ++q) chip.run_quantum();
+    const CycleCounts n = chip.cycle_counts();
+    EXPECT_EQ(n.ticked + n.skipped, 3 * chip.now());
+    EXPECT_GT(n.ticked, 0u);
+    EXPECT_GE(n.skipped, 2 * chip.now());  // the empty cores
 }
 
 }  // namespace

@@ -3,12 +3,15 @@
 write a machine-readable summary to BENCH_sim_throughput.json at the repo
 root.
 
-The snapshot records, per benchmark, wall time and simulated-core-cycles
+The snapshot records, per benchmark, wall time (always in nanoseconds,
+whatever time unit the benchmark reports in) and simulated-core-cycles
 throughput, plus the parallel speedup of every BM_PlatformQuantum* row
 against its sim_threads=1 sibling.  Host facts (hardware_concurrency, cpu
 model) are embedded so a snapshot from a 1-core container is not mistaken
 for a parallel-scaling regression: wall-clock speedup only materializes
 with free cores, which the CI runners (and any developer machine) have.
+The build type and C++ compiler of the measured build come from
+<build-dir>/CMakeCache.txt.
 
 Usage:
     tools/bench_snapshot.py [--build-dir build] [--output BENCH_sim_throughput.json]
@@ -55,12 +58,27 @@ def run_bench(binary: str, min_time: float) -> dict:
     return json.loads(proc.stdout)
 
 
+# Google Benchmark reports real_time/cpu_time in each row's own time_unit
+# (benchmarks registered with ->Unit(kMillisecond) report milliseconds).
+_NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+
+def to_ns(value, unit: str):
+    """A Google Benchmark time in `unit` (ns when absent), in nanoseconds."""
+    if value is None:
+        return None
+    if unit not in _NS_PER_UNIT:
+        raise ValueError(f"unknown Google Benchmark time_unit {unit!r}")
+    return value * _NS_PER_UNIT[unit]
+
+
 def row_summary(b: dict) -> dict:
     """The fields worth diffing across snapshots, per benchmark row."""
+    unit = b.get("time_unit", "ns")
     out = {
         "name": b["name"],
-        "real_time_ns": b.get("real_time"),
-        "cpu_time_ns": b.get("cpu_time"),
+        "real_time_ns": to_ns(b.get("real_time"), unit),
+        "cpu_time_ns": to_ns(b.get("cpu_time"), unit),
         "iterations": b.get("iterations"),
     }
     if "items_per_second" in b:
@@ -142,6 +160,25 @@ def cpu_model() -> str:
     except OSError:
         pass
     return host_platform.processor() or "unknown"
+
+
+def cmake_build_facts(build_dir: str) -> dict:
+    """Our own build type and C++ compiler, read from the build directory's
+    CMakeCache.txt (values are None when the cache or the entry is absent).
+    Google Benchmark's context.library_build_type describes the benchmark
+    library, not the code under test."""
+    wanted = {"CMAKE_BUILD_TYPE": "cmake_build_type", "CMAKE_CXX_COMPILER": "cxx_compiler"}
+    facts = dict.fromkeys(wanted.values())
+    try:
+        with open(os.path.join(build_dir, "CMakeCache.txt")) as f:
+            for line in f:
+                key, sep, value = line.rstrip("\n").partition("=")
+                name = key.split(":", 1)[0]
+                if sep and name in wanted:
+                    facts[wanted[name]] = value
+    except OSError:
+        pass
+    return facts
 
 
 def check_against_baseline(snapshot: dict, baseline_path: str, threshold: float) -> int:
@@ -226,6 +263,7 @@ def main() -> int:
                 "hardware_concurrency=1 host it reads ~1.0 by construction"
             ),
         },
+        "build": cmake_build_facts(args.build_dir),
         "benchmarks": {},
     }
 
