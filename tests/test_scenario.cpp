@@ -25,6 +25,7 @@
 #include "sched/thread_manager.hpp"
 #include "signatures.hpp"
 #include "uarch/platform.hpp"
+#include "workloads/groups.hpp"
 
 namespace {
 
@@ -363,6 +364,72 @@ TEST(ScenarioPins, OpenRunDigestsAtSmt2AndSmt4) {
     // Captured before the three quantum drivers merged into one loop.
     EXPECT_EQ(testsig::digest(pinned_open_run(2)), 0xd9b58312573e5ba0ull);
     EXPECT_EQ(testsig::digest(pinned_open_run(4)), 0xc324d55f6d68e551ull);
+}
+
+// ---------- oracle pins ----------
+// The oracle's width-2 Step 3 solves with SubsetDpMatcher, whose tie-breaks
+// differ from Blossom's; these digests pin its choices (including the exact
+// ties duplicated apps create) for the closed and the partial-load paths.
+
+/// Every oracle pin calibrates the suite the same way first, so a pin's
+/// result does not depend on which test ran before it.
+void calibrate_for_oracle_pins() { workloads::calibrate_suite(chip4x2_config(), 6, 1); }
+
+std::string oracle_closed_run(const std::vector<sched::TaskSpec>& specs) {
+    calibrate_for_oracle_pins();
+    uarch::Platform platform(chip4x2_config());
+    sched::OraclePolicy policy{model::InterferenceModel::paper_table4()};
+    sched::ThreadManager manager(platform, policy, specs);
+    const sched::RunResult r = manager.run();
+    EXPECT_TRUE(r.completed);
+    return testsig::signature(r);
+}
+
+/// A Poisson open run on one SMT-2 chip of `cores` cores whose live set
+/// moves between partial load (the padded solve) and full load (the
+/// hysteresis solve); the signature covers every task record and every
+/// timeline sample.
+std::string oracle_open_run(int cores) {
+    calibrate_for_oracle_pins();
+    uarch::SimConfig cfg = chip4x2_config();
+    cfg.cores = cores;
+    scenario::ScenarioSpec spec = poisson_spec(0.25 * cores, 17);
+    spec.horizon_quanta = 30;
+    spec.service_quanta = 4;
+    const scenario::ScenarioTrace trace = scenario::build_trace(spec, cfg);
+    uarch::Platform platform(cfg);
+    sched::OraclePolicy policy{model::InterferenceModel::paper_table4()};
+    const scenario::ScenarioResult r = scenario::ScenarioRunner(platform, policy, trace).run();
+    EXPECT_TRUE(r.completed);
+    std::string sig = testsig::signature(r);
+    for (const scenario::QuantumSample& q : r.timeline)
+        sig += "|" + std::to_string(q.quantum) + ":" + std::to_string(q.live) + ":" +
+               std::to_string(q.queued) + ":" + std::to_string(testsig::bits(q.utilization)) +
+               ":" + std::to_string(q.migrations);
+    return sig;
+}
+
+TEST(OraclePins, ClosedGoldenWorkloadAtFourCores) {
+    EXPECT_EQ(testsig::digest(oracle_closed_run(classic_workload())), 0xe43720111a903cbeull);
+}
+
+TEST(OraclePins, ClosedRunWithDuplicatedApps) {
+    // 4x nab_r + 4x mcf in slot order nab, nab, mcf, mcf, ...: the arrival
+    // layout (slot k with k + 4) pairs like with like, so the oracle
+    // regroups, and every copy of an app shares one truth vector — the
+    // solver's tie-breaks pick which nab_r meets which mcf.
+    std::vector<sched::TaskSpec> specs;
+    for (std::uint64_t i = 0; i < 8; ++i) {
+        const bool nab = (i / 2) % 2 == 0;
+        specs.push_back({.app_name = nab ? "nab_r" : "mcf", .seed = 1 + i,
+                         .target_insts = 60'000, .isolated_ipc = nab ? 2.0 : 0.6});
+    }
+    EXPECT_EQ(testsig::digest(oracle_closed_run(specs)), 0xe324f1b94b39dbd0ull);
+}
+
+TEST(OraclePins, OpenPartialLoadDigestsAtFourAndEightCores) {
+    EXPECT_EQ(testsig::digest(oracle_open_run(4)), 0xab821e6108f09816ull);
+    EXPECT_EQ(testsig::digest(oracle_open_run(8)), 0x6bb4947b1188b8a9ull);
 }
 
 TEST(ScenarioRunner, Smt4OpenSystemCompletesAndConservesTasks) {

@@ -285,6 +285,25 @@ TEST(WarmGrouping, EmptyIncumbentReproducesColdBitForBit) {
     EXPECT_EQ(cold_calls, warm_calls);
 }
 
+TEST(ColdGrouping, HeuristicPinnedAtForty) {
+    // The cold k-way heuristic's groups, total-weight bits and oracle-call
+    // count, captured before the warm-start code left the heuristic.
+    using namespace grouping_helpers;
+    constexpr std::size_t n = 40, cores = 16, width = 4;
+    std::size_t calls = 0;
+    const matching::GroupingResult r =
+        matching::min_weight_grouping_heuristic(n, cores, width, counting_cost(calls));
+    expect_valid_partition(r, n, cores, width);
+    std::string groups;
+    for (const auto& g : r.groups) {
+        for (const int id : g) groups += std::to_string(id) + ",";
+        groups += ";";
+    }
+    EXPECT_EQ(testsig::digest(groups), 0xfed12ef934a97013ull) << groups;
+    EXPECT_EQ(testsig::bits(r.total_weight), 0x404d2b8be0547421ull);
+    EXPECT_EQ(calls, 15774u);
+}
+
 TEST(WarmGrouping, UnchangedIncumbentResolvesAlmostForFree) {
     using namespace grouping_helpers;
     constexpr std::size_t n = 64, cores = 32, width = 4;
