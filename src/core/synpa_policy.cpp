@@ -9,9 +9,7 @@
 #include <vector>
 
 #include "common/config.hpp"
-#include "common/flat_map.hpp"
 #include "obs/trace.hpp"
-#include "sched/baselines.hpp"
 #include "sched/topology.hpp"
 
 namespace synpa::core {
@@ -21,7 +19,7 @@ namespace {
 /// Enforces the Matcher odd-N contract: on an odd (or zero) vertex count a
 /// perfect matching does not exist, and silently leaving a vertex with
 /// mate == -1 would hand callers a malformed allocation — throw like every
-/// other solver so callers route through min_weight_partial instead.
+/// other solver so callers route through min_weight_pairs instead.
 std::vector<std::pair<int, int>> greedy_pairs(const matching::WeightMatrix& w) {
     const std::size_t n = w.size();
     if (n == 0 || n % 2 != 0)
@@ -62,15 +60,6 @@ public:
             r.mate[static_cast<std::size_t>(u)] = v;
             r.mate[static_cast<std::size_t>(v)] = u;
         }
-        r.total_weight = matching::matching_weight(w, r.pairs);
-        return r;
-    }
-    matching::MatchingResult max_weight_perfect(
-        const matching::WeightMatrix& w) const override {
-        matching::WeightMatrix neg(w.size());
-        for (std::size_t u = 0; u < w.size(); ++u)
-            for (std::size_t v = u + 1; v < w.size(); ++v) neg.set(u, v, -w.get(u, v));
-        matching::MatchingResult r = min_weight_perfect(neg);
         r.total_weight = matching::matching_weight(w, r.pairs);
         return r;
     }
@@ -206,23 +195,20 @@ const matching::Matcher& SynpaPolicy::matcher() const {
     return blossom_;
 }
 
-std::vector<std::pair<int, int>> SynpaPolicy::select_pairs(
-    const matching::WeightMatrix& weights) const {
-    return matcher().min_weight_perfect(weights).pairs;
-}
-
-std::vector<std::vector<int>> SynpaPolicy::select_groups(std::span<const int> task_ids,
-                                                         std::size_t cores,
-                                                         std::size_t width) const {
-    const matching::GroupCost cost = [&](std::span<const int> group) {
+sched::ChipCosts SynpaPolicy::chip_costs(
+    std::span<const sched::TaskObservation> observations) const {
+    sched::ChipCosts c;
+    c.solo = [this, observations](std::size_t i) { return solo_cost(observations[i].task_id); };
+    c.pair = [this, observations](std::size_t u, std::size_t v) {
+        return pair_cost(observations[u].task_id, observations[v].task_id);
+    };
+    c.group = [this, observations](std::span<const int> group) {
         std::vector<int> ids;
         ids.reserve(group.size());
-        for (const int i : group) ids.push_back(task_ids[static_cast<std::size_t>(i)]);
+        for (const int i : group) ids.push_back(observations[static_cast<std::size_t>(i)].task_id);
         return group_cost(ids);
     };
-    const matching::GroupingResult sel =
-        matching::min_weight_grouping(task_ids.size(), cores, width, cost);
-    return sel.groups;
+    return c;
 }
 
 void SynpaPolicy::set_tracer(obs::Tracer* tracer) {
@@ -274,14 +260,9 @@ sched::CoreAllocation SynpaPolicy::reallocate(
     // configured cross-chip cost — then run the single-chip selection per
     // chip (interference never crosses a chip boundary; each chip has its
     // own LLC and DRAM channel).
-    const sched::SoloCost solo = [&](std::size_t i) {
-        return solo_cost(observations[i].task_id);
-    };
-    const sched::PairCost pair = [&](std::size_t u, std::size_t v) {
-        return pair_cost(observations[u].task_id, observations[v].task_id);
-    };
+    const sched::ChipCosts costs = chip_costs(observations);
     sched::CoreAllocation alloc = sched::allocate_across_chips(
-        observations, topo, solo, pair, opts_.cross_chip_penalty,
+        observations, topo, costs.solo, costs.pair, opts_.cross_chip_penalty,
         [this](int chip, std::span<const sched::TaskObservation> local,
                std::span<const std::size_t>) { return allocate_chip(local, chip); });
     trace_allocation(alloc);
@@ -308,13 +289,20 @@ void SynpaPolicy::publish_cache_metrics() const {
 sched::CoreAllocation SynpaPolicy::allocate_chip(
     std::span<const sched::TaskObservation> observations, int chip) {
     if (observations.empty()) return {};
-    if (!opts_.weight_cache || chip < 0) return allocate_chip_uncached(observations);
+    // Step 2+3: the shared single-chip flow over this policy's costs.  The
+    // dummy-node reduction needs an exact solver (see matching.hpp), so the
+    // greedy ablation falls back to Blossom under partial load.
+    const auto solve = [&] {
+        return sched::solve_chip(observations, chip_costs(observations), matcher(), blossom_,
+                                 opts_.stability_bias, opts_.keep_threshold);
+    };
+    if (!opts_.weight_cache || chip < 0) return solve();
     cache_.sync_model_epoch(estimator_.model_epoch());
 
     // Flatten everything the uncached solve reads into one key: per task
     // its id, incumbent core, co-runner list and estimate epoch, plus the
-    // chip shape and the model epoch.  place_groups/place_pairs consume
-    // only task_id + core; the hysteresis path reads corunner_task_id; all
+    // chip shape and the model epoch.  place_groups consumes only
+    // task_id + core; the hysteresis path reads corunner_task_id; all
     // costs are functions of (estimates, objective) and the estimate epochs
     // name the estimate values exactly.  A key match therefore certifies
     // the solver would reproduce the memoized allocation bit for bit.
@@ -343,107 +331,11 @@ sched::CoreAllocation SynpaPolicy::allocate_chip(
         ++cache_.stats().solve_reuse;
         return memo.alloc;
     }
-    sched::CoreAllocation alloc = allocate_chip_uncached(observations);
+    sched::CoreAllocation alloc = solve();
     memo.key = std::move(key);
     memo.alloc = alloc;
     memo.valid = true;
     return alloc;
-}
-
-sched::CoreAllocation SynpaPolicy::allocate_chip_uncached(
-    std::span<const sched::TaskObservation> observations) {
-    if (observations.empty()) return {};
-    const std::size_t n = observations.size();
-    const std::size_t total_cores = sched::observed_total_cores(observations);
-    const int width = sched::observed_smt_ways(observations);
-
-    // Width 1 (SMT disabled in BIOS): there is no grouping decision — every
-    // task keeps a core of its own.
-    if (width == 1) {
-        std::vector<sched::CoreGroup> entries;
-        entries.reserve(n);
-        for (const auto& o : observations) entries.push_back(sched::CoreGroup{o.task_id});
-        return sched::place_groups(entries, observations, total_cores);
-    }
-
-    // Width > 2 (SMT-4): Step 2+3 become a k-way grouping — group costs are
-    // the estimator's group-slowdown predictor (symmetrized pairwise terms;
-    // singletons score their "runs alone" weight), solved exactly for small
-    // live sets and by deterministic local search beyond.  No hysteresis:
-    // the width-2 near-tie oscillation this guards against is much rarer in
-    // the k-way cost surface, and place_groups still pins survivors.
-    if (width > 2) {
-        std::vector<int> ids;
-        ids.reserve(n);
-        for (const auto& o : observations) ids.push_back(o.task_id);
-        const std::vector<std::vector<int>> groups =
-            select_groups(ids, total_cores, static_cast<std::size_t>(width));
-        std::vector<sched::CoreGroup> entries;
-        entries.reserve(groups.size());
-        for (const auto& group : groups) {
-            sched::CoreGroup g;
-            for (const int i : group) g.add(ids[static_cast<std::size_t>(i)]);
-            entries.push_back(g);
-        }
-        return sched::place_groups(entries, observations, total_cores);
-    }
-
-    // Step 2: predicted combined slowdown for every candidate pair.
-    matching::WeightMatrix weights(n);
-    for (std::size_t u = 0; u < n; ++u)
-        for (std::size_t v = u + 1; v < n; ++v)
-            weights.set(u, v, pair_cost(observations[u].task_id,
-                                        observations[v].task_id));
-
-    // Partial load (open system, N != 2 * cores): Step 3 becomes an
-    // imperfect matching — the padded solver weighs every candidate pair's
-    // combined slowdown against the two members' "runs alone" terms, so it
-    // decides *which* threads deserve a core of their own.  No hysteresis
-    // here: arrivals and departures churn the index space every few quanta
-    // anyway, and place_groups still pins survivors to incumbent cores.
-    if (n != 2 * total_cores) {
-        std::vector<double> solo(n);
-        for (std::size_t i = 0; i < n; ++i)
-            solo[i] = solo_cost(observations[i].task_id);
-        // The dummy-node reduction needs an exact solver (see matching.hpp);
-        // the greedy ablation falls back to Blossom under partial load.
-        const matching::Matcher& exact =
-            opts_.selector == PairSelector::kGreedy
-                ? static_cast<const matching::Matcher&>(blossom_)
-                : matcher();
-        const matching::PartialMatching sel =
-            matching::min_weight_partial(weights, solo, total_cores, exact);
-        std::vector<std::pair<int, int>> entries;
-        for (auto [u, v] : sel.pairs)
-            entries.emplace_back(observations[static_cast<std::size_t>(u)].task_id,
-                                 observations[static_cast<std::size_t>(v)].task_id);
-        for (int u : sel.singles)
-            entries.emplace_back(observations[static_cast<std::size_t>(u)].task_id,
-                                 sched::kNoTask);
-        return sched::place_groups(sched::groups_from_pairs(entries), observations,
-                                   total_cores);
-    }
-
-    // Current pairing in index space, for hysteresis.
-    std::vector<std::pair<int, int>> current;
-    common::FlatIdMap<std::size_t> index_of;
-    for (std::size_t i = 0; i < n; ++i) index_of[observations[i].task_id] = i;
-    for (std::size_t i = 0; i < n; ++i) {
-        const int partner = observations[i].corunner_task_id;
-        const std::size_t* it = partner >= 0 ? index_of.find(partner) : nullptr;
-        if (it != nullptr && *it > i)
-            current.emplace_back(static_cast<int>(i), static_cast<int>(*it));
-    }
-
-    // Step 3: most synergistic perfect matching, with hysteresis against
-    // churn, placed to avoid migrations.
-    const matching::StabilizedSelection sel = matching::stabilized_min_weight(
-        weights, current, matcher(), opts_.stability_bias, opts_.keep_threshold);
-    std::vector<std::pair<int, int>> id_pairs;
-    for (auto [u, v] : sel.pairs)
-        id_pairs.emplace_back(observations[static_cast<std::size_t>(u)].task_id,
-                              observations[static_cast<std::size_t>(v)].task_id);
-    return sched::place_pairs(id_pairs, observations);
 }
 
 void SynpaPolicy::on_task_replaced(int old_task_id, int new_task_id) {

@@ -13,7 +13,9 @@
 // SMT width is a runtime property: at smt_ways == 2 Step 3 runs the paper's
 // pair solvers unchanged, while wider chips (SMT-4) switch to the k-way
 // grouping of the follow-up work — group costs built from the estimator's
-// symmetrized pairwise terms, solved by matching::min_weight_grouping.
+// symmetrized pairwise terms, solved by matching::min_weight_grouping.  The
+// whole Step 3 flow is sched::solve_chip, shared with the oracle policy;
+// this class supplies only the costs.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +26,7 @@
 #include "core/weight_cache.hpp"
 #include "matching/matching.hpp"
 #include "model/interference_model.hpp"
+#include "sched/baselines.hpp"
 #include "sched/policy.hpp"
 #include "sched/topology.hpp"
 
@@ -69,12 +72,12 @@ public:
         /// the family-paper variants sharing the same estimator.
         Objective objective = Objective::kTotalSlowdown;
         SynpaEstimator::Options estimator{};
-        /// Hysteresis (see matching::stabilized_min_weight): prediction
-        /// noise creates near-tie matchings, and oscillating between them
-        /// costs real migrations.  Set both to 0 for the paper's plain
+        /// Hysteresis (see matching::min_weight_pairs): prediction noise
+        /// creates near-tie matchings, and oscillating between them costs
+        /// real migrations.  Set both to 0 for the paper's plain
         /// re-solve-every-quantum behaviour (bench_ablation_policy).
-        double stability_bias = 0.002;
-        double keep_threshold = 0.001;
+        double stability_bias = matching::kDefaultStabilityBias;
+        double keep_threshold = matching::kDefaultKeepThreshold;
         /// Multi-chip platforms only: the predicted-slowdown benefit a
         /// cross-chip move must exceed before the balancing pass migrates a
         /// task (sched/topology.hpp) — the policy-side counterpart of the
@@ -124,29 +127,23 @@ public:
         return cache_.stats();
     }
 
-    /// Step 2+3 on an explicit weight matrix (exposed for tests/benches).
-    std::vector<std::pair<int, int>> select_pairs(const matching::WeightMatrix& weights) const;
-
-    /// Width-generic Step 3 on the current estimates: partitions the given
-    /// task ids into groups of at most `width` over `cores` cores using the
-    /// estimator's group-slowdown predictor (exposed for tests/benches).
-    std::vector<std::vector<int>> select_groups(std::span<const int> task_ids,
-                                                std::size_t cores, std::size_t width) const;
-
     /// The Matcher implementing the configured selector.
     const matching::Matcher& matcher() const;
 
 private:
-    /// Steps 2+3 on one chip's (possibly chip-localized) observations; the
-    /// estimator was already refreshed for the quantum.  `chip` is the
-    /// stable chip ordinal indexing the per-chip solve memo (0 on a
-    /// single-chip platform); when the cache is on and nothing the solve
-    /// depends on moved since the chip's last solve, the memoized
-    /// allocation is returned without rebuilding weights or re-solving.
+    /// Steps 2+3 on one chip's (possibly chip-localized) observations
+    /// (sched::solve_chip over chip_costs); the estimator was already
+    /// refreshed for the quantum.  `chip` is the stable chip ordinal
+    /// indexing the per-chip solve memo (0 on a single-chip platform); when
+    /// the cache is on and nothing the solve depends on moved since the
+    /// chip's last solve, the memoized allocation is returned without
+    /// rebuilding weights or re-solving.
     sched::CoreAllocation allocate_chip(
         std::span<const sched::TaskObservation> observations, int chip);
-    sched::CoreAllocation allocate_chip_uncached(
-        std::span<const sched::TaskObservation> observations);
+
+    /// The objective-folded (and cached) costs below, indexed by position
+    /// in `observations`, which must outlive the returned oracles.
+    sched::ChipCosts chip_costs(std::span<const sched::TaskObservation> observations) const;
 
     /// Emits a kAllocation event for the decided grouping (group membership
     /// and the predicted per-group costs).  The extra estimator passes run

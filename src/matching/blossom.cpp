@@ -311,7 +311,7 @@ private:
 constexpr double kScale = 1 << 20;  ///< double -> integer weight scale
 
 /// Solves a perfect matching via weight reflection (see file comment).
-MatchingResult solve_perfect(const WeightMatrix& w, bool maximize) {
+MatchingResult solve_perfect(const WeightMatrix& w) {
     const std::size_t n = w.size();
     if (n == 0 || n % 2 != 0)
         throw std::invalid_argument("BlossomMatcher: vertex count must be even and > 0");
@@ -323,11 +323,10 @@ MatchingResult solve_perfect(const WeightMatrix& w, bool maximize) {
     DenseBlossom solver(static_cast<int>(n));
     for (std::size_t u = 0; u < n; ++u)
         for (std::size_t v = u + 1; v < n; ++v) {
-            // Shift into a positive range, orient for max-search, and leave
+            // Reflect into a positive range for the max-search, leaving
             // headroom so every edge weight is >= 1 (0 would mean no edge).
-            const double x = w.get(u, v);
-            const double oriented = maximize ? (x - lo) : (hi - x);
-            const auto scaled = static_cast<i64>(std::llround(oriented / span * kScale)) + 1;
+            const double reflected = hi - w.get(u, v);
+            const auto scaled = static_cast<i64>(std::llround(reflected / span * kScale)) + 1;
             solver.set_weight(static_cast<int>(u) + 1, static_cast<int>(v) + 1, scaled);
         }
     solver.solve();
@@ -349,11 +348,7 @@ MatchingResult solve_perfect(const WeightMatrix& w, bool maximize) {
 }  // namespace
 
 MatchingResult BlossomMatcher::min_weight_perfect(const WeightMatrix& w) const {
-    return solve_perfect(w, /*maximize=*/false);
-}
-
-MatchingResult BlossomMatcher::max_weight_perfect(const WeightMatrix& w) const {
-    return solve_perfect(w, /*maximize=*/true);
+    return solve_perfect(w);
 }
 
 }  // namespace synpa::matching

@@ -37,11 +37,11 @@ void check_even(const WeightMatrix& w, std::size_t limit, const char* who) {
 
 /// Recursively pairs the lowest unmatched vertex with every candidate.
 void recurse(const WeightMatrix& w, std::vector<bool>& used, std::vector<int>& mate,
-             double acc, double& best, std::vector<int>& best_mate, bool maximize) {
+             double acc, double& best, std::vector<int>& best_mate) {
     std::size_t u = 0;
     while (u < used.size() && used[u]) ++u;
     if (u == used.size()) {
-        if (maximize ? acc > best : acc < best) {
+        if (acc < best) {
             best = acc;
             best_mate = mate;
         }
@@ -53,19 +53,18 @@ void recurse(const WeightMatrix& w, std::vector<bool>& used, std::vector<int>& m
         used[v] = true;
         mate[u] = static_cast<int>(v);
         mate[v] = static_cast<int>(u);
-        recurse(w, used, mate, acc + w.get(u, v), best, best_mate, maximize);
+        recurse(w, used, mate, acc + w.get(u, v), best, best_mate);
         used[v] = false;
     }
     used[u] = false;
 }
 
-MatchingResult solve(const WeightMatrix& w, bool maximize) {
+MatchingResult solve(const WeightMatrix& w) {
     check_even(w, 12, "BruteForceMatcher");
     std::vector<bool> used(w.size(), false);
     std::vector<int> mate(w.size(), -1), best_mate(w.size(), -1);
-    double best = maximize ? -std::numeric_limits<double>::infinity()
-                           : std::numeric_limits<double>::infinity();
-    recurse(w, used, mate, 0.0, best, best_mate, maximize);
+    double best = std::numeric_limits<double>::infinity();
+    recurse(w, used, mate, 0.0, best, best_mate);
 
     MatchingResult out;
     out.mate = std::move(best_mate);
@@ -79,11 +78,7 @@ MatchingResult solve(const WeightMatrix& w, bool maximize) {
 }  // namespace
 
 MatchingResult BruteForceMatcher::min_weight_perfect(const WeightMatrix& w) const {
-    return solve(w, /*maximize=*/false);
-}
-
-MatchingResult BruteForceMatcher::max_weight_perfect(const WeightMatrix& w) const {
-    return solve(w, /*maximize=*/true);
+    return solve(w);
 }
 
 }  // namespace synpa::matching

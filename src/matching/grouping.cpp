@@ -130,25 +130,12 @@ double group_cost(const std::vector<int>& group, const GroupCost& cost) {
     return group.empty() ? 0.0 : cost(group);
 }
 
-/// Greedy/warm seeding + dirty-restricted local search.  With a null
-/// `incumbent` this is the cold heuristic: every task is greedily seeded
-/// and every bucket starts dirty, so the search scans everything — the
-/// original cold behaviour, decision for decision.  With an incumbent,
-/// tasks keep their previous bucket, only buckets whose membership changed
-/// start dirty, and the search examines a (move/swap) candidate only when
-/// at least one side is dirty — the re-solve cost scales with the dirty
-/// set, not with n (near-O(dirty)).  Clean incumbent buckets were already
-/// locally optimal against each other, so skipping clean-clean candidates
-/// can at worst return a different (never unvalidated) local optimum; the
-/// warm path is therefore *not* used where bit-identity to a cold solve is
-/// required.
+/// Greedy seeding refined by first-improvement local search.
 GroupingResult heuristic_grouping(std::size_t n, std::size_t cores, std::size_t width,
-                                  const GroupCost& cost,
-                                  const std::vector<std::vector<int>>* incumbent) {
+                                  const GroupCost& cost) {
     const std::size_t buckets = std::min(cores, n);
     std::vector<std::vector<int>> groups(buckets);
     std::vector<double> bucket_cost(buckets, 0.0);
-    std::vector<char> dirty(buckets, incumbent == nullptr ? 1 : 0);
 
     const auto insert_member = [](std::vector<int>& g, int task) {
         g.insert(std::upper_bound(g.begin(), g.end(), task), task);
@@ -157,32 +144,11 @@ GroupingResult heuristic_grouping(std::size_t n, std::size_t cores, std::size_t 
         g.erase(std::find(g.begin(), g.end(), task));
     };
 
-    // Warm seeding: tasks resume their incumbent bucket.  Ids outside
-    // [0, n), duplicates and members beyond the width cap fall through to
-    // greedy seeding below (they become part of the dirty set).
-    std::vector<char> placed(n, 0);
-    if (incumbent != nullptr) {
-        const std::size_t seedable = std::min(incumbent->size(), buckets);
-        for (std::size_t b = 0; b < seedable; ++b) {
-            for (const int id : (*incumbent)[b]) {
-                if (id < 0 || static_cast<std::size_t>(id) >= n) continue;
-                if (placed[static_cast<std::size_t>(id)] != 0) continue;
-                if (groups[b].size() >= width) break;
-                groups[b].push_back(id);
-                placed[static_cast<std::size_t>(id)] = 1;
-            }
-            std::sort(groups[b].begin(), groups[b].end());
-            bucket_cost[b] = group_cost(groups[b], cost);
-        }
-    }
-
-    // Greedy seeding of the unplaced tasks (all of them on a cold start):
-    // each (index order) joins the bucket with the cheapest incremental
-    // cost among those with room; ties resolve to the lowest bucket index.
-    // Current bucket costs are cached so each candidate needs one oracle
-    // call, not two.
+    // Greedy seeding: each task (index order) joins the bucket with the
+    // cheapest incremental cost among those with room; ties resolve to the
+    // lowest bucket index.  Current bucket costs are cached so each
+    // candidate needs one oracle call, not two.
     for (std::size_t t = 0; t < n; ++t) {
-        if (placed[t] != 0) continue;
         std::size_t best_b = buckets;
         double best_delta = kInf;
         double best_joined_cost = 0.0;
@@ -202,7 +168,6 @@ GroupingResult heuristic_grouping(std::size_t n, std::size_t cores, std::size_t 
             throw std::logic_error("min_weight_grouping: greedy seeding overflow");
         insert_member(groups[best_b], static_cast<int>(t));
         bucket_cost[best_b] = best_joined_cost;
-        dirty[best_b] = 1;
     }
 
     // Local search: single-task moves and cross-group swaps, applied
@@ -211,9 +176,7 @@ GroupingResult heuristic_grouping(std::size_t n, std::size_t cores, std::size_t 
     // loop terminates; the pass cap only bounds pathological cost surfaces.
     // Per-bucket costs are cached (the GroupCost oracle is the expensive
     // part — for SYNPA it runs k model predictions per call) and updated
-    // only when a bucket actually changes.  Candidates touching two clean
-    // buckets are skipped (on a cold start nothing is clean); an applied
-    // move dirties both buckets involved.
+    // only when a bucket actually changes.
     constexpr double kEps = 1e-12;
     constexpr int kMaxPasses = 256;
     for (int pass = 0; pass < kMaxPasses; ++pass) {
@@ -224,17 +187,12 @@ GroupingResult heuristic_grouping(std::size_t n, std::size_t cores, std::size_t 
                 const double cost_a = bucket_cost[a];
                 std::vector<int> a_without = groups[a];
                 erase_member(a_without, task);
-                // Lazy: the donor-side cost is an oracle call, paid only
-                // when some (a, b) candidate is actually examined.
-                double a_without_cost = 0.0;
-                bool have_without = false;
+                // The donor-side cost is an oracle call, paid only when
+                // some (a, b) candidate exists.
+                const double a_without_cost =
+                    buckets > 1 ? group_cost(a_without, cost) : 0.0;
                 for (std::size_t b = 0; b < buckets && !improved; ++b) {
                     if (b == a) continue;
-                    if (dirty[a] == 0 && dirty[b] == 0) continue;
-                    if (!have_without) {
-                        a_without_cost = group_cost(a_without, cost);
-                        have_without = true;
-                    }
                     const double cost_b = bucket_cost[b];
                     // Move task a->b.
                     if (groups[b].size() < width) {
@@ -248,8 +206,6 @@ GroupingResult heuristic_grouping(std::size_t n, std::size_t cores, std::size_t 
                             groups[b] = std::move(b_with);
                             bucket_cost[a] = a_without_cost;
                             bucket_cost[b] = b_with_cost;
-                            dirty[a] = 1;
-                            dirty[b] = 1;
                             improved = true;
                             break;  // re-scan from a stable snapshot
                         }
@@ -270,8 +226,6 @@ GroupingResult heuristic_grouping(std::size_t n, std::size_t cores, std::size_t 
                             groups[b] = std::move(new_b);
                             bucket_cost[a] = new_a_cost;
                             bucket_cost[b] = new_b_cost;
-                            dirty[a] = 1;
-                            dirty[b] = 1;
                             improved = true;
                             break;
                         }
@@ -322,33 +276,14 @@ GroupingResult min_weight_grouping(std::size_t n, std::size_t cores, std::size_t
     check_grouping_args(n, cores, width, "min_weight_grouping");
     if (n == 0) return {};
     if (n <= kExactGroupingLimit) return exact_grouping(n, cores, width, cost);
-    return heuristic_grouping(n, cores, width, cost, nullptr);
-}
-
-GroupingResult min_weight_grouping(std::size_t n, std::size_t cores, std::size_t width,
-                                   const GroupCost& cost,
-                                   const std::vector<std::vector<int>>& incumbent) {
-    check_grouping_args(n, cores, width, "min_weight_grouping");
-    if (n == 0) return {};
-    // Exact sizes stay exact: the DP visits every partition anyway, so a
-    // warm start could only change (worsen) nothing — ignore the incumbent.
-    if (n <= kExactGroupingLimit) return exact_grouping(n, cores, width, cost);
-    return heuristic_grouping(n, cores, width, cost, &incumbent);
+    return heuristic_grouping(n, cores, width, cost);
 }
 
 GroupingResult min_weight_grouping_heuristic(std::size_t n, std::size_t cores,
                                              std::size_t width, const GroupCost& cost) {
     check_grouping_args(n, cores, width, "min_weight_grouping_heuristic");
     if (n == 0) return {};
-    return heuristic_grouping(n, cores, width, cost, nullptr);
-}
-
-GroupingResult min_weight_grouping_heuristic(std::size_t n, std::size_t cores,
-                                             std::size_t width, const GroupCost& cost,
-                                             const std::vector<std::vector<int>>& incumbent) {
-    check_grouping_args(n, cores, width, "min_weight_grouping_heuristic");
-    if (n == 0) return {};
-    return heuristic_grouping(n, cores, width, cost, &incumbent);
+    return heuristic_grouping(n, cores, width, cost);
 }
 
 double grouping_weight(const std::vector<std::vector<int>>& groups, const GroupCost& cost) {

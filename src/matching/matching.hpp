@@ -7,9 +7,12 @@
 // solves with Edmonds' Blossom algorithm [21].
 //
 // This module provides three interchangeable solvers:
-//   * BlossomMatcher  — O(n^3) primal-dual Blossom (the paper's choice),
-//   * SubsetDpMatcher — exact O(2^n * n) dynamic program (n <= 24),
-//   * BruteForceMatcher — exhaustive enumeration (n <= 12, reference).
+//   * BlossomMatcher  — O(n^3) primal-dual Blossom (the paper's choice,
+//     and SYNPA's runtime solver),
+//   * SubsetDpMatcher — exact O(2^n * n) dynamic program (n <= 24; the
+//     oracle policy's runtime solver),
+//   * BruteForceMatcher — exhaustive enumeration (n <= 12, the tests'
+//     reference).
 // Property tests check they agree on random instances.
 #pragma once
 
@@ -66,7 +69,7 @@ struct MatchingResult {
 /// Odd-N contract: a perfect matching does not exist on an odd vertex count,
 /// so every solver throws std::invalid_argument for odd (or zero) n — none
 /// of them pads silently.  Callers with an odd task count (or more hardware
-/// slots than tasks) must go through min_weight_partial below, which pads
+/// slots than tasks) must go through min_weight_pairs below, which pads
 /// the instance with explicit dummy vertices and reports which vertices run
 /// unmatched.
 class Matcher {
@@ -74,8 +77,6 @@ public:
     virtual ~Matcher() = default;
     /// Finds the minimum-total-weight perfect matching.
     virtual MatchingResult min_weight_perfect(const WeightMatrix& w) const = 0;
-    /// Finds the maximum-total-weight perfect matching.
-    virtual MatchingResult max_weight_perfect(const WeightMatrix& w) const = 0;
 };
 
 /// Exhaustive enumeration over all (n-1)!! perfect matchings.  Reference
@@ -83,32 +84,33 @@ public:
 class BruteForceMatcher final : public Matcher {
 public:
     MatchingResult min_weight_perfect(const WeightMatrix& w) const override;
-    MatchingResult max_weight_perfect(const WeightMatrix& w) const override;
 };
 
 /// Exact subset dynamic program over vertex bitmasks; O(2^n * n), n <= 24.
-/// This is also the solver SYNPA uses at runtime for small thread counts.
+/// The oracle policy's runtime solver: its tie-breaks are part of that
+/// policy's pinned results.
 class SubsetDpMatcher final : public Matcher {
 public:
+    /// Largest vertex count the DP accepts (its tables hold 2^n entries).
+    static constexpr std::size_t kMaxVertices = 24;
     MatchingResult min_weight_perfect(const WeightMatrix& w) const override;
-    MatchingResult max_weight_perfect(const WeightMatrix& w) const override;
 };
 
 /// Edmonds' Blossom algorithm (primal-dual, dense O(n^3)); the general
-/// solver the paper cites.  Weights are scaled to integers internally
-/// (53-bit budget), which is exact for the slowdown magnitudes involved.
+/// solver the paper cites and SYNPA's runtime solver.  Weights are scaled
+/// to integers internally (53-bit budget), which is exact for the slowdown
+/// magnitudes involved.
 class BlossomMatcher final : public Matcher {
 public:
     MatchingResult min_weight_perfect(const WeightMatrix& w) const override;
-    MatchingResult max_weight_perfect(const WeightMatrix& w) const override;
 };
 
 /// Recomputes the total weight of `pairs` under `w` (test/report helper).
 double matching_weight(const WeightMatrix& w, const std::vector<std::pair<int, int>>& pairs);
 
-/// An imperfect ("partial") matching: some vertices are paired, the rest run
-/// alone.  `total_weight` sums the chosen pair weights plus the solo weights
-/// of every single.
+/// The width-2 selection: some vertices are paired, the rest run alone.
+/// `total_weight` sums the chosen pair weights plus the solo weights of
+/// every single (true weights, never the hysteresis-biased ones).
 struct PartialMatching {
     std::vector<std::pair<int, int>> pairs;
     std::vector<int> singles;
@@ -136,41 +138,35 @@ struct PartialMatching {
 PartialMatching min_weight_partial(const WeightMatrix& w, std::span<const double> solo,
                                    std::size_t cores, const Matcher& matcher);
 
-/// Hysteresis-aware pair selection for quantum-driven schedulers.
+/// Default hysteresis of min_weight_pairs, shared by SYNPA and the oracle.
+inline constexpr double kDefaultStabilityBias = 0.002;
+inline constexpr double kDefaultKeepThreshold = 0.001;
+
+/// Solo weight of one vertex, read on demand.
+using SoloWeight = std::function<double(std::size_t)>;
+
+/// The width-2 Step 3 for n tasks on `cores` cores, the one entry both
+/// informed policies call.
 ///
-/// Prediction noise makes many matchings near-ties, and oscillating between
-/// equivalent solutions costs real migrations.  This helper (a) discounts
-/// the currently-running pairs by `stability_bias` of the weight span so
-/// ties resolve toward staying put, and (b) keeps the current allocation
-/// outright unless the re-solved matching improves the *true* total weight
-/// by more than `keep_threshold` (relative).
-struct StabilizedSelection {
-    std::vector<std::pair<int, int>> pairs;
-    bool kept_current = false;
-    double current_weight = 0.0;  ///< true weight of the incumbent pairing
-    double selected_weight = 0.0; ///< true weight of the returned pairing
-};
-
-StabilizedSelection stabilized_min_weight(const WeightMatrix& weights,
-                                          const std::vector<std::pair<int, int>>& current,
-                                          const Matcher& matcher,
-                                          double stability_bias = 0.002,
-                                          double keep_threshold = 0.001);
-
-/// Warm-started overload: when the caller certifies via `inputs_unchanged`
-/// that neither the weights nor the incumbent pairing moved since
-/// `previous` was computed (SYNPA's weight cache keys this on the estimate
-/// epochs), the previous selection is returned verbatim — the solvers are
-/// deterministic, so a re-solve would reproduce it bit for bit.  Otherwise
-/// falls through to the cold path above.  `previous` may be null (always
-/// cold).
-StabilizedSelection stabilized_min_weight(const WeightMatrix& weights,
-                                          const std::vector<std::pair<int, int>>& current,
-                                          const Matcher& matcher,
-                                          double stability_bias,
-                                          double keep_threshold,
-                                          const StabilizedSelection* previous,
-                                          bool inputs_unchanged);
+/// Full load (n == 2*cores): a perfect matching with hysteresis against
+/// churn.  Prediction noise makes many matchings near-ties, and oscillating
+/// between equivalent solutions costs real migrations, so the incumbent
+/// pairs `current` (index space) are discounted by `stability_bias` of the
+/// weight span before `matcher` solves, and the incumbent is kept outright
+/// unless the solution improves the true total weight by more than
+/// `keep_threshold` (relative).  `current` counts only when it pairs every
+/// vertex; `solo` is never read.
+///
+/// Partial load (n < 2*cores): min_weight_partial with the `exact` matcher,
+/// which must be exact (see above); `solo` is read once per vertex, in
+/// index order, and `current` is ignored — arrivals and departures churn
+/// the index space anyway, and placement still pins survivors.
+///
+/// Pairs come in solver order, singles ascending.
+PartialMatching min_weight_pairs(const WeightMatrix& w, const SoloWeight& solo, std::size_t cores,
+                                 const std::vector<std::pair<int, int>>& current,
+                                 const Matcher& matcher, const Matcher& exact,
+                                 double stability_bias, double keep_threshold);
 
 // ------------------------------------------------- k-way core grouping --
 
@@ -189,9 +185,9 @@ using GroupCost = std::function<double(std::span<const int>)>;
 
 /// Partitions n tasks into core groups of at most `width` members over at
 /// most `cores` cores, minimizing the summed group cost — the SMT-width-
-/// generic Step 3.  Width 2 is the classical imperfect matching (pair
-/// solvers remain the fast path for that case); width >= 3 is NP-hard
-/// (3-dimensional matching), so:
+/// generic Step 3.  Width 2 is the classical imperfect matching (the
+/// informed policies solve it with min_weight_pairs); width >= 3 is
+/// NP-hard (3-dimensional matching), so:
 ///   * n <= kExactGroupingLimit runs an exact subset dynamic program over
 ///     vertex bitmasks with a group-count cap, and
 ///   * larger n runs a deterministic greedy seeding (each task joins the
@@ -200,22 +196,6 @@ using GroupCost = std::function<double(std::span<const int>)>;
 /// Requires n <= cores * width; throws std::invalid_argument otherwise.
 GroupingResult min_weight_grouping(std::size_t n, std::size_t cores, std::size_t width,
                                    const GroupCost& cost);
-
-/// Warm-started overload: seeds the heuristic's local search from
-/// `incumbent` — a previous solve's groups (task indices in [0, n); stale
-/// ids, duplicates and overfull groups are tolerated and re-seeded
-/// greedily).  Only buckets whose membership changed relative to the
-/// incumbent are treated as dirty, and the local search examines a
-/// move/swap candidate only when at least one side is dirty, so a re-solve
-/// after k task arrivals/departures costs O(k · cores) oracle calls instead
-/// of a full cold solve.  An empty incumbent reproduces the cold heuristic
-/// bit for bit; exact sizes (n <= kExactGroupingLimit) ignore the incumbent
-/// and stay exact.  The warm result is a valid local optimum but may differ
-/// from the cold one, so callers needing replayable bit-identity must use
-/// the cold overload.
-GroupingResult min_weight_grouping(std::size_t n, std::size_t cores, std::size_t width,
-                                   const GroupCost& cost,
-                                   const std::vector<std::vector<int>>& incumbent);
 
 /// Largest n solved exactly by min_weight_grouping's subset DP.
 inline constexpr std::size_t kExactGroupingLimit = 12;
@@ -227,13 +207,6 @@ inline constexpr std::size_t kExactGroupingLimit = 12;
 /// live set grows from 12 to 13 tasks).
 GroupingResult min_weight_grouping_heuristic(std::size_t n, std::size_t cores,
                                              std::size_t width, const GroupCost& cost);
-
-/// Warm-started heuristic at any n (see the warm min_weight_grouping
-/// overload for the incumbent/dirty-set contract) — the entry point tests
-/// and benches use to measure warm-vs-cold re-solve cost directly.
-GroupingResult min_weight_grouping_heuristic(std::size_t n, std::size_t cores,
-                                             std::size_t width, const GroupCost& cost,
-                                             const std::vector<std::vector<int>>& incumbent);
 
 /// Recomputes the total weight of `groups` under `cost` (test/report helper).
 double grouping_weight(const std::vector<std::vector<int>>& groups, const GroupCost& cost);

@@ -1,4 +1,5 @@
-// Imperfect matching via the dummy-node reduction (see matching.hpp).
+// The width-2 Step 3 (see matching.hpp): imperfect matching via the
+// dummy-node reduction under partial load, hysteresis at full load.
 //
 // Padding to exactly 2*cores vertices makes every perfect matching of the
 // padded graph a feasible core assignment: task–task edges are real pairs,
@@ -6,6 +7,7 @@
 // cores.  Minimality carries over because the padded edge weights *are* the
 // assignment costs.
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "matching/matching.hpp"
@@ -59,6 +61,41 @@ PartialMatching min_weight_partial(const WeightMatrix& w, std::span<const double
         // dummy–dummy: an idle core, nothing to report.
     }
     std::sort(out.singles.begin(), out.singles.end());
+    return out;
+}
+
+PartialMatching min_weight_pairs(const WeightMatrix& w, const SoloWeight& solo, std::size_t cores,
+                                 const std::vector<std::pair<int, int>>& current,
+                                 const Matcher& matcher, const Matcher& exact,
+                                 double stability_bias, double keep_threshold) {
+    const std::size_t n = w.size();
+    if (n != 2 * cores) {
+        std::vector<double> solo_weights(n);
+        for (std::size_t i = 0; i < n; ++i) solo_weights[i] = solo(i);
+        return min_weight_partial(w, solo_weights, cores, exact);
+    }
+
+    const bool have_current = current.size() * 2 == n && !current.empty();
+    WeightMatrix biased = w;
+    if (have_current && stability_bias > 0.0) {
+        const double span = std::max(w.max_weight() - w.min_weight(), 1e-9);
+        for (auto [u, v] : current) {
+            const auto uu = static_cast<std::size_t>(u);
+            const auto vv = static_cast<std::size_t>(v);
+            biased.set(uu, vv, w.get(uu, vv) - stability_bias * span);
+        }
+    }
+
+    PartialMatching out;
+    out.pairs = matcher.min_weight_perfect(biased).pairs;
+    out.total_weight = matching_weight(w, out.pairs);  // true weights
+    if (have_current) {
+        const double current_weight = matching_weight(w, current);
+        if (out.total_weight >= current_weight - std::abs(current_weight) * keep_threshold) {
+            out.pairs = current;
+            out.total_weight = current_weight;
+        }
+    }
     return out;
 }
 

@@ -9,18 +9,18 @@
 namespace synpa::matching {
 namespace {
 
-/// dp[mask] = best weight pairing exactly the vertices in `mask`.
+/// dp[mask] = lightest pairing of exactly the vertices in `mask`.
 /// The lowest set bit is always paired first, which visits each matching
 /// exactly once: O(2^n * n) time, O(2^n) space.
-MatchingResult solve(const WeightMatrix& w, bool maximize) {
+MatchingResult solve(const WeightMatrix& w) {
     const std::size_t n = w.size();
     if (n == 0 || n % 2 != 0)
         throw std::invalid_argument("SubsetDpMatcher: vertex count must be even and > 0");
-    if (n > 24) throw std::invalid_argument("SubsetDpMatcher: instance too large (n > 24)");
+    if (n > SubsetDpMatcher::kMaxVertices)
+        throw std::invalid_argument("SubsetDpMatcher: instance too large (n > 24)");
 
     const std::uint32_t full = (n == 32) ? ~0u : ((1u << n) - 1u);
-    const double worst = maximize ? -std::numeric_limits<double>::infinity()
-                                  : std::numeric_limits<double>::infinity();
+    const double worst = std::numeric_limits<double>::infinity();
     std::vector<double> dp(full + 1u, worst);
     std::vector<std::int8_t> choice(full + 1u, -1);  // partner of the lowest bit
     dp[0] = 0.0;
@@ -36,7 +36,7 @@ MatchingResult solve(const WeightMatrix& w, bool maximize) {
             if (dp[prev] == worst) continue;
             const double cand = dp[prev] + w.get(static_cast<std::size_t>(u),
                                                  static_cast<std::size_t>(v));
-            if (maximize ? cand > dp[mask] : cand < dp[mask]) {
+            if (cand < dp[mask]) {
                 dp[mask] = cand;
                 choice[mask] = static_cast<std::int8_t>(v);
             }
@@ -62,11 +62,7 @@ MatchingResult solve(const WeightMatrix& w, bool maximize) {
 }  // namespace
 
 MatchingResult SubsetDpMatcher::min_weight_perfect(const WeightMatrix& w) const {
-    return solve(w, /*maximize=*/false);
-}
-
-MatchingResult SubsetDpMatcher::max_weight_perfect(const WeightMatrix& w) const {
-    return solve(w, /*maximize=*/true);
+    return solve(w);
 }
 
 }  // namespace synpa::matching

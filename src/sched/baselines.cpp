@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/flat_map.hpp"
@@ -49,11 +50,6 @@ std::vector<CoreGroup> groups_from_pairs(const std::vector<std::pair<int, int>>&
     return entries;
 }
 
-CoreAllocation place_pairs(const std::vector<std::pair<int, int>>& pairs,
-                           std::span<const TaskObservation> observations) {
-    return place_groups(groups_from_pairs(pairs), observations, pairs.size());
-}
-
 CoreAllocation place_groups(const std::vector<CoreGroup>& entries,
                             std::span<const TaskObservation> observations,
                             std::size_t cores) {
@@ -95,6 +91,55 @@ CoreAllocation place_groups(const std::vector<CoreGroup>& entries,
     return alloc;
 }
 
+CoreAllocation solve_chip(std::span<const TaskObservation> observations, const ChipCosts& costs,
+                          const matching::Matcher& matcher, const matching::Matcher& exact,
+                          double stability_bias, double keep_threshold) {
+    if (observations.empty()) return {};
+    const std::size_t n = observations.size();
+    const std::size_t cores = observed_total_cores(observations);
+    const auto width = static_cast<std::size_t>(observed_smt_ways(observations));
+    const auto task = [&](int i) { return observations[static_cast<std::size_t>(i)].task_id; };
+
+    std::vector<CoreGroup> entries;
+    if (width == 1) {
+        // SMT disabled in BIOS: there is no grouping decision.
+        for (const TaskObservation& o : observations) entries.push_back(CoreGroup{o.task_id});
+    } else if (width > 2) {
+        // The k-way grouping (no hysteresis: the width-2 near-tie
+        // oscillation it guards against is much rarer in the k-way cost
+        // surface, and place_groups still pins survivors).
+        const matching::GroupingResult sel =
+            matching::min_weight_grouping(n, cores, width, costs.group);
+        for (const auto& group : sel.groups) {
+            CoreGroup g;
+            for (const int i : group) g.add(task(i));
+            entries.push_back(g);
+        }
+    } else {
+        matching::WeightMatrix weights(n);
+        for (std::size_t u = 0; u < n; ++u)
+            for (std::size_t v = u + 1; v < n; ++v) weights.set(u, v, costs.pair(u, v));
+        // The incumbent pairing in index space, for hysteresis.
+        common::FlatIdMap<std::size_t> index_of;
+        for (std::size_t i = 0; i < n; ++i) index_of[observations[i].task_id] = i;
+        std::vector<std::pair<int, int>> current;
+        for (std::size_t i = 0; i < n; ++i) {
+            const int partner = observations[i].corunner_task_id;
+            const std::size_t* it = partner >= 0 ? index_of.find(partner) : nullptr;
+            if (it != nullptr && *it > i)
+                current.emplace_back(static_cast<int>(i), static_cast<int>(*it));
+        }
+        const matching::PartialMatching sel =
+            matching::min_weight_pairs(weights, costs.solo, cores, current, matcher, exact,
+                                       stability_bias, keep_threshold);
+        std::vector<std::pair<int, int>> pairs;
+        for (const auto& [u, v] : sel.pairs) pairs.emplace_back(task(u), task(v));
+        for (const int u : sel.singles) pairs.emplace_back(task(u), kNoTask);
+        entries = groups_from_pairs(pairs);
+    }
+    return place_groups(entries, observations, cores);
+}
+
 CoreAllocation RandomPolicy::reallocate(std::span<const TaskObservation> observations) {
     if (observations.empty()) return {};
     std::vector<int> ids;
@@ -118,8 +163,33 @@ CoreAllocation RandomPolicy::reallocate(std::span<const TaskObservation> observa
 OraclePolicy::OraclePolicy(model::InterferenceModel model, double cross_chip_penalty)
     : model_(model), cross_chip_penalty_(cross_chip_penalty) {}
 
+ChipCosts OraclePolicy::costs(std::span<const model::CategoryVector> truth) const {
+    ChipCosts c;
+    // "Runs alone" is the prediction against an all-zero co-runner.
+    c.solo = [this, truth](std::size_t i) { return model_.predict_slowdown(truth[i], {}); };
+    c.pair = [this, truth](std::size_t u, std::size_t v) {
+        return model_.predict_slowdown(truth[u], truth[v]) +
+               model_.predict_slowdown(truth[v], truth[u]);
+    };
+    c.group = [this, truth](std::span<const int> group) {
+        std::vector<model::CategoryVector> members;
+        members.reserve(group.size());
+        for (const int i : group) members.push_back(truth[static_cast<std::size_t>(i)]);
+        return model::predict_group_slowdown(model_, members);
+    };
+    return c;
+}
+
 CoreAllocation OraclePolicy::reallocate(std::span<const TaskObservation> observations) {
     if (observations.empty()) return {};
+    const TopologyView topo = observed_topology(observations);
+    if (topo.smt_ways == 2 && static_cast<std::size_t>(topo.cores_per_chip) > kMaxSmt2Cores)
+        throw std::invalid_argument(
+            "oracle: a chip of " + std::to_string(topo.cores_per_chip) +
+            " cores exceeds the policy's " + std::to_string(kMaxSmt2Cores) +
+            "-core cap at SMT-2 (its exact matcher solves at most " +
+            std::to_string(matching::SubsetDpMatcher::kMaxVertices) + " contexts)");
+
     const std::size_t n = observations.size();
     // True current-phase isolated fractions (oracle-only information).
     std::vector<model::CategoryVector> truth(n);
@@ -135,111 +205,25 @@ CoreAllocation OraclePolicy::reallocate(std::span<const TaskObservation> observa
         }
     }
 
-    const TopologyView topo = observed_topology(observations);
-    if (topo.chips <= 1) return allocate_chip(observations, truth);
+    const auto solve = [this](std::span<const TaskObservation> chip_obs,
+                              std::span<const model::CategoryVector> chip_truth) {
+        return solve_chip(chip_obs, costs(chip_truth), matcher_, matcher_,
+                          matching::kDefaultStabilityBias, matching::kDefaultKeepThreshold);
+    };
+    if (topo.chips <= 1) return solve(observations, truth);
 
     // Multi-chip: assign chips first (migrate only when the true predicted
     // benefit beats the cross-chip cost), then solve each chip in
     // isolation — co-run interference never crosses a chip boundary.
-    const model::CategoryVector nobody{};
-    const SoloCost solo = [&](std::size_t i) {
-        return model_.predict_slowdown(truth[i], nobody);
-    };
-    const PairCost pair = [&](std::size_t u, std::size_t v) {
-        return model_.predict_slowdown(truth[u], truth[v]) +
-               model_.predict_slowdown(truth[v], truth[u]);
-    };
+    const ChipCosts all = costs(truth);
     return allocate_across_chips(
-        observations, topo, solo, pair, cross_chip_penalty_,
+        observations, topo, all.solo, all.pair, cross_chip_penalty_,
         [&](int, std::span<const TaskObservation> local, std::span<const std::size_t> idx) {
             std::vector<model::CategoryVector> local_truth;
             local_truth.reserve(idx.size());
             for (const std::size_t i : idx) local_truth.push_back(truth[i]);
-            return allocate_chip(local, local_truth);
+            return solve(local, local_truth);
         });
-}
-
-CoreAllocation OraclePolicy::allocate_chip(std::span<const TaskObservation> observations,
-                                           std::span<const model::CategoryVector> truth) {
-    if (observations.empty()) return {};
-    const std::size_t n = observations.size();
-    const std::size_t total_cores = observed_total_cores(observations);
-    const int width = observed_smt_ways(observations);
-
-    // Width 1: no grouping decision exists — every task stays alone.
-    if (width == 1) {
-        std::vector<CoreGroup> entries;
-        entries.reserve(n);
-        for (const auto& o : observations) entries.push_back(CoreGroup{o.task_id});
-        return place_groups(entries, observations, total_cores);
-    }
-
-    // Width > 2: the k-way grouping with true-category group costs — the
-    // same superposed-pressure predictor SYNPA's estimator uses, fed the
-    // oracle's true vectors instead of estimates.
-    if (width > 2) {
-        const matching::GroupCost cost = [&](std::span<const int> group) {
-            std::vector<model::CategoryVector> members;
-            members.reserve(group.size());
-            for (const int i : group) members.push_back(truth[static_cast<std::size_t>(i)]);
-            return model::predict_group_slowdown(model_, members);
-        };
-        const matching::GroupingResult sel = matching::min_weight_grouping(
-            n, total_cores, static_cast<std::size_t>(width), cost);
-        std::vector<CoreGroup> entries;
-        entries.reserve(sel.groups.size());
-        for (const auto& group : sel.groups) {
-            CoreGroup g;
-            for (const int i : group)
-                g.add(observations[static_cast<std::size_t>(i)].task_id);
-            entries.push_back(g);
-        }
-        return place_groups(entries, observations, total_cores);
-    }
-
-    matching::WeightMatrix w(n);
-    for (std::size_t u = 0; u < n; ++u)
-        for (std::size_t v = u + 1; v < n; ++v)
-            w.set(u, v, model_.predict_slowdown(truth[u], truth[v]) +
-                            model_.predict_slowdown(truth[v], truth[u]));
-
-    // Partial load (N != 2 * cores): pick pairs and singles with the padded
-    // imperfect-matching path, scoring "runs alone" with the model's
-    // no-co-runner prediction (no hysteresis — the live set churns anyway).
-    if (n != 2 * total_cores) {
-        const model::CategoryVector nobody{};
-        std::vector<double> solo(n);
-        for (std::size_t i = 0; i < n; ++i)
-            solo[i] = model_.predict_slowdown(truth[i], nobody);
-        const matching::PartialMatching sel =
-            matching::min_weight_partial(w, solo, total_cores, matcher_);
-        std::vector<std::pair<int, int>> entries;
-        for (auto [u, v] : sel.pairs)
-            entries.emplace_back(observations[static_cast<std::size_t>(u)].task_id,
-                                 observations[static_cast<std::size_t>(v)].task_id);
-        for (int u : sel.singles)
-            entries.emplace_back(observations[static_cast<std::size_t>(u)].task_id, kNoTask);
-        return place_groups(groups_from_pairs(entries), observations, total_cores);
-    }
-
-    // Current pairing in index space, for the same hysteresis SYNPA uses.
-    common::FlatIdMap<std::size_t> index_of;
-    for (std::size_t i = 0; i < n; ++i) index_of[observations[i].task_id] = i;
-    std::vector<std::pair<int, int>> current;
-    for (std::size_t i = 0; i < n; ++i) {
-        const int partner = observations[i].corunner_task_id;
-        const std::size_t* it = partner >= 0 ? index_of.find(partner) : nullptr;
-        if (it != nullptr && *it > i)
-            current.emplace_back(static_cast<int>(i), static_cast<int>(*it));
-    }
-    const matching::StabilizedSelection sel =
-        matching::stabilized_min_weight(w, current, matcher_);
-    std::vector<std::pair<int, int>> pairs;
-    pairs.reserve(sel.pairs.size());
-    for (auto [u, v] : sel.pairs)
-        pairs.emplace_back(observations[static_cast<std::size_t>(u)].task_id,
-                           observations[static_cast<std::size_t>(v)].task_id);
-    return place_pairs(pairs, observations);
 }
 
 }  // namespace synpa::sched

@@ -12,6 +12,9 @@
 //    categories of every task (information no real policy has) with the
 //    forward model and exact matching/grouping.  Requires calibrated
 //    profiles (workloads::calibrate_suite).
+//
+// Also the placement helpers every policy uses, and solve_chip — the one
+// Step-3 flow SynpaPolicy and OraclePolicy share.
 #pragma once
 
 #include <cstdint>
@@ -42,21 +45,34 @@ private:
     common::Rng rng_;
 };
 
+/// Cost oracles of one chip's Step 3, all indexed by observation: `solo`
+/// prices a task running alone, `pair` two tasks sharing a core, and
+/// `group` a candidate group of ascending indices (widths above 2).
+struct ChipCosts {
+    SoloCost solo;
+    PairCost pair;
+    matching::GroupCost group;
+};
+
 class OraclePolicy final : public AllocationPolicy {
 public:
+    /// The largest chip the oracle solves at SMT-2: its exact matcher pads
+    /// every chip to 2 x cores vertices, and SubsetDpMatcher stops at 24.
+    static constexpr std::size_t kMaxSmt2Cores = matching::SubsetDpMatcher::kMaxVertices / 2;
+
     /// `cross_chip_penalty` is the predicted-slowdown benefit a cross-chip
     /// move must exceed before the multi-chip balancing pass migrates a
     /// task (see sched/topology.hpp); irrelevant on one chip.
     explicit OraclePolicy(model::InterferenceModel model,
                           double cross_chip_penalty = kDefaultCrossChipPenalty);
     std::string name() const override { return "oracle"; }
+    /// Throws std::invalid_argument on an SMT-2 chip of more than
+    /// kMaxSmt2Cores cores.
     CoreAllocation reallocate(std::span<const TaskObservation> observations) override;
 
 private:
-    /// The single-chip decision on (possibly chip-localized) observations,
-    /// with the matching truth vectors.
-    CoreAllocation allocate_chip(std::span<const TaskObservation> observations,
-                                 std::span<const model::CategoryVector> truth);
+    /// The model fed the given true phase vectors (observation order).
+    ChipCosts costs(std::span<const model::CategoryVector> truth) const;
 
     model::InterferenceModel model_;
     double cross_chip_penalty_;
@@ -102,13 +118,6 @@ private:
     int samples_taken_ = 0;
 };
 
-/// Maps chosen pairs onto cores, keeping each pair on a core one of its
-/// members already occupies whenever possible (minimizes migrations).
-/// SMT-2 convenience wrapper around place_groups; entries may be partial
-/// ({task, kNoTask}); the result covers exactly `pairs.size()` cores.
-CoreAllocation place_pairs(const std::vector<std::pair<int, int>>& pairs,
-                           std::span<const TaskObservation> observations);
-
 /// Spells pair entries as CoreGroups ({a}, {a, b}; kNoTask members are
 /// skipped) — the bridge pair-based solvers use to reach place_groups now
 /// that the deprecated pair-allocation converters are gone.
@@ -122,5 +131,17 @@ CoreAllocation place_groups(const std::vector<CoreGroup>& entries,
                             std::span<const TaskObservation> observations,
                             std::size_t cores);
 
+/// Step 3 on one chip's (possibly chip-localized) observations — the one
+/// flow SynpaPolicy and OraclePolicy share; they differ only in `costs`.
+///   * width 1: every task keeps a core of its own;
+///   * width > 2: matching::min_weight_grouping over `costs.group`;
+///   * width 2: matching::min_weight_pairs over the `costs.pair` weights
+///     and the incumbent pairing — `matcher` with hysteresis at full load,
+///     the padded `exact` solve with `costs.solo` under partial load.
+/// The chosen groups (solver pairs first, then singles ascending) reach one
+/// place_groups call, which keeps survivors on their incumbent cores.
+CoreAllocation solve_chip(std::span<const TaskObservation> observations, const ChipCosts& costs,
+                          const matching::Matcher& matcher, const matching::Matcher& exact,
+                          double stability_bias, double keep_threshold);
 
 }  // namespace synpa::sched

@@ -137,7 +137,7 @@ TEST(SynpaPolicyTest, SelectorsAgreeOnClearCutMatrix) {
         SynpaPolicy::Options opts;
         opts.selector = sel;
         const SynpaPolicy policy(m, opts);
-        const auto pairs = policy.select_pairs(w);
+        const auto pairs = policy.matcher().min_weight_perfect(w).pairs;
         ASSERT_EQ(pairs.size(), 2u);
         EXPECT_NEAR(matching::matching_weight(w, pairs), 2.0, 1e-9);
     }

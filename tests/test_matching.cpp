@@ -1,6 +1,7 @@
 // Tests for the matching solvers: brute force, subset DP, and Blossom must
 // agree on optimal weight across random instances (the key property that
-// validates the Blossom implementation), plus hysteresis behaviour.
+// validates the Blossom implementation), plus the width-2 entry's
+// hysteresis and padding behaviour.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -63,19 +64,16 @@ TEST(WeightMatrixTest, MinMaxWeight) {
 TEST(Matchers, RejectOddOrEmpty) {
     // The documented odd-N contract: every perfect-matching solver throws a
     // clear error instead of padding silently — odd instances must go
-    // through min_weight_partial.
+    // through min_weight_pairs.
     const BruteForceMatcher bf;
     const SubsetDpMatcher dp;
     const BlossomMatcher bl;
     for (const Matcher* m : {static_cast<const Matcher*>(&bf),
                              static_cast<const Matcher*>(&dp),
                              static_cast<const Matcher*>(&bl)}) {
-        for (const std::size_t odd : {1u, 3u, 5u, 7u}) {
+        for (const std::size_t odd : {1u, 3u, 5u, 7u})
             EXPECT_THROW(m->min_weight_perfect(random_matrix(odd, odd)),
                          std::invalid_argument);
-            EXPECT_THROW(m->max_weight_perfect(random_matrix(odd, odd)),
-                         std::invalid_argument);
-        }
         EXPECT_THROW(m->min_weight_perfect(WeightMatrix(0)), std::invalid_argument);
     }
 }
@@ -199,10 +197,10 @@ TEST(Matchers, KnownFourVertexInstance) {
 }
 
 // Property: all three solvers find the same optimal total on random
-// instances, for both min and max orientation.
+// instances.
 class MatcherAgreement : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
-TEST_P(MatcherAgreement, MinAndMaxTotalsAgree) {
+TEST_P(MatcherAgreement, MinTotalsAgree) {
     const auto [n, seed] = GetParam();
     const WeightMatrix w =
         random_matrix(static_cast<std::size_t>(n), static_cast<std::uint64_t>(seed));
@@ -219,13 +217,6 @@ TEST_P(MatcherAgreement, MinAndMaxTotalsAgree) {
     EXPECT_NEAR(dp_min.total_weight, bf_min.total_weight, 1e-9);
     // Blossom quantizes weights to a fine grid; allow that tolerance.
     EXPECT_NEAR(bl_min.total_weight, bf_min.total_weight, 1e-3);
-
-    const auto bf_max = bf.max_weight_perfect(w);
-    const auto dp_max = dp.max_weight_perfect(w);
-    const auto bl_max = bl.max_weight_perfect(w);
-    EXPECT_NEAR(dp_max.total_weight, bf_max.total_weight, 1e-9);
-    EXPECT_NEAR(bl_max.total_weight, bf_max.total_weight, 1e-3);
-    EXPECT_GE(bf_max.total_weight, bf_min.total_weight);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, MatcherAgreement,
@@ -287,20 +278,34 @@ TEST(MatchingWeight, SumsPairs) {
     EXPECT_DOUBLE_EQ(matching_weight(w, {{0, 1}, {2, 3}}), 4.0);
 }
 
-TEST(Stabilized, KeepsCurrentWithinThreshold) {
+// ---------- the width-2 entry: hysteresis at full load ----------
+
+/// The solo oracle of a full-load call, which must never read it.
+const SoloWeight kUnreadSolo = [](std::size_t) {
+    ADD_FAILURE() << "min_weight_pairs read a solo weight at full load";
+    return 0.0;
+};
+
+/// Two nearly-equal perfect matchings, {0,1}{2,3} (2.0) and {0,2}{1,3}
+/// (2.0002), with the cross pairs far worse.
+WeightMatrix near_tie_matrix() {
     WeightMatrix w(4);
-    // Two nearly-equal matchings.
     w.set(0, 1, 1.0);
     w.set(2, 3, 1.0);
     w.set(0, 2, 1.0001);
     w.set(1, 3, 1.0001);
     w.set(0, 3, 5.0);
     w.set(1, 2, 5.0);
+    return w;
+}
+
+TEST(Stabilized, KeepsCurrentWithinThreshold) {
+    const WeightMatrix w = near_tie_matrix();
     const SubsetDpMatcher dp;
     const std::vector<std::pair<int, int>> current = {{0, 2}, {1, 3}};  // slightly worse
-    const auto sel = stabilized_min_weight(w, current, dp, 0.01, 0.01);
-    EXPECT_TRUE(sel.kept_current);
+    const auto sel = min_weight_pairs(w, kUnreadSolo, 2, current, dp, dp, 0.01, 0.01);
     EXPECT_EQ(sel.pairs, current);
+    EXPECT_TRUE(sel.singles.empty());
 }
 
 TEST(Stabilized, MovesWhenGainIsLarge) {
@@ -313,19 +318,41 @@ TEST(Stabilized, MovesWhenGainIsLarge) {
     w.set(1, 2, 10.0);
     const SubsetDpMatcher dp;
     const std::vector<std::pair<int, int>> current = {{0, 2}, {1, 3}};
-    const auto sel = stabilized_min_weight(w, current, dp, 0.01, 0.01);
-    EXPECT_FALSE(sel.kept_current);
-    EXPECT_NEAR(sel.selected_weight, 2.0, 1e-9);
-    EXPECT_NEAR(sel.current_weight, 20.0, 1e-9);
+    const auto sel = min_weight_pairs(w, kUnreadSolo, 2, current, dp, dp, 0.01, 0.01);
+    EXPECT_NE(sel.pairs, current);
+    EXPECT_NEAR(sel.total_weight, 2.0, 1e-9);  // true weight, not the biased one
 }
 
 TEST(Stabilized, NoCurrentJustSolves) {
     WeightMatrix w(2);
     w.set(0, 1, 3.0);
     const SubsetDpMatcher dp;
-    const auto sel = stabilized_min_weight(w, {}, dp);
-    EXPECT_FALSE(sel.kept_current);
-    EXPECT_NEAR(sel.selected_weight, 3.0, 1e-9);
+    const auto sel = min_weight_pairs(w, kUnreadSolo, 1, {}, dp, dp, kDefaultStabilityBias,
+                                      kDefaultKeepThreshold);
+    EXPECT_EQ(sel.pairs, (std::vector<std::pair<int, int>>{{0, 1}}));
+    EXPECT_NEAR(sel.total_weight, 3.0, 1e-9);
+}
+
+TEST(Stabilized, PartialLoadIgnoresCurrentAndReadsEachSoloOnce) {
+    // The same four tasks on three cores: the padded solve runs instead of
+    // the hysteresis one, so the incumbent that KeepsCurrentWithinThreshold
+    // keeps is dropped for the true optimum, exactly as min_weight_partial
+    // with the exact matcher picks it.
+    const WeightMatrix w = near_tie_matrix();
+    std::vector<std::size_t> reads;
+    const SoloWeight solo = [&reads](std::size_t i) {
+        reads.push_back(i);
+        return 1.5;
+    };
+    const SubsetDpMatcher dp;
+    const auto sel = min_weight_pairs(w, solo, 3, {{0, 2}, {1, 3}}, dp, dp, 0.01, 0.01);
+    EXPECT_EQ(reads, (std::vector<std::size_t>{0, 1, 2, 3}));
+    const std::vector<double> solo_weights(4, 1.5);
+    const PartialMatching direct = min_weight_partial(w, solo_weights, 3, dp);
+    EXPECT_EQ(sel.pairs, direct.pairs);
+    EXPECT_EQ(sel.singles, direct.singles);
+    EXPECT_EQ(sel.total_weight, direct.total_weight);
+    EXPECT_NEAR(sel.total_weight, 2.0, 1e-12);
 }
 
 // ---------- k-way core grouping ----------

@@ -421,8 +421,8 @@ TEST(OraclePins, ClosedRunWithDuplicatedApps) {
     std::vector<sched::TaskSpec> specs;
     for (std::uint64_t i = 0; i < 8; ++i) {
         const bool nab = (i / 2) % 2 == 0;
-        specs.push_back({.app_name = nab ? "nab_r" : "mcf", .seed = 1 + i,
-                         .target_insts = 60'000, .isolated_ipc = nab ? 2.0 : 0.6});
+        specs.push_back({.app_name = nab ? "nab_r" : "mcf", .seed = 1 + i, .target_insts = 60'000,
+                         .isolated_ipc = nab ? 2.0 : 0.6});
     }
     EXPECT_EQ(testsig::digest(oracle_closed_run(specs)), 0xe324f1b94b39dbd0ull);
 }

@@ -8,7 +8,10 @@
 
 #include <array>
 #include <set>
+#include <stdexcept>
+#include <string>
 
+#include "apps/instance.hpp"
 #include "apps/spec_suite.hpp"
 #include "core/synpa_policy.hpp"
 #include "sched/baselines.hpp"
@@ -161,7 +164,7 @@ TEST(Policy, PlacePairsPrefersIncumbentCores) {
                                               make_obs(3, 1, 4, 2), make_obs(4, 1, 3, 2)};
     // Regroup (1,3) and (2,4): each pair should land on a core one of its
     // members already occupies.
-    const CoreAllocation a = place_pairs({{1, 3}, {2, 4}}, obs);
+    const CoreAllocation a = place_groups(groups_from_pairs({{1, 3}, {2, 4}}), obs, 2);
     ASSERT_EQ(a.size(), 2u);
     std::set<int> placed;
     for (const CoreGroup& g : a)
@@ -348,6 +351,33 @@ TEST(ThreadManager, RandomPolicyCountsMigrations) {
     ThreadManager manager(platform, policy, small_workload(25'000));
     const RunResult r = manager.run();
     EXPECT_GT(r.migrations, 0u);
+}
+
+TEST(OraclePolicyTest, RejectsSmt2ChipsAboveTwelveCores) {
+    // Its exact matcher pads an SMT-2 chip to 2 x cores vertices and stops
+    // at 24: twelve cores solve, thirteen must fail naming the policy, the
+    // chip's core count and the cap.
+    OraclePolicy policy{model::InterferenceModel::paper_table4()};
+    const apps::AppInstance mcf(0, apps::find_app("mcf"), 1);
+    const auto full_chip = [&mcf](int cores) {
+        std::vector<TaskObservation> obs;
+        for (int c = 0; c < cores; ++c) {
+            obs.push_back(make_obs(2 * c, c, 2 * c + 1, cores));
+            obs.push_back(make_obs(2 * c + 1, c, 2 * c, cores));
+        }
+        for (TaskObservation& o : obs) o.instance = &mcf;
+        return obs;
+    };
+    EXPECT_EQ(policy.reallocate(full_chip(12)).size(), 12u);
+    try {
+        (void)policy.reallocate(full_chip(13));
+        ADD_FAILURE() << "oracle accepted a 13-core SMT-2 chip";
+    } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("oracle"), std::string::npos) << what;
+        EXPECT_NE(what.find("13 cores"), std::string::npos) << what;
+        EXPECT_NE(what.find("12-core cap"), std::string::npos) << what;
+    }
 }
 
 TEST(OraclePolicyTest, ProducesValidAllocationsInManager) {

@@ -1,6 +1,6 @@
 // Tests for the incremental allocation path: estimate epochs
 // (core/estimator.hpp), the dirty-set WeightCache (core/weight_cache.hpp),
-// the policy's whole-chip solve memo, warm-started grouping/matching, and
+// the policy's whole-chip solve memo, the pinned cold k-way heuristic, and
 // the hot-path correctness fixes that rode along (odd-n greedy matching,
 // the mid-quantum partner-retirement estimator update, and the grouping
 // assembly oracle-call elimination).
@@ -220,7 +220,6 @@ TEST(GreedyMatcher, ThrowsOnOddVertexCount) {
     const SynpaPolicy policy(model::InterferenceModel::paper_table4(), opts);
     matching::WeightMatrix odd(3, 1.0);
     EXPECT_THROW(policy.matcher().min_weight_perfect(odd), std::invalid_argument);
-    EXPECT_THROW(policy.matcher().max_weight_perfect(odd), std::invalid_argument);
     matching::WeightMatrix empty(0);
     EXPECT_THROW(policy.matcher().min_weight_perfect(empty), std::invalid_argument);
 }
@@ -237,7 +236,7 @@ TEST(GreedyMatcher, EvenInstancesStillSolve) {
     EXPECT_NEAR(r.total_weight, 2.0, 1e-12);
 }
 
-// ------------------------------------------------- warm-started grouping --
+// ------------------------------------------------ cold k-way heuristic --
 
 namespace grouping_helpers {
 
@@ -272,19 +271,6 @@ void expect_valid_partition(const matching::GroupingResult& r, std::size_t n,
 
 }  // namespace grouping_helpers
 
-TEST(WarmGrouping, EmptyIncumbentReproducesColdBitForBit) {
-    using namespace grouping_helpers;
-    constexpr std::size_t n = 40, cores = 16, width = 4;
-    std::size_t cold_calls = 0, warm_calls = 0;
-    const matching::GroupingResult cold =
-        matching::min_weight_grouping_heuristic(n, cores, width, counting_cost(cold_calls));
-    const matching::GroupingResult warm = matching::min_weight_grouping_heuristic(
-        n, cores, width, counting_cost(warm_calls), {});
-    EXPECT_EQ(cold.groups, warm.groups);
-    EXPECT_EQ(cold.total_weight, warm.total_weight);  // bitwise
-    EXPECT_EQ(cold_calls, warm_calls);
-}
-
 TEST(ColdGrouping, HeuristicPinnedAtForty) {
     // The cold k-way heuristic's groups, total-weight bits and oracle-call
     // count, captured before the warm-start code left the heuristic.
@@ -304,60 +290,6 @@ TEST(ColdGrouping, HeuristicPinnedAtForty) {
     EXPECT_EQ(calls, 15774u);
 }
 
-TEST(WarmGrouping, UnchangedIncumbentResolvesAlmostForFree) {
-    using namespace grouping_helpers;
-    constexpr std::size_t n = 64, cores = 32, width = 4;
-    std::size_t cold_calls = 0;
-    const matching::GroupingResult cold =
-        matching::min_weight_grouping(n, cores, width, counting_cost(cold_calls));
-
-    // Re-solve the identical instance seeded from its own solution: every
-    // bucket seeds clean, so the only oracle traffic is one cost per
-    // non-empty bucket.
-    std::size_t warm_calls = 0;
-    const matching::GroupingResult warm = matching::min_weight_grouping(
-        n, cores, width, counting_cost(warm_calls), cold.groups);
-    EXPECT_EQ(warm.groups, cold.groups);
-    EXPECT_EQ(warm.total_weight, cold.total_weight);  // bitwise
-    EXPECT_LE(warm_calls, cold.groups.size());
-    EXPECT_GE(cold_calls, 20 * warm_calls);  // the whole point
-}
-
-TEST(WarmGrouping, SingleArrivalCostsNearDirtySet) {
-    using namespace grouping_helpers;
-    constexpr std::size_t n = 64, cores = 32, width = 4;
-    std::size_t cold_calls = 0;
-    const matching::GroupingResult cold =
-        matching::min_weight_grouping(n, cores, width, counting_cost(cold_calls));
-
-    // One arrival: task n is new, the incumbent covers 0..n-1.  The warm
-    // re-solve must produce a valid partition at >= 5x fewer oracle calls
-    // than a cold solve of the same instance (the ISSUE's acceptance ratio,
-    // asserted at bench scale too).
-    std::size_t cold_np1 = 0, warm_np1 = 0;
-    const matching::GroupingResult cold_next =
-        matching::min_weight_grouping(n + 1, cores, width, counting_cost(cold_np1));
-    const matching::GroupingResult warm_next = matching::min_weight_grouping(
-        n + 1, cores, width, counting_cost(warm_np1), cold.groups);
-    expect_valid_partition(cold_next, n + 1, cores, width);
-    expect_valid_partition(warm_next, n + 1, cores, width);
-    EXPECT_GE(cold_np1, 5 * warm_np1);
-}
-
-TEST(WarmGrouping, StaleIncumbentIdsAreTolerated) {
-    using namespace grouping_helpers;
-    constexpr std::size_t n = 20, cores = 8, width = 4;
-    // Incumbent full of garbage: out-of-range ids, duplicates, an overfull
-    // group.  Everything falls through to greedy seeding; the result must
-    // still be a valid partition.
-    const std::vector<std::vector<int>> stale = {
-        {99, -3, 0, 0, 1, 2, 3, 4, 5}, {7, 7}, {1000}};
-    std::size_t calls = 0;
-    const matching::GroupingResult warm = matching::min_weight_grouping_heuristic(
-        n, cores, width, counting_cost(calls), stale);
-    expect_valid_partition(warm, n, cores, width);
-}
-
 // Regression (hot-path fix): the heuristic's final assembly used to call
 // the GroupCost oracle once per final group to rebuild total_weight, even
 // though every final bucket's cost was already cached.  At width 1 the
@@ -365,7 +297,7 @@ TEST(WarmGrouping, StaleIncumbentIdsAreTolerated) {
 // (n + n-1 + ... + 1 calls), one local-search pass evaluates every ordered
 // (a, b) swap (2 calls each; the empty donor side is free), and assembly
 // must add ZERO — pre-fix it added n.
-TEST(WarmGrouping, AssemblyAddsNoOracleCalls) {
+TEST(ColdGrouping, AssemblyAddsNoOracleCalls) {
     constexpr std::size_t n = 8;
     std::size_t calls = 0;
     const matching::GroupCost cost = [&calls](std::span<const int> g) {
@@ -381,30 +313,6 @@ TEST(WarmGrouping, AssemblyAddsNoOracleCalls) {
     const std::size_t seeding = n * (n + 1) / 2;
     const std::size_t search = 2 * n * (n - 1);
     EXPECT_EQ(calls, seeding + search);  // pre-fix: + n assembly calls
-}
-
-// ------------------------------------------------ warm stabilized pairs --
-
-TEST(WarmStabilized, UnchangedInputsReturnPreviousVerbatim) {
-    matching::WeightMatrix w(4, 5.0);
-    w.set(0, 1, 1.0);
-    w.set(2, 3, 1.0);
-    const matching::BlossomMatcher matcher;
-    const matching::StabilizedSelection first =
-        matching::stabilized_min_weight(w, {}, matcher, 0.002, 0.001);
-    ASSERT_EQ(first.pairs.size(), 2u);
-
-    const matching::StabilizedSelection warm = matching::stabilized_min_weight(
-        w, first.pairs, matcher, 0.002, 0.001, &first, /*inputs_unchanged=*/true);
-    EXPECT_EQ(warm.pairs, first.pairs);
-    EXPECT_EQ(warm.selected_weight, first.selected_weight);
-
-    // A failed certificate falls through to the cold path (which keeps the
-    // incumbent here — it is optimal already).
-    const matching::StabilizedSelection cold = matching::stabilized_min_weight(
-        w, first.pairs, matcher, 0.002, 0.001, &first, /*inputs_unchanged=*/false);
-    EXPECT_EQ(cold.pairs, first.pairs);
-    EXPECT_TRUE(cold.kept_current);
 }
 
 // -------------------------------------------- policy solve memo + alarms --

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Pin tools/bench_snapshot.py's unit handling and build facts on a canned
-Google Benchmark JSON document: every stored *_ns field is in nanoseconds
-whatever time_unit the row reports in, and the snapshot's build type and
-compiler come from the build directory's CMakeCache.txt.
+"""Pin tools/bench_snapshot.py's unit handling, build facts and baseline
+check on canned inputs: every stored *_ns field is in nanoseconds whatever
+time_unit the row reports in, the snapshot's build type and compiler come
+from the build directory's CMakeCache.txt, and --check fails on any host
+when a baseline row is missing from the fresh snapshot.
 
 Runs with the standard library only (unittest, no pytest) so it works both
 under ctest and as `python3 tests/tools/test_bench_snapshot.py`.
@@ -10,7 +11,9 @@ under ctest and as `python3 tests/tools/test_bench_snapshot.py`.
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import tempfile
@@ -35,9 +38,6 @@ CANNED = json.loads("""
     {"name": "BM_GroupingColdResolve/512", "iterations": 1,
      "real_time": 1015.25, "cpu_time": 1013.5, "time_unit": "ms",
      "oracle_calls": 880000},
-    {"name": "BM_GroupingWarmArrival/512", "iterations": 40,
-     "real_time": 18.5, "cpu_time": 18.25, "time_unit": "ms",
-     "oracle_calls": 16000},
     {"name": "BM_ChipQuantumSmtPair/50000", "iterations": 100,
      "real_time": 812.5, "cpu_time": 800.0, "time_unit": "us",
      "items_per_second": 2.5e7},
@@ -76,13 +76,43 @@ class TimeUnits(unittest.TestCase):
 
     def test_derived_ratios_use_scaled_times(self):
         rows = list(summarized().values())
-        (grouping,) = bench_snapshot.grouping_warm_vs_cold(rows)
-        self.assertEqual(grouping["n"], 512)
-        self.assertAlmostEqual(grouping["cold_over_warm_time"], 1015.25 / 18.5)
-        self.assertAlmostEqual(grouping["cold_over_warm_oracle_calls"], 55.0)
         (speedup,) = bench_snapshot.platform_speedups(rows)
         self.assertEqual(speedup["threads"], 2)
         self.assertAlmostEqual(speedup["speedup_vs_serial"], 2.0)
+
+
+def snapshot_with(names: list[str], cores: int) -> dict:
+    """A fresh snapshot holding bench_matching rows of the given names."""
+    rows = [{"name": n, "real_time_ns": 1.0, "cpu_time_ns": 1.0, "iterations": 1}
+            for n in names]
+    return {"host": {"hardware_concurrency": cores},
+            "benchmarks": {"bench_matching": {"rows": rows}}}
+
+
+class BaselineCheck(unittest.TestCase):
+    def check(self, snapshot: dict, baseline: dict) -> tuple[int, str, str]:
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "baseline.json")
+            with open(path, "w") as f:
+                json.dump(baseline, f)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = bench_snapshot.check_against_baseline(snapshot, path, 0.25)
+        return code, out.getvalue(), err.getvalue()
+
+    def test_missing_baseline_row_fails_before_the_core_count_skip(self):
+        baseline = snapshot_with(["BM_A/8", "BM_Gone/128", "BM_Gone/512"], cores=1)
+        code, _, err = self.check(snapshot_with(["BM_A/8"], cores=4), baseline)
+        self.assertEqual(code, 1)
+        self.assertIn("bench_matching/BM_Gone/128", err)
+        self.assertIn("bench_matching/BM_Gone/512", err)
+        self.assertNotIn("BM_A/8", err)
+
+    def test_complete_snapshot_on_another_host_still_skips(self):
+        baseline = snapshot_with(["BM_A/8"], cores=1)
+        code, out, _ = self.check(snapshot_with(["BM_A/8", "BM_New/1"], cores=4), baseline)
+        self.assertEqual(code, 0)
+        self.assertIn("skipped", out)
 
 
 class BuildFacts(unittest.TestCase):

@@ -20,10 +20,13 @@ Usage:
                             [--regression-threshold 0.25]
 
 With --check, the freshly measured snapshot is compared against the committed
-baseline instead of overwriting it: any benchmark row whose items_per_second
-dropped by more than the threshold fails the run.  The comparison only applies
-when the host core count matches the baseline's (throughput on a different
-machine is not a regression signal); otherwise it prints a notice and exits 0.
+baseline instead of overwriting it.  A baseline row the fresh snapshot lacks
+fails the run on any host (the row set is fixed by the bench sources, so a
+missing row means a bench was dropped or renamed without updating the
+baseline).  Then any benchmark row whose items_per_second dropped by more than
+the threshold fails the run.  The throughput comparison only applies when the
+host core count matches the baseline's (throughput on a different machine is
+not a regression signal); otherwise it prints a notice and exits 0.
 
 Requires the benches to be built (cmake --build <build-dir>); exits non-zero
 with a hint if they are missing.
@@ -124,33 +127,6 @@ def platform_speedups(rows: list[dict]) -> list[dict]:
     return speedups
 
 
-_GROUPING_N_RE = re.compile(r"^BM_GroupingWarmArrival/(\d+)")
-
-
-def grouping_warm_vs_cold(rows: list[dict]) -> list[dict]:
-    """Cold-over-warm re-solve cost of the k-way grouping after a single
-    task arrival, per problem size.  oracle_calls (GroupCost evaluations
-    per solve) is the machine-independent measure; wall time rides along.
-    The warm path's dirty-set local search should make the ratio large
-    (the ISSUE floor is 5x at n=512)."""
-    by_name = {r["name"]: r for r in rows}
-    out = []
-    for r in rows:
-        m = _GROUPING_N_RE.match(r["name"])
-        if not m:
-            continue
-        cold = by_name.get(r["name"].replace("BM_GroupingWarmArrival", "BM_GroupingColdResolve"))
-        if not cold:
-            continue
-        entry = {"n": int(m.group(1))}
-        if cold.get("oracle_calls") and r.get("oracle_calls"):
-            entry["cold_over_warm_oracle_calls"] = cold["oracle_calls"] / r["oracle_calls"]
-        if cold.get("real_time_ns") and r.get("real_time_ns"):
-            entry["cold_over_warm_time"] = cold["real_time_ns"] / r["real_time_ns"]
-        out.append(entry)
-    return out
-
-
 def cpu_model() -> str:
     try:
         with open("/proc/cpuinfo") as f:
@@ -181,15 +157,34 @@ def cmake_build_facts(build_dir: str) -> dict:
     return facts
 
 
+def missing_rows(snapshot: dict, baseline: dict) -> list[str]:
+    """Baseline rows (as bench/row) that the fresh snapshot does not have."""
+    missing = []
+    for bench, entry in baseline.get("benchmarks", {}).items():
+        fresh = {r["name"] for r in snapshot["benchmarks"].get(bench, {}).get("rows", [])}
+        missing += [f"{bench}/{r['name']}" for r in entry.get("rows", [])
+                    if r["name"] not in fresh]
+    return missing
+
+
 def check_against_baseline(snapshot: dict, baseline_path: str, threshold: float) -> int:
-    """Compare the fresh snapshot's throughput rows against the committed
-    baseline; return the exit code.  Skips (exit 0) with a notice when the
-    host shape differs from the machine that produced the baseline."""
+    """Compare the fresh snapshot against the committed baseline; return the
+    exit code.  A baseline row missing from the snapshot fails on any host;
+    the throughput comparison skips (exit 0) with a notice when the host
+    shape differs from the machine that produced the baseline."""
     try:
         with open(baseline_path) as f:
             baseline = json.load(f)
     except (OSError, json.JSONDecodeError) as err:
         sys.stderr.write(f"error: cannot read baseline {baseline_path}: {err}\n")
+        return 1
+
+    missing = missing_rows(snapshot, baseline)
+    if missing:
+        sys.stderr.write(
+            f"bench check FAILED: {len(missing)} baseline rows missing from this run:\n"
+            + "".join(f"  {name}\n" for name in missing)
+        )
         return 1
 
     base_cores = baseline.get("host", {}).get("hardware_concurrency")
@@ -283,8 +278,6 @@ def main() -> int:
             ctx = doc.get("context", {})
             snapshot["host"]["benchmark_num_cpus"] = ctx.get("num_cpus")
             snapshot["host"]["library_build_type"] = ctx.get("library_build_type")
-        if bench == "bench_matching":
-            entry["grouping_warm_vs_cold"] = grouping_warm_vs_cold(rows)
         snapshot["benchmarks"][bench] = entry
 
     if args.check:
@@ -297,15 +290,6 @@ def main() -> int:
     print(f"wrote {args.output}")
     for s in snapshot["benchmarks"]["bench_sim_throughput"].get("parallel_speedups", []):
         print(f"  {s['name']}: {s['speedup_vs_serial']:.2f}x")
-    for g in snapshot["benchmarks"]["bench_matching"].get("grouping_warm_vs_cold", []):
-        calls = g.get("cold_over_warm_oracle_calls")
-        time = g.get("cold_over_warm_time")
-        print(
-            f"  grouping n={g['n']}: cold/warm = "
-            f"{calls:.1f}x oracle calls, {time:.1f}x time"
-            if calls and time
-            else f"  grouping n={g['n']}: incomplete counters"
-        )
     return 0
 
 
