@@ -37,7 +37,9 @@ public:
     std::uint64_t insts_retired() const noexcept { return insts_retired_; }
 
     /// Advances architectural state by `n` dispatched instructions,
-    /// including the phase machine and warmup decay.
+    /// including the phase machine and warmup decay.  Additive:
+    /// retire(a) then retire(b) leaves the state retire(a + b) does, which
+    /// lets the SMT core retire once per run() call.
     void retire(std::uint64_t n) noexcept;
 
     /// Frontend event randomness (gap, branch/ICache split, miss level).

@@ -97,14 +97,26 @@ public:
     /// Geometric draw: number of trials until first success (>= 1) for
     /// success probability p.  Used for "instructions until next event"
     /// draws; p is clamped away from 0 to keep results finite.
-    std::uint64_t geometric(double p) noexcept {
+    std::uint64_t geometric(double p) noexcept { return geometric(p, geometric_log(p)); }
+
+    /// geometric(p) with its denominator precomputed: `log_q` must be
+    /// geometric_log(p).  Same value and same stream position as
+    /// geometric(p), for callers that draw many times with one p.
+    std::uint64_t geometric(double p, double log_q) noexcept {
         if (p >= 1.0) return 1;
-        if (p < 1e-12) p = 1e-12;
         // Inverse-CDF sampling; log1p keeps precision for small p.
         const double u = uniform();
-        const double n = std::log1p(-u) / std::log1p(-p);
+        const double n = std::log1p(-u) / log_q;
         const double v = n < 1.0 ? 1.0 : n;
         return static_cast<std::uint64_t>(v) + 1;
+    }
+
+    /// The denominator of geometric(p): log1p(-p), with p clamped away from
+    /// 0 to keep results finite (unused when p >= 1, where no draw is made).
+    static double geometric_log(double p) noexcept {
+        if (p >= 1.0) return 0.0;
+        if (p < 1e-12) p = 1e-12;
+        return std::log1p(-p);
     }
 
     /// Exponential draw with the given mean.

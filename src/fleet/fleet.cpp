@@ -8,7 +8,7 @@ namespace synpa::fleet {
 
 Fleet::Fleet(const FleetConfig& cfg) {
     if (cfg.nodes < 1)
-        throw std::invalid_argument("Fleet: need at least one node");
+        throw std::invalid_argument("Fleet: nodes must be >= 1");
     if (cfg.with_estimators && cfg.policy_config.model == nullptr)
         throw std::invalid_argument(
             "Fleet: interference scoring needs PolicyConfig::model");

@@ -107,6 +107,8 @@ ScenarioTrace build_trace(const ScenarioSpec& spec, const uarch::SimConfig& cfg)
     // would carry a zero-instruction service demand.
     if (spec.service_quanta == 0)
         throw std::invalid_argument("build_trace: service_quanta must be > 0");
+    if (spec.horizon_quanta == 0)
+        throw std::invalid_argument("build_trace: horizon_quanta must be > 0");
 
     // rate_scale_at takes the last matching phase, so phases must be in
     // start order — sort a copy rather than trusting the spec's order.
@@ -134,6 +136,8 @@ ScenarioTrace build_trace(const ScenarioSpec& spec, const uarch::SimConfig& cfg)
         case ArrivalProcess::kBurst: {
             if (spec.burst_period == 0)
                 throw std::invalid_argument("build_trace: burst_period must be > 0");
+            if (spec.burst_size == 0)
+                throw std::invalid_argument("build_trace: burst_size must be > 0");
             for (std::uint64_t q = 0; q < spec.horizon_quanta; q += spec.burst_period) {
                 const double scale = rate_scale_at(profile, q);
                 const auto size = static_cast<std::uint64_t>(

@@ -11,7 +11,7 @@ namespace synpa::uarch {
 
 using pmu::Event;
 
-void SmtCore::trigger_frontend_event(ThreadContext& t) noexcept {
+void SmtCore::trigger_frontend_event(ThreadContext& t, double fe_p, double fe_log) noexcept {
     apps::AppInstance& task = *t.task();
     const EffectiveRates& r = t.rates;
     const double total = r.p_branch + r.p_icache;
@@ -53,11 +53,11 @@ void SmtCore::trigger_frontend_event(ThreadContext& t) noexcept {
         t.fe_stall = icache_busy_ + service;
         icache_busy_ += service;
     }
-    t.insts_until_fe = static_cast<std::int64_t>(
-        task.fe_rng().geometric(std::max(r.p_branch + r.p_icache, 1e-9)));
+    t.insts_until_fe = static_cast<std::int64_t>(task.fe_rng().geometric(fe_p, fe_log));
 }
 
-std::uint64_t SmtCore::trigger_backend_episode(ThreadContext& t) noexcept {
+std::uint64_t SmtCore::trigger_backend_episode(ThreadContext& t, double be_p,
+                                               double be_log) noexcept {
     apps::AppInstance& task = *t.task();
     const EffectiveRates& r = t.rates;
     const auto batch = static_cast<std::uint64_t>(r.batch);
@@ -133,93 +133,87 @@ std::uint64_t SmtCore::trigger_backend_episode(ThreadContext& t) noexcept {
         t.dram_stall = dram;
         task.counters().increment(Event::kStallBackendMem, static_cast<std::uint64_t>(stall));
     }
-    t.insts_until_be =
-        static_cast<std::int64_t>(task.be_rng().geometric(std::max(r.p_episode, 1e-9)));
+    t.insts_until_be = static_cast<std::int64_t>(task.be_rng().geometric(be_p, be_log));
     return mem_accesses;
 }
 
-void SmtCore::fetch_stage() noexcept {
+template <int W>
+void SmtCore::fetch_stage(const SlotRuns<W>& runs) noexcept {
     // Pick one thread for the single fetch port, round robin among those
     // that need instructions and are not frontend-stalled.
-    const int ways = smt_ways();
+    const int entries = fetch_buffer_entries_;
     int chosen = -1;
     int idx = fetch_rr_;
-    for (int k = 0; k < ways; ++k, idx = idx + 1 == ways ? 0 : idx + 1) {
-        ThreadContext& t = slots_[static_cast<std::size_t>(idx)];
-        if (!t.bound() || t.fe_stall > 0) continue;
-        if (t.fetch_buffer >= cfg_->fetch_buffer_entries) continue;
+    for (int k = 0; k < W; ++k, idx = idx + 1 == W ? 0 : idx + 1) {
+        const ThreadContext& t = slots_[static_cast<std::size_t>(idx)];
+        if (!t.bound() || t.fe_stall > 0 || t.fetch_buffer >= entries) continue;
         chosen = idx;
         break;
     }
     if (chosen < 0) return;
-    fetch_rr_ = chosen + 1 == ways ? 0 : chosen + 1;
+    fetch_rr_ = chosen + 1 == W ? 0 : chosen + 1;
 
     ThreadContext& t = slots_[static_cast<std::size_t>(chosen)];
-    apps::AppInstance& task = *t.task();
+    const SlotRun& run = runs[static_cast<std::size_t>(chosen)];
     if (t.insts_until_fe < 0)
-        t.insts_until_fe = static_cast<std::int64_t>(
-            task.fe_rng().geometric(std::max(t.rates.p_branch + t.rates.p_icache, 1e-9)));
+        t.insts_until_fe =
+            static_cast<std::int64_t>(t.task()->fe_rng().geometric(run.fe_p, run.fe_log));
 
-    const int room = cfg_->fetch_buffer_entries - t.fetch_buffer;
-    const int granted = std::min(cfg_->fetch_width, room);
+    const int granted = std::min(fetch_width_, entries - t.fetch_buffer);
     if (t.insts_until_fe < granted) {
         // The event interrupts the fetch group; instructions before it land.
         t.fetch_buffer += static_cast<int>(t.insts_until_fe);
-        trigger_frontend_event(t);
+        trigger_frontend_event(t, run.fe_p, run.fe_log);
     } else {
         t.fetch_buffer += granted;
         t.insts_until_fe -= granted;
     }
 }
 
-std::uint64_t SmtCore::dispatch_stage() noexcept {
+template <int W>
+std::uint64_t SmtCore::dispatch_stage(SlotRuns<W>& runs) noexcept {
     // Compute per-thread demand for this cycle.
-    const int ways = smt_ways();
-    std::array<int, kMaxSmtWays> want{};
-    for (int i = 0; i < ways; ++i) {
+    const int width = dispatch_width_;
+    const double credit_cap = credit_cap_;
+    std::array<int, W> want{};
+    for (int i = 0; i < W; ++i) {
         ThreadContext& t = slots_[static_cast<std::size_t>(i)];
         if (!t.bound() || t.be_stall > 0) continue;
-        t.dispatch_credit =
-            std::min(t.dispatch_credit + t.rates.dispatch_demand,
-                     2.0 * static_cast<double>(cfg_->dispatch_width));
+        t.dispatch_credit = std::min(t.dispatch_credit + t.rates.dispatch_demand, credit_cap);
         want[static_cast<std::size_t>(i)] =
-            std::min({static_cast<int>(t.dispatch_credit), t.fetch_buffer,
-                      cfg_->dispatch_width});
+            std::min({static_cast<int>(t.dispatch_credit), t.fetch_buffer, width});
     }
 
     // Arbitrate the shared dispatch slots with rotating priority: the
     // highest-priority thread takes what it wants, later threads (in
     // rotation order) share what remains.
-    std::array<int, kMaxSmtWays> grant{};
-    int remaining = cfg_->dispatch_width;
+    std::array<int, W> grant{};
+    int remaining = width;
     int idx = dispatch_pri_;
-    for (int k = 0; k < ways; ++k, idx = idx + 1 == ways ? 0 : idx + 1) {
+    for (int k = 0; k < W; ++k, idx = idx + 1 == W ? 0 : idx + 1) {
         const auto i = static_cast<std::size_t>(idx);
         grant[i] = std::min(want[i], remaining);
         remaining -= grant[i];
     }
-    dispatch_pri_ = dispatch_pri_ + 1 == ways ? 0 : dispatch_pri_ + 1;
+    dispatch_pri_ = dispatch_pri_ + 1 == W ? 0 : dispatch_pri_ + 1;
 
     std::uint64_t mem_accesses = 0;
-    for (int i = 0; i < ways; ++i) {
+    for (int i = 0; i < W; ++i) {
         ThreadContext& t = slots_[static_cast<std::size_t>(i)];
         if (!t.bound()) continue;
-        apps::AppInstance& task = *t.task();
-        task.counters().increment(Event::kCpuCycles);
+        SlotRun& run = runs[static_cast<std::size_t>(i)];
 
         const int g = grant[static_cast<std::size_t>(i)];
         if (g > 0) {
             t.dispatch_credit -= g;
             t.fetch_buffer -= g;
-            const auto gu = static_cast<std::uint64_t>(g);
-            task.counters().increment(Event::kInstSpec, gu);
-            task.counters().increment(Event::kInstRetired, gu);
-            task.retire(gu);
+            run.granted += static_cast<std::uint64_t>(g);
             if (t.insts_until_be < 0)
                 t.insts_until_be = static_cast<std::int64_t>(
-                    task.be_rng().geometric(std::max(t.rates.p_episode, 1e-9)));
+                    t.task()->be_rng().geometric(run.be_p, run.be_log));
             t.insts_until_be -= g;
-            if (t.insts_until_be <= 0) mem_accesses += trigger_backend_episode(t);
+            if (t.insts_until_be <= 0)
+                mem_accesses += trigger_backend_episode(t, run.be_p, run.be_log);
             continue;
         }
 
@@ -227,44 +221,31 @@ std::uint64_t SmtCore::dispatch_stage() noexcept {
         // the ARM PMU does (paper §III-B): empty dispatch queue counts as a
         // frontend stall; anything else blocking dispatch is backend.
         if (t.be_stall > 0) {
-            task.counters().increment(Event::kStallBackend);
-            task.counters().increment(Event::kStallBackendRob);
+            ++run.stall_rob;
             --t.be_stall;
             if (t.be_stall == 0) t.dram_stall = false;
         } else if (t.fetch_buffer == 0) {
-            task.counters().increment(Event::kStallFrontend);
+            ++run.stall_fe;
         } else {
             // Dispatch bandwidth taken by co-runner threads (or fractional
             // credit): a backend resource-unavailable cycle.
-            task.counters().increment(Event::kStallBackend);
-            task.counters().increment(Event::kStallBackendIq);
+            ++run.stall_iq;
         }
     }
     return mem_accesses;
 }
 
-std::uint64_t SmtCore::tick() noexcept {
-    if (icache_busy_ > 0) --icache_busy_;
-    const int ways = smt_ways();
-    for (int s = 0; s < ways; ++s) {
-        ThreadContext& t = slots_[static_cast<std::size_t>(s)];
-        if (t.bound() && t.fe_stall > 0) --t.fe_stall;
-    }
-    fetch_stage();
-    return dispatch_stage();
-}
-
+template <int W>
 std::uint64_t SmtCore::idle_cycles() const noexcept {
-    // A slot can fetch in the cycle its fe_stall reaches 0 (tick decrements
-    // before fetching) unless its buffer is full; it can dispatch once
-    // be_stall is 0 unless its buffer is empty (a buffer that stays empty
-    // keeps it from dispatching however much credit accrues).
+    // A slot can fetch in the cycle its fe_stall reaches 0 (a cycle
+    // decrements before fetching) unless its buffer is full; it can
+    // dispatch once be_stall is 0 unless its buffer is empty (a buffer that
+    // stays empty keeps it from dispatching however much credit accrues).
     std::uint64_t k = std::numeric_limits<std::uint64_t>::max();
-    const int ways = smt_ways();
-    for (int s = 0; s < ways; ++s) {
+    for (int s = 0; s < W; ++s) {
         const ThreadContext& t = slots_[static_cast<std::size_t>(s)];
         if (!t.bound()) continue;
-        if (t.fetch_buffer < cfg_->fetch_buffer_entries) {
+        if (t.fetch_buffer < fetch_buffer_entries_) {
             if (t.fe_stall <= 1) return 0;
             k = std::min(k, static_cast<std::uint64_t>(t.fe_stall - 1));
         }
@@ -276,31 +257,29 @@ std::uint64_t SmtCore::idle_cycles() const noexcept {
     return k;
 }
 
-void SmtCore::skip(std::uint64_t k) noexcept {
-    // Exactly what k idle tick() calls do: nothing is fetched or granted,
-    // so each bound slot counts k cycles of its stall and its timers run down.
-    const double credit_cap = 2.0 * static_cast<double>(cfg_->dispatch_width);
+template <int W>
+void SmtCore::skip(std::uint64_t k, SlotRuns<W>& runs) noexcept {
+    // Exactly what k idle cycles stepped one at a time do: nothing is
+    // fetched or granted, so each bound slot counts k cycles of its stall
+    // and its timers run down.
     const auto run_down = [k](int timer) {
         return k >= static_cast<std::uint64_t>(timer) ? 0 : timer - static_cast<int>(k);
     };
-    const int ways = smt_ways();
-    for (int s = 0; s < ways; ++s) {
+    for (int s = 0; s < W; ++s) {
         ThreadContext& t = slots_[static_cast<std::size_t>(s)];
         if (!t.bound()) continue;
-        pmu::CounterBank& counters = t.task()->counters();
-        counters.increment(Event::kCpuCycles, k);
+        SlotRun& run = runs[static_cast<std::size_t>(s)];
         if (t.be_stall > 0) {
-            counters.increment(Event::kStallBackend, k);
-            counters.increment(Event::kStallBackendRob, k);
+            run.stall_rob += k;
             t.be_stall -= static_cast<int>(k);
             if (t.be_stall == 0) t.dram_stall = false;
         } else {
-            counters.increment(Event::kStallFrontend, k);
+            run.stall_fe += k;
             // The credit recurrence one cycle at a time, as dispatch_stage
             // runs it, until it reaches a bitwise fixed point.
             double credit = t.dispatch_credit;
             for (std::uint64_t c = 0; c < k; ++c) {
-                const double next = std::min(credit + t.rates.dispatch_demand, credit_cap);
+                const double next = std::min(credit + t.rates.dispatch_demand, credit_cap_);
                 if (std::bit_cast<std::uint64_t>(next) == std::bit_cast<std::uint64_t>(credit))
                     break;
                 credit = next;
@@ -310,26 +289,69 @@ void SmtCore::skip(std::uint64_t k) noexcept {
         t.fe_stall = run_down(t.fe_stall);
     }
     icache_busy_ = run_down(icache_busy_);
-    const auto w = static_cast<std::uint64_t>(ways);
+    constexpr auto w = static_cast<std::uint64_t>(W);
     dispatch_pri_ = static_cast<int>((static_cast<std::uint64_t>(dispatch_pri_) + k % w) % w);
 }
 
-std::uint64_t SmtCore::run(std::uint64_t cycles) noexcept {
+template <int W>
+std::uint64_t SmtCore::advance_ways(std::uint64_t cycles, bool skip_idle) noexcept {
+    SlotRuns<W> runs{};
+    for (int s = 0; s < W; ++s) {
+        const ThreadContext& t = slots_[static_cast<std::size_t>(s)];
+        if (!t.bound()) continue;
+        SlotRun& run = runs[static_cast<std::size_t>(s)];
+        run.fe_p = std::max(t.rates.p_branch + t.rates.p_icache, 1e-9);
+        run.fe_log = common::Rng::geometric_log(run.fe_p);
+        run.be_p = std::max(t.rates.p_episode, 1e-9);
+        run.be_log = common::Rng::geometric_log(run.be_p);
+    }
+
     std::uint64_t mem_accesses = 0;
-    std::uint64_t left = cycles;
-    while (left > 0) {
-        const std::uint64_t k = std::min(idle_cycles(), left);
-        if (k == 0) {
-            mem_accesses += tick();
-            ++cycles_.ticked;
-            --left;
-        } else {
-            skip(k);
+    for (std::uint64_t left = cycles; left > 0;) {
+        const std::uint64_t k = skip_idle ? std::min(idle_cycles<W>(), left) : 0;
+        if (k > 0) {
+            skip<W>(k, runs);
             cycles_.skipped += k;
             left -= k;
+            continue;
         }
+        // The busy cycle.
+        if (icache_busy_ > 0) --icache_busy_;
+        for (int s = 0; s < W; ++s) {
+            ThreadContext& t = slots_[static_cast<std::size_t>(s)];
+            if (t.bound() && t.fe_stall > 0) --t.fe_stall;
+        }
+        fetch_stage<W>(runs);
+        mem_accesses += dispatch_stage<W>(runs);
+        ++cycles_.ticked;
+        --left;
+    }
+
+    // Hand the tallies to the tasks; a slot is bound for every cycle of the call.
+    for (int s = 0; s < W; ++s) {
+        ThreadContext& t = slots_[static_cast<std::size_t>(s)];
+        if (!t.bound()) continue;
+        const SlotRun& run = runs[static_cast<std::size_t>(s)];
+        apps::AppInstance& task = *t.task();
+        pmu::CounterBank& counters = task.counters();
+        counters.increment(Event::kCpuCycles, cycles);
+        counters.increment(Event::kInstSpec, run.granted);
+        counters.increment(Event::kInstRetired, run.granted);
+        counters.increment(Event::kStallFrontend, run.stall_fe);
+        counters.increment(Event::kStallBackend, run.stall_rob + run.stall_iq);
+        counters.increment(Event::kStallBackendRob, run.stall_rob);
+        counters.increment(Event::kStallBackendIq, run.stall_iq);
+        if (run.granted > 0) task.retire(run.granted);
     }
     return mem_accesses;
+}
+
+std::uint64_t SmtCore::advance(std::uint64_t cycles, bool skip_idle) noexcept {
+    switch (smt_ways()) {  // SimConfig::validate admits 1, 2 and 4
+        case 1: return advance_ways<1>(cycles, skip_idle);
+        case 2: return advance_ways<2>(cycles, skip_idle);
+        default: return advance_ways<kMaxSmtWays>(cycles, skip_idle);
+    }
 }
 
 }  // namespace synpa::uarch

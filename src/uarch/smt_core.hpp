@@ -12,13 +12,19 @@
 //    partitioned among the *active* threads (headroom comes in via
 //    EffectiveRates, computed by the chip).
 //
-// tick() is the one definition of a cycle.  run(n) equals n tick() calls bit
-// for bit but applies idle stretches in one step: while no bound slot can
-// fetch (each is frontend-stalled or holds a full fetch buffer) and none can
-// dispatch (each is backend-stalled or has an empty fetch buffer), a cycle
-// draws no random number and only moves stall timers, stall counters,
-// dispatch credit and the dispatch-priority rotator, all of which advance
-// in closed form.  A core with no bound slot is idle for the whole call.
+// tick() is one busy cycle.  run(n) equals n tick() calls bit for bit but
+// applies idle stretches in one step: while no bound slot can fetch (each
+// is frontend-stalled or holds a full fetch buffer) and none can dispatch
+// (each is backend-stalled or has an empty fetch buffer), a cycle draws no
+// random number and only moves stall timers, stall counters, dispatch
+// credit and the dispatch-priority rotator, all of which advance in closed
+// form.  A core with no bound slot is idle for the whole call.
+//
+// Both run one loop, instantiated per width, that tallies each slot's
+// cycle, dispatch and stall counts and hands them to the task when the
+// call ends: a task's counters and insts_retired() are current only
+// between calls.  Nothing inside a call reads them, and one retire of the
+// sum equals a retire per cycle.
 #pragma once
 
 #include <array>
@@ -29,8 +35,8 @@
 
 namespace synpa::uarch {
 
-/// Core-cycles SmtCore::run executed through tick() and core-cycles it
-/// applied in bulk as idle.  Deterministic work: both depend only on the
+/// Core-cycles SmtCore stepped as busy cycles and core-cycles it applied
+/// in bulk as idle.  Deterministic work: both depend only on the
 /// simulated state, never on the host.
 struct CycleCounts {
     std::uint64_t ticked = 0;
@@ -45,7 +51,10 @@ struct CycleCounts {
 
 class SmtCore {
 public:
-    explicit SmtCore(const SimConfig& cfg) : cfg_(&cfg) {}
+    explicit SmtCore(const SimConfig& cfg)
+        : cfg_(&cfg), fetch_buffer_entries_(cfg.fetch_buffer_entries),
+          fetch_width_(cfg.fetch_width), dispatch_width_(cfg.dispatch_width),
+          credit_cap_(2.0 * static_cast<double>(cfg.dispatch_width)) {}
 
     ThreadContext& slot(int s) { return slots_[static_cast<std::size_t>(s)]; }
     const ThreadContext& slot(int s) const { return slots_[static_cast<std::size_t>(s)]; }
@@ -65,34 +74,54 @@ public:
 
     /// Advances the core one cycle.  Returns the number of chip-level memory
     /// accesses (LLC misses) triggered this cycle, for the bandwidth model.
-    std::uint64_t tick() noexcept;
+    std::uint64_t tick() noexcept { return advance(1, false); }
 
     /// Advances the core `cycles` cycles; identical to that many tick()
     /// calls (same state, counters and RNG streams afterwards) and returns
     /// the sum of their memory accesses.
-    std::uint64_t run(std::uint64_t cycles) noexcept;
+    std::uint64_t run(std::uint64_t cycles) noexcept { return advance(cycles, true); }
 
-    /// Cycles run() has ticked and skipped so far.
+    /// Cycles run() and tick() have stepped and skipped so far.
     const CycleCounts& cycle_counts() const noexcept { return cycles_; }
 
 private:
+    /// One slot's state for the length of a run()/tick() call: the event-gap
+    /// probabilities with their precomputed Rng::geometric_log, and the PMU
+    /// tallies flushed into the task when the call ends.
+    struct SlotRun {
+        double fe_p = 0.0, fe_log = 0.0;  ///< frontend event probability per inst
+        double be_p = 0.0, be_log = 0.0;  ///< backend episode probability per inst
+        std::uint64_t granted = 0;        ///< INST_SPEC and INST_RETIRED from dispatch
+        std::uint64_t stall_fe = 0, stall_rob = 0, stall_iq = 0;
+    };
+    template <int W> using SlotRuns = std::array<SlotRun, static_cast<std::size_t>(W)>;
+
+    /// Advances `cycles` cycles at the configured width, skipping idle
+    /// stretches only when `skip_idle` (tick() steps its cycle as busy).
+    std::uint64_t advance(std::uint64_t cycles, bool skip_idle) noexcept;
+    template <int W> std::uint64_t advance_ways(std::uint64_t cycles, bool skip_idle) noexcept;
     /// How many cycles from now are certainly idle (see the file comment);
     /// 0 when the next cycle may fetch or dispatch, UINT64_MAX when no slot
     /// is bound.
-    std::uint64_t idle_cycles() const noexcept;
-    /// Applies `k` idle cycles, k <= idle_cycles().
-    void skip(std::uint64_t k) noexcept;
+    template <int W> std::uint64_t idle_cycles() const noexcept;
+    /// Applies `k` idle cycles, k <= idle_cycles<W>().
+    template <int W> void skip(std::uint64_t k, SlotRuns<W>& runs) noexcept;
+    template <int W> void fetch_stage(const SlotRuns<W>& runs) noexcept;
+    template <int W> std::uint64_t dispatch_stage(SlotRuns<W>& runs) noexcept;
 
-    void fetch_stage() noexcept;
-    std::uint64_t dispatch_stage() noexcept;
-    void trigger_frontend_event(ThreadContext& t) noexcept;
+    void trigger_frontend_event(ThreadContext& t, double fe_p, double fe_log) noexcept;
     /// Returns the number of DRAM accesses caused by the episode (0 or batch).
-    std::uint64_t trigger_backend_episode(ThreadContext& t) noexcept;
+    std::uint64_t trigger_backend_episode(ThreadContext& t, double be_p, double be_log) noexcept;
     int slot_index(const ThreadContext& t) const noexcept {
         return static_cast<int>(&t - slots_.data());
     }
 
     const SimConfig* cfg_;
+    // Hot config fields, copied so stores to slot state cannot force reloads.
+    int fetch_buffer_entries_;
+    int fetch_width_;
+    int dispatch_width_;
+    double credit_cap_;  ///< dispatch credit saturates at 2x the dispatch width
     std::array<ThreadContext, kMaxSmtWays> slots_{};
     int fetch_rr_ = 0;      ///< fetch-port round-robin pointer
     int dispatch_pri_ = 0;  ///< dispatch-priority rotator

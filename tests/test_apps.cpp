@@ -2,11 +2,17 @@
 // behaviour, warmup decay, and the 28-application roster.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "apps/instance.hpp"
 #include "apps/profile.hpp"
 #include "apps/spec_suite.hpp"
+#include "common/rng.hpp"
 
 namespace {
 
@@ -73,6 +79,82 @@ TEST(Instance, RetireAdvancesInstructionCount) {
     t.retire(1000);
     t.retire(500);
     EXPECT_EQ(t.insts_retired(), 1500u);
+}
+
+TEST(Instance, RetireIsAdditive) {
+    // retire(a); retire(b) must equal retire(a + b) bit for bit: the SMT
+    // core hands a task its whole call's dispatch count in one retire.
+    // Chunkings of one total end exactly on phase boundaries, one either
+    // side of them, at random points, or span several phases at once.
+    synpa::common::Rng rng(0xadd, 1);
+    int apps_tested = 0;
+    for (const AppProfile& app : spec_suite()) {
+        if (app.phase_count() < 2) continue;
+        ++apps_tested;
+        const std::uint64_t seed = rng();
+        // Phase boundaries of this seed, found one instruction at a time.
+        const std::uint64_t total = 4'000'000;
+        std::vector<std::uint64_t> boundaries;
+        AppInstance walk(1, app, seed);
+        for (std::uint64_t i = 1; i < total; ++i) {
+            const std::size_t before = walk.phase_index();
+            walk.retire(1);
+            if (walk.phase_index() != before) boundaries.push_back(i);
+        }
+        ASSERT_GE(boundaries.size(), 3u) << app.name;
+
+        std::vector<std::vector<std::uint64_t>> cut_sets = {{}, boundaries, {total / 2}};
+        std::vector<std::uint64_t> near;
+        for (const std::uint64_t b : boundaries) near.push_back(rng.chance(0.5) ? b - 1 : b + 1);
+        cut_sets.push_back(near);
+        for (int k = 0; k < 4; ++k) {
+            std::vector<std::uint64_t> cuts(1 + rng.below(60));
+            for (std::uint64_t& c : cuts) c = 1 + rng.below(total - 1);
+            if (k % 2 == 1) cuts.insert(cuts.end(), boundaries.begin(), boundaries.end());
+            cut_sets.push_back(cuts);
+        }
+
+        // No window, one that ends on a phase boundary, one still decaying.
+        for (const std::uint64_t warmup : {std::uint64_t{0}, boundaries[1], 2 * total}) {
+            const auto fresh = [&] {
+                auto task = std::make_unique<AppInstance>(1, app, seed);
+                if (warmup > 0) task->start_warmup(warmup, 2.5);
+                return task;
+            };
+            const auto whole = fresh();
+            whole->retire(total);
+            for (std::size_t set = 0; set < cut_sets.size(); ++set) {
+                std::vector<std::uint64_t> cuts = cut_sets[set];
+                if (warmup < total) cuts.push_back(warmup);  // a chunk ends as warmup does
+                cuts.push_back(total);
+                std::sort(cuts.begin(), cuts.end());
+                const auto chunked = fresh();
+                std::uint64_t done = 0;
+                for (const std::uint64_t c : cuts) {
+                    if (c == done) continue;
+                    chunked->retire(c - done);
+                    done = c;
+                }
+                const std::string at = app.name + " warmup " + std::to_string(warmup) +
+                                       " cut set " + std::to_string(set);
+                ASSERT_EQ(chunked->insts_retired(), whole->insts_retired()) << at;
+                ASSERT_EQ(chunked->phase_index(), whole->phase_index()) << at;
+                ASSERT_EQ(std::bit_cast<std::uint64_t>(chunked->warmup_multiplier()),
+                          std::bit_cast<std::uint64_t>(whole->warmup_multiplier()))
+                    << at;
+                // The phase machine is in the same state, not just the same
+                // phase: further retires visit the same sequence.
+                const auto next = fresh();
+                next->retire(total);
+                for (int i = 0; i < 400; ++i) {
+                    chunked->retire(7'919);
+                    next->retire(7'919);
+                    ASSERT_EQ(chunked->phase_index(), next->phase_index()) << at << " step " << i;
+                }
+            }
+        }
+    }
+    EXPECT_GE(apps_tested, 3);
 }
 
 TEST(Instance, PhaseMachineVisitsAllPhases) {

@@ -84,6 +84,32 @@ TEST(Rng, GeometricIsAtLeastOne) {
     for (int i = 0; i < 1'000; ++i) EXPECT_GE(r.geometric(0.9), 1u);
 }
 
+TEST(Rng, GeometricPrecomputedLogMatches) {
+    // The inverse-CDF draw as geometric(p) computed it before the
+    // denominator could be precomputed.
+    const auto reference = [](Rng& r, double p) -> std::uint64_t {
+        if (p >= 1.0) return 1;
+        if (p < 1e-12) p = 1e-12;
+        const double n = std::log1p(-r.uniform()) / std::log1p(-p);
+        return static_cast<std::uint64_t>(n < 1.0 ? 1.0 : n) + 1;
+    };
+    for (const double p : {1e-13, 1e-12, 1e-9, 0.01, 0.5, 1.0 - 0x1.0p-53, 1.0, 1.5}) {
+        const double log_q = Rng::geometric_log(p);
+        for (std::uint64_t key = 0; key < 200; ++key) {
+            Rng plain(7, key);
+            Rng precomputed(7, key);
+            Rng ref(7, key);
+            const std::uint64_t want = reference(ref, p);
+            EXPECT_EQ(plain.geometric(p), want) << "p " << p << " key " << key;
+            EXPECT_EQ(precomputed.geometric(p, log_q), want) << "p " << p << " key " << key;
+            // Same stream position afterwards (p >= 1 draws nothing).
+            const std::uint64_t next = ref();
+            EXPECT_EQ(plain(), next) << "p " << p << " key " << key;
+            EXPECT_EQ(precomputed(), next) << "p " << p << " key " << key;
+        }
+    }
+}
+
 TEST(Rng, ExponentialMean) {
     Rng r(7, 6);
     double sum = 0.0;

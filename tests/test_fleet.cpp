@@ -245,6 +245,18 @@ TEST(FleetRunner, RejectsZeroMaxQuanta) {
     }
 }
 
+TEST(FleetRunner, RejectsZeroNodes) {
+    const scenario::ScenarioTrace trace = scenario::build_trace(fleet_spec(), node_config());
+    EXPECT_THROW(fleet::FleetRunner(trace, fleet_options("fleet-least-loaded", 0)),
+                 std::invalid_argument);
+    try {
+        fleet::FleetRunner runner(trace, fleet_options("fleet-least-loaded", 0));
+        ADD_FAILURE() << "FleetRunner accepted nodes = 0";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("nodes"), std::string::npos) << e.what();
+    }
+}
+
 // -------------------------------------------------------- preemption --
 
 /// Hand-built trace: two long batch tasks saturate the only node, then a

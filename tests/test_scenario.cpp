@@ -144,6 +144,31 @@ TEST(ScenarioTrace, RejectsZeroServiceQuanta) {
     expect_rejected(spec, "service_quanta");
 }
 
+TEST(ScenarioTrace, RejectsZeroHorizonForEveryOpenProcess) {
+    for (const scenario::ArrivalProcess process :
+         {scenario::ArrivalProcess::kPoisson, scenario::ArrivalProcess::kBurst,
+          scenario::ArrivalProcess::kTrace}) {
+        scenario::ScenarioSpec spec = poisson_spec(0.5);
+        spec.process = process;
+        spec.burst_period = 10;
+        spec.burst_size = 2;
+        spec.horizon_quanta = 0;
+        EXPECT_THROW((void)scenario::build_trace(spec, chip4x2_config()),
+                     std::invalid_argument)
+            << scenario::arrival_process_name(process);
+        expect_rejected(spec, "horizon_quanta");
+    }
+}
+
+TEST(ScenarioTrace, RejectsZeroBurstSize) {
+    scenario::ScenarioSpec spec = poisson_spec(0.5);
+    spec.process = scenario::ArrivalProcess::kBurst;
+    spec.burst_period = 10;
+    spec.burst_size = 0;
+    EXPECT_THROW((void)scenario::build_trace(spec, chip4x2_config()), std::invalid_argument);
+    expect_rejected(spec, "burst_size");
+}
+
 TEST(ScenarioTrace, FingerprintSeparatesSeedAndShape) {
     const scenario::ScenarioSpec base = poisson_spec(0.5, 1);
     scenario::ScenarioSpec reseeded = base;

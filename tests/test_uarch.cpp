@@ -496,6 +496,57 @@ TEST(Chip, TickedPlusSkippedCoversEveryCoreCycle) {
     EXPECT_GE(n.skipped, 2 * chip.now());  // the empty cores
 }
 
+TEST(Chip, CountersCompleteAfterEveryQuantum) {
+    // The core keeps cycle, dispatch and stall tallies itself and hands
+    // them to each task, with one retire, when its run() ends: after every
+    // quantum each bound task's counters must already be complete.
+    const std::vector<apps::AppProfile>& suite = apps::spec_suite();
+    for (const int ways : {1, 2, 4}) {
+        SimConfig cfg = small_config(4);
+        cfg.smt_ways = ways;
+        Chip chip(cfg);
+        std::vector<std::unique_ptr<apps::AppInstance>> tasks;
+        std::vector<std::uint64_t> bound_cycles;
+        const auto add = [&](CpuSlot where) {
+            const int id = static_cast<int>(tasks.size()) + 1;
+            tasks.push_back(std::make_unique<apps::AppInstance>(
+                id, suite[static_cast<std::size_t>(id * 5) % suite.size()],
+                static_cast<std::uint64_t>(id)));
+            bound_cycles.push_back(0);
+            chip.bind(*tasks.back(), where);
+        };
+        // Mixed occupancy: core 0 full, core 1 one thread, cores 2-3 empty.
+        for (int s = 0; s < ways; ++s) add({.core = 0, .slot = s});
+        add({.core = 1, .slot = 0});
+        const int moved = static_cast<int>(tasks.size());  // the core-1 task
+        for (int q = 0; q < 12; ++q) {
+            if (q == 4) add({.core = 2, .slot = ways - 1});  // bound mid-run
+            if (q == 8) {                                      // a migration
+                chip.unbind(moved);
+                chip.bind(*tasks[static_cast<std::size_t>(moved - 1)], {.core = 3, .slot = 0});
+            }
+            chip.run_quantum();
+            for (const apps::AppInstance* task : chip.bound_tasks())
+                bound_cycles[static_cast<std::size_t>(task->id() - 1)] += cfg.cycles_per_quantum;
+            for (const apps::AppInstance* task : chip.bound_tasks()) {
+                const pmu::CounterBank& c = task->counters();
+                const std::string at = "ways " + std::to_string(ways) + " quantum " +
+                                       std::to_string(q) + " task " + std::to_string(task->id());
+                EXPECT_EQ(c.value(pmu::Event::kCpuCycles),
+                          bound_cycles[static_cast<std::size_t>(task->id() - 1)])
+                    << at;
+                EXPECT_EQ(c.value(pmu::Event::kInstRetired), task->insts_retired()) << at;
+                EXPECT_GT(task->insts_retired(), 0u) << at;
+                EXPECT_EQ(c.value(pmu::Event::kStallBackend),
+                          c.value(pmu::Event::kStallBackendRob) +
+                              c.value(pmu::Event::kStallBackendIq))
+                    << at;
+            }
+        }
+        EXPECT_EQ(chip.bound_tasks().size(), static_cast<std::size_t>(ways + 2));
+    }
+}
+
 }  // namespace
 
 // ---------- platform (multi-chip) ----------
