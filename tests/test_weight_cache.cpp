@@ -315,6 +315,68 @@ TEST(ColdGrouping, AssemblyAddsNoOracleCalls) {
     EXPECT_EQ(calls, seeding + search);  // pre-fix: + n assembly calls
 }
 
+std::string groups_text(const matching::GroupingResult& r) {
+    std::string text;
+    for (const auto& g : r.groups) {
+        for (const int id : g) text += std::to_string(id) + ",";
+        text += ";";
+    }
+    return text;
+}
+
+TEST(ColdGrouping, HeuristicPinnedAtWidthThree) {
+    using namespace grouping_helpers;
+    constexpr std::size_t n = 36, cores = 12, width = 3;
+    std::size_t calls = 0;
+    const matching::GroupingResult r =
+        matching::min_weight_grouping_heuristic(n, cores, width, counting_cost(calls));
+    expect_valid_partition(r, n, cores, width);
+    const std::string groups = groups_text(r);
+    EXPECT_EQ(testsig::digest(groups), 0x77c1da0b79956a01ull) << groups;
+    EXPECT_EQ(testsig::bits(r.total_weight), 0x404d6ae2f8151d07ull);
+    EXPECT_EQ(calls, 8901u);
+}
+
+TEST(ColdGrouping, HeuristicPinnedUnderPartialLoad) {
+    using namespace grouping_helpers;
+    constexpr std::size_t n = 30, cores = 24, width = 4;
+    std::size_t calls = 0;
+    const matching::GroupingResult r =
+        matching::min_weight_grouping_heuristic(n, cores, width, counting_cost(calls));
+    expect_valid_partition(r, n, cores, width);
+    const std::string groups = groups_text(r);
+    EXPECT_EQ(testsig::digest(groups), 0x6ec0b2c3cf612f90ull) << groups;
+    EXPECT_EQ(testsig::bits(r.total_weight), 0x404083f5717c0a8eull);
+    EXPECT_EQ(calls, 7311u);
+}
+
+std::string smt4_two_chip_open_run() {
+    uarch::SimConfig cfg;
+    cfg.num_chips = 2;
+    cfg.cores = 6;
+    cfg.smt_ways = 4;
+    cfg.cycles_per_quantum = 2'000;
+    scenario::ScenarioSpec spec;
+    spec.name = "smt4-two-chip";
+    spec.process = scenario::ArrivalProcess::kPoisson;
+    spec.app_mix = {"mcf", "leela_r", "gobmk", "nab_r", "bwaves", "hmmer"};
+    spec.initial_tasks = 34;
+    spec.arrival_rate = 3.0;
+    spec.service_quanta = 8;
+    spec.horizon_quanta = 24;
+    spec.seed = 9;
+    const scenario::ScenarioTrace trace = scenario::build_trace(spec, cfg);
+    uarch::Platform platform(cfg);
+    SynpaPolicy policy{model::InterferenceModel::paper_table4()};
+    const scenario::ScenarioResult r = scenario::ScenarioRunner(platform, policy, trace).run();
+    EXPECT_TRUE(r.completed);
+    return testsig::signature(r);
+}
+
+TEST(DecidePins, Smt4TwoChipOpenRun) {
+    EXPECT_EQ(testsig::digest(smt4_two_chip_open_run()), 0x85fad44b876dbe31ull);
+}
+
 // -------------------------------------------- policy solve memo + alarms --
 
 TEST(PolicySolveMemo, SteadyQuantaReuseTheChipSolve) {
