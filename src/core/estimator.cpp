@@ -19,7 +19,6 @@ void SynpaEstimator::ema_update(int id, const model::CategoryVector& fresh) {
     model::CategoryVector* est = estimates_.find(id);
     if (est == nullptr) {
         estimates_.insert_or_assign(id, fresh);
-        ++epochs_[id];
         return;
     }
     const model::CategoryVector before = *est;
@@ -32,8 +31,8 @@ void SynpaEstimator::ema_update(int id, const model::CategoryVector& fresh) {
         for (double& x : *est) x /= sum;
     // Deadband (when configured): an update that moves every category by
     // less than the threshold is measurement noise, not behaviour — keep
-    // the stored value so the estimate (and its epoch) reaches a true
-    // steady state on stochastic platforms.
+    // the stored value so the estimate reaches a true steady state on
+    // stochastic platforms.
     if (opts_.ema_deadband > 0.0) {
         bool within = true;
         for (std::size_t c = 0; c < model::kCategoryCount; ++c)
@@ -41,15 +40,8 @@ void SynpaEstimator::ema_update(int id, const model::CategoryVector& fresh) {
                 within = false;
                 break;
             }
-        if (within) {
-            *est = before;
-            return;
-        }
+        if (within) *est = before;
     }
-    // Epoch moves only when the stored value actually changed: a task in a
-    // stable phase converges to a floating-point fixed point of the EMA,
-    // after which its cached costs stay valid indefinitely.
-    if (*est != before) ++epochs_[id];
 }
 
 void SynpaEstimator::observe(std::span<const sched::TaskObservation> observations) {
@@ -173,9 +165,7 @@ std::vector<double> SynpaEstimator::member_slowdowns(std::span<const int> task_i
     return out;
 }
 
-void SynpaEstimator::forget(int task_id) {
-    if (estimates_.erase(task_id)) ++epochs_[task_id];
-}
+void SynpaEstimator::forget(int task_id) { estimates_.erase(task_id); }
 
 void SynpaEstimator::transfer(int old_task_id, int new_task_id) {
     const model::CategoryVector* est = estimates_.find(old_task_id);
@@ -184,8 +174,6 @@ void SynpaEstimator::transfer(int old_task_id, int new_task_id) {
     const model::CategoryVector moved = *est;
     estimates_.insert_or_assign(new_task_id, moved);
     estimates_.erase(old_task_id);
-    ++epochs_[old_task_id];
-    ++epochs_[new_task_id];
 }
 
 }  // namespace synpa::core

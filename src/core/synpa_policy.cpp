@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/config.hpp"
 #include "obs/trace.hpp"
 #include "sched/topology.hpp"
 
@@ -67,8 +66,6 @@ public:
 
 }  // namespace
 
-bool weight_cache_default() { return common::env_int("SYNPA_WEIGHT_CACHE", 1) != 0; }
-
 const char* objective_name(Objective objective) noexcept {
     switch (objective) {
         case Objective::kTotalSlowdown: return "total";
@@ -120,9 +117,8 @@ void SynpaPolicy::set_model(model::InterferenceModel model) {
 
 void SynpaPolicy::reset_estimate(int task_id) { estimator_.forget(task_id); }
 
-void SynpaPolicy::on_phase_alarm(int task_id) { estimator_.bump_epoch(task_id); }
-
-double SynpaPolicy::pair_cost_uncached(int task_u, int task_v) const {
+double SynpaPolicy::pair_cost(int task_u, int task_v) const {
+    ++cost_evaluations_;
     if (opts_.objective == Objective::kTotalSlowdown)
         return estimator_.pair_weight(task_u, task_v);
     const std::array<int, 2> ids = {task_u, task_v};
@@ -130,7 +126,8 @@ double SynpaPolicy::pair_cost_uncached(int task_u, int task_v) const {
     return objective_cost(opts_.objective, slowdown_scratch_);
 }
 
-double SynpaPolicy::solo_cost_uncached(int task_id) const {
+double SynpaPolicy::solo_cost(int task_id) const {
+    ++cost_evaluations_;
     if (opts_.objective == Objective::kTotalSlowdown)
         return estimator_.solo_weight(task_id);
     const std::array<int, 1> ids = {task_id};
@@ -138,52 +135,12 @@ double SynpaPolicy::solo_cost_uncached(int task_id) const {
     return objective_cost(opts_.objective, slowdown_scratch_);
 }
 
-double SynpaPolicy::group_cost_uncached(std::span<const int> task_ids) const {
+double SynpaPolicy::group_cost(std::span<const int> task_ids) const {
+    ++cost_evaluations_;
     if (opts_.objective == Objective::kTotalSlowdown)
         return estimator_.group_weight(task_ids);
     estimator_.member_slowdowns(task_ids, slowdown_scratch_);
     return objective_cost(opts_.objective, slowdown_scratch_);
-}
-
-double SynpaPolicy::pair_cost(int task_u, int task_v) const {
-    if (!opts_.weight_cache) return pair_cost_uncached(task_u, task_v);
-    cache_.sync_model_epoch(estimator_.model_epoch());
-    const std::uint64_t eu = estimator_.estimate_epoch(task_u);
-    const std::uint64_t ev = estimator_.estimate_epoch(task_v);
-    if (const double* hit = cache_.find_pair(task_u, eu, task_v, ev)) return *hit;
-    const double cost = pair_cost_uncached(task_u, task_v);
-    cache_.store_pair(task_u, eu, task_v, ev, cost);
-    return cost;
-}
-
-double SynpaPolicy::solo_cost(int task_id) const {
-    if (!opts_.weight_cache) return solo_cost_uncached(task_id);
-    cache_.sync_model_epoch(estimator_.model_epoch());
-    const std::uint64_t epoch = estimator_.estimate_epoch(task_id);
-    if (const double* hit = cache_.find_solo(task_id, epoch)) return *hit;
-    const double cost = solo_cost_uncached(task_id);
-    cache_.store_solo(task_id, epoch, cost);
-    return cost;
-}
-
-double SynpaPolicy::group_cost(std::span<const int> task_ids) const {
-    // Member order matters to the key: nonlinear objectives fold per-member
-    // slowdowns in member order, so permutations are distinct cache lines.
-    const std::size_t k = task_ids.size();
-    if (!opts_.weight_cache || k == 0 || k > WeightCache::kMaxGroup)
-        return group_cost_uncached(task_ids);
-    cache_.sync_model_epoch(estimator_.model_epoch());
-    WeightCache::GroupKey key;
-    key.fill(-1);
-    std::array<std::uint64_t, WeightCache::kMaxGroup> epochs{};
-    for (std::size_t i = 0; i < k; ++i) {
-        key[i] = task_ids[i];
-        epochs[i] = estimator_.estimate_epoch(task_ids[i]);
-    }
-    if (const double* hit = cache_.find_group(key, k, epochs)) return *hit;
-    const double cost = group_cost_uncached(task_ids);
-    cache_.store_group(key, k, epochs, cost);
-    return cost;
 }
 
 const matching::Matcher& SynpaPolicy::matcher() const {
@@ -244,110 +201,48 @@ void SynpaPolicy::trace_allocation(const sched::CoreAllocation& alloc) const {
 sched::CoreAllocation SynpaPolicy::reallocate(
     std::span<const sched::TaskObservation> observations) {
     if (observations.empty()) return {};
+    const std::uint64_t evaluations_before = cost_evaluations_;
     // Step 1: refresh isolated-behaviour estimates from this quantum.
     estimator_.observe(observations);
-
-    const sched::TopologyView topo = sched::observed_topology(observations);
-    if (topo.chips <= 1) {
-        sched::CoreAllocation alloc = allocate_chip(observations, 0);
-        trace_allocation(alloc);
-        publish_cache_metrics();
-        return alloc;
-    }
 
     // Multi-chip Step 3 decomposes: pick each task's chip first — migrating
     // across chips only when the estimator's predicted benefit beats the
     // configured cross-chip cost — then run the single-chip selection per
     // chip (interference never crosses a chip boundary; each chip has its
     // own LLC and DRAM channel).
-    const sched::ChipCosts costs = chip_costs(observations);
-    sched::CoreAllocation alloc = sched::allocate_across_chips(
-        observations, topo, costs.solo, costs.pair, opts_.cross_chip_penalty,
-        [this](int chip, std::span<const sched::TaskObservation> local,
-               std::span<const std::size_t>) { return allocate_chip(local, chip); });
+    const sched::TopologyView topo = sched::observed_topology(observations);
+    sched::CoreAllocation alloc;
+    if (topo.chips <= 1) {
+        alloc = allocate_chip(observations);
+    } else {
+        const sched::ChipCosts costs = chip_costs(observations);
+        alloc = sched::allocate_across_chips(
+            observations, topo, costs.solo, costs.pair, opts_.cross_chip_penalty,
+            [this](std::span<const sched::TaskObservation> local,
+                   std::span<const std::size_t>) { return allocate_chip(local); });
+    }
     trace_allocation(alloc);
-    publish_cache_metrics();
+    if (tracer_ != nullptr)
+        tracer_->metrics()
+            .counter("core.cost_evaluations")
+            .add(cost_evaluations_ - evaluations_before);
     return alloc;
 }
 
-void SynpaPolicy::publish_cache_metrics() const {
-    if (tracer_ == nullptr || !opts_.weight_cache) return;
-    const WeightCache::Stats& s = cache_.stats();
-    obs::MetricsRegistry& m = tracer_->metrics();
-    m.counter("weight_cache.hits").add(s.hits - published_.hits);
-    m.counter("weight_cache.misses").add(s.misses - published_.misses);
-    m.counter("weight_cache.solve_reuse").add(s.solve_reuse - published_.solve_reuse);
-    const std::uint64_t lookups = s.hits + s.misses;
-    // An all-clean quantum performs no lookups at all (the solve memo
-    // answers first); an empty denominator therefore means "everything
-    // reused", not "no data".
-    m.gauge("weight_cache.hit_rate")
-        .set(lookups == 0 ? 1.0 : static_cast<double>(s.hits) / static_cast<double>(lookups));
-    published_ = s;
-}
-
 sched::CoreAllocation SynpaPolicy::allocate_chip(
-    std::span<const sched::TaskObservation> observations, int chip) {
+    std::span<const sched::TaskObservation> observations) const {
     if (observations.empty()) return {};
     // Step 2+3: the shared single-chip flow over this policy's costs.  The
     // dummy-node reduction needs an exact solver (see matching.hpp), so the
     // greedy ablation falls back to Blossom under partial load.
-    const auto solve = [&] {
-        return sched::solve_chip(observations, chip_costs(observations), matcher(), blossom_,
-                                 opts_.stability_bias, opts_.keep_threshold);
-    };
-    if (!opts_.weight_cache || chip < 0) return solve();
-    cache_.sync_model_epoch(estimator_.model_epoch());
-
-    // Flatten everything the uncached solve reads into one key: per task
-    // its id, incumbent core, co-runner list and estimate epoch, plus the
-    // chip shape and the model epoch.  place_groups consumes only
-    // task_id + core; the hysteresis path reads corunner_task_id; all
-    // costs are functions of (estimates, objective) and the estimate epochs
-    // name the estimate values exactly.  A key match therefore certifies
-    // the solver would reproduce the memoized allocation bit for bit.
-    const auto encode = [](int v) {
-        return static_cast<std::uint64_t>(static_cast<std::int64_t>(v));
-    };
-    std::vector<std::uint64_t> key;
-    key.reserve(4 + observations.size() * 6);
-    key.push_back(observations.size());
-    key.push_back(encode(sched::observed_smt_ways(observations)));
-    key.push_back(sched::observed_total_cores(observations));
-    key.push_back(estimator_.model_epoch());
-    for (const auto& o : observations) {
-        key.push_back(encode(o.task_id));
-        key.push_back(encode(o.core));
-        key.push_back(encode(o.corunner_task_id));
-        key.push_back(o.corunner_task_ids.size());
-        for (const int partner : o.corunner_task_ids) key.push_back(encode(partner));
-        key.push_back(estimator_.estimate_epoch(o.task_id));
-    }
-
-    if (static_cast<std::size_t>(chip) >= solve_memo_.size())
-        solve_memo_.resize(static_cast<std::size_t>(chip) + 1);
-    SolveMemo& memo = solve_memo_[static_cast<std::size_t>(chip)];
-    if (memo.valid && memo.key == key) {
-        ++cache_.stats().solve_reuse;
-        return memo.alloc;
-    }
-    sched::CoreAllocation alloc = solve();
-    memo.key = std::move(key);
-    memo.alloc = alloc;
-    memo.valid = true;
-    return alloc;
+    return sched::solve_chip(observations, chip_costs(observations), matcher(), blossom_,
+                             opts_.stability_bias, opts_.keep_threshold);
 }
 
 void SynpaPolicy::on_task_replaced(int old_task_id, int new_task_id) {
-    // transfer() bumps both epochs, so cached costs involving either id
-    // recompute; the retired id's cache row is dropped outright.
     estimator_.transfer(old_task_id, new_task_id);
-    cache_.forget(old_task_id);
 }
 
-void SynpaPolicy::on_task_finished(int task_id) {
-    estimator_.forget(task_id);  // bumps the epoch
-    cache_.forget(task_id);
-}
+void SynpaPolicy::on_task_finished(int task_id) { estimator_.forget(task_id); }
 
 }  // namespace synpa::core

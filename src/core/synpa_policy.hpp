@@ -32,11 +32,6 @@
 
 namespace synpa::core {
 
-/// The SYNPA_WEIGHT_CACHE default (on unless the knob says 0) — the
-/// incremental Step-2/Step-3 path; off runs the legacy full recompute.
-/// Read once per Options construction through common::env_int.
-bool weight_cache_default();
-
 /// Pair-selection strategy for Step 3.
 enum class PairSelector {
     kBlossom,   ///< Edmonds' Blossom algorithm (the paper's choice)
@@ -83,13 +78,11 @@ public:
         /// task (sched/topology.hpp) — the policy-side counterpart of the
         /// platform's cross-chip warmup window.
         double cross_chip_penalty = sched::kDefaultCrossChipPenalty;
-        /// Incremental allocation (default from SYNPA_WEIGHT_CACHE, on):
-        /// Step-2 costs are memoized in a core::WeightCache keyed on the
-        /// estimator's per-task estimate epochs, and a whole chip's solve
-        /// is reused verbatim when nothing it depends on moved.  Results
-        /// are bit-identical to the legacy recompute (off) at every
-        /// SYNPA_SIM_THREADS / width / chip count.
-        bool weight_cache = weight_cache_default();
+        /// Ignored: the cross-quantum weight cache it switched is gone.
+        /// The field survives only because the end-to-end benchmark
+        /// assigns it, and goes with the benchmark change that retires the
+        /// core.weight_cache.* rows.
+        bool weight_cache = true;
     };
 
     explicit SynpaPolicy(model::InterferenceModel model)
@@ -114,17 +107,14 @@ public:
     /// from a fresh inversion (phase-change reaction).
     void reset_estimate(int task_id);
 
-    /// Phase-change alarm hook (routed from online::AdaptiveSynpaPolicy's
-    /// PhaseDetector): bumps the task's estimate epoch so every cached
-    /// cost involving it recomputes next quantum.  The estimate value is
-    /// deliberately untouched — see the adaptive policy's alarm rationale —
-    /// so allocations are unchanged; only cache validity is.
-    void on_phase_alarm(int task_id);
+    /// Cumulative Step-2 cost evaluations (solo, pair and group costs
+    /// priced for Step 3 and for allocation trace events).
+    std::uint64_t cost_evaluations() const noexcept { return cost_evaluations_; }
 
-    /// Cumulative weight-cache statistics (all zero when the cache is
-    /// disabled): cost-lookup hits/misses plus whole-chip solve reuses.
-    const WeightCache::Stats& weight_cache_stats() const noexcept {
-        return cache_.stats();
+    /// cost_evaluations() in the retired weight cache's shape: `misses`
+    /// is the evaluation count, `hits` and `solve_reuse` are 0.
+    WeightCache::Stats weight_cache_stats() const noexcept {
+        return {.misses = cost_evaluations_};
     }
 
     /// The Matcher implementing the configured selector.
@@ -133,16 +123,12 @@ public:
 private:
     /// Steps 2+3 on one chip's (possibly chip-localized) observations
     /// (sched::solve_chip over chip_costs); the estimator was already
-    /// refreshed for the quantum.  `chip` is the stable chip ordinal
-    /// indexing the per-chip solve memo (0 on a single-chip platform); when
-    /// the cache is on and nothing the solve depends on moved since the
-    /// chip's last solve, the memoized allocation is returned without
-    /// rebuilding weights or re-solving.
+    /// refreshed for the quantum.
     sched::CoreAllocation allocate_chip(
-        std::span<const sched::TaskObservation> observations, int chip);
+        std::span<const sched::TaskObservation> observations) const;
 
-    /// The objective-folded (and cached) costs below, indexed by position
-    /// in `observations`, which must outlive the returned oracles.
+    /// The objective-folded costs below, indexed by position in
+    /// `observations`, which must outlive the returned oracles.
     sched::ChipCosts chip_costs(std::span<const sched::TaskObservation> observations) const;
 
     /// Emits a kAllocation event for the decided grouping (group membership
@@ -150,44 +136,21 @@ private:
     /// only when the tracer wants allocation events.
     void trace_allocation(const sched::CoreAllocation& alloc) const;
 
-    /// Folds cumulative cache statistics into the tracer's metrics
-    /// registry (weight_cache.* counters + hit-rate gauge).
-    void publish_cache_metrics() const;
-
-    /// Objective-folded candidate costs.  Under kTotalSlowdown these are
-    /// exactly the estimator's pair/solo/group weights (the bit-exact
-    /// golden path); other objectives fold the per-member slowdowns.  The
-    /// public trio answers from the WeightCache when enabled — a hit
-    /// returns the same bits the *_uncached twin would recompute, because
-    /// entries are keyed on the estimate epochs of every contributing
-    /// task.
+    /// Objective-folded candidate costs, each counted in
+    /// cost_evaluations().  Under kTotalSlowdown these are exactly the
+    /// estimator's pair/solo/group weights (the bit-exact golden path);
+    /// other objectives fold the per-member slowdowns.
     double pair_cost(int task_u, int task_v) const;
     double solo_cost(int task_id) const;
     double group_cost(std::span<const int> task_ids) const;
-    double pair_cost_uncached(int task_u, int task_v) const;
-    double solo_cost_uncached(int task_id) const;
-    double group_cost_uncached(std::span<const int> task_ids) const;
-
-    /// One chip's memoized solve: the key flattens every allocate_chip
-    /// input (task ids, incumbent cores, co-runner lists, estimate
-    /// epochs, width, core count, model epoch), so a key match certifies
-    /// the uncached solve would reproduce `alloc` bit for bit.
-    struct SolveMemo {
-        std::vector<std::uint64_t> key;
-        sched::CoreAllocation alloc;
-        bool valid = false;
-    };
 
     model::InterferenceModel model_;
     Options opts_;
     SynpaEstimator estimator_;
     matching::BlossomMatcher blossom_;
     obs::Tracer* tracer_ = nullptr;  ///< flight recorder (not owned)
-    mutable WeightCache cache_;      ///< bit-exact memo; mutable: caching is
-                                     ///< invisible to logical const-ness
     mutable std::vector<double> slowdown_scratch_;  ///< member_slowdowns reuse
-    std::vector<SolveMemo> solve_memo_;             ///< per chip ordinal
-    mutable WeightCache::Stats published_{};        ///< metrics high-water mark
+    mutable std::uint64_t cost_evaluations_ = 0;
 };
 
 }  // namespace synpa::core

@@ -177,11 +177,34 @@ GroupingResult heuristic_grouping(std::size_t n, std::size_t cores, std::size_t 
     // Per-bucket costs are cached (the GroupCost oracle is the expensive
     // part — for SYNPA it runs k model predictions per call) and updated
     // only when a bucket actually changes.
+    //
+    // Don't-look bits (Bentley, "Fast algorithms for geometric TSP", 1992):
+    // every candidate of the (a, b) block — moving a member of a into b or
+    // swapping it with a member of b — has a delta that depends only on the
+    // two buckets' contents and their cached costs.  Once a full scan of a
+    // finds no improving move, the block therefore stays non-improving until
+    // a or b changes, and later scans skip it without calling the oracle;
+    // the first improving candidate, and so the accepted-move sequence, is
+    // the one the unskipped scan would find.  Bucket versions are move
+    // stamps: changed_at[x] is the move count after x last changed (1 for
+    // the seeding) and clean_at[a] the move count at a's last clean scan, so
+    // (a, b) is clean while neither stamp passed clean_at[a].
     constexpr double kEps = 1e-12;
     constexpr int kMaxPasses = 256;
+    std::size_t moves = 1;
+    std::vector<std::size_t> changed_at(buckets, 1);
+    std::vector<std::size_t> clean_at(buckets, 0);
     for (int pass = 0; pass < kMaxPasses; ++pass) {
         bool improved = false;
+        const auto accept = [&](std::size_t a, std::size_t b) {
+            ++moves;
+            changed_at[a] = changed_at[b] = moves;
+            improved = true;
+        };
         for (std::size_t a = 0; a < buckets && !improved; ++a) {
+            // Every move changes two buckets, so a is wholly clean exactly
+            // when no move happened since its last clean scan.
+            if (moves <= clean_at[a]) continue;
             for (std::size_t ai = 0; ai < groups[a].size() && !improved; ++ai) {
                 const int task = groups[a][ai];
                 const double cost_a = bucket_cost[a];
@@ -192,7 +215,8 @@ GroupingResult heuristic_grouping(std::size_t n, std::size_t cores, std::size_t 
                 const double a_without_cost =
                     buckets > 1 ? group_cost(a_without, cost) : 0.0;
                 for (std::size_t b = 0; b < buckets && !improved; ++b) {
-                    if (b == a) continue;
+                    if (b == a || std::max(changed_at[a], changed_at[b]) <= clean_at[a])
+                        continue;
                     const double cost_b = bucket_cost[b];
                     // Move task a->b.
                     if (groups[b].size() < width) {
@@ -206,7 +230,7 @@ GroupingResult heuristic_grouping(std::size_t n, std::size_t cores, std::size_t 
                             groups[b] = std::move(b_with);
                             bucket_cost[a] = a_without_cost;
                             bucket_cost[b] = b_with_cost;
-                            improved = true;
+                            accept(a, b);
                             break;  // re-scan from a stable snapshot
                         }
                     }
@@ -226,12 +250,13 @@ GroupingResult heuristic_grouping(std::size_t n, std::size_t cores, std::size_t 
                             groups[b] = std::move(new_b);
                             bucket_cost[a] = new_a_cost;
                             bucket_cost[b] = new_b_cost;
-                            improved = true;
+                            accept(a, b);
                             break;
                         }
                     }
                 }
             }
+            if (!improved) clean_at[a] = moves;
         }
         if (!improved) break;
     }

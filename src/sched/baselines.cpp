@@ -218,7 +218,7 @@ CoreAllocation OraclePolicy::reallocate(std::span<const TaskObservation> observa
     const ChipCosts all = costs(truth);
     return allocate_across_chips(
         observations, topo, all.solo, all.pair, cross_chip_penalty_,
-        [&](int, std::span<const TaskObservation> local, std::span<const std::size_t> idx) {
+        [&](std::span<const TaskObservation> local, std::span<const std::size_t> idx) {
             std::vector<model::CategoryVector> local_truth;
             local_truth.reserve(idx.size());
             for (const std::size_t i : idx) local_truth.push_back(truth[i]);

@@ -143,7 +143,7 @@ CoreAllocation allocate_across_chips(std::span<const TaskObservation> observatio
         const auto& idx = by_chip[static_cast<std::size_t>(c)];
         const std::vector<TaskObservation> local =
             localize_observations(observations, idx, c, topo.cores_per_chip);
-        CoreAllocation alloc = allocate(c, local, idx);
+        CoreAllocation alloc = allocate(local, idx);
         if (alloc.size() > static_cast<std::size_t>(topo.cores_per_chip))
             throw std::invalid_argument(
                 "allocate_across_chips: chip allocation exceeds its cores");

@@ -78,17 +78,14 @@ CoreAllocation concat_chip_allocations(std::span<const CoreAllocation> per_chip,
 /// silently drift apart.
 inline constexpr double kDefaultCrossChipPenalty = 0.15;
 
-/// Solves one chip's (localized) sub-problem.  `chip` is the chip ordinal
-/// (0-based, ascending invocation order — stable across quanta, so
-/// policies can keep per-chip incremental state such as solve memos);
-/// `local` is the chip's observation subset with core ids localized (see
+/// Solves one chip's (localized) sub-problem.  `local` is the chip's
+/// observation subset with core ids localized (see
 /// localize_observations); `indices` are the corresponding indices into
 /// the original observation span, so policies can subset side arrays
 /// (e.g. the oracle's truth vectors) in step.  May return fewer than
 /// cores_per_chip entries; the driver pads with idle cores.
 using ChipAllocator = std::function<CoreAllocation(
-    int chip, std::span<const TaskObservation> local,
-    std::span<const std::size_t> indices)>;
+    std::span<const TaskObservation> local, std::span<const std::size_t> indices)>;
 
 /// The whole multi-chip orchestration the informed policies share: run the
 /// balancing pass, split the observations by target chip, localize each

@@ -24,10 +24,11 @@ inline std::string signature(const sched::RunResult& r) {
                       std::to_string(r.migrations) + "/" +
                       std::to_string(r.cross_chip_migrations) + "/" +
                       std::to_string(bits(r.turnaround_quanta));
-    for (const sched::TaskOutcome& out : r.outcomes)
-        sig += ";" + std::to_string(out.slot_index) + ":" +
-               std::to_string(bits(out.finish_quantum)) + ":" +
-               std::to_string(bits(out.ipc_smt)) + ":" + std::to_string(out.final_core);
+    for (const sched::TaskOutcome& out : r.outcomes) {
+        sig += ";";
+        sig += std::to_string(out.slot_index) + ":" + std::to_string(bits(out.finish_quantum)) +
+               ":" + std::to_string(bits(out.ipc_smt)) + ":" + std::to_string(out.final_core);
+    }
     return sig;
 }
 
@@ -36,11 +37,12 @@ inline std::string signature(const scenario::ScenarioResult& r) {
                       std::to_string(r.migrations) + "/" +
                       std::to_string(r.cross_chip_migrations) + "/" +
                       std::to_string(r.completed_tasks);
-    for (const scenario::TaskRecord& rec : r.tasks)
-        sig += ";" + std::to_string(rec.task_id) + ":" +
-               std::to_string(rec.admit_quantum) + ":" +
+    for (const scenario::TaskRecord& rec : r.tasks) {
+        sig += ";";
+        sig += std::to_string(rec.task_id) + ":" + std::to_string(rec.admit_quantum) + ":" +
                std::to_string(bits(rec.finish_quantum)) + ":" +
                std::to_string(bits(rec.slowdown)) + ":" + std::to_string(rec.chip_id);
+    }
     return sig;
 }
 

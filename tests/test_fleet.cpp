@@ -335,9 +335,10 @@ TEST(FleetPreemption, DisabledPreemptionMakesLcWait) {
     EXPECT_EQ(result.preemptions, 0u);
     for (const fleet::FleetTaskRecord& rec : result.tasks) {
         EXPECT_EQ(rec.preemptions, 0u);
-        if (rec.slo == scenario::SloClass::kLatencyCritical)
+        if (rec.slo == scenario::SloClass::kLatencyCritical) {
             EXPECT_GT(rec.admit_quantum, rec.arrival_quantum)
                 << "LC request should queue behind the saturated node";
+        }
     }
 }
 

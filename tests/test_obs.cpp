@@ -159,7 +159,7 @@ TEST(MetricsRegistry, InstrumentsKeepIdentityAcrossLookups) {
     obs::Counter& c = reg.counter("quanta");
     c.add(3);
     // Registering more instruments must not invalidate the reference.
-    for (int i = 0; i < 100; ++i) reg.counter("c" + std::to_string(i));
+    for (int i = 0; i < 100; ++i) reg.counter(std::string("c").append(std::to_string(i)));
     obs::Counter& again = reg.counter("quanta");
     EXPECT_EQ(&again, &c);
     EXPECT_EQ(again.value(), 3u);
@@ -367,7 +367,9 @@ TEST(TraceEvents, ClosedRunEmitsExpectedKindsWithMonotoneQuanta) {
         const obs::TraceEvent& e = tracer.events().at(i);
         counts[static_cast<std::size_t>(e.kind)]++;
         if (e.kind == obs::EventKind::kQuantumBegin) {
-            if (!first_begin) EXPECT_GT(e.quantum, last_begin);
+            if (!first_begin) {
+                EXPECT_GT(e.quantum, last_begin);
+            }
             last_begin = e.quantum;
             first_begin = false;
         }
@@ -449,20 +451,21 @@ TEST(TraceExport, MetricsCsvPathDerivation) {
 }
 
 TEST(TraceExport, FinishExportsTheMetricsRegistry) {
-    // Every recorded instrument is exported: a traced synpa run's weight
-    // cache counters reach the registry CSV written next to the trace.
+    // Every recorded instrument is exported: a traced synpa run's
+    // cost-evaluation counter reaches the registry CSV written next to the
+    // trace.
     obs::TraceConfig cfg = memory_trace_config();
     cfg.file = ::testing::TempDir() + "obs-registry-export.json";
     obs::Tracer tracer(cfg);
     run_closed(2, 2, 1, &tracer);
-    ASSERT_NE(tracer.metrics().find_counter("weight_cache.hits"), nullptr);
+    ASSERT_NE(tracer.metrics().find_counter("core.cost_evaluations"), nullptr);
     tracer.finish();
 
     std::ifstream in(obs::registry_csv_path(cfg.file));
     ASSERT_TRUE(in) << "no registry CSV next to " << cfg.file;
     const std::string csv((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
     EXPECT_EQ(csv.find("name,kind,"), 0u);
-    EXPECT_NE(csv.find("\nweight_cache.hits,counter,"), std::string::npos);
+    EXPECT_NE(csv.find("\ncore.cost_evaluations,counter,"), std::string::npos);
 }
 
 TEST(TraceExport, CycleCountersCoverEveryCoreCycleAtEveryThreadCount) {

@@ -160,7 +160,9 @@ TEST(FleetProperties, RandomFleetsKeepEveryInvariantEveryQuantum) {
         // Per-task demotion counts must add up to the cluster counter, and
         // preemption never happens when disabled.
         EXPECT_EQ(demotions, result.preemptions);
-        if (!c.preemption) EXPECT_EQ(result.preemptions, 0u);
+        if (!c.preemption) {
+            EXPECT_EQ(result.preemptions, 0u);
+        }
         EXPECT_GE(result.migrations, result.cross_chip_migrations);
     }
     // The hook must really have run (the suite is pointless otherwise).

@@ -377,11 +377,13 @@ std::string pinned_open_run(int smt_ways) {
     const scenario::ScenarioResult r = scenario::ScenarioRunner(platform, policy, trace).run();
     EXPECT_TRUE(r.completed);
     std::string sig = testsig::signature(r);
-    for (const scenario::QuantumSample& q : r.timeline)
-        sig += "|" + std::to_string(q.quantum) + ":" + std::to_string(q.live) + ":" +
+    for (const scenario::QuantumSample& q : r.timeline) {
+        sig += "|";
+        sig += std::to_string(q.quantum) + ":" + std::to_string(q.live) + ":" +
                std::to_string(q.queued) + ":" + std::to_string(testsig::bits(q.utilization)) +
                ":" + std::to_string(testsig::bits(q.aggregate_ipc)) + ":" +
                std::to_string(q.migrations);
+    }
     return sig;
 }
 
@@ -427,10 +429,12 @@ std::string oracle_open_run(int cores) {
     const scenario::ScenarioResult r = scenario::ScenarioRunner(platform, policy, trace).run();
     EXPECT_TRUE(r.completed);
     std::string sig = testsig::signature(r);
-    for (const scenario::QuantumSample& q : r.timeline)
-        sig += "|" + std::to_string(q.quantum) + ":" + std::to_string(q.live) + ":" +
+    for (const scenario::QuantumSample& q : r.timeline) {
+        sig += "|";
+        sig += std::to_string(q.quantum) + ":" + std::to_string(q.live) + ":" +
                std::to_string(q.queued) + ":" + std::to_string(testsig::bits(q.utilization)) +
                ":" + std::to_string(q.migrations);
+    }
     return sig;
 }
 
