@@ -144,14 +144,11 @@ void expect_valid_partition(const matching::GroupingResult& r, std::size_t n,
     EXPECT_EQ(seen.size(), n);
 }
 
-}  // namespace grouping_helpers
-
-TEST(ColdGrouping, HeuristicPinnedAtForty) {
-    // The cold k-way heuristic's groups and total-weight bits, captured
-    // before the warm-start code left the heuristic.  The oracle-call count
-    // is the one with clean bucket pairs skipped (15 774 before).
-    using namespace grouping_helpers;
-    constexpr std::size_t n = 40, cores = 16, width = 4;
+/// Runs the cold heuristic on the synthetic cost and checks its groups
+/// digest, total-weight bits and exact oracle-call count.
+void expect_heuristic_pin(std::size_t n, std::size_t cores, std::size_t width,
+                          std::uint64_t groups_digest, std::uint64_t weight_bits,
+                          std::size_t oracle_calls) {
     std::size_t calls = 0;
     const matching::GroupingResult r =
         matching::min_weight_grouping_heuristic(n, cores, width, counting_cost(calls));
@@ -161,9 +158,19 @@ TEST(ColdGrouping, HeuristicPinnedAtForty) {
         for (const int id : g) groups += std::to_string(id) + ",";
         groups += ";";
     }
-    EXPECT_EQ(testsig::digest(groups), 0xfed12ef934a97013ull) << groups;
-    EXPECT_EQ(testsig::bits(r.total_weight), 0x404d2b8be0547421ull);
-    EXPECT_EQ(calls, 8112u);
+    EXPECT_EQ(testsig::digest(groups), groups_digest) << groups;
+    EXPECT_EQ(testsig::bits(r.total_weight), weight_bits);
+    EXPECT_EQ(calls, oracle_calls);
+}
+
+}  // namespace grouping_helpers
+
+TEST(ColdGrouping, HeuristicPinnedAtForty) {
+    // The cold k-way heuristic's groups and total-weight bits, captured
+    // before the warm-start code left the heuristic.  Skipping clean bucket
+    // pairs may change only the oracle-call count.
+    grouping_helpers::expect_heuristic_pin(40, 16, 4, 0xfed12ef934a97013ull,
+                                           0x404d2b8be0547421ull, 8112);
 }
 
 // Regression (hot-path fix): the heuristic's final assembly used to call
@@ -191,41 +198,24 @@ TEST(ColdGrouping, AssemblyAddsNoOracleCalls) {
     EXPECT_EQ(calls, seeding + search);  // pre-fix: + n assembly calls
 }
 
-std::string groups_text(const matching::GroupingResult& r) {
-    std::string text;
-    for (const auto& g : r.groups) {
-        for (const int id : g) text += std::to_string(id) + ",";
-        text += ";";
-    }
-    return text;
-}
-
+// Captured before clean bucket pairs were skipped, which may change only
+// the oracle-call counts.
 TEST(ColdGrouping, HeuristicPinnedAtWidthThree) {
-    using namespace grouping_helpers;
-    constexpr std::size_t n = 36, cores = 12, width = 3;
-    std::size_t calls = 0;
-    const matching::GroupingResult r =
-        matching::min_weight_grouping_heuristic(n, cores, width, counting_cost(calls));
-    expect_valid_partition(r, n, cores, width);
-    const std::string groups = groups_text(r);
-    EXPECT_EQ(testsig::digest(groups), 0x77c1da0b79956a01ull) << groups;
-    EXPECT_EQ(testsig::bits(r.total_weight), 0x404d6ae2f8151d07ull);
-    EXPECT_EQ(calls, 5979u);
+    // Full load: 36 tasks fill 12 three-way buckets.
+    grouping_helpers::expect_heuristic_pin(36, 12, 3, 0x77c1da0b79956a01ull,
+                                           0x404d6ae2f8151d07ull, 5979);
 }
 
 TEST(ColdGrouping, HeuristicPinnedUnderPartialLoad) {
-    using namespace grouping_helpers;
-    constexpr std::size_t n = 30, cores = 24, width = 4;
-    std::size_t calls = 0;
-    const matching::GroupingResult r =
-        matching::min_weight_grouping_heuristic(n, cores, width, counting_cost(calls));
-    expect_valid_partition(r, n, cores, width);
-    const std::string groups = groups_text(r);
-    EXPECT_EQ(testsig::digest(groups), 0x6ec0b2c3cf612f90ull) << groups;
-    EXPECT_EQ(testsig::bits(r.total_weight), 0x404083f5717c0a8eull);
-    EXPECT_EQ(calls, 4135u);
+    // 30 tasks on 24 SMT-4 cores: most buckets hold one or two tasks.
+    grouping_helpers::expect_heuristic_pin(30, 24, 4, 0x6ec0b2c3cf612f90ull,
+                                           0x404083f5717c0a8eull, 4135);
 }
 
+/// An open run on 2 chips x 6 SMT-4 cores that keeps more than
+/// kExactGroupingLimit tasks on each chip, so every chip's Step 3 runs the
+/// k-way heuristic (ScenarioPins' 8-context chips never leave the exact
+/// solver).
 std::string smt4_two_chip_open_run() {
     uarch::SimConfig cfg;
     cfg.num_chips = 2;
@@ -250,6 +240,7 @@ std::string smt4_two_chip_open_run() {
 }
 
 TEST(DecidePins, Smt4TwoChipOpenRun) {
+    // Captured before the weight cache was deleted.
     EXPECT_EQ(testsig::digest(smt4_two_chip_open_run()), 0x85fad44b876dbe31ull);
 }
 
