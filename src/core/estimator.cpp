@@ -1,16 +1,8 @@
 #include "core/estimator.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <utility>
 
-#include "common/config.hpp"
-
 namespace synpa::core {
-
-double ema_deadband_default() {
-    return common::env_double("SYNPA_EMA_DEADBAND", 0.0);
-}
 
 SynpaEstimator::SynpaEstimator(model::InterferenceModel model, Options opts)
     : model_(std::move(model)), flat_(model_), opts_(opts) {}
@@ -21,7 +13,6 @@ void SynpaEstimator::ema_update(int id, const model::CategoryVector& fresh) {
         estimates_.insert_or_assign(id, fresh);
         return;
     }
-    const model::CategoryVector before = *est;
     for (std::size_t c = 0; c < model::kCategoryCount; ++c)
         (*est)[c] = opts_.ema_alpha * fresh[c] + (1.0 - opts_.ema_alpha) * (*est)[c];
     // Keep the estimate on the simplex after mixing.
@@ -29,19 +20,6 @@ void SynpaEstimator::ema_update(int id, const model::CategoryVector& fresh) {
     for (double x : *est) sum += x;
     if (sum > 1e-9)
         for (double& x : *est) x /= sum;
-    // Deadband (when configured): an update that moves every category by
-    // less than the threshold is measurement noise, not behaviour — keep
-    // the stored value so the estimate reaches a true steady state on
-    // stochastic platforms.
-    if (opts_.ema_deadband > 0.0) {
-        bool within = true;
-        for (std::size_t c = 0; c < model::kCategoryCount; ++c)
-            if (std::abs((*est)[c] - before[c]) >= opts_.ema_deadband) {
-                within = false;
-                break;
-            }
-        if (within) *est = before;
-    }
 }
 
 void SynpaEstimator::observe(std::span<const sched::TaskObservation> observations) {

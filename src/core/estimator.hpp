@@ -22,24 +22,15 @@
 
 namespace synpa::core {
 
-/// The SYNPA_EMA_DEADBAND default (0.0 = plain EMA, no filter).  Nonzero
-/// values freeze a task's estimate while updates stay inside the deadband.
-/// Read once per Options construction through common::env_double.
-double ema_deadband_default();
-
 class SynpaEstimator {
 public:
     struct Options {
         double ema_alpha = 0.5;  ///< weight of the newest inversion result
-        /// Noise deadband for the EMA (absolute, per category fraction):
-        /// when a blended update would move every category by less than
-        /// this, the stored estimate is kept verbatim.  Sub-noise drift
-        /// carries no allocation signal (the matching decisions it could
-        /// flip are exactly the near-ties the hysteresis layer suppresses
-        /// anyway), while real phase changes move fractions by far more
-        /// than any sane deadband and update normally.  0 (the default,
-        /// knob SYNPA_EMA_DEADBAND) disables the filter.
-        double ema_deadband = ema_deadband_default();
+        /// Ignored: the EMA has no deadband filter.  The field survives
+        /// only because the end-to-end benchmark assigns it (0.0), and goes
+        /// with the benchmark change that retires the core.weight_cache.*
+        /// rows.
+        double ema_deadband = 0.0;
         model::ModelInverter::Options inversion{};
     };
 
@@ -109,7 +100,7 @@ public:
 
 private:
     /// EMA-blends `fresh` into the task's stored estimate (first
-    /// observation: stores it), subject to the noise deadband.
+    /// observation: stores it).
     void ema_update(int id, const model::CategoryVector& fresh);
 
     model::InterferenceModel model_;
