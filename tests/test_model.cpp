@@ -14,6 +14,7 @@
 #include "model/interference_model.hpp"
 #include "model/inversion.hpp"
 #include "model/trainer.hpp"
+#include "signatures.hpp"
 #include "workloads/groups.hpp"
 
 namespace {
@@ -170,6 +171,58 @@ TEST(Inversion, DegenerateInputFallsBackGracefully) {
     EXPECT_TRUE(std::isfinite(r.slowdown_i));
 }
 
+TEST(Inversion, OutputsArePinned) {
+    // Exact bits of invert() over fixed inputs, folded into one digest:
+    // Table IV, a perturbed Table IV and an all-zero model (its Jacobian is
+    // singular), each on fractions the forward model produced (these
+    // converge) and on arbitrary vectors (most of these do not).
+    InterferenceModel perturbed = InterferenceModel::paper_table4();
+    for (std::size_t c = 0; c < kCategoryCount; ++c) {
+        CategoryCoefficients& k = perturbed.coefficients(static_cast<Category>(c));
+        k.gamma += 0.05 * static_cast<double>(c + 1);
+        k.rho += 0.1;
+    }
+    const InterferenceModel zero{std::array<CategoryCoefficients, kCategoryCount>{
+        CategoryCoefficients{0, 0, 0, 0}, CategoryCoefficients{0, 0, 0, 0},
+        CategoryCoefficients{0, 0, 0, 0}}};
+    const InterferenceModel models[] = {InterferenceModel::paper_table4(), perturbed, zero};
+
+    std::string sig;
+    int converged = 0, fell_back = 0;
+    for (std::size_t m = 0; m < std::size(models); ++m) {
+        const ModelInverter inverter(models[m]);
+        common::Rng rng(0x1417, m);
+        for (int k = 0; k < 120; ++k) {
+            CategoryVector fi{rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0),
+                              rng.uniform(0.0, 1.0)};
+            CategoryVector fj{rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0),
+                              rng.uniform(0.0, 1.0)};
+            if (k % 2 == 0) {
+                // Forward-model the draws as isolated fractions.
+                const double si = fi[0] + fi[1] + fi[2], sj = fj[0] + fj[1] + fj[2];
+                for (std::size_t c = 0; c < kCategoryCount; ++c) {
+                    fi[c] /= si;
+                    fj[c] /= sj;
+                }
+                const CategoryVector pi = models[m].predict(fi, fj);
+                const CategoryVector pj = models[m].predict(fj, fi);
+                fi = pi;
+                fj = pj;
+            }
+            const InversionResult r = inverter.invert(fi, fj);
+            for (const double x : r.st_i) sig += std::to_string(testsig::bits(x)) + ",";
+            for (const double x : r.st_j) sig += std::to_string(testsig::bits(x)) + ",";
+            sig += std::to_string(testsig::bits(r.slowdown_i)) + "," +
+                   std::to_string(testsig::bits(r.slowdown_j)) + "," +
+                   std::to_string(r.converged) + "," + std::to_string(r.iterations) + ";";
+            (r.converged ? converged : fell_back) += 1;
+        }
+    }
+    EXPECT_GT(converged, 0);
+    EXPECT_GT(fell_back, 0);
+    EXPECT_EQ(testsig::digest(sig), 0x6c321c115d72a7c8ull);
+}
+
 // ---------- trainer ----------
 
 uarch::SimConfig train_config() {
@@ -242,6 +295,70 @@ TEST(Trainer, SmallTrainingRunProducesSaneModel) {
         // Own-behaviour must dominate each category.
         EXPECT_GT(r.model.coefficients(static_cast<Category>(c)).beta, 0.5);
         EXPECT_LT(r.mse[c], 0.2);
+    }
+}
+
+/// The straightforward pipeline: full-length isolated profiles of
+/// `isolated_quanta` quanta, collect_pair_samples over every pair in
+/// train()'s order and seeds, then fit().  `aligned` and `usable` count the
+/// samples the profiles covered and the samples the pair runs offered.
+TrainingResult reference_train(const uarch::SimConfig& cfg, const TrainerOptions& opts,
+                               const std::vector<std::string>& names, std::size_t& aligned,
+                               std::size_t& usable) {
+    const Trainer trainer(cfg, opts);
+    const auto seed = [&opts](std::size_t i) { return common::derive_key(opts.seed, 0x150, i); };
+    std::vector<IsolatedProfile> profiles;
+    for (std::size_t i = 0; i < names.size(); ++i)
+        profiles.push_back(
+            profile_isolated(apps::find_app(names[i]), cfg, opts.isolated_quanta, seed(i)));
+    std::vector<TrainingSample> samples;
+    usable = 0;
+    for (std::size_t i = 0; i < names.size(); ++i)
+        for (std::size_t j = i; j < names.size(); ++j) {
+            const auto s = trainer.collect_pair_samples(
+                apps::find_app(names[i]), apps::find_app(names[j]), profiles[i], profiles[j],
+                seed(i), seed(j));
+            samples.insert(samples.end(), s.begin(), s.end());
+            usable += 2 * (opts.pair_quanta - opts.warmup_quanta);
+        }
+    aligned = samples.size();
+    return Trainer::fit(std::move(samples), opts);
+}
+
+std::string result_signature(const TrainingResult& r) {
+    std::string sig = std::to_string(r.sample_count);
+    for (std::size_t c = 0; c < kCategoryCount; ++c) {
+        const CategoryCoefficients& k = r.model.coefficients(static_cast<Category>(c));
+        for (const double x : {k.alpha, k.beta, k.gamma, k.rho, r.mse[c], r.r_squared[c]})
+            sig += "," + std::to_string(testsig::bits(x));
+    }
+    return sig;
+}
+
+TEST(Trainer, TrainEqualsFitOverFullProfiles) {
+    // train() must give the bits of the plain pipeline, both when the
+    // isolated profiles cover every pair quantum and when a short
+    // isolated_quanta leaves some pair quanta out of the fit.
+    const std::vector<std::string> apps = {"mcf", "nab_r", "gobmk", "bwaves"};
+    struct Case {
+        std::uint64_t isolated_quanta;
+        bool all_covered;
+        std::uint64_t digest;
+    };
+    for (const Case& c : {Case{40, true, 0x17c972afcc9fd2aaull},
+                          Case{5, false, 0xf7ece5d8f678f4f8ull}}) {
+        TrainerOptions opts;
+        opts.isolated_quanta = c.isolated_quanta;
+        opts.pair_quanta = 10;
+        opts.threads = 1;
+        const std::string at = "isolated_quanta " + std::to_string(c.isolated_quanta);
+        std::size_t aligned = 0, usable = 0;
+        const TrainingResult want =
+            reference_train(train_config(), opts, apps, aligned, usable);
+        EXPECT_EQ(aligned == usable, c.all_covered) << at << ": " << aligned << " of " << usable;
+        const TrainingResult got = Trainer(train_config(), opts).train(apps);
+        EXPECT_EQ(result_signature(got), result_signature(want)) << at;
+        EXPECT_EQ(testsig::digest(result_signature(got)), c.digest) << at;
     }
 }
 

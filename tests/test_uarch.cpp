@@ -397,10 +397,13 @@ void expect_same_core(CoreUnderTest& a, CoreUnderTest& b, const std::string& whe
 }
 
 TEST(SmtCore, RunEqualsRepeatedTick) {
-    // Differential fuzz of the idle-cycle skip: run(n) on one copy against
-    // n tick() calls on another, over widths, occupancies, apps, warmup
-    // windows and chunk lengths.  Rates come from a one-cycle chip quantum
-    // over a third set of identical instances.
+    // Differential fuzz of run(): run(n) on one copy against n tick() calls
+    // on another, over widths, occupancies, apps, warmup windows and chunk
+    // lengths.  Rates come from a one-cycle chip quantum over a third set of
+    // identical instances.  Cases 1-6 put one thread on each slot of an
+    // SMT-2 and an SMT-4 core, where run() takes the width-1 loop, then bind
+    // a co-runner into another slot: the fetch and dispatch rotators the
+    // width-1 loop catches up are private, and only the co-run shows them.
     const std::vector<apps::AppProfile>& suite = apps::spec_suite();
     std::uint64_t ticked = 0;
     std::uint64_t skipped = 0;
@@ -408,12 +411,18 @@ TEST(SmtCore, RunEqualsRepeatedTick) {
         common::Rng rng(0x5a1f, c);
         SimConfig cfg;
         cfg.cores = 1;
-        cfg.smt_ways = c == 1 ? 4 : std::array{1, 2, 4}[rng.below(3)];
+        const bool solo = c >= 1 && c <= 6;
+        const int solo_slot = c <= 2 ? static_cast<int>(c) - 1 : static_cast<int>(c) - 3;
+        cfg.smt_ways = solo ? (c <= 2 ? 2 : 4) : std::array{1, 2, 4}[rng.below(3)];
         cfg.cycles_per_quantum = 1;
 
         std::vector<int> bound;
-        if (c == 1) {
-            bound = {static_cast<int>(rng.below(4))};  // one thread on SMT-4
+        int late = -1;  // slot bound halfway through the chunks
+        if (solo) {
+            bound = {solo_slot};
+            late = static_cast<int>((static_cast<std::uint64_t>(solo_slot) + 1 +
+                                     rng.below(static_cast<std::uint64_t>(cfg.smt_ways) - 1)) %
+                                    static_cast<std::uint64_t>(cfg.smt_ways));
         } else if (c != 0) {  // case 0: an empty core
             for (int s = 0; s < cfg.smt_ways; ++s)
                 if (rng.chance(0.75)) bound.push_back(s);
@@ -426,7 +435,9 @@ TEST(SmtCore, RunEqualsRepeatedTick) {
         CoreUnderTest chunked(cfg);
         CoreUnderTest stepped(cfg);
         std::vector<std::unique_ptr<apps::AppInstance>> probe_tasks;
-        for (const int s : bound) {
+        std::vector<int> probed = bound;
+        if (late >= 0) probed.push_back(late);
+        for (const int s : probed) {
             const apps::AppProfile& app = suite[rng.below(suite.size())];
             const std::uint64_t seed = rng();
             const std::uint64_t warmup = rng.chance(0.3) ? rng.below(20'000) : 0;
@@ -436,21 +447,23 @@ TEST(SmtCore, RunEqualsRepeatedTick) {
                 if (warmup > 0) tasks->back()->start_warmup(warmup, warmup_mult);
             }
             probe.bind(*probe_tasks.back(), {.core = 0, .slot = s});
-            chunked.core.slot(s).bind(chunked.tasks.back().get());
-            stepped.core.slot(s).bind(stepped.tasks.back().get());
         }
         probe.run_quantum();
-        for (const int s : bound) {
+        const auto bind = [&](std::size_t task, int s) {
             EffectiveRates rates = probe.core(0).slot(s).rates;
             if (s == zero_demand) rates.dispatch_demand = 0.0;
-            chunked.core.slot(s).rates = rates;
-            stepped.core.slot(s).rates = rates;
-        }
+            for (CoreUnderTest* side : {&chunked, &stepped}) {
+                side->core.slot(s).bind(side->tasks[task].get());
+                side->core.slot(s).rates = rates;
+            }
+        };
+        for (std::size_t i = 0; i < bound.size(); ++i) bind(i, bound[i]);
 
         const std::string name =
             "case " + std::to_string(c) + " ways " + std::to_string(cfg.smt_ways);
-        const int chunks = 1 + static_cast<int>(rng.below(8));
+        const int chunks = (solo ? 4 : 1) + static_cast<int>(rng.below(8));
         for (int k = 0; k < chunks; ++k) {
+            if (late >= 0 && k == chunks / 2) bind(bound.size(), late);
             const std::uint64_t n = 1 + rng.below(5'000);
             std::uint64_t want = 0;
             for (std::uint64_t i = 0; i < n; ++i) want += stepped.core.tick();
