@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <stdexcept>
 
 #include "linalg/matrix.hpp"
 
@@ -29,18 +28,22 @@ double implied_slowdown(const InterferenceModel& m, const CategoryVector& a,
     return std::clamp(m.predict_slowdown(a, b), 1.0, 4.0);
 }
 
+using Coefficients = std::array<CategoryCoefficients, kCategoryCount>;
+
 /// The inversion residual system (6 unknowns: st_i then st_j).
 ///
 /// With S_i = sum_C model_C(st_i, st_j), consistency demands
 /// model_C(st_i, st_j) = S_i * f_i[C]; two of those three equations are
 /// independent (they sum to an identity), and the simplex constraint closes
-/// the system — and symmetrically for j.
-std::array<double, 6> residual(const InterferenceModel& m, const std::array<double, 6>& x,
+/// the system — and symmetrically for j.  Equation 1 is evaluated inline,
+/// with InterferenceModel::predict's operations.
+std::array<double, 6> residual(const Coefficients& k, const std::array<double, 6>& x,
                                const CategoryVector& fi, const CategoryVector& fj) noexcept {
-    const CategoryVector si = {x[0], x[1], x[2]};
-    const CategoryVector sj = {x[3], x[4], x[5]};
-    const CategoryVector pi = m.predict(si, sj);
-    const CategoryVector pj = m.predict(sj, si);
+    CategoryVector pi{}, pj{};
+    for (std::size_t c = 0; c < kCategoryCount; ++c) {
+        pi[c] = k[c].predict(x[c], x[3 + c]);
+        pj[c] = k[c].predict(x[3 + c], x[c]);
+    }
     const double total_i = pi[0] + pi[1] + pi[2];
     const double total_j = pj[0] + pj[1] + pj[2];
     return {pi[0] - fi[0] * total_i,
@@ -66,44 +69,45 @@ InversionResult ModelInverter::invert(const CategoryVector& smt_i,
     project_to_simplex(fi);
     project_to_simplex(fj);
 
+    Coefficients k{};
+    for (std::size_t c = 0; c < kCategoryCount; ++c)
+        k[c] = model_.coefficients(static_cast<Category>(c));
+
     // Damped Newton on the joint residual system, with a finite-difference
     // Jacobian (the system is tiny; robustness beats analytic elegance).
     std::array<double, 6> x = {fi[0], fi[1], fi[2], fj[0], fj[1], fj[2]};
     InversionResult r;
     bool solved = false;
     for (int it = 0; it < opts_.max_iterations; ++it) {
-        const std::array<double, 6> f = residual(model_, x, fi, fj);
+        const std::array<double, 6> f = residual(k, x, fi, fj);
         r.iterations = it;
         if (max_abs(f) < opts_.tolerance) {
             solved = true;
             break;
         }
 
-        linalg::Matrix jac(6, 6);
+        std::array<double, 36> jac;  // row-major
         const double h = 1e-7;
         for (std::size_t col = 0; col < 6; ++col) {
             std::array<double, 6> xh = x;
             xh[col] += h;
-            const std::array<double, 6> fh = residual(model_, xh, fi, fj);
+            const std::array<double, 6> fh = residual(k, xh, fi, fj);
             for (std::size_t row = 0; row < 6; ++row)
-                jac(row, col) = (fh[row] - f[row]) / h;
+                jac[row * 6 + col] = (fh[row] - f[row]) / h;
         }
 
-        std::vector<double> rhs(6);
-        for (std::size_t k = 0; k < 6; ++k) rhs[k] = -f[k];
-        std::vector<double> step;
-        try {
-            step = linalg::solve_gaussian(jac, rhs);
-        } catch (const std::runtime_error&) {
+        std::array<double, 6> rhs;
+        for (std::size_t i = 0; i < 6; ++i) rhs[i] = -f[i];
+        std::array<double, 6> step;
+        if (!linalg::solve_gaussian_fixed<6>(jac, rhs, step))
             break;  // singular Jacobian: give up, fall back below
-        }
 
         // Trust region: cap the step and damp toward the current iterate.
         double norm = 0.0;
         for (double s : step) norm = std::max(norm, std::abs(s));
         const double scale = norm > 0.5 ? 0.5 / norm : 1.0;
-        for (std::size_t k = 0; k < 6; ++k)
-            x[k] = std::clamp(x[k] + opts_.damping * scale * step[k], 0.0, 1.5);
+        for (std::size_t i = 0; i < 6; ++i)
+            x[i] = std::clamp(x[i] + opts_.damping * scale * step[i], 0.0, 1.5);
     }
 
     if (solved) {

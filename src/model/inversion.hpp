@@ -11,10 +11,16 @@
 // because the SMT category value per isolated cycle equals the SMT fraction
 // scaled by the slowdown.  Summing over C gives s = sum_C model_C.
 //
-// We solve this by damped fixed point: given current slowdown estimates,
-// each category yields a 2x2 (mildly nonlinear, rho term) system in
-// (st_i[C], st_j[C]) solved in closed form / Newton; estimates are clamped
-// to the simplex and the slowdowns re-derived, iterating to convergence.
+// invert() solves the six unknowns st_i, st_j jointly by a damped Newton
+// iteration.  The residual has six rows: two of the three consistency
+// equations per task (the third follows from them) and each task's simplex
+// constraint.  Each step builds a forward-difference Jacobian (step 1e-7),
+// solves it by Gaussian elimination with partial pivoting, caps the step at
+// 0.5 in max norm, damps it by `damping` and clamps the iterate to
+// [0, 1.5].  The iteration stops when every residual is below `tolerance`,
+// after `max_iterations` steps, or at a singular Jacobian; only the first
+// counts as converged.  A converged estimate is projected onto the simplex
+// and the slowdowns are the model's predictions there.
 #pragma once
 
 #include "model/interference_model.hpp"

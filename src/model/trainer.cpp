@@ -19,6 +19,104 @@ CategoryBreakdown quantum_breakdown(const pmu::CounterBank& now, const pmu::Coun
     return characterize(now.delta_since(prev), dispatch_width);
 }
 
+/// What alignment needs of one post-warmup quantum of a pair run: the
+/// instruction range each task retired and its SMT category cycles.
+struct PairQuantum {
+    std::uint64_t a_begin = 0, a_end = 0;
+    std::uint64_t b_begin = 0, b_end = 0;
+    std::array<double, kCategoryCount> a_smt{};
+    std::array<double, kCategoryCount> b_smt{};
+};
+
+/// Co-runs `a` and `b` on one SMT core for `opts.pair_quanta` quanta and
+/// records every quantum after the warmup.
+std::vector<PairQuantum> run_pair(const uarch::SimConfig& cfg, const TrainerOptions& opts,
+                                  const apps::AppProfile& a, const apps::AppProfile& b,
+                                  std::uint64_t seed_a, std::uint64_t seed_b) {
+    uarch::SimConfig pair_cfg = cfg;
+    pair_cfg.cores = 1;
+    // Pair training co-runs two threads on one core by construction, so the
+    // training chip needs at least two SMT contexts even when the evaluation
+    // chip is configured SMT-1 (a co-run interference model is width-
+    // independent; the TX2 methodology trains in SMT-2 BIOS mode).
+    pair_cfg.smt_ways = std::max(pair_cfg.smt_ways, 2);
+    uarch::Chip chip(pair_cfg);
+    // The instances use the same seeds as the profiling runs so their event
+    // streams match the isolated reference (same work, different timing).
+    apps::AppInstance ta(/*id=*/1, a, seed_a);
+    apps::AppInstance tb(/*id=*/2, b, seed_b);
+    chip.bind(ta, {.core = 0, .slot = 0});
+    chip.bind(tb, {.core = 0, .slot = 1});
+
+    std::vector<PairQuantum> out;
+    out.reserve(opts.pair_quanta);
+    pmu::CounterBank prev_a, prev_b;
+    std::uint64_t insts_a = 0, insts_b = 0;
+    for (std::uint64_t q = 0; q < opts.pair_quanta; ++q) {
+        chip.run_quantum();
+        const pmu::CounterBank now_a = ta.counters();
+        const pmu::CounterBank now_b = tb.counters();
+        const CategoryBreakdown ba = quantum_breakdown(now_a, prev_a, cfg.dispatch_width);
+        const CategoryBreakdown bb = quantum_breakdown(now_b, prev_b, cfg.dispatch_width);
+        prev_a = now_a;
+        prev_b = now_b;
+        const std::uint64_t a0 = insts_a, b0 = insts_b;
+        insts_a = ta.insts_retired();
+        insts_b = tb.insts_retired();
+        if (q < opts.warmup_quanta) continue;
+        out.push_back({.a_begin = a0,
+                       .a_end = insts_a,
+                       .b_begin = b0,
+                       .b_end = insts_b,
+                       .a_smt = ba.categories,
+                       .b_smt = bb.categories});
+    }
+    return out;
+}
+
+/// Maps each recorded pair quantum the profiles cover onto isolated work
+/// and appends its two samples (each task as target once) to `out`.
+void align(const std::vector<PairQuantum>& run, const IsolatedProfile& prof_a,
+           const IsolatedProfile& prof_b, std::vector<TrainingSample>& out) {
+    for (const PairQuantum& q : run) {
+        if (!prof_a.covers(q.a_begin, q.a_end) || !prof_b.covers(q.b_begin, q.b_end)) continue;
+
+        const double st_cycles_a = prof_a.cycles_for(q.a_begin, q.a_end);
+        const double st_cycles_b = prof_b.cycles_for(q.b_begin, q.b_end);
+        if (st_cycles_a <= 0.0 || st_cycles_b <= 0.0) continue;
+
+        auto st_frac = [](std::array<double, kCategoryCount> cats, double cycles) {
+            for (double& x : cats) x /= cycles;
+            return cats;
+        };
+        const CategoryVector st_a =
+            st_frac(prof_a.categories_for(q.a_begin, q.a_end), st_cycles_a);
+        const CategoryVector st_b =
+            st_frac(prof_b.categories_for(q.b_begin, q.b_end), st_cycles_b);
+
+        // SMT categories per isolated cycle of the same work: the three
+        // values sum to the quantum slowdown of that task.
+        CategoryVector smt_a{}, smt_b{};
+        for (std::size_t c = 0; c < kCategoryCount; ++c) {
+            smt_a[c] = q.a_smt[c] / st_cycles_a;
+            smt_b[c] = q.b_smt[c] / st_cycles_b;
+        }
+        out.push_back({.st_self = st_a, .st_corunner = st_b, .smt_per_st = smt_a});
+        out.push_back({.st_self = st_b, .st_corunner = st_a, .smt_per_st = smt_b});
+    }
+}
+
+/// Rejects options train() cannot honour, naming the field.
+void validate(const TrainerOptions& opts) {
+    if (opts.isolated_quanta == 0)
+        throw std::invalid_argument("TrainerOptions::isolated_quanta must be at least 1");
+    if (opts.pair_quanta <= opts.warmup_quanta)
+        throw std::invalid_argument(
+            "TrainerOptions::pair_quanta must exceed TrainerOptions::warmup_quanta");
+    if (!(opts.sample_fraction > 0.0 && opts.sample_fraction <= 1.0))
+        throw std::invalid_argument("TrainerOptions::sample_fraction must be in (0, 1]");
+}
+
 }  // namespace
 
 std::array<double, kDesignColumns> design_row(const TrainingSample& sample,
@@ -113,7 +211,8 @@ std::array<double, kCategoryCount> IsolatedProfile::categories_for(std::uint64_t
 }
 
 IsolatedProfile profile_isolated(const apps::AppProfile& app, const uarch::SimConfig& cfg,
-                                 std::uint64_t quanta, std::uint64_t seed) {
+                                 std::uint64_t quanta, std::uint64_t seed,
+                                 std::uint64_t until_insts) {
     uarch::SimConfig solo = cfg;
     solo.cores = 1;  // an isolated run needs one core; keeps profiling fast
     uarch::Chip chip(solo);
@@ -131,6 +230,7 @@ IsolatedProfile profile_isolated(const apps::AppProfile& app, const uarch::SimCo
         samples.push_back({.insts_end = task.insts_retired(),
                            .cycles_end = now.value(pmu::Event::kCpuCycles),
                            .categories = b.categories});
+        if (task.insts_retired() >= until_insts) break;
     }
     return IsolatedProfile(app.name, std::move(samples));
 }
@@ -141,59 +241,8 @@ std::vector<TrainingSample> Trainer::collect_pair_samples(const apps::AppProfile
                                                           const IsolatedProfile& prof_b,
                                                           std::uint64_t seed_a,
                                                           std::uint64_t seed_b) const {
-    uarch::SimConfig pair_cfg = cfg_;
-    pair_cfg.cores = 1;
-    // Pair training co-runs two threads on one core by construction, so the
-    // training chip needs at least two SMT contexts even when the evaluation
-    // chip is configured SMT-1 (a co-run interference model is width-
-    // independent; the TX2 methodology trains in SMT-2 BIOS mode).
-    pair_cfg.smt_ways = std::max(pair_cfg.smt_ways, 2);
-    uarch::Chip chip(pair_cfg);
-    // The instances use the same seeds as the profiling runs so their event
-    // streams match the isolated reference (same work, different timing).
-    apps::AppInstance ta(/*id=*/1, a, seed_a);
-    apps::AppInstance tb(/*id=*/2, b, seed_b);
-    chip.bind(ta, {.core = 0, .slot = 0});
-    chip.bind(tb, {.core = 0, .slot = 1});
-
     std::vector<TrainingSample> out;
-    pmu::CounterBank prev_a, prev_b;
-    std::uint64_t insts_a = 0, insts_b = 0;
-    for (std::uint64_t q = 0; q < opts_.pair_quanta; ++q) {
-        chip.run_quantum();
-        const pmu::CounterBank now_a = ta.counters();
-        const pmu::CounterBank now_b = tb.counters();
-        const CategoryBreakdown ba = quantum_breakdown(now_a, prev_a, cfg_.dispatch_width);
-        const CategoryBreakdown bb = quantum_breakdown(now_b, prev_b, cfg_.dispatch_width);
-        prev_a = now_a;
-        prev_b = now_b;
-        const std::uint64_t a0 = insts_a, b0 = insts_b;
-        insts_a = ta.insts_retired();
-        insts_b = tb.insts_retired();
-        if (q < opts_.warmup_quanta) continue;
-        if (!prof_a.covers(a0, insts_a) || !prof_b.covers(b0, insts_b)) continue;
-
-        const double st_cycles_a = prof_a.cycles_for(a0, insts_a);
-        const double st_cycles_b = prof_b.cycles_for(b0, insts_b);
-        if (st_cycles_a <= 0.0 || st_cycles_b <= 0.0) continue;
-
-        auto st_frac = [](std::array<double, kCategoryCount> cats, double cycles) {
-            for (double& x : cats) x /= cycles;
-            return cats;
-        };
-        const CategoryVector st_a = st_frac(prof_a.categories_for(a0, insts_a), st_cycles_a);
-        const CategoryVector st_b = st_frac(prof_b.categories_for(b0, insts_b), st_cycles_b);
-
-        // SMT categories per isolated cycle of the same work: the three
-        // values sum to the quantum slowdown of that task.
-        CategoryVector smt_a{}, smt_b{};
-        for (std::size_t c = 0; c < kCategoryCount; ++c) {
-            smt_a[c] = ba.categories[c] / st_cycles_a;
-            smt_b[c] = bb.categories[c] / st_cycles_b;
-        }
-        out.push_back({.st_self = st_a, .st_corunner = st_b, .smt_per_st = smt_a});
-        out.push_back({.st_self = st_b, .st_corunner = st_a, .smt_per_st = smt_b});
-    }
+    align(run_pair(cfg_, opts_, a, b, seed_a, seed_b), prof_a, prof_b, out);
     return out;
 }
 
@@ -242,48 +291,57 @@ TrainingResult Trainer::fit(std::vector<TrainingSample> samples, const TrainerOp
 }
 
 TrainingResult Trainer::train(std::span<const std::string> app_names) const {
+    validate(opts_);
     std::vector<const apps::AppProfile*> train_apps;
     train_apps.reserve(app_names.size());
     for (const std::string& name : app_names) train_apps.push_back(&apps::find_app(name));
+    const auto seed = [this](std::size_t i) { return common::derive_key(opts_.seed, 0x150, i); };
 
-    // Phase 1: isolated profiles (parallel across applications).
-    std::vector<IsolatedProfile> profiles(train_apps.size());
-    common::parallel_for(
-        train_apps.size(),
-        [&](std::size_t i) {
-            profiles[i] = profile_isolated(*train_apps[i], cfg_, opts_.isolated_quanta,
-                                           common::derive_key(opts_.seed, 0x150, i));
-        },
-        opts_.threads);
-
-    // Phase 2: all pairs in SMT (parallel across pairs).
+    // Phase 1: all pairs in SMT (parallel across pairs).
     std::vector<std::pair<std::size_t, std::size_t>> pairs;
     for (std::size_t i = 0; i < train_apps.size(); ++i)
         for (std::size_t j = i; j < train_apps.size(); ++j) {
             if (i == j && !opts_.include_self_pairs) continue;
             pairs.emplace_back(i, j);
         }
-
-    // Samples are concatenated in pair order, not completion order: fit()
-    // draws its random subset by sample index.
-    std::vector<std::vector<TrainingSample>> pair_samples(pairs.size());
+    std::vector<std::vector<PairQuantum>> runs(pairs.size());
     common::parallel_for(
         pairs.size(),
         [&](std::size_t p) {
             const auto [i, j] = pairs[p];
-            pair_samples[p] =
-                collect_pair_samples(*train_apps[i], *train_apps[j], profiles[i], profiles[j],
-                                     common::derive_key(opts_.seed, 0x150, i),
-                                     common::derive_key(opts_.seed, 0x150, j));
+            runs[p] = run_pair(cfg_, opts_, *train_apps[i], *train_apps[j], seed(i), seed(j));
         },
         opts_.threads);
+
+    // Phase 2: isolated profiles (parallel across applications), each cut
+    // after the first quantum that reaches the furthest instruction any of
+    // the application's pair quanta retired.  A cut profile is a prefix of
+    // the full one and covers every pair quantum the full one covers, so
+    // alignment sees the same bits; isolated_quanta only caps the length.
+    std::vector<std::uint64_t> reach(train_apps.size(), 0);
+    for (std::size_t p = 0; p < pairs.size(); ++p) {
+        if (runs[p].empty()) continue;
+        const auto [i, j] = pairs[p];
+        reach[i] = std::max(reach[i], runs[p].back().a_end);
+        reach[j] = std::max(reach[j], runs[p].back().b_end);
+    }
+    std::vector<IsolatedProfile> profiles(train_apps.size());
+    common::parallel_for(
+        train_apps.size(),
+        [&](std::size_t i) {
+            profiles[i] = profile_isolated(*train_apps[i], cfg_, opts_.isolated_quanta, seed(i),
+                                           reach[i]);
+        },
+        opts_.threads);
+
+    // Phase 3: alignment in pair order, not completion order: fit() draws
+    // its random subset by sample index.
     std::vector<TrainingSample> all_samples;
-    for (const std::vector<TrainingSample>& samples : pair_samples)
-        all_samples.insert(all_samples.end(), samples.begin(), samples.end());
+    for (std::size_t p = 0; p < pairs.size(); ++p)
+        align(runs[p], profiles[pairs[p].first], profiles[pairs[p].second], all_samples);
 
     TrainingResult result = fit(std::move(all_samples), opts_);
     result.pair_runs = pairs.size();
-    result.profiles = std::move(profiles);
     return result;
 }
 

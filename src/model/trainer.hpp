@@ -1,16 +1,20 @@
 // Offline model training (paper §IV-C).
 //
-// 1. Run each training application alone on a chip and record, per quantum,
+// 1. Run every pair of training applications together on one SMT core and
+//    record, per quantum after the warmup, the instruction interval each
+//    task executed and its SMT category cycles.
+// 2. Run each training application alone on a chip and record, per quantum,
 //    its cumulative instructions, cycles, and the three category values:
-//    the *isolated profile*.
-// 2. Run every pair of training applications together on one SMT core.  For
-//    each quantum and each task, the instruction interval it executed maps
-//    back into the isolated profile ("the number of committed instructions
-//    allows us to map the category values"), yielding:
+//    the *isolated profile*.  A profile stops after the first quantum that
+//    reaches the furthest instruction the application's pair quanta
+//    retired; `isolated_quanta` caps its length.
+// 3. Align: each pair quantum's instruction interval maps back into the
+//    isolated profile ("the number of committed instructions allows us to
+//    map the category values"), yielding:
 //      * the isolated category fractions for exactly that work, and
 //      * the SMT category cycle counts normalized by the isolated cycles of
 //        that work (so the three values sum to the observed slowdown).
-// 3. Fit Equation 1 per category with linear least squares on a random
+// 4. Fit Equation 1 per category with linear least squares on a random
 //    subset of the aligned quanta.
 //
 // Training needs no oracle knowledge: it only reads the PMU, exactly like
@@ -70,9 +74,12 @@ private:
     std::vector<Quantum> quanta_;
 };
 
-/// Runs `app` alone on a chip built from `cfg` for `quanta` quanta.
+/// Runs `app` alone on a chip built from `cfg` for `quanta` quanta, or
+/// stops after the first quantum whose cumulative retired instructions
+/// reach `until_insts`.
 IsolatedProfile profile_isolated(const apps::AppProfile& app, const uarch::SimConfig& cfg,
-                                 std::uint64_t quanta, std::uint64_t seed);
+                                 std::uint64_t quanta, std::uint64_t seed,
+                                 std::uint64_t until_insts = UINT64_MAX);
 
 /// One aligned observation: everything Equation 1 relates.
 struct TrainingSample {
@@ -94,7 +101,7 @@ std::array<double, kDesignColumns> design_row(const TrainingSample& sample,
                                               std::size_t category) noexcept;
 
 struct TrainerOptions {
-    std::uint64_t isolated_quanta = 160;  ///< isolated profiling length
+    std::uint64_t isolated_quanta = 160;  ///< cap on each isolated profile's length
     std::uint64_t pair_quanta = 48;       ///< length of each SMT pair run
     std::uint64_t warmup_quanta = 2;      ///< leading quanta dropped from pair runs
     double sample_fraction = 0.8;         ///< random subset used for the fit
@@ -109,7 +116,6 @@ struct TrainingResult {
     std::array<double, kCategoryCount> r_squared{};  ///< per-category fit R^2
     std::size_t sample_count = 0;
     std::size_t pair_runs = 0;
-    std::vector<IsolatedProfile> profiles;  ///< kept for evaluation reuse
 };
 
 class Trainer {
@@ -129,7 +135,10 @@ public:
                                                      std::uint64_t seed_a,
                                                      std::uint64_t seed_b) const;
 
-    /// Full pipeline over a training set of application names.
+    /// Full pipeline over a training set of application names.  Throws
+    /// std::invalid_argument naming the field when isolated_quanta is 0,
+    /// pair_quanta does not exceed warmup_quanta, or sample_fraction is
+    /// outside (0, 1].
     TrainingResult train(std::span<const std::string> app_names) const;
 
     /// Fits Equation 1 to already-collected samples (used by ablations).

@@ -92,6 +92,7 @@ SimConfig SimConfig::from_env() {
         env_int("SYNPA_WARMUP_INSTS", static_cast<std::int64_t>(c.warmup_insts)));
     c.mshr_serialization_cap =
         static_cast<int>(env_int("SYNPA_MSHR_CAP", c.mshr_serialization_cap));
+    c.validate();
     return c;
 }
 

@@ -110,7 +110,8 @@ struct SimConfig {
 
     /// Loads defaults then applies SYNPA_* environment overrides
     /// (SYNPA_QUANTUM_CYCLES, SYNPA_CORES, SYNPA_NUM_CHIPS,
-    /// SYNPA_MEM_LATENCY, ...) verbatim; validate() rejects bad values.
+    /// SYNPA_MEM_LATENCY, ...) verbatim, then validate()s them: a bad value
+    /// throws naming its knob.
     static SimConfig from_env();
 
     /// Throws std::invalid_argument naming the SYNPA_* knob of the first

@@ -138,14 +138,14 @@ std::uint64_t SmtCore::trigger_backend_episode(ThreadContext& t, double be_p,
 }
 
 template <int W>
-void SmtCore::fetch_stage(const SlotRuns<W>& runs) noexcept {
+void SmtCore::fetch_stage(SlotRuns<W>& runs) noexcept {
     // Pick one thread for the single fetch port, round robin among those
     // that need instructions and are not frontend-stalled.
     const int entries = fetch_buffer_entries_;
     int chosen = -1;
     int idx = fetch_rr_;
     for (int k = 0; k < W; ++k, idx = idx + 1 == W ? 0 : idx + 1) {
-        const ThreadContext& t = slots_[static_cast<std::size_t>(idx)];
+        const ThreadContext& t = lane<W>(idx);
         if (!t.bound() || t.fe_stall > 0 || t.fetch_buffer >= entries) continue;
         chosen = idx;
         break;
@@ -153,8 +153,9 @@ void SmtCore::fetch_stage(const SlotRuns<W>& runs) noexcept {
     if (chosen < 0) return;
     fetch_rr_ = chosen + 1 == W ? 0 : chosen + 1;
 
-    ThreadContext& t = slots_[static_cast<std::size_t>(chosen)];
-    const SlotRun& run = runs[static_cast<std::size_t>(chosen)];
+    ThreadContext& t = lane<W>(chosen);
+    SlotRun& run = runs[static_cast<std::size_t>(chosen)];
+    if constexpr (W == 1) run.fetched = true;
     if (t.insts_until_fe < 0)
         t.insts_until_fe =
             static_cast<std::int64_t>(t.task()->fe_rng().geometric(run.fe_p, run.fe_log));
@@ -177,7 +178,7 @@ std::uint64_t SmtCore::dispatch_stage(SlotRuns<W>& runs) noexcept {
     const double credit_cap = credit_cap_;
     std::array<int, W> want{};
     for (int i = 0; i < W; ++i) {
-        ThreadContext& t = slots_[static_cast<std::size_t>(i)];
+        ThreadContext& t = lane<W>(i);
         if (!t.bound() || t.be_stall > 0) continue;
         t.dispatch_credit = std::min(t.dispatch_credit + t.rates.dispatch_demand, credit_cap);
         want[static_cast<std::size_t>(i)] =
@@ -199,7 +200,7 @@ std::uint64_t SmtCore::dispatch_stage(SlotRuns<W>& runs) noexcept {
 
     std::uint64_t mem_accesses = 0;
     for (int i = 0; i < W; ++i) {
-        ThreadContext& t = slots_[static_cast<std::size_t>(i)];
+        ThreadContext& t = lane<W>(i);
         if (!t.bound()) continue;
         SlotRun& run = runs[static_cast<std::size_t>(i)];
 
@@ -243,7 +244,7 @@ std::uint64_t SmtCore::idle_cycles() const noexcept {
     // stays empty keeps it from dispatching however much credit accrues).
     std::uint64_t k = std::numeric_limits<std::uint64_t>::max();
     for (int s = 0; s < W; ++s) {
-        const ThreadContext& t = slots_[static_cast<std::size_t>(s)];
+        const ThreadContext& t = lane<W>(s);
         if (!t.bound()) continue;
         if (t.fetch_buffer < fetch_buffer_entries_) {
             if (t.fe_stall <= 1) return 0;
@@ -266,7 +267,7 @@ void SmtCore::skip(std::uint64_t k, SlotRuns<W>& runs) noexcept {
         return k >= static_cast<std::uint64_t>(timer) ? 0 : timer - static_cast<int>(k);
     };
     for (int s = 0; s < W; ++s) {
-        ThreadContext& t = slots_[static_cast<std::size_t>(s)];
+        ThreadContext& t = lane<W>(s);
         if (!t.bound()) continue;
         SlotRun& run = runs[static_cast<std::size_t>(s)];
         if (t.be_stall > 0) {
@@ -293,11 +294,59 @@ void SmtCore::skip(std::uint64_t k, SlotRuns<W>& runs) noexcept {
     dispatch_pri_ = static_cast<int>((static_cast<std::uint64_t>(dispatch_pri_) + k % w) % w);
 }
 
+std::uint64_t SmtCore::event_free_stretch(std::uint64_t left, SlotRun& run) noexcept {
+    // The busy cycle of fetch_stage<1> and dispatch_stage<1> with every
+    // event and stall branch proven dead by the loop condition, which is
+    // rechecked before each cycle.
+    ThreadContext& t = lane<1>(0);
+    const int fetch_width = fetch_width_;
+    const int width = dispatch_width_;
+    if (t.be_stall != 0 || t.fe_stall > 1 || t.insts_until_fe < fetch_width ||
+        t.insts_until_be <= width)
+        return 0;
+    const int entries = fetch_buffer_entries_;
+    const double demand = t.rates.dispatch_demand;
+    int buffer = t.fetch_buffer;
+    double credit = t.dispatch_credit;
+    std::int64_t until_fe = t.insts_until_fe;
+    std::int64_t until_be = t.insts_until_be;
+    std::uint64_t n = 0;
+    do {
+        const int fetched = std::min(fetch_width, entries - buffer);  // 0 when full
+        buffer += fetched;
+        until_fe -= fetched;
+        credit = std::min(credit + demand, credit_cap_);
+        const int g = std::min({static_cast<int>(credit), buffer, width});
+        if (g > 0) {
+            credit -= g;
+            buffer -= g;
+            run.granted += static_cast<std::uint64_t>(g);
+            until_be -= g;
+        } else if (buffer == 0) {
+            ++run.stall_fe;
+        } else {
+            ++run.stall_iq;
+        }
+        ++n;
+    } while (n < left && until_fe >= fetch_width && until_be > width);
+
+    if (until_fe != t.insts_until_fe) run.fetched = true;
+    t.fetch_buffer = buffer;
+    t.dispatch_credit = credit;
+    t.insts_until_fe = until_fe;
+    t.insts_until_be = until_be;
+    t.fe_stall = 0;
+    icache_busy_ = n >= static_cast<std::uint64_t>(icache_busy_)
+                       ? 0
+                       : icache_busy_ - static_cast<int>(n);
+    return n;
+}
+
 template <int W>
-std::uint64_t SmtCore::advance_ways(std::uint64_t cycles, bool skip_idle) noexcept {
+std::uint64_t SmtCore::advance_ways(std::uint64_t cycles, bool bulk, bool* fetched) noexcept {
     SlotRuns<W> runs{};
     for (int s = 0; s < W; ++s) {
-        const ThreadContext& t = slots_[static_cast<std::size_t>(s)];
+        const ThreadContext& t = lane<W>(s);
         if (!t.bound()) continue;
         SlotRun& run = runs[static_cast<std::size_t>(s)];
         run.fe_p = std::max(t.rates.p_branch + t.rates.p_icache, 1e-9);
@@ -308,17 +357,25 @@ std::uint64_t SmtCore::advance_ways(std::uint64_t cycles, bool skip_idle) noexce
 
     std::uint64_t mem_accesses = 0;
     for (std::uint64_t left = cycles; left > 0;) {
-        const std::uint64_t k = skip_idle ? std::min(idle_cycles<W>(), left) : 0;
+        const std::uint64_t k = bulk ? std::min(idle_cycles<W>(), left) : 0;
         if (k > 0) {
             skip<W>(k, runs);
             cycles_.skipped += k;
             left -= k;
             continue;
         }
+        if constexpr (W == 1) {
+            const std::uint64_t n = bulk ? event_free_stretch(left, runs[0]) : 0;
+            if (n > 0) {
+                cycles_.ticked += n;
+                left -= n;
+                continue;
+            }
+        }
         // The busy cycle.
         if (icache_busy_ > 0) --icache_busy_;
         for (int s = 0; s < W; ++s) {
-            ThreadContext& t = slots_[static_cast<std::size_t>(s)];
+            ThreadContext& t = lane<W>(s);
             if (t.bound() && t.fe_stall > 0) --t.fe_stall;
         }
         fetch_stage<W>(runs);
@@ -329,7 +386,7 @@ std::uint64_t SmtCore::advance_ways(std::uint64_t cycles, bool skip_idle) noexce
 
     // Hand the tallies to the tasks; a slot is bound for every cycle of the call.
     for (int s = 0; s < W; ++s) {
-        ThreadContext& t = slots_[static_cast<std::size_t>(s)];
+        ThreadContext& t = lane<W>(s);
         if (!t.bound()) continue;
         const SlotRun& run = runs[static_cast<std::size_t>(s)];
         apps::AppInstance& task = *t.task();
@@ -343,14 +400,43 @@ std::uint64_t SmtCore::advance_ways(std::uint64_t cycles, bool skip_idle) noexce
         counters.increment(Event::kStallBackendIq, run.stall_iq);
         if (run.granted > 0) task.retire(run.granted);
     }
+    if (fetched != nullptr) *fetched = runs[0].fetched;
     return mem_accesses;
 }
 
-std::uint64_t SmtCore::advance(std::uint64_t cycles, bool skip_idle) noexcept {
-    switch (smt_ways()) {  // SimConfig::validate admits 1, 2 and 4
-        case 1: return advance_ways<1>(cycles, skip_idle);
-        case 2: return advance_ways<2>(cycles, skip_idle);
-        default: return advance_ways<kMaxSmtWays>(cycles, skip_idle);
+std::uint64_t SmtCore::run_lone_slot(int slot, std::uint64_t cycles) noexcept {
+    // The width-1 loop holds both rotators at 0.  Afterwards they stand
+    // where the configured width would have left them: dispatch priority
+    // moves one slot per cycle, busy or idle, and the fetch pointer moves
+    // past the slot whenever it fetches.
+    const int ways = smt_ways();
+    const int pri = dispatch_pri_;
+    const int rr = fetch_rr_;
+    solo_ = slot;
+    dispatch_pri_ = 0;
+    fetch_rr_ = 0;
+    bool fetched = false;
+    const std::uint64_t mem_accesses = advance_ways<1>(cycles, true, &fetched);
+    const auto w = static_cast<std::uint64_t>(ways);
+    dispatch_pri_ = static_cast<int>((static_cast<std::uint64_t>(pri) + cycles % w) % w);
+    fetch_rr_ = fetched ? (slot + 1) % ways : rr;
+    return mem_accesses;
+}
+
+std::uint64_t SmtCore::advance(std::uint64_t cycles, bool bulk) noexcept {
+    const int ways = smt_ways();
+    if (bulk && ways > 1) {
+        int lone = -1;
+        for (int s = 0; s < ways; ++s) {
+            if (!slots_[static_cast<std::size_t>(s)].bound()) continue;
+            lone = lone == -1 ? s : -2;
+        }
+        if (lone >= 0) return run_lone_slot(lone, cycles);
+    }
+    switch (ways) {  // SimConfig::validate admits 1, 2 and 4
+        case 1: return advance_ways<1>(cycles, bulk);
+        case 2: return advance_ways<2>(cycles, bulk);
+        default: return advance_ways<kMaxSmtWays>(cycles, bulk);
     }
 }
 

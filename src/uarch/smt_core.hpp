@@ -12,13 +12,23 @@
 //    partitioned among the *active* threads (headroom comes in via
 //    EffectiveRates, computed by the chip).
 //
-// tick() is one busy cycle.  run(n) equals n tick() calls bit for bit but
-// applies idle stretches in one step: while no bound slot can fetch (each
-// is frontend-stalled or holds a full fetch buffer) and none can dispatch
-// (each is backend-stalled or has an empty fetch buffer), a cycle draws no
-// random number and only moves stall timers, stall counters, dispatch
-// credit and the dispatch-priority rotator, all of which advance in closed
-// form.  A core with no bound slot is idle for the whole call.
+// tick() is one busy cycle, the reference.  run(n) equals n tick() calls
+// bit for bit but takes three shortcuts:
+//  * idle stretches in one step: while no bound slot can fetch (each is
+//    frontend-stalled or holds a full fetch buffer) and none can dispatch
+//    (each is backend-stalled or has an empty fetch buffer), a cycle draws
+//    no random number and only moves stall timers, stall counters,
+//    dispatch credit and the dispatch-priority rotator, all of which
+//    advance in closed form.  A core with no bound slot is idle for the
+//    whole call;
+//  * a core with exactly one bound slot runs on the width-1 loop, whose
+//    rotators never move, and afterwards catches the rotators up to where
+//    the configured width would have left them;
+//  * on the width-1 loop, an event-free stretch: while the slot is not
+//    backend-stalled, its fe_stall is at most 1, and its next frontend
+//    event and backend episode are at least a fetch group and more than a
+//    dispatch group away, no event can fire and no stall can start, so a
+//    tight loop runs only the fetch-buffer and dispatch-credit recurrences.
 //
 // Both run one loop, instantiated per width, that tallies each slot's
 // cycle, dispatch and stall counts and hands them to the task when the
@@ -93,20 +103,39 @@ private:
         double be_p = 0.0, be_log = 0.0;  ///< backend episode probability per inst
         std::uint64_t granted = 0;        ///< INST_SPEC and INST_RETIRED from dispatch
         std::uint64_t stall_fe = 0, stall_rob = 0, stall_iq = 0;
+        bool fetched = false;             ///< fetched at least once (width-1 loop only)
     };
     template <int W> using SlotRuns = std::array<SlotRun, static_cast<std::size_t>(W)>;
 
-    /// Advances `cycles` cycles at the configured width, skipping idle
-    /// stretches only when `skip_idle` (tick() steps its cycle as busy).
-    std::uint64_t advance(std::uint64_t cycles, bool skip_idle) noexcept;
-    template <int W> std::uint64_t advance_ways(std::uint64_t cycles, bool skip_idle) noexcept;
+    /// Advances `cycles` cycles, taking run()'s shortcuts only when `bulk`
+    /// (tick() steps its cycle as a plain busy cycle at the configured width).
+    std::uint64_t advance(std::uint64_t cycles, bool bulk) noexcept;
+    /// The loop for `W` lanes; on the width-1 loop `fetched` receives
+    /// whether the lane fetched during the call.
+    template <int W>
+    std::uint64_t advance_ways(std::uint64_t cycles, bool bulk,
+                               bool* fetched = nullptr) noexcept;
+    /// run() on a wider core with only `slot` bound: the width-1 loop on
+    /// that slot, then the rotator catch-up.
+    std::uint64_t run_lone_slot(int slot, std::uint64_t cycles) noexcept;
+    /// Steps the event-free busy cycles ahead of the width-1 lane (see the
+    /// file comment), at most `left`; returns how many (0 when none).
+    std::uint64_t event_free_stretch(std::uint64_t left, SlotRun& run) noexcept;
+    /// Lane `s` of the loop for `W` lanes: slot `s`, or on the width-1
+    /// loop the slot it steps.
+    template <int W> ThreadContext& lane(int s) noexcept {
+        return slots_[static_cast<std::size_t>(W == 1 ? solo_ : s)];
+    }
+    template <int W> const ThreadContext& lane(int s) const noexcept {
+        return slots_[static_cast<std::size_t>(W == 1 ? solo_ : s)];
+    }
     /// How many cycles from now are certainly idle (see the file comment);
     /// 0 when the next cycle may fetch or dispatch, UINT64_MAX when no slot
     /// is bound.
     template <int W> std::uint64_t idle_cycles() const noexcept;
     /// Applies `k` idle cycles, k <= idle_cycles<W>().
     template <int W> void skip(std::uint64_t k, SlotRuns<W>& runs) noexcept;
-    template <int W> void fetch_stage(const SlotRuns<W>& runs) noexcept;
+    template <int W> void fetch_stage(SlotRuns<W>& runs) noexcept;
     template <int W> std::uint64_t dispatch_stage(SlotRuns<W>& runs) noexcept;
 
     void trigger_frontend_event(ThreadContext& t, double fe_p, double fe_log) noexcept;
@@ -126,6 +155,7 @@ private:
     int fetch_rr_ = 0;      ///< fetch-port round-robin pointer
     int dispatch_pri_ = 0;  ///< dispatch-priority rotator
     int icache_busy_ = 0;   ///< cycles until the ICache miss port frees up
+    int solo_ = 0;          ///< slot the width-1 loop steps (0 on an SMT-1 core)
     CycleCounts cycles_;
 };
 

@@ -2,7 +2,10 @@
 // Householder-QR least squares and the ridge fallback.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/rng.hpp"
 #include "linalg/least_squares.hpp"
@@ -80,6 +83,63 @@ TEST(Gaussian, PropertyRandomSystemsRoundTrip) {
         const auto x = solve_gaussian(a, b);
         for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-8);
     }
+}
+
+TEST(Gaussian, FixedSizeSolveMatchesBitForBit) {
+    // solve_gaussian_fixed<6> against solve_gaussian on random systems:
+    // general ones (pivoting), ones with exact zeros (the zero-factor skip),
+    // ties in the pivot column (the strict-> rule), and singular ones (a
+    // zero column, a repeated row, a row below the pivot threshold), where
+    // the fixed solve must refuse exactly when solve_gaussian throws.
+    constexpr std::size_t n = 6;
+    Rng rng(0x6a55, 0);
+    int solved = 0, refused = 0;
+    for (int trial = 0; trial < 600; ++trial) {
+        Matrix a(n, n);
+        std::vector<double> b(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            b[i] = rng.uniform(-2, 2);
+            for (std::size_t j = 0; j < n; ++j) a(i, j) = rng.uniform(-1, 1);
+        }
+        const int kind = trial % 6;
+        const std::size_t r = rng.below(n), s = (r + 1 + rng.below(n - 1)) % n;
+        if (kind == 1)
+            for (std::size_t j = 0; j < n; ++j)
+                if (rng.chance(0.4)) a(r, j) = 0.0;
+        if (kind == 2) a(s, 0) = -a(r, 0);  // |a| ties in the first pivot column
+        if (kind == 3)
+            for (std::size_t i = 0; i < n; ++i) a(i, r) = 0.0;
+        if (kind == 4)
+            for (std::size_t j = 0; j < n; ++j) a(s, j) = a(r, j);
+        if (kind == 5)
+            for (std::size_t j = 0; j < n; ++j) a(r, j) *= 1e-14;
+
+        std::array<double, n * n> fa{};
+        std::array<double, n> fb{}, fx{};
+        for (std::size_t i = 0; i < n; ++i) {
+            fb[i] = b[i];
+            for (std::size_t j = 0; j < n; ++j) fa[i * n + j] = a(i, j);
+        }
+        const bool ok = solve_gaussian_fixed<n>(fa, fb, fx);
+        std::vector<double> want;
+        bool threw = false;
+        try {
+            want = solve_gaussian(a, b);
+        } catch (const std::runtime_error&) {
+            threw = true;
+        }
+        ASSERT_EQ(ok, !threw) << "trial " << trial;
+        if (threw) {
+            ++refused;
+            continue;
+        }
+        ++solved;
+        for (std::size_t i = 0; i < n; ++i)
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(fx[i]), std::bit_cast<std::uint64_t>(want[i]))
+                << "trial " << trial << " x" << i;
+    }
+    EXPECT_GT(solved, 250);
+    EXPECT_GT(refused, 250);
 }
 
 TEST(Solve2x2, BasicAndSingular) {

@@ -290,7 +290,6 @@ TEST(Trainer, SmallTrainingRunProducesSaneModel) {
     const TrainingResult r = Trainer(train_config(), opts).train(apps);
     EXPECT_EQ(r.pair_runs, 10u);  // C(4,2) + 4 self-pairs
     EXPECT_GT(r.sample_count, 20u);
-    EXPECT_EQ(r.profiles.size(), 4u);
     for (std::size_t c = 0; c < kCategoryCount; ++c) {
         // Own-behaviour must dominate each category.
         EXPECT_GT(r.model.coefficients(static_cast<Category>(c)).beta, 0.5);
@@ -359,6 +358,41 @@ TEST(Trainer, TrainEqualsFitOverFullProfiles) {
         const TrainingResult got = Trainer(train_config(), opts).train(apps);
         EXPECT_EQ(result_signature(got), result_signature(want)) << at;
         EXPECT_EQ(testsig::digest(result_signature(got)), c.digest) << at;
+    }
+}
+
+/// train() must throw std::invalid_argument naming `field` before it
+/// simulates anything.
+void expect_train_rejects(const TrainerOptions& opts, const char* field) {
+    const std::vector<std::string> apps = {"mcf", "nab_r"};
+    try {
+        Trainer(train_config(), opts).train(apps);
+        ADD_FAILURE() << field << " was accepted";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+    }
+}
+
+TEST(Trainer, RejectsZeroIsolatedQuanta) {
+    TrainerOptions opts;
+    opts.isolated_quanta = 0;
+    expect_train_rejects(opts, "isolated_quanta");
+}
+
+TEST(Trainer, RejectsPairQuantaNotAboveWarmup) {
+    TrainerOptions opts;
+    opts.warmup_quanta = 4;
+    for (const std::uint64_t pair_quanta : {0, 3, 4}) {
+        opts.pair_quanta = pair_quanta;
+        expect_train_rejects(opts, "pair_quanta");
+    }
+}
+
+TEST(Trainer, RejectsSampleFractionOutsideUnitInterval) {
+    TrainerOptions opts;
+    for (const double f : {0.0, -0.25, 1.5, std::nan("")}) {
+        opts.sample_fraction = f;
+        expect_train_rejects(opts, "sample_fraction");
     }
 }
 

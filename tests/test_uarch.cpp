@@ -1,6 +1,6 @@
 // Tests for the simulator substrate: cache-sharing math, the DRAM queue,
-// configuration, the SMT core's idle-cycle skip (run() against repeated
-// tick()), and chip-level invariants (counter identities, determinism,
+// configuration, the SMT core's run() shortcuts (against repeated tick()),
+// and chip-level invariants (counter identities, determinism,
 // SMT slowdown, migration warmup, fetch-port contention).
 #include <gtest/gtest.h>
 
@@ -135,26 +135,26 @@ TEST(Config, EnvOverride) {
 }
 
 TEST(Config, SmtWaysEnvOverrideIsReadVerbatim) {
-    // from_env never repairs a value: out-of-range widths reach validate().
+    // from_env never repairs a value: an out-of-range width is rejected,
+    // not clamped to a valid one.
     ::setenv("SYNPA_SMT_WAYS", "4", 1);
     EXPECT_EQ(SimConfig::from_env().smt_ways, 4);
     ::setenv("SYNPA_SMT_WAYS", "9", 1);
-    EXPECT_EQ(SimConfig::from_env().smt_ways, 9);
+    EXPECT_THROW(SimConfig::from_env(), std::invalid_argument);
     ::unsetenv("SYNPA_SMT_WAYS");
 }
 
-/// Building a platform from `knob=value` must fail with a message naming
-/// the knob.
+/// Reading `knob=value` from the environment must fail with a message
+/// naming the knob, before any platform is built from it.
 void expect_env_rejected(const char* knob, const char* value) {
     ::setenv(knob, value, 1);
-    const SimConfig cfg = SimConfig::from_env();
-    ::unsetenv(knob);
     try {
-        Platform platform(cfg);
+        SimConfig::from_env();
         ADD_FAILURE() << knob << "=" << value << " was accepted";
     } catch (const std::invalid_argument& e) {
         EXPECT_NE(std::string(e.what()).find(knob), std::string::npos) << e.what();
     }
+    ::unsetenv(knob);
 }
 
 TEST(ConfigValidation, RejectsZeroCores) { expect_env_rejected("SYNPA_CORES", "0"); }
@@ -400,10 +400,13 @@ TEST(SmtCore, RunEqualsRepeatedTick) {
     // Differential fuzz of run(): run(n) on one copy against n tick() calls
     // on another, over widths, occupancies, apps, warmup windows and chunk
     // lengths.  Rates come from a one-cycle chip quantum over a third set of
-    // identical instances.  Cases 1-6 put one thread on each slot of an
-    // SMT-2 and an SMT-4 core, where run() takes the width-1 loop, then bind
-    // a co-runner into another slot: the fetch and dispatch rotators the
-    // width-1 loop catches up are private, and only the co-run shows them.
+    // identical instances.  Cases 1-48 put one thread on each slot of an
+    // SMT-2 and an SMT-4 core (eight times over), where run() takes the
+    // width-1 loop, and bind a co-runner in another slot for two chunks of
+    // every three: the fetch and dispatch rotators the width-1 loop catches
+    // up are private, and only a co-run shows them.  Half of the solo
+    // chunks between two co-runs last 1-2 cycles, so some run() calls never
+    // fetch or fetch only inside an event-free stretch.
     const std::vector<apps::AppProfile>& suite = apps::spec_suite();
     std::uint64_t ticked = 0;
     std::uint64_t skipped = 0;
@@ -411,13 +414,13 @@ TEST(SmtCore, RunEqualsRepeatedTick) {
         common::Rng rng(0x5a1f, c);
         SimConfig cfg;
         cfg.cores = 1;
-        const bool solo = c >= 1 && c <= 6;
-        const int solo_slot = c <= 2 ? static_cast<int>(c) - 1 : static_cast<int>(c) - 3;
-        cfg.smt_ways = solo ? (c <= 2 ? 2 : 4) : std::array{1, 2, 4}[rng.below(3)];
+        const bool solo = c >= 1 && c <= 48;
+        const int solo_slot = static_cast<int>((c - 1) % 6 < 2 ? (c - 1) % 6 : (c - 1) % 6 - 2);
+        cfg.smt_ways = solo ? ((c - 1) % 6 < 2 ? 2 : 4) : std::array{1, 2, 4}[rng.below(3)];
         cfg.cycles_per_quantum = 1;
 
         std::vector<int> bound;
-        int late = -1;  // slot bound halfway through the chunks
+        int late = -1;  // co-runner slot, bound for chunks 1-2, 4-5, ...
         if (solo) {
             bound = {solo_slot};
             late = static_cast<int>((static_cast<std::uint64_t>(solo_slot) + 1 +
@@ -461,10 +464,14 @@ TEST(SmtCore, RunEqualsRepeatedTick) {
 
         const std::string name =
             "case " + std::to_string(c) + " ways " + std::to_string(cfg.smt_ways);
-        const int chunks = (solo ? 4 : 1) + static_cast<int>(rng.below(8));
+        const int chunks = (solo ? 7 : 1) + static_cast<int>(rng.below(8));
         for (int k = 0; k < chunks; ++k) {
-            if (late >= 0 && k == chunks / 2) bind(bound.size(), late);
-            const std::uint64_t n = 1 + rng.below(5'000);
+            const bool between_co_runs = late >= 0 && k % 3 == 0 && k > 0;
+            if (late >= 0 && k % 3 == 1) bind(bound.size(), late);
+            if (between_co_runs)
+                for (CoreUnderTest* side : {&chunked, &stepped}) side->core.slot(late).unbind();
+            const std::uint64_t n =
+                1 + rng.below(between_co_runs && rng.chance(0.5) ? 2 : 5'000);
             std::uint64_t want = 0;
             for (std::uint64_t i = 0; i < n; ++i) want += stepped.core.tick();
             ASSERT_EQ(chunked.core.run(n), want) << name << " chunk " << k;
@@ -483,6 +490,47 @@ TEST(SmtCore, RunEqualsRepeatedTick) {
     // The fuzz must actually exercise both paths.
     EXPECT_GT(ticked, skipped / 4);
     EXPECT_GT(skipped, ticked / 4);
+}
+
+TEST(SmtCore, LoneSlotCatchesUpTheFetchPointer) {
+    // A run() call on a lone slot moves the fetch pointer past the slot
+    // only if the slot fetched, whether in a plain busy cycle or inside an
+    // event-free stretch.  Each case starts an SMT-2 core with slot 0
+    // alone (the pointer at slot 0), steps it one cycle, then binds a
+    // co-runner that is ready to fetch in the same cycle as slot 0: the
+    // pointer decides which of them fetches first.
+    struct Case {
+        const char* name;
+        int fe_stall;             ///< 2: slot 0 cannot fetch in the solo cycle
+        std::int64_t until_fe;    ///< >= fetch width: the solo cycle may be a stretch
+        std::int64_t until_be;    ///< <= dispatch width: no stretch
+    };
+    for (const Case& c : {Case{"no fetch", 2, 1'000, 1'000},
+                          Case{"fetch in a stretch", 0, 1'000, 1'000},
+                          Case{"fetch in a busy cycle", 0, 1'000, 2}}) {
+        SimConfig cfg;
+        cfg.cores = 1;
+        cfg.smt_ways = 2;
+        CoreUnderTest chunked(cfg);
+        CoreUnderTest stepped(cfg);
+        for (CoreUnderTest* side : {&chunked, &stepped}) {
+            for (int s = 0; s < 2; ++s)
+                side->tasks.push_back(
+                    std::make_unique<apps::AppInstance>(s + 1, apps::find_app("nab_r"), 7));
+            ThreadContext& t = side->core.slot(0);
+            t.bind(side->tasks[0].get());
+            t.fe_stall = c.fe_stall;
+            t.insts_until_fe = c.until_fe;
+            t.insts_until_be = c.until_be;
+        }
+        ASSERT_EQ(chunked.core.run(1), stepped.core.tick()) << c.name;
+        expect_same_core(chunked, stepped, std::string(c.name) + " solo");
+        for (CoreUnderTest* side : {&chunked, &stepped})
+            side->core.slot(1).bind(side->tasks[1].get());
+        for (int i = 0; i < 4; ++i)
+            ASSERT_EQ(chunked.core.tick(), stepped.core.tick()) << c.name << " co-run " << i;
+        expect_same_core(chunked, stepped, std::string(c.name) + " co-run");
+    }
 }
 
 TEST(SmtCore, EmptyCoreSkipsTheWholeRun) {
