@@ -74,31 +74,10 @@ std::vector<double> solve_gaussian(Matrix a, std::vector<double> b) {
     const std::size_t n = a.rows();
     if (a.cols() != n || b.size() != n)
         throw std::invalid_argument("solve_gaussian: shape mismatch");
-
-    for (std::size_t col = 0; col < n; ++col) {
-        // Partial pivot.
-        std::size_t pivot = col;
-        for (std::size_t r = col + 1; r < n; ++r)
-            if (std::abs(a(r, col)) > std::abs(a(pivot, col))) pivot = r;
-        if (std::abs(a(pivot, col)) < 1e-12)
-            throw std::runtime_error("solve_gaussian: singular matrix");
-        if (pivot != col) {
-            for (std::size_t c = 0; c < n; ++c) std::swap(a(pivot, c), a(col, c));
-            std::swap(b[pivot], b[col]);
-        }
-        for (std::size_t r = col + 1; r < n; ++r) {
-            const double f = a(r, col) / a(col, col);
-            if (f == 0.0) continue;
-            for (std::size_t c = col; c < n; ++c) a(r, c) -= f * a(col, c);
-            b[r] -= f * b[col];
-        }
-    }
     std::vector<double> x(n);
-    for (std::size_t ri = n; ri-- > 0;) {
-        double acc = b[ri];
-        for (std::size_t c = ri + 1; c < n; ++c) acc -= a(ri, c) * x[c];
-        x[ri] = acc / a(ri, ri);
-    }
+    if (!gaussian_elimination(
+            n, [&a](std::size_t r, std::size_t c) -> double& { return a(r, c); }, b, x))
+        throw std::runtime_error("solve_gaussian: singular matrix");
     return x;
 }
 

@@ -52,41 +52,50 @@ private:
     std::vector<double> data_;
 };
 
+/// Partial-pivoting Gaussian elimination and back substitution on `n`
+/// unknowns, in place: `at(r, c)` is a reference to the matrix element,
+/// `b` the right-hand side, `x` receives the solution.  The pivot is the
+/// first row with the strictly largest |a|; returns false at a pivot below
+/// 1e-12.  solve_gaussian and solve_gaussian_fixed share it, so their bits
+/// match.
+template <class At, class Vec>
+bool gaussian_elimination(std::size_t n, At&& at, Vec& b, Vec& x) noexcept {
+    for (std::size_t col = 0; col < n; ++col) {
+        std::size_t pivot = col;
+        for (std::size_t r = col + 1; r < n; ++r)
+            if (std::abs(at(r, col)) > std::abs(at(pivot, col))) pivot = r;
+        if (std::abs(at(pivot, col)) < 1e-12) return false;
+        if (pivot != col) {
+            for (std::size_t c = 0; c < n; ++c) std::swap(at(pivot, c), at(col, c));
+            std::swap(b[pivot], b[col]);
+        }
+        for (std::size_t r = col + 1; r < n; ++r) {
+            const double f = at(r, col) / at(col, col);
+            if (f == 0.0) continue;
+            for (std::size_t c = col; c < n; ++c) at(r, c) -= f * at(col, c);
+            b[r] -= f * b[col];
+        }
+    }
+    for (std::size_t ri = n; ri-- > 0;) {
+        double acc = b[ri];
+        for (std::size_t c = ri + 1; c < n; ++c) acc -= at(ri, c) * x[c];
+        x[ri] = acc / at(ri, ri);
+    }
+    return true;
+}
+
 /// Solves the square system A x = b with partial-pivoting Gaussian
 /// elimination.  Throws std::runtime_error if A is (numerically) singular.
 std::vector<double> solve_gaussian(Matrix a, std::vector<double> b);
 
-/// solve_gaussian for a fixed size on the stack: row-major `a` and `b` are
-/// overwritten, and `x` receives the solution.  It keeps solve_gaussian's
-/// pivot rule (the first row with a strictly larger |a|), elimination
-/// order, zero-factor skip and back-substitution order, so the bits match;
-/// it returns false where solve_gaussian throws.
+/// solve_gaussian for a fixed size on the stack, without allocating:
+/// row-major `a` and `b` are overwritten and `x` receives the solution.
+/// Returns false where solve_gaussian throws.
 template <std::size_t N>
 bool solve_gaussian_fixed(std::array<double, N * N>& a, std::array<double, N>& b,
                           std::array<double, N>& x) noexcept {
-    const auto at = [&a](std::size_t r, std::size_t c) -> double& { return a[r * N + c]; };
-    for (std::size_t col = 0; col < N; ++col) {
-        std::size_t pivot = col;
-        for (std::size_t r = col + 1; r < N; ++r)
-            if (std::abs(at(r, col)) > std::abs(at(pivot, col))) pivot = r;
-        if (std::abs(at(pivot, col)) < 1e-12) return false;
-        if (pivot != col) {
-            for (std::size_t c = 0; c < N; ++c) std::swap(at(pivot, c), at(col, c));
-            std::swap(b[pivot], b[col]);
-        }
-        for (std::size_t r = col + 1; r < N; ++r) {
-            const double f = at(r, col) / at(col, col);
-            if (f == 0.0) continue;
-            for (std::size_t c = col; c < N; ++c) at(r, c) -= f * at(col, c);
-            b[r] -= f * b[col];
-        }
-    }
-    for (std::size_t ri = N; ri-- > 0;) {
-        double acc = b[ri];
-        for (std::size_t c = ri + 1; c < N; ++c) acc -= at(ri, c) * x[c];
-        x[ri] = acc / at(ri, ri);
-    }
-    return true;
+    return gaussian_elimination(
+        N, [&a](std::size_t r, std::size_t c) -> double& { return a[r * N + c]; }, b, x);
 }
 
 /// Solves a 2x2 linear system; returns false when the determinant is ~0.

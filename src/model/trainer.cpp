@@ -319,8 +319,7 @@ TrainingResult Trainer::train(std::span<const std::string> app_names) const {
     // the full one and covers every pair quantum the full one covers, so
     // alignment sees the same bits; isolated_quanta only caps the length.
     std::vector<std::uint64_t> reach(train_apps.size(), 0);
-    for (std::size_t p = 0; p < pairs.size(); ++p) {
-        if (runs[p].empty()) continue;
+    for (std::size_t p = 0; p < pairs.size(); ++p) {  // validate(): no run is empty
         const auto [i, j] = pairs[p];
         reach[i] = std::max(reach[i], runs[p].back().a_end);
         reach[j] = std::max(reach[j], runs[p].back().b_end);
