@@ -190,6 +190,27 @@ TEST(ConfigValidation, ChipValidatesToo) {
     EXPECT_NO_THROW(SimConfig().validate());
 }
 
+TEST(ConfigValidation, PlatformValidatesProgrammaticConfig) {
+    // A config built in code never passes through from_env().  With no
+    // chip to build, only the platform's own check can reject it.
+    const auto expect_rejected = [](const SimConfig& cfg, const char* knob) {
+        try {
+            Platform platform(cfg);
+            ADD_FAILURE() << knob << " was accepted";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find(knob), std::string::npos) << e.what();
+        }
+    };
+    SimConfig cfg;
+    cfg.num_chips = 0;
+    expect_rejected(cfg, "SYNPA_NUM_CHIPS");
+    cfg.num_chips = -3;
+    expect_rejected(cfg, "SYNPA_NUM_CHIPS");
+    cfg = SimConfig();
+    cfg.cycles_per_quantum = 0;
+    expect_rejected(cfg, "SYNPA_QUANTUM_CYCLES");
+}
+
 TEST(Config, FingerprintSensitivity) {
     SimConfig a, b;
     EXPECT_EQ(config_fingerprint(a), config_fingerprint(b));
@@ -400,8 +421,8 @@ TEST(SmtCore, RunEqualsRepeatedTick) {
     // Differential fuzz of run(): run(n) on one copy against n tick() calls
     // on another, over widths, occupancies, apps, warmup windows and chunk
     // lengths.  Rates come from a one-cycle chip quantum over a third set of
-    // identical instances.  Cases 1-48 put one thread on each slot of an
-    // SMT-2 and an SMT-4 core (eight times over), where run() takes the
+    // identical instances.  Cases 500-547 put one thread on each slot of
+    // an SMT-2 and an SMT-4 core (eight times over), where run() takes the
     // width-1 loop, and bind a co-runner in another slot for two chunks of
     // every three: the fetch and dispatch rotators the width-1 loop catches
     // up are private, and only a co-run shows them.  Half of the solo
@@ -410,13 +431,14 @@ TEST(SmtCore, RunEqualsRepeatedTick) {
     const std::vector<apps::AppProfile>& suite = apps::spec_suite();
     std::uint64_t ticked = 0;
     std::uint64_t skipped = 0;
-    for (std::uint64_t c = 0; c < 500; ++c) {
+    for (std::uint64_t c = 0; c < 548; ++c) {
         common::Rng rng(0x5a1f, c);
         SimConfig cfg;
         cfg.cores = 1;
-        const bool solo = c >= 1 && c <= 48;
-        const int solo_slot = static_cast<int>((c - 1) % 6 < 2 ? (c - 1) % 6 : (c - 1) % 6 - 2);
-        cfg.smt_ways = solo ? ((c - 1) % 6 < 2 ? 2 : 4) : std::array{1, 2, 4}[rng.below(3)];
+        const bool solo = c >= 500;
+        const std::uint64_t pick = solo ? (c - 500) % 6 : 0;  // SMT-2 slots 0-1, SMT-4 0-3
+        const int solo_slot = static_cast<int>(pick < 2 ? pick : pick - 2);
+        cfg.smt_ways = solo ? (pick < 2 ? 2 : 4) : c == 1 ? 4 : std::array{1, 2, 4}[rng.below(3)];
         cfg.cycles_per_quantum = 1;
 
         std::vector<int> bound;
@@ -426,6 +448,8 @@ TEST(SmtCore, RunEqualsRepeatedTick) {
             late = static_cast<int>((static_cast<std::uint64_t>(solo_slot) + 1 +
                                      rng.below(static_cast<std::uint64_t>(cfg.smt_ways) - 1)) %
                                     static_cast<std::uint64_t>(cfg.smt_ways));
+        } else if (c == 1) {
+            bound = {static_cast<int>(rng.below(4))};  // one thread on SMT-4
         } else if (c != 0) {  // case 0: an empty core
             for (int s = 0; s < cfg.smt_ways; ++s)
                 if (rng.chance(0.75)) bound.push_back(s);
