@@ -294,54 +294,6 @@ void SmtCore::skip(std::uint64_t k, SlotRuns<W>& runs) noexcept {
     dispatch_pri_ = static_cast<int>((static_cast<std::uint64_t>(dispatch_pri_) + k % w) % w);
 }
 
-std::uint64_t SmtCore::event_free_stretch(std::uint64_t left, SlotRun& run) noexcept {
-    // The busy cycle of fetch_stage<1> and dispatch_stage<1> with every
-    // event and stall branch proven dead by the loop condition, which is
-    // rechecked before each cycle.
-    ThreadContext& t = lane<1>(0);
-    const int fetch_width = fetch_width_;
-    const int width = dispatch_width_;
-    if (t.be_stall != 0 || t.fe_stall > 1 || t.insts_until_fe < fetch_width ||
-        t.insts_until_be <= width)
-        return 0;
-    const int entries = fetch_buffer_entries_;
-    const double demand = t.rates.dispatch_demand;
-    int buffer = t.fetch_buffer;
-    double credit = t.dispatch_credit;
-    std::int64_t until_fe = t.insts_until_fe;
-    std::int64_t until_be = t.insts_until_be;
-    std::uint64_t n = 0;
-    do {
-        const int fetched = std::min(fetch_width, entries - buffer);  // 0 when full
-        buffer += fetched;
-        until_fe -= fetched;
-        credit = std::min(credit + demand, credit_cap_);
-        const int g = std::min({static_cast<int>(credit), buffer, width});
-        if (g > 0) {
-            credit -= g;
-            buffer -= g;
-            run.granted += static_cast<std::uint64_t>(g);
-            until_be -= g;
-        } else if (buffer == 0) {
-            ++run.stall_fe;
-        } else {
-            ++run.stall_iq;
-        }
-        ++n;
-    } while (n < left && until_fe >= fetch_width && until_be > width);
-
-    if (until_fe != t.insts_until_fe) run.fetched = true;
-    t.fetch_buffer = buffer;
-    t.dispatch_credit = credit;
-    t.insts_until_fe = until_fe;
-    t.insts_until_be = until_be;
-    t.fe_stall = 0;
-    icache_busy_ = n >= static_cast<std::uint64_t>(icache_busy_)
-                       ? 0
-                       : icache_busy_ - static_cast<int>(n);
-    return n;
-}
-
 template <int W>
 std::uint64_t SmtCore::advance_ways(std::uint64_t cycles, bool bulk, bool* fetched) noexcept {
     SlotRuns<W> runs{};
@@ -363,14 +315,6 @@ std::uint64_t SmtCore::advance_ways(std::uint64_t cycles, bool bulk, bool* fetch
             cycles_.skipped += k;
             left -= k;
             continue;
-        }
-        if constexpr (W == 1) {
-            const std::uint64_t n = bulk ? event_free_stretch(left, runs[0]) : 0;
-            if (n > 0) {
-                cycles_.ticked += n;
-                left -= n;
-                continue;
-            }
         }
         // The busy cycle.
         if (icache_busy_ > 0) --icache_busy_;

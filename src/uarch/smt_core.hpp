@@ -13,7 +13,7 @@
 //    EffectiveRates, computed by the chip).
 //
 // tick() is one busy cycle, the reference.  run(n) equals n tick() calls
-// bit for bit but takes three shortcuts:
+// bit for bit but takes two shortcuts:
 //  * idle stretches in one step: while no bound slot can fetch (each is
 //    frontend-stalled or holds a full fetch buffer) and none can dispatch
 //    (each is backend-stalled or has an empty fetch buffer), a cycle draws
@@ -23,12 +23,7 @@
 //    whole call;
 //  * a core with exactly one bound slot runs on the width-1 loop, whose
 //    rotators never move, and afterwards catches the rotators up to where
-//    the configured width would have left them;
-//  * on the width-1 loop, an event-free stretch: while the slot is not
-//    backend-stalled, its fe_stall is at most 1, and its next frontend
-//    event and backend episode are at least a fetch group and more than a
-//    dispatch group away, no event can fire and no stall can start, so a
-//    tight loop runs only the fetch-buffer and dispatch-credit recurrences.
+//    the configured width would have left them.
 //
 // Both run one loop, instantiated per width, that tallies each slot's
 // cycle, dispatch and stall counts and hands them to the task when the
@@ -118,9 +113,6 @@ private:
     /// run() on a wider core with only `slot` bound: the width-1 loop on
     /// that slot, then the rotator catch-up.
     std::uint64_t run_lone_slot(int slot, std::uint64_t cycles) noexcept;
-    /// Steps the event-free busy cycles ahead of the width-1 lane (see the
-    /// file comment), at most `left`; returns how many (0 when none).
-    std::uint64_t event_free_stretch(std::uint64_t left, SlotRun& run) noexcept;
     /// Lane `s` of the loop for `W` lanes: slot `s`, or on the width-1
     /// loop the slot it steps.
     template <int W> ThreadContext& lane(int s) noexcept {

@@ -427,7 +427,7 @@ TEST(SmtCore, RunEqualsRepeatedTick) {
     // every three: the fetch and dispatch rotators the width-1 loop catches
     // up are private, and only a co-run shows them.  Half of the solo
     // chunks between two co-runs last 1-2 cycles, so some run() calls never
-    // fetch or fetch only inside an event-free stretch.
+    // fetch.
     const std::vector<apps::AppProfile>& suite = apps::spec_suite();
     std::uint64_t ticked = 0;
     std::uint64_t skipped = 0;
@@ -518,20 +518,15 @@ TEST(SmtCore, RunEqualsRepeatedTick) {
 
 TEST(SmtCore, LoneSlotCatchesUpTheFetchPointer) {
     // A run() call on a lone slot moves the fetch pointer past the slot
-    // only if the slot fetched, whether in a plain busy cycle or inside an
-    // event-free stretch.  Each case starts an SMT-2 core with slot 0
+    // only if the slot fetched.  Each case starts an SMT-2 core with slot 0
     // alone (the pointer at slot 0), steps it one cycle, then binds a
     // co-runner that is ready to fetch in the same cycle as slot 0: the
     // pointer decides which of them fetches first.
     struct Case {
         const char* name;
-        int fe_stall;             ///< 2: slot 0 cannot fetch in the solo cycle
-        std::int64_t until_fe;    ///< >= fetch width: the solo cycle may be a stretch
-        std::int64_t until_be;    ///< <= dispatch width: no stretch
+        int fe_stall;  ///< 2: slot 0 cannot fetch in the solo cycle
     };
-    for (const Case& c : {Case{"no fetch", 2, 1'000, 1'000},
-                          Case{"fetch in a stretch", 0, 1'000, 1'000},
-                          Case{"fetch in a busy cycle", 0, 1'000, 2}}) {
+    for (const Case& c : {Case{"no fetch", 2}, Case{"fetch", 0}}) {
         SimConfig cfg;
         cfg.cores = 1;
         cfg.smt_ways = 2;
@@ -544,8 +539,8 @@ TEST(SmtCore, LoneSlotCatchesUpTheFetchPointer) {
             ThreadContext& t = side->core.slot(0);
             t.bind(side->tasks[0].get());
             t.fe_stall = c.fe_stall;
-            t.insts_until_fe = c.until_fe;
-            t.insts_until_be = c.until_be;
+            t.insts_until_fe = 1'000;
+            t.insts_until_be = 1'000;
         }
         ASSERT_EQ(chunked.core.run(1), stepped.core.tick()) << c.name;
         expect_same_core(chunked, stepped, std::string(c.name) + " solo");
