@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
 
 #include "apps/instance.hpp"
 #include "apps/spec_suite.hpp"
@@ -446,6 +447,36 @@ TEST(Extended, ProfileRunsEndToEnd) {
         profile_isolated_extended(apps::find_app("bwaves"), train_config(), 6, 9);
     EXPECT_EQ(p.quanta.size(), 6u);
     EXPECT_GT(p.quanta.back().insts_end, 0u);
+}
+
+/// Six applications, 21 pair runs of 12 quanta, 40-quantum isolated cap.
+ExtendedTrainingResult small_extended_run(std::size_t threads) {
+    TrainerOptions opts;
+    opts.isolated_quanta = 40;
+    opts.pair_quanta = 12;
+    opts.seed = 42;
+    opts.threads = threads;
+    const std::vector<std::string> apps = {"mcf", "nab_r", "gobmk", "bwaves", "leela_r", "hmmer"};
+    return ExtendedTrainer(train_config(), opts).train(apps);
+}
+
+/// The sample count, then the hex bits of every MSE and coefficient.
+std::string extended_signature(const ExtendedTrainingResult& r) {
+    std::ostringstream sig;
+    sig << std::hex << r.sample_count;
+    for (std::size_t c = 0; c < kExtendedCategoryCount; ++c) {
+        const CategoryCoefficients& k = r.model.coefficients(c);
+        for (const double x : {r.mse[c], k.alpha, k.beta, k.gamma, k.rho})
+            sig << ',' << testsig::bits(x);
+    }
+    return sig.str();
+}
+
+TEST(ExtendedTrainer, TrainDigestPinned) {
+    const ExtendedTrainingResult r = small_extended_run(1);
+    EXPECT_EQ(r.sample_count, 420u);
+    EXPECT_EQ(testsig::digest(extended_signature(r)), 0xa186f33077a44769ull)
+        << extended_signature(r);
 }
 
 }  // namespace
