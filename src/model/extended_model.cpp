@@ -1,14 +1,9 @@
 #include "model/extended_model.hpp"
 
 #include <algorithm>
-#include <mutex>
 #include <stdexcept>
 
-#include "apps/instance.hpp"
-#include "apps/spec_suite.hpp"
-#include "common/thread_pool.hpp"
 #include "linalg/least_squares.hpp"
-#include "uarch/chip.hpp"
 
 namespace synpa::model {
 
@@ -71,71 +66,6 @@ ExtendedVector characterize_extended(const pmu::CounterBank& delta,
     return out;
 }
 
-ExtendedProfile profile_isolated_extended(const apps::AppProfile& app,
-                                          const uarch::SimConfig& cfg, std::uint64_t quanta,
-                                          std::uint64_t seed) {
-    uarch::SimConfig solo = cfg;
-    solo.cores = 1;
-    uarch::Chip chip(solo);
-    apps::AppInstance task(/*id=*/1, app, seed);
-    chip.bind(task, {.core = 0, .slot = 0});
-
-    ExtendedProfile prof;
-    prof.app_name = app.name;
-    prof.quanta.reserve(quanta);
-    pmu::CounterBank prev;
-    for (std::uint64_t q = 0; q < quanta; ++q) {
-        chip.run_quantum();
-        const pmu::CounterBank now = task.counters();
-        prof.quanta.push_back({.insts_end = task.insts_retired(),
-                               .cycles_end = now.value(pmu::Event::kCpuCycles),
-                               .categories = characterize_extended(now.delta_since(prev), cfg)});
-        prev = now;
-    }
-    return prof;
-}
-
-namespace {
-
-/// Interpolated cumulative cycles at an instruction count.
-double cycles_at(const ExtendedProfile& p, std::uint64_t insts) {
-    std::uint64_t pi = 0;
-    double pc = 0.0;
-    for (const auto& q : p.quanta) {
-        if (insts <= q.insts_end) {
-            const double span = static_cast<double>(q.insts_end - pi);
-            const double f = span <= 0.0 ? 1.0 : static_cast<double>(insts - pi) / span;
-            return pc + f * (static_cast<double>(q.cycles_end) - pc);
-        }
-        pi = q.insts_end;
-        pc = static_cast<double>(q.cycles_end);
-    }
-    return pc;
-}
-
-ExtendedVector categories_at(const ExtendedProfile& p, std::uint64_t insts) {
-    ExtendedVector acc{};
-    std::uint64_t pi = 0;
-    for (const auto& q : p.quanta) {
-        if (insts <= q.insts_end) {
-            const double span = static_cast<double>(q.insts_end - pi);
-            const double f = span <= 0.0 ? 1.0 : static_cast<double>(insts - pi) / span;
-            for (std::size_t c = 0; c < kExtendedCategoryCount; ++c)
-                acc[c] += f * q.categories[c];
-            return acc;
-        }
-        for (std::size_t c = 0; c < kExtendedCategoryCount; ++c) acc[c] += q.categories[c];
-        pi = q.insts_end;
-    }
-    return acc;
-}
-
-bool covers(const ExtendedProfile& p, std::uint64_t begin, std::uint64_t end) {
-    return begin < end && !p.quanta.empty() && end <= p.quanta.back().insts_end;
-}
-
-}  // namespace
-
 ExtendedVector ExtendedModel::predict(const ExtendedVector& st_i,
                                       const ExtendedVector& st_j) const {
     ExtendedVector out{};
@@ -151,106 +81,19 @@ double ExtendedModel::predict_slowdown(const ExtendedVector& st_i,
     return s;
 }
 
-std::vector<ExtendedSample> ExtendedTrainer::collect_pair_samples(
-    const apps::AppProfile& a, const apps::AppProfile& b, const ExtendedProfile& prof_a,
-    const ExtendedProfile& prof_b, std::uint64_t seed_a, std::uint64_t seed_b) const {
-    uarch::SimConfig pair_cfg = cfg_;
-    pair_cfg.cores = 1;
-    pair_cfg.smt_ways = std::max(pair_cfg.smt_ways, 2);  // pair co-runs need 2 contexts
-    uarch::Chip chip(pair_cfg);
-    apps::AppInstance ta(/*id=*/1, a, seed_a);
-    apps::AppInstance tb(/*id=*/2, b, seed_b);
-    chip.bind(ta, {.core = 0, .slot = 0});
-    chip.bind(tb, {.core = 0, .slot = 1});
-
-    std::vector<ExtendedSample> out;
-    pmu::CounterBank prev_a, prev_b;
-    std::uint64_t ia = 0, ib = 0;
-    for (std::uint64_t q = 0; q < opts_.pair_quanta; ++q) {
-        chip.run_quantum();
-        const pmu::CounterBank now_a = ta.counters();
-        const pmu::CounterBank now_b = tb.counters();
-        const ExtendedVector smt_a = characterize_extended(now_a.delta_since(prev_a), cfg_);
-        const ExtendedVector smt_b = characterize_extended(now_b.delta_since(prev_b), cfg_);
-        prev_a = now_a;
-        prev_b = now_b;
-        const std::uint64_t a0 = ia, b0 = ib;
-        ia = ta.insts_retired();
-        ib = tb.insts_retired();
-        if (q < opts_.warmup_quanta) continue;
-        if (!covers(prof_a, a0, ia) || !covers(prof_b, b0, ib)) continue;
-
-        const double ca = cycles_at(prof_a, ia) - cycles_at(prof_a, a0);
-        const double cb = cycles_at(prof_b, ib) - cycles_at(prof_b, b0);
-        if (ca <= 0.0 || cb <= 0.0) continue;
-
-        ExtendedSample sa, sb;
-        const ExtendedVector hi_a = categories_at(prof_a, ia);
-        const ExtendedVector lo_a = categories_at(prof_a, a0);
-        const ExtendedVector hi_b = categories_at(prof_b, ib);
-        const ExtendedVector lo_b = categories_at(prof_b, b0);
-        for (std::size_t c = 0; c < kExtendedCategoryCount; ++c) {
-            sa.st_self[c] = (hi_a[c] - lo_a[c]) / ca;
-            sb.st_self[c] = (hi_b[c] - lo_b[c]) / cb;
-            sa.smt_per_st[c] = smt_a[c] / ca;
-            sb.smt_per_st[c] = smt_b[c] / cb;
-        }
-        sa.st_corunner = sb.st_self;
-        sb.st_corunner = sa.st_self;
-        out.push_back(sa);
-        out.push_back(sb);
-    }
-    return out;
-}
-
 ExtendedTrainingResult ExtendedTrainer::train(std::span<const std::string> app_names) const {
-    std::vector<const apps::AppProfile*> train_apps;
-    for (const std::string& name : app_names) train_apps.push_back(&apps::find_app(name));
-
-    std::vector<ExtendedProfile> profiles(train_apps.size());
-    common::parallel_for(
-        train_apps.size(),
-        [&](std::size_t i) {
-            profiles[i] = profile_isolated_extended(
-                *train_apps[i], cfg_, opts_.isolated_quanta,
-                common::derive_key(opts_.seed, 0x150, i));
-        },
-        opts_.threads);
-
-    std::vector<std::pair<std::size_t, std::size_t>> pairs;
-    for (std::size_t i = 0; i < train_apps.size(); ++i)
-        for (std::size_t j = i; j < train_apps.size(); ++j) {
-            if (i == j && !opts_.include_self_pairs) continue;
-            pairs.emplace_back(i, j);
-        }
-
-    std::vector<ExtendedSample> samples;
-    std::mutex mutex;
-    common::parallel_for(
-        pairs.size(),
-        [&](std::size_t p) {
-            const auto [i, j] = pairs[p];
-            auto s = collect_pair_samples(*train_apps[i], *train_apps[j], profiles[i],
-                                          profiles[j],
-                                          common::derive_key(opts_.seed, 0x150, i),
-                                          common::derive_key(opts_.seed, 0x150, j));
-            const std::lock_guard lock(mutex);
-            samples.insert(samples.end(), s.begin(), s.end());
-        },
-        opts_.threads);
-
+    const std::vector<ExtendedSample> samples =
+        collect_training_set(cfg_, opts_, app_names, characterize_extended).samples;
     if (samples.size() < 16) throw std::runtime_error("ExtendedTrainer: too few samples");
 
     ExtendedTrainingResult result;
     result.sample_count = samples.size();
     for (std::size_t c = 0; c < kExtendedCategoryCount; ++c) {
-        linalg::Matrix design(samples.size(), 4);
+        linalg::Matrix design(samples.size(), kDesignColumns);
         std::vector<double> target(samples.size());
         for (std::size_t r = 0; r < samples.size(); ++r) {
-            design(r, 0) = 1.0;
-            design(r, 1) = samples[r].st_self[c];
-            design(r, 2) = samples[r].st_corunner[c];
-            design(r, 3) = samples[r].st_self[c] * samples[r].st_corunner[c];
+            const auto row = design_row(samples[r], c);
+            for (std::size_t k = 0; k < kDesignColumns; ++k) design(r, k) = row[k];
             target[r] = samples[r].smt_per_st[c];
         }
         // Fine categories are frequently near-empty for many applications,

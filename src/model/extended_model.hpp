@@ -14,9 +14,13 @@
 // Frontend attribution splits STALL_FRONTEND in proportion to
 // penalty-weighted event counts, and backend episode attribution uses the
 // refill counters — exactly the kind of noisy secondary attribution the
-// paper calls out.  Everything else (alignment, fitting, Equation-1 form
-// per category) matches the three-category pipeline so the comparison in
-// bench_ablation_categories is apples-to-apples.
+// paper calls out.  Pair runs, cut isolated profiles, alignment and the
+// Equation-1 form per category are the three-category pipeline's own
+// (collect_training_set).  The fit is not: it ridge-regularizes every
+// category and fits on every aligned sample, where Trainer::fit uses plain
+// least squares (ridge only as a fallback) on a sample_fraction subset.
+// bench_ablation_categories therefore compares fits over different sample
+// sets.
 #pragma once
 
 #include <array>
@@ -41,26 +45,7 @@ extern const std::array<const char*, kExtendedCategoryCount> kExtendedCategoryNa
 ExtendedVector characterize_extended(const pmu::CounterBank& delta,
                                      const uarch::SimConfig& cfg);
 
-/// Isolated per-quantum record with extended categories.
-struct ExtendedProfile {
-    std::string app_name;
-    struct Quantum {
-        std::uint64_t insts_end = 0;
-        std::uint64_t cycles_end = 0;
-        ExtendedVector categories{};
-    };
-    std::vector<Quantum> quanta;
-};
-
-ExtendedProfile profile_isolated_extended(const apps::AppProfile& app,
-                                          const uarch::SimConfig& cfg, std::uint64_t quanta,
-                                          std::uint64_t seed);
-
-struct ExtendedSample {
-    ExtendedVector st_self{};
-    ExtendedVector st_corunner{};
-    ExtendedVector smt_per_st{};
-};
+using ExtendedSample = BasicTrainingSample<kExtendedCategoryCount>;
 
 /// Eight independent Equation-1 regressions; slowdown = sum of predictions.
 class ExtendedModel {
@@ -81,20 +66,15 @@ struct ExtendedTrainingResult {
     std::size_t sample_count = 0;
 };
 
-/// Mirrors Trainer for the extended characterization: isolated profiles,
-/// all-pairs SMT runs with instruction alignment, per-category fits.
+/// Trainer's pipeline under the extended characterization, then a ridge
+/// fit per category over every aligned sample.
 class ExtendedTrainer {
 public:
     ExtendedTrainer(const uarch::SimConfig& cfg, TrainerOptions opts)
         : cfg_(cfg), opts_(opts) {}
 
-    std::vector<ExtendedSample> collect_pair_samples(const apps::AppProfile& a,
-                                                     const apps::AppProfile& b,
-                                                     const ExtendedProfile& prof_a,
-                                                     const ExtendedProfile& prof_b,
-                                                     std::uint64_t seed_a,
-                                                     std::uint64_t seed_b) const;
-
+    /// Throws like Trainer::train on bad options, and std::runtime_error
+    /// when fewer than 16 samples align.
     ExtendedTrainingResult train(std::span<const std::string> app_names) const;
 
 private:

@@ -8,31 +8,29 @@
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "linalg/least_squares.hpp"
+#include "model/extended_model.hpp"
 #include "uarch/chip.hpp"
 
 namespace synpa::model {
 namespace {
 
-/// Characterizes the counter delta of one task over the last quantum.
-CategoryBreakdown quantum_breakdown(const pmu::CounterBank& now, const pmu::CounterBank& prev,
-                                    int dispatch_width) {
-    return characterize(now.delta_since(prev), dispatch_width);
-}
-
 /// What alignment needs of one post-warmup quantum of a pair run: the
 /// instruction range each task retired and its SMT category cycles.
+template <std::size_t N>
 struct PairQuantum {
     std::uint64_t a_begin = 0, a_end = 0;
     std::uint64_t b_begin = 0, b_end = 0;
-    std::array<double, kCategoryCount> a_smt{};
-    std::array<double, kCategoryCount> b_smt{};
+    std::array<double, N> a_smt{};
+    std::array<double, N> b_smt{};
 };
 
 /// Co-runs `a` and `b` on one SMT core for `opts.pair_quanta` quanta and
 /// records every quantum after the warmup.
-std::vector<PairQuantum> run_pair(const uarch::SimConfig& cfg, const TrainerOptions& opts,
-                                  const apps::AppProfile& a, const apps::AppProfile& b,
-                                  std::uint64_t seed_a, std::uint64_t seed_b) {
+template <std::size_t N>
+std::vector<PairQuantum<N>> run_pair(const uarch::SimConfig& cfg, const TrainerOptions& opts,
+                                     Characterization<N> characterization,
+                                     const apps::AppProfile& a, const apps::AppProfile& b,
+                                     std::uint64_t seed_a, std::uint64_t seed_b) {
     uarch::SimConfig pair_cfg = cfg;
     pair_cfg.cores = 1;
     // Pair training co-runs two threads on one core by construction, so the
@@ -48,7 +46,7 @@ std::vector<PairQuantum> run_pair(const uarch::SimConfig& cfg, const TrainerOpti
     chip.bind(ta, {.core = 0, .slot = 0});
     chip.bind(tb, {.core = 0, .slot = 1});
 
-    std::vector<PairQuantum> out;
+    std::vector<PairQuantum<N>> out;
     out.reserve(opts.pair_quanta);
     pmu::CounterBank prev_a, prev_b;
     std::uint64_t insts_a = 0, insts_b = 0;
@@ -56,8 +54,8 @@ std::vector<PairQuantum> run_pair(const uarch::SimConfig& cfg, const TrainerOpti
         chip.run_quantum();
         const pmu::CounterBank now_a = ta.counters();
         const pmu::CounterBank now_b = tb.counters();
-        const CategoryBreakdown ba = quantum_breakdown(now_a, prev_a, cfg.dispatch_width);
-        const CategoryBreakdown bb = quantum_breakdown(now_b, prev_b, cfg.dispatch_width);
+        const std::array<double, N> smt_a = characterization(now_a.delta_since(prev_a), cfg);
+        const std::array<double, N> smt_b = characterization(now_b.delta_since(prev_b), cfg);
         prev_a = now_a;
         prev_b = now_b;
         const std::uint64_t a0 = insts_a, b0 = insts_b;
@@ -68,36 +66,37 @@ std::vector<PairQuantum> run_pair(const uarch::SimConfig& cfg, const TrainerOpti
                        .a_end = insts_a,
                        .b_begin = b0,
                        .b_end = insts_b,
-                       .a_smt = ba.categories,
-                       .b_smt = bb.categories});
+                       .a_smt = smt_a,
+                       .b_smt = smt_b});
     }
     return out;
 }
 
 /// Maps each recorded pair quantum the profiles cover onto isolated work
 /// and appends its two samples (each task as target once) to `out`.
-void align(const std::vector<PairQuantum>& run, const IsolatedProfile& prof_a,
-           const IsolatedProfile& prof_b, std::vector<TrainingSample>& out) {
-    for (const PairQuantum& q : run) {
+template <std::size_t N>
+void align(const std::vector<PairQuantum<N>>& run, const BasicIsolatedProfile<N>& prof_a,
+           const BasicIsolatedProfile<N>& prof_b, std::vector<BasicTrainingSample<N>>& out) {
+    for (const PairQuantum<N>& q : run) {
         if (!prof_a.covers(q.a_begin, q.a_end) || !prof_b.covers(q.b_begin, q.b_end)) continue;
 
         const double st_cycles_a = prof_a.cycles_for(q.a_begin, q.a_end);
         const double st_cycles_b = prof_b.cycles_for(q.b_begin, q.b_end);
         if (st_cycles_a <= 0.0 || st_cycles_b <= 0.0) continue;
 
-        auto st_frac = [](std::array<double, kCategoryCount> cats, double cycles) {
+        auto st_frac = [](std::array<double, N> cats, double cycles) {
             for (double& x : cats) x /= cycles;
             return cats;
         };
-        const CategoryVector st_a =
+        const std::array<double, N> st_a =
             st_frac(prof_a.categories_for(q.a_begin, q.a_end), st_cycles_a);
-        const CategoryVector st_b =
+        const std::array<double, N> st_b =
             st_frac(prof_b.categories_for(q.b_begin, q.b_end), st_cycles_b);
 
-        // SMT categories per isolated cycle of the same work: the three
-        // values sum to the quantum slowdown of that task.
-        CategoryVector smt_a{}, smt_b{};
-        for (std::size_t c = 0; c < kCategoryCount; ++c) {
+        // SMT categories per isolated cycle of the same work: the values
+        // sum to the quantum slowdown of that task.
+        std::array<double, N> smt_a{}, smt_b{};
+        for (std::size_t c = 0; c < N; ++c) {
             smt_a[c] = q.a_smt[c] / st_cycles_a;
             smt_b[c] = q.b_smt[c] / st_cycles_b;
         }
@@ -119,47 +118,53 @@ void validate(const TrainerOptions& opts) {
 
 }  // namespace
 
-std::array<double, kDesignColumns> design_row(const TrainingSample& sample,
-                                              std::size_t category) noexcept {
-    return {1.0, sample.st_self[category], sample.st_corunner[category],
-            sample.st_self[category] * sample.st_corunner[category]};
+std::array<double, kCategoryCount> characterize_three(const pmu::CounterBank& delta,
+                                                      const uarch::SimConfig& cfg) {
+    return characterize(delta, cfg.dispatch_width).categories;
 }
 
-IsolatedProfile::IsolatedProfile(std::string app_name, std::vector<Quantum> quanta)
+template <std::size_t N>
+BasicIsolatedProfile<N>::BasicIsolatedProfile(std::string app_name, std::vector<Quantum> quanta)
     : app_name_(std::move(app_name)), quanta_(std::move(quanta)) {
     if (quanta_.empty()) throw std::invalid_argument("IsolatedProfile: no quanta");
 }
 
-std::uint64_t IsolatedProfile::total_instructions() const noexcept {
+template <std::size_t N>
+std::uint64_t BasicIsolatedProfile<N>::total_instructions() const noexcept {
     return quanta_.back().insts_end;
 }
 
-std::uint64_t IsolatedProfile::total_cycles() const noexcept {
+template <std::size_t N>
+std::uint64_t BasicIsolatedProfile<N>::total_cycles() const noexcept {
     return quanta_.back().cycles_end;
 }
 
-double IsolatedProfile::ipc() const noexcept {
+template <std::size_t N>
+double BasicIsolatedProfile<N>::ipc() const noexcept {
     const auto cycles = total_cycles();
     return cycles == 0 ? 0.0
                        : static_cast<double>(total_instructions()) /
                              static_cast<double>(cycles);
 }
 
-std::array<double, kCategoryCount> IsolatedProfile::overall_fractions() const noexcept {
-    std::array<double, kCategoryCount> sum{};
+template <std::size_t N>
+std::array<double, N> BasicIsolatedProfile<N>::overall_fractions() const noexcept {
+    std::array<double, N> sum{};
     for (const Quantum& q : quanta_)
-        for (std::size_t c = 0; c < kCategoryCount; ++c) sum[c] += q.categories[c];
+        for (std::size_t c = 0; c < N; ++c) sum[c] += q.categories[c];
     const double cycles = static_cast<double>(total_cycles());
     if (cycles > 0)
         for (double& x : sum) x /= cycles;
     return sum;
 }
 
-bool IsolatedProfile::covers(std::uint64_t begin, std::uint64_t end) const noexcept {
+template <std::size_t N>
+bool BasicIsolatedProfile<N>::covers(std::uint64_t begin, std::uint64_t end) const noexcept {
     return begin < end && end <= total_instructions();
 }
 
-double IsolatedProfile::cumulative_cycles_at(std::uint64_t insts) const {
+template <std::size_t N>
+double BasicIsolatedProfile<N>::cumulative_cycles_at(std::uint64_t insts) const {
     // Piecewise-linear interpolation over quantum boundaries.
     std::uint64_t prev_insts = 0;
     double prev_cycles = 0.0;
@@ -176,64 +181,139 @@ double IsolatedProfile::cumulative_cycles_at(std::uint64_t insts) const {
     return static_cast<double>(total_cycles());
 }
 
-std::array<double, kCategoryCount> IsolatedProfile::cumulative_categories_at(
+template <std::size_t N>
+std::array<double, N> BasicIsolatedProfile<N>::cumulative_categories_at(
     std::uint64_t insts) const {
-    std::array<double, kCategoryCount> acc{};
+    std::array<double, N> acc{};
     std::uint64_t prev_insts = 0;
     for (const Quantum& q : quanta_) {
         if (insts <= q.insts_end) {
             const double span = static_cast<double>(q.insts_end - prev_insts);
             const double frac =
                 span <= 0.0 ? 1.0 : static_cast<double>(insts - prev_insts) / span;
-            for (std::size_t c = 0; c < kCategoryCount; ++c)
-                acc[c] += frac * q.categories[c];
+            for (std::size_t c = 0; c < N; ++c) acc[c] += frac * q.categories[c];
             return acc;
         }
-        for (std::size_t c = 0; c < kCategoryCount; ++c) acc[c] += q.categories[c];
+        for (std::size_t c = 0; c < N; ++c) acc[c] += q.categories[c];
         prev_insts = q.insts_end;
     }
     return acc;
 }
 
-double IsolatedProfile::cycles_for(std::uint64_t begin, std::uint64_t end) const {
+template <std::size_t N>
+double BasicIsolatedProfile<N>::cycles_for(std::uint64_t begin, std::uint64_t end) const {
     if (!covers(begin, end)) throw std::out_of_range("IsolatedProfile::cycles_for: range");
     return cumulative_cycles_at(end) - cumulative_cycles_at(begin);
 }
 
-std::array<double, kCategoryCount> IsolatedProfile::categories_for(std::uint64_t begin,
-                                                                   std::uint64_t end) const {
+template <std::size_t N>
+std::array<double, N> BasicIsolatedProfile<N>::categories_for(std::uint64_t begin,
+                                                              std::uint64_t end) const {
     if (!covers(begin, end))
         throw std::out_of_range("IsolatedProfile::categories_for: range");
     auto hi = cumulative_categories_at(end);
     const auto lo = cumulative_categories_at(begin);
-    for (std::size_t c = 0; c < kCategoryCount; ++c) hi[c] -= lo[c];
+    for (std::size_t c = 0; c < N; ++c) hi[c] -= lo[c];
     return hi;
 }
 
-IsolatedProfile profile_isolated(const apps::AppProfile& app, const uarch::SimConfig& cfg,
-                                 std::uint64_t quanta, std::uint64_t seed,
-                                 std::uint64_t until_insts) {
+template <std::size_t N>
+BasicIsolatedProfile<N> profile_isolated(const apps::AppProfile& app, const uarch::SimConfig& cfg,
+                                         std::uint64_t quanta, std::uint64_t seed,
+                                         Characterization<N> characterization,
+                                         std::uint64_t until_insts) {
     uarch::SimConfig solo = cfg;
     solo.cores = 1;  // an isolated run needs one core; keeps profiling fast
     uarch::Chip chip(solo);
     apps::AppInstance task(/*id=*/1, app, seed);
     chip.bind(task, {.core = 0, .slot = 0});
 
-    std::vector<IsolatedProfile::Quantum> samples;
+    std::vector<typename BasicIsolatedProfile<N>::Quantum> samples;
     samples.reserve(quanta);
     pmu::CounterBank prev;
     for (std::uint64_t q = 0; q < quanta; ++q) {
         chip.run_quantum();
         const pmu::CounterBank& now = task.counters();
-        const CategoryBreakdown b = quantum_breakdown(now, prev, solo.dispatch_width);
-        prev = now;
         samples.push_back({.insts_end = task.insts_retired(),
                            .cycles_end = now.value(pmu::Event::kCpuCycles),
-                           .categories = b.categories});
+                           .categories = characterization(now.delta_since(prev), solo)});
+        prev = now;
         if (task.insts_retired() >= until_insts) break;
     }
-    return IsolatedProfile(app.name, std::move(samples));
+    return BasicIsolatedProfile<N>(app.name, std::move(samples));
 }
+
+template <std::size_t N>
+TrainingSet<N> collect_training_set(const uarch::SimConfig& cfg, const TrainerOptions& opts,
+                                    std::span<const std::string> app_names,
+                                    Characterization<N> characterization) {
+    validate(opts);
+    std::vector<const apps::AppProfile*> train_apps;
+    train_apps.reserve(app_names.size());
+    for (const std::string& name : app_names) train_apps.push_back(&apps::find_app(name));
+    const auto seed = [&opts](std::size_t i) { return common::derive_key(opts.seed, 0x150, i); };
+
+    // Step 1: all pairs in SMT (parallel across pairs).
+    std::vector<std::pair<std::size_t, std::size_t>> pairs;
+    for (std::size_t i = 0; i < train_apps.size(); ++i)
+        for (std::size_t j = i; j < train_apps.size(); ++j) {
+            if (i == j && !opts.include_self_pairs) continue;
+            pairs.emplace_back(i, j);
+        }
+    std::vector<std::vector<PairQuantum<N>>> runs(pairs.size());
+    common::parallel_for(
+        pairs.size(),
+        [&](std::size_t p) {
+            const auto [i, j] = pairs[p];
+            runs[p] = run_pair(cfg, opts, characterization, *train_apps[i], *train_apps[j],
+                               seed(i), seed(j));
+        },
+        opts.threads);
+
+    // Step 2: isolated profiles (parallel across applications), each cut
+    // after the first quantum that reaches the furthest instruction any of
+    // the application's pair quanta retired.  A cut profile is a prefix of
+    // the full one and covers every pair quantum the full one covers, so
+    // alignment sees the same bits; isolated_quanta only caps the length.
+    std::vector<std::uint64_t> reach(train_apps.size(), 0);
+    for (std::size_t p = 0; p < pairs.size(); ++p) {  // validate(): no run is empty
+        const auto [i, j] = pairs[p];
+        reach[i] = std::max(reach[i], runs[p].back().a_end);
+        reach[j] = std::max(reach[j], runs[p].back().b_end);
+    }
+    std::vector<BasicIsolatedProfile<N>> profiles(train_apps.size());
+    common::parallel_for(
+        train_apps.size(),
+        [&](std::size_t i) {
+            profiles[i] = profile_isolated(*train_apps[i], cfg, opts.isolated_quanta, seed(i),
+                                           characterization, reach[i]);
+        },
+        opts.threads);
+
+    // Step 3: alignment in pair order, not completion order: the fits are
+    // sums over samples and Trainer::fit() draws its subset by index.
+    TrainingSet<N> set;
+    set.pair_runs = pairs.size();
+    for (std::size_t p = 0; p < pairs.size(); ++p)
+        align(runs[p], profiles[pairs[p].first], profiles[pairs[p].second], set.samples);
+    return set;
+}
+
+template class BasicIsolatedProfile<kCategoryCount>;
+template class BasicIsolatedProfile<kExtendedCategoryCount>;
+template IsolatedProfile profile_isolated(const apps::AppProfile&, const uarch::SimConfig&,
+                                          std::uint64_t, std::uint64_t,
+                                          Characterization<kCategoryCount>, std::uint64_t);
+template BasicIsolatedProfile<kExtendedCategoryCount> profile_isolated(
+    const apps::AppProfile&, const uarch::SimConfig&, std::uint64_t, std::uint64_t,
+    Characterization<kExtendedCategoryCount>, std::uint64_t);
+template TrainingSet<kCategoryCount> collect_training_set(const uarch::SimConfig&,
+                                                          const TrainerOptions&,
+                                                          std::span<const std::string>,
+                                                          Characterization<kCategoryCount>);
+template TrainingSet<kExtendedCategoryCount> collect_training_set(
+    const uarch::SimConfig&, const TrainerOptions&, std::span<const std::string>,
+    Characterization<kExtendedCategoryCount>);
 
 std::vector<TrainingSample> Trainer::collect_pair_samples(const apps::AppProfile& a,
                                                           const apps::AppProfile& b,
@@ -242,7 +322,8 @@ std::vector<TrainingSample> Trainer::collect_pair_samples(const apps::AppProfile
                                                           std::uint64_t seed_a,
                                                           std::uint64_t seed_b) const {
     std::vector<TrainingSample> out;
-    align(run_pair(cfg_, opts_, a, b, seed_a, seed_b), prof_a, prof_b, out);
+    align(run_pair<kCategoryCount>(cfg_, opts_, characterize_three, a, b, seed_a, seed_b),
+          prof_a, prof_b, out);
     return out;
 }
 
@@ -291,56 +372,10 @@ TrainingResult Trainer::fit(std::vector<TrainingSample> samples, const TrainerOp
 }
 
 TrainingResult Trainer::train(std::span<const std::string> app_names) const {
-    validate(opts_);
-    std::vector<const apps::AppProfile*> train_apps;
-    train_apps.reserve(app_names.size());
-    for (const std::string& name : app_names) train_apps.push_back(&apps::find_app(name));
-    const auto seed = [this](std::size_t i) { return common::derive_key(opts_.seed, 0x150, i); };
-
-    // Phase 1: all pairs in SMT (parallel across pairs).
-    std::vector<std::pair<std::size_t, std::size_t>> pairs;
-    for (std::size_t i = 0; i < train_apps.size(); ++i)
-        for (std::size_t j = i; j < train_apps.size(); ++j) {
-            if (i == j && !opts_.include_self_pairs) continue;
-            pairs.emplace_back(i, j);
-        }
-    std::vector<std::vector<PairQuantum>> runs(pairs.size());
-    common::parallel_for(
-        pairs.size(),
-        [&](std::size_t p) {
-            const auto [i, j] = pairs[p];
-            runs[p] = run_pair(cfg_, opts_, *train_apps[i], *train_apps[j], seed(i), seed(j));
-        },
-        opts_.threads);
-
-    // Phase 2: isolated profiles (parallel across applications), each cut
-    // after the first quantum that reaches the furthest instruction any of
-    // the application's pair quanta retired.  A cut profile is a prefix of
-    // the full one and covers every pair quantum the full one covers, so
-    // alignment sees the same bits; isolated_quanta only caps the length.
-    std::vector<std::uint64_t> reach(train_apps.size(), 0);
-    for (std::size_t p = 0; p < pairs.size(); ++p) {  // validate(): no run is empty
-        const auto [i, j] = pairs[p];
-        reach[i] = std::max(reach[i], runs[p].back().a_end);
-        reach[j] = std::max(reach[j], runs[p].back().b_end);
-    }
-    std::vector<IsolatedProfile> profiles(train_apps.size());
-    common::parallel_for(
-        train_apps.size(),
-        [&](std::size_t i) {
-            profiles[i] = profile_isolated(*train_apps[i], cfg_, opts_.isolated_quanta, seed(i),
-                                           reach[i]);
-        },
-        opts_.threads);
-
-    // Phase 3: alignment in pair order, not completion order: fit() draws
-    // its random subset by sample index.
-    std::vector<TrainingSample> all_samples;
-    for (std::size_t p = 0; p < pairs.size(); ++p)
-        align(runs[p], profiles[pairs[p].first], profiles[pairs[p].second], all_samples);
-
-    TrainingResult result = fit(std::move(all_samples), opts_);
-    result.pair_runs = pairs.size();
+    TrainingSet<kCategoryCount> set =
+        collect_training_set(cfg_, opts_, app_names, characterize_three);
+    TrainingResult result = fit(std::move(set.samples), opts_);
+    result.pair_runs = set.pair_runs;
     return result;
 }
 

@@ -4,8 +4,8 @@
 //    record, per quantum after the warmup, the instruction interval each
 //    task executed and its SMT category cycles.
 // 2. Run each training application alone on a chip and record, per quantum,
-//    its cumulative instructions, cycles, and the three category values:
-//    the *isolated profile*.  A profile stops after the first quantum that
+//    its cumulative instructions, cycles, and category values: the
+//    *isolated profile*.  A profile stops after the first quantum that
 //    reaches the furthest instruction the application's pair quanta
 //    retired; `isolated_quanta` caps its length.
 // 3. Align: each pair quantum's instruction interval maps back into the
@@ -13,9 +13,13 @@
 //    map the category values"), yielding:
 //      * the isolated category fractions for exactly that work, and
 //      * the SMT category cycle counts normalized by the isolated cycles of
-//        that work (so the three values sum to the observed slowdown).
+//        that work (so the values sum to the observed slowdown).
 // 4. Fit Equation 1 per category with linear least squares on a random
 //    subset of the aligned quanta.
+//
+// Steps 1-3 (collect_training_set) are written once over the
+// characterization; Trainer runs them on the paper's three categories and
+// ExtendedTrainer on the eight of the §VI-A ablation.
 //
 // Training needs no oracle knowledge: it only reads the PMU, exactly like
 // the paper's profiling campaign on the ThunderX2.
@@ -30,22 +34,36 @@
 #include "apps/profile.hpp"
 #include "model/categories.hpp"
 #include "model/interference_model.hpp"
+#include "pmu/counters.hpp"
 #include "uarch/sim_config.hpp"
 
 namespace synpa::model {
 
+/// A characterization: splits one window's counter delta into N category
+/// cycle counts summing to the window's cycles.  The training pipeline is
+/// written once over it and instantiated for the paper's three categories
+/// and for the eight of the §VI-A ablation (extended_model.hpp).
+template <std::size_t N>
+using Characterization = std::array<double, N> (*)(const pmu::CounterBank& delta,
+                                                   const uarch::SimConfig& cfg);
+
+/// The paper's three categories: characterize()'s Step 3 at cfg's width.
+std::array<double, kCategoryCount> characterize_three(const pmu::CounterBank& delta,
+                                                      const uarch::SimConfig& cfg);
+
 /// Per-quantum record of an isolated run, with interpolating accessors used
 /// to align SMT instruction intervals against isolated time.
-class IsolatedProfile {
+template <std::size_t N>
+class BasicIsolatedProfile {
 public:
     struct Quantum {
         std::uint64_t insts_end = 0;   ///< cumulative instructions
         std::uint64_t cycles_end = 0;  ///< cumulative cycles
-        std::array<double, kCategoryCount> categories{};  ///< this quantum's cycles
+        std::array<double, N> categories{};  ///< this quantum's cycles
     };
 
-    IsolatedProfile() = default;
-    IsolatedProfile(std::string app_name, std::vector<Quantum> quanta);
+    BasicIsolatedProfile() = default;
+    BasicIsolatedProfile(std::string app_name, std::vector<Quantum> quanta);
 
     const std::string& app_name() const noexcept { return app_name_; }
     const std::vector<Quantum>& quanta() const noexcept { return quanta_; }
@@ -54,7 +72,7 @@ public:
     double ipc() const noexcept;
 
     /// Aggregate isolated category fractions over the whole profile.
-    std::array<double, kCategoryCount> overall_fractions() const noexcept;
+    std::array<double, N> overall_fractions() const noexcept;
 
     /// True when [begin, end) instructions are covered by the profile.
     bool covers(std::uint64_t begin, std::uint64_t end) const noexcept;
@@ -63,30 +81,44 @@ public:
     double cycles_for(std::uint64_t begin, std::uint64_t end) const;
 
     /// Isolated category cycle counts for the interval (interpolated).
-    std::array<double, kCategoryCount> categories_for(std::uint64_t begin,
-                                                      std::uint64_t end) const;
+    std::array<double, N> categories_for(std::uint64_t begin, std::uint64_t end) const;
 
 private:
     double cumulative_cycles_at(std::uint64_t insts) const;
-    std::array<double, kCategoryCount> cumulative_categories_at(std::uint64_t insts) const;
+    std::array<double, N> cumulative_categories_at(std::uint64_t insts) const;
 
     std::string app_name_;
     std::vector<Quantum> quanta_;
 };
 
+using IsolatedProfile = BasicIsolatedProfile<kCategoryCount>;
+
 /// Runs `app` alone on a chip built from `cfg` for `quanta` quanta, or
 /// stops after the first quantum whose cumulative retired instructions
-/// reach `until_insts`.
-IsolatedProfile profile_isolated(const apps::AppProfile& app, const uarch::SimConfig& cfg,
-                                 std::uint64_t quanta, std::uint64_t seed,
-                                 std::uint64_t until_insts = UINT64_MAX);
+/// reach `until_insts`; each quantum is split by `characterization`.
+template <std::size_t N>
+BasicIsolatedProfile<N> profile_isolated(const apps::AppProfile& app, const uarch::SimConfig& cfg,
+                                         std::uint64_t quanta, std::uint64_t seed,
+                                         Characterization<N> characterization,
+                                         std::uint64_t until_insts = UINT64_MAX);
+
+/// The three-category isolated profile.
+inline IsolatedProfile profile_isolated(const apps::AppProfile& app, const uarch::SimConfig& cfg,
+                                        std::uint64_t quanta, std::uint64_t seed,
+                                        std::uint64_t until_insts = UINT64_MAX) {
+    return profile_isolated<kCategoryCount>(app, cfg, quanta, seed, characterize_three,
+                                            until_insts);
+}
 
 /// One aligned observation: everything Equation 1 relates.
-struct TrainingSample {
-    CategoryVector st_self{};      ///< isolated fractions of the target's work
-    CategoryVector st_corunner{};  ///< isolated fractions of the co-runner's work
-    CategoryVector smt_per_st{};   ///< SMT categories per isolated cycle (sum = slowdown)
+template <std::size_t N>
+struct BasicTrainingSample {
+    std::array<double, N> st_self{};      ///< isolated fractions of the target's work
+    std::array<double, N> st_corunner{};  ///< isolated fractions of the co-runner's work
+    std::array<double, N> smt_per_st{};   ///< SMT categories per isolated cycle (sum = slowdown)
 };
+
+using TrainingSample = BasicTrainingSample<kCategoryCount>;
 
 /// Columns of the Equation-1 regression: intercept, C_self, C_corunner,
 /// and the interaction term.
@@ -94,11 +126,16 @@ inline constexpr std::size_t kDesignColumns = 4;
 
 /// The design-matrix row of one sample for one category:
 /// {1, C_self, C_corunner, C_self * C_corunner}.  Single definition shared
-/// by the offline Trainer's batch fit and online::IncrementalTrainer's
-/// rank-one updates, so the two paths factor the *same* regression and the
-/// incremental-vs-offline equivalence can be pinned bit-exactly.
-std::array<double, kDesignColumns> design_row(const TrainingSample& sample,
-                                              std::size_t category) noexcept;
+/// by the offline Trainer's batch fit, the extended ablation fit and
+/// online::IncrementalTrainer's rank-one updates, so the paths factor the
+/// *same* regression and the incremental-vs-offline equivalence can be
+/// pinned bit-exactly.
+template <std::size_t N>
+std::array<double, kDesignColumns> design_row(const BasicTrainingSample<N>& sample,
+                                              std::size_t category) noexcept {
+    return {1.0, sample.st_self[category], sample.st_corunner[category],
+            sample.st_self[category] * sample.st_corunner[category]};
+}
 
 struct TrainerOptions {
     std::uint64_t isolated_quanta = 160;  ///< cap on each isolated profile's length
@@ -118,6 +155,25 @@ struct TrainingResult {
     std::size_t pair_runs = 0;
 };
 
+/// Steps 1-3 over a training set: the aligned samples in pair order, and
+/// how many pair runs produced them.
+template <std::size_t N>
+struct TrainingSet {
+    std::vector<BasicTrainingSample<N>> samples;
+    std::size_t pair_runs = 0;
+};
+
+/// Runs steps 1-3 for the named applications under `characterization`:
+/// every pair in SMT, then each application alone until its pair quanta are
+/// covered, then alignment in pair order.  The result is a pure function
+/// of its arguments at any `opts.threads`.  Throws std::invalid_argument
+/// naming the field when isolated_quanta is 0, pair_quanta does not exceed
+/// warmup_quanta, or sample_fraction is outside (0, 1].
+template <std::size_t N>
+TrainingSet<N> collect_training_set(const uarch::SimConfig& cfg, const TrainerOptions& opts,
+                                    std::span<const std::string> app_names,
+                                    Characterization<N> characterization);
+
 class Trainer {
 public:
     Trainer(const uarch::SimConfig& cfg, TrainerOptions opts = {})
@@ -135,10 +191,7 @@ public:
                                                      std::uint64_t seed_a,
                                                      std::uint64_t seed_b) const;
 
-    /// Full pipeline over a training set of application names.  Throws
-    /// std::invalid_argument naming the field when isolated_quanta is 0,
-    /// pair_quanta does not exceed warmup_quanta, or sample_fraction is
-    /// outside (0, 1].
+    /// collect_training_set() under the three categories, then fit().
     TrainingResult train(std::span<const std::string> app_names) const;
 
     /// Fits Equation 1 to already-collected samples (used by ablations).

@@ -443,10 +443,10 @@ TEST(Extended, RefinesTheCoarseCategories) {
 }
 
 TEST(Extended, ProfileRunsEndToEnd) {
-    const ExtendedProfile p =
-        profile_isolated_extended(apps::find_app("bwaves"), train_config(), 6, 9);
-    EXPECT_EQ(p.quanta.size(), 6u);
-    EXPECT_GT(p.quanta.back().insts_end, 0u);
+    const BasicIsolatedProfile<kExtendedCategoryCount> p =
+        profile_isolated(apps::find_app("bwaves"), train_config(), 6, 9, characterize_extended);
+    EXPECT_EQ(p.quanta().size(), 6u);
+    EXPECT_GT(p.total_instructions(), 0u);
 }
 
 /// Six applications, 21 pair runs of 12 quanta, 40-quantum isolated cap.
@@ -477,6 +477,12 @@ TEST(ExtendedTrainer, TrainDigestPinned) {
     EXPECT_EQ(r.sample_count, 420u);
     EXPECT_EQ(testsig::digest(extended_signature(r)), 0xa186f33077a44769ull)
         << extended_signature(r);
+}
+
+TEST(ExtendedTrainer, ResultIsIdenticalForOneAndManyThreads) {
+    const std::string serial = extended_signature(small_extended_run(1));
+    for (int run = 0; run < 4; ++run)
+        EXPECT_EQ(extended_signature(small_extended_run(4)), serial) << "run " << run;
 }
 
 }  // namespace
