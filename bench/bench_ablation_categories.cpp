@@ -1,8 +1,11 @@
 // Ablation from §VI-A: the paper first built a ~ten-category model (backend
 // split by cause) and found it performed *worse* than the three-category
 // one — per-category errors compound when summed into a slowdown.  This
-// bench trains both models on the same runs and compares the slowdown
-// prediction error per aligned sample.
+// bench trains both models through the same pipeline (same pair runs,
+// profiles and alignment) and prints the sum of the per-category fit MSEs
+// of each.  The two fits differ: the 3-category Trainer::fit uses least
+// squares on a sample_fraction subset, the 8-category fit ridge on every
+// sample, so the sums come from different sample sets.
 #include <cmath>
 #include <iostream>
 

@@ -21,9 +21,6 @@ bool admission_before(const WorkItem& a, const WorkItem& b) noexcept {
 FleetRunner::FleetRunner(const scenario::ScenarioTrace& trace, FleetOptions opts)
     : trace_(trace), opts_(std::move(opts)),
       fleet_([&] {
-          if (trace.spec.process == scenario::ArrivalProcess::kClosed)
-              throw std::invalid_argument(
-                  "FleetRunner: closed scenarios have no arrivals to balance");
           if (!trace.arrival_sorted())
               throw std::invalid_argument("FleetRunner: trace tasks must be arrival-sorted");
           if (opts_.max_quanta == 0)

@@ -120,8 +120,8 @@ struct FleetOptions {
 
 class FleetRunner {
 public:
-    /// The trace must be an open-system scenario (closed mode has no
-    /// arrival/queue semantics to balance).
+    /// Throws std::invalid_argument when the trace is not arrival-sorted,
+    /// max_quanta is 0 or a policy name is unknown.
     FleetRunner(const scenario::ScenarioTrace& trace, FleetOptions opts);
 
     FleetResult run();

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "apps/spec_suite.hpp"
-#include "sched/thread_manager.hpp"
 
 namespace synpa::scenario {
 
@@ -18,16 +17,11 @@ double ScenarioResult::mean_utilization() const noexcept {
 ScenarioRunner::ScenarioRunner(uarch::Platform& platform, sched::AllocationPolicy& policy,
                                const ScenarioTrace& trace, Options opts)
     : platform_(platform), policy_(policy), trace_(trace), opts_(opts),
-      // Closed scenarios wire the tracer through the delegated ThreadManager.
-      loop_(platform, policy,
-            trace.spec.process == ArrivalProcess::kClosed ? nullptr : opts_.tracer,
-            /*full_groups=*/false) {
-    if (trace_.spec.process == ArrivalProcess::kClosed &&
-        trace_.tasks.size() != static_cast<std::size_t>(platform_.hw_contexts()))
-        throw std::invalid_argument(
-            "ScenarioRunner: closed scenarios must fill the platform");
+      loop_(platform, policy, opts_.tracer, /*full_groups=*/false) {
     if (!trace_.arrival_sorted())
         throw std::invalid_argument("ScenarioRunner: trace tasks must be arrival-sorted");
+    if (opts_.max_quanta == 0)
+        throw std::invalid_argument("ScenarioRunner: max_quanta must be > 0");
 }
 
 ScenarioResult ScenarioRunner::run() {
@@ -42,10 +36,7 @@ ScenarioResult ScenarioRunner::run() {
         rec.service_insts = trace_.tasks[i].service_insts;
         rec.isolated_ipc = trace_.tasks[i].isolated_ipc;
     }
-    if (trace_.spec.process == ArrivalProcess::kClosed)
-        run_closed();
-    else
-        run_open();
+    run_quanta();
     // Online-adaptation accounting: policies that retrain their model at
     // runtime expose counters through sched::OnlinePolicy; frozen-model
     // policies leave the fields at their zero defaults.
@@ -56,62 +47,6 @@ ScenarioResult ScenarioRunner::run() {
     }
     return std::move(result_);
 }
-
-// ---------------------------------------------------------------- closed --
-
-void ScenarioRunner::run_closed() {
-    // The closed system *is* the paper's methodology: delegate to the
-    // classic manager so turnaround results are bit-identical with a direct
-    // ThreadManager run.
-    std::vector<sched::TaskSpec> specs;
-    specs.reserve(trace_.tasks.size());
-    for (const PlannedTask& t : trace_.tasks)
-        specs.push_back({.app_name = t.app_name,
-                         .seed = t.seed,
-                         .target_insts = t.service_insts,
-                         .isolated_ipc = t.isolated_ipc});
-    sched::ThreadManager manager(
-        platform_, policy_, specs,
-        {.max_quanta = opts_.max_quanta,
-         .record_traces = opts_.record_timeline,
-         .tracer = opts_.tracer,
-         .on_quantum = opts_.on_quantum});
-    const sched::RunResult run = manager.run();
-
-    result_.quanta_executed = run.quanta_executed;
-    result_.migrations = run.migrations;
-    result_.cross_chip_migrations = run.cross_chip_migrations;
-    result_.completed = run.completed;
-    result_.turnaround_quanta = run.turnaround_quanta;
-    for (const sched::TaskOutcome& out : run.outcomes) {
-        TaskRecord& rec = result_.tasks[static_cast<std::size_t>(out.slot_index)];
-        rec.task_id = out.slot_index + 1;  // ThreadManager ids originals 1..N
-        rec.chip_id = out.final_core >= 0 ? platform_.chip_of_core(out.final_core) : -1;
-        rec.finish_quantum = out.finish_quantum;
-        rec.turnaround_quanta = out.finish_quantum;
-        rec.slowdown = trace_.tasks[static_cast<std::size_t>(out.slot_index)].slowdown(
-            out.finish_quantum, platform_.config().cycles_per_quantum);
-        rec.completed = true;
-        ++result_.completed_tasks;
-    }
-
-    if (opts_.record_timeline && !run.traces.empty()) {
-        // ThreadManager does not attribute migrations to quanta, so closed
-        // timelines leave every sample's cumulative-migrations field at 0;
-        // the run total is in result.migrations.
-        result_.timeline.resize(static_cast<std::size_t>(run.quanta_executed));
-        for (std::size_t q = 0; q < result_.timeline.size(); ++q) {
-            QuantumSample& sample = result_.timeline[q];
-            sample.quantum = q;
-            sample.live = static_cast<int>(trace_.tasks.size());
-            sample.utilization = 1.0;  // the closed system keeps the chip full
-            for (const auto& trace : run.traces)
-                if (q < trace.size()) sample.aggregate_ipc += trace[q].ipc;
-        }
-    }
-}
-
-// ------------------------------------------------------------------ open --
 
 int ScenarioRunner::admit(std::uint64_t quantum) {
     const auto capacity = static_cast<std::size_t>(platform_.hw_contexts());
@@ -154,7 +89,7 @@ std::unique_ptr<apps::AppInstance> ScenarioRunner::finished(std::size_t,
     return nullptr;
 }
 
-void ScenarioRunner::run_open() {
+void ScenarioRunner::run_quanta() {
     const int capacity = platform_.hw_contexts();
     std::uint64_t quantum = 0;
     while (quantum < opts_.max_quanta) {

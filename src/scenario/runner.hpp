@@ -6,10 +6,8 @@
 //
 // The quantum itself is sched::NodeLoop's, configured for an open system:
 // FIFO arrivals on the least-loaded slot, retirement at the finish line,
-// partial groups.  A kClosed trace is delegated to ThreadManager outright,
-// so a scenario with no arrivals/departures and a full chip reproduces the
-// paper-methodology results bit-identically (asserted in
-// tests/test_scenario.cpp).
+// partial groups.  The paper's closed system (fixed slots, relaunch on
+// finish) is sched::ThreadManager, the same NodeLoop configured closed.
 #pragma once
 
 #include <cstdint>
@@ -48,9 +46,7 @@ struct QuantumSample {
     int queued = 0;           ///< arrived but waiting for a free thread
     double utilization = 0.0; ///< live / (smt_ways * cores)
     double aggregate_ipc = 0.0;  ///< sum of per-task IPCs this quantum
-    /// Cumulative core changes so far (open mode; closed-mode timelines
-    /// leave this 0 — the classic manager only reports the run total).
-    std::uint64_t migrations = 0;
+    std::uint64_t migrations = 0;  ///< cumulative core changes so far
 };
 
 struct ScenarioResult {
@@ -80,10 +76,9 @@ public:
     struct Options {
         std::uint64_t max_quanta = 20'000;  ///< safety cap
         bool record_timeline = true;
-        /// Flight recorder (not owned; may be null or disabled).  Closed
-        /// scenarios hand it to the delegated ThreadManager; the open
-        /// driver stamps quantum boundaries, phase wall-clock, and
-        /// admission/retirement/migration events itself.
+        /// Flight recorder (not owned; may be null or disabled): quantum
+        /// boundaries, phase wall-clock, and admission/retirement/migration
+        /// events.
         obs::Tracer* tracer = nullptr;
         /// Invariant hook for the property suite: called after every
         /// quantum's rebind, while the placement is live.
@@ -91,7 +86,9 @@ public:
     };
 
     /// The trace's tasks may exceed hardware capacity at any instant —
-    /// excess arrivals queue (FIFO) until a thread frees up.
+    /// excess arrivals queue (FIFO) until a thread frees up.  Throws
+    /// std::invalid_argument when the trace is not arrival-sorted or
+    /// opts.max_quanta is 0.
     ScenarioRunner(uarch::Platform& platform, sched::AllocationPolicy& policy,
                    const ScenarioTrace& trace)
         : ScenarioRunner(platform, policy, trace, Options()) {}
@@ -102,8 +99,8 @@ public:
     ScenarioResult run();
 
 private:
-    void run_closed();
-    void run_open();
+    /// Steps quanta until the trace drains or max_quanta is reached.
+    void run_quanta();
     /// Admits arrivals up to `quantum` while threads are free (FIFO);
     /// returns how many arrived tasks still wait.
     int admit(std::uint64_t quantum);
@@ -116,7 +113,7 @@ private:
     sched::AllocationPolicy& policy_;
     const ScenarioTrace& trace_;
     Options opts_;
-    sched::NodeLoop loop_;       ///< open runs; residents keyed by plan index
+    sched::NodeLoop loop_;       ///< residents keyed by plan index
     ScenarioResult result_;      ///< the run being measured
     std::size_t next_plan_ = 0;  ///< first not-yet-admitted plan index
 };

@@ -76,7 +76,6 @@ const char* slo_class_name(SloClass c) noexcept {
 
 const char* arrival_process_name(ArrivalProcess p) noexcept {
     switch (p) {
-        case ArrivalProcess::kClosed: return "closed";
         case ArrivalProcess::kPoisson: return "poisson";
         case ArrivalProcess::kBurst: return "burst";
         case ArrivalProcess::kTrace: return "trace";
@@ -85,9 +84,6 @@ const char* arrival_process_name(ArrivalProcess p) noexcept {
 }
 
 ScenarioTrace build_trace(const ScenarioSpec& spec, const uarch::SimConfig& cfg) {
-    if (spec.process == ArrivalProcess::kClosed)
-        throw std::invalid_argument(
-            "build_trace: closed scenarios come from closed_trace (prepared task specs)");
     if (spec.app_mix.empty() &&
         (spec.process != ArrivalProcess::kTrace || spec.initial_tasks > 0))
         throw std::invalid_argument("build_trace: app_mix must not be empty");
@@ -152,7 +148,6 @@ ScenarioTrace build_trace(const ScenarioSpec& spec, const uarch::SimConfig& cfg)
                 arrivals.push_back(a);
             }
             break;
-        case ArrivalProcess::kClosed: break;  // unreachable (rejected above)
     }
 
     std::stable_sort(arrivals.begin(), arrivals.end(),
@@ -195,24 +190,6 @@ ScenarioTrace build_trace(const ScenarioSpec& spec, const uarch::SimConfig& cfg)
                                     ? static_cast<double>(task.arrival_quantum) +
                                           slack * isolated_quanta
                                     : 0.0;
-        trace.tasks.push_back(std::move(task));
-    }
-    return trace;
-}
-
-ScenarioTrace closed_trace(std::string name, std::span<const sched::TaskSpec> tasks) {
-    ScenarioTrace trace;
-    trace.spec.name = std::move(name);
-    trace.spec.process = ArrivalProcess::kClosed;
-    trace.spec.initial_tasks = tasks.size();
-    trace.tasks.reserve(tasks.size());
-    for (const sched::TaskSpec& t : tasks) {
-        PlannedTask task;
-        task.arrival_quantum = 0;
-        task.app_name = t.app_name;
-        task.seed = t.seed;
-        task.service_insts = t.target_insts;
-        task.isolated_ipc = t.isolated_ipc;
         trace.tasks.push_back(std::move(task));
     }
     return trace;

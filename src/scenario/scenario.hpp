@@ -1,5 +1,4 @@
-// Dynamic workload scenarios: open-system arrivals, variable load, and the
-// closed-system special case that reproduces the paper's methodology.
+// Dynamic workload scenarios: open-system arrivals and variable load.
 //
 // The paper's evaluation (§V) is a closed system — exactly 2 threads per
 // core, finished tasks relaunched instantly.  A ScenarioSpec generalizes
@@ -9,25 +8,24 @@
 // (target instructions from isolated profiling).  build_trace samples the
 // process into a deterministic ScenarioTrace — the pure function of
 // (spec, config) that the ArtifactCache memoizes — and ScenarioRunner
-// (runner.hpp) executes it.
+// (runner.hpp) executes it.  The closed system itself is
+// sched::ThreadManager's.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
-#include "sched/thread_manager.hpp"
 #include "uarch/sim_config.hpp"
 
 namespace synpa::scenario {
 
+/// scenario_fingerprint hashes the values; 0 was the retired closed mode.
 enum class ArrivalProcess {
-    kClosed,   ///< the paper's methodology: fixed slots, relaunch on finish
-    kPoisson,  ///< independent arrivals at `arrival_rate` per quantum
-    kBurst,    ///< `burst_size` arrivals every `burst_period` quanta
-    kTrace,    ///< explicit (quantum, app) arrival list
+    kPoisson = 1,  ///< independent arrivals at `arrival_rate` per quantum
+    kBurst = 2,    ///< `burst_size` arrivals every `burst_period` quanta
+    kTrace = 3,    ///< explicit (quantum, app) arrival list
 };
 
 const char* arrival_process_name(ArrivalProcess p) noexcept;
@@ -142,11 +140,6 @@ struct ScenarioTrace {
 /// jitter, and profiles each distinct application once in isolation for the
 /// service demand baseline.  Deterministic in (spec, cfg).
 ScenarioTrace build_trace(const ScenarioSpec& spec, const uarch::SimConfig& cfg);
-
-/// Wraps prepared classic-methodology task specs as a kClosed scenario:
-/// every task arrives at quantum 0 and the runner executes the paper's
-/// relaunch-to-hold-load-constant loop (ThreadManager) verbatim.
-ScenarioTrace closed_trace(std::string name, std::span<const sched::TaskSpec> tasks);
 
 /// Deterministic fingerprint over every spec field that can change the
 /// sampled trace or the run — including the arrival seed — used by

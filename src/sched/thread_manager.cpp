@@ -15,6 +15,8 @@ ThreadManager::ThreadManager(uarch::Platform& platform, AllocationPolicy& policy
       loop_(platform, policy, opts_.tracer, /*full_groups=*/true) {
     if (specs.size() != static_cast<std::size_t>(platform_.hw_contexts()))
         throw std::invalid_argument("ThreadManager: task count must fill the platform");
+    if (opts_.max_quanta == 0)
+        throw std::invalid_argument("ThreadManager: max_quanta must be > 0");
     slots_.reserve(specs.size());
     for (const TaskSpec& spec : specs) {
         loop_.add({.task = std::make_unique<apps::AppInstance>(

@@ -89,7 +89,8 @@ public:
     };
 
     /// The platform must have exactly specs.size() hardware threads free
-    /// (specs.size() == platform.hw_contexts()).
+    /// (specs.size() == platform.hw_contexts()), and opts.max_quanta must
+    /// be at least 1; otherwise throws std::invalid_argument.
     ThreadManager(uarch::Platform& platform, AllocationPolicy& policy,
                   std::span<const TaskSpec> specs)
         : ThreadManager(platform, policy, specs, Options()) {}

@@ -225,14 +225,6 @@ TEST(FleetRegistry, ModelRequiredForScoringPolicies) {
     }
 }
 
-TEST(FleetRunner, RejectsClosedTraces) {
-    const std::vector<sched::TaskSpec> specs = {
-        {.app_name = "mcf", .seed = 1, .target_insts = 8'000, .isolated_ipc = 0.6}};
-    const scenario::ScenarioTrace closed = scenario::closed_trace("closed", specs);
-    EXPECT_THROW(fleet::FleetRunner(closed, fleet_options("fleet-least-loaded")),
-                 std::invalid_argument);
-}
-
 TEST(FleetRunner, RejectsZeroMaxQuanta) {
     const scenario::ScenarioTrace trace = scenario::build_trace(fleet_spec(), node_config());
     fleet::FleetOptions fo = fleet_options("fleet-least-loaded");

@@ -479,6 +479,19 @@ TEST(ExtendedTrainer, TrainDigestPinned) {
         << extended_signature(r);
 }
 
+TEST(ExtendedTrainer, RejectsPairQuantaNotAboveWarmup) {
+    TrainerOptions opts;
+    opts.pair_quanta = 2;
+    opts.warmup_quanta = 2;
+    const std::vector<std::string> apps = {"mcf", "nab_r"};
+    try {
+        ExtendedTrainer(train_config(), opts).train(apps);
+        ADD_FAILURE() << "pair_quanta == warmup_quanta was accepted";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("pair_quanta"), std::string::npos) << e.what();
+    }
+}
+
 TEST(ExtendedTrainer, ResultIsIdenticalForOneAndManyThreads) {
     const std::string serial = extended_signature(small_extended_run(1));
     for (int run = 0; run < 4; ++run)

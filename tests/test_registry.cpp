@@ -1,8 +1,8 @@
 // Tests for the string-keyed policy registry (sched/registry.hpp): lookup
 // and error behaviour, plus a parameterized sweep instantiating *every*
-// registered policy by name and driving it through a small closed and open
-// scenario at SMT widths 2 and 4, checking task conservation and run
-// determinism.  A policy that can be named can be run — nothing in the
+// registered policy by name and driving it through a small closed run
+// (ThreadManager) and open scenario at SMT widths 2 and 4, checking task
+// conservation and run determinism.  A policy that can be named can be run — nothing in the
 // registry is allowed to be wiring-only.
 #include <gtest/gtest.h>
 
@@ -127,41 +127,56 @@ TEST_P(RegistryPolicyTest, RunsClosedAndOpenAtBothWidthsDeterministically) {
         ensure_calibrated(cfg);
 
         // Closed: the paper's methodology shape (full chip, relaunches).
-        const scenario::ScenarioTrace closed =
-            scenario::closed_trace("registry-closed", closed_specs());
+        const std::vector<sched::TaskSpec> specs = closed_specs();
+        std::vector<std::string> closed_signatures;
+        for (int run = 0; run < 2; ++run) {
+            uarch::Platform platform(cfg);
+            const auto policy = sched::make_policy(info.name, test_policy_config());
+            sched::ThreadManager manager(platform, *policy, specs, {.max_quanta = 3'000});
+            const sched::RunResult result = manager.run();
+
+            // Conservation: every slot reports its original task once.
+            ASSERT_EQ(result.outcomes.size(), specs.size()) << info.name << " width " << width;
+            EXPECT_TRUE(result.completed) << info.name << " width " << width;
+            std::set<int> slots;
+            for (const sched::TaskOutcome& out : result.outcomes) {
+                EXPECT_TRUE(slots.insert(out.slot_index).second)
+                    << "duplicate slot under " << info.name;
+                EXPECT_GE(out.finish_quantum, 0.0);
+            }
+            closed_signatures.push_back(testsig::signature(result));
+        }
+        EXPECT_EQ(closed_signatures[0], closed_signatures[1])
+            << info.name << " width " << width << " is nondeterministic (closed)";
+
         // Open: Poisson arrivals with queueing and partial allocations.
         const scenario::ScenarioTrace open = scenario::build_trace(open_spec(), cfg);
+        std::vector<std::string> signatures;
+        for (int run = 0; run < 2; ++run) {
+            uarch::Platform platform(cfg);
+            const auto policy = sched::make_policy(info.name, test_policy_config());
+            scenario::ScenarioRunner runner(platform, *policy, open, {.max_quanta = 3'000});
+            const scenario::ScenarioResult result = runner.run();
 
-        for (const scenario::ScenarioTrace* trace : {&closed, &open}) {
-            std::vector<std::string> signatures;
-            for (int run = 0; run < 2; ++run) {
-                uarch::Platform platform(cfg);
-                const auto policy = sched::make_policy(info.name, test_policy_config());
-                scenario::ScenarioRunner runner(platform, *policy, *trace,
-                                                {.max_quanta = 3'000});
-                const scenario::ScenarioResult result = runner.run();
-
-                // Conservation: every planned task is accounted for, and
-                // completed tasks carry consistent bookkeeping.
-                ASSERT_EQ(result.tasks.size(), trace->tasks.size())
-                    << info.name << " width " << width;
-                EXPECT_TRUE(result.completed) << info.name << " width " << width;
-                std::set<int> ids;
-                for (const scenario::TaskRecord& rec : result.tasks) {
-                    if (!rec.completed) continue;
-                    EXPECT_TRUE(ids.insert(rec.task_id).second)
-                        << "duplicate task id under " << info.name;
-                    EXPECT_GE(rec.finish_quantum, 0.0);
-                    EXPECT_GE(rec.turnaround_quanta, 0.0);
-                }
-                EXPECT_EQ(ids.size(), result.completed_tasks);
-                EXPECT_EQ(result.adaptive, info.adaptive) << info.name;
-                signatures.push_back(testsig::signature(result));
+            // Conservation: every planned task is accounted for, and
+            // completed tasks carry consistent bookkeeping.
+            ASSERT_EQ(result.tasks.size(), open.tasks.size()) << info.name << " width " << width;
+            EXPECT_TRUE(result.completed) << info.name << " width " << width;
+            std::set<int> ids;
+            for (const scenario::TaskRecord& rec : result.tasks) {
+                if (!rec.completed) continue;
+                EXPECT_TRUE(ids.insert(rec.task_id).second)
+                    << "duplicate task id under " << info.name;
+                EXPECT_GE(rec.finish_quantum, 0.0);
+                EXPECT_GE(rec.turnaround_quanta, 0.0);
             }
-            // Determinism: identical trace + fresh policy => identical run.
-            EXPECT_EQ(signatures[0], signatures[1])
-                << info.name << " width " << width << " is nondeterministic";
+            EXPECT_EQ(ids.size(), result.completed_tasks);
+            EXPECT_EQ(result.adaptive, info.adaptive) << info.name;
+            signatures.push_back(testsig::signature(result));
         }
+        // Determinism: identical trace + fresh policy => identical run.
+        EXPECT_EQ(signatures[0], signatures[1])
+            << info.name << " width " << width << " is nondeterministic (open)";
     }
 }
 

@@ -1,8 +1,7 @@
 // Tests for the dynamic-scenario engine: trace sampling (arrival processes,
 // load profiles, fingerprints), the open-system runner (admission/queueing,
-// retirement, partial allocations), the closed-mode bit-identity with the
-// classic ThreadManager, the acceptance load sweep, and the scenario grid's
-// thread-count determinism.
+// retirement, partial allocations), the acceptance load sweep, and the
+// scenario grid's thread-count determinism.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -180,7 +179,7 @@ TEST(ScenarioTrace, FingerprintSeparatesSeedAndShape) {
     EXPECT_NE(scenario::scenario_fingerprint(base), scenario::scenario_fingerprint(reshaped));
 }
 
-// ---------- closed mode: bit-identical with the classic manager ----------
+// ---------- workloads ----------
 
 std::vector<sched::TaskSpec> classic_workload() {
     return {
@@ -195,65 +194,12 @@ std::vector<sched::TaskSpec> classic_workload() {
     };
 }
 
-template <class MakePolicy>
-void expect_closed_matches_classic(const uarch::SimConfig& cfg, MakePolicy make_policy) {
-    const std::vector<sched::TaskSpec> specs = classic_workload();
-
-    uarch::Platform classic_platform(cfg);
-    auto classic_policy = make_policy();
-    sched::ThreadManager manager(classic_platform, *classic_policy, specs);
-    const sched::RunResult classic = manager.run();
-
-    uarch::Platform scenario_platform(cfg);
-    auto scenario_policy = make_policy();
-    const scenario::ScenarioTrace trace = scenario::closed_trace("classic", specs);
-    scenario::ScenarioRunner runner(scenario_platform, *scenario_policy, trace);
-    const scenario::ScenarioResult result = runner.run();
-
-    // Bit-identical reproduction of the classic methodology results.
-    ASSERT_TRUE(classic.completed);
-    ASSERT_TRUE(result.completed);
-    EXPECT_EQ(result.turnaround_quanta, classic.turnaround_quanta);
-    EXPECT_EQ(result.quanta_executed, classic.quanta_executed);
-    EXPECT_EQ(result.migrations, classic.migrations);
-    ASSERT_EQ(result.tasks.size(), classic.outcomes.size());
-    for (const sched::TaskOutcome& out : classic.outcomes) {
-        const scenario::TaskRecord& rec =
-            result.tasks[static_cast<std::size_t>(out.slot_index)];
-        EXPECT_EQ(rec.finish_quantum, out.finish_quantum);  // exact doubles
-        EXPECT_EQ(rec.turnaround_quanta, out.finish_quantum);
-        EXPECT_TRUE(rec.completed);
-    }
-}
-
-TEST(ScenarioRunner, ClosedModeMatchesThreadManagerUnderLinux) {
-    expect_closed_matches_classic(chip4x2_config(),
-                                  [] { return std::make_unique<sched::LinuxPolicy>(); });
-}
-
-TEST(ScenarioRunner, ClosedModeMatchesThreadManagerUnderSynpa) {
-    expect_closed_matches_classic(chip4x2_config(), [] {
-        return std::make_unique<core::SynpaPolicy>(model::InterferenceModel::paper_table4());
-    });
-}
-
 uarch::SimConfig chip2x4_config() {
     uarch::SimConfig cfg;
     cfg.cores = 2;     // same 8 hardware threads as the paper's shape...
     cfg.smt_ways = 4;  // ...but packed four to a core (TX2 SMT-4 BIOS mode)
     cfg.cycles_per_quantum = 4'000;
     return cfg;
-}
-
-TEST(ScenarioRunner, ClosedModeMatchesThreadManagerAtSmt4) {
-    // The closed-mode delegation contract holds at every width: the same
-    // 8-task workload on a 2-core SMT-4 chip reproduces a direct
-    // ThreadManager run bit-identically under both drivers.
-    expect_closed_matches_classic(chip2x4_config(),
-                                  [] { return std::make_unique<sched::LinuxPolicy>(); });
-    expect_closed_matches_classic(chip2x4_config(), [] {
-        return std::make_unique<core::SynpaPolicy>(model::InterferenceModel::paper_table4());
-    });
 }
 
 // ---------- open system ----------
@@ -288,6 +234,19 @@ TEST(ScenarioRunner, PartialLoadRunsSinglesAndCompletes) {
             EXPECT_LE(s.utilization, static_cast<double>(n) / 8.0 + 1e-9);
         }
         EXPECT_EQ(platform.bound_tasks().size(), 0u);  // everything retired
+    }
+}
+
+TEST(ScenarioRunner, RejectsZeroMaxQuanta) {
+    const uarch::SimConfig cfg = chip4x2_config();
+    uarch::Platform platform(cfg);
+    sched::LinuxPolicy policy;
+    const scenario::ScenarioTrace trace = flat_trace(3, cfg);
+    try {
+        scenario::ScenarioRunner runner(platform, policy, trace, {.max_quanta = 0});
+        ADD_FAILURE() << "ScenarioRunner accepted max_quanta = 0";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("max_quanta"), std::string::npos) << e.what();
     }
 }
 

@@ -335,6 +335,17 @@ TEST(ThreadManager, SafetyCapReportsIncomplete) {
     EXPECT_EQ(r.quanta_executed, 5u);
 }
 
+TEST(ThreadManager, RejectsZeroMaxQuanta) {
+    uarch::Platform platform(manager_config());
+    LinuxPolicy policy;
+    try {
+        ThreadManager manager(platform, policy, small_workload(20'000), {.max_quanta = 0});
+        ADD_FAILURE() << "ThreadManager accepted max_quanta = 0";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("max_quanta"), std::string::npos) << e.what();
+    }
+}
+
 TEST(ThreadManager, DeterministicAcrossRuns) {
     auto run_once = [] {
         uarch::Platform platform(manager_config());
