@@ -14,6 +14,12 @@
 namespace synpa::model {
 namespace {
 
+/// The paper's three categories: characterize()'s Step 3 at cfg's width.
+std::array<double, kCategoryCount> characterize_three(const pmu::CounterBank& delta,
+                                                      const uarch::SimConfig& cfg) {
+    return characterize(delta, cfg.dispatch_width).categories;
+}
+
 /// What alignment needs of one post-warmup quantum of a pair run: the
 /// instruction range each task retired and its SMT category cycles.
 template <std::size_t N>
@@ -117,11 +123,6 @@ void validate(const TrainerOptions& opts) {
 }
 
 }  // namespace
-
-std::array<double, kCategoryCount> characterize_three(const pmu::CounterBank& delta,
-                                                      const uarch::SimConfig& cfg) {
-    return characterize(delta, cfg.dispatch_width).categories;
-}
 
 template <std::size_t N>
 BasicIsolatedProfile<N>::BasicIsolatedProfile(std::string app_name, std::vector<Quantum> quanta)
@@ -243,6 +244,12 @@ BasicIsolatedProfile<N> profile_isolated(const apps::AppProfile& app, const uarc
     return BasicIsolatedProfile<N>(app.name, std::move(samples));
 }
 
+IsolatedProfile profile_isolated(const apps::AppProfile& app, const uarch::SimConfig& cfg,
+                                 std::uint64_t quanta, std::uint64_t seed,
+                                 std::uint64_t until_insts) {
+    return profile_isolated(app, cfg, quanta, seed, characterize_three, until_insts);
+}
+
 template <std::size_t N>
 TrainingSet<N> collect_training_set(const uarch::SimConfig& cfg, const TrainerOptions& opts,
                                     std::span<const std::string> app_names,
@@ -322,8 +329,7 @@ std::vector<TrainingSample> Trainer::collect_pair_samples(const apps::AppProfile
                                                           std::uint64_t seed_a,
                                                           std::uint64_t seed_b) const {
     std::vector<TrainingSample> out;
-    align(run_pair<kCategoryCount>(cfg_, opts_, characterize_three, a, b, seed_a, seed_b),
-          prof_a, prof_b, out);
+    align(run_pair(cfg_, opts_, characterize_three, a, b, seed_a, seed_b), prof_a, prof_b, out);
     return out;
 }
 

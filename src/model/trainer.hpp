@@ -47,10 +47,6 @@ template <std::size_t N>
 using Characterization = std::array<double, N> (*)(const pmu::CounterBank& delta,
                                                    const uarch::SimConfig& cfg);
 
-/// The paper's three categories: characterize()'s Step 3 at cfg's width.
-std::array<double, kCategoryCount> characterize_three(const pmu::CounterBank& delta,
-                                                      const uarch::SimConfig& cfg);
-
 /// Per-quantum record of an isolated run, with interpolating accessors used
 /// to align SMT instruction intervals against isolated time.
 template <std::size_t N>
@@ -102,13 +98,10 @@ BasicIsolatedProfile<N> profile_isolated(const apps::AppProfile& app, const uarc
                                          Characterization<N> characterization,
                                          std::uint64_t until_insts = UINT64_MAX);
 
-/// The three-category isolated profile.
-inline IsolatedProfile profile_isolated(const apps::AppProfile& app, const uarch::SimConfig& cfg,
-                                        std::uint64_t quanta, std::uint64_t seed,
-                                        std::uint64_t until_insts = UINT64_MAX) {
-    return profile_isolated<kCategoryCount>(app, cfg, quanta, seed, characterize_three,
-                                            until_insts);
-}
+/// The isolated profile under the paper's three categories.
+IsolatedProfile profile_isolated(const apps::AppProfile& app, const uarch::SimConfig& cfg,
+                                 std::uint64_t quanta, std::uint64_t seed,
+                                 std::uint64_t until_insts = UINT64_MAX);
 
 /// One aligned observation: everything Equation 1 relates.
 template <std::size_t N>

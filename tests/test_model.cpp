@@ -329,8 +329,10 @@ std::string result_signature(const TrainingResult& r) {
     std::string sig = std::to_string(r.sample_count);
     for (std::size_t c = 0; c < kCategoryCount; ++c) {
         const CategoryCoefficients& k = r.model.coefficients(static_cast<Category>(c));
-        for (const double x : {k.alpha, k.beta, k.gamma, k.rho, r.mse[c], r.r_squared[c]})
-            sig += "," + std::to_string(testsig::bits(x));
+        for (const double x : {k.alpha, k.beta, k.gamma, k.rho, r.mse[c], r.r_squared[c]}) {
+            sig += ',';
+            sig += std::to_string(testsig::bits(x));
+        }
     }
     return sig;
 }
