@@ -184,7 +184,8 @@ public:
                                                      std::uint64_t seed_a,
                                                      std::uint64_t seed_b) const;
 
-    /// collect_training_set() under the three categories, then fit().
+    /// collect_training_set() under the three categories, with its option
+    /// checks, then fit().
     TrainingResult train(std::span<const std::string> app_names) const;
 
     /// Fits Equation 1 to already-collected samples (used by ablations).
