@@ -1,5 +1,6 @@
 // Tests for the Step-2/Step-3 decide path: the pinned cold k-way
-// heuristic, an SMT-4 two-chip run pin, the policy's cost-evaluation count
+// heuristic, two-chip run pins (SYNPA at SMT-4 and SMT-2, the oracle at
+// SMT-2), the policy's cost-evaluation count
 // (reported through weight_cache_stats(), the shape the end-to-end
 // benchmark reads), and the hot-path correctness fixes that rode along
 // (odd-n greedy matching, the mid-quantum partner-retirement estimator
@@ -21,6 +22,7 @@
 #include "sched/policy.hpp"
 #include "signatures.hpp"
 #include "uarch/platform.hpp"
+#include "workloads/groups.hpp"
 
 namespace {
 
@@ -242,6 +244,61 @@ std::string smt4_two_chip_open_run() {
 TEST(DecidePins, Smt4TwoChipOpenRun) {
     // Captured before the weight cache was deleted.
     EXPECT_EQ(testsig::digest(smt4_two_chip_open_run()), 0x85fad44b876dbe31ull);
+}
+
+/// A Poisson open run on 2 chips x 3 SMT-2 cores whose arrivals crowd one
+/// chip, so the balancing pass moves tasks across chips; the signature
+/// covers every task record and every timeline sample.
+scenario::ScenarioResult smt2_two_chip_open_run(sched::AllocationPolicy& policy) {
+    uarch::SimConfig cfg;
+    cfg.num_chips = 2;
+    cfg.cores = 3;
+    cfg.cycles_per_quantum = 2'000;
+    scenario::ScenarioSpec spec;
+    spec.name = "smt2-two-chip";
+    spec.process = scenario::ArrivalProcess::kPoisson;
+    spec.app_mix = {"mcf", "leela_r", "gobmk", "nab_r", "bwaves", "hmmer"};
+    spec.initial_tasks = 5;
+    spec.arrival_rate = 1.2;
+    spec.service_quanta = 6;
+    spec.horizon_quanta = 30;
+    spec.seed = 21;
+    const scenario::ScenarioTrace trace = scenario::build_trace(spec, cfg);
+    uarch::Platform platform(cfg);
+    const scenario::ScenarioResult r = scenario::ScenarioRunner(platform, policy, trace).run();
+    EXPECT_TRUE(r.completed);
+    return r;
+}
+
+std::string timeline_signature(const scenario::ScenarioResult& r) {
+    std::string sig = testsig::signature(r);
+    for (const scenario::QuantumSample& q : r.timeline) {
+        sig += "|";
+        sig += std::to_string(q.quantum) + ":" + std::to_string(q.live) + ":" +
+               std::to_string(q.queued) + ":" + std::to_string(testsig::bits(q.utilization)) +
+               ":" + std::to_string(q.migrations);
+    }
+    return sig;
+}
+
+TEST(DecidePins, Smt2TwoChipSynpaOpenRun) {
+    SynpaPolicy policy{model::InterferenceModel::paper_table4()};
+    const scenario::ScenarioResult r = smt2_two_chip_open_run(policy);
+    EXPECT_GT(r.cross_chip_migrations, 0u);
+    EXPECT_EQ(testsig::digest(timeline_signature(r)), 0x14c0098711d173edull);
+}
+
+TEST(DecidePins, Smt2TwoChipOracleOpenRun) {
+    // The oracle reads calibrated phase vectors; calibrating first keeps
+    // the pin independent of which test ran before it.
+    uarch::SimConfig calibration;
+    calibration.cores = 4;
+    calibration.cycles_per_quantum = 4'000;
+    workloads::calibrate_suite(calibration, 6, 1);
+    sched::OraclePolicy policy{model::InterferenceModel::paper_table4()};
+    const scenario::ScenarioResult r = smt2_two_chip_open_run(policy);
+    EXPECT_GT(r.cross_chip_migrations, 0u);
+    EXPECT_EQ(testsig::digest(timeline_signature(r)), 0xd9cdb2aeff516705ull);
 }
 
 // ------------------------------------------------ cost-evaluation count --
