@@ -28,8 +28,6 @@ public:
     /// Renders as CSV (no padding), one line per row including the header.
     std::string to_csv() const;
 
-    std::size_t row_count() const noexcept { return rows_.size(); }
-
 private:
     std::vector<std::string> headers_;
     std::vector<std::vector<std::string>> rows_;

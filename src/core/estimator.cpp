@@ -1,11 +1,20 @@
 #include "core/estimator.hpp"
 
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace synpa::core {
 
+const SynpaEstimator::Options& SynpaEstimator::Options::validate() const {
+    if (!(ema_alpha > 0.0 && ema_alpha <= 1.0))
+        throw std::invalid_argument("SynpaEstimator::Options::ema_alpha must be in (0, 1], got " +
+                                    std::to_string(ema_alpha));
+    return *this;
+}
+
 SynpaEstimator::SynpaEstimator(model::InterferenceModel model, Options opts)
-    : model_(std::move(model)), flat_(model_), opts_(opts) {}
+    : model_(std::move(model)), flat_(model_), opts_(opts.validate()) {}
 
 void SynpaEstimator::ema_update(int id, const model::CategoryVector& fresh) {
     model::CategoryVector* est = estimates_.find(id);

@@ -32,6 +32,10 @@ public:
         /// rows.
         double ema_deadband = 0.0;
         model::ModelInverter::Options inversion{};
+
+        /// Throws std::invalid_argument naming the field unless ema_alpha
+        /// is in (0, 1]; returns *this for constructor initializer lists.
+        const Options& validate() const;
     };
 
     /// The model is copied: the estimator owns its coefficients.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -96,8 +97,25 @@ double objective_cost(Objective objective, std::span<const double> member_slowdo
     return cost;
 }
 
+const SynpaPolicy::Options& SynpaPolicy::Options::validate() const {
+    const auto check = [](double value, const char* field) {
+        if (!(std::isfinite(value) && value >= 0.0))
+            throw std::invalid_argument(std::string("SynpaPolicy::Options::") + field +
+                                        " must be finite and >= 0, got " +
+                                        std::to_string(value));
+    };
+    check(stability_bias, "stability_bias");
+    check(keep_threshold, "keep_threshold");
+    if (!(cross_chip_penalty >= 0.0))
+        throw std::invalid_argument(
+            "SynpaPolicy::Options::cross_chip_penalty must be >= 0, got " +
+            std::to_string(cross_chip_penalty));
+    estimator.validate();
+    return *this;
+}
+
 SynpaPolicy::SynpaPolicy(model::InterferenceModel model, Options opts)
-    : model_(model), opts_(opts), estimator_(model_, opts.estimator) {}
+    : model_(model), opts_(opts.validate()), estimator_(model_, opts.estimator) {}
 
 std::string SynpaPolicy::name() const {
     std::string base = "synpa";
@@ -114,8 +132,6 @@ void SynpaPolicy::set_model(model::InterferenceModel model) {
     model_ = model;
     estimator_.set_model(std::move(model));
 }
-
-void SynpaPolicy::reset_estimate(int task_id) { estimator_.forget(task_id); }
 
 double SynpaPolicy::pair_cost(int task_u, int task_v) const {
     ++cost_evaluations_;
@@ -205,38 +221,19 @@ sched::CoreAllocation SynpaPolicy::reallocate(
     // Step 1: refresh isolated-behaviour estimates from this quantum.
     estimator_.observe(observations);
 
-    // Multi-chip Step 3 decomposes: pick each task's chip first — migrating
-    // across chips only when the estimator's predicted benefit beats the
-    // configured cross-chip cost — then run the single-chip selection per
-    // chip (interference never crosses a chip boundary; each chip has its
-    // own LLC and DRAM channel).
-    const sched::TopologyView topo = sched::observed_topology(observations);
-    sched::CoreAllocation alloc;
-    if (topo.chips <= 1) {
-        alloc = allocate_chip(observations);
-    } else {
-        const sched::ChipCosts costs = chip_costs(observations);
-        alloc = sched::allocate_across_chips(
-            observations, topo, costs.solo, costs.pair, opts_.cross_chip_penalty,
-            [this](std::span<const sched::TaskObservation> local,
-                   std::span<const std::size_t>) { return allocate_chip(local); });
-    }
+    // Steps 2+3: the shared Step 3 over this policy's costs.  The
+    // dummy-node reduction needs an exact solver (see matching.hpp), so the
+    // greedy ablation falls back to Blossom under partial load.
+    const sched::CoreAllocation alloc =
+        sched::solve_platform(observations, chip_costs(observations), matcher(), blossom_,
+                              opts_.stability_bias, opts_.keep_threshold,
+                              opts_.cross_chip_penalty);
     trace_allocation(alloc);
     if (tracer_ != nullptr)
         tracer_->metrics()
             .counter("core.cost_evaluations")
             .add(cost_evaluations_ - evaluations_before);
     return alloc;
-}
-
-sched::CoreAllocation SynpaPolicy::allocate_chip(
-    std::span<const sched::TaskObservation> observations) const {
-    if (observations.empty()) return {};
-    // Step 2+3: the shared single-chip flow over this policy's costs.  The
-    // dummy-node reduction needs an exact solver (see matching.hpp), so the
-    // greedy ablation falls back to Blossom under partial load.
-    return sched::solve_chip(observations, chip_costs(observations), matcher(), blossom_,
-                             opts_.stability_bias, opts_.keep_threshold);
 }
 
 void SynpaPolicy::on_task_replaced(int old_task_id, int new_task_id) {

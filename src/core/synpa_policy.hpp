@@ -14,8 +14,9 @@
 // pair solvers unchanged, while wider chips (SMT-4) switch to the k-way
 // grouping of the follow-up work — group costs built from the estimator's
 // symmetrized pairwise terms, solved by matching::min_weight_grouping.  The
-// whole Step 3 flow is sched::solve_chip, shared with the oracle policy;
-// this class supplies only the costs.
+// whole Step 3 — the multi-chip balancing pass and each chip's solve — is
+// one sched::solve_platform call (sched/topology.hpp), shared with the
+// oracle policy; this class supplies only the costs.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +27,6 @@
 #include "core/weight_cache.hpp"
 #include "matching/matching.hpp"
 #include "model/interference_model.hpp"
-#include "sched/baselines.hpp"
 #include "sched/policy.hpp"
 #include "sched/topology.hpp"
 
@@ -70,19 +70,26 @@ public:
         /// Hysteresis (see matching::min_weight_pairs): prediction noise
         /// creates near-tie matchings, and oscillating between them costs
         /// real migrations.  Set both to 0 for the paper's plain
-        /// re-solve-every-quantum behaviour (bench_ablation_policy).
+        /// re-solve-every-quantum behaviour (bench_ablation_policy).  Both
+        /// must be finite and >= 0.
         double stability_bias = matching::kDefaultStabilityBias;
         double keep_threshold = matching::kDefaultKeepThreshold;
         /// Multi-chip platforms only: the predicted-slowdown benefit a
         /// cross-chip move must exceed before the balancing pass migrates a
         /// task (sched/topology.hpp) — the policy-side counterpart of the
-        /// platform's cross-chip warmup window.
+        /// platform's cross-chip warmup window.  Must be >= 0; +infinity
+        /// never crosses.
         double cross_chip_penalty = sched::kDefaultCrossChipPenalty;
         /// Ignored: the cross-quantum weight cache it switched is gone.
         /// The field survives only because the end-to-end benchmark
         /// assigns it, and goes with the benchmark change that retires the
         /// core.weight_cache.* rows.
         bool weight_cache = true;
+
+        /// Throws std::invalid_argument naming the first bad field (its
+        /// own or the estimator's); returns *this for constructor
+        /// initializer lists.
+        const Options& validate() const;
     };
 
     explicit SynpaPolicy(model::InterferenceModel model)
@@ -103,10 +110,6 @@ public:
     /// incremental retraining results back in.
     void set_model(model::InterferenceModel model);
 
-    /// Drops one task's isolated estimate so the next quantum re-seeds it
-    /// from a fresh inversion (phase-change reaction).
-    void reset_estimate(int task_id);
-
     /// Cumulative Step-2 cost evaluations (solo, pair and group costs
     /// priced for Step 3 and for allocation trace events).
     std::uint64_t cost_evaluations() const noexcept { return cost_evaluations_; }
@@ -121,12 +124,6 @@ public:
     const matching::Matcher& matcher() const;
 
 private:
-    /// Steps 2+3 on one chip's (possibly chip-localized) observations
-    /// (sched::solve_chip over chip_costs); the estimator was already
-    /// refreshed for the quantum.
-    sched::CoreAllocation allocate_chip(
-        std::span<const sched::TaskObservation> observations) const;
-
     /// The objective-folded costs below, indexed by position in
     /// `observations`, which must outlive the returned oracles.
     sched::ChipCosts chip_costs(std::span<const sched::TaskObservation> observations) const;

@@ -86,10 +86,6 @@ public:
     std::uint64_t model_refits() const override { return refits_; }
     std::uint64_t samples_absorbed() const override { return samples_; }
 
-    /// The model currently driving the inner policy (starts at the prior).
-    const model::InterferenceModel& current_model() const noexcept {
-        return inner_.estimator().model();
-    }
     const core::SynpaPolicy& inner() const noexcept { return inner_; }
 
 private:

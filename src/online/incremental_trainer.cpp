@@ -66,10 +66,6 @@ void IncrementalTrainer::add_sample(const model::TrainingSample& sample) {
     ++count_;
 }
 
-void IncrementalTrainer::add_samples(std::span<const model::TrainingSample> samples) {
-    for (const model::TrainingSample& s : samples) add_sample(s);
-}
-
 void IncrementalTrainer::decay(double lambda) {
     lambda = std::clamp(lambda, 0.0, 1.0);
     for (Normal& n : normal_) {

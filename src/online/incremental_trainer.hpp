@@ -46,7 +46,6 @@ public:
 
     /// Rank-one update with one aligned observation.
     void add_sample(const model::TrainingSample& sample);
-    void add_samples(std::span<const model::TrainingSample> samples);
 
     /// Exponential forgetting: scales every sufficient statistic by
     /// `lambda` in [0, 1], so older evidence fades relative to what is

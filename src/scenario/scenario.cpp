@@ -66,14 +66,6 @@ private:
 
 }  // namespace
 
-const char* slo_class_name(SloClass c) noexcept {
-    switch (c) {
-        case SloClass::kBatch: return "batch";
-        case SloClass::kLatencyCritical: return "latency_critical";
-    }
-    return "unknown";
-}
-
 const char* arrival_process_name(ArrivalProcess p) noexcept {
     switch (p) {
         case ArrivalProcess::kPoisson: return "poisson";

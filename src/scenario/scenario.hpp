@@ -37,8 +37,6 @@ enum class SloClass {
     kLatencyCritical = 1, ///< tail-latency-oriented; tight deadline, may preempt
 };
 
-const char* slo_class_name(SloClass c) noexcept;
-
 /// One explicit arrival of a kTrace scenario.
 struct TraceArrival {
     std::uint64_t quantum = 0;

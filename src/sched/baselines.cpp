@@ -53,11 +53,15 @@ std::vector<CoreGroup> groups_from_pairs(const std::vector<std::pair<int, int>>&
 CoreAllocation place_groups(const std::vector<CoreGroup>& entries,
                             std::span<const TaskObservation> observations,
                             std::size_t cores) {
-    if (entries.size() > cores)
-        throw std::invalid_argument("place_groups: more entries than cores");
     common::FlatIdMap<int> core_of;
     for (const TaskObservation& o : observations) core_of[o.task_id] = o.core;
+    return place_groups(entries, core_of, cores);
+}
 
+CoreAllocation place_groups(const std::vector<CoreGroup>& entries,
+                            const common::FlatIdMap<int>& incumbent_core, std::size_t cores) {
+    if (entries.size() > cores)
+        throw std::invalid_argument("place_groups: more entries than cores");
     CoreAllocation alloc(cores);
     std::vector<bool> core_used(cores, false);
     std::vector<CoreGroup> unplaced;
@@ -67,7 +71,7 @@ CoreAllocation place_groups(const std::vector<CoreGroup>& entries,
     for (const CoreGroup& g : entries) {
         int preferred = -1;
         for (const int member : g.members()) {
-            const int* it = core_of.find(member);
+            const int* it = incumbent_core.find(member);
             if (it != nullptr && *it >= 0 && *it < static_cast<int>(cores) &&
                 !core_used[static_cast<std::size_t>(*it)]) {
                 preferred = *it;
@@ -91,55 +95,6 @@ CoreAllocation place_groups(const std::vector<CoreGroup>& entries,
     return alloc;
 }
 
-CoreAllocation solve_chip(std::span<const TaskObservation> observations, const ChipCosts& costs,
-                          const matching::Matcher& matcher, const matching::Matcher& exact,
-                          double stability_bias, double keep_threshold) {
-    if (observations.empty()) return {};
-    const std::size_t n = observations.size();
-    const std::size_t cores = observed_total_cores(observations);
-    const auto width = static_cast<std::size_t>(observed_smt_ways(observations));
-    const auto task = [&](int i) { return observations[static_cast<std::size_t>(i)].task_id; };
-
-    std::vector<CoreGroup> entries;
-    if (width == 1) {
-        // SMT disabled in BIOS: there is no grouping decision.
-        for (const TaskObservation& o : observations) entries.push_back(CoreGroup{o.task_id});
-    } else if (width > 2) {
-        // The k-way grouping (no hysteresis: the width-2 near-tie
-        // oscillation it guards against is much rarer in the k-way cost
-        // surface, and place_groups still pins survivors).
-        const matching::GroupingResult sel =
-            matching::min_weight_grouping(n, cores, width, costs.group);
-        for (const auto& group : sel.groups) {
-            CoreGroup g;
-            for (const int i : group) g.add(task(i));
-            entries.push_back(g);
-        }
-    } else {
-        matching::WeightMatrix weights(n);
-        for (std::size_t u = 0; u < n; ++u)
-            for (std::size_t v = u + 1; v < n; ++v) weights.set(u, v, costs.pair(u, v));
-        // The incumbent pairing in index space, for hysteresis.
-        common::FlatIdMap<std::size_t> index_of;
-        for (std::size_t i = 0; i < n; ++i) index_of[observations[i].task_id] = i;
-        std::vector<std::pair<int, int>> current;
-        for (std::size_t i = 0; i < n; ++i) {
-            const int partner = observations[i].corunner_task_id;
-            const std::size_t* it = partner >= 0 ? index_of.find(partner) : nullptr;
-            if (it != nullptr && *it > i)
-                current.emplace_back(static_cast<int>(i), static_cast<int>(*it));
-        }
-        const matching::PartialMatching sel =
-            matching::min_weight_pairs(weights, costs.solo, cores, current, matcher, exact,
-                                       stability_bias, keep_threshold);
-        std::vector<std::pair<int, int>> pairs;
-        for (const auto& [u, v] : sel.pairs) pairs.emplace_back(task(u), task(v));
-        for (const int u : sel.singles) pairs.emplace_back(task(u), kNoTask);
-        entries = groups_from_pairs(pairs);
-    }
-    return place_groups(entries, observations, cores);
-}
-
 CoreAllocation RandomPolicy::reallocate(std::span<const TaskObservation> observations) {
     if (observations.empty()) return {};
     std::vector<int> ids;
@@ -161,7 +116,11 @@ CoreAllocation RandomPolicy::reallocate(std::span<const TaskObservation> observa
 }
 
 OraclePolicy::OraclePolicy(model::InterferenceModel model, double cross_chip_penalty)
-    : model_(model), cross_chip_penalty_(cross_chip_penalty) {}
+    : model_(model), cross_chip_penalty_(cross_chip_penalty) {
+    if (!(cross_chip_penalty >= 0.0))
+        throw std::invalid_argument("OraclePolicy: cross_chip_penalty must be >= 0, got " +
+                                    std::to_string(cross_chip_penalty));
+}
 
 ChipCosts OraclePolicy::costs(std::span<const model::CategoryVector> truth) const {
     ChipCosts c;
@@ -205,25 +164,9 @@ CoreAllocation OraclePolicy::reallocate(std::span<const TaskObservation> observa
         }
     }
 
-    const auto solve = [this](std::span<const TaskObservation> chip_obs,
-                              std::span<const model::CategoryVector> chip_truth) {
-        return solve_chip(chip_obs, costs(chip_truth), matcher_, matcher_,
-                          matching::kDefaultStabilityBias, matching::kDefaultKeepThreshold);
-    };
-    if (topo.chips <= 1) return solve(observations, truth);
-
-    // Multi-chip: assign chips first (migrate only when the true predicted
-    // benefit beats the cross-chip cost), then solve each chip in
-    // isolation — co-run interference never crosses a chip boundary.
-    const ChipCosts all = costs(truth);
-    return allocate_across_chips(
-        observations, topo, all.solo, all.pair, cross_chip_penalty_,
-        [&](std::span<const TaskObservation> local, std::span<const std::size_t> idx) {
-            std::vector<model::CategoryVector> local_truth;
-            local_truth.reserve(idx.size());
-            for (const std::size_t i : idx) local_truth.push_back(truth[i]);
-            return solve(local, local_truth);
-        });
+    return solve_platform(observations, costs(truth), matcher_, matcher_,
+                          matching::kDefaultStabilityBias, matching::kDefaultKeepThreshold,
+                          cross_chip_penalty_);
 }
 
 }  // namespace synpa::sched

@@ -11,15 +11,17 @@
 //  * OraclePolicy — upper bound: uses the true current-phase isolated
 //    categories of every task (information no real policy has) with the
 //    forward model and exact matching/grouping.  Requires calibrated
-//    profiles (workloads::calibrate_suite).
+//    profiles (workloads::calibrate_suite).  Its Step 3 is
+//    sched::solve_platform (sched/topology.hpp), the same call SynpaPolicy
+//    makes; only the costs differ.
 //
-// Also the placement helpers every policy uses, and solve_chip — the one
-// Step-3 flow SynpaPolicy and OraclePolicy share.
+// Also the placement helpers every policy uses.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 
+#include "common/flat_map.hpp"
 #include "common/rng.hpp"
 #include "matching/matching.hpp"
 #include "model/interference_model.hpp"
@@ -45,15 +47,6 @@ private:
     common::Rng rng_;
 };
 
-/// Cost oracles of one chip's Step 3, all indexed by observation: `solo`
-/// prices a task running alone, `pair` two tasks sharing a core, and
-/// `group` a candidate group of ascending indices (widths above 2).
-struct ChipCosts {
-    SoloCost solo;
-    PairCost pair;
-    matching::GroupCost group;
-};
-
 class OraclePolicy final : public AllocationPolicy {
 public:
     /// The largest chip the oracle solves at SMT-2: its exact matcher pads
@@ -62,7 +55,9 @@ public:
 
     /// `cross_chip_penalty` is the predicted-slowdown benefit a cross-chip
     /// move must exceed before the multi-chip balancing pass migrates a
-    /// task (see sched/topology.hpp); irrelevant on one chip.
+    /// task (see sched/topology.hpp); irrelevant on one chip.  It must be
+    /// >= 0 (+infinity never crosses); anything else throws
+    /// std::invalid_argument naming it.
     explicit OraclePolicy(model::InterferenceModel model,
                           double cross_chip_penalty = kDefaultCrossChipPenalty);
     std::string name() const override { return "oracle"; }
@@ -131,17 +126,10 @@ CoreAllocation place_groups(const std::vector<CoreGroup>& entries,
                             std::span<const TaskObservation> observations,
                             std::size_t cores);
 
-/// Step 3 on one chip's (possibly chip-localized) observations — the one
-/// flow SynpaPolicy and OraclePolicy share; they differ only in `costs`.
-///   * width 1: every task keeps a core of its own;
-///   * width > 2: matching::min_weight_grouping over `costs.group`;
-///   * width 2: matching::min_weight_pairs over the `costs.pair` weights
-///     and the incumbent pairing — `matcher` with hysteresis at full load,
-///     the padded `exact` solve with `costs.solo` under partial load.
-/// The chosen groups (solver pairs first, then singles ascending) reach one
-/// place_groups call, which keeps survivors on their incumbent cores.
-CoreAllocation solve_chip(std::span<const TaskObservation> observations, const ChipCosts& costs,
-                          const matching::Matcher& matcher, const matching::Matcher& exact,
-                          double stability_bias, double keep_threshold);
+/// place_groups with each task's incumbent core given directly (an absent
+/// or negative core means none) — the form solve_platform uses for one
+/// chip's tasks in chip-local core ids.
+CoreAllocation place_groups(const std::vector<CoreGroup>& entries,
+                            const common::FlatIdMap<int>& incumbent_core, std::size_t cores);
 
 }  // namespace synpa::sched

@@ -1,8 +1,13 @@
 #include "sched/topology.hpp"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <stdexcept>
+#include <utility>
+
+#include "common/flat_map.hpp"
+#include "sched/baselines.hpp"
 
 namespace synpa::sched {
 
@@ -27,23 +32,22 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// (counting t itself — `resident` says whether it is already in the
 /// list), otherwise the cheapest co-run next to an existing resident.
 double expected_cost_on_chip(std::size_t t, const std::vector<std::size_t>& chip_members,
-                             int cores, bool resident, const SoloCost& solo_cost,
-                             const PairCost& pair_cost) {
+                             int cores, bool resident, const ChipCosts& costs) {
     const std::size_t residents = chip_members.size() + (resident ? 0 : 1);
-    if (residents <= static_cast<std::size_t>(cores)) return solo_cost(t);
+    if (residents <= static_cast<std::size_t>(cores)) return costs.solo(t);
     double best = kInf;
     for (const std::size_t other : chip_members) {
         if (other == t) continue;
-        best = std::min(best, pair_cost(t, other));
+        best = std::min(best, costs.pair(t, other));
     }
-    return best < kInf ? best : solo_cost(t);
+    return best < kInf ? best : costs.solo(t);
 }
 
 }  // namespace
 
 std::vector<int> balance_across_chips(std::span<const TaskObservation> observations,
-                                      const TopologyView& topo, const SoloCost& solo_cost,
-                                      const PairCost& pair_cost, double migration_penalty) {
+                                      const TopologyView& topo, const ChipCosts& costs,
+                                      double migration_penalty) {
     std::vector<int> target(observations.size());
     for (std::size_t i = 0; i < observations.size(); ++i) {
         const int chip = observations[i].chip;
@@ -77,12 +81,10 @@ std::vector<int> balance_across_chips(std::span<const TaskObservation> observati
         std::size_t best_i = observations.size();
         double best_benefit = -kInf;
         for (const std::size_t t : from) {
-            const double here = expected_cost_on_chip(t, from, topo.cores_per_chip,
-                                                      /*resident=*/true, solo_cost,
-                                                      pair_cost);
-            const double there = expected_cost_on_chip(t, to, topo.cores_per_chip,
-                                                       /*resident=*/false, solo_cost,
-                                                       pair_cost);
+            const double here =
+                expected_cost_on_chip(t, from, topo.cores_per_chip, /*resident=*/true, costs);
+            const double there =
+                expected_cost_on_chip(t, to, topo.cores_per_chip, /*resident=*/false, costs);
             const double benefit = here - there;
             if (benefit > best_benefit) {
                 best_benefit = benefit;
@@ -98,72 +100,97 @@ std::vector<int> balance_across_chips(std::span<const TaskObservation> observati
     return target;
 }
 
-std::vector<std::vector<std::size_t>> indices_by_chip(std::span<const int> target_chips,
-                                                      int chips) {
-    std::vector<std::vector<std::size_t>> out(static_cast<std::size_t>(chips));
-    for (std::size_t i = 0; i < target_chips.size(); ++i)
-        out.at(static_cast<std::size_t>(target_chips[i])).push_back(i);
-    return out;
-}
+namespace {
 
-std::vector<TaskObservation> localize_observations(
-    std::span<const TaskObservation> observations, std::span<const std::size_t> indices,
-    int chip, int cores_per_chip) {
-    std::vector<TaskObservation> out;
-    out.reserve(indices.size());
-    for (const std::size_t i : indices) {
-        TaskObservation o = observations[i];
-        // A task the balancer reassigned still reports its *old* core; only
-        // same-chip incumbency is meaningful to the local placement, so
-        // foreign cores become "no incumbent".
-        if (o.chip == chip) {
-            o.core -= chip * cores_per_chip;
-        } else {
-            o.core = -1;
+/// Step 3 on one chip: `idx` lists the chip's tasks (ascending observation
+/// indices); each solver works in local index space and maps a candidate
+/// to its observation indices before pricing it.
+CoreAllocation solve_one_chip(std::span<const TaskObservation> observations,
+                              std::span<const std::size_t> idx, int chip,
+                              const TopologyView& topo, const ChipCosts& costs,
+                              const matching::Matcher& matcher, const matching::Matcher& exact,
+                              double stability_bias, double keep_threshold) {
+    const std::size_t n = idx.size();
+    const auto cores = static_cast<std::size_t>(topo.cores_per_chip);
+    if (n == 0) return CoreAllocation(cores);  // an empty chip idles every core
+    const auto width = static_cast<std::size_t>(topo.smt_ways);
+    const auto task = [&](int i) { return observations[idx[static_cast<std::size_t>(i)]].task_id; };
+
+    std::vector<CoreGroup> entries;
+    if (width == 1) {
+        // SMT disabled in BIOS: there is no grouping decision.
+        for (const std::size_t i : idx) entries.push_back(CoreGroup{observations[i].task_id});
+    } else if (width > 2) {
+        // The k-way grouping (no hysteresis: the width-2 near-tie
+        // oscillation it guards against is much rarer in the k-way cost
+        // surface, and place_groups still pins survivors).
+        std::array<int, uarch::kMaxSmtWays> members{};
+        const matching::GroupingResult sel = matching::min_weight_grouping(
+            n, cores, width, [&](std::span<const int> group) {
+                for (std::size_t k = 0; k < group.size(); ++k)
+                    members.at(k) = static_cast<int>(idx[static_cast<std::size_t>(group[k])]);
+                return costs.group(std::span<const int>(members.data(), group.size()));
+            });
+        for (const auto& group : sel.groups) {
+            CoreGroup g;
+            for (const int i : group) g.add(task(i));
+            entries.push_back(g);
         }
-        o.chip = 0;
-        o.num_chips = 1;
-        o.total_cores = cores_per_chip;
-        out.push_back(std::move(o));
+    } else {
+        matching::WeightMatrix weights(n);
+        for (std::size_t u = 0; u < n; ++u)
+            for (std::size_t v = u + 1; v < n; ++v) weights.set(u, v, costs.pair(idx[u], idx[v]));
+        // The incumbent pairing in local index space, for hysteresis.
+        common::FlatIdMap<std::size_t> index_of;
+        for (std::size_t i = 0; i < n; ++i) index_of[observations[idx[i]].task_id] = i;
+        std::vector<std::pair<int, int>> current;
+        for (std::size_t i = 0; i < n; ++i) {
+            const int partner = observations[idx[i]].corunner_task_id;
+            const std::size_t* it = partner >= 0 ? index_of.find(partner) : nullptr;
+            if (it != nullptr && *it > i)
+                current.emplace_back(static_cast<int>(i), static_cast<int>(*it));
+        }
+        const matching::PartialMatching sel = matching::min_weight_pairs(
+            weights, [&](std::size_t i) { return costs.solo(idx[i]); }, cores, current, matcher,
+            exact, stability_bias, keep_threshold);
+        std::vector<std::pair<int, int>> pairs;
+        for (const auto& [u, v] : sel.pairs) pairs.emplace_back(task(u), task(v));
+        for (const int u : sel.singles) pairs.emplace_back(task(u), kNoTask);
+        entries = groups_from_pairs(pairs);
     }
-    return out;
+
+    // A task the balancer moved here still reports its old chip's core;
+    // only same-chip incumbency means anything to the placement.
+    common::FlatIdMap<int> core_of;
+    for (const std::size_t i : idx) {
+        const TaskObservation& o = observations[i];
+        core_of[o.task_id] = o.chip == chip ? o.core - chip * topo.cores_per_chip : -1;
+    }
+    return place_groups(entries, core_of, cores);
 }
 
-CoreAllocation allocate_across_chips(std::span<const TaskObservation> observations,
-                                     const TopologyView& topo, const SoloCost& solo_cost,
-                                     const PairCost& pair_cost, double migration_penalty,
-                                     const ChipAllocator& allocate) {
+}  // namespace
+
+CoreAllocation solve_platform(std::span<const TaskObservation> observations,
+                              const ChipCosts& costs, const matching::Matcher& matcher,
+                              const matching::Matcher& exact, double stability_bias,
+                              double keep_threshold, double cross_chip_penalty) {
+    if (observations.empty()) return {};
+    const TopologyView topo = observed_topology(observations);
     const std::vector<int> target =
-        balance_across_chips(observations, topo, solo_cost, pair_cost, migration_penalty);
-    const std::vector<std::vector<std::size_t>> by_chip =
-        indices_by_chip(target, topo.chips);
-    std::vector<CoreAllocation> per_chip;
-    per_chip.reserve(by_chip.size());
+        topo.chips > 1 ? balance_across_chips(observations, topo, costs, cross_chip_penalty)
+                       : std::vector<int>(observations.size(), 0);
+    CoreAllocation alloc;
+    std::vector<std::size_t> idx;
     for (int c = 0; c < topo.chips; ++c) {
-        const auto& idx = by_chip[static_cast<std::size_t>(c)];
-        const std::vector<TaskObservation> local =
-            localize_observations(observations, idx, c, topo.cores_per_chip);
-        CoreAllocation alloc = allocate(local, idx);
-        if (alloc.size() > static_cast<std::size_t>(topo.cores_per_chip))
-            throw std::invalid_argument(
-                "allocate_across_chips: chip allocation exceeds its cores");
-        alloc.resize(static_cast<std::size_t>(topo.cores_per_chip));
-        per_chip.push_back(std::move(alloc));
+        idx.clear();
+        for (std::size_t i = 0; i < target.size(); ++i)
+            if (target[i] == c) idx.push_back(i);
+        const CoreAllocation chip = solve_one_chip(observations, idx, c, topo, costs, matcher,
+                                                   exact, stability_bias, keep_threshold);
+        alloc.insert(alloc.end(), chip.begin(), chip.end());
     }
-    return concat_chip_allocations(per_chip, topo.cores_per_chip);
-}
-
-CoreAllocation concat_chip_allocations(std::span<const CoreAllocation> per_chip,
-                                       int cores_per_chip) {
-    CoreAllocation out;
-    out.reserve(per_chip.size() * static_cast<std::size_t>(cores_per_chip));
-    for (const CoreAllocation& alloc : per_chip) {
-        if (alloc.size() != static_cast<std::size_t>(cores_per_chip))
-            throw std::invalid_argument(
-                "concat_chip_allocations: chip allocation does not cover its cores");
-        out.insert(out.end(), alloc.begin(), alloc.end());
-    }
-    return out;
+    return alloc;
 }
 
 }  // namespace synpa::sched

@@ -500,4 +500,38 @@ TEST(ExtendedTrainer, ResultIsIdenticalForOneAndManyThreads) {
         EXPECT_EQ(extended_signature(small_extended_run(4)), serial) << "run " << run;
 }
 
+// FlatModel promises the exact floating-point operations of the
+// InterferenceModel path, so its group and per-member predictors must match
+// predict_group_slowdown / predict_member_slowdowns bit for bit on any
+// coefficients and any group of 1..kMaxSmtWays members.
+TEST(FlatModel, GroupPredictorsAreBitIdenticalToTheReference) {
+    common::Rng rng(20240521, 0xf1a7);
+    for (int trial = 0; trial < 200; ++trial) {
+        std::array<CategoryCoefficients, kCategoryCount> coeffs{};
+        for (CategoryCoefficients& c : coeffs)
+            c = {.alpha = rng.uniform(-0.5, 0.5), .beta = rng.uniform(0.0, 2.0),
+                 .gamma = rng.uniform(-1.0, 1.0), .rho = rng.uniform(-2.0, 2.0)};
+        const InterferenceModel model(coeffs);
+        const FlatModel flat(model);
+        const std::size_t k = 1 + rng.below(uarch::kMaxSmtWays);
+        std::vector<CategoryVector> members(k);
+        for (CategoryVector& m : members)
+            for (double& x : m) x = rng.uniform();
+        const std::string where = "trial " + std::to_string(trial);
+
+        EXPECT_EQ(testsig::bits(flat.group_slowdown(members)),
+                  testsig::bits(predict_group_slowdown(model, members)))
+            << where;
+        const std::vector<double> reference = predict_member_slowdowns(model, members);
+        std::vector<double> out(k);
+        flat.member_slowdowns(members, out);
+        ASSERT_EQ(reference.size(), k);
+        for (std::size_t i = 0; i < k; ++i)
+            EXPECT_EQ(testsig::bits(out[i]), testsig::bits(reference[i])) << where << " i " << i;
+        EXPECT_EQ(testsig::bits(flat.predict_slowdown(members.front(), members.back())),
+                  testsig::bits(model.predict_slowdown(members.front(), members.back())))
+            << where;
+    }
+}
+
 }  // namespace

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -690,14 +691,15 @@ TEST(Multichip, ObservedTopologyAndBalancing) {
     EXPECT_EQ(topo.cores_per_chip, 2);
     EXPECT_EQ(topo.capacity_per_chip(), 4);
 
-    const SoloCost solo = [](std::size_t) { return 1.0; };
-    const PairCost pair = [](std::size_t, std::size_t) { return 3.0; };
-    const std::vector<int> moved = balance_across_chips(obs, topo, solo, pair, 0.01);
+    ChipCosts costs;
+    costs.solo = [](std::size_t) { return 1.0; };
+    costs.pair = [](std::size_t, std::size_t) { return 3.0; };
+    const std::vector<int> moved = balance_across_chips(obs, topo, costs, 0.01);
     int on_chip1 = 0;
     for (const int c : moved) on_chip1 += c == 1;
     EXPECT_EQ(on_chip1, 2);  // 4/0 balances to 2/2
 
-    const std::vector<int> kept = balance_across_chips(obs, topo, solo, pair, 100.0);
+    const std::vector<int> kept = balance_across_chips(obs, topo, costs, 100.0);
     for (const int c : kept) EXPECT_EQ(c, 0);  // penalty forbids every move
 }
 
@@ -719,9 +721,10 @@ TEST(Multichip, BalancerLeavesSoloCapableChipAlone) {
         obs.push_back(o);
     }
     const TopologyView topo = observed_topology(obs);
-    const SoloCost solo = [](std::size_t) { return 1.0; };
-    const PairCost pair = [](std::size_t, std::size_t) { return 3.0; };
-    const std::vector<int> target = balance_across_chips(obs, topo, solo, pair, 0.01);
+    ChipCosts costs;
+    costs.solo = [](std::size_t) { return 1.0; };
+    costs.pair = [](std::size_t, std::size_t) { return 3.0; };
+    const std::vector<int> target = balance_across_chips(obs, topo, costs, 0.01);
     for (const int c : target) EXPECT_EQ(c, 0);  // solo everywhere; no move pays
 }
 
@@ -808,6 +811,94 @@ TEST(Multichip, CrossChipRebindDegradesIpcForConfiguredQuanta) {
     EXPECT_GT(recovered, cold_ipc);
 
     platform.unbind(1);
+}
+
+}  // namespace
+
+// ---------- Step-3 knob validation ----------
+
+namespace {
+
+using namespace synpa;
+using namespace synpa::sched;
+
+/// The knobs SYNPA's and the oracle's Step 3 run on, one row at a time.
+struct Step3Knobs {
+    core::SynpaPolicy::Options synpa;
+    double oracle_penalty = kDefaultCrossChipPenalty;
+};
+
+struct KnobRow {
+    const char* field;  ///< what the error must name
+    double value;
+    bool valid;
+    void (*set)(Step3Knobs&, double);
+};
+
+void set_ema_alpha(Step3Knobs& k, double v) { k.synpa.estimator.ema_alpha = v; }
+void set_stability_bias(Step3Knobs& k, double v) { k.synpa.stability_bias = v; }
+void set_keep_threshold(Step3Knobs& k, double v) { k.synpa.keep_threshold = v; }
+void set_synpa_penalty(Step3Knobs& k, double v) { k.synpa.cross_chip_penalty = v; }
+void set_oracle_penalty(Step3Knobs& k, double v) { k.oracle_penalty = v; }
+
+TEST(Step3KnobValidation, BadValuesThrowNamingTheFieldAndBoundaryValuesRun) {
+    constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const KnobRow rows[] = {
+        {"SynpaEstimator::Options::ema_alpha", kNan, false, set_ema_alpha},
+        {"SynpaEstimator::Options::ema_alpha", 3.0, false, set_ema_alpha},
+        {"SynpaEstimator::Options::ema_alpha", 0.0, false, set_ema_alpha},
+        {"SynpaEstimator::Options::ema_alpha", 1.0, true, set_ema_alpha},
+        {"SynpaPolicy::Options::stability_bias", -1.0, false, set_stability_bias},
+        {"SynpaPolicy::Options::stability_bias", kInf, false, set_stability_bias},
+        {"SynpaPolicy::Options::stability_bias", 0.0, true, set_stability_bias},
+        {"SynpaPolicy::Options::keep_threshold", kNan, false, set_keep_threshold},
+        {"SynpaPolicy::Options::keep_threshold", -0.5, false, set_keep_threshold},
+        {"SynpaPolicy::Options::keep_threshold", 0.0, true, set_keep_threshold},
+        {"SynpaPolicy::Options::cross_chip_penalty", kNan, false, set_synpa_penalty},
+        {"SynpaPolicy::Options::cross_chip_penalty", -0.5, false, set_synpa_penalty},
+        {"SynpaPolicy::Options::cross_chip_penalty", 0.0, true, set_synpa_penalty},
+        {"SynpaPolicy::Options::cross_chip_penalty", kInf, true, set_synpa_penalty},
+        {"OraclePolicy: cross_chip_penalty", kNan, false, set_oracle_penalty},
+        {"OraclePolicy: cross_chip_penalty", -0.5, false, set_oracle_penalty},
+        {"OraclePolicy: cross_chip_penalty", 0.0, true, set_oracle_penalty},
+        {"OraclePolicy: cross_chip_penalty", kInf, true, set_oracle_penalty},
+    };
+    // Two chips, so the penalty rows reach the balancing pass.
+    uarch::SimConfig cfg;
+    cfg.num_chips = 2;
+    cfg.cores = 2;
+    cfg.cycles_per_quantum = 4'000;
+    std::vector<TaskSpec> specs;
+    const char* apps[] = {"nab_r", "mcf", "gobmk", "bwaves"};
+    for (std::uint64_t i = 0; i < 8; ++i)
+        specs.push_back({.app_name = apps[i % 4], .seed = 1 + i, .target_insts = 20'000});
+    const auto build_and_run = [&](const Step3Knobs& k) {
+        const model::InterferenceModel m = model::InterferenceModel::paper_table4();
+        core::SynpaPolicy synpa(m, k.synpa);
+        OraclePolicy oracle(m, k.oracle_penalty);
+        for (AllocationPolicy* policy : {static_cast<AllocationPolicy*>(&synpa),
+                                         static_cast<AllocationPolicy*>(&oracle)}) {
+            uarch::Platform platform(cfg);
+            EXPECT_TRUE(ThreadManager(platform, *policy, specs).run().completed);
+        }
+    };
+    for (const KnobRow& row : rows) {
+        Step3Knobs knobs;
+        row.set(knobs, row.value);
+        const std::string label = std::string(row.field) + " = " + std::to_string(row.value);
+        if (row.valid) {
+            EXPECT_NO_THROW(build_and_run(knobs)) << label;
+            continue;
+        }
+        try {
+            build_and_run(knobs);
+            ADD_FAILURE() << label << " did not throw";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find(row.field), std::string::npos)
+                << label << ": " << e.what();
+        }
+    }
 }
 
 }  // namespace

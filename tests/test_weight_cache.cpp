@@ -312,10 +312,10 @@ std::string members_text(const sched::CoreAllocation& alloc) {
     return text;
 }
 
-/// Forwards to a single-chip SynpaPolicy and, after each reallocate,
-/// re-solves the same Step 3 over counting oracles built from the policy's
-/// own estimator: the replay must choose the same groups with exactly as
-/// many oracle calls as the policy reports cost evaluations.
+/// Forwards to a SynpaPolicy and, after each reallocate, re-solves the same
+/// Step 3 (balancing pass included) over counting oracles built from the
+/// policy's own estimator: the replay must choose the same groups with
+/// exactly as many oracle calls as the policy reports cost evaluations.
 class ReplayedSynpa final : public sched::AllocationPolicy {
 public:
     explicit ReplayedSynpa(SynpaPolicy& inner) : inner_(inner) {}
@@ -345,9 +345,9 @@ public:
             for (const int i : group) ids.push_back(id(static_cast<std::size_t>(i)));
             return est.group_weight(ids);
         };
-        const sched::CoreAllocation replay =
-            sched::solve_chip(observations, costs, blossom_, blossom_,
-                              matching::kDefaultStabilityBias, matching::kDefaultKeepThreshold);
+        const sched::CoreAllocation replay = sched::solve_platform(
+            observations, costs, blossom_, blossom_, matching::kDefaultStabilityBias,
+            matching::kDefaultKeepThreshold, sched::kDefaultCrossChipPenalty);
         EXPECT_EQ(members_text(replay), members_text(alloc));
         EXPECT_EQ(inner_.cost_evaluations() - before, calls);
         oracle_calls_ += calls;
@@ -370,34 +370,41 @@ private:
 TEST(CostEvaluations, StatsCountEveryOracleCallAndNothingElse) {
     // Width 2 (the open load moves between the padded partial solve and
     // the hysteresis solve) and width 4 (more live tasks than the exact
-    // grouping limit, so the k-way heuristic runs), one chip each.
-    for (const int width : {2, 4}) {
-        uarch::SimConfig cfg;
-        cfg.cores = width == 2 ? 4 : 6;
-        cfg.smt_ways = width;
-        cfg.cycles_per_quantum = 2'000;
-        scenario::ScenarioSpec spec;
-        spec.name = "cost-evaluations";
-        spec.process = scenario::ArrivalProcess::kPoisson;
-        spec.app_mix = {"mcf", "leela_r", "gobmk", "nab_r"};
-        spec.initial_tasks = width == 2 ? 4 : 18;
-        spec.arrival_rate = width == 2 ? 0.8 : 2.0;
-        spec.service_quanta = 6;
-        spec.horizon_quanta = 20;
-        spec.seed = 4;
-        const scenario::ScenarioTrace trace = scenario::build_trace(spec, cfg);
-        uarch::Platform platform(cfg);
-        SynpaPolicy policy(model::InterferenceModel::paper_table4());
-        ReplayedSynpa replayed(policy);
-        const scenario::ScenarioResult r =
-            scenario::ScenarioRunner(platform, replayed, trace).run();
-        EXPECT_TRUE(r.completed) << "width " << width;
-        const WeightCache::Stats stats = policy.weight_cache_stats();
-        EXPECT_EQ(stats.hits, 0u);
-        EXPECT_EQ(stats.solve_reuse, 0u);
-        EXPECT_EQ(stats.misses, replayed.oracle_calls()) << "width " << width;
-        EXPECT_EQ(stats.misses, policy.cost_evaluations());
-        EXPECT_GT(stats.misses, 0u);
+    // grouping limit, so the k-way heuristic runs), each on one chip and on
+    // two, where the balancing pass prices cross-chip moves too.
+    for (const int chips : {1, 2}) {
+        for (const int width : {2, 4}) {
+            uarch::SimConfig cfg;
+            cfg.num_chips = chips;
+            cfg.cores = width == 2 ? 4 : 6;
+            cfg.smt_ways = width;
+            cfg.cycles_per_quantum = 2'000;
+            scenario::ScenarioSpec spec;
+            spec.name = "cost-evaluations";
+            spec.process = scenario::ArrivalProcess::kPoisson;
+            spec.app_mix = {"mcf", "leela_r", "gobmk", "nab_r"};
+            spec.initial_tasks = (width == 2 ? 4 : 18) * chips;
+            spec.arrival_rate = (width == 2 ? 0.8 : 2.0) * chips;
+            spec.service_quanta = 6;
+            spec.horizon_quanta = 20;
+            spec.seed = 4;
+            const scenario::ScenarioTrace trace = scenario::build_trace(spec, cfg);
+            uarch::Platform platform(cfg);
+            SynpaPolicy policy(model::InterferenceModel::paper_table4());
+            ReplayedSynpa replayed(policy);
+            const scenario::ScenarioResult r =
+                scenario::ScenarioRunner(platform, replayed, trace).run();
+            const std::string where =
+                std::to_string(chips) + " chips, width " + std::to_string(width);
+            EXPECT_TRUE(r.completed) << where;
+            if (chips > 1) EXPECT_GT(r.cross_chip_migrations, 0u) << where;
+            const WeightCache::Stats stats = policy.weight_cache_stats();
+            EXPECT_EQ(stats.hits, 0u);
+            EXPECT_EQ(stats.solve_reuse, 0u);
+            EXPECT_EQ(stats.misses, replayed.oracle_calls()) << where;
+            EXPECT_EQ(stats.misses, policy.cost_evaluations());
+            EXPECT_GT(stats.misses, 0u);
+        }
     }
 }
 

@@ -10,6 +10,12 @@
 3. Every SYNPA_* environment knob read anywhere in src/, bench/, or
    examples/ (via common::env_int/env_double/env_string or raw getenv)
    must be documented in docs/REFERENCE.md as an inline-code `NAME`.
+4. Every inline-code qualified name (`ns::name`, `Type::member`; `std::`
+   names excluded; a trailing `*` makes the last part a prefix) and every
+   inline-code call (`name()`, `ns::name(args)`) in README.md and
+   docs/*.md must name identifiers that occur in the code under src/, with
+   comments and string literals stripped — so a doc cannot keep naming an
+   API after it is deleted.
 
 Exits nonzero listing every violation; prints a summary on success.
 """
@@ -104,15 +110,68 @@ def check_env_knob_docs():
     ]
 
 
+CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
+QUALIFIED_RE = re.compile(r"(?<![\w:])([A-Za-z_]\w*(?:::[A-Za-z_]\w*)+)(\*?)")
+CALL_SPAN_RE = re.compile(r"([A-Za-z_]\w*(?:::[A-Za-z_]\w*)*)\(.*\)")
+# C++14 digit separators (2'000, 0xffff'ffff) would otherwise open a
+# character literal.
+DIGIT_SEPARATOR_RE = re.compile(r"(?<=[0-9A-Fa-f])'(?=[0-9A-Fa-f])")
+COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?\*/", re.S)
+LITERAL_RE = re.compile(r'"(?:\\.|[^"\\\n])*"|\'(?:\\.|[^\'\\\n])*\'')
+IDENTIFIER_RE = re.compile(r"[A-Za-z_]\w*")
+
+
+def source_identifiers(root):
+    """Every identifier in the code under root/src (comments and literals stripped)."""
+    names = set()
+    for source in sorted((root / "src").rglob("*.[ch]pp")):
+        code = DIGIT_SEPARATOR_RE.sub("", source.read_text())
+        code = LITERAL_RE.sub(" ", COMMENT_RE.sub(" ", code))
+        names.update(IDENTIFIER_RE.findall(code))
+    return names
+
+
+def code_names(span):
+    """(name, is_prefix) for each qualified name or call an inline-code span names."""
+    found = [(name, star == "*") for name, star in QUALIFIED_RE.findall(span)]
+    call = CALL_SPAN_RE.fullmatch(span.strip())
+    if call:
+        found.append((call.group(1), False))
+    return [(name, prefix) for name, prefix in found if not name.startswith("std::")]
+
+
+def check_code_names(root=REPO):
+    identifiers = source_identifiers(root)
+    errors = []
+    for md in [root / "README.md"] + sorted((root / "docs").glob("*.md")):
+        for lineno, line in enumerate(md.read_text().splitlines(), 1):
+            for span in CODE_SPAN_RE.findall(line):
+                for name, prefix in code_names(span):
+                    *scopes, last = name.split("::")
+                    known = all(s in identifiers for s in scopes) and (
+                        any(i.startswith(last) for i in identifiers)
+                        if prefix
+                        else last in identifiers
+                    )
+                    if not known:
+                        errors.append(
+                            f"{md.relative_to(root)}:{lineno}: `{span}` names"
+                            f" '{name}', which nothing in src/ declares"
+                        )
+    return errors
+
+
 def main():
-    errors = check_links() + check_policy_docs() + check_env_knob_docs()
+    errors = (
+        check_links() + check_policy_docs() + check_env_knob_docs() + check_code_names()
+    )
     if errors:
         print("\n".join(errors), file=sys.stderr)
         sys.exit(1)
     md_count = sum(1 for _ in markdown_files())
     print(
         f"docs OK: {md_count} markdown files, {len(registry_names())} policies"
-        f" and {len(env_knobs())} env knobs documented"
+        f" and {len(env_knobs())} env knobs documented; code names resolve in src/"
     )
 
 
