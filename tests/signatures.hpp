@@ -46,6 +46,19 @@ inline std::string signature(const scenario::ScenarioResult& r) {
     return sig;
 }
 
+/// signature(r) plus every timeline sample (quantum, live, queued,
+/// utilization bits, migrations).
+inline std::string timeline_signature(const scenario::ScenarioResult& r) {
+    std::string sig = signature(r);
+    for (const scenario::QuantumSample& q : r.timeline) {
+        sig += "|";
+        sig += std::to_string(q.quantum) + ":" + std::to_string(q.live) + ":" +
+               std::to_string(q.queued) + ":" + std::to_string(bits(q.utilization)) + ":" +
+               std::to_string(q.migrations);
+    }
+    return sig;
+}
+
 /// The tracer's retained event stream as kind:quantum:chip:task:core records.
 inline std::string event_stream(const obs::Tracer& tracer) {
     std::string s;

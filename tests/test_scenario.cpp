@@ -387,14 +387,7 @@ std::string oracle_open_run(int cores) {
     sched::OraclePolicy policy{model::InterferenceModel::paper_table4()};
     const scenario::ScenarioResult r = scenario::ScenarioRunner(platform, policy, trace).run();
     EXPECT_TRUE(r.completed);
-    std::string sig = testsig::signature(r);
-    for (const scenario::QuantumSample& q : r.timeline) {
-        sig += "|";
-        sig += std::to_string(q.quantum) + ":" + std::to_string(q.live) + ":" +
-               std::to_string(q.queued) + ":" + std::to_string(testsig::bits(q.utilization)) +
-               ":" + std::to_string(q.migrations);
-    }
-    return sig;
+    return testsig::timeline_signature(r);
 }
 
 TEST(OraclePins, ClosedGoldenWorkloadAtFourCores) {

@@ -869,8 +869,9 @@ TEST(Step3KnobValidation, BadValuesThrowNamingTheFieldAndBoundaryValuesRun) {
     cfg.num_chips = 2;
     cfg.cores = 2;
     cfg.cycles_per_quantum = 4'000;
-    std::vector<TaskSpec> specs;
     const char* apps[] = {"nab_r", "mcf", "gobmk", "bwaves"};
+    std::vector<TaskSpec> specs;
+    specs.reserve(8);
     for (std::uint64_t i = 0; i < 8; ++i)
         specs.push_back({.app_name = apps[i % 4], .seed = 1 + i, .target_insts = 20'000});
     const auto build_and_run = [&](const Step3Knobs& k) {

@@ -270,22 +270,11 @@ scenario::ScenarioResult smt2_two_chip_open_run(sched::AllocationPolicy& policy)
     return r;
 }
 
-std::string timeline_signature(const scenario::ScenarioResult& r) {
-    std::string sig = testsig::signature(r);
-    for (const scenario::QuantumSample& q : r.timeline) {
-        sig += "|";
-        sig += std::to_string(q.quantum) + ":" + std::to_string(q.live) + ":" +
-               std::to_string(q.queued) + ":" + std::to_string(testsig::bits(q.utilization)) +
-               ":" + std::to_string(q.migrations);
-    }
-    return sig;
-}
-
 TEST(DecidePins, Smt2TwoChipSynpaOpenRun) {
     SynpaPolicy policy{model::InterferenceModel::paper_table4()};
     const scenario::ScenarioResult r = smt2_two_chip_open_run(policy);
     EXPECT_GT(r.cross_chip_migrations, 0u);
-    EXPECT_EQ(testsig::digest(timeline_signature(r)), 0x14c0098711d173edull);
+    EXPECT_EQ(testsig::digest(testsig::timeline_signature(r)), 0x14c0098711d173edull);
 }
 
 TEST(DecidePins, Smt2TwoChipOracleOpenRun) {
@@ -298,7 +287,7 @@ TEST(DecidePins, Smt2TwoChipOracleOpenRun) {
     sched::OraclePolicy policy{model::InterferenceModel::paper_table4()};
     const scenario::ScenarioResult r = smt2_two_chip_open_run(policy);
     EXPECT_GT(r.cross_chip_migrations, 0u);
-    EXPECT_EQ(testsig::digest(timeline_signature(r)), 0xd9cdb2aeff516705ull);
+    EXPECT_EQ(testsig::digest(testsig::timeline_signature(r)), 0xd9cdb2aeff516705ull);
 }
 
 // ------------------------------------------------ cost-evaluation count --
