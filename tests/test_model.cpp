@@ -3,7 +3,9 @@
 // pipeline and the extended (ablation) characterization.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <span>
 #include <sstream>
 
 #include "apps/instance.hpp"
@@ -531,6 +533,28 @@ TEST(FlatModel, GroupPredictorsAreBitIdenticalToTheReference) {
         EXPECT_EQ(testsig::bits(flat.predict_slowdown(members.front(), members.back())),
                   testsig::bits(model.predict_slowdown(members.front(), members.back())))
             << where;
+
+        // Step 3 prices a task alone as a 1-member group and a pair as a
+        // 2-member group, so both group predictors must reduce exactly:
+        // {a} to the "runs alone" term, {a, b} to the both-directions pair
+        // weight, in either member order.
+        CategoryVector a{}, b{};
+        for (double& x : a) x = rng.uniform();
+        for (double& x : b) x = rng.uniform();
+        const std::array<CategoryVector, 1> alone = {a};
+        const std::array<CategoryVector, 2> ab = {a, b};
+        const std::array<CategoryVector, 2> ba = {b, a};
+        const double solo = model.predict_slowdown(a, CategoryVector{});
+        const double pair = model.predict_slowdown(a, b) + model.predict_slowdown(b, a);
+        const auto check = [&](const char* predictor, const auto& group) {
+            EXPECT_EQ(testsig::bits(group(alone)), testsig::bits(solo)) << where << predictor;
+            EXPECT_EQ(testsig::bits(group(ab)), testsig::bits(pair)) << where << predictor;
+            EXPECT_EQ(testsig::bits(group(ab)), testsig::bits(group(ba))) << where << predictor;
+        };
+        check(" flat", [&](std::span<const CategoryVector> g) { return flat.group_slowdown(g); });
+        check(" reference", [&](std::span<const CategoryVector> g) {
+            return predict_group_slowdown(model, g);
+        });
     }
 }
 
