@@ -102,25 +102,15 @@ model::CategoryVector SynpaEstimator::estimate(int task_id) const {
     return {1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0};
 }
 
-double SynpaEstimator::pair_weight(int task_u, int task_v) const {
-    const model::CategoryVector eu = estimate(task_u);
-    const model::CategoryVector ev = estimate(task_v);
-    return flat_.predict_slowdown(eu, ev) + flat_.predict_slowdown(ev, eu);
-}
-
-double SynpaEstimator::solo_weight(int task_id) const {
-    return flat_.predict_slowdown(estimate(task_id), model::CategoryVector{});
-}
-
 namespace {
 
 /// Stack-first member-vector gather: Step-2 groups are at most SMT-width
 /// wide, so the common case never touches the heap.
 constexpr std::size_t kInlineMembers = 8;
 
-}  // namespace
-
-double SynpaEstimator::group_weight(std::span<const int> task_ids) const {
+/// Returns fn(the members' current estimates, in task_ids order).
+template <typename Fn>
+auto with_estimates(const SynpaEstimator& est, std::span<const int> task_ids, Fn&& fn) {
     std::array<model::CategoryVector, kInlineMembers> inline_buf;
     std::vector<model::CategoryVector> heap;
     model::CategoryVector* members = inline_buf.data();
@@ -128,28 +118,24 @@ double SynpaEstimator::group_weight(std::span<const int> task_ids) const {
         heap.resize(task_ids.size());
         members = heap.data();
     }
-    for (std::size_t i = 0; i < task_ids.size(); ++i) members[i] = estimate(task_ids[i]);
-    return flat_.group_slowdown({members, task_ids.size()});
+    for (std::size_t i = 0; i < task_ids.size(); ++i) members[i] = est.estimate(task_ids[i]);
+    return fn(std::span<const model::CategoryVector>(members, task_ids.size()));
+}
+
+}  // namespace
+
+double SynpaEstimator::group_weight(std::span<const int> task_ids) const {
+    return with_estimates(*this, task_ids, [this](std::span<const model::CategoryVector> m) {
+        return flat_.group_slowdown(m);
+    });
 }
 
 void SynpaEstimator::member_slowdowns(std::span<const int> task_ids,
                                       std::vector<double>& out) const {
-    std::array<model::CategoryVector, kInlineMembers> inline_buf;
-    std::vector<model::CategoryVector> heap;
-    model::CategoryVector* members = inline_buf.data();
-    if (task_ids.size() > kInlineMembers) {
-        heap.resize(task_ids.size());
-        members = heap.data();
-    }
-    for (std::size_t i = 0; i < task_ids.size(); ++i) members[i] = estimate(task_ids[i]);
     out.resize(task_ids.size());
-    flat_.member_slowdowns({members, task_ids.size()}, out);
-}
-
-std::vector<double> SynpaEstimator::member_slowdowns(std::span<const int> task_ids) const {
-    std::vector<double> out;
-    member_slowdowns(task_ids, out);
-    return out;
+    with_estimates(*this, task_ids, [&](std::span<const model::CategoryVector> m) {
+        flat_.member_slowdowns(m, out);
+    });
 }
 
 void SynpaEstimator::forget(int task_id) { estimates_.erase(task_id); }

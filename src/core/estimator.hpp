@@ -53,36 +53,25 @@ public:
 
     bool has_estimate(int task_id) const { return estimates_.contains(task_id); }
 
-    /// Predicted combined badness of co-scheduling (u, v): slowdown of u
-    /// next to v plus slowdown of v next to u.
-    double pair_weight(int task_u, int task_v) const;
-
-    /// Predicted badness of running the task on a core of its own: the
-    /// forward model evaluated against an all-zero co-runner (no competing
-    /// category demand), i.e. the "runs alone" benefit term the partial
-    /// allocator weighs against pair slowdowns.
-    double solo_weight(int task_id) const;
-
     /// Predicted combined badness of co-scheduling the whole group on one
     /// SMT core: for each member, the forward model is evaluated against
     /// the superposed category pressure of every other member.  Because
     /// Equation 1 is affine in the co-runner vector, this equals the sum of
     /// the symmetrized pairwise terms minus (k - 2) solo terms:
     ///   sum_i s(i | sum_j e_j) = sum_{i != j} s(i|j) - (k-2) * sum_i s(i|0),
-    /// so a 2-group reduces exactly to pair_weight and a 1-group to
-    /// solo_weight (the follow-up paper's pairwise-built group predictor).
+    /// the follow-up paper's pairwise-built group predictor.  A 2-group is
+    /// exactly the slowdown of each member next to the other, summed (in
+    /// either member order), and a 1-group the "runs alone" term: the
+    /// forward model against an all-zero co-runner, which the partial
+    /// allocator weighs against pair slowdowns.
     double group_weight(std::span<const int> task_ids) const;
 
     /// The per-member addends of group_weight: each member's predicted
     /// slowdown against the superposed pressure of the rest of the group (a
-    /// singleton returns its solo term).  The objective-parameterized
-    /// policies (STP, fairness, tail) fold these nonlinearly instead of
-    /// summing them.
-    std::vector<double> member_slowdowns(std::span<const int> task_ids) const;
-
-    /// Allocation-free variant: overwrites `out` (resized to
-    /// task_ids.size()) so per-quantum callers can reuse one scratch
-    /// vector across the whole Step-2 sweep.
+    /// singleton gets its solo term), written into `out` (resized to
+    /// task_ids.size()) so per-quantum callers can reuse one scratch vector
+    /// across the whole Step-2 sweep.  The objective-parameterized policies
+    /// (STP, fairness, tail) fold these nonlinearly instead of summing them.
     void member_slowdowns(std::span<const int> task_ids, std::vector<double>& out) const;
 
     /// Transfers the estimate across a relaunch (same application, so the

@@ -133,24 +133,6 @@ void SynpaPolicy::set_model(model::InterferenceModel model) {
     estimator_.set_model(std::move(model));
 }
 
-double SynpaPolicy::pair_cost(int task_u, int task_v) const {
-    ++cost_evaluations_;
-    if (opts_.objective == Objective::kTotalSlowdown)
-        return estimator_.pair_weight(task_u, task_v);
-    const std::array<int, 2> ids = {task_u, task_v};
-    estimator_.member_slowdowns(ids, slowdown_scratch_);
-    return objective_cost(opts_.objective, slowdown_scratch_);
-}
-
-double SynpaPolicy::solo_cost(int task_id) const {
-    ++cost_evaluations_;
-    if (opts_.objective == Objective::kTotalSlowdown)
-        return estimator_.solo_weight(task_id);
-    const std::array<int, 1> ids = {task_id};
-    estimator_.member_slowdowns(ids, slowdown_scratch_);
-    return objective_cost(opts_.objective, slowdown_scratch_);
-}
-
 double SynpaPolicy::group_cost(std::span<const int> task_ids) const {
     ++cost_evaluations_;
     if (opts_.objective == Objective::kTotalSlowdown)
@@ -168,20 +150,14 @@ const matching::Matcher& SynpaPolicy::matcher() const {
     return blossom_;
 }
 
-sched::ChipCosts SynpaPolicy::chip_costs(
+matching::GroupCost SynpaPolicy::chip_costs(
     std::span<const sched::TaskObservation> observations) const {
-    sched::ChipCosts c;
-    c.solo = [this, observations](std::size_t i) { return solo_cost(observations[i].task_id); };
-    c.pair = [this, observations](std::size_t u, std::size_t v) {
-        return pair_cost(observations[u].task_id, observations[v].task_id);
+    return [this, observations](std::span<const int> group) {
+        std::array<int, uarch::kMaxSmtWays> ids{};
+        for (std::size_t k = 0; k < group.size(); ++k)
+            ids.at(k) = observations[static_cast<std::size_t>(group[k])].task_id;
+        return group_cost(std::span<const int>(ids.data(), group.size()));
     };
-    c.group = [this, observations](std::span<const int> group) {
-        std::vector<int> ids;
-        ids.reserve(group.size());
-        for (const int i : group) ids.push_back(observations[static_cast<std::size_t>(i)].task_id);
-        return group_cost(ids);
-    };
-    return c;
 }
 
 void SynpaPolicy::set_tracer(obs::Tracer* tracer) {

@@ -12,11 +12,12 @@
 //
 // SMT width is a runtime property: at smt_ways == 2 Step 3 runs the paper's
 // pair solvers unchanged, while wider chips (SMT-4) switch to the k-way
-// grouping of the follow-up work — group costs built from the estimator's
-// symmetrized pairwise terms, solved by matching::min_weight_grouping.  The
-// whole Step 3 — the multi-chip balancing pass and each chip's solve — is
-// one sched::solve_platform call (sched/topology.hpp), shared with the
-// oracle policy; this class supplies only the costs.
+// grouping of the follow-up work, solved by matching::min_weight_grouping.
+// Every candidate — a task alone, a pair, a wider group — is priced by the
+// estimator's group predictor, built from the symmetrized pairwise terms.
+// The whole Step 3 — the multi-chip balancing pass and each chip's solve —
+// is one sched::solve_platform call (sched/topology.hpp), shared with the
+// oracle policy; this class supplies only the group-cost oracle.
 #pragma once
 
 #include <cstdint>
@@ -110,8 +111,8 @@ public:
     /// incremental retraining results back in.
     void set_model(model::InterferenceModel model);
 
-    /// Cumulative Step-2 cost evaluations (solo, pair and group costs
-    /// priced for Step 3 and for allocation trace events).
+    /// Cumulative Step-2 cost evaluations (every group of 1..smt_ways
+    /// tasks priced for Step 3 and for allocation trace events).
     std::uint64_t cost_evaluations() const noexcept { return cost_evaluations_; }
 
     /// cost_evaluations() in the retired weight cache's shape: `misses`
@@ -124,21 +125,19 @@ public:
     const matching::Matcher& matcher() const;
 
 private:
-    /// The objective-folded costs below, indexed by position in
-    /// `observations`, which must outlive the returned oracles.
-    sched::ChipCosts chip_costs(std::span<const sched::TaskObservation> observations) const;
+    /// group_cost over ascending positions in `observations`, which must
+    /// outlive the returned oracle.
+    matching::GroupCost chip_costs(std::span<const sched::TaskObservation> observations) const;
 
     /// Emits a kAllocation event for the decided grouping (group membership
     /// and the predicted per-group costs).  The extra estimator passes run
     /// only when the tracer wants allocation events.
     void trace_allocation(const sched::CoreAllocation& alloc) const;
 
-    /// Objective-folded candidate costs, each counted in
-    /// cost_evaluations().  Under kTotalSlowdown these are exactly the
-    /// estimator's pair/solo/group weights (the bit-exact golden path);
-    /// other objectives fold the per-member slowdowns.
-    double pair_cost(int task_u, int task_v) const;
-    double solo_cost(int task_id) const;
+    /// Objective-folded cost of one candidate group, counted in
+    /// cost_evaluations().  Under kTotalSlowdown this is exactly the
+    /// estimator's group_weight (the bit-exact golden path); other
+    /// objectives fold the per-member slowdowns.
     double group_cost(std::span<const int> task_ids) const;
 
     model::InterferenceModel model_;

@@ -2,21 +2,48 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "common/config.hpp"
 
 namespace synpa::online {
+namespace {
+
+void require(bool ok, const std::string& name, const char* rule, const std::string& got) {
+    if (!ok) throw std::invalid_argument(name + " must be " + rule + ", got " + got);
+}
+
+}  // namespace
+
+const PhaseDetector::Options& PhaseDetector::Options::validate() const {
+    const std::string field = "PhaseDetector::Options::";
+    require(warmup_quanta >= 2, field + "warmup_quanta", ">= 2", std::to_string(warmup_quanta));
+    require(std::isfinite(drift) && drift >= 0.0, field + "drift", "finite and >= 0",
+            std::to_string(drift));
+    require(std::isfinite(threshold) && threshold > 0.0, field + "threshold", "finite and > 0",
+            std::to_string(threshold));
+    for (std::size_t s = 0; s < kSignalCount; ++s)
+        require(std::isfinite(min_sigma[s]) && min_sigma[s] > 0.0,
+                field + "min_sigma[" + std::to_string(s) + "]", "finite and > 0",
+                std::to_string(min_sigma[s]));
+    return *this;
+}
 
 PhaseDetector::Options PhaseDetector::Options::from_env() {
     Options o;
-    o.warmup_quanta = static_cast<int>(std::max<std::int64_t>(
-        common::env_int("SYNPA_ONLINE_WARMUP", o.warmup_quanta), 2));
+    const std::int64_t warmup = common::env_int("SYNPA_ONLINE_WARMUP", o.warmup_quanta);
+    require(warmup >= 2 && warmup <= std::numeric_limits<int>::max(), "SYNPA_ONLINE_WARMUP",
+            "an int >= 2", std::to_string(warmup));
+    o.warmup_quanta = static_cast<int>(warmup);
     o.drift = common::env_double("SYNPA_ONLINE_DRIFT", o.drift);
     o.threshold = common::env_double("SYNPA_ONLINE_THRESHOLD", o.threshold);
+    o.validate();
     return o;
 }
 
-PhaseDetector::PhaseDetector(Options opts) : opts_(opts) {}
+PhaseDetector::PhaseDetector(Options opts) : opts_(opts.validate()) {}
 
 bool PhaseDetector::observe(int task_id, double ipc,
                             const model::CategoryVector& fractions) {

@@ -33,7 +33,10 @@ public:
 
     struct Options {
         /// Quanta used to establish a phase's baseline mean/sigma.  While a
-        /// task is warming up it never alarms.
+        /// task is warming up it never alarms.  At least 2: an alarm
+        /// restarts the baseline with one sample already in it, so below 2
+        /// sigma stays 0 (from the start at <= 0, after the first alarm at
+        /// 1) and every later z is inf or NaN.
         int warmup_quanta = 5;
         /// CUSUM slack k, in sigmas: deviations below it are absorbed as
         /// noise.  Detects shifts larger than ~2k sigmas quickly.
@@ -45,12 +48,20 @@ public:
         /// Index 0 is IPC (instructions/cycle scale), 1.. are fractions.
         std::array<double, kSignalCount> min_sigma = {0.05, 0.02, 0.02, 0.02};
 
+        /// Throws std::invalid_argument naming the first bad field unless
+        /// warmup_quanta >= 2, drift is finite and >= 0, and threshold and
+        /// every min_sigma are finite and > 0; returns *this for
+        /// constructor initializer lists.
+        const Options& validate() const;
+
         /// Applies SYNPA_ONLINE_WARMUP / SYNPA_ONLINE_DRIFT /
-        /// SYNPA_ONLINE_THRESHOLD overrides to the defaults.
+        /// SYNPA_ONLINE_THRESHOLD overrides to the defaults and validates
+        /// the result; a SYNPA_ONLINE_WARMUP below 2 throws naming it.
         static Options from_env();
     };
 
     PhaseDetector() : PhaseDetector(Options{}) {}
+    /// Throws std::invalid_argument when opts.validate() does.
     explicit PhaseDetector(Options opts);
 
     /// Digests one task-quantum; returns true when a phase change is

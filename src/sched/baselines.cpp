@@ -1,6 +1,7 @@
 #include "sched/baselines.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -122,21 +123,14 @@ OraclePolicy::OraclePolicy(model::InterferenceModel model, double cross_chip_pen
                                     std::to_string(cross_chip_penalty));
 }
 
-ChipCosts OraclePolicy::costs(std::span<const model::CategoryVector> truth) const {
-    ChipCosts c;
-    // "Runs alone" is the prediction against an all-zero co-runner.
-    c.solo = [this, truth](std::size_t i) { return model_.predict_slowdown(truth[i], {}); };
-    c.pair = [this, truth](std::size_t u, std::size_t v) {
-        return model_.predict_slowdown(truth[u], truth[v]) +
-               model_.predict_slowdown(truth[v], truth[u]);
+matching::GroupCost OraclePolicy::costs(std::span<const model::CategoryVector> truth) const {
+    return [this, truth](std::span<const int> group) {
+        std::array<model::CategoryVector, uarch::kMaxSmtWays> members{};
+        for (std::size_t k = 0; k < group.size(); ++k)
+            members.at(k) = truth[static_cast<std::size_t>(group[k])];
+        return model::predict_group_slowdown(
+            model_, std::span<const model::CategoryVector>(members.data(), group.size()));
     };
-    c.group = [this, truth](std::span<const int> group) {
-        std::vector<model::CategoryVector> members;
-        members.reserve(group.size());
-        for (const int i : group) members.push_back(truth[static_cast<std::size_t>(i)]);
-        return model::predict_group_slowdown(model_, members);
-    };
-    return c;
 }
 
 CoreAllocation OraclePolicy::reallocate(std::span<const TaskObservation> observations) {

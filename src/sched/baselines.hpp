@@ -66,8 +66,9 @@ public:
     CoreAllocation reallocate(std::span<const TaskObservation> observations) override;
 
 private:
-    /// The model fed the given true phase vectors (observation order).
-    ChipCosts costs(std::span<const model::CategoryVector> truth) const;
+    /// The model's group predictor fed the given true phase vectors
+    /// (observation order).
+    matching::GroupCost costs(std::span<const model::CategoryVector> truth) const;
 
     model::InterferenceModel model_;
     double cross_chip_penalty_;

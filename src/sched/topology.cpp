@@ -27,27 +27,41 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Predicted cost of observation `i` running on a core of its own.
+double price_alone(const matching::GroupCost& cost, std::size_t i) {
+    const std::array<int, 1> group = {static_cast<int>(i)};
+    return cost(group);
+}
+
+/// Predicted cost of observations `u` and `v` sharing a core, in either
+/// argument order: the group lists them ascending.
+double price_pair(const matching::GroupCost& cost, std::size_t u, std::size_t v) {
+    const std::array<int, 2> group = {static_cast<int>(std::min(u, v)),
+                                      static_cast<int>(std::max(u, v))};
+    return cost(group);
+}
+
 /// Cheapest predicted cost of task `t` living on the chip whose residents
 /// are `chip_members`: its solo cost when the chip has a core for everyone
 /// (counting t itself — `resident` says whether it is already in the
 /// list), otherwise the cheapest co-run next to an existing resident.
 double expected_cost_on_chip(std::size_t t, const std::vector<std::size_t>& chip_members,
-                             int cores, bool resident, const ChipCosts& costs) {
+                             int cores, bool resident, const matching::GroupCost& cost) {
     const std::size_t residents = chip_members.size() + (resident ? 0 : 1);
-    if (residents <= static_cast<std::size_t>(cores)) return costs.solo(t);
+    if (residents <= static_cast<std::size_t>(cores)) return price_alone(cost, t);
     double best = kInf;
     for (const std::size_t other : chip_members) {
         if (other == t) continue;
-        best = std::min(best, costs.pair(t, other));
+        best = std::min(best, price_pair(cost, t, other));
     }
-    return best < kInf ? best : costs.solo(t);
+    return best < kInf ? best : price_alone(cost, t);
 }
 
 }  // namespace
 
 std::vector<int> balance_across_chips(std::span<const TaskObservation> observations,
-                                      const TopologyView& topo, const ChipCosts& costs,
-                                      double migration_penalty) {
+                                      const TopologyView& topo,
+                                      const matching::GroupCost& cost, double migration_penalty) {
     std::vector<int> target(observations.size());
     for (std::size_t i = 0; i < observations.size(); ++i) {
         const int chip = observations[i].chip;
@@ -82,9 +96,9 @@ std::vector<int> balance_across_chips(std::span<const TaskObservation> observati
         double best_benefit = -kInf;
         for (const std::size_t t : from) {
             const double here =
-                expected_cost_on_chip(t, from, topo.cores_per_chip, /*resident=*/true, costs);
+                expected_cost_on_chip(t, from, topo.cores_per_chip, /*resident=*/true, cost);
             const double there =
-                expected_cost_on_chip(t, to, topo.cores_per_chip, /*resident=*/false, costs);
+                expected_cost_on_chip(t, to, topo.cores_per_chip, /*resident=*/false, cost);
             const double benefit = here - there;
             if (benefit > best_benefit) {
                 best_benefit = benefit;
@@ -107,7 +121,7 @@ namespace {
 /// to its observation indices before pricing it.
 CoreAllocation solve_one_chip(std::span<const TaskObservation> observations,
                               std::span<const std::size_t> idx, int chip,
-                              const TopologyView& topo, const ChipCosts& costs,
+                              const TopologyView& topo, const matching::GroupCost& cost,
                               const matching::Matcher& matcher, const matching::Matcher& exact,
                               double stability_bias, double keep_threshold) {
     const std::size_t n = idx.size();
@@ -129,7 +143,7 @@ CoreAllocation solve_one_chip(std::span<const TaskObservation> observations,
             n, cores, width, [&](std::span<const int> group) {
                 for (std::size_t k = 0; k < group.size(); ++k)
                     members.at(k) = static_cast<int>(idx[static_cast<std::size_t>(group[k])]);
-                return costs.group(std::span<const int>(members.data(), group.size()));
+                return cost(std::span<const int>(members.data(), group.size()));
             });
         for (const auto& group : sel.groups) {
             CoreGroup g;
@@ -139,7 +153,8 @@ CoreAllocation solve_one_chip(std::span<const TaskObservation> observations,
     } else {
         matching::WeightMatrix weights(n);
         for (std::size_t u = 0; u < n; ++u)
-            for (std::size_t v = u + 1; v < n; ++v) weights.set(u, v, costs.pair(idx[u], idx[v]));
+            for (std::size_t v = u + 1; v < n; ++v)
+                weights.set(u, v, price_pair(cost, idx[u], idx[v]));
         // The incumbent pairing in local index space, for hysteresis.
         common::FlatIdMap<std::size_t> index_of;
         for (std::size_t i = 0; i < n; ++i) index_of[observations[idx[i]].task_id] = i;
@@ -151,8 +166,8 @@ CoreAllocation solve_one_chip(std::span<const TaskObservation> observations,
                 current.emplace_back(static_cast<int>(i), static_cast<int>(*it));
         }
         const matching::PartialMatching sel = matching::min_weight_pairs(
-            weights, [&](std::size_t i) { return costs.solo(idx[i]); }, cores, current, matcher,
-            exact, stability_bias, keep_threshold);
+            weights, [&](std::size_t i) { return price_alone(cost, idx[i]); }, cores, current,
+            matcher, exact, stability_bias, keep_threshold);
         std::vector<std::pair<int, int>> pairs;
         for (const auto& [u, v] : sel.pairs) pairs.emplace_back(task(u), task(v));
         for (const int u : sel.singles) pairs.emplace_back(task(u), kNoTask);
@@ -172,13 +187,13 @@ CoreAllocation solve_one_chip(std::span<const TaskObservation> observations,
 }  // namespace
 
 CoreAllocation solve_platform(std::span<const TaskObservation> observations,
-                              const ChipCosts& costs, const matching::Matcher& matcher,
+                              const matching::GroupCost& cost, const matching::Matcher& matcher,
                               const matching::Matcher& exact, double stability_bias,
                               double keep_threshold, double cross_chip_penalty) {
     if (observations.empty()) return {};
     const TopologyView topo = observed_topology(observations);
     const std::vector<int> target =
-        topo.chips > 1 ? balance_across_chips(observations, topo, costs, cross_chip_penalty)
+        topo.chips > 1 ? balance_across_chips(observations, topo, cost, cross_chip_penalty)
                        : std::vector<int>(observations.size(), 0);
     CoreAllocation alloc;
     std::vector<std::size_t> idx;
@@ -186,7 +201,7 @@ CoreAllocation solve_platform(std::span<const TaskObservation> observations,
         idx.clear();
         for (std::size_t i = 0; i < target.size(); ++i)
             if (target[i] == c) idx.push_back(i);
-        const CoreAllocation chip = solve_one_chip(observations, idx, c, topo, costs, matcher,
+        const CoreAllocation chip = solve_one_chip(observations, idx, c, topo, cost, matcher,
                                                    exact, stability_bias, keep_threshold);
         alloc.insert(alloc.end(), chip.begin(), chip.end());
     }

@@ -1,8 +1,14 @@
 // SYNPA's Step 3 (paper §IV-B), shared by the informed policies
 // (SynpaPolicy, OraclePolicy): given the costs a policy predicts, pick the
 // cheapest grouping of a whole platform's tasks.  The policies differ only
-// in their ChipCosts; everything else — the topology, the cross-chip
-// balancing pass and the per-chip solve — is solve_platform.
+// in their group-cost oracle; everything else — the topology, the
+// cross-chip balancing pass and the per-chip solve — is solve_platform.
+//
+// One oracle prices every candidate: a matching::GroupCost over ascending
+// positions in the platform's observation span.  A task running alone is a
+// 1-member group and two tasks sharing a core a 2-member group, which the
+// pairwise-built group predictor reduces to the solo term and to Equation 1
+// in both directions bit for bit.
 //
 // On a multi-chip platform the grouping problem decomposes: co-run
 // interference is a *within-core* phenomenon, so once every task is
@@ -16,7 +22,6 @@
 // work (arXiv:2507.00855) and AMTHA's communication-penalty framing.
 #pragma once
 
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -39,16 +44,6 @@ struct TopologyView {
 /// the core count does not divide evenly across the chips.
 TopologyView observed_topology(std::span<const TaskObservation> observations);
 
-/// Cost oracles of Step 3, all indexed by position in the platform's
-/// observation span: `solo` prices a task running alone, `pair` two tasks
-/// sharing a core, and `group` a candidate group of ascending indices
-/// (widths above 2).
-struct ChipCosts {
-    matching::SoloWeight solo;
-    std::function<double(std::size_t, std::size_t)> pair;
-    matching::GroupCost group;
-};
-
 /// Default cross-chip migration-penalty gate (in predicted-slowdown
 /// units), shared by every topology-aware policy so the knobs cannot
 /// silently drift apart.
@@ -60,28 +55,29 @@ inline constexpr double kDefaultCrossChipPenalty = 0.15;
 /// one-task gap only relocates the imbalance) and (b) the best candidate's
 /// predicted benefit — its cheapest co-run cost on the crowded chip minus
 /// its predicted cost on the target chip (solo when a core frees up there,
-/// cheapest pair otherwise) — exceeds `migration_penalty`.  Reads only
-/// `costs.solo` and `costs.pair`.  Deterministic: ties resolve to the
-/// lowest chip / observation index.  Returns the target chip per
-/// observation index.
+/// cheapest pair otherwise) — exceeds `migration_penalty`.  Prices only
+/// 1- and 2-member groups.  Deterministic: ties resolve to the lowest
+/// chip / observation index.  Returns the target chip per observation
+/// index.
 std::vector<int> balance_across_chips(std::span<const TaskObservation> observations,
-                                      const TopologyView& topo, const ChipCosts& costs,
-                                      double migration_penalty);
+                                      const TopologyView& topo,
+                                      const matching::GroupCost& cost, double migration_penalty);
 
 /// Step 3 over a whole platform's observations.  With more than one chip,
 /// balance_across_chips first picks each task's chip; then each chip is
 /// solved over its own tasks (in observation order), with each task's
 /// incumbent core counted only when it already ran on that chip:
 ///   * width 1: every task keeps a core of its own;
-///   * width > 2: matching::min_weight_grouping over `costs.group`;
-///   * width 2: matching::min_weight_pairs over the `costs.pair` weights
-///     and the incumbent pairing — `matcher` with hysteresis at full load,
-///     the padded `exact` solve with `costs.solo` under partial load.
+///   * width > 2: matching::min_weight_grouping over `cost`;
+///   * width 2: matching::min_weight_pairs over the pair weights (every
+///     u < v of the chip, row-major) and the incumbent pairing — `matcher`
+///     with hysteresis at full load, the padded `exact` solve with solo
+///     weights under partial load.
 /// The chosen groups (solver pairs first, then singles ascending) reach one
 /// place_groups call per chip, which keeps survivors on their incumbent
 /// cores.  Returns one entry per platform core, chip-major.
 CoreAllocation solve_platform(std::span<const TaskObservation> observations,
-                              const ChipCosts& costs, const matching::Matcher& matcher,
+                              const matching::GroupCost& cost, const matching::Matcher& matcher,
                               const matching::Matcher& exact, double stability_bias,
                               double keep_threshold, double cross_chip_penalty);
 

@@ -112,8 +112,10 @@ TEST(Estimator, PairWeightSymmetricSum) {
     SynpaEstimator est(model::InterferenceModel::paper_table4());
     est.observe(std::vector<sched::TaskObservation>{make_obs(1, 0, -1, {0.6, 0.2, 0.2}),
                                                     make_obs(2, 1, -1, {0.1, 0.1, 0.8})});
-    EXPECT_DOUBLE_EQ(est.pair_weight(1, 2), est.pair_weight(2, 1));
-    EXPECT_GT(est.pair_weight(1, 2), 2.0);  // two slowdowns, each >= ~1
+    const std::vector<int> uv = {1, 2};
+    const std::vector<int> vu = {2, 1};
+    EXPECT_DOUBLE_EQ(est.group_weight(uv), est.group_weight(vu));
+    EXPECT_GT(est.group_weight(uv), 2.0);  // two slowdowns, each >= ~1
 }
 
 TEST(SynpaPolicyTest, NamesReflectSelector) {

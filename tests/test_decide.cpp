@@ -302,7 +302,7 @@ std::string members_text(const sched::CoreAllocation& alloc) {
 }
 
 /// Forwards to a SynpaPolicy and, after each reallocate, re-solves the same
-/// Step 3 (balancing pass included) over counting oracles built from the
+/// Step 3 (balancing pass included) over a counting oracle built from the
 /// policy's own estimator: the replay must choose the same groups with
 /// exactly as many oracle calls as the policy reports cost evaluations.
 class ReplayedSynpa final : public sched::AllocationPolicy {
@@ -318,24 +318,15 @@ public:
         if (observations.empty()) return alloc;
         std::uint64_t calls = 0;
         const SynpaEstimator& est = inner_.estimator();
-        const auto id = [&](std::size_t i) { return observations[i].task_id; };
-        sched::ChipCosts costs;
-        costs.solo = [&](std::size_t i) {
-            ++calls;
-            return est.solo_weight(id(i));
-        };
-        costs.pair = [&](std::size_t u, std::size_t v) {
-            ++calls;
-            return est.pair_weight(id(u), id(v));
-        };
-        costs.group = [&](std::span<const int> group) {
+        const matching::GroupCost cost = [&](std::span<const int> group) {
             ++calls;
             std::vector<int> ids;
-            for (const int i : group) ids.push_back(id(static_cast<std::size_t>(i)));
+            for (const int i : group)
+                ids.push_back(observations[static_cast<std::size_t>(i)].task_id);
             return est.group_weight(ids);
         };
         const sched::CoreAllocation replay = sched::solve_platform(
-            observations, costs, blossom_, blossom_, matching::kDefaultStabilityBias,
+            observations, cost, blossom_, blossom_, matching::kDefaultStabilityBias,
             matching::kDefaultKeepThreshold, sched::kDefaultCrossChipPenalty);
         EXPECT_EQ(members_text(replay), members_text(alloc));
         EXPECT_EQ(inner_.cost_evaluations() - before, calls);
@@ -386,7 +377,9 @@ TEST(CostEvaluations, StatsCountEveryOracleCallAndNothingElse) {
             const std::string where =
                 std::to_string(chips) + " chips, width " + std::to_string(width);
             EXPECT_TRUE(r.completed) << where;
-            if (chips > 1) EXPECT_GT(r.cross_chip_migrations, 0u) << where;
+            if (chips > 1) {
+                EXPECT_GT(r.cross_chip_migrations, 0u) << where;
+            }
             const WeightCache::Stats stats = policy.weight_cache_stats();
             EXPECT_EQ(stats.hits, 0u);
             EXPECT_EQ(stats.solve_reuse, 0u);

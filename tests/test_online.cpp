@@ -7,7 +7,11 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <limits>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "apps/spec_suite.hpp"
@@ -94,6 +98,82 @@ TEST(PhaseDetector, ResetAndForgetClearState) {
     EXPECT_FALSE(detector.warmed_up(1));
     detector.forget(1);
     EXPECT_FALSE(detector.warmed_up(1));
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kTiny = std::numeric_limits<double>::min();
+
+TEST(PhaseDetector, OptionsRejectBadValuesByFieldName) {
+    using Options = online::PhaseDetector::Options;
+    struct Row {
+        const char* field;
+        void (*set)(Options&);
+    };
+    const Row bad[] = {
+        {"warmup_quanta", [](Options& o) { o.warmup_quanta = 1; }},
+        {"warmup_quanta", [](Options& o) { o.warmup_quanta = 0; }},
+        {"warmup_quanta", [](Options& o) { o.warmup_quanta = -3; }},
+        {"drift", [](Options& o) { o.drift = -1.0; }},
+        {"drift", [](Options& o) { o.drift = kNaN; }},
+        {"drift", [](Options& o) { o.drift = kInf; }},
+        {"threshold", [](Options& o) { o.threshold = 0.0; }},
+        {"threshold", [](Options& o) { o.threshold = -1.0; }},
+        {"threshold", [](Options& o) { o.threshold = kNaN; }},
+        {"threshold", [](Options& o) { o.threshold = kInf; }},
+        {"min_sigma[0]", [](Options& o) { o.min_sigma[0] = 0.0; }},
+        {"min_sigma[1]", [](Options& o) { o.min_sigma[1] = -0.02; }},
+        {"min_sigma[2]", [](Options& o) { o.min_sigma[2] = kNaN; }},
+        {"min_sigma[3]", [](Options& o) { o.min_sigma[3] = kInf; }},
+    };
+    for (const Row& row : bad) {
+        Options opts;
+        row.set(opts);
+        const std::string field = std::string("PhaseDetector::Options::") + row.field;
+        try {
+            online::PhaseDetector detector(opts);
+            ADD_FAILURE() << field << ": bad value accepted";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+        }
+    }
+
+    // The smallest legal values run: on a constant signal any alarm could
+    // only come from a degenerate sigma or z, not from noise.
+    const Row good[] = {
+        {"warmup_quanta", [](Options& o) { o.warmup_quanta = 2; }},
+        {"drift", [](Options& o) { o.drift = 0.0; }},
+        {"threshold", [](Options& o) { o.threshold = kTiny; }},
+        {"min_sigma", [](Options& o) { o.min_sigma.fill(kTiny); }},
+    };
+    for (const Row& row : good) {
+        Options opts;
+        row.set(opts);
+        online::PhaseDetector detector(opts);
+        for (int q = 0; q < 50; ++q)
+            EXPECT_FALSE(detector.observe(1, 1.5, {0.5, 0.2, 0.3})) << row.field << " q " << q;
+        EXPECT_TRUE(detector.warmed_up(1)) << row.field;
+        EXPECT_EQ(detector.alarms(), 0u) << row.field;
+    }
+}
+
+TEST(PhaseDetector, EnvWarmupBelowTwoThrowsNamingTheKnob) {
+    const char* const knob = "SYNPA_ONLINE_WARMUP";
+    const char* const inherited = std::getenv(knob);
+    const std::string saved = inherited != nullptr ? inherited : "";
+    ::setenv(knob, "1", 1);
+    try {
+        (void)online::PhaseDetector::Options::from_env();
+        ADD_FAILURE() << "SYNPA_ONLINE_WARMUP=1 accepted";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(knob), std::string::npos) << e.what();
+    }
+    ::setenv(knob, "2", 1);
+    EXPECT_EQ(online::PhaseDetector::Options::from_env().warmup_quanta, 2);
+    if (inherited != nullptr)
+        ::setenv(knob, saved.c_str(), 1);
+    else
+        ::unsetenv(knob);
 }
 
 // ---------- incremental trainer ----------

@@ -691,9 +691,9 @@ TEST(Multichip, ObservedTopologyAndBalancing) {
     EXPECT_EQ(topo.cores_per_chip, 2);
     EXPECT_EQ(topo.capacity_per_chip(), 4);
 
-    ChipCosts costs;
-    costs.solo = [](std::size_t) { return 1.0; };
-    costs.pair = [](std::size_t, std::size_t) { return 3.0; };
+    const matching::GroupCost costs = [](std::span<const int> group) {
+        return group.size() == 1 ? 1.0 : 3.0;  // solo 1, any pair 3
+    };
     const std::vector<int> moved = balance_across_chips(obs, topo, costs, 0.01);
     int on_chip1 = 0;
     for (const int c : moved) on_chip1 += c == 1;
@@ -721,9 +721,9 @@ TEST(Multichip, BalancerLeavesSoloCapableChipAlone) {
         obs.push_back(o);
     }
     const TopologyView topo = observed_topology(obs);
-    ChipCosts costs;
-    costs.solo = [](std::size_t) { return 1.0; };
-    costs.pair = [](std::size_t, std::size_t) { return 3.0; };
+    const matching::GroupCost costs = [](std::span<const int> group) {
+        return group.size() == 1 ? 1.0 : 3.0;  // solo 1, any pair 3
+    };
     const std::vector<int> target = balance_across_chips(obs, topo, costs, 0.01);
     for (const int c : target) EXPECT_EQ(c, 0);  // solo everywhere; no move pays
 }
