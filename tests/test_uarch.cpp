@@ -17,6 +17,7 @@
 #include "apps/spec_suite.hpp"
 #include "common/rng.hpp"
 #include "model/categories.hpp"
+#include "signatures.hpp"
 #include "uarch/cache.hpp"
 #include "uarch/chip.hpp"
 #include "uarch/memory.hpp"
@@ -417,96 +418,180 @@ void expect_same_core(CoreUnderTest& a, CoreUnderTest& b, const std::string& whe
     }
 }
 
+/// Appends what expect_same_core compares, plus cycle_counts(), to `sig`
+/// (consuming one draw of each bound task's event RNG streams).
+void append_end_state(CoreUnderTest& side, std::string& sig) {
+    const auto put = [&sig](char sep, std::uint64_t v) {
+        sig += sep;
+        sig += std::to_string(v);
+    };
+    put(';', side.core.cycle_counts().ticked);
+    put('/', side.core.cycle_counts().skipped);
+    for (int s = 0; s < kMaxSmtWays; ++s) {
+        ThreadContext& t = side.core.slot(s);
+        put('|', t.bound());
+        for (const std::int64_t v : {std::int64_t{t.fetch_buffer}, std::int64_t{t.fe_stall},
+                                     std::int64_t{t.be_stall}, std::int64_t{t.dram_stall},
+                                     t.insts_until_fe, t.insts_until_be})
+            put(':', static_cast<std::uint64_t>(v));
+        put(':', testsig::bits(t.dispatch_credit));
+        if (!t.bound()) continue;
+        for (std::size_t i = 0; i < pmu::kEventCount; ++i)
+            put(',', t.task()->counters().value(static_cast<pmu::Event>(i)));
+        put(',', t.task()->insts_retired());
+        put(',', t.task()->fe_rng()());
+        put(',', t.task()->be_rng()());
+    }
+}
+
+/// Cases 0-547 of the run()/tick() fuzz (see RunEqualsRepeatedTick), then
+/// 548-559: SMT-4 cores with exactly 2, 3 and 4 bound slots, four of each.
+constexpr std::uint64_t kFuzzCases = 560;
+
+/// One fuzz case, drawn from its case number: a one-core configuration,
+/// the tasks with the slot each binds to (a co-runner, if any, last), the
+/// rates each runs at and the chunk lengths.
+struct FuzzCase {
+    struct Task {
+        const apps::AppProfile* app;
+        std::uint64_t seed, warmup;
+        double warmup_mult;
+        int slot;
+        EffectiveRates rates;
+    };
+    SimConfig cfg;
+    std::vector<Task> tasks;
+    bool co_runner = false;  ///< the last task binds for chunks 1-2, 4-5, ...
+    std::vector<std::uint64_t> chunks;
+    std::string name;
+};
+
+FuzzCase make_fuzz_case(std::uint64_t c) {
+    const std::vector<apps::AppProfile>& suite = apps::spec_suite();
+    common::Rng rng(0x5a1f, c);
+    FuzzCase fc;
+    SimConfig& cfg = fc.cfg;
+    cfg.cores = 1;
+    const bool solo = c >= 500 && c < 548;
+    const std::uint64_t pick = solo ? (c - 500) % 6 : 0;  // SMT-2 slots 0-1, SMT-4 0-3
+    const int solo_slot = static_cast<int>(pick < 2 ? pick : pick - 2);
+    cfg.smt_ways = solo ? (pick < 2 ? 2 : 4)
+                   : c == 1 || c >= 548 ? 4
+                                        : std::array{1, 2, 4}[rng.below(3)];
+    cfg.cycles_per_quantum = 1;
+
+    std::vector<int> bound;
+    int late = -1;
+    if (solo) {
+        bound = {solo_slot};
+        late = static_cast<int>((static_cast<std::uint64_t>(solo_slot) + 1 +
+                                 rng.below(static_cast<std::uint64_t>(cfg.smt_ways) - 1)) %
+                                static_cast<std::uint64_t>(cfg.smt_ways));
+    } else if (c >= 548) {
+        bound = {0, 1, 2, 3};
+        const std::size_t keep = 2 + (c - 548) % 3;
+        while (bound.size() > keep)
+            bound.erase(bound.begin() + static_cast<std::ptrdiff_t>(rng.below(bound.size())));
+    } else if (c == 1) {
+        bound = {static_cast<int>(rng.below(4))};  // one thread on SMT-4
+    } else if (c != 0) {  // case 0: an empty core
+        for (int s = 0; s < cfg.smt_ways; ++s)
+            if (rng.chance(0.75)) bound.push_back(s);
+    }
+    const int zero_demand = c % 7 == 3 && !bound.empty() ? bound[rng.below(bound.size())] : -1;
+
+    // Rates come from a one-cycle chip quantum over a separate set of
+    // identical instances.
+    Chip probe(cfg);
+    std::vector<std::unique_ptr<apps::AppInstance>> probe_tasks;
+    std::vector<int> probed = bound;
+    if (late >= 0) probed.push_back(late);
+    for (const int s : probed) {
+        FuzzCase::Task task{.app = &suite[rng.below(suite.size())],
+                            .seed = rng(),
+                            .warmup = rng.chance(0.3) ? rng.below(20'000) : 0,
+                            .warmup_mult = rng.uniform(1.0, 3.0),
+                            .slot = s,
+                            .rates = {}};
+        probe_tasks.push_back(std::make_unique<apps::AppInstance>(s + 1, *task.app, task.seed));
+        if (task.warmup > 0) probe_tasks.back()->start_warmup(task.warmup, task.warmup_mult);
+        probe.bind(*probe_tasks.back(), {.core = 0, .slot = s});
+        fc.tasks.push_back(task);
+    }
+    probe.run_quantum();
+    for (FuzzCase::Task& task : fc.tasks) {
+        task.rates = probe.core(0).slot(task.slot).rates;
+        if (task.slot == zero_demand) task.rates.dispatch_demand = 0.0;
+    }
+    fc.co_runner = late >= 0;
+
+    const int chunks = (solo ? 7 : 1) + static_cast<int>(rng.below(8));
+    for (int k = 0; k < chunks; ++k) {
+        const bool between_co_runs = fc.co_runner && k % 3 == 0 && k > 0;
+        fc.chunks.push_back(1 + rng.below(between_co_runs && rng.chance(0.5) ? 2 : 5'000));
+    }
+    fc.name = "case " + std::to_string(c) + " ways " + std::to_string(cfg.smt_ways);
+    return fc;
+}
+
+/// Creates the case's tasks on `side` and binds all but the co-runner.
+void start_fuzz_case(const FuzzCase& fc, CoreUnderTest& side) {
+    for (std::size_t i = 0; i < fc.tasks.size(); ++i) {
+        const FuzzCase::Task& task = fc.tasks[i];
+        side.tasks.push_back(
+            std::make_unique<apps::AppInstance>(task.slot + 1, *task.app, task.seed));
+        if (task.warmup > 0) side.tasks.back()->start_warmup(task.warmup, task.warmup_mult);
+        if (fc.co_runner && i + 1 == fc.tasks.size()) continue;
+        side.core.slot(task.slot).bind(side.tasks.back().get());
+        side.core.slot(task.slot).rates = task.rates;
+    }
+}
+
+/// Binds or unbinds the co-runner as chunk `k` requires.
+void before_fuzz_chunk(const FuzzCase& fc, std::size_t k, CoreUnderTest& side) {
+    if (!fc.co_runner) return;
+    const FuzzCase::Task& task = fc.tasks.back();
+    ThreadContext& t = side.core.slot(task.slot);
+    if (k % 3 == 1) {
+        t.bind(side.tasks.back().get());
+        t.rates = task.rates;
+    } else if (k % 3 == 0 && k > 0) {
+        t.unbind();
+    }
+}
+
 TEST(SmtCore, RunEqualsRepeatedTick) {
     // Differential fuzz of run(): run(n) on one copy against n tick() calls
     // on another, over widths, occupancies, apps, warmup windows and chunk
-    // lengths.  Rates come from a one-cycle chip quantum over a third set of
-    // identical instances.  Cases 500-547 put one thread on each slot of
-    // an SMT-2 and an SMT-4 core (eight times over), where run() takes the
-    // width-1 loop, and bind a co-runner in another slot for two chunks of
-    // every three: the fetch and dispatch rotators the width-1 loop catches
-    // up are private, and only a co-run shows them.  Half of the solo
-    // chunks between two co-runs last 1-2 cycles, so some run() calls never
-    // fetch.
-    const std::vector<apps::AppProfile>& suite = apps::spec_suite();
+    // lengths.  Cases 500-547 put one thread on each slot of an SMT-2 and
+    // an SMT-4 core (eight times over), where run() takes the width-1 loop,
+    // and bind a co-runner in another slot for two chunks of every three:
+    // the fetch and dispatch rotators the width-1 loop catches up are
+    // private, and only a co-run shows them.  Half of the solo chunks
+    // between two co-runs last 1-2 cycles, so some run() calls never fetch.
     std::uint64_t ticked = 0;
     std::uint64_t skipped = 0;
-    for (std::uint64_t c = 0; c < 548; ++c) {
-        common::Rng rng(0x5a1f, c);
-        SimConfig cfg;
-        cfg.cores = 1;
-        const bool solo = c >= 500;
-        const std::uint64_t pick = solo ? (c - 500) % 6 : 0;  // SMT-2 slots 0-1, SMT-4 0-3
-        const int solo_slot = static_cast<int>(pick < 2 ? pick : pick - 2);
-        cfg.smt_ways = solo ? (pick < 2 ? 2 : 4) : c == 1 ? 4 : std::array{1, 2, 4}[rng.below(3)];
-        cfg.cycles_per_quantum = 1;
-
-        std::vector<int> bound;
-        int late = -1;  // co-runner slot, bound for chunks 1-2, 4-5, ...
-        if (solo) {
-            bound = {solo_slot};
-            late = static_cast<int>((static_cast<std::uint64_t>(solo_slot) + 1 +
-                                     rng.below(static_cast<std::uint64_t>(cfg.smt_ways) - 1)) %
-                                    static_cast<std::uint64_t>(cfg.smt_ways));
-        } else if (c == 1) {
-            bound = {static_cast<int>(rng.below(4))};  // one thread on SMT-4
-        } else if (c != 0) {  // case 0: an empty core
-            for (int s = 0; s < cfg.smt_ways; ++s)
-                if (rng.chance(0.75)) bound.push_back(s);
-        }
-        const int zero_demand = c % 7 == 3 && !bound.empty()
-                                    ? bound[rng.below(bound.size())]
-                                    : -1;
-
-        Chip probe(cfg);
-        CoreUnderTest chunked(cfg);
-        CoreUnderTest stepped(cfg);
-        std::vector<std::unique_ptr<apps::AppInstance>> probe_tasks;
-        std::vector<int> probed = bound;
-        if (late >= 0) probed.push_back(late);
-        for (const int s : probed) {
-            const apps::AppProfile& app = suite[rng.below(suite.size())];
-            const std::uint64_t seed = rng();
-            const std::uint64_t warmup = rng.chance(0.3) ? rng.below(20'000) : 0;
-            const double warmup_mult = rng.uniform(1.0, 3.0);
-            for (auto* tasks : {&probe_tasks, &chunked.tasks, &stepped.tasks}) {
-                tasks->push_back(std::make_unique<apps::AppInstance>(s + 1, app, seed));
-                if (warmup > 0) tasks->back()->start_warmup(warmup, warmup_mult);
-            }
-            probe.bind(*probe_tasks.back(), {.core = 0, .slot = s});
-        }
-        probe.run_quantum();
-        const auto bind = [&](std::size_t task, int s) {
-            EffectiveRates rates = probe.core(0).slot(s).rates;
-            if (s == zero_demand) rates.dispatch_demand = 0.0;
-            for (CoreUnderTest* side : {&chunked, &stepped}) {
-                side->core.slot(s).bind(side->tasks[task].get());
-                side->core.slot(s).rates = rates;
-            }
-        };
-        for (std::size_t i = 0; i < bound.size(); ++i) bind(i, bound[i]);
-
-        const std::string name =
-            "case " + std::to_string(c) + " ways " + std::to_string(cfg.smt_ways);
-        const int chunks = (solo ? 7 : 1) + static_cast<int>(rng.below(8));
-        for (int k = 0; k < chunks; ++k) {
-            const bool between_co_runs = late >= 0 && k % 3 == 0 && k > 0;
-            if (late >= 0 && k % 3 == 1) bind(bound.size(), late);
-            if (between_co_runs)
-                for (CoreUnderTest* side : {&chunked, &stepped}) side->core.slot(late).unbind();
-            const std::uint64_t n =
-                1 + rng.below(between_co_runs && rng.chance(0.5) ? 2 : 5'000);
+    for (std::uint64_t c = 0; c < kFuzzCases; ++c) {
+        const FuzzCase fc = make_fuzz_case(c);
+        CoreUnderTest chunked(fc.cfg);
+        CoreUnderTest stepped(fc.cfg);
+        start_fuzz_case(fc, chunked);
+        start_fuzz_case(fc, stepped);
+        for (std::size_t k = 0; k < fc.chunks.size(); ++k) {
+            before_fuzz_chunk(fc, k, chunked);
+            before_fuzz_chunk(fc, k, stepped);
+            const std::uint64_t n = fc.chunks[k];
             std::uint64_t want = 0;
             for (std::uint64_t i = 0; i < n; ++i) want += stepped.core.tick();
-            ASSERT_EQ(chunked.core.run(n), want) << name << " chunk " << k;
-            expect_same_core(chunked, stepped, name + " chunk " + std::to_string(k));
+            ASSERT_EQ(chunked.core.run(n), want) << fc.name << " chunk " << k;
+            expect_same_core(chunked, stepped, fc.name + " chunk " + std::to_string(k));
             if (::testing::Test::HasFailure()) return;
         }
         // Hidden state (fetch and dispatch rotation, the ICache miss port)
         // shows up as divergence once both copies tick on.
         for (int i = 0; i < 1'000; ++i)
-            ASSERT_EQ(chunked.core.tick(), stepped.core.tick()) << name << " tail " << i;
-        expect_same_core(chunked, stepped, name + " tail");
+            ASSERT_EQ(chunked.core.tick(), stepped.core.tick()) << fc.name << " tail " << i;
+        expect_same_core(chunked, stepped, fc.name + " tail");
         if (::testing::Test::HasFailure()) return;
         ticked += chunked.core.cycle_counts().ticked;
         skipped += chunked.core.cycle_counts().skipped;
@@ -514,6 +599,32 @@ TEST(SmtCore, RunEqualsRepeatedTick) {
     // The fuzz must actually exercise both paths.
     EXPECT_GT(ticked, skipped / 4);
     EXPECT_GT(skipped, ticked / 4);
+}
+
+TEST(SmtCore, EndStateDigestPinned) {
+    // RunEqualsRepeatedTick compares run() with tick(), which share one
+    // loop; this pins both against a digest captured from an earlier
+    // build.  Every fuzz case runs its chunks through run() and then 1 000
+    // tick() calls, and the digest folds in each call's memory accesses
+    // and the end state after it: every slot's public fields (the credit
+    // by its bits), each task's counters, insts_retired() and next draw
+    // of both event RNG streams, and cycle_counts().
+    std::string sig;
+    for (std::uint64_t c = 0; c < kFuzzCases; ++c) {
+        const FuzzCase fc = make_fuzz_case(c);
+        CoreUnderTest side(fc.cfg);
+        start_fuzz_case(fc, side);
+        for (std::size_t k = 0; k < fc.chunks.size(); ++k) {
+            before_fuzz_chunk(fc, k, side);
+            sig += std::to_string(side.core.run(fc.chunks[k]));
+            append_end_state(side, sig);
+        }
+        std::uint64_t mem = 0;
+        for (int i = 0; i < 1'000; ++i) mem += side.core.tick();
+        sig += std::to_string(mem);
+        append_end_state(side, sig);
+    }
+    EXPECT_EQ(testsig::digest(sig), 0x754865e11ba1c8deull);
 }
 
 TEST(SmtCore, LoneSlotCatchesUpTheFetchPointer) {
