@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "pmu/events.hpp"
 
@@ -137,214 +138,344 @@ std::uint64_t SmtCore::trigger_backend_episode(ThreadContext& t, double be_p,
     return mem_accesses;
 }
 
-template <int W>
-void SmtCore::fetch_stage(SlotRuns<W>& runs) noexcept {
-    // Pick one thread for the single fetch port, round robin among those
-    // that need instructions and are not frontend-stalled.
-    const int entries = fetch_buffer_entries_;
-    int chosen = -1;
-    int idx = fetch_rr_;
-    for (int k = 0; k < W; ++k, idx = idx + 1 == W ? 0 : idx + 1) {
-        const ThreadContext& t = lane<W>(idx);
-        if (!t.bound() || t.fe_stall > 0 || t.fetch_buffer >= entries) continue;
-        chosen = idx;
-        break;
-    }
-    if (chosen < 0) return;
-    fetch_rr_ = chosen + 1 == W ? 0 : chosen + 1;
+/// The state of one advance_ways<W> call, W = sizeof...(I): every lane's
+/// hot state and tallies, the rotators, the ICache port and the cycle
+/// tallies.  Each member works on one lane named by a constant (I) or folds
+/// over all of them, so once the members are inlined the object is a set of
+/// scalars the compiler can keep in registers.  A lane picked at run time
+/// (fetch, dispatch priority) is matched against each constant in turn.
+template <int... I>
+struct SmtCore::Lanes {
+    static constexpr int W = sizeof...(I);
 
-    ThreadContext& t = lane<W>(chosen);
-    SlotRun& run = runs[static_cast<std::size_t>(chosen)];
-    if constexpr (W == 1) run.fetched = true;
-    if (t.insts_until_fe < 0)
-        t.insts_until_fe =
-            static_cast<std::int64_t>(t.task()->fe_rng().geometric(run.fe_p, run.fe_log));
+    /// One lane: the bound slot's ThreadContext state, copied in by load;
+    /// the event-gap probabilities (with their precomputed
+    /// Rng::geometric_log), fixed for the call; and the PMU tallies handed
+    /// to the task when the call ends.
+    struct Lane {
+        int fetch_buffer = 0;
+        int fe_stall = 0;
+        int be_stall = 0;
+        bool dram_stall = false;
+        std::int64_t insts_until_fe = -1;
+        std::int64_t insts_until_be = -1;
+        double dispatch_credit = 0.0;
+        double dispatch_demand = 0.0;
 
-    const int granted = std::min(fetch_width_, entries - t.fetch_buffer);
-    if (t.insts_until_fe < granted) {
-        // The event interrupts the fetch group; instructions before it land.
-        t.fetch_buffer += static_cast<int>(t.insts_until_fe);
-        trigger_frontend_event(t, run.fe_p, run.fe_log);
-    } else {
-        t.fetch_buffer += granted;
-        t.insts_until_fe -= granted;
-    }
-}
+        bool bound = false;
+        double fe_p = 0.0, fe_log = 0.0;  ///< frontend event probability per inst
+        double be_p = 0.0, be_log = 0.0;  ///< backend episode probability per inst
 
-template <int W>
-std::uint64_t SmtCore::dispatch_stage(SlotRuns<W>& runs) noexcept {
-    // Compute per-thread demand for this cycle.
-    const int width = dispatch_width_;
-    const double credit_cap = credit_cap_;
-    std::array<int, W> want{};
-    for (int i = 0; i < W; ++i) {
-        ThreadContext& t = lane<W>(i);
-        if (!t.bound() || t.be_stall > 0) continue;
-        t.dispatch_credit = std::min(t.dispatch_credit + t.rates.dispatch_demand, credit_cap);
-        want[static_cast<std::size_t>(i)] =
-            std::min({static_cast<int>(t.dispatch_credit), t.fetch_buffer, width});
-    }
-
-    // Arbitrate the shared dispatch slots with rotating priority: the
-    // highest-priority thread takes what it wants, later threads (in
-    // rotation order) share what remains.
-    std::array<int, W> grant{};
-    int remaining = width;
-    int idx = dispatch_pri_;
-    for (int k = 0; k < W; ++k, idx = idx + 1 == W ? 0 : idx + 1) {
-        const auto i = static_cast<std::size_t>(idx);
-        grant[i] = std::min(want[i], remaining);
-        remaining -= grant[i];
-    }
-    dispatch_pri_ = dispatch_pri_ + 1 == W ? 0 : dispatch_pri_ + 1;
-
-    std::uint64_t mem_accesses = 0;
-    for (int i = 0; i < W; ++i) {
-        ThreadContext& t = lane<W>(i);
-        if (!t.bound()) continue;
-        SlotRun& run = runs[static_cast<std::size_t>(i)];
-
-        const int g = grant[static_cast<std::size_t>(i)];
-        if (g > 0) {
-            t.dispatch_credit -= g;
-            t.fetch_buffer -= g;
-            run.granted += static_cast<std::uint64_t>(g);
-            if (t.insts_until_be < 0)
-                t.insts_until_be = static_cast<std::int64_t>(
-                    t.task()->be_rng().geometric(run.be_p, run.be_log));
-            t.insts_until_be -= g;
-            if (t.insts_until_be <= 0)
-                mem_accesses += trigger_backend_episode(t, run.be_p, run.be_log);
-            continue;
-        }
-
-        // Nothing dispatched for this thread: attribute the stall the way
-        // the ARM PMU does (paper §III-B): empty dispatch queue counts as a
-        // frontend stall; anything else blocking dispatch is backend.
-        if (t.be_stall > 0) {
-            ++run.stall_rob;
-            --t.be_stall;
-            if (t.be_stall == 0) t.dram_stall = false;
-        } else if (t.fetch_buffer == 0) {
-            ++run.stall_fe;
-        } else {
-            // Dispatch bandwidth taken by co-runner threads (or fractional
-            // credit): a backend resource-unavailable cycle.
-            ++run.stall_iq;
-        }
-    }
-    return mem_accesses;
-}
-
-template <int W>
-std::uint64_t SmtCore::idle_cycles() const noexcept {
-    // A slot can fetch in the cycle its fe_stall reaches 0 (a cycle
-    // decrements before fetching) unless its buffer is full; it can
-    // dispatch once be_stall is 0 unless its buffer is empty (a buffer that
-    // stays empty keeps it from dispatching however much credit accrues).
-    std::uint64_t k = std::numeric_limits<std::uint64_t>::max();
-    for (int s = 0; s < W; ++s) {
-        const ThreadContext& t = lane<W>(s);
-        if (!t.bound()) continue;
-        if (t.fetch_buffer < fetch_buffer_entries_) {
-            if (t.fe_stall <= 1) return 0;
-            k = std::min(k, static_cast<std::uint64_t>(t.fe_stall - 1));
-        }
-        if (t.be_stall > 0)
-            k = std::min(k, static_cast<std::uint64_t>(t.be_stall));
-        else if (t.fetch_buffer != 0)
-            return 0;
-    }
-    return k;
-}
-
-template <int W>
-void SmtCore::skip(std::uint64_t k, SlotRuns<W>& runs) noexcept {
-    // Exactly what k idle cycles stepped one at a time do: nothing is
-    // fetched or granted, so each bound slot counts k cycles of its stall
-    // and its timers run down.
-    const auto run_down = [k](int timer) {
-        return k >= static_cast<std::uint64_t>(timer) ? 0 : timer - static_cast<int>(k);
+        std::uint64_t granted = 0;  ///< INST_SPEC and INST_RETIRED from dispatch
+        std::uint64_t stall_fe = 0, stall_rob = 0, stall_iq = 0;
+        bool fetched = false;  ///< fetched at least once (width-1 loop only)
     };
-    for (int s = 0; s < W; ++s) {
-        ThreadContext& t = lane<W>(s);
-        if (!t.bound()) continue;
-        SlotRun& run = runs[static_cast<std::size_t>(s)];
-        if (t.be_stall > 0) {
-            run.stall_rob += k;
-            t.be_stall -= static_cast<int>(k);
-            if (t.be_stall == 0) t.dram_stall = false;
+
+    explicit Lanes(SmtCore& c) noexcept
+        : core(c), icache_busy(c.icache_busy_), fetch_rr(c.fetch_rr_),
+          dispatch_pri(c.dispatch_pri_), entries(c.fetch_buffer_entries_),
+          fetch_width(c.fetch_width_), width(c.dispatch_width_), credit_cap(c.credit_cap_) {
+        (open<I>(), ...);
+    }
+
+    template <int L>
+    void open() noexcept {
+        const ThreadContext& t = core.lane<W>(L);
+        Lane& l = lanes[L];
+        l.bound = t.bound();
+        if (!l.bound) {
+            // A full buffer and no demand: the busy cycle never fetches
+            // into this lane or dispatches from it, and needs no check.
+            l.fetch_buffer = entries;
+            return;
+        }
+        load<L>();
+        l.dispatch_demand = t.rates.dispatch_demand;
+        l.fe_p = std::max(t.rates.p_branch + t.rates.p_icache, 1e-9);
+        l.fe_log = common::Rng::geometric_log(l.fe_p);
+        l.be_p = std::max(t.rates.p_episode, 1e-9);
+        l.be_log = common::Rng::geometric_log(l.be_p);
+    }
+
+    // The write-back contract: the trigger_* calls read every bound slot's
+    // ThreadContext and the ICache port, and write the event lane's and the
+    // port.  So store() writes everything back right before each call, and
+    // reload<L>() rereads the event lane and the port right after it.
+    template <int L>
+    void store() noexcept {
+        const Lane& l = lanes[L];
+        if (!l.bound) return;
+        ThreadContext& t = core.lane<W>(L);
+        t.fetch_buffer = l.fetch_buffer;
+        t.fe_stall = l.fe_stall;
+        t.be_stall = l.be_stall;
+        t.dram_stall = l.dram_stall;
+        t.insts_until_fe = l.insts_until_fe;
+        t.insts_until_be = l.insts_until_be;
+        t.dispatch_credit = l.dispatch_credit;
+    }
+    void store() noexcept {
+        (store<I>(), ...);
+        core.icache_busy_ = icache_busy;
+    }
+    template <int L>
+    void load() noexcept {
+        Lane& l = lanes[L];
+        if (!l.bound) return;
+        const ThreadContext& t = core.lane<W>(L);
+        l.fetch_buffer = t.fetch_buffer;
+        l.fe_stall = t.fe_stall;
+        l.be_stall = t.be_stall;
+        l.dram_stall = t.dram_stall;
+        l.insts_until_fe = t.insts_until_fe;
+        l.insts_until_be = t.insts_until_be;
+        l.dispatch_credit = t.dispatch_credit;
+    }
+    template <int L>
+    void reload() noexcept {
+        load<L>();
+        icache_busy = core.icache_busy_;
+    }
+
+    /// How many cycles from now are certainly idle (see the file comment);
+    /// 0 when the next cycle may fetch or dispatch, UINT64_MAX when no lane
+    /// is bound.
+    std::uint64_t idle_cycles() const noexcept {
+        std::uint64_t k = std::numeric_limits<std::uint64_t>::max();
+        return (busy<I>(k) || ...) ? 0 : k;
+    }
+    /// Whether lane L may fetch or dispatch next cycle; otherwise caps `k`
+    /// at the cycles until it may.  A lane can fetch in the cycle its
+    /// fe_stall reaches 0 (a cycle decrements before fetching) unless its
+    /// buffer is full; it can dispatch once be_stall is 0 unless its buffer
+    /// is empty (a buffer that stays empty keeps it from dispatching however
+    /// much credit accrues).
+    template <int L>
+    bool busy(std::uint64_t& k) const noexcept {
+        const Lane& l = lanes[L];
+        if (!l.bound) return false;
+        if (l.fetch_buffer < entries) {
+            if (l.fe_stall <= 1) return true;
+            k = std::min(k, static_cast<std::uint64_t>(l.fe_stall - 1));
+        }
+        if (l.be_stall > 0)
+            k = std::min(k, static_cast<std::uint64_t>(l.be_stall));
+        else if (l.fetch_buffer != 0)
+            return true;
+        return false;
+    }
+
+    /// Applies `k` idle cycles, k <= idle_cycles(): exactly what k idle
+    /// cycles stepped one at a time do.  Nothing is fetched or granted, so
+    /// each bound lane counts k cycles of its stall and its timers run down.
+    void skip(std::uint64_t k) noexcept {
+        (skip<I>(k), ...);
+        icache_busy = run_down(icache_busy, k);
+        constexpr auto w = static_cast<std::uint64_t>(W);
+        dispatch_pri = static_cast<int>((static_cast<std::uint64_t>(dispatch_pri) + k % w) % w);
+    }
+    static int run_down(int timer, std::uint64_t k) noexcept {
+        return k >= static_cast<std::uint64_t>(timer) ? 0 : timer - static_cast<int>(k);
+    }
+    template <int L>
+    void skip(std::uint64_t k) noexcept {
+        Lane& l = lanes[L];
+        if (!l.bound) return;
+        if (l.be_stall > 0) {
+            l.stall_rob += k;
+            l.be_stall -= static_cast<int>(k);
+            if (l.be_stall == 0) l.dram_stall = false;
         } else {
-            run.stall_fe += k;
-            // The credit recurrence one cycle at a time, as dispatch_stage
-            // runs it, until it reaches a bitwise fixed point.
-            double credit = t.dispatch_credit;
+            l.stall_fe += k;
+            // The credit recurrence one cycle at a time, as dispatch runs
+            // it, until it reaches a bitwise fixed point.
+            double credit = l.dispatch_credit;
             for (std::uint64_t c = 0; c < k; ++c) {
-                const double next = std::min(credit + t.rates.dispatch_demand, credit_cap_);
+                const double next = std::min(credit + l.dispatch_demand, credit_cap);
                 if (std::bit_cast<std::uint64_t>(next) == std::bit_cast<std::uint64_t>(credit))
                     break;
                 credit = next;
             }
-            t.dispatch_credit = credit;
+            l.dispatch_credit = credit;
         }
-        t.fe_stall = run_down(t.fe_stall);
+        l.fe_stall = run_down(l.fe_stall, k);
     }
-    icache_busy_ = run_down(icache_busy_);
-    constexpr auto w = static_cast<std::uint64_t>(W);
-    dispatch_pri_ = static_cast<int>((static_cast<std::uint64_t>(dispatch_pri_) + k % w) % w);
-}
+
+    /// The start of a busy cycle: the ICache port and every frontend stall
+    /// count down.
+    void count_down() noexcept {
+        if (icache_busy > 0) --icache_busy;
+        (count_down<I>(), ...);
+    }
+    template <int L>
+    void count_down() noexcept {
+        Lane& l = lanes[L];
+        if (l.fe_stall > 0) --l.fe_stall;
+    }
+
+    /// Picks one lane for the single fetch port, round robin among those
+    /// that need instructions and are not frontend-stalled.
+    [[gnu::always_inline]] void fetch() noexcept {
+        const unsigned ready = (ready_to_fetch<I>() | ...);
+        if (ready == 0) return;
+        // The first ready lane at or after fetch_rr, wrapping around.
+        const unsigned rotated = (ready >> fetch_rr) | (ready << (W - fetch_rr));
+        int chosen = fetch_rr + std::countr_zero(rotated);
+        if (chosen >= W) chosen -= W;
+        fetch_rr = chosen + 1 == W ? 0 : chosen + 1;
+        static_cast<void>(((chosen == I && (fetch<I>(), true)) || ...));
+    }
+    template <int L>
+    unsigned ready_to_fetch() const noexcept {
+        const Lane& l = lanes[L];
+        return l.fe_stall <= 0 && l.fetch_buffer < entries ? 1u << L : 0u;
+    }
+    template <int L>
+    void fetch() noexcept {
+        Lane& l = lanes[L];
+        if constexpr (W == 1) l.fetched = true;
+        if (l.insts_until_fe < 0)
+            l.insts_until_fe = static_cast<std::int64_t>(
+                core.lane<W>(L).task()->fe_rng().geometric(l.fe_p, l.fe_log));
+        const int granted = std::min(fetch_width, entries - l.fetch_buffer);
+        if (l.insts_until_fe < granted) {
+            // The event interrupts the fetch group; instructions before it
+            // land.
+            l.fetch_buffer += static_cast<int>(l.insts_until_fe);
+            store();
+            core.trigger_frontend_event(core.lane<W>(L), l.fe_p, l.fe_log);
+            reload<L>();
+        } else {
+            l.fetch_buffer += granted;
+            l.insts_until_fe -= granted;
+        }
+    }
+
+    /// Shares the dispatch slots among the lanes; returns the cycle's
+    /// memory accesses.
+    [[gnu::always_inline]] std::uint64_t dispatch() noexcept {
+        (demand<I>(), ...);
+        // Arbitrate the shared dispatch slots with rotating priority: the
+        // highest-priority lane takes what it wants, later lanes (in
+        // rotation order) share what remains.
+        static_cast<void>(((dispatch_pri == I && (arbitrate_from<I>(), true)) || ...));
+        dispatch_pri = dispatch_pri + 1 == W ? 0 : dispatch_pri + 1;
+        std::uint64_t mem_accesses = 0;
+        (dispatch<I>(mem_accesses), ...);
+        return mem_accesses;
+    }
+    /// Lane L's demand for this cycle.
+    template <int L>
+    void demand() noexcept {
+        Lane& l = lanes[L];
+        want[L] = 0;
+        if (l.be_stall > 0) return;
+        l.dispatch_credit = std::min(l.dispatch_credit + l.dispatch_demand, credit_cap);
+        want[L] = std::min({static_cast<int>(l.dispatch_credit), l.fetch_buffer, width});
+    }
+    template <int P>
+    void arbitrate_from() noexcept {
+        int remaining = width;
+        ((grant[(P + I) % W] = std::min(want[(P + I) % W], remaining),
+          remaining -= grant[(P + I) % W]),
+         ...);
+    }
+    template <int L>
+    void dispatch(std::uint64_t& mem_accesses) noexcept {
+        Lane& l = lanes[L];
+        const int g = grant[L];
+        if (g > 0) {
+            l.dispatch_credit -= g;
+            l.fetch_buffer -= g;
+            l.granted += static_cast<std::uint64_t>(g);
+            if (l.insts_until_be < 0)
+                l.insts_until_be = static_cast<std::int64_t>(
+                    core.lane<W>(L).task()->be_rng().geometric(l.be_p, l.be_log));
+            l.insts_until_be -= g;
+            if (l.insts_until_be <= 0) {
+                store();
+                mem_accesses += core.trigger_backend_episode(core.lane<W>(L), l.be_p, l.be_log);
+                reload<L>();
+            }
+            return;
+        }
+        // Nothing dispatched for this lane: attribute the stall the way the
+        // ARM PMU does (paper §III-B): empty dispatch queue counts as a
+        // frontend stall; anything else blocking dispatch is backend.
+        if (l.be_stall > 0) {
+            ++l.stall_rob;
+            --l.be_stall;
+            if (l.be_stall == 0) l.dram_stall = false;
+        } else if (l.fetch_buffer == 0) {
+            ++l.stall_fe;
+        } else {
+            // Dispatch bandwidth taken by co-runner lanes (or fractional
+            // credit): a backend resource-unavailable cycle.
+            ++l.stall_iq;
+        }
+    }
+
+    /// Writes everything back and hands the tallies of a `cycles`-cycle call
+    /// to the tasks; a lane is bound for every cycle of the call.
+    void close(std::uint64_t cycles) noexcept {
+        store();
+        core.fetch_rr_ = fetch_rr;
+        core.dispatch_pri_ = dispatch_pri;
+        core.cycles_ += CycleCounts{.ticked = ticked, .skipped = skipped};
+        (close<I>(cycles), ...);
+    }
+    template <int L>
+    void close(std::uint64_t cycles) noexcept {
+        const Lane& l = lanes[L];
+        if (!l.bound) return;
+        apps::AppInstance& task = *core.lane<W>(L).task();
+        pmu::CounterBank& counters = task.counters();
+        counters.increment(Event::kCpuCycles, cycles);
+        counters.increment(Event::kInstSpec, l.granted);
+        counters.increment(Event::kInstRetired, l.granted);
+        counters.increment(Event::kStallFrontend, l.stall_fe);
+        counters.increment(Event::kStallBackend, l.stall_rob + l.stall_iq);
+        counters.increment(Event::kStallBackendRob, l.stall_rob);
+        counters.increment(Event::kStallBackendIq, l.stall_iq);
+        if (l.granted > 0) task.retire(l.granted);
+    }
+
+    SmtCore& core;
+    std::array<Lane, W> lanes{};
+    std::array<int, W> want{};   ///< this cycle's dispatch demand per lane
+    std::array<int, W> grant{};  ///< this cycle's dispatch grant per lane
+    int icache_busy;
+    int fetch_rr;
+    int dispatch_pri;
+    std::uint64_t ticked = 0;
+    std::uint64_t skipped = 0;
+    const int entries;
+    const int fetch_width;
+    const int width;
+    const double credit_cap;
+};
 
 template <int W>
 std::uint64_t SmtCore::advance_ways(std::uint64_t cycles, bool bulk, bool* fetched) noexcept {
-    SlotRuns<W> runs{};
-    for (int s = 0; s < W; ++s) {
-        const ThreadContext& t = lane<W>(s);
-        if (!t.bound()) continue;
-        SlotRun& run = runs[static_cast<std::size_t>(s)];
-        run.fe_p = std::max(t.rates.p_branch + t.rates.p_icache, 1e-9);
-        run.fe_log = common::Rng::geometric_log(run.fe_p);
-        run.be_p = std::max(t.rates.p_episode, 1e-9);
-        run.be_log = common::Rng::geometric_log(run.be_p);
-    }
-
+    LanesOf<W> l(*this);
     std::uint64_t mem_accesses = 0;
     for (std::uint64_t left = cycles; left > 0;) {
-        const std::uint64_t k = bulk ? std::min(idle_cycles<W>(), left) : 0;
+        const std::uint64_t k = bulk ? std::min(l.idle_cycles(), left) : 0;
         if (k > 0) {
-            skip<W>(k, runs);
-            cycles_.skipped += k;
+            l.skip(k);
+            l.skipped += k;
             left -= k;
             continue;
         }
         // The busy cycle.
-        if (icache_busy_ > 0) --icache_busy_;
-        for (int s = 0; s < W; ++s) {
-            ThreadContext& t = lane<W>(s);
-            if (t.bound() && t.fe_stall > 0) --t.fe_stall;
-        }
-        fetch_stage<W>(runs);
-        mem_accesses += dispatch_stage<W>(runs);
-        ++cycles_.ticked;
+        l.count_down();
+        l.fetch();
+        mem_accesses += l.dispatch();
+        ++l.ticked;
         --left;
     }
-
-    // Hand the tallies to the tasks; a slot is bound for every cycle of the call.
-    for (int s = 0; s < W; ++s) {
-        ThreadContext& t = lane<W>(s);
-        if (!t.bound()) continue;
-        const SlotRun& run = runs[static_cast<std::size_t>(s)];
-        apps::AppInstance& task = *t.task();
-        pmu::CounterBank& counters = task.counters();
-        counters.increment(Event::kCpuCycles, cycles);
-        counters.increment(Event::kInstSpec, run.granted);
-        counters.increment(Event::kInstRetired, run.granted);
-        counters.increment(Event::kStallFrontend, run.stall_fe);
-        counters.increment(Event::kStallBackend, run.stall_rob + run.stall_iq);
-        counters.increment(Event::kStallBackendRob, run.stall_rob);
-        counters.increment(Event::kStallBackendIq, run.stall_iq);
-        if (run.granted > 0) task.retire(run.granted);
-    }
-    if (fetched != nullptr) *fetched = runs[0].fetched;
+    l.close(cycles);
+    if (fetched != nullptr) *fetched = l.lanes[0].fetched;
     return mem_accesses;
 }
 

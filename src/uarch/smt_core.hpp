@@ -34,6 +34,7 @@
 
 #include <array>
 #include <cstdint>
+#include <utility>
 
 #include "uarch/sim_config.hpp"
 #include "uarch/thread_context.hpp"
@@ -90,17 +91,11 @@ public:
     const CycleCounts& cycle_counts() const noexcept { return cycles_; }
 
 private:
-    /// One slot's state for the length of a run()/tick() call: the event-gap
-    /// probabilities with their precomputed Rng::geometric_log, and the PMU
-    /// tallies flushed into the task when the call ends.
-    struct SlotRun {
-        double fe_p = 0.0, fe_log = 0.0;  ///< frontend event probability per inst
-        double be_p = 0.0, be_log = 0.0;  ///< backend episode probability per inst
-        std::uint64_t granted = 0;        ///< INST_SPEC and INST_RETIRED from dispatch
-        std::uint64_t stall_fe = 0, stall_rob = 0, stall_iq = 0;
-        bool fetched = false;             ///< fetched at least once (width-1 loop only)
-    };
-    template <int W> using SlotRuns = std::array<SlotRun, static_cast<std::size_t>(W)>;
+    /// The state of one advance_ways<sizeof...(I)> call, kept in locals
+    /// (see the file comment).
+    template <int... I> struct Lanes;
+    template <int... I> static Lanes<I...> lanes_of(std::integer_sequence<int, I...>);
+    template <int W> using LanesOf = decltype(lanes_of(std::make_integer_sequence<int, W>{}));
 
     /// Advances `cycles` cycles, taking run()'s shortcuts only when `bulk`
     /// (tick() steps its cycle as a plain busy cycle at the configured width).
@@ -118,17 +113,6 @@ private:
     template <int W> ThreadContext& lane(int s) noexcept {
         return slots_[static_cast<std::size_t>(W == 1 ? solo_ : s)];
     }
-    template <int W> const ThreadContext& lane(int s) const noexcept {
-        return slots_[static_cast<std::size_t>(W == 1 ? solo_ : s)];
-    }
-    /// How many cycles from now are certainly idle (see the file comment);
-    /// 0 when the next cycle may fetch or dispatch, UINT64_MAX when no slot
-    /// is bound.
-    template <int W> std::uint64_t idle_cycles() const noexcept;
-    /// Applies `k` idle cycles, k <= idle_cycles<W>().
-    template <int W> void skip(std::uint64_t k, SlotRuns<W>& runs) noexcept;
-    template <int W> void fetch_stage(SlotRuns<W>& runs) noexcept;
-    template <int W> std::uint64_t dispatch_stage(SlotRuns<W>& runs) noexcept;
 
     void trigger_frontend_event(ThreadContext& t, double fe_p, double fe_log) noexcept;
     /// Returns the number of DRAM accesses caused by the episode (0 or batch).
