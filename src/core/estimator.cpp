@@ -10,6 +10,7 @@ const SynpaEstimator::Options& SynpaEstimator::Options::validate() const {
     if (!(ema_alpha > 0.0 && ema_alpha <= 1.0))
         throw std::invalid_argument("SynpaEstimator::Options::ema_alpha must be in (0, 1], got " +
                                     std::to_string(ema_alpha));
+    inversion.validate();
     return *this;
 }
 

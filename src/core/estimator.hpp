@@ -34,7 +34,8 @@ public:
         model::ModelInverter::Options inversion{};
 
         /// Throws std::invalid_argument naming the field unless ema_alpha
-        /// is in (0, 1]; returns *this for constructor initializer lists.
+        /// is in (0, 1] and `inversion` passes its own validate(); returns
+        /// *this for constructor initializer lists.
         const Options& validate() const;
     };
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "linalg/matrix.hpp"
 
@@ -30,20 +32,36 @@ double implied_slowdown(const InterferenceModel& m, const CategoryVector& a,
 
 using Coefficients = std::array<CategoryCoefficients, kCategoryCount>;
 
-/// The inversion residual system (6 unknowns: st_i then st_j).
+/// Equation 1's terms at an iterate (6 unknowns: st_i then st_j):
+/// pi[C] = model_C(st_i, st_j) and pj[C] = model_C(st_j, st_i), evaluated
+/// inline with InterferenceModel::predict's operations.  Category C's two
+/// terms read only x[C] and x[3 + C].
+struct Terms {
+    CategoryVector pi{}, pj{};
+};
+
+void set_terms(Terms& t, const Coefficients& k, const std::array<double, 6>& x,
+               std::size_t c) noexcept {
+    t.pi[c] = k[c].predict(x[c], x[3 + c]);
+    t.pj[c] = k[c].predict(x[3 + c], x[c]);
+}
+
+Terms terms(const Coefficients& k, const std::array<double, 6>& x) noexcept {
+    Terms t;
+    for (std::size_t c = 0; c < kCategoryCount; ++c) set_terms(t, k, x, c);
+    return t;
+}
+
+/// The inversion residual system at iterate `x` with terms `t`.
 ///
 /// With S_i = sum_C model_C(st_i, st_j), consistency demands
 /// model_C(st_i, st_j) = S_i * f_i[C]; two of those three equations are
 /// independent (they sum to an identity), and the simplex constraint closes
-/// the system — and symmetrically for j.  Equation 1 is evaluated inline,
-/// with InterferenceModel::predict's operations.
-std::array<double, 6> residual(const Coefficients& k, const std::array<double, 6>& x,
+/// the system — and symmetrically for j.
+std::array<double, 6> residual(const Terms& t, const std::array<double, 6>& x,
                                const CategoryVector& fi, const CategoryVector& fj) noexcept {
-    CategoryVector pi{}, pj{};
-    for (std::size_t c = 0; c < kCategoryCount; ++c) {
-        pi[c] = k[c].predict(x[c], x[3 + c]);
-        pj[c] = k[c].predict(x[3 + c], x[c]);
-    }
+    const CategoryVector& pi = t.pi;
+    const CategoryVector& pj = t.pj;
     const double total_i = pi[0] + pi[1] + pi[2];
     const double total_j = pj[0] + pj[1] + pj[2];
     return {pi[0] - fi[0] * total_i,
@@ -62,6 +80,21 @@ double max_abs(const std::array<double, 6>& v) noexcept {
 
 }  // namespace
 
+const ModelInverter::Options& ModelInverter::Options::validate() const {
+    if (max_iterations < 1)
+        throw std::invalid_argument(
+            "ModelInverter::Options::max_iterations must be >= 1, got " +
+            std::to_string(max_iterations));
+    if (!(std::isfinite(tolerance) && tolerance > 0.0))
+        throw std::invalid_argument(
+            "ModelInverter::Options::tolerance must be finite and > 0, got " +
+            std::to_string(tolerance));
+    if (!(damping > 0.0 && damping <= 1.0))
+        throw std::invalid_argument("ModelInverter::Options::damping must be in (0, 1], got " +
+                                    std::to_string(damping));
+    return *this;
+}
+
 InversionResult ModelInverter::invert(const CategoryVector& smt_i,
                                       const CategoryVector& smt_j) const {
     CategoryVector fi = smt_i;
@@ -79,7 +112,8 @@ InversionResult ModelInverter::invert(const CategoryVector& smt_i,
     InversionResult r;
     bool solved = false;
     for (int it = 0; it < opts_.max_iterations; ++it) {
-        const std::array<double, 6> f = residual(k, x, fi, fj);
+        const Terms base = terms(k, x);
+        const std::array<double, 6> f = residual(base, x, fi, fj);
         r.iterations = it;
         if (max_abs(f) < opts_.tolerance) {
             solved = true;
@@ -89,9 +123,12 @@ InversionResult ModelInverter::invert(const CategoryVector& smt_i,
         std::array<double, 36> jac;  // row-major
         const double h = 1e-7;
         for (std::size_t col = 0; col < 6; ++col) {
+            // Moving x[col] changes only category col % 3's two terms.
             std::array<double, 6> xh = x;
             xh[col] += h;
-            const std::array<double, 6> fh = residual(k, xh, fi, fj);
+            Terms th = base;
+            set_terms(th, k, xh, col % 3);
+            const std::array<double, 6> fh = residual(th, xh, fi, fj);
             for (std::size_t row = 0; row < 6; ++row)
                 jac[row * 6 + col] = (fh[row] - f[row]) / h;
         }

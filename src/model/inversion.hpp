@@ -14,8 +14,9 @@
 // invert() solves the six unknowns st_i, st_j jointly by a damped Newton
 // iteration.  The residual has six rows: two of the three consistency
 // equations per task (the third follows from them) and each task's simplex
-// constraint.  Each step builds a forward-difference Jacobian (step 1e-7),
-// solves it by Gaussian elimination with partial pivoting, caps the step at
+// constraint.  Each step builds a forward-difference Jacobian (step 1e-7;
+// moving one unknown re-evaluates only its category's two Equation-1
+// terms and reuses the iterate's other four), solves it by Gaussian elimination with partial pivoting, caps the step at
 // 0.5 in max norm, damps it by `damping` and clamps the iterate to
 // [0, 1.5].  The iteration stops when every residual is below `tolerance`,
 // after `max_iterations` steps, or at a singular Jacobian; only the first
@@ -42,6 +43,11 @@ public:
         int max_iterations = 60;
         double tolerance = 1e-7;
         double damping = 0.7;  ///< new = damping*solved + (1-damping)*old
+
+        /// Throws std::invalid_argument naming the field unless
+        /// max_iterations >= 1, tolerance is finite and > 0, and damping is
+        /// in (0, 1]; returns *this for constructor initializer lists.
+        const Options& validate() const;
     };
 
     /// The model is copied (it is a dozen doubles): an inverter constructed
@@ -50,7 +56,7 @@ public:
     explicit ModelInverter(const InterferenceModel& model)
         : ModelInverter(model, Options()) {}
     ModelInverter(const InterferenceModel& model, Options opts)
-        : model_(model), opts_(opts) {}
+        : model_(model), opts_(opts.validate()) {}
 
     /// Inverts the model for one co-running pair.  `smt_i` / `smt_j` are the
     /// observed per-cycle SMT fractions (each summing to ~1).  On

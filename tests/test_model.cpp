@@ -5,8 +5,11 @@
 
 #include <array>
 #include <cmath>
+#include <limits>
 #include <span>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "apps/instance.hpp"
 #include "apps/spec_suite.hpp"
@@ -172,6 +175,58 @@ TEST(Inversion, DegenerateInputFallsBackGracefully) {
     const double si = r.st_i[0] + r.st_i[1] + r.st_i[2];
     EXPECT_NEAR(si, 1.0, 1e-6);  // projected, never NaN
     EXPECT_TRUE(std::isfinite(r.slowdown_i));
+}
+
+TEST(Inversion, OptionsRejectBadValuesByFieldName) {
+    // The constructor validates; SynpaEstimator's own rows are in
+    // Step3KnobValidation (tests/test_sched.cpp).
+    using Options = ModelInverter::Options;
+    constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    constexpr double kTiny = std::numeric_limits<double>::min();
+    struct Row {
+        const char* field;
+        void (*set)(Options&);
+    };
+    const Row bad[] = {
+        {"max_iterations", [](Options& o) { o.max_iterations = 0; }},
+        {"max_iterations", [](Options& o) { o.max_iterations = -3; }},
+        {"tolerance", [](Options& o) { o.tolerance = 0.0; }},
+        {"tolerance", [](Options& o) { o.tolerance = -1e-7; }},
+        {"tolerance", [](Options& o) { o.tolerance = kNaN; }},
+        {"tolerance", [](Options& o) { o.tolerance = kInf; }},
+        {"damping", [](Options& o) { o.damping = 0.0; }},
+        {"damping", [](Options& o) { o.damping = -0.5; }},
+        {"damping", [](Options& o) { o.damping = kNaN; }},
+        {"damping", [](Options& o) { o.damping = 1.5; }},
+    };
+    for (const Row& row : bad) {
+        Options opts;
+        row.set(opts);
+        const std::string field = std::string("ModelInverter::Options::") + row.field;
+        try {
+            const ModelInverter inverter(InterferenceModel::paper_table4(), opts);
+            ADD_FAILURE() << field << ": bad value accepted";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+        }
+    }
+
+    // The boundary values run and give a finite estimate on the simplex.
+    const Row good[] = {
+        {"max_iterations", [](Options& o) { o.max_iterations = 1; }},
+        {"tolerance", [](Options& o) { o.tolerance = kTiny; }},
+        {"damping", [](Options& o) { o.damping = 1.0; }},
+        {"damping", [](Options& o) { o.damping = kTiny; }},
+    };
+    for (const Row& row : good) {
+        Options opts;
+        row.set(opts);
+        const ModelInverter inverter(InterferenceModel::paper_table4(), opts);
+        const InversionResult r = inverter.invert({0.1, 0.3, 0.6}, {0.2, 0.1, 0.7});
+        EXPECT_NEAR(r.st_i[0] + r.st_i[1] + r.st_i[2], 1.0, 1e-9) << row.field;
+        EXPECT_TRUE(std::isfinite(r.slowdown_i) && std::isfinite(r.slowdown_j)) << row.field;
+    }
 }
 
 TEST(Inversion, OutputsArePinned) {

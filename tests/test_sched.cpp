@@ -840,10 +840,18 @@ void set_stability_bias(Step3Knobs& k, double v) { k.synpa.stability_bias = v; }
 void set_keep_threshold(Step3Knobs& k, double v) { k.synpa.keep_threshold = v; }
 void set_synpa_penalty(Step3Knobs& k, double v) { k.synpa.cross_chip_penalty = v; }
 void set_oracle_penalty(Step3Knobs& k, double v) { k.oracle_penalty = v; }
+void set_inversion_iterations(Step3Knobs& k, double v) {
+    k.synpa.estimator.inversion.max_iterations = static_cast<int>(v);
+}
+void set_inversion_tolerance(Step3Knobs& k, double v) {
+    k.synpa.estimator.inversion.tolerance = v;
+}
+void set_inversion_damping(Step3Knobs& k, double v) { k.synpa.estimator.inversion.damping = v; }
 
 TEST(Step3KnobValidation, BadValuesThrowNamingTheFieldAndBoundaryValuesRun) {
     constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
     constexpr double kInf = std::numeric_limits<double>::infinity();
+    constexpr double kTiny = std::numeric_limits<double>::min();
     const KnobRow rows[] = {
         {"SynpaEstimator::Options::ema_alpha", kNan, false, set_ema_alpha},
         {"SynpaEstimator::Options::ema_alpha", 3.0, false, set_ema_alpha},
@@ -863,6 +871,20 @@ TEST(Step3KnobValidation, BadValuesThrowNamingTheFieldAndBoundaryValuesRun) {
         {"OraclePolicy: cross_chip_penalty", -0.5, false, set_oracle_penalty},
         {"OraclePolicy: cross_chip_penalty", 0.0, true, set_oracle_penalty},
         {"OraclePolicy: cross_chip_penalty", kInf, true, set_oracle_penalty},
+        {"ModelInverter::Options::max_iterations", 0.0, false, set_inversion_iterations},
+        {"ModelInverter::Options::max_iterations", -3.0, false, set_inversion_iterations},
+        {"ModelInverter::Options::max_iterations", 1.0, true, set_inversion_iterations},
+        {"ModelInverter::Options::tolerance", 0.0, false, set_inversion_tolerance},
+        {"ModelInverter::Options::tolerance", -1e-7, false, set_inversion_tolerance},
+        {"ModelInverter::Options::tolerance", kNan, false, set_inversion_tolerance},
+        {"ModelInverter::Options::tolerance", kInf, false, set_inversion_tolerance},
+        {"ModelInverter::Options::tolerance", kTiny, true, set_inversion_tolerance},
+        {"ModelInverter::Options::damping", 0.0, false, set_inversion_damping},
+        {"ModelInverter::Options::damping", -0.5, false, set_inversion_damping},
+        {"ModelInverter::Options::damping", kNan, false, set_inversion_damping},
+        {"ModelInverter::Options::damping", 1.5, false, set_inversion_damping},
+        {"ModelInverter::Options::damping", 1.0, true, set_inversion_damping},
+        {"ModelInverter::Options::damping", kTiny, true, set_inversion_damping},
     };
     // Two chips, so the penalty rows reach the balancing pass.
     uarch::SimConfig cfg;
