@@ -138,15 +138,14 @@ std::uint64_t SmtCore::trigger_backend_episode(ThreadContext& t, double be_p,
     return mem_accesses;
 }
 
-/// The state of one advance_ways<W> call, W = sizeof...(I): every lane's
-/// hot state and tallies, the rotators, the ICache port and the cycle
-/// tallies.  Each member works on one lane named by a constant (I) or folds
-/// over all of them, so once the members are inlined the object is a set of
+/// The state of one advance_ways<W> call: every lane's hot state and
+/// tallies, the rotators, the ICache port and the cycle tallies.  Each
+/// member works on one lane named by a constant (one of I...) or folds over
+/// all of them, so once the members are inlined the object is a set of
 /// scalars the compiler can keep in registers.  A lane picked at run time
 /// (fetch, dispatch priority) is matched against each constant in turn.
-template <int... I>
-struct SmtCore::Lanes {
-    static constexpr int W = sizeof...(I);
+template <int W, int... I>
+struct SmtCore::LaneState<W, std::integer_sequence<int, I...>> {
 
     /// One lane: the bound slot's ThreadContext state, copied in by load;
     /// the event-gap probabilities (with their precomputed
@@ -171,7 +170,7 @@ struct SmtCore::Lanes {
         bool fetched = false;  ///< fetched at least once (width-1 loop only)
     };
 
-    explicit Lanes(SmtCore& c) noexcept
+    explicit LaneState(SmtCore& c) noexcept
         : core(c), icache_busy(c.icache_busy_), fetch_rr(c.fetch_rr_),
           dispatch_pri(c.dispatch_pri_), entries(c.fetch_buffer_entries_),
           fetch_width(c.fetch_width_), width(c.dispatch_width_), credit_cap(c.credit_cap_) {
@@ -312,6 +311,10 @@ struct SmtCore::Lanes {
         Lane& l = lanes[L];
         if (l.fe_stall > 0) --l.fe_stall;
     }
+
+    // fetch() and dispatch() are forced inline: at width 4 GCC would
+    // otherwise call them, and the `this` they take would keep the whole
+    // state in memory.
 
     /// Picks one lane for the single fetch port, round robin among those
     /// that need instructions and are not frontend-stalled.
@@ -457,7 +460,7 @@ struct SmtCore::Lanes {
 
 template <int W>
 std::uint64_t SmtCore::advance_ways(std::uint64_t cycles, bool bulk, bool* fetched) noexcept {
-    LanesOf<W> l(*this);
+    LaneState<W> l(*this);
     std::uint64_t mem_accesses = 0;
     for (std::uint64_t left = cycles; left > 0;) {
         const std::uint64_t k = bulk ? std::min(l.idle_cycles(), left) : 0;

@@ -30,6 +30,18 @@
 // call ends: a task's counters and insts_retired() are current only
 // between calls.  Nothing inside a call reads them, and one retire of the
 // sum equals a retire per cycle.
+//
+// The loop keeps its hot state in locals (SmtCore::LaneState): each lane's
+// fetch buffer, stall timers, DRAM flag, event distances, dispatch credit
+// and demand, and the core's ICache port, rotators and cycle tallies are
+// copied in when a call starts.  Lanes are named only by compile-time
+// constants, so none of this state has its address taken and it can live
+// in registers.  The write-back contract: the trigger_* calls read the
+// ThreadContexts of every slot and the ICache port, so every lane and the
+// port are written back right before each of them, and the event lane and
+// the port are read back right after it; everything is written back once
+// more when the call ends.  Between calls the ThreadContexts and members
+// are current.
 #pragma once
 
 #include <array>
@@ -91,11 +103,9 @@ public:
     const CycleCounts& cycle_counts() const noexcept { return cycles_; }
 
 private:
-    /// The state of one advance_ways<sizeof...(I)> call, kept in locals
-    /// (see the file comment).
-    template <int... I> struct Lanes;
-    template <int... I> static Lanes<I...> lanes_of(std::integer_sequence<int, I...>);
-    template <int W> using LanesOf = decltype(lanes_of(std::make_integer_sequence<int, W>{}));
+    /// The state of one advance_ways<W> call, kept in locals (see the file
+    /// comment); `LaneState` is the index sequence 0..W-1.
+    template <int W, class Lanes = std::make_integer_sequence<int, W>> struct LaneState;
 
     /// Advances `cycles` cycles, taking run()'s shortcuts only when `bulk`
     /// (tick() steps its cycle as a plain busy cycle at the configured width).
