@@ -46,12 +46,6 @@ void set_terms(Terms& t, const Coefficients& k, const std::array<double, 6>& x,
     t.pj[c] = k[c].predict(x[3 + c], x[c]);
 }
 
-Terms terms(const Coefficients& k, const std::array<double, 6>& x) noexcept {
-    Terms t;
-    for (std::size_t c = 0; c < kCategoryCount; ++c) set_terms(t, k, x, c);
-    return t;
-}
-
 /// The inversion residual system at iterate `x` with terms `t`.
 ///
 /// With S_i = sum_C model_C(st_i, st_j), consistency demands
@@ -112,7 +106,8 @@ InversionResult ModelInverter::invert(const CategoryVector& smt_i,
     InversionResult r;
     bool solved = false;
     for (int it = 0; it < opts_.max_iterations; ++it) {
-        const Terms base = terms(k, x);
+        Terms base;
+        for (std::size_t c = 0; c < kCategoryCount; ++c) set_terms(base, k, x, c);
         const std::array<double, 6> f = residual(base, x, fi, fj);
         r.iterations = it;
         if (max_abs(f) < opts_.tolerance) {
