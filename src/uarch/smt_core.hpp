@@ -104,7 +104,7 @@ public:
 
 private:
     /// The state of one advance_ways<W> call, kept in locals (see the file
-    /// comment); `LaneState` is the index sequence 0..W-1.
+    /// comment); `Lanes` is the index sequence 0..W-1.
     template <int W, class Lanes = std::make_integer_sequence<int, W>> struct LaneState;
 
     /// Advances `cycles` cycles, taking run()'s shortcuts only when `bulk`
