@@ -15,7 +15,19 @@ const SynpaEstimator::Options& SynpaEstimator::Options::validate() const {
 }
 
 SynpaEstimator::SynpaEstimator(model::InterferenceModel model, Options opts)
-    : model_(std::move(model)), flat_(model_), opts_(opts.validate()) {}
+    : model_(std::move(model)),
+      flat_(model_),
+      opts_(opts.validate()),
+      inverter_(model_, opts_.inversion) {}
+
+model::InversionResult SynpaEstimator::invert(const model::CategoryVector& smt_i,
+                                              const model::CategoryVector& smt_j) {
+    const model::InversionResult inv = inverter_.invert(smt_i, smt_j);
+    ++inversion_stats_.inversions;
+    inversion_stats_.fallbacks += inv.converged ? 0 : 1;
+    inversion_stats_.iterations += static_cast<std::uint64_t>(inv.iterations);
+    return inv;
+}
 
 void SynpaEstimator::ema_update(int id, const model::CategoryVector& fresh) {
     model::CategoryVector* est = estimates_.find(id);
@@ -49,9 +61,8 @@ void SynpaEstimator::observe(std::span<const sched::TaskObservation> observation
                 // isolated vectors, owned by the lower-id member (whose
                 // observation we just confirmed present).
                 if (o.corunner_task_id < o.task_id) continue;  // handle each pair once
-                const model::ModelInverter inverter(model_, opts_.inversion);
                 const model::InversionResult inv =
-                    inverter.invert(o.breakdown.fractions(), (*partner)->breakdown.fractions());
+                    invert(o.breakdown.fractions(), (*partner)->breakdown.fractions());
                 ema_update(o.task_id, inv.st_i);
                 ema_update(o.corunner_task_id, inv.st_j);
                 continue;
@@ -70,9 +81,7 @@ void SynpaEstimator::observe(std::span<const sched::TaskObservation> observation
             model::CategoryVector partner_fractions{};
             for (std::size_t c = 0; c < model::kCategoryCount; ++c)
                 partner_fractions[c] = partner_smt[c] / sum;
-            const model::ModelInverter inverter(model_, opts_.inversion);
-            const model::InversionResult inv =
-                inverter.invert(o.breakdown.fractions(), partner_fractions);
+            const model::InversionResult inv = invert(o.breakdown.fractions(), partner_fractions);
             ema_update(o.task_id, inv.st_i);
             continue;
         }
@@ -80,14 +89,13 @@ void SynpaEstimator::observe(std::span<const sched::TaskObservation> observation
         // analogue, so invert against each co-runner separately and average
         // the recovered self-vectors.  Each task updates only itself; its
         // co-runners run the same procedure from their own observations.
-        const model::ModelInverter inverter(model_, opts_.inversion);
         model::CategoryVector acc{};
         int inverted = 0;
         for (const int partner : o.corunner_task_ids) {
             const auto* other = by_id.find(partner);
             if (other == nullptr) continue;
             const model::InversionResult inv =
-                inverter.invert(o.breakdown.fractions(), (*other)->breakdown.fractions());
+                invert(o.breakdown.fractions(), (*other)->breakdown.fractions());
             for (std::size_t c = 0; c < model::kCategoryCount; ++c) acc[c] += inv.st_i[c];
             ++inverted;
         }

@@ -11,6 +11,7 @@
 // quantifies.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
@@ -90,16 +91,33 @@ public:
     void set_model(model::InterferenceModel model) {
         model_ = std::move(model);
         flat_ = model::FlatModel(model_);
+        inverter_ = model::ModelInverter(model_, opts_.inversion);
     }
+
+    /// Cumulative Step-1 work since construction: model inversions run,
+    /// how many of them fell back to the raw SMT fractions, and the sum of
+    /// their InversionResult::iterations.
+    struct InversionStats {
+        std::uint64_t inversions = 0;
+        std::uint64_t fallbacks = 0;
+        std::uint64_t iterations = 0;
+    };
+    const InversionStats& inversion_stats() const noexcept { return inversion_stats_; }
 
 private:
     /// EMA-blends `fresh` into the task's stored estimate (first
     /// observation: stores it).
     void ema_update(int id, const model::CategoryVector& fresh);
 
+    /// inverter_.invert, counted in inversion_stats_.
+    model::InversionResult invert(const model::CategoryVector& smt_i,
+                                  const model::CategoryVector& smt_j);
+
     model::InterferenceModel model_;
     model::FlatModel flat_;  ///< SoA snapshot of model_ for the hot paths
     Options opts_;
+    model::ModelInverter inverter_;  ///< over model_ with opts_.inversion
+    InversionStats inversion_stats_;
     common::FlatIdMap<model::CategoryVector> estimates_;
 };
 

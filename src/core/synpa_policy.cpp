@@ -194,6 +194,7 @@ sched::CoreAllocation SynpaPolicy::reallocate(
     std::span<const sched::TaskObservation> observations) {
     if (observations.empty()) return {};
     const std::uint64_t evaluations_before = cost_evaluations_;
+    const SynpaEstimator::InversionStats inversions_before = estimator_.inversion_stats();
     // Step 1: refresh isolated-behaviour estimates from this quantum.
     estimator_.observe(observations);
 
@@ -205,10 +206,17 @@ sched::CoreAllocation SynpaPolicy::reallocate(
                               opts_.stability_bias, opts_.keep_threshold,
                               opts_.cross_chip_penalty);
     trace_allocation(alloc);
-    if (tracer_ != nullptr)
-        tracer_->metrics()
-            .counter("core.cost_evaluations")
-            .add(cost_evaluations_ - evaluations_before);
+    if (tracer_ != nullptr) {
+        obs::MetricsRegistry& metrics = tracer_->metrics();
+        metrics.counter("core.cost_evaluations").add(cost_evaluations_ - evaluations_before);
+        const SynpaEstimator::InversionStats& inversions = estimator_.inversion_stats();
+        metrics.counter("model.inversions")
+            .add(inversions.inversions - inversions_before.inversions);
+        metrics.counter("model.inversion_fallbacks")
+            .add(inversions.fallbacks - inversions_before.fallbacks);
+        metrics.counter("model.inversion_iterations")
+            .add(inversions.iterations - inversions_before.iterations);
+    }
     return alloc;
 }
 

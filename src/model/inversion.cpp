@@ -72,6 +72,14 @@ double max_abs(const std::array<double, 6>& v) noexcept {
     return m;
 }
 
+/// The stall exit (inversion.hpp): a residual at or above
+/// max(kStallFloor, kStallTolerances * tolerance) that has not fallen by
+/// kStallDrop over kStallWindow iterations ends the iteration unconverged.
+constexpr double kStallFloor = 1e-4;
+constexpr double kStallTolerances = 1000.0;
+constexpr double kStallDrop = 0.01;
+constexpr int kStallWindow = 5;
+
 }  // namespace
 
 const ModelInverter::Options& ModelInverter::Options::validate() const {
@@ -105,15 +113,23 @@ InversionResult ModelInverter::invert(const CategoryVector& smt_i,
     std::array<double, 6> x = {fi[0], fi[1], fi[2], fj[0], fj[1], fj[2]};
     InversionResult r;
     bool solved = false;
+    const double stall_floor = std::max(kStallFloor, kStallTolerances * opts_.tolerance);
+    std::array<double, kStallWindow> recent{};  // residual norm of iteration it - kStallWindow
     for (int it = 0; it < opts_.max_iterations; ++it) {
         Terms base;
         for (std::size_t c = 0; c < kCategoryCount; ++c) set_terms(base, k, x, c);
         const std::array<double, 6> f = residual(base, x, fi, fj);
         r.iterations = it;
-        if (max_abs(f) < opts_.tolerance) {
+        const double norm_f = max_abs(f);
+        if (norm_f < opts_.tolerance) {
             solved = true;
             break;
         }
+        double& window_start = recent[static_cast<std::size_t>(it % kStallWindow)];
+        if (it > kStallWindow && norm_f >= stall_floor &&
+            norm_f > (1.0 - kStallDrop) * window_start)
+            break;  // stalled: fall back below
+        window_start = norm_f;
 
         std::array<double, 36> jac;  // row-major
         const double h = 1e-7;

@@ -19,9 +19,15 @@
 // terms and reuses the iterate's other four), solves it by Gaussian elimination with partial pivoting, caps the step at
 // 0.5 in max norm, damps it by `damping` and clamps the iterate to
 // [0, 1.5].  The iteration stops when every residual is below `tolerance`,
-// after `max_iterations` steps, or at a singular Jacobian; only the first
-// counts as converged.  A converged estimate is projected onto the simplex
-// and the slowdowns are the model's predictions there.
+// after `max_iterations` steps, at a singular Jacobian, or once it has
+// stalled; only the first counts as converged.  A stall is a max-norm
+// residual still at or above max(1e-4, 1000 * tolerance) that has not
+// fallen by 1% over the last 5 iterations (checked from iteration 6 on):
+// such an iterate has settled on the box's edge (typically one isolated
+// fraction clamped at 0) and would spend the remaining steps there before
+// falling back anyway.  A converged estimate is projected onto the simplex
+// and the slowdowns are the model's predictions there; an unconverged one
+// is always the projected raw fractions, whichever way the iteration ended.
 #pragma once
 
 #include "model/interference_model.hpp"
@@ -34,6 +40,9 @@ struct InversionResult {
     double slowdown_i = 1.0;  ///< implied slowdowns at the solution
     double slowdown_j = 1.0;
     bool converged = false;
+    /// Index of the iteration at which the loop stopped: the Newton steps
+    /// taken before convergence, a singular Jacobian or a stall, and
+    /// max_iterations - 1 when it ran out.
     int iterations = 0;
 };
 

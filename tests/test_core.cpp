@@ -118,6 +118,45 @@ TEST(Estimator, PairWeightSymmetricSum) {
     EXPECT_GT(est.group_weight(uv), 2.0);  // two slowdowns, each >= ~1
 }
 
+TEST(Estimator, SetModelInvertsAgainstTheNewModelAndCountsInversions) {
+    // The estimator's one inverter follows set_model: an estimator switched
+    // to a model matches, bit for bit and in its inversion counts, one
+    // built on that model.
+    model::InterferenceModel perturbed = model::InterferenceModel::paper_table4();
+    for (std::size_t c = 0; c < model::kCategoryCount; ++c)
+        perturbed.coefficients(static_cast<model::Category>(c)).gamma += 0.1;
+    SynpaEstimator switched(model::InterferenceModel::paper_table4());
+    switched.set_model(perturbed);
+    SynpaEstimator built(perturbed);
+    // Tasks 1 and 2 show the fractions the model predicts for them (their
+    // inversion converges), tasks 3 and 4 arbitrary ones (it falls back).
+    const auto fractions = [](const model::CategoryVector& v) {
+        const double sum = v[0] + v[1] + v[2];
+        return model::CategoryVector{v[0] / sum, v[1] / sum, v[2] / sum};
+    };
+    const model::CategoryVector st_a = {0.5, 0.3, 0.2}, st_b = {0.2, 0.1, 0.7};
+    const std::vector<sched::TaskObservation> quantum = {
+        make_obs(1, 0, 2, fractions(perturbed.predict(st_a, st_b))),
+        make_obs(2, 0, 1, fractions(perturbed.predict(st_b, st_a))),
+        make_obs(3, 1, 4, {0.9, 0.05, 0.05}), make_obs(4, 1, 3, {0.05, 0.05, 0.9})};
+    for (int q = 0; q < 3; ++q) {
+        switched.observe(quantum);
+        built.observe(quantum);
+    }
+    for (const int id : {1, 2, 3, 4})
+        for (std::size_t c = 0; c < model::kCategoryCount; ++c)
+            EXPECT_EQ(switched.estimate(id)[c], built.estimate(id)[c]) << id;
+
+    const SynpaEstimator::InversionStats& a = switched.inversion_stats();
+    const SynpaEstimator::InversionStats& b = built.inversion_stats();
+    EXPECT_EQ(a.inversions, 6u);  // one per pair per quantum
+    EXPECT_EQ(a.fallbacks, 3u);   // pair (3, 4) in each quantum
+    EXPECT_GT(a.iterations, 0u);
+    EXPECT_EQ(a.inversions, b.inversions);
+    EXPECT_EQ(a.fallbacks, b.fallbacks);
+    EXPECT_EQ(a.iterations, b.iterations);
+}
+
 TEST(SynpaPolicyTest, NamesReflectSelector) {
     const model::InterferenceModel m = model::InterferenceModel::paper_table4();
     EXPECT_EQ(SynpaPolicy(m).name(), "synpa");

@@ -452,20 +452,28 @@ TEST(TraceExport, MetricsCsvPathDerivation) {
 
 TEST(TraceExport, FinishExportsTheMetricsRegistry) {
     // Every recorded instrument is exported: a traced synpa run's
-    // cost-evaluation counter reaches the registry CSV written next to the
-    // trace.
+    // cost-evaluation and model-inversion counters reach the registry CSV
+    // written next to the trace.
     obs::TraceConfig cfg = memory_trace_config();
     cfg.file = ::testing::TempDir() + "obs-registry-export.json";
     obs::Tracer tracer(cfg);
     run_closed(2, 2, 1, &tracer);
-    ASSERT_NE(tracer.metrics().find_counter("core.cost_evaluations"), nullptr);
+    const char* const counters[] = {"core.cost_evaluations", "model.inversions",
+                                    "model.inversion_fallbacks", "model.inversion_iterations"};
+    for (const char* name : counters)
+        ASSERT_NE(tracer.metrics().find_counter(name), nullptr) << name;
+    const obs::MetricsRegistry& m = tracer.metrics();
+    EXPECT_GT(m.find_counter("model.inversions")->value(), 0u);
+    EXPECT_LE(m.find_counter("model.inversion_fallbacks")->value(),
+              m.find_counter("model.inversions")->value());
     tracer.finish();
 
     std::ifstream in(obs::registry_csv_path(cfg.file));
     ASSERT_TRUE(in) << "no registry CSV next to " << cfg.file;
     const std::string csv((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
     EXPECT_EQ(csv.find("name,kind,"), 0u);
-    EXPECT_NE(csv.find("\ncore.cost_evaluations,counter,"), std::string::npos);
+    for (const char* name : counters)
+        EXPECT_NE(csv.find("\n" + std::string(name) + ",counter,"), std::string::npos) << name;
 }
 
 TEST(TraceExport, CycleCountersCoverEveryCoreCycleAtEveryThreadCount) {
