@@ -8,14 +8,17 @@
 
 #include <array>
 #include <limits>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "apps/instance.hpp"
 #include "apps/spec_suite.hpp"
 #include "core/synpa_policy.hpp"
 #include "sched/baselines.hpp"
+#include "sched/node_loop.hpp"
 #include "sched/policy.hpp"
 #include "sched/thread_manager.hpp"
 #include "sched/topology.hpp"
@@ -811,6 +814,72 @@ TEST(Multichip, CrossChipRebindDegradesIpcForConfiguredQuanta) {
     EXPECT_GT(recovered, cold_ipc);
 
     platform.unbind(1);
+}
+
+// ---------- NodeLoop::bind validation ----------
+
+/// One bind() input against six residents (ids 1..6) placed as
+/// {1,2} {3,4} {5,6} {} on 2 chips x 2 cores x SMT-2.
+struct BindRow {
+    const char* name;
+    bool full_groups;
+    CoreAllocation alloc;
+    const char* error;  ///< the exact std::runtime_error message, or nullptr
+};
+
+TEST(NodeLoopBind, RejectsEachMalformedAllocationByMessage) {
+    uarch::SimConfig cfg;
+    cfg.num_chips = 2;
+    cfg.cores = 2;
+    cfg.cycles_per_quantum = 2'000;
+
+    CoreGroup gap;
+    gap.tasks[1] = 5;  // {kNoTask, 5}: a task behind an empty slot
+    const std::vector<BindRow> rows = {
+        {"placed twice", false, {{1, 2}, {3, 4}, {5, 1}, {6}}, "bind: task placed twice"},
+        {"live task missing", false, {{1, 2}, {3, 4}, {5, 7}, {}},
+         "bind: allocation missing a live task"},
+        {"too few placements", false, {{1, 2}, {3, 4}, {5}, {}},
+         "bind: allocation must place every task once"},
+        {"gap group", false, {{1, 2}, {3, 4}, gap, {6}}, "bind: malformed group"},
+        {"negative id", false, {{1, 2}, {3, 4}, {5, -2}, {6}}, "bind: malformed group"},
+        {"wider than SMT", false, {{1, 2, 3}, {4}, {5, 6}, {}},
+         "bind: group exceeds the chip's SMT width"},
+        {"underfilled closed core", true, {{1, 2}, {3, 4}, {5, 6}, {}},
+         "bind: idle or underfilled core in a closed system"},
+        {"more groups than cores", false, {{1, 2}, {3, 4}, {5, 6}, {}, {}},
+         "bind: allocation exceeds core count"},
+        // 5 moves chip 1 -> 0, 3 and 4 chip 0 -> 1, 6 to another core of
+        // chip 1; 1 and 2 stay.
+        {"valid", false, {{1, 2}, {5}, {3, 4}, {6}}, nullptr},
+    };
+
+    for (const BindRow& row : rows) {
+        SCOPED_TRACE(row.name);
+        uarch::Platform platform(cfg);
+        LinuxPolicy policy;
+        NodeLoop loop(platform, policy, nullptr, row.full_groups);
+        for (int id = 1; id <= 6; ++id) {
+            auto task = std::make_unique<apps::AppInstance>(id, apps::find_app("mcf"), 7);
+            platform.bind(*task, {.core = (id - 1) / 2, .slot = (id - 1) % 2});
+            loop.add({.task = std::move(task), .app_name = "mcf", .slot_index = id - 1});
+        }
+        if (row.error == nullptr) {
+            const BindStats stats = loop.bind(row.alloc);
+            EXPECT_EQ(stats.migrations, 4u);
+            EXPECT_EQ(stats.cross_chip, 3u);
+            EXPECT_EQ(platform.placement(5).core, 1);
+            EXPECT_EQ(platform.placement(4).core, 2);
+            EXPECT_EQ(platform.placement(6).core, 3);
+            continue;
+        }
+        try {
+            loop.bind(row.alloc);
+            ADD_FAILURE() << "bind accepted the allocation";
+        } catch (const std::runtime_error& e) {
+            EXPECT_STREQ(e.what(), row.error);
+        }
+    }
 }
 
 }  // namespace
