@@ -1,23 +1,32 @@
-// A dense, id-indexed replacement for std::unordered_map<int, V> on the
-// simulator's hot task-lookup paths.
+// Id-keyed lookups for the simulator's task paths: a dense FlatIdMap for
+// long-lived per-owner state, and a SmallIdMap for per-call lookups.
 //
-// Task ids are small, monotonically assigned integers (drivers hand them
-// out starting at 1 and never reuse them), so a flat vector indexed by id
-// beats hashing: Platform::task_counters and the bind/placement paths look
-// up every live task every quantum — at 512 hardware contexts that is
-// hundreds of probes per quantum, and the hash, probe chain and cache
-// misses of unordered_map show up in profiles.  Lookup here is one bounds
-// check and one vector index.
+// FlatIdMap replaces std::unordered_map<int, V>.  Task ids are small,
+// monotonically assigned integers (drivers hand them out starting at 1 and
+// never reuse them), so a flat vector indexed by id beats hashing:
+// Platform::task_counters looks up every live task every quantum, and the
+// hash, probe chain and cache misses of unordered_map show up in profiles.
+// Lookup is one bounds check and one vector index.
 //
-// Memory: the backing vector grows to the largest id ever inserted and
-// never shrinks (erase only clears the presence flag).  Ids are assigned
-// densely by the drivers, so the footprint is O(tasks ever admitted) with
-// a few bytes per entry — bounded in long open-system runs by the same
-// forget_task discipline that used to bound the hash maps.
+// Memory: FlatIdMap's backing vector grows to the largest id ever inserted
+// and never shrinks (erase only clears the presence flag).  That is the
+// largest id the *driver* has handed out, not the owner's task count: a
+// fleet numbers tasks fleet-wide, so a node holding 8 tasks still sizes its
+// maps by the fleet's ~10 000th id.  FlatIdMap therefore suits state that
+// lives as long as its owner and is paid for once; a map built afresh per
+// call would allocate and zero that whole table every time.
+//
+// SmallIdMap is the per-call form: a vector of (id, value) entries sorted
+// by id, sized by the entries it holds and searched by binary search, so a
+// lookup over a quantum's live tasks costs O(live tasks) in time and memory
+// whatever the ids are.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <iterator>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace synpa::common {
@@ -100,6 +109,50 @@ private:
     std::vector<unsigned char> present_;
     std::vector<V> values_;
     std::size_t size_ = 0;
+};
+
+template <class V>
+class SmallIdMap {
+public:
+    using Entry = std::pair<int, V>;
+
+    SmallIdMap() = default;
+    /// Takes one call's (id, value) entries in any order and sorts them by
+    /// id.  Ids may repeat: has_duplicate() reports it, and find() then
+    /// returns one of the repeated entries.
+    explicit SmallIdMap(std::vector<Entry> entries) : entries_(std::move(entries)) {
+        std::sort(entries_.begin(), entries_.end(),
+                  [](const Entry& a, const Entry& b) { return a.first < b.first; });
+    }
+
+    /// Builds the map from one (id, value) entry per element of `items`.
+    template <class Range, class EntryOf>
+    static SmallIdMap from(const Range& items, EntryOf&& entry_of) {
+        std::vector<Entry> entries;
+        entries.reserve(std::size(items));
+        for (const auto& item : items) entries.push_back(entry_of(item));
+        return SmallIdMap(std::move(entries));
+    }
+
+    /// Pointer to the value for `id`, or nullptr when absent.
+    const V* find(int id) const noexcept {
+        const auto it = std::lower_bound(entries_.begin(), entries_.end(), id,
+                                         [](const Entry& e, int key) { return e.first < key; });
+        return it != entries_.end() && it->first == id ? &it->second : nullptr;
+    }
+
+    /// Whether some id was given more than once.
+    bool has_duplicate() const noexcept {
+        return std::adjacent_find(entries_.begin(), entries_.end(),
+                                  [](const Entry& a, const Entry& b) {
+                                      return a.first == b.first;
+                                  }) != entries_.end();
+    }
+
+    std::size_t size() const noexcept { return entries_.size(); }
+
+private:
+    std::vector<Entry> entries_;
 };
 
 }  // namespace synpa::common

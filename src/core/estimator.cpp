@@ -45,8 +45,8 @@ void SynpaEstimator::ema_update(int id, const model::CategoryVector& fresh) {
 }
 
 void SynpaEstimator::observe(std::span<const sched::TaskObservation> observations) {
-    common::FlatIdMap<const sched::TaskObservation*> by_id;
-    for (const auto& o : observations) by_id[o.task_id] = &o;
+    const auto by_id = common::SmallIdMap<const sched::TaskObservation*>::from(
+        observations, [](const sched::TaskObservation& o) { return std::pair{o.task_id, &o}; });
 
     for (const auto& o : observations) {
         if (o.corunner_task_ids.empty()) {

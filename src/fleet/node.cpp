@@ -1,6 +1,8 @@
 #include "fleet/node.hpp"
 
 #include <algorithm>
+#include <array>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -46,14 +48,17 @@ double FleetNode::admission_cost(const WorkItem& item) const {
     if (!estimator_) return 0.0;
     const uarch::CpuSlot where = loop_.admission_slot();
     if (where.core < 0) return 0.0;  // full — callers filter these nodes out
-    // Group on the target core, plus the candidate.
-    std::vector<int> group;
+    // Group on the target core, plus the candidate: the core has a free
+    // slot, so the two together fit in smt_ways ids.
+    std::array<int, uarch::kMaxSmtWays> group{};
+    std::size_t members = 0;
     const uarch::SmtCore& core = platform_.core(where.core);
     for (int s = 0; s < platform_.config().smt_ways; ++s)
-        if (core.slot(s).bound()) group.push_back(core.slot(s).task()->id());
-    const double before = group.empty() ? 0.0 : estimator_->group_weight(group);
-    group.push_back(item.task_id);
-    return estimator_->group_weight(group) - before;
+        if (core.slot(s).bound()) group[members++] = core.slot(s).task()->id();
+    const std::span<const int> resident(group.data(), members);
+    const double before = resident.empty() ? 0.0 : estimator_->group_weight(resident);
+    group[members++] = item.task_id;
+    return estimator_->group_weight(std::span<const int>(group.data(), members)) - before;
 }
 
 FleetNode::VictimInfo FleetNode::best_victim(int below_priority) const {

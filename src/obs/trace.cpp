@@ -1,8 +1,10 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <stdexcept>
+#include <system_error>
 #include <utility>
 
 #include "common/config.hpp"
@@ -31,6 +33,18 @@ constexpr EventGroup kGroups[] = {
     {"phase", bit(EventKind::kPhaseAlarm)},
     {"refit", bit(EventKind::kModelRefit)},
 };
+
+/// Rejects an enabled tracer whose trace file sits in a directory that does
+/// not exist, naming the knob, so a traced run fails before it simulates
+/// rather than at export time.
+void require_trace_directory(const TraceConfig& cfg) {
+    if (!cfg.enabled || cfg.file.empty()) return;
+    const std::filesystem::path dir = std::filesystem::path(cfg.file).parent_path();
+    std::error_code ec;
+    if (dir.empty() || std::filesystem::is_directory(dir, ec)) return;
+    throw std::invalid_argument("SYNPA_TRACE_FILE: directory '" + dir.string() + "' of '" +
+                                cfg.file + "' does not exist");
+}
 
 }  // namespace
 
@@ -95,11 +109,14 @@ TraceConfig TraceConfig::from_env() {
     if (capacity < 1)
         throw std::runtime_error("SYNPA_TRACE_CAPACITY: must be a positive event count");
     cfg.capacity = static_cast<std::size_t>(capacity);
+    require_trace_directory(cfg);
     return cfg;
 }
 
 Tracer::Tracer(TraceConfig cfg)
-    : cfg_(std::move(cfg)), events_(cfg_.capacity), samples_(cfg_.capacity) {}
+    : cfg_(std::move(cfg)), events_(cfg_.capacity), samples_(cfg_.capacity) {
+    require_trace_directory(cfg_);
+}
 
 Tracer::~Tracer() {
     try {

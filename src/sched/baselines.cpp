@@ -4,6 +4,7 @@
 #include <array>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/flat_map.hpp"
@@ -54,13 +55,13 @@ std::vector<CoreGroup> groups_from_pairs(const std::vector<std::pair<int, int>>&
 CoreAllocation place_groups(const std::vector<CoreGroup>& entries,
                             std::span<const TaskObservation> observations,
                             std::size_t cores) {
-    common::FlatIdMap<int> core_of;
-    for (const TaskObservation& o : observations) core_of[o.task_id] = o.core;
+    const auto core_of = common::SmallIdMap<int>::from(
+        observations, [](const TaskObservation& o) { return std::pair{o.task_id, o.core}; });
     return place_groups(entries, core_of, cores);
 }
 
 CoreAllocation place_groups(const std::vector<CoreGroup>& entries,
-                            const common::FlatIdMap<int>& incumbent_core, std::size_t cores) {
+                            const common::SmallIdMap<int>& incumbent_core, std::size_t cores) {
     if (entries.size() > cores)
         throw std::invalid_argument("place_groups: more entries than cores");
     CoreAllocation alloc(cores);

@@ -131,6 +131,6 @@ CoreAllocation place_groups(const std::vector<CoreGroup>& entries,
 /// or negative core means none) — the form solve_platform uses for one
 /// chip's tasks in chip-local core ids.
 CoreAllocation place_groups(const std::vector<CoreGroup>& entries,
-                            const common::FlatIdMap<int>& incumbent_core, std::size_t cores);
+                            const common::SmallIdMap<int>& incumbent_core, std::size_t cores);
 
 }  // namespace synpa::sched

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "common/flat_map.hpp"
 #include "model/categories.hpp"
@@ -89,7 +90,8 @@ BindStats NodeLoop::bind(CoreAllocation alloc) {
     const int ways = platform_.config().smt_ways;
 
     // Validate the allocation is a permutation of the residents.
-    common::FlatIdMap<uarch::CpuSlot> target;
+    std::vector<common::SmallIdMap<uarch::CpuSlot>::Entry> placements;
+    placements.reserve(residents_.size());
     for (std::size_t c = 0; c < alloc.size(); ++c) {
         const CoreGroup& g = alloc[c];
         const int occ = g.occupancy();
@@ -105,10 +107,11 @@ BindStats NodeLoop::bind(CoreAllocation alloc) {
         for (int s = 0; s < occ; ++s) {
             const int id = g.tasks[static_cast<std::size_t>(s)];
             if (id < 0) throw std::runtime_error("bind: malformed group");
-            if (target.contains(id)) throw std::runtime_error("bind: task placed twice");
-            target[id] = {.core = static_cast<int>(c), .slot = s};
+            placements.push_back({id, {.core = static_cast<int>(c), .slot = s}});
         }
     }
+    const common::SmallIdMap<uarch::CpuSlot> target(std::move(placements));
+    if (target.has_duplicate()) throw std::runtime_error("bind: task placed twice");
     if (target.size() != residents_.size())
         throw std::runtime_error("bind: allocation must place every task once");
 
@@ -142,7 +145,7 @@ BindStats NodeLoop::bind(CoreAllocation alloc) {
     // actually changed.
     for (const Resident& r : residents_)
         if (platform_.is_bound(r.task->id())) platform_.unbind(r.task->id());
-    for (const Resident& r : residents_) platform_.bind(*r.task, target.at(r.task->id()));
+    for (const Resident& r : residents_) platform_.bind(*r.task, *target.find(r.task->id()));
     return stats;
 }
 
@@ -225,7 +228,7 @@ TaskObservation NodeLoop::observe(const Resident& r) const {
 }
 
 void NodeLoop::finish(std::uint64_t quantum, Lifecycle& life, std::vector<TaskObservation>& obs) {
-    common::FlatIdMap<int> replaced;  // relaunched id -> fresh id
+    std::vector<common::SmallIdMap<int>::Entry> relaunched;  // old id -> fresh id
     for (std::size_t i = 0; i < residents_.size();) {
         Resident& r = residents_[i];
         const int id = r.task->id();
@@ -252,14 +255,15 @@ void NodeLoop::finish(std::uint64_t quantum, Lifecycle& life, std::vector<TaskOb
             platform_.forget_task(id);  // the old id never returns
             policy_.on_task_replaced(id, r.task->id());
             emit(obs::EventKind::kAdmission, quantum, r.task->id(), where.core, r.app_name);
-            replaced[id] = r.task->id();
+            relaunched.push_back({id, r.task->id()});
             r.finish_insts = kNoFinish;
         }
         r.prev_bank = r.task->counters();
         r.insts_prev = r.task->insts_retired();
         ++i;
     }
-    if (replaced.empty()) return;
+    if (relaunched.empty()) return;
+    const common::SmallIdMap<int> replaced(std::move(relaunched));
 
     // The fresh instances inherit their slots, so the policy sees live ids
     // (and no dangling pointers).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "apps/spec_suite.hpp"
 #include "common/flat_map.hpp"
@@ -29,8 +30,8 @@ ThreadManager::ThreadManager(uarch::Platform& platform, AllocationPolicy& policy
 }
 
 void ThreadManager::observed(std::uint64_t quantum, std::span<const TaskObservation> obs) {
-    common::FlatIdMap<int> slot_by_task;
-    for (const TaskObservation& o : obs) slot_by_task[o.task_id] = o.slot_index;
+    const auto slot_by_task = common::SmallIdMap<int>::from(
+        obs, [](const TaskObservation& o) { return std::pair{o.task_id, o.slot_index}; });
     for (const TaskObservation& o : obs) {
         Slot& slot = slots_[static_cast<std::size_t>(o.slot_index)];
         const auto fr = o.breakdown.fractions();

@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "common/flat_map.hpp"
 #include "sched/baselines.hpp"
@@ -156,8 +157,10 @@ CoreAllocation solve_one_chip(std::span<const TaskObservation> observations,
             for (std::size_t v = u + 1; v < n; ++v)
                 weights.set(u, v, price_pair(cost, idx[u], idx[v]));
         // The incumbent pairing in local index space, for hysteresis.
-        common::FlatIdMap<std::size_t> index_of;
-        for (std::size_t i = 0; i < n; ++i) index_of[observations[idx[i]].task_id] = i;
+        std::vector<common::SmallIdMap<std::size_t>::Entry> local;
+        local.reserve(n);
+        for (std::size_t i = 0; i < n; ++i) local.push_back({observations[idx[i]].task_id, i});
+        const common::SmallIdMap<std::size_t> index_of(std::move(local));
         std::vector<std::pair<int, int>> current;
         for (std::size_t i = 0; i < n; ++i) {
             const int partner = observations[idx[i]].corunner_task_id;
@@ -176,11 +179,10 @@ CoreAllocation solve_one_chip(std::span<const TaskObservation> observations,
 
     // A task the balancer moved here still reports its old chip's core;
     // only same-chip incumbency means anything to the placement.
-    common::FlatIdMap<int> core_of;
-    for (const std::size_t i : idx) {
+    const auto core_of = common::SmallIdMap<int>::from(idx, [&](std::size_t i) {
         const TaskObservation& o = observations[i];
-        core_of[o.task_id] = o.chip == chip ? o.core - chip * topo.cores_per_chip : -1;
-    }
+        return std::pair{o.task_id, o.chip == chip ? o.core - chip * topo.cores_per_chip : -1};
+    });
     return place_groups(entries, core_of, cores);
 }
 

@@ -90,18 +90,16 @@ pmu::CounterBank Chip::task_counters(int task_id) const {
 }
 
 void Chip::refresh_rates() {
-    // Chip-wide LLC shares, proportional to current-phase footprints.
-    std::vector<apps::AppInstance*> all;
+    // Chip-wide LLC shares, proportional to current-phase footprints, in
+    // bound-slot order (core, then slot) — the order the loop below reads
+    // them back in.
     std::vector<double> llc_fp;
     for (auto& core : cores_)
         for (int s = 0; s < core.smt_ways(); ++s)
-            if (core.slot(s).bound()) {
-                all.push_back(core.slot(s).task());
+            if (core.slot(s).bound())
                 llc_fp.push_back(core.slot(s).task()->phase().data_footprint_llc_mb);
-            }
     const std::vector<double> llc_share = proportional_shares(cfg_.llc_mb, llc_fp);
-    common::FlatIdMap<double> llc_share_by_task;
-    for (std::size_t i = 0; i < all.size(); ++i) llc_share_by_task[all[i]->id()] = llc_share[i];
+    std::size_t bound_index = 0;
 
     const double e = cfg_.cache_pressure_exponent;
     const double cap = cfg_.cache_miss_mult_cap;
@@ -112,6 +110,7 @@ void Chip::refresh_rates() {
         for (int s = 0; s < core.smt_ways(); ++s) {
             ThreadContext& ctx = core.slot(s);
             if (!ctx.bound()) continue;
+            const double share_mb = llc_share[bound_index++];
             apps::AppInstance& task = *ctx.task();
             const apps::PhaseParams& p = task.phase();
             const double warm = task.warmup_multiplier();
@@ -158,7 +157,6 @@ void Chip::refresh_rates() {
             }
             r.l2_hit_eff = l2_hit / std::max(warm, 1.0);
 
-            const double share_mb = llc_share_by_task.at(task.id());
             r.llc_hit_eff = shared_hit_fraction(p.llc_hit_fraction, cfg_.llc_mb, share_mb,
                                                 p.data_footprint_llc_mb, e);
 

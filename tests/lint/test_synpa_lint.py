@@ -47,6 +47,8 @@ EXPECTED_FIXTURE_FINDINGS = {
     ("src/sched/marker_violation.cpp", 10, "DET-01"),
     ("src/sched/marker_violation.cpp", 11, "MARKER-01"),
     ("src/sched/marker_violation.cpp", 12, "DET-01"),
+    ("src/sched/perf01_violation.cpp", 9, "PERF-01"),
+    ("src/sched/perf01_violation.cpp", 12, "PERF-01"),
     ("src/uarch/env01_violation.cpp", 9, "ENV-01"),
     ("src/uarch/shard01_violation.cpp", 8, "SHARD-01"),
     ("src/uarch/shard01_violation.cpp", 11, "SHARD-01"),
@@ -61,6 +63,7 @@ CLEAN_FIXTURES = [
     "src/model/obs01_clean.cpp",
     "src/obs/obs01_allowed.cpp",
     "src/sched/det01_clean.cpp",
+    "src/sched/perf01_clean.cpp",
     "src/uarch/shard01_clean.cpp",
 ]
 

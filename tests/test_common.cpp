@@ -9,6 +9,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/config.hpp"
@@ -424,6 +425,56 @@ TEST(FlatIdMap, ForEachAscendingIdOrder) {
         EXPECT_EQ(value, id * 10);
     });
     EXPECT_EQ(ids, (std::vector<int>{2, 9}));
+}
+
+TEST(SmallIdMap, FindsEveryEntryWhateverTheInsertionOrder) {
+    const SmallIdMap<int> map({{11'600, 5}, {3, 30}, {-4, 40}, {0, 1}, {7, 70}});
+    EXPECT_EQ(map.size(), 5u);
+    EXPECT_FALSE(map.has_duplicate());
+    for (const auto& [id, value] : {std::pair{11'600, 5}, std::pair{3, 30}, std::pair{-4, 40},
+                                    std::pair{0, 1}, std::pair{7, 70}}) {
+        ASSERT_NE(map.find(id), nullptr) << id;
+        EXPECT_EQ(*map.find(id), value) << id;
+    }
+}
+
+TEST(SmallIdMap, AbsentIdsAreNull) {
+    const SmallIdMap<int> map({{5, 50}, {2, 20}, {9, 90}});
+    EXPECT_EQ(map.find(-1), nullptr);  // below every key, and negative
+    EXPECT_EQ(map.find(1), nullptr);
+    EXPECT_EQ(map.find(4), nullptr);   // between keys
+    EXPECT_EQ(map.find(10), nullptr);  // above every key
+    EXPECT_EQ(map.find(1'000'000), nullptr);
+}
+
+TEST(SmallIdMap, ReportsARepeatedId) {
+    // NodeLoop::bind rejects a task placed twice through has_duplicate().
+    const SmallIdMap<int> twice({{4, 0}, {8, 1}, {4, 2}});
+    EXPECT_TRUE(twice.has_duplicate());
+    EXPECT_EQ(twice.size(), 3u);
+    ASSERT_NE(twice.find(4), nullptr);
+    EXPECT_TRUE(*twice.find(4) == 0 || *twice.find(4) == 2);
+    EXPECT_FALSE(SmallIdMap<int>({{4, 0}, {8, 1}, {5, 2}}).has_duplicate());
+    EXPECT_FALSE(SmallIdMap<int>({{4, 0}}).has_duplicate());
+}
+
+TEST(SmallIdMap, EmptyMapFindsNothing) {
+    const SmallIdMap<int> map;
+    EXPECT_EQ(map.size(), 0u);
+    EXPECT_FALSE(map.has_duplicate());
+    EXPECT_EQ(map.find(0), nullptr);
+    EXPECT_EQ(map.find(-1), nullptr);
+}
+
+TEST(SmallIdMap, FromBuildsOneEntryPerItem) {
+    const auto entry = [](int id) { return std::pair{id, id * 10}; };
+    const auto map = SmallIdMap<int>::from(std::vector<int>{42, 7, 19}, entry);
+    EXPECT_EQ(map.size(), 3u);
+    ASSERT_NE(map.find(7), nullptr);
+    EXPECT_EQ(*map.find(7), 70);
+    EXPECT_EQ(*map.find(42), 420);
+    EXPECT_EQ(map.find(8), nullptr);
+    EXPECT_EQ(SmallIdMap<int>::from(std::vector<int>{}, entry).size(), 0u);
 }
 
 }  // namespace

@@ -450,6 +450,26 @@ TEST(TraceExport, MetricsCsvPathDerivation) {
     EXPECT_EQ(obs::registry_csv_path("trace"), "trace.registry.csv");
 }
 
+TEST(TraceExport, MissingTraceDirectoryIsRejectedBeforeTheRun) {
+    // A trace file in a directory that does not exist fails at construction,
+    // naming the knob, instead of after the whole run when finish() exports.
+    obs::TraceConfig cfg = memory_trace_config();
+    cfg.file = ::testing::TempDir() + "obs-no-such-dir/trace.json";
+    try {
+        obs::Tracer tracer(cfg);
+        ADD_FAILURE() << "Tracer accepted " << cfg.file;
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("SYNPA_TRACE_FILE"), std::string::npos) << e.what();
+        EXPECT_NE(std::string(e.what()).find("obs-no-such-dir"), std::string::npos) << e.what();
+    }
+    // A disabled tracer never writes, so its path is not checked.
+    cfg.enabled = false;
+    EXPECT_NO_THROW(obs::Tracer{cfg});
+    cfg.enabled = true;
+    cfg.file = ::testing::TempDir() + "obs-existing-dir-trace.json";
+    EXPECT_NO_THROW(obs::Tracer{cfg});
+}
+
 TEST(TraceExport, FinishExportsTheMetricsRegistry) {
     // Every recorded instrument is exported: a traced synpa run's
     // cost-evaluation and model-inversion counters reach the registry CSV

@@ -32,6 +32,11 @@ Rules
            Chip shards share no mutable state by construction; a global
            would be an unsynchronized cross-shard race.
            `shard-ok(<reason>)`.
+  PERF-01  no function-local common::FlatIdMap in src/**/*.cpp.  Its table
+           is as long as the largest task id ever handed out (fleet-wide in
+           a fleet), so one built per call zeroes that much memory to look
+           up a few live tasks; per-call lookups use common::SmallIdMap.
+           `flat-map-ok(<reason>)`.
   MARKER-01  a `// synpa-lint: <tag>(<reason>)` marker with an unknown tag
            or an empty reason.  Every suppression is an audit record; it
            must say why the exception is sound.
@@ -60,6 +65,7 @@ RULES = {
     "ENV-01": "raw getenv outside common/config",
     "OBS-01": "direct stdout/stderr tracing outside obs/",
     "SHARD-01": "mutable namespace-scope state in a barrier layer",
+    "PERF-01": "function-local FlatIdMap (a per-call, id-sized table)",
     "MARKER-01": "malformed synpa-lint suppression marker",
 }
 
@@ -70,6 +76,7 @@ MARKER_TAGS = {
     "env-ok": "ENV-01",
     "trace-ok": "OBS-01",
     "shard-ok": "SHARD-01",
+    "flat-map-ok": "PERF-01",
 }
 
 # Layers whose results are pinned bit-identical by goldens and the
@@ -97,6 +104,9 @@ OBS01_RE = re.compile(
 UNORDERED_DECL_RE = re.compile(r"\bunordered_(?:map|set|multimap|multiset)\s*<")
 RANGE_FOR_RE = re.compile(r"\bfor\s*\(([^()]*(?:\([^()]*\)[^()]*)*)\)")
 BEGIN_CALL_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\.\s*c?begin\s*\(")
+FLAT_ID_MAP_DECL_RE = re.compile(
+    r"^(?:(?:static|thread_local|const)\s+)*(?:::)?(?:synpa\s*::\s*)?"
+    r"(?:common\s*::\s*)?FlatIdMap\s*<")
 
 
 class Finding:
@@ -305,8 +315,11 @@ def _flag_decl(stmt: str) -> str | None:
     return m.group(1) if m else None
 
 
-def check_shard01_token(rel, raw_lines, stripped_lines, suppressed, findings):
-    is_header = Path(rel).suffix in {".hpp", ".hh", ".h", ".ipp"}
+def iter_statements(stripped_lines):
+    """Yields (statement, first_line, enclosing_scopes, terminator) for every
+    statement of the stripped text that ends at ';' or opens a '{' scope.
+    enclosing_scopes is the tuple of _classify_scope kinds around it,
+    outermost first (empty at file scope)."""
     # Preprocessor lines carry no scopes or declarations; blank them so they
     # cannot merge into the following statement.
     text = "\n".join("" if line.lstrip().startswith("#") else line
@@ -316,50 +329,21 @@ def check_shard01_token(rel, raw_lines, stripped_lines, suppressed, findings):
     line_no = 1
     has_sig = False  # statement buffer holds a non-space character
 
-    def current() -> str:
-        return scopes[-1] if scopes else "namespace"
-
-    def analyze(statement: str, at_line: int):
-        statement = re.sub(r"^(?:(?:public|private|protected)\s*:\s*)+", "",
-                           statement.strip())
-        if not statement:
-            return
-        if current() == "namespace":
-            name = _flag_decl(statement)
-            if name and not is_suppressed(suppressed, at_line, "SHARD-01"):
-                findings.append(Finding(
-                    rel, at_line, "SHARD-01",
-                    f"mutable namespace-scope state '{name}': chip shards must "
-                    "share no mutable globals — make it const/constexpr or move "
-                    "it into the owning object", raw_lines[at_line - 1]))
-        elif is_header and current() in ("function", "class", "block"):
-            sm = re.match(r"^static\b(?!\s+(?:const\b|constexpr\b))", statement)
-            if sm and "(" not in statement.split("=", 1)[0] \
-                    and not _DECL_SKIP_RE.search(statement.split("=", 1)[0].replace("static", "", 1)):
-                if not is_suppressed(suppressed, at_line, "SHARD-01"):
-                    findings.append(Finding(
-                        rel, at_line, "SHARD-01",
-                        "non-const static in a header: every includer shares one "
-                        "mutable instance across shards", raw_lines[at_line - 1]))
-
     for ch in text:
         if ch == "\n":
             line_no += 1
             stmt.append(" ")
         elif ch == "{":
-            kind = _classify_scope("".join(stmt))
-            # An init brace at namespace scope still carries the declarator:
-            # analyze it now so `Foo x = {...};` is seen.
-            if kind == "init" and current() == "namespace":
-                analyze("".join(stmt).rstrip().rstrip("=").rstrip(), stmt_line)
-            scopes.append(kind)
+            statement = "".join(stmt)
+            yield statement, stmt_line, tuple(scopes), "{"
+            scopes.append(_classify_scope(statement))
             stmt, has_sig = [], False
         elif ch == "}":
             if scopes:
                 scopes.pop()
             stmt, has_sig = [], False
         elif ch == ";":
-            analyze("".join(stmt), stmt_line)
+            yield "".join(stmt), stmt_line, tuple(scopes), ";"
             stmt, has_sig = [], False
         elif ch == ":" and "".join(stmt).strip() in ("public", "private",
                                                      "protected"):
@@ -370,6 +354,69 @@ def check_shard01_token(rel, raw_lines, stripped_lines, suppressed, findings):
                 stmt_line = line_no
                 has_sig = True
             stmt.append(ch)
+
+
+def check_shard01_token(rel, raw_lines, stripped_lines, suppressed, findings):
+    is_header = Path(rel).suffix in {".hpp", ".hh", ".h", ".ipp"}
+
+    def analyze(statement: str, at_line: int, current: str):
+        statement = re.sub(r"^(?:(?:public|private|protected)\s*:\s*)+", "",
+                           statement.strip())
+        if not statement:
+            return
+        if current == "namespace":
+            name = _flag_decl(statement)
+            if name and not is_suppressed(suppressed, at_line, "SHARD-01"):
+                findings.append(Finding(
+                    rel, at_line, "SHARD-01",
+                    f"mutable namespace-scope state '{name}': chip shards must "
+                    "share no mutable globals — make it const/constexpr or move "
+                    "it into the owning object", raw_lines[at_line - 1]))
+        elif is_header and current in ("function", "class", "block"):
+            sm = re.match(r"^static\b(?!\s+(?:const\b|constexpr\b))", statement)
+            if sm and "(" not in statement.split("=", 1)[0] \
+                    and not _DECL_SKIP_RE.search(statement.split("=", 1)[0].replace("static", "", 1)):
+                if not is_suppressed(suppressed, at_line, "SHARD-01"):
+                    findings.append(Finding(
+                        rel, at_line, "SHARD-01",
+                        "non-const static in a header: every includer shares one "
+                        "mutable instance across shards", raw_lines[at_line - 1]))
+
+    for statement, at_line, scopes, end in iter_statements(stripped_lines):
+        current = scopes[-1] if scopes else "namespace"
+        if end == ";":
+            analyze(statement, at_line, current)
+        elif _classify_scope(statement) == "init" and current == "namespace":
+            # An init brace at namespace scope still carries the declarator:
+            # analyze it now so `Foo x = {...};` is seen.
+            analyze(statement.rstrip().rstrip("=").rstrip(), at_line, current)
+
+
+def check_perf01_token(rel, raw_lines, stripped_lines, suppressed, findings):
+    for statement, at_line, scopes, _ in iter_statements(stripped_lines):
+        if "function" not in scopes:
+            continue
+        stmt = statement.strip()
+        m = FLAT_ID_MAP_DECL_RE.match(stmt)
+        if not m:
+            continue
+        # Skip the template argument list; a declarator name right after it
+        # is a new table (a reference or pointer alias is not).
+        depth, i = 0, m.end() - 1
+        while i < len(stmt):
+            depth += {"<": 1, ">": -1}.get(stmt[i], 0)
+            if depth == 0:
+                break
+            i += 1
+        dm = re.match(r"\s*([A-Za-z_]\w*)", stmt[i + 1:])
+        if dm and not is_suppressed(suppressed, at_line, "PERF-01"):
+            findings.append(Finding(
+                rel, at_line, "PERF-01",
+                f"function-local common::FlatIdMap '{dm.group(1)}': its table "
+                "is as long as the largest task id, so building one per call "
+                "zeroes memory for every id ever handed out — use "
+                "common::SmallIdMap, or keep the FlatIdMap as long-lived "
+                "owner state", raw_lines[at_line - 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +495,9 @@ def scan_file(path: Path, root: Path, engine) -> list[Finding]:
 
     if in_layer(rel, BARRIER_LAYERS):
         check_shard01_token(rel, raw_lines, stripped_lines, suppressed, findings)
+
+    if rel.startswith("src/") and path.suffix == ".cpp":
+        check_perf01_token(rel, raw_lines, stripped_lines, suppressed, findings)
 
     return findings
 
