@@ -10,12 +10,13 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "common/main_guard.hpp"
 #include "common/table.hpp"
 #include "model/extended_model.hpp"
 #include "model/trainer.hpp"
 #include "workloads/groups.hpp"
 
-int main() {
+int run_program() {
     using namespace synpa;
     bench::print_header("Ablation (SVI-A)",
                         "Three-category model vs fine-grained multi-category model");
@@ -67,3 +68,5 @@ int main() {
               << "x the 3-category error).\n";
     return 0;
 }
+
+int main() { return synpa::common::guarded_main(run_program); }

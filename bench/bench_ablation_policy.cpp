@@ -9,9 +9,10 @@
 #include <memory>
 
 #include "bench_common.hpp"
+#include "common/main_guard.hpp"
 #include "common/table.hpp"
 
-int main() {
+int run_program() {
     using namespace synpa;
     bench::print_header("Policy ablations",
                         "Selector / hysteresis / baseline sweep on be1, fe2, fb2");
@@ -90,3 +91,5 @@ int main() {
                  "near-tie oscillation that would otherwise pay migration costs.\n";
     return 0;
 }
+
+int main() { return synpa::common::guarded_main(run_program); }

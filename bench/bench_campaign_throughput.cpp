@@ -11,9 +11,10 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "common/main_guard.hpp"
 #include "common/table.hpp"
 
-int main() {
+int run_program() {
     using namespace synpa;
     bench::print_header("Campaign throughput",
                         "cells/second and serial-vs-parallel speedup of the engine");
@@ -85,3 +86,5 @@ int main() {
                  "per-rep policy construction.\n";
     return 0;
 }
+
+int main() { return synpa::common::guarded_main(run_program); }

@@ -6,11 +6,12 @@
 #include "apps/instance.hpp"
 #include "apps/spec_suite.hpp"
 #include "bench_common.hpp"
+#include "common/main_guard.hpp"
 #include "common/table.hpp"
 #include "model/categories.hpp"
 #include "uarch/chip.hpp"
 
-int main() {
+int run_program() {
     using namespace synpa;
     bench::print_header("Figure 2", "Characterization of cycles at the dispatch stage");
 
@@ -44,3 +45,5 @@ int main() {
                  "execution exactly, as in the paper's Figure 2 bars).\n";
     return 0;
 }
+
+int main() { return synpa::common::guarded_main(run_program); }

@@ -4,10 +4,11 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "common/main_guard.hpp"
 #include "common/table.hpp"
 #include "workloads/groups.hpp"
 
-int main() {
+int run_program() {
     using namespace synpa;
     bench::print_header("Figure 4",
                         "Characterization of the applications in isolated execution");
@@ -33,3 +34,5 @@ int main() {
                  ">35% FE stalls; Others span ~20% (hmmer) to ~61% (nab_r) full dispatch.\n";
     return 0;
 }
+
+int main() { return synpa::common::guarded_main(run_program); }

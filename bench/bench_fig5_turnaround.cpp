@@ -13,10 +13,11 @@
 #include <map>
 
 #include "bench_common.hpp"
+#include "common/main_guard.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 
-int main() {
+int run_program() {
     using namespace synpa;
     bench::print_header("Figure 5",
                         "Speedup of the turnaround time over Linux, 20 workloads");
@@ -65,3 +66,5 @@ int main() {
     std::cout << "expected ordering (paper): fb > be > fe, all >= 1\n";
     return 0;
 }
+
+int main() { return synpa::common::guarded_main(run_program); }

@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "bench_common.hpp"
+#include "common/main_guard.hpp"
 #include "common/table.hpp"
 #include "core/synpa_policy.hpp"
 #include "model/trainer.hpp"
@@ -11,7 +12,7 @@
 #include "workloads/groups.hpp"
 #include "workloads/methodology.hpp"
 
-int main() {
+int run_program() {
     using namespace synpa;
     bench::print_header("Figure 6",
                         "Per-application characterization under Linux vs SYNPA "
@@ -68,3 +69,5 @@ int main() {
                  "the slowest applications.\n";
     return 0;
 }
+
+int main() { return synpa::common::guarded_main(run_program); }

@@ -4,6 +4,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "common/main_guard.hpp"
 #include "common/table.hpp"
 #include "core/synpa_policy.hpp"
 #include "model/trainer.hpp"
@@ -11,7 +12,7 @@
 #include "workloads/groups.hpp"
 #include "workloads/methodology.hpp"
 
-int main() {
+int run_program() {
     using namespace synpa;
     bench::print_header("Figure 7",
                         "Dynamic characterization of the two leela_r of fb2 "
@@ -78,3 +79,5 @@ int main() {
                  "leela's phase (backend phases get frontend-ish partners).\n";
     return 0;
 }
+
+int main() { return synpa::common::guarded_main(run_program); }

@@ -7,10 +7,11 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "common/main_guard.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 
-int main() {
+int run_program() {
     using namespace synpa;
     bench::print_header("Figure 8", "Fairness comparison of Linux and SYNPA");
 
@@ -54,3 +55,5 @@ int main() {
                  "mixed workloads and smallest on the frontend-intensive ones.\n";
     return 0;
 }
+
+int main() { return synpa::common::guarded_main(run_program); }

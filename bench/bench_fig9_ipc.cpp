@@ -5,10 +5,11 @@
 #include <map>
 
 #include "bench_common.hpp"
+#include "common/main_guard.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 
-int main() {
+int run_program() {
     using namespace synpa;
     bench::print_header("Figure 9", "Speedup of IPC (geomean) over Linux");
 
@@ -50,3 +51,5 @@ int main() {
                  "equalizing progress (fairness) and shortening the critical path.\n";
     return 0;
 }
+
+int main() { return synpa::common::guarded_main(run_program); }

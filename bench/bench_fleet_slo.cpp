@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "common/main_guard.hpp"
 #include "common/table.hpp"
 #include "exp/fleet_grid.hpp"
 #include "fleet/metrics.hpp"
@@ -47,7 +48,7 @@ std::vector<std::string> split_list(const std::string& raw) {
 
 }  // namespace
 
-int main() {
+int run_program() {
     using namespace synpa;
     bench::print_header("Fleet SLO sweep",
                         "SLO-class serving across N platforms: tail latency by "
@@ -221,3 +222,5 @@ int main() {
               << "  (wall " << result.wall_seconds << " s)\n";
     return ok ? 0 : 1;
 }
+
+int main() { return synpa::common::guarded_main(run_program); }

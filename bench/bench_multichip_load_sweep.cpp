@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "common/main_guard.hpp"
 #include "common/table.hpp"
 #include "exp/scenario_grid.hpp"
 #include "scenario/scenario.hpp"
@@ -42,7 +43,7 @@ std::vector<int> int_list(const char* env, const char* fallback) {
 
 }  // namespace
 
-int main() {
+int run_program() {
     using namespace synpa;
     bench::print_header("Multi-chip load sweep",
                         "1 -> 4 chips at SMT-2/SMT-4: topology-aware SYNPA vs baselines");
@@ -158,3 +159,5 @@ int main() {
                  "on a large share of its migrations.  wall " << wall << " s\n";
     return synpa_beats_random_everywhere && drained ? 0 : 1;
 }
+
+int main() { return synpa::common::guarded_main(run_program); }

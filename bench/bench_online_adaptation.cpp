@@ -37,6 +37,7 @@
 
 #include "apps/spec_suite.hpp"
 #include "bench_common.hpp"
+#include "common/main_guard.hpp"
 #include "common/table.hpp"
 #include "exp/scenario_grid.hpp"
 #include "scenario/scenario.hpp"
@@ -54,7 +55,7 @@ std::vector<std::string> split_list(const std::string& raw) {
 
 }  // namespace
 
-int main() {
+int run_program() {
     using namespace synpa;
     bench::print_header("Online adaptation sweep",
                         "Phase-switching open system: adaptive vs frozen-model SYNPA");
@@ -174,3 +175,5 @@ int main() {
     const bool strict = common::env_int("SYNPA_BENCH_STRICT", 1) != 0;
     return pass || !strict ? 0 : 1;
 }
+
+int main() { return synpa::common::guarded_main(run_program); }

@@ -3,10 +3,11 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "common/main_guard.hpp"
 #include "common/table.hpp"
 #include "uarch/sim_config.hpp"
 
-int main() {
+int run_program() {
     using namespace synpa;
     bench::print_header("Table II", "Simulated platform configuration");
     const uarch::SimConfig cfg = uarch::SimConfig::from_env();
@@ -40,3 +41,5 @@ int main() {
                  "structure sizes match the paper's Table II exactly.\n";
     return 0;
 }
+
+int main() { return synpa::common::guarded_main(run_program); }

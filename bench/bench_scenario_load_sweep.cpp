@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "common/main_guard.hpp"
 #include "common/table.hpp"
 #include "exp/scenario_grid.hpp"
 #include "scenario/scenario.hpp"
@@ -42,7 +43,7 @@ std::vector<double> load_levels() {
 
 }  // namespace
 
-int main() {
+int run_program() {
     using namespace synpa;
     bench::print_header("Scenario load sweep",
                         "Open-system arrivals: SYNPA vs random vs no-migration");
@@ -143,3 +144,5 @@ int main() {
         }
     return drained ? 0 : 1;
 }
+
+int main() { return synpa::common::guarded_main(run_program); }

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "common/main_guard.hpp"
 #include "common/table.hpp"
 #include "workloads/groups.hpp"
 
@@ -28,7 +29,7 @@ const char* paper_group(const std::string& app) {
 
 }  // namespace
 
-int main() {
+int run_program() {
     using namespace synpa;
     bench::print_header("Table III",
                         "Benchmark grouping by backend/frontend dispatch-stall fraction");
@@ -58,3 +59,5 @@ int main() {
               << "\n";
     return 0;
 }
+
+int main() { return synpa::common::guarded_main(run_program); }

@@ -11,11 +11,12 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "common/main_guard.hpp"
 #include "common/table.hpp"
 #include "model/trainer.hpp"
 #include "workloads/groups.hpp"
 
-int main() {
+int run_program() {
     using namespace synpa;
     bench::print_header("Table IV",
                         "Model coefficients per category + fit MSE (22 training apps)");
@@ -64,3 +65,5 @@ int main() {
                  "frontend 0.0703, backend 0.1583 — backend is the noisiest there too)\n";
     return 0;
 }
+
+int main() { return synpa::common::guarded_main(run_program); }

@@ -9,10 +9,11 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "common/main_guard.hpp"
 #include "common/table.hpp"
 #include "metrics/metrics.hpp"
 
-int main() {
+int run_program() {
     using namespace synpa;
     bench::print_header("Table V", "Pair-selection percentages in fb2 under SYNPA");
 
@@ -69,3 +70,5 @@ int main() {
                  "paired cross-group (the synergistic rate; paper reports 70-97%).\n";
     return 0;
 }
+
+int main() { return synpa::common::guarded_main(run_program); }

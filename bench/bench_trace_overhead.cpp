@@ -22,6 +22,7 @@
 
 #include "bench_common.hpp"
 #include "common/config.hpp"
+#include "common/main_guard.hpp"
 #include "common/table.hpp"
 #include "model/interference_model.hpp"
 #include "obs/trace.hpp"
@@ -94,7 +95,7 @@ ModeResult measure(int reps, MakeTracer make_tracer) {
 
 }  // namespace
 
-int main() {
+int run_program() {
     bench::print_header("trace overhead",
                         "flight-recorder cost: off within noise, on <= 5%");
     const int reps = static_cast<int>(
@@ -150,3 +151,5 @@ int main() {
     std::cout << "PASS: tracing-off within noise, tracing-on within 5%\n";
     return 0;
 }
+
+int main() { return synpa::common::guarded_main(run_program); }

@@ -9,12 +9,13 @@
 
 #include "apps/instance.hpp"
 #include "apps/spec_suite.hpp"
+#include "common/main_guard.hpp"
 #include "common/table.hpp"
 #include "model/categories.hpp"
 #include "pmu/perf_session.hpp"
 #include "uarch/chip.hpp"
 
-int main(int argc, char** argv) {
+int run_program(int argc, char** argv) {
     using namespace synpa;
     const std::string name = argc > 1 ? argv[1] : "leela_r";
     const int quanta = argc > 2 ? std::atoi(argv[2]) : 30;
@@ -62,4 +63,8 @@ int main(int argc, char** argv) {
               << total.categories[1] << " / " << total.categories[2] << "\n\n";
     timeline.print(std::cout);
     return 0;
+}
+
+int main(int argc, char** argv) {
+    return synpa::common::guarded_main([&] { return run_program(argc, argv); });
 }

@@ -21,12 +21,13 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/main_guard.hpp"
 #include "common/table.hpp"
 #include "exp/campaign.hpp"
 #include "sched/baselines.hpp"
 #include "uarch/sim_config.hpp"
 
-int main(int argc, char** argv) {
+int run_program(int argc, char** argv) {
     using namespace synpa;
     std::vector<std::string> names;
     for (int i = 1; i < argc; ++i) names.emplace_back(argv[i]);
@@ -96,4 +97,8 @@ int main(int argc, char** argv) {
     std::cout << "read: cell (r, c) = slowdown application r suffers when it shares an SMT\n"
                  "core with application c (isolated cycles for the same work / SMT cycles).\n";
     return 0;
+}
+
+int main(int argc, char** argv) {
+    return synpa::common::guarded_main([&] { return run_program(argc, argv); });
 }

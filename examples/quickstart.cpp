@@ -7,6 +7,7 @@
 #include <iostream>
 #include <memory>
 
+#include "common/main_guard.hpp"
 #include "core/synpa_policy.hpp"
 #include "model/trainer.hpp"
 #include "sched/baselines.hpp"
@@ -14,7 +15,7 @@
 #include "workloads/groups.hpp"
 #include "workloads/methodology.hpp"
 
-int main() {
+int run_program() {
     using namespace synpa;
 
     // The simulated ThunderX2-class chip (Table II parameters, scaled time).
@@ -57,3 +58,5 @@ int main() {
     }
     return 0;
 }
+
+int main() { return synpa::common::guarded_main(run_program); }

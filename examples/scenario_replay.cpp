@@ -15,6 +15,7 @@
 #include <memory>
 
 #include "common/config.hpp"
+#include "common/main_guard.hpp"
 #include "common/table.hpp"
 #include "obs/trace.hpp"
 #include "scenario/runner.hpp"
@@ -22,7 +23,7 @@
 #include "sched/registry.hpp"
 #include "uarch/platform.hpp"
 
-int main() {
+int run_program() {
     using namespace synpa;
 
     const uarch::SimConfig cfg = uarch::SimConfig::from_env();
@@ -117,3 +118,5 @@ int main() {
     }
     return 0;
 }
+
+int main() { return synpa::common::guarded_main(run_program); }

@@ -9,6 +9,7 @@
 
 #include "apps/instance.hpp"
 #include "apps/spec_suite.hpp"
+#include "common/main_guard.hpp"
 #include "common/table.hpp"
 #include "model/trainer.hpp"
 #include "pmu/events.hpp"
@@ -42,7 +43,7 @@ std::pair<double, double> measure_pair(const std::string& a, const std::string& 
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run_program(int argc, char** argv) {
     std::vector<std::string> training;
     for (int i = 1; i < argc; ++i) training.emplace_back(argv[i]);
     if (training.empty()) training = workloads::training_apps();
@@ -83,4 +84,8 @@ int main(int argc, char** argv) {
     }
     table.print(std::cout);
     return 0;
+}
+
+int main(int argc, char** argv) {
+    return synpa::common::guarded_main([&] { return run_program(argc, argv); });
 }

@@ -11,6 +11,7 @@
 #include <memory>
 #include <string>
 
+#include "common/main_guard.hpp"
 #include "common/table.hpp"
 #include "core/synpa_policy.hpp"
 #include "model/trainer.hpp"
@@ -19,7 +20,7 @@
 #include "workloads/groups.hpp"
 #include "workloads/methodology.hpp"
 
-int main(int argc, char** argv) {
+int run_program(int argc, char** argv) {
     using namespace synpa;
     const std::string workload_name = argc > 1 ? argv[1] : "fb2";
     const int reps = argc > 2 ? std::atoi(argv[2]) : 1;
@@ -81,4 +82,8 @@ int main(int argc, char** argv) {
     }
     table.print(std::cout);
     return 0;
+}
+
+int main(int argc, char** argv) {
+    return synpa::common::guarded_main([&] { return run_program(argc, argv); });
 }

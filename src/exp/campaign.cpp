@@ -103,6 +103,7 @@ CampaignResult CampaignRunner::run(const Campaign& campaign,
                                    const std::vector<Aggregator*>& aggregators) {
     const auto start = GridEngine::Clock::now();
     if (campaign.configs.empty()) throw std::invalid_argument("campaign: no configs");
+    campaign.methodology.validate();
     const std::vector<PolicySpec> policies = policy_axis(campaign.policies, campaign.policy_names);
     if (policies.empty()) throw std::invalid_argument("campaign: no policies");
 

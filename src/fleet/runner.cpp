@@ -173,6 +173,15 @@ FleetResult FleetRunner::run() {
     std::vector<FleetNode::StepResult> steps(
         static_cast<std::size_t>(fleet_.node_count()));
     std::uint64_t quantum = 0;
+    // Fleet nodes run untraced node loops, so a traced fleet publishes the
+    // nodes' summed cycle counts itself.
+    const auto fleet_cycles = [this] {
+        uarch::CycleCounts sum;
+        for (int n = 0; n < fleet_.node_count(); ++n)
+            sum += fleet_.node(n).platform().cycle_counts();
+        return sum;
+    };
+    uarch::CycleCounts published = fleet_cycles();
 
     while (quantum < opts_.max_quanta) {
         enqueue_arrivals(quantum);
@@ -205,6 +214,11 @@ FleetResult FleetRunner::run() {
         }
         if (pool_ != nullptr) pool_->wait_idle();
         qstats.simulate_us = sw.lap_us();
+        if (tracer_ != nullptr) {
+            const uarch::CycleCounts now = fleet_cycles();
+            sched::publish_cycle_counts(tracer_->metrics(), published, now);
+            published = now;
+        }
 
         // Fold: retirements, counters and trace events in node order.
         double aggregate_ipc = 0.0;

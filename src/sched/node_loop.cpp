@@ -167,10 +167,7 @@ NodeLoop::Report NodeLoop::step(std::uint64_t quantum, Lifecycle& life, int queu
     platform_.run_quantum();
     qs.simulate_us = sw.lap_us();
     if (tracer_ != nullptr) {
-        const uarch::CycleCounts after = platform_.cycle_counts();
-        obs::MetricsRegistry& m = tracer_->metrics();
-        m.counter("uarch.cycles_ticked").add(after.ticked - before.ticked);
-        m.counter("uarch.cycles_skipped").add(after.skipped - before.skipped);
+        publish_cycle_counts(tracer_->metrics(), before, platform_.cycle_counts());
     }
 
     Report report;
@@ -288,6 +285,13 @@ void NodeLoop::emit(obs::EventKind kind, std::uint64_t quantum, int task, int co
                        .core = core,
                        .value = value,
                        .detail = app});
+}
+
+void publish_cycle_counts(obs::MetricsRegistry& m, const uarch::CycleCounts& before,
+                          const uarch::CycleCounts& after) {
+    m.counter("uarch.cycles_ticked").add(after.ticked - before.ticked);
+    m.counter("uarch.cycles_skipped").add(after.skipped - before.skipped);
+    m.counter("uarch.cycles_jumped").add(after.jumped - before.jumped);
 }
 
 }  // namespace synpa::sched

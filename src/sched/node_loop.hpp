@@ -131,4 +131,10 @@ private:
     std::vector<Resident> residents_;  ///< stable slot order
 };
 
+/// Adds the simulator's work between two readings of a platform's (or a
+/// fleet's summed) cycle counts to `m`: uarch.cycles_ticked,
+/// uarch.cycles_skipped and uarch.cycles_jumped.
+void publish_cycle_counts(obs::MetricsRegistry& m, const uarch::CycleCounts& before,
+                          const uarch::CycleCounts& after);
+
 }  // namespace synpa::sched

@@ -146,6 +146,14 @@ std::uint64_t SmtCore::trigger_backend_episode(ThreadContext& t, double be_p,
 /// (fetch, dispatch priority) is matched against each constant in turn.
 template <int W, int... I>
 struct SmtCore::LaneState<W, std::integer_sequence<int, I...>> {
+    // The steady stretch's units (see steady<L>): 2^-51, the spacing of the
+    // doubles in [2, 4).
+    static constexpr int kUnitBits = 51;
+    static constexpr std::uint64_t kOne = std::uint64_t{1} << kUnitBits;  ///< 1.0 in units
+    static constexpr double kPerUnit = static_cast<double>(kOne);  ///< units per 1.0
+    static constexpr std::uint64_t kNoSteady = std::numeric_limits<std::uint64_t>::max();
+    /// The longest steady stretch: 2^12 R <= 2^63 keeps C + nR in 64 bits.
+    static constexpr std::uint64_t kMaxSteady = 4096;
 
     /// One lane: the bound slot's ThreadContext state, copied in by load;
     /// the event-gap probabilities (with their precomputed
@@ -162,6 +170,7 @@ struct SmtCore::LaneState<W, std::integer_sequence<int, I...>> {
         double dispatch_demand = 0.0;
 
         bool bound = false;
+        std::uint64_t steady_rate = kNoSteady;  ///< (demand - 2) in units, see steady<L>
         double fe_p = 0.0, fe_log = 0.0;  ///< frontend event probability per inst
         double be_p = 0.0, be_log = 0.0;  ///< backend episode probability per inst
 
@@ -190,6 +199,12 @@ struct SmtCore::LaneState<W, std::integer_sequence<int, I...>> {
         }
         load<L>();
         l.dispatch_demand = t.rates.dispatch_demand;
+        // The steady stretch needs a demand in [2, 3], and a core that grants
+        // floor(credit + demand) <= 3 from a buffer that fetch keeps at 3 or
+        // more: fetch, buffer and dispatch widths of 3 or more.
+        if (l.dispatch_demand >= 2.0 && l.dispatch_demand <= 3.0 && fetch_width >= 3 &&
+            entries >= 3 && width >= 3)
+            l.steady_rate = static_cast<std::uint64_t>((l.dispatch_demand - 2.0) * kPerUnit);
         l.fe_p = std::max(t.rates.p_branch + t.rates.p_icache, 1e-9);
         l.fe_log = common::Rng::geometric_log(l.fe_p);
         l.be_p = std::max(t.rates.p_episode, 1e-9);
@@ -236,12 +251,28 @@ struct SmtCore::LaneState<W, std::integer_sequence<int, I...>> {
         icache_busy = core.icache_busy_;
     }
 
-    /// How many cycles from now are certainly idle (see the file comment);
-    /// 0 when the next cycle may fetch or dispatch, UINT64_MAX when no lane
-    /// is bound.
-    std::uint64_t idle_cycles() const noexcept {
-        std::uint64_t k = std::numeric_limits<std::uint64_t>::max();
-        return (busy<I>(k) || ...) ? 0 : k;
+    /// What the next cycle may do: how many lanes are busy (busy<L>), the
+    /// last of them, and how many cycles from now every other lane stays
+    /// quiet (UINT64_MAX when none is bound).
+    struct Outlook {
+        int busy = 0;
+        int lane = 0;
+        std::uint64_t quiet = std::numeric_limits<std::uint64_t>::max();
+    };
+    [[gnu::always_inline]] Outlook outlook() const noexcept {
+        Outlook o;
+        (outlook<I>(o), ...);
+        return o;
+    }
+    template <int L>
+    [[gnu::always_inline]] void outlook(Outlook& o) const noexcept {
+        std::uint64_t k = o.quiet;
+        if (busy<L>(k)) {
+            ++o.busy;
+            o.lane = L;
+        } else {
+            o.quiet = k;
+        }
     }
     /// Whether lane L may fetch or dispatch next cycle; otherwise caps `k`
     /// at the cycles until it may.  A lane can fetch in the cycle its
@@ -264,11 +295,17 @@ struct SmtCore::LaneState<W, std::integer_sequence<int, I...>> {
         return false;
     }
 
-    /// Applies `k` idle cycles, k <= idle_cycles(): exactly what k idle
-    /// cycles stepped one at a time do.  Nothing is fetched or granted, so
-    /// each bound lane counts k cycles of its stall and its timers run down.
+    /// Applies `k` idle cycles, k <= outlook().quiet with no lane busy:
+    /// exactly what k idle cycles stepped one at a time do.  Nothing is
+    /// fetched or granted, so each bound lane counts k cycles of its stall
+    /// and its timers run down.
     void skip(std::uint64_t k) noexcept {
         (skip<I>(k), ...);
+        pass(k);
+    }
+    /// The core's part of k cycles that trigger no event: the ICache port
+    /// runs down and dispatch priority moves one lane per cycle.
+    [[gnu::always_inline]] void pass(std::uint64_t k) noexcept {
         icache_busy = run_down(icache_busy, k);
         constexpr auto w = static_cast<std::uint64_t>(W);
         dispatch_pri = static_cast<int>((static_cast<std::uint64_t>(dispatch_pri) + k % w) % w);
@@ -298,6 +335,98 @@ struct SmtCore::LaneState<W, std::integer_sequence<int, I...>> {
             l.dispatch_credit = credit;
         }
         l.fe_stall = run_down(l.fe_stall, k);
+    }
+
+    /// Applies up to `cap` cycles, cap <= outlook().quiet, in which lane
+    /// `busy` is the only busy lane, in closed form (see steady<L>); the
+    /// other lanes pass them as idle.  Returns how many, 0 when the next
+    /// cycle must be stepped.
+    [[gnu::always_inline]] std::uint64_t jump(int busy, std::uint64_t cap) noexcept {
+        std::uint64_t n = 0;
+        static_cast<void>(((busy == I && (n = steady<I>(cap), true)) || ...));
+        if (n == 0) return 0;
+        ((I != busy ? skip<I>(n) : void()), ...);
+        pass(n);
+        return n;
+    }
+
+    /// Lane L's steady stretch: up to `cap` cycles (cap <= outlook().quiet,
+    /// so no other lane fetches or dispatches) in which L fetches and
+    /// dispatches undisturbed, applied in one step.  L qualifies with no
+    /// backend stall, a frontend stall that ends in the next cycle, both
+    /// event distances drawn, a demand d in [2, 3] and a credit c in
+    /// [0, 1).  In units of 2^-51, the spacing of the doubles in [2, 4),
+    /// c is an integer C and d - 2 an integer R, and every sum c + d stays
+    /// below 4 and is exact: the credit after n cycles is
+    /// ((C + nR) mod 2^51) units, and the n cycles grant
+    /// G(n) = 2n + floor((C + nR) / 2^51), floor(c + d) in {2, 3} each, so
+    /// no stall is counted.  The fetch port refills the buffer b0 up to E
+    /// entries at fetch width fw (>= 3, so dispatch never waits on it): it
+    /// fetches F(n) = min(fw n, E - b0 + G(n-1)).  The stretch ends before
+    /// the grant that reaches insts_until_be and after the fetch that
+    /// reaches insts_until_fe at the latest, so no event fires and no
+    /// random number is drawn inside it; it also ends at kMaxSteady cycles,
+    /// which keeps nR within 64 bits.
+    template <int L>
+    [[gnu::always_inline]] std::uint64_t steady(std::uint64_t cap) noexcept {
+        Lane& l = lanes[L];
+        const double c = l.dispatch_credit;
+        if (!(c < 1.0) || l.fe_stall > 1 || l.be_stall != 0 || l.steady_rate == kNoSteady ||
+            l.insts_until_fe < 0 || l.insts_until_be < 0 || !(c >= 0.0))
+            return 0;
+        const double c_units = c * kPerUnit;
+        const auto C = static_cast<std::uint64_t>(c_units);
+        if (static_cast<double>(C) != c_units) return 0;
+        const std::uint64_t R = l.steady_rate;
+        const double d = l.dispatch_demand;
+        const auto grants = [C, R](std::uint64_t n) {
+            return static_cast<std::int64_t>(2 * n + ((C + n * R) >> kUnitBits));
+        };
+        // The largest n <= most with grants(n) < t, i.e. n d + c < t: a
+        // double estimate, corrected against the exact count.
+        const auto most_below = [&](std::int64_t t, std::uint64_t most) {
+            if (t <= 0) return std::uint64_t{0};
+            const double est = std::ceil((static_cast<double>(t) - c) / d) - 1.0;
+            std::uint64_t n = est <= 0.0                              ? 0
+                              : est >= static_cast<double>(most) ? most
+                                                                 : static_cast<std::uint64_t>(est);
+            while (n > 0 && grants(n) >= t) --n;
+            while (n < most && grants(n + 1) < t) ++n;
+            return n;
+        };
+        const std::int64_t b0 = l.fetch_buffer;
+        const std::int64_t fw = fetch_width;
+        const std::int64_t room = entries - b0;
+        const auto fetched = [&](std::uint64_t n) {
+            return std::min(fw * static_cast<std::int64_t>(n), room + grants(n - 1));
+        };
+        std::uint64_t n = most_below(l.insts_until_be, std::min(cap, kMaxSteady));
+        if (n == 0) return 0;
+        if (fetched(n) > l.insts_until_fe) {
+            // Cut at the last cycle whose fetch fits: fw n fits, or the
+            // buffer's refill does.
+            const std::int64_t refill_left = l.insts_until_fe - room;
+            n = std::max(static_cast<std::uint64_t>(l.insts_until_fe / fw),
+                         refill_left < 0 ? 0 : most_below(refill_left + 1, n - 1) + 1);
+            if (n == 0) return 0;
+        }
+
+        const std::int64_t g = grants(n);
+        const std::int64_t g_prev = grants(n - 1);
+        const std::int64_t f = fetched(n);
+        l.fetch_buffer = static_cast<int>(
+            std::min<std::int64_t>(entries, b0 + fw * static_cast<std::int64_t>(n) - g_prev) -
+            (g - g_prev));
+        l.fe_stall = 0;
+        l.insts_until_fe -= f;
+        l.insts_until_be -= g;
+        l.dispatch_credit = static_cast<double>((C + n * R) & (kOne - 1)) / kPerUnit;
+        l.granted += static_cast<std::uint64_t>(g);
+        if (f > 0) {
+            fetch_rr = L + 1 == W ? 0 : L + 1;
+            if constexpr (W == 1) l.fetched = true;
+        }
+        return n;
     }
 
     /// The start of a busy cycle: the ICache port and every frontend stall
@@ -424,7 +553,7 @@ struct SmtCore::LaneState<W, std::integer_sequence<int, I...>> {
         store();
         core.fetch_rr_ = fetch_rr;
         core.dispatch_pri_ = dispatch_pri;
-        core.cycles_ += CycleCounts{.ticked = ticked, .skipped = skipped};
+        core.cycles_ += CycleCounts{.ticked = ticked, .skipped = skipped, .jumped = jumped};
         (close<I>(cycles), ...);
     }
     template <int L>
@@ -452,6 +581,7 @@ struct SmtCore::LaneState<W, std::integer_sequence<int, I...>> {
     int dispatch_pri;
     std::uint64_t ticked = 0;
     std::uint64_t skipped = 0;
+    std::uint64_t jumped = 0;
     const int entries;
     const int fetch_width;
     const int width;
@@ -463,12 +593,24 @@ std::uint64_t SmtCore::advance_ways(std::uint64_t cycles, bool bulk, bool* fetch
     LaneState<W> l(*this);
     std::uint64_t mem_accesses = 0;
     for (std::uint64_t left = cycles; left > 0;) {
-        const std::uint64_t k = bulk ? std::min(l.idle_cycles(), left) : 0;
-        if (k > 0) {
-            l.skip(k);
-            l.skipped += k;
-            left -= k;
-            continue;
+        if (bulk) {
+            const auto o = l.outlook();
+            const std::uint64_t cap = std::min(o.quiet, left);
+            if (o.busy == 0) {
+                l.skip(cap);
+                l.skipped += cap;
+                left -= cap;
+                continue;
+            }
+            if (o.busy == 1) {
+                // A stretch cut short of `cap` ends before an event (or at
+                // the length cap), so the cycle after it is stepped.
+                const std::uint64_t n = l.jump(o.lane, cap);
+                l.ticked += n;
+                l.jumped += n;
+                left -= n;
+                if (n == cap) continue;
+            }
         }
         // The busy cycle.
         l.count_down();

@@ -13,14 +13,25 @@
 //    EffectiveRates, computed by the chip).
 //
 // tick() is one busy cycle, the reference.  run(n) equals n tick() calls
-// bit for bit but takes two shortcuts:
-//  * idle stretches in one step: while no bound slot can fetch (each is
-//    frontend-stalled or holds a full fetch buffer) and none can dispatch
-//    (each is backend-stalled or has an empty fetch buffer), a cycle draws
-//    no random number and only moves stall timers, stall counters,
-//    dispatch credit and the dispatch-priority rotator, all of which
-//    advance in closed form.  A core with no bound slot is idle for the
-//    whole call;
+// bit for bit but takes three shortcuts.  Before each cycle it folds over
+// the bound slots once: how many are busy (may fetch next cycle: not
+// frontend-stalled past it and room in the fetch buffer; or may dispatch:
+// not backend-stalled and a non-empty buffer), and how many cycles every
+// other slot stays quiet.
+//  * no busy slot: the idle stretch in one step.  An idle cycle draws no
+//    random number and only moves stall timers, stall counters, dispatch
+//    credit and the dispatch-priority rotator, all of which advance in
+//    closed form.  A core with no bound slot is idle for the whole call;
+//  * exactly one busy slot, in the steady class: its stretch in closed
+//    form, the other slots passing it as idle.  The slot qualifies with
+//    no backend stall, a frontend stall that ends next cycle, both event
+//    distances drawn, a demand d in [2, 3] and a credit c in [0, 1) on a
+//    core that fetches, buffers and dispatches at least 3.  In units of
+//    2^-51 (the spacing of the doubles in [2, 4)) c and d are integers
+//    and every c + d < 4 is exact, so the n cycles' grants, fetches,
+//    buffer and credit are integer formulas.  The stretch stops before
+//    any event (no random number is drawn inside it), at the quiet
+//    horizon and at 4096 cycles;
 //  * a core with exactly one bound slot runs on the width-1 loop, whose
 //    rotators never move, and afterwards catches the rotators up to where
 //    the configured width would have left them.
@@ -54,15 +65,18 @@
 namespace synpa::uarch {
 
 /// Core-cycles SmtCore stepped as busy cycles and core-cycles it applied
-/// in bulk as idle.  Deterministic work: both depend only on the
-/// simulated state, never on the host.
+/// in bulk as idle; `jumped` is the part of `ticked` run() applied in
+/// closed form as one lane's steady stretch.  Deterministic work: all three
+/// depend only on the simulated state, never on the host.
 struct CycleCounts {
     std::uint64_t ticked = 0;
     std::uint64_t skipped = 0;
+    std::uint64_t jumped = 0;
 
     CycleCounts& operator+=(const CycleCounts& o) noexcept {
         ticked += o.ticked;
         skipped += o.skipped;
+        jumped += o.jumped;
         return *this;
     }
 };

@@ -1,7 +1,9 @@
 #include "workloads/methodology.hpp"
 
+#include <cmath>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <utility>
 
@@ -59,10 +61,29 @@ TargetProfile profile_target(const std::string& app_name, const uarch::SimConfig
     return result;
 }
 
+void require(bool ok, const char* field, const char* rule, const std::string& got) {
+    if (!ok)
+        throw std::invalid_argument(std::string("MethodologyOptions::") + field + " must be " +
+                                    rule + ", got " + got);
+}
+
 }  // namespace
+
+const MethodologyOptions& MethodologyOptions::validate() const {
+    // Unsigned fields read back as signed so a wrapped negative is caught.
+    const auto as_signed = [](std::uint64_t v) { return static_cast<std::int64_t>(v); };
+    require(reps >= 1, "reps", ">= 1", std::to_string(reps));
+    require(as_signed(target_isolated_quanta) > 0, "target_isolated_quanta", "> 0",
+            std::to_string(as_signed(target_isolated_quanta)));
+    require(as_signed(max_quanta) > 0, "max_quanta", "> 0", std::to_string(as_signed(max_quanta)));
+    require(!std::isnan(cv_limit) && cv_limit >= 0.0, "cv_limit", ">= 0",
+            std::to_string(cv_limit));
+    return *this;
+}
 
 PreparedWorkload prepare_workload(const WorkloadSpec& spec, const uarch::SimConfig& cfg,
                                   const MethodologyOptions& opts, int rep) {
+    opts.validate();
     if (spec.app_names.size() != static_cast<std::size_t>(cfg.num_chips) *
                                      static_cast<std::size_t>(cfg.cores) *
                                      static_cast<std::size_t>(cfg.smt_ways))
@@ -90,6 +111,7 @@ sched::RunResult run_workload_once(const PreparedWorkload& prepared,
                                    const uarch::SimConfig& cfg,
                                    sched::AllocationPolicy& policy,
                                    const MethodologyOptions& opts) {
+    opts.validate();
     uarch::Platform platform(cfg);
     sched::ThreadManager manager(platform, policy, prepared.tasks,
                                  {.max_quanta = opts.max_quanta,

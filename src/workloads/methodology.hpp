@@ -43,6 +43,15 @@ struct MethodologyOptions {
     /// null).  Campaign drivers derive a per-cell tracer from SYNPA_TRACE_*
     /// instead of sharing one across parallel cells.
     obs::Tracer* tracer = nullptr;
+
+    /// Throws std::invalid_argument naming `MethodologyOptions::<field>`
+    /// for reps < 1, a target_isolated_quanta or max_quanta that is zero or
+    /// a wrapped negative, or a NaN or negative cv_limit (an infinite one
+    /// never discards); returns
+    /// *this.  prepare_workload, run_workload_once and
+    /// exp::CampaignRunner::run (which run_workload and compare_policies
+    /// go through) call it before any simulation.
+    const MethodologyOptions& validate() const;
 };
 
 /// Fresh policy per repetition (policies hold run state).

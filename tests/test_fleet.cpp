@@ -487,6 +487,20 @@ TEST_P(FleetPolicyTest, RunsDeterministicallyWithConservation) {
 
         if (run == 1) {
             const obs::MetricsRegistry& m = tracer.metrics();
+            // The nodes' cycle counters cover every node core-cycle.
+            const obs::Counter* ticked = m.find_counter("uarch.cycles_ticked");
+            const obs::Counter* skipped = m.find_counter("uarch.cycles_skipped");
+            const obs::Counter* jumped = m.find_counter("uarch.cycles_jumped");
+            ASSERT_NE(ticked, nullptr);
+            ASSERT_NE(skipped, nullptr);
+            ASSERT_NE(jumped, nullptr);
+            const uarch::SimConfig cfg = node_config();
+            EXPECT_EQ(ticked->value() + skipped->value(),
+                      static_cast<std::uint64_t>(result.nodes) *
+                          static_cast<std::uint64_t>(cfg.num_chips * cfg.cores) *
+                          cfg.cycles_per_quantum * result.quanta_executed)
+                << info.name;
+            EXPECT_LE(jumped->value(), ticked->value()) << info.name;
             ASSERT_NE(m.find_counter("fleet.admissions"), nullptr);
             EXPECT_EQ(m.find_counter("fleet.admissions")->value(),
                       result.admissions);

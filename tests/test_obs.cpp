@@ -15,6 +15,7 @@
 //     deterministic cycle counters cover every simulated core-cycle.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <fstream>
 #include <iterator>
@@ -498,18 +499,22 @@ TEST(TraceExport, FinishExportsTheMetricsRegistry) {
 
 TEST(TraceExport, CycleCountersCoverEveryCoreCycleAtEveryThreadCount) {
     // uarch.cycles_ticked + uarch.cycles_skipped account for every simulated
-    // core-cycle (chips x cores x cycles_per_quantum x quanta), and both are
-    // deterministic work: the same at SYNPA_SIM_THREADS 1 and 4.
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> seen;
+    // core-cycle (chips x cores x cycles_per_quantum x quanta), and
+    // uarch.cycles_jumped, the ticked cycles applied as steady stretches, is
+    // part of the ticked ones.  All three are deterministic work: the same
+    // at SYNPA_SIM_THREADS 1 and 4.
+    std::vector<std::array<std::uint64_t, 3>> seen;
     for (const int threads : {1, 4}) {
         obs::Tracer tracer(memory_trace_config());
         run_closed(4, 2, threads, &tracer);
         const obs::MetricsRegistry& m = tracer.metrics();
         const obs::Counter* ticked = m.find_counter("uarch.cycles_ticked");
         const obs::Counter* skipped = m.find_counter("uarch.cycles_skipped");
+        const obs::Counter* jumped = m.find_counter("uarch.cycles_jumped");
         const obs::Counter* quanta = m.find_counter("quanta");
         ASSERT_NE(ticked, nullptr);
         ASSERT_NE(skipped, nullptr);
+        ASSERT_NE(jumped, nullptr);
         ASSERT_NE(quanta, nullptr);
         const uarch::SimConfig cfg = shape_config(4, 2, threads);
         EXPECT_EQ(ticked->value() + skipped->value(),
@@ -519,7 +524,9 @@ TEST(TraceExport, CycleCountersCoverEveryCoreCycleAtEveryThreadCount) {
             << "threads=" << threads;
         EXPECT_GT(ticked->value(), 0u);
         EXPECT_GT(skipped->value(), 0u);
-        seen.emplace_back(ticked->value(), skipped->value());
+        EXPECT_LE(jumped->value(), ticked->value());
+        EXPECT_GT(jumped->value(), 0u);
+        seen.push_back({ticked->value(), skipped->value(), jumped->value()});
     }
     EXPECT_EQ(seen[0], seen[1]);
 }

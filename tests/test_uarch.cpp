@@ -4,8 +4,10 @@
 // SMT slowdown, migration warmup, fetch-port contention).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <stdexcept>
@@ -571,6 +573,7 @@ TEST(SmtCore, RunEqualsRepeatedTick) {
     // between two co-runs last 1-2 cycles, so some run() calls never fetch.
     std::uint64_t ticked = 0;
     std::uint64_t skipped = 0;
+    std::uint64_t jumped = 0;
     for (std::uint64_t c = 0; c < kFuzzCases; ++c) {
         const FuzzCase fc = make_fuzz_case(c);
         CoreUnderTest chunked(fc.cfg);
@@ -595,10 +598,236 @@ TEST(SmtCore, RunEqualsRepeatedTick) {
         if (::testing::Test::HasFailure()) return;
         ticked += chunked.core.cycle_counts().ticked;
         skipped += chunked.core.cycle_counts().skipped;
+        jumped += chunked.core.cycle_counts().jumped;
     }
-    // The fuzz must actually exercise both paths.
+    // The fuzz must actually exercise every path: stepped busy cycles, idle
+    // stretches and steady stretches.
     EXPECT_GT(ticked, skipped / 4);
     EXPECT_GT(skipped, ticked / 4);
+    EXPECT_LE(jumped, ticked);
+    EXPECT_GT(jumped, ticked / 10);
+}
+
+/// Fetched and granted instructions of a lone lane over `cycles` busy
+/// cycles with no event, stepped one cycle at a time the way the core's
+/// busy cycle does: the reference the steady-stretch rows aim their event
+/// distances with.
+struct LoneLaneTotals {
+    std::int64_t fetched = 0;
+    std::int64_t granted = 0;
+};
+LoneLaneTotals lone_lane_totals(const SimConfig& cfg, int buffer, int fe_stall, double credit,
+                                double demand, int cycles) {
+    LoneLaneTotals t;
+    for (int i = 0; i < cycles; ++i) {
+        if (fe_stall > 0) --fe_stall;
+        const int fetch =
+            fe_stall > 0 ? 0 : std::min(cfg.fetch_width, cfg.fetch_buffer_entries - buffer);
+        buffer += fetch;
+        t.fetched += fetch;
+        credit = std::min(credit + demand, 2.0 * cfg.dispatch_width);
+        const int g = std::min({static_cast<int>(credit), buffer, cfg.dispatch_width});
+        credit -= g;
+        buffer -= g;
+        t.granted += g;
+    }
+    return t;
+}
+
+TEST(SmtCore, SteadyStretchEqualsStepping) {
+    // run() applies a lone busy lane's steady stretch (no backend stall,
+    // demand in [2, 3], credit below 1) in closed form.  Each row sets
+    // slot 0's public state directly, then compares run() with stepping,
+    // on one core at widths 1, 2 and 4, and checks how many cycles were
+    // applied as stretches.  A boundary row aims an event at the cycle
+    // after n cycles and runs up to it: the n cycles, less any first
+    // cycles outside the class, are jumped and the event cycle is stepped.
+    // kFetch and kDispatch put the event distance one fetch or one
+    // instruction past the n cycles; kLastGrant picks the credit so that
+    // (n + 1) d + c lands exactly on the dispatch event distance, where the
+    // double estimate of the stretch length may round either way.
+    enum class Edge { kNone, kFetch, kDispatch, kLastGrant };
+    enum class CoRunner { kNone, kBeStall1, kBeStall500, kEmptyUnderFrontendStall };
+    constexpr double kTopCredit = 1.0 - 0x1p-51;
+    constexpr int kE = -1;         ///< buffer: full
+    constexpr int kEMinusFw = -2;  ///< buffer: one fetch group short of full
+    struct Row {
+        const char* name;
+        double demand;
+        double credit;
+        int buffer;
+        Edge edge;
+        int edge_cycles;  ///< n for a boundary row
+        CoRunner co;
+        std::uint64_t cycles;  ///< run() length when no boundary is aimed
+        std::uint64_t jumped;  ///< at least this many; exactly this many on a boundary row
+        int fe_stall = 0;
+    };
+    const Row rows[] = {
+        {"d 2.0", 2.0, 0.0, 0, Edge::kNone, 0, CoRunner::kNone, 3'000, 1},
+        {"d 2.2 buffer E-fw", 2.2, 0.0, kEMinusFw, Edge::kNone, 0, CoRunner::kNone, 3'000, 1},
+        {"d 2.5 top credit buffer E", 2.5, kTopCredit, kE, Edge::kNone, 0, CoRunner::kNone,
+         3'000, 1},
+        {"d 3.0 top credit", 3.0, kTopCredit, 0, Edge::kNone, 0, CoRunner::kNone, 3'000, 1},
+        {"d 3.1 never jumps", 3.1, 0.0, 0, Edge::kNone, 0, CoRunner::kNone, 3'000, 0},
+        // Outside the class for the first cycle, so one cycle short: a
+        // credit of 1 (here the only fetch is the event's), a credit finer
+        // than 2^-51 that the first sum rounds up, a buffer draining under
+        // a frontend stall.  A frontend stall of 1 ends in the first cycle.
+        {"fetch edge credit 1 buffer E", 3.0, 1.0, kE, Edge::kFetch, 1, CoRunner::kNone, 0, 0},
+        {"dispatch edge credit finer than the unit", 2.5, 0.25 + 0x1.8p-52, 0, Edge::kDispatch,
+         20, CoRunner::kNone, 0, 19},
+        {"dispatch edge frontend stall 2", 2.5, 0.0, 10, Edge::kDispatch, 8, CoRunner::kNone, 0,
+         7, 2},
+        {"dispatch edge frontend stall 1", 2.5, 0.0, 10, Edge::kDispatch, 8, CoRunner::kNone, 0,
+         8, 1},
+        {"frontend stall 1, all jumped", 2.5, 0.0, 10, Edge::kNone, 0, CoRunner::kNone, 5, 5, 1},
+        {"dispatch edge d 2.5", 2.5, 0.25, 0, Edge::kDispatch, 40, CoRunner::kNone, 0, 40},
+        {"dispatch edge d 3.0 buffer E", 3.0, kTopCredit, kE, Edge::kDispatch, 97,
+         CoRunner::kNone, 0, 97},
+        // The double estimate of these stretches rounds one cycle long.
+        {"last grant d 2.2", 2.2, 0.0, 0, Edge::kLastGrant, 62, CoRunner::kNone, 0, 62},
+        {"last grant d 2.7", 2.7, 0.0, 0, Edge::kLastGrant, 2, CoRunner::kNone, 0, 2},
+        {"last grant d 2.35", 2.35, 0.0, 0, Edge::kLastGrant, 30, CoRunner::kNone, 0, 30},
+        {"last grant d 2.2 later", 2.2, 0.0, 0, Edge::kLastGrant, 1'201, CoRunner::kNone, 0,
+         1'201},
+        {"fetch edge d 2.2", 2.2, 0.0, 0, Edge::kFetch, 9, CoRunner::kNone, 0, 9},
+        {"fetch edge d 2.0 buffer E-fw", 2.0, kTopCredit, kEMinusFw, Edge::kFetch, 2,
+         CoRunner::kNone, 0, 2},
+        {"co-runner be_stall 1", 2.5, 0.0, 0, Edge::kNone, 0, CoRunner::kBeStall1, 3'000, 1},
+        {"co-runner be_stall 500", 2.2, 0.0, 0, Edge::kNone, 0, CoRunner::kBeStall500, 3'000,
+         500},
+        {"co-runner empty under fe stall", 3.0, 0.0, kE, Edge::kNone, 0,
+         CoRunner::kEmptyUnderFrontendStall, 3'000, 299},
+        {"longer than the cap", 2.5, 0.0, 0, Edge::kNone, 0, CoRunner::kNone, 20'000, 4 * 4'096},
+    };
+    constexpr std::int64_t kFar = 1'000'000'000;  ///< an event distance no row reaches
+    for (const int ways : {1, 2, 4}) {
+        SimConfig cfg;
+        cfg.cores = 1;
+        cfg.smt_ways = ways;
+        for (const Row& row : rows) {
+            if (row.co != CoRunner::kNone && ways == 1) continue;
+            const std::string at = std::string(row.name) + " ways " + std::to_string(ways);
+            const int e = cfg.fetch_buffer_entries;
+            const int buffer = row.buffer == kE          ? e
+                               : row.buffer == kEMinusFw ? e - cfg.fetch_width
+                                                         : row.buffer;
+            std::int64_t until_fe = row.cycles > 10'000 ? kFar : 1'500;
+            std::int64_t until_be = row.cycles > 10'000 ? kFar : 1'200;
+            std::uint64_t cycles = row.cycles;
+            double credit = row.credit;
+            if (row.edge == Edge::kLastGrant) {
+                // In units of 2^-51: (n + 1) d + c == until_be, c in [0, 1).
+                constexpr std::uint64_t kOne = std::uint64_t{1} << 51;
+                const std::uint64_t nd = static_cast<std::uint64_t>(row.edge_cycles + 1) *
+                                         static_cast<std::uint64_t>(row.demand * 0x1p51);
+                const std::uint64_t c_units = (kOne - nd % kOne) % kOne;
+                credit = static_cast<double>(c_units) * 0x1p-51;
+                until_fe = kFar;
+                until_be = static_cast<std::int64_t>((nd + c_units) / kOne);
+                cycles = static_cast<std::uint64_t>(row.edge_cycles) + 1;
+            } else if (row.edge != Edge::kNone) {
+                const int n = row.edge_cycles;
+                const LoneLaneTotals at_n =
+                    lone_lane_totals(cfg, buffer, row.fe_stall, row.credit, row.demand, n);
+                if (row.edge == Edge::kFetch) {
+                    ASSERT_GT(lone_lane_totals(cfg, buffer, row.fe_stall, row.credit, row.demand,
+                                               n + 1)
+                                  .fetched,
+                              at_n.fetched)
+                        << at << ": cycle n + 1 must fetch";
+                    until_fe = at_n.fetched;
+                    until_be = kFar;
+                } else {
+                    until_fe = kFar;
+                    until_be = at_n.granted + 1;
+                }
+                cycles = static_cast<std::uint64_t>(n) + 1;
+            }
+            CoreUnderTest chunked(cfg);
+            CoreUnderTest stepped(cfg);
+            for (CoreUnderTest* side : {&chunked, &stepped}) {
+                for (int s = 0; s < 2; ++s)
+                    side->tasks.push_back(
+                        std::make_unique<apps::AppInstance>(s + 1, apps::find_app("mcf"), 11));
+                ThreadContext& t = side->core.slot(0);
+                t.bind(side->tasks[0].get());
+                t.rates = EffectiveRates{.p_branch = 0.004, .p_icache = 0.002,
+                                         .p_episode = 0.003, .dispatch_demand = row.demand};
+                t.fetch_buffer = buffer;
+                t.fe_stall = row.fe_stall;
+                t.insts_until_fe = until_fe;
+                t.insts_until_be = until_be;
+                t.dispatch_credit = credit;
+                if (row.co == CoRunner::kNone) continue;
+                ThreadContext& o = side->core.slot(ways - 1);
+                o.bind(side->tasks[1].get());
+                o.rates = EffectiveRates{.p_branch = 0.01, .p_icache = 0.004,
+                                         .p_episode = 0.02, .dispatch_demand = 1.7};
+                if (row.co == CoRunner::kEmptyUnderFrontendStall) {
+                    o.fe_stall = 300;
+                } else {
+                    o.fetch_buffer = cfg.fetch_buffer_entries;
+                    o.be_stall = row.co == CoRunner::kBeStall1 ? 1 : 500;
+                    o.dram_stall = true;
+                }
+            }
+            std::uint64_t want = 0;
+            for (std::uint64_t i = 0; i < cycles; ++i) want += stepped.core.tick();
+            ASSERT_EQ(chunked.core.run(cycles), want) << at;
+            expect_same_core(chunked, stepped, at);
+            const CycleCounts n = chunked.core.cycle_counts();
+            EXPECT_EQ(n.ticked + n.skipped, cycles) << at;
+            EXPECT_LE(n.jumped, n.ticked) << at;
+            if (row.edge != Edge::kNone)
+                EXPECT_EQ(n.jumped, row.jumped) << at;
+            else if (row.jumped == 0)
+                EXPECT_EQ(n.jumped, 0u) << at;
+            else
+                EXPECT_GE(n.jumped, row.jumped) << at;
+            // Hidden state (the rotators, the ICache port) shows up once
+            // both copies step on.
+            for (int i = 0; i < 1'000; ++i)
+                ASSERT_EQ(chunked.core.tick(), stepped.core.tick()) << at << " tail " << i;
+            expect_same_core(chunked, stepped, at + " tail");
+            if (::testing::Test::HasFailure()) return;
+        }
+    }
+}
+
+TEST(SmtCore, NarrowCoreStepsSteadyLanes) {
+    // The steady stretch assumes a core that grants up to 3 instructions a
+    // cycle and refills at least that many: a fetch width, buffer or
+    // dispatch width below 3 keeps run() on the busy cycle.
+    struct Narrow {
+        const char* name;
+        int fetch_width, entries, dispatch_width;
+    };
+    for (const Narrow& n : {Narrow{"fetch width 2", 2, 24, 4}, Narrow{"buffer 2", 4, 2, 4},
+                            Narrow{"dispatch width 2", 4, 24, 2}}) {
+        SimConfig cfg;
+        cfg.cores = 1;
+        cfg.smt_ways = 1;
+        cfg.fetch_width = n.fetch_width;
+        cfg.fetch_buffer_entries = n.entries;
+        cfg.dispatch_width = n.dispatch_width;
+        CoreUnderTest chunked(cfg);
+        CoreUnderTest stepped(cfg);
+        for (CoreUnderTest* side : {&chunked, &stepped}) {
+            side->tasks.push_back(
+                std::make_unique<apps::AppInstance>(1, apps::find_app("mcf"), 5));
+            ThreadContext& t = side->core.slot(0);
+            t.bind(side->tasks[0].get());
+            t.rates = EffectiveRates{.p_branch = 0.004, .p_icache = 0.002, .p_episode = 0.003,
+                                     .dispatch_demand = 2.5};
+        }
+        std::uint64_t want = 0;
+        for (int i = 0; i < 3'000; ++i) want += stepped.core.tick();
+        ASSERT_EQ(chunked.core.run(3'000), want) << n.name;
+        expect_same_core(chunked, stepped, n.name);
+        EXPECT_EQ(chunked.core.cycle_counts().jumped, 0u) << n.name;
+    }
 }
 
 TEST(SmtCore, EndStateDigestPinned) {

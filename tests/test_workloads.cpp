@@ -2,9 +2,13 @@
 // including the Table III calibration of the whole suite.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "apps/spec_suite.hpp"
 #include "sched/baselines.hpp"
@@ -225,6 +229,77 @@ TEST(Methodology, ComparePoliciesPairsUpResults) {
         EXPECT_NEAR(row.tt_speedup, 1.0, 1e-9);
         EXPECT_NEAR(row.ipc_speedup, 1.0, 1e-9);
         EXPECT_NEAR(row.fairness_delta, 0.0, 1e-9);
+    }
+}
+
+TEST(Methodology, OptionsRejectBadValuesByFieldName) {
+    // One row per bad value: it throws naming the field from every entry
+    // point that takes the options, before any simulation; the row's
+    // boundary-good value runs a whole (tiny) repetition.
+    constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+    struct Row {
+        const char* field;
+        void (*bad)(MethodologyOptions&);
+        void (*good)(MethodologyOptions&);
+    };
+    const Row rows[] = {
+        {"reps", [](MethodologyOptions& o) { o.reps = 0; },
+         [](MethodologyOptions& o) { o.reps = 1; }},
+        {"target_isolated_quanta", [](MethodologyOptions& o) { o.target_isolated_quanta = 0; },
+         [](MethodologyOptions& o) { o.target_isolated_quanta = 1; }},
+        {"max_quanta", [](MethodologyOptions& o) { o.max_quanta = 0; },
+         [](MethodologyOptions& o) { o.max_quanta = 1; }},
+        // A negative knob value cast to the unsigned field.
+        {"target_isolated_quanta",
+         [](MethodologyOptions& o) { o.target_isolated_quanta = static_cast<std::uint64_t>(-1); },
+         [](MethodologyOptions& o) { o.target_isolated_quanta = 1; }},
+        {"max_quanta",
+         [](MethodologyOptions& o) { o.max_quanta = static_cast<std::uint64_t>(-5); },
+         [](MethodologyOptions& o) { o.max_quanta = 1; }},
+        {"cv_limit", [](MethodologyOptions& o) { o.cv_limit = kNaN; },
+         [](MethodologyOptions& o) { o.cv_limit = 0.0; }},
+        {"cv_limit", [](MethodologyOptions& o) { o.cv_limit = -0.01; },
+         [](MethodologyOptions& o) { o.cv_limit = std::numeric_limits<double>::infinity(); }},
+    };
+    uarch::SimConfig cfg = test_config();
+    cfg.cycles_per_quantum = 1'000;
+    const PolicyFactory linux_factory = [](std::uint64_t) {
+        return std::make_unique<sched::LinuxPolicy>();
+    };
+    const auto small = [] {
+        MethodologyOptions o;
+        o.reps = 1;
+        o.target_isolated_quanta = 4;
+        o.max_quanta = 200;
+        o.record_traces = false;
+        return o;
+    };
+    const PreparedWorkload prepared = prepare_workload(paper_fb2(), cfg, small(), 0);
+    for (const Row& row : rows) {
+        const std::string field = std::string("MethodologyOptions::") + row.field;
+        MethodologyOptions bad = small();
+        row.bad(bad);
+        const auto expect_rejected = [&](const char* entry, auto&& call) {
+            try {
+                call();
+                ADD_FAILURE() << entry << " accepted a bad " << field;
+            } catch (const std::invalid_argument& e) {
+                EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+                    << entry << ": " << e.what();
+            }
+        };
+        expect_rejected("prepare_workload", [&] { prepare_workload(paper_fb2(), cfg, bad, 0); });
+        expect_rejected("run_workload_once", [&] {
+            sched::LinuxPolicy policy;
+            run_workload_once(prepared, cfg, policy, bad);
+        });
+        expect_rejected("run_workload",
+                        [&] { run_workload(paper_fb2(), cfg, linux_factory, bad); });
+
+        MethodologyOptions good = small();
+        row.good(good);
+        const RepeatedResult r = run_workload(paper_fb2(), cfg, linux_factory, good);
+        EXPECT_GE(r.turnaround_samples.size(), 1u) << field;
     }
 }
 
