@@ -1054,23 +1054,50 @@ TEST(PlatformTest, ChipsHavePrivateLlcAndDram) {
     EXPECT_GT(run_partnered(/*same_chip=*/false), run_partnered(/*same_chip=*/true));
 }
 
-TEST(PlatformTest, IntraChipMoveCostsLessThanCrossChipMove) {
-    const auto progress_after_move = [](int to_core) {
+TEST(PlatformTest, WarmupRuleByMove) {
+    // The move-cost hierarchy, one row per kind of move.  The task runs one
+    // quantum after every bind, then moves; the row checks the warmup
+    // multiplier right after its last bind (a fresh window's peak: 1.0 when
+    // none, 1.5 for the chip's local window, 2.5 for the cross-chip one)
+    // and the cross-chip migrations charged.  2 chips x 2 cores x SMT-2:
+    // global cores 0-1 are chip 0, 2-3 chip 1.
+    constexpr double kKeeps = -1.0;  // the last bind leaves the window as it was
+    struct Row {
+        const char* name;
+        std::vector<synpa::uarch::CpuSlot> binds;
+        double multiplier;
+        std::uint64_t cross_chip;
+    };
+    const std::vector<Row> rows = {
+        {"slot move on the same core", {{0, 0}, {0, 1}}, 1.0, 0},
+        {"core move on the same chip", {{0, 0}, {1, 0}}, 1.5, 0},
+        {"chip move", {{0, 0}, {2, 0}}, 2.5, 1},
+        {"return to a chip's old core", {{0, 0}, {2, 0}, {0, 0}}, 2.5, 2},
+        {"return to a chip's other core", {{0, 0}, {2, 0}, {1, 1}}, 2.5, 2},
+        {"core move inside a cross-chip window", {{0, 0}, {2, 0}, {3, 0}}, kKeeps, 1},
+    };
+    for (const Row& row : rows) {
         Platform platform(platform_config(2, 2, 2));
         synpa::apps::AppInstance t(1, synpa::apps::find_app("mcf"), 11);
-        platform.bind(t, {.core = 0, .slot = 0});
-        for (int q = 0; q < 6; ++q) platform.run_quantum();  // warm up
-        platform.unbind(1);
-        platform.bind(t, {.core = to_core, .slot = 0});
-        const std::uint64_t before = t.insts_retired();
-        for (int q = 0; q < 2; ++q) platform.run_quantum();
-        return t.insts_retired() - before;
-    };
-    const std::uint64_t stay = progress_after_move(0);        // no move
-    const std::uint64_t intra = progress_after_move(1);       // same chip
-    const std::uint64_t cross = progress_after_move(2);       // other chip
-    EXPECT_LE(intra, stay);
-    EXPECT_LT(cross, intra);  // the cross-chip window is the expensive one
+        double before = 0.0;
+        for (std::size_t i = 0; i < row.binds.size(); ++i) {
+            if (i > 0) {
+                platform.run_quantum();
+                platform.unbind(1);
+            }
+            before = t.warmup_multiplier();
+            platform.bind(t, row.binds[i]);
+        }
+        const double after = t.warmup_multiplier();
+        if (row.multiplier == kKeeps) {
+            EXPECT_EQ(after, before) << row.name;
+            EXPECT_GT(after, 1.5) << row.name;  // the decaying cross-chip window
+        } else {
+            EXPECT_EQ(after, row.multiplier) << row.name;
+        }
+        EXPECT_EQ(platform.cross_chip_migrations(), row.cross_chip) << row.name;
+        validate_platform(platform);
+    }
 }
 
 }  // namespace
