@@ -30,7 +30,7 @@ inline workloads::MethodologyOptions default_methodology() {
     opts.seed = static_cast<std::uint64_t>(common::env_int("SYNPA_BENCH_SEED", 42));
     opts.target_isolated_quanta =
         static_cast<std::uint64_t>(common::env_int("SYNPA_BENCH_TARGET_QUANTA", 120));
-    opts.threads = static_cast<std::size_t>(common::env_int("SYNPA_BENCH_THREADS", 0));
+    opts.threads = workloads::bench_threads_from_env();
     return opts;
 }
 

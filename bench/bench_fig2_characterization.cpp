@@ -9,7 +9,7 @@
 #include "common/main_guard.hpp"
 #include "common/table.hpp"
 #include "model/categories.hpp"
-#include "uarch/chip.hpp"
+#include "uarch/platform.hpp"
 
 int run_program() {
     using namespace synpa;
@@ -22,10 +22,12 @@ int run_program() {
     for (const char* name : {"mcf", "leela_r", "nab_r", "perlbench", "hmmer"}) {
         uarch::SimConfig solo = cfg;
         solo.cores = 1;
-        uarch::Chip chip(solo);
+        solo.num_chips = 1;
+        solo.sim_threads = 1;
+        uarch::Platform platform(solo);
         apps::AppInstance task(1, apps::find_app(name), 42);
-        chip.bind(task, {.core = 0, .slot = 0});
-        for (int q = 0; q < 20; ++q) chip.run_quantum();
+        platform.bind(task, {.core = 0, .slot = 0});
+        for (int q = 0; q < 20; ++q) platform.run_quantum();
         const auto b = model::characterize(task.counters(), cfg.dispatch_width);
         table.row()
             .add(name)

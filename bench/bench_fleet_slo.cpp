@@ -143,7 +143,7 @@ int run_program() {
     }
 
     exp::FleetGridRunner runner(
-        {.threads = static_cast<std::size_t>(common::env_int("SYNPA_BENCH_THREADS", 0)),
+        {.threads = workloads::bench_threads_from_env(),
          .log = &std::cout});
     const exp::FleetGridResult result = runner.run(campaign, aggregators);
 

@@ -2,7 +2,8 @@
 // per second for isolated and SMT execution, which bounds how fast the
 // evaluation sweeps can run.
 //
-// The BM_PlatformQuantum* families measure the chip-sharded parallel path:
+// The BM_ChipQuantum* families run one chip (a one-chip Platform); the
+// BM_PlatformQuantum* families measure the chip-sharded parallel path:
 // the same fully-populated platform at sim_threads 1/2/4, so the ratio of
 // items_per_second rows IS the parallel speedup (results are bit-identical
 // across thread counts by the engine's determinism contract, so only time
@@ -15,7 +16,6 @@
 
 #include "apps/instance.hpp"
 #include "apps/spec_suite.hpp"
-#include "uarch/chip.hpp"
 #include "uarch/platform.hpp"
 
 namespace {
@@ -26,10 +26,10 @@ void BM_ChipQuantumIsolated(benchmark::State& state) {
     uarch::SimConfig cfg;
     cfg.cores = 1;
     cfg.cycles_per_quantum = static_cast<std::uint64_t>(state.range(0));
-    uarch::Chip chip(cfg);
+    uarch::Platform platform(cfg);
     apps::AppInstance task(1, apps::find_app("mcf"), 1);
-    chip.bind(task, {.core = 0, .slot = 0});
-    for (auto _ : state) chip.run_quantum();
+    platform.bind(task, {.core = 0, .slot = 0});
+    for (auto _ : state) platform.run_quantum();
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(cfg.cycles_per_quantum));
 }
@@ -38,12 +38,12 @@ void BM_ChipQuantumSmtPair(benchmark::State& state) {
     uarch::SimConfig cfg;
     cfg.cores = 1;
     cfg.cycles_per_quantum = static_cast<std::uint64_t>(state.range(0));
-    uarch::Chip chip(cfg);
+    uarch::Platform platform(cfg);
     apps::AppInstance a(1, apps::find_app("mcf"), 1);
     apps::AppInstance b(2, apps::find_app("leela_r"), 2);
-    chip.bind(a, {.core = 0, .slot = 0});
-    chip.bind(b, {.core = 0, .slot = 1});
-    for (auto _ : state) chip.run_quantum();
+    platform.bind(a, {.core = 0, .slot = 0});
+    platform.bind(b, {.core = 0, .slot = 1});
+    for (auto _ : state) platform.run_quantum();
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(cfg.cycles_per_quantum));
 }
@@ -51,15 +51,15 @@ void BM_ChipQuantumSmtPair(benchmark::State& state) {
 void BM_ChipQuantumFullWorkload(benchmark::State& state) {
     uarch::SimConfig cfg;  // 4 cores, 8 tasks: the evaluation shape
     cfg.cycles_per_quantum = static_cast<std::uint64_t>(state.range(0));
-    uarch::Chip chip(cfg);
+    uarch::Platform platform(cfg);
     std::vector<std::unique_ptr<apps::AppInstance>> tasks;
     const auto& suite = apps::spec_suite();
     for (int i = 0; i < 8; ++i) {
         tasks.push_back(std::make_unique<apps::AppInstance>(
             i + 1, suite[static_cast<std::size_t>(i * 3)], static_cast<std::uint64_t>(i)));
-        chip.bind(*tasks.back(), {.core = i / 2, .slot = i % 2});
+        platform.bind(*tasks.back(), {.core = i / 2, .slot = i % 2});
     }
-    for (auto _ : state) chip.run_quantum();
+    for (auto _ : state) platform.run_quantum();
     // items = core-cycles simulated
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(cfg.cycles_per_quantum) * 4);

@@ -12,8 +12,8 @@
 #include "common/main_guard.hpp"
 #include "common/table.hpp"
 #include "model/categories.hpp"
-#include "pmu/perf_session.hpp"
-#include "uarch/chip.hpp"
+#include "pmu/counters.hpp"
+#include "uarch/platform.hpp"
 
 int run_program(int argc, char** argv) {
     using namespace synpa;
@@ -22,21 +22,22 @@ int run_program(int argc, char** argv) {
 
     uarch::SimConfig cfg = uarch::SimConfig::from_env();
     cfg.cores = 1;
-    uarch::Chip chip(cfg);
+    cfg.num_chips = 1;
+    cfg.sim_threads = 1;
+    uarch::Platform platform(cfg);
     apps::AppInstance task(1, apps::find_app(name), 42);
-    chip.bind(task, {.core = 0, .slot = 0});
+    platform.bind(task, {.core = 0, .slot = 0});
 
-    // Read the four Table I events per quantum, exactly like the paper's
-    // perf-based manager.
-    pmu::PerfSession session(chip, {pmu::Event::kCpuCycles, pmu::Event::kInstSpec,
-                                    pmu::Event::kStallFrontend, pmu::Event::kStallBackend});
-    session.attach(task.id());
-
+    // Read the task's counters once per quantum and difference them, like
+    // the paper's perf-based manager (characterize() uses the four Table I
+    // events).
     common::Table timeline({"quantum", "IPC", "FD", "FE", "BE", "bar", "phase"});
+    pmu::CounterBank prev;
     for (int q = 0; q < quanta; ++q) {
-        chip.run_quantum();
-        const auto delta = session.read(task.id());
-        const auto b = model::characterize(delta, cfg.dispatch_width);
+        platform.run_quantum();
+        const pmu::CounterBank now = task.counters();
+        const auto b = model::characterize(now.delta_since(prev), cfg.dispatch_width);
+        prev = now;
         const auto f = b.fractions();
         timeline.row()
             .add(static_cast<long long>(q))

@@ -13,7 +13,7 @@
 #include "common/table.hpp"
 #include "model/trainer.hpp"
 #include "pmu/events.hpp"
-#include "uarch/chip.hpp"
+#include "uarch/platform.hpp"
 #include "workloads/groups.hpp"
 
 namespace {
@@ -27,12 +27,14 @@ std::pair<double, double> measure_pair(const std::string& a, const std::string& 
     solo.cores = 1;
     const auto prof_a = model::profile_isolated(apps::find_app(a), solo, 60, 1);
     const auto prof_b = model::profile_isolated(apps::find_app(b), solo, 60, 2);
-    uarch::Chip chip(solo);
+    solo.num_chips = 1;
+    solo.sim_threads = 1;
+    uarch::Platform platform(solo);
     apps::AppInstance ta(1, apps::find_app(a), 1);
     apps::AppInstance tb(2, apps::find_app(b), 2);
-    chip.bind(ta, {.core = 0, .slot = 0});
-    chip.bind(tb, {.core = 0, .slot = 1});
-    for (int q = 0; q < 20; ++q) chip.run_quantum();
+    platform.bind(ta, {.core = 0, .slot = 0});
+    platform.bind(tb, {.core = 0, .slot = 1});
+    for (int q = 0; q < 20; ++q) platform.run_quantum();
     const auto slowdown = [](const apps::AppInstance& t, const model::IsolatedProfile& p) {
         const std::uint64_t insts = std::min(t.insts_retired(), p.total_instructions() - 1);
         return static_cast<double>(t.counters().value(pmu::Event::kCpuCycles)) /

@@ -4,7 +4,7 @@
 // FlatIdMap replaces std::unordered_map<int, V>.  Task ids are small,
 // monotonically assigned integers (drivers hand them out starting at 1 and
 // never reuse them), so a flat vector indexed by id beats hashing:
-// Platform::task_counters looks up every live task every quantum, and the
+// Platform::placement looks up every live task every quantum, and the
 // hash, probe chain and cache misses of unordered_map show up in profiles.
 // Lookup is one bounds check and one vector index.
 //

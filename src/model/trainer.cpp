@@ -9,7 +9,7 @@
 #include "common/thread_pool.hpp"
 #include "linalg/least_squares.hpp"
 #include "model/extended_model.hpp"
-#include "uarch/chip.hpp"
+#include "uarch/platform.hpp"
 
 namespace synpa::model {
 namespace {
@@ -44,20 +44,22 @@ std::vector<PairQuantum<N>> run_pair(const uarch::SimConfig& cfg, const TrainerO
     // chip is configured SMT-1 (a co-run interference model is width-
     // independent; the TX2 methodology trains in SMT-2 BIOS mode).
     pair_cfg.smt_ways = std::max(pair_cfg.smt_ways, 2);
-    uarch::Chip chip(pair_cfg);
+    pair_cfg.num_chips = 1;
+    pair_cfg.sim_threads = 1;
+    uarch::Platform platform(pair_cfg);
     // The instances use the same seeds as the profiling runs so their event
     // streams match the isolated reference (same work, different timing).
     apps::AppInstance ta(/*id=*/1, a, seed_a);
     apps::AppInstance tb(/*id=*/2, b, seed_b);
-    chip.bind(ta, {.core = 0, .slot = 0});
-    chip.bind(tb, {.core = 0, .slot = 1});
+    platform.bind(ta, {.core = 0, .slot = 0});
+    platform.bind(tb, {.core = 0, .slot = 1});
 
     std::vector<PairQuantum<N>> out;
     out.reserve(opts.pair_quanta);
     pmu::CounterBank prev_a, prev_b;
     std::uint64_t insts_a = 0, insts_b = 0;
     for (std::uint64_t q = 0; q < opts.pair_quanta; ++q) {
-        chip.run_quantum();
+        platform.run_quantum();
         const pmu::CounterBank now_a = ta.counters();
         const pmu::CounterBank now_b = tb.counters();
         const std::array<double, N> smt_a = characterization(now_a.delta_since(prev_a), cfg);
@@ -225,15 +227,17 @@ BasicIsolatedProfile<N> profile_isolated(const apps::AppProfile& app, const uarc
                                          std::uint64_t until_insts) {
     uarch::SimConfig solo = cfg;
     solo.cores = 1;  // an isolated run needs one core; keeps profiling fast
-    uarch::Chip chip(solo);
+    solo.num_chips = 1;
+    solo.sim_threads = 1;
+    uarch::Platform platform(solo);
     apps::AppInstance task(/*id=*/1, app, seed);
-    chip.bind(task, {.core = 0, .slot = 0});
+    platform.bind(task, {.core = 0, .slot = 0});
 
     std::vector<typename BasicIsolatedProfile<N>::Quantum> samples;
     samples.reserve(quanta);
     pmu::CounterBank prev;
     for (std::uint64_t q = 0; q < quanta; ++q) {
-        chip.run_quantum();
+        platform.run_quantum();
         const pmu::CounterBank& now = task.counters();
         samples.push_back({.insts_end = task.insts_retired(),
                            .cycles_end = now.value(pmu::Event::kCpuCycles),

@@ -1,28 +1,71 @@
 #include "online/adaptive_policy.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "common/config.hpp"
 #include "obs/trace.hpp"
 
 namespace synpa::online {
+namespace {
+
+void require(bool ok, const std::string& name, const char* rule, const std::string& got) {
+    if (!ok) throw std::invalid_argument(name + " must be " + rule + ", got " + got);
+}
+
+/// A count read from `knob`; below 1 (a wrapped negative once cast) throws
+/// naming the knob.
+std::uint64_t knob_count(std::int64_t v, const char* knob) {
+    require(v >= 1, knob, ">= 1", std::to_string(v));
+    return static_cast<std::uint64_t>(v);
+}
+
+}  // namespace
+
+const OnlineOptions& OnlineOptions::validate() const {
+    detector.validate();
+    const std::string field = "OnlineOptions::";
+    // Unsigned fields read back as signed so a wrapped negative is caught.
+    const auto as_signed = [](std::uint64_t v) { return static_cast<std::int64_t>(v); };
+    const auto count = [&](std::uint64_t v, const char* name) {
+        require(as_signed(v) >= 1, field + name, ">= 1", std::to_string(as_signed(v)));
+    };
+    require(std::isfinite(prior_strength) && prior_strength >= 0.0, field + "prior_strength",
+            "finite and >= 0", std::to_string(prior_strength));
+    count(refit_period, "refit_period");
+    count(min_samples, "min_samples");
+    count(reference_max_age, "reference_max_age");
+    require(forgetting >= 0.0 && forgetting <= 1.0, field + "forgetting", "in [0, 1]",
+            std::to_string(forgetting));
+    count(validation_window, "validation_window");
+    require(as_signed(min_validation) >= 1 && min_validation <= validation_window,
+            field + "min_validation", "in [1, validation_window]",
+            std::to_string(as_signed(min_validation)));
+    require(adopt_factor >= 0.0, field + "adopt_factor", ">= 0", std::to_string(adopt_factor));
+    require(max_sample_slowdown >= 0.5, field + "max_sample_slowdown", ">= 0.5",
+            std::to_string(max_sample_slowdown));
+    return *this;
+}
 
 OnlineOptions OnlineOptions::from_env() {
     OnlineOptions o;
     o.detector = PhaseDetector::Options::from_env();
     o.prior_strength = common::env_double("SYNPA_ONLINE_PRIOR", o.prior_strength);
-    o.refit_period = static_cast<std::uint64_t>(std::max<std::int64_t>(
-        common::env_int("SYNPA_ONLINE_REFIT_QUANTA", static_cast<std::int64_t>(o.refit_period)),
-        1));
-    o.min_samples = static_cast<std::size_t>(std::max<std::int64_t>(
-        common::env_int("SYNPA_ONLINE_MIN_SAMPLES", static_cast<std::int64_t>(o.min_samples)),
-        1));
-    o.reference_max_age = static_cast<std::uint64_t>(std::max<std::int64_t>(
-        common::env_int("SYNPA_ONLINE_REF_MAX_AGE",
-                        static_cast<std::int64_t>(o.reference_max_age)),
-        1));
+    const auto fallback = [](std::uint64_t v) { return static_cast<std::int64_t>(v); };
+    o.refit_period =
+        knob_count(common::env_int("SYNPA_ONLINE_REFIT_QUANTA", fallback(o.refit_period)),
+                   "SYNPA_ONLINE_REFIT_QUANTA");
+    o.min_samples =
+        knob_count(common::env_int("SYNPA_ONLINE_MIN_SAMPLES", fallback(o.min_samples)),
+                   "SYNPA_ONLINE_MIN_SAMPLES");
+    o.reference_max_age =
+        knob_count(common::env_int("SYNPA_ONLINE_REF_MAX_AGE", fallback(o.reference_max_age)),
+                   "SYNPA_ONLINE_REF_MAX_AGE");
     o.forgetting = common::env_double("SYNPA_ONLINE_FORGETTING", o.forgetting);
+    o.validate();
     return o;
 }
 
@@ -30,7 +73,7 @@ AdaptiveSynpaPolicy::AdaptiveSynpaPolicy(model::InterferenceModel model,
                                          core::SynpaPolicy::Options base,
                                          OnlineOptions online)
     : inner_(model, base),
-      opts_(online),
+      opts_(online.validate()),
       detector_(online.detector),
       trainer_(std::move(model), {.prior_strength = online.prior_strength}) {}
 

@@ -62,13 +62,27 @@ struct OnlineOptions {
     /// [0.5, max_sample_slowdown]) are rejected as misaligned.
     double max_sample_slowdown = 8.0;
 
-    /// Applies SYNPA_ONLINE_* environment overrides (see docs/REFERENCE.md).
+    /// Throws std::invalid_argument naming `OnlineOptions::<field>` (or the
+    /// detector's `PhaseDetector::Options::<field>`) unless prior_strength
+    /// is finite and >= 0; refit_period, min_samples, reference_max_age
+    /// and validation_window are >= 1 (wrapped negatives rejected);
+    /// min_validation lies in [1, validation_window]; forgetting lies in
+    /// [0, 1]; adopt_factor is >= 0; and max_sample_slowdown is >= 0.5.
+    /// An infinite adopt_factor or max_sample_slowdown turns that gate off
+    /// and is legal.  Returns *this; AdaptiveSynpaPolicy's constructor
+    /// calls it.
+    const OnlineOptions& validate() const;
+
+    /// Applies SYNPA_ONLINE_* environment overrides (see docs/REFERENCE.md)
+    /// and validates the result; SYNPA_ONLINE_REFIT_QUANTA, _MIN_SAMPLES
+    /// and _REF_MAX_AGE below 1 throw naming the knob.
     static OnlineOptions from_env();
 };
 
 class AdaptiveSynpaPolicy final : public sched::AllocationPolicy,
                                   public sched::OnlinePolicy {
 public:
+    /// Throws std::invalid_argument when online.validate() does.
     AdaptiveSynpaPolicy(model::InterferenceModel model, core::SynpaPolicy::Options base,
                         OnlineOptions online);
     explicit AdaptiveSynpaPolicy(model::InterferenceModel model)

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace synpa::online {
@@ -47,11 +48,16 @@ std::array<double, kCols> coefficients_of(const model::CategoryCoefficients& k) 
 
 }  // namespace
 
-IncrementalTrainer::IncrementalTrainer(model::InterferenceModel prior, Options opts)
-    : prior_(std::move(prior)), opts_(opts) {
-    if (opts_.prior_strength < 0.0)
-        throw std::invalid_argument("IncrementalTrainer: negative prior_strength");
+const IncrementalTrainer::Options& IncrementalTrainer::Options::validate() const {
+    if (!std::isfinite(prior_strength) || prior_strength < 0.0)
+        throw std::invalid_argument(
+            "IncrementalTrainer::Options::prior_strength must be finite and >= 0, got " +
+            std::to_string(prior_strength));
+    return *this;
 }
+
+IncrementalTrainer::IncrementalTrainer(model::InterferenceModel prior, Options opts)
+    : prior_(std::move(prior)), opts_(opts.validate()) {}
 
 void IncrementalTrainer::add_sample(const model::TrainingSample& sample) {
     for (std::size_t c = 0; c < model::kCategoryCount; ++c) {
@@ -104,6 +110,7 @@ model::InterferenceModel IncrementalTrainer::fit() const {
 model::InterferenceModel IncrementalTrainer::fit_offline(
     std::span<const model::TrainingSample> samples, const model::InterferenceModel& prior,
     Options opts) {
+    opts.validate();
     // Materialize the full design matrix per category (exactly the offline
     // Trainer's shape) and contract it to normal equations sample-major, so
     // every addition happens in the same order as sequential add_sample

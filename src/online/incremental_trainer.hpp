@@ -39,9 +39,15 @@ public:
         /// samples (throws until they determine the regression); larger
         /// values make early refits conservative.
         double prior_strength = 0.0;
+
+        /// Throws std::invalid_argument naming
+        /// `IncrementalTrainer::Options::prior_strength` unless it is
+        /// finite and >= 0; returns *this.
+        const Options& validate() const;
     };
 
     IncrementalTrainer() : IncrementalTrainer(model::InterferenceModel{}, Options{}) {}
+    /// Throws std::invalid_argument when opts.validate() does.
     IncrementalTrainer(model::InterferenceModel prior, Options opts);
 
     /// Rank-one update with one aligned observation.
@@ -69,6 +75,7 @@ public:
     /// style) and solves the same anchored normal equations.  Accumulation
     /// order matches sequential add_sample calls, so the result is
     /// bit-identical to the incremental path on the same samples.
+    /// Throws std::invalid_argument when opts.validate() does.
     static model::InterferenceModel fit_offline(
         std::span<const model::TrainingSample> samples,
         const model::InterferenceModel& prior, Options opts);

@@ -18,8 +18,8 @@
 #include "model/interference_model.hpp"  // Equation 1
 #include "model/inversion.hpp"       // SMT -> isolated inversion
 #include "model/trainer.hpp"         // offline training pipeline
-#include "pmu/perf_session.hpp"      // perf-like counter access
+#include "pmu/counters.hpp"          // per-task counter banks
 #include "sched/baselines.hpp"       // Linux / Random / Oracle / Sampling
 #include "sched/thread_manager.hpp"  // the quantum-driven manager
-#include "uarch/chip.hpp"            // the ThunderX2-class simulator
+#include "uarch/platform.hpp"        // the ThunderX2-class simulator
 #include "workloads/methodology.hpp" // workloads + measurement methodology

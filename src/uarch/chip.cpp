@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
-#include "common/flat_map.hpp"
 #include "uarch/cache.hpp"
 
 namespace synpa::uarch {
@@ -42,51 +40,6 @@ double shared_hit_fraction(double hit_iso, double capacity, double share, double
 
 Chip::Chip(const SimConfig& cfg) : cfg_(cfg.validate()), memory_(cfg_) {
     cores_.assign(static_cast<std::size_t>(cfg_.cores), SmtCore(cfg_));
-}
-
-void Chip::bind(apps::AppInstance& task, CpuSlot where) {
-    if (where.core < 0 || where.core >= core_count() || where.slot < 0 ||
-        where.slot >= cfg_.smt_ways)
-        throw std::out_of_range("Chip::bind: bad slot");
-    if (placement_.contains(task.id())) throw std::logic_error("Chip::bind: task already bound");
-    ThreadContext& ctx = cores_[static_cast<std::size_t>(where.core)].slot(where.slot);
-    if (ctx.bound()) throw std::logic_error("Chip::bind: slot occupied");
-
-    const int* prev = last_core_.find(task.id());
-    if (prev != nullptr && *prev != where.core)
-        task.start_warmup(cfg_.warmup_insts, cfg_.warmup_miss_multiplier);
-    last_core_.insert_or_assign(task.id(), where.core);
-
-    ctx.bind(&task);
-    tasks_.insert_or_assign(task.id(), &task);
-    placement_.insert_or_assign(task.id(), where);
-}
-
-void Chip::unbind(int task_id) {
-    const CpuSlot* it = placement_.find(task_id);
-    if (it == nullptr) throw std::logic_error("Chip::unbind: task not bound");
-    cores_[static_cast<std::size_t>(it->core)].slot(it->slot).unbind();
-    placement_.erase(task_id);
-    tasks_.erase(task_id);
-}
-
-CpuSlot Chip::placement(int task_id) const {
-    const CpuSlot* it = placement_.find(task_id);
-    if (it == nullptr) throw std::logic_error("Chip::placement: task not bound");
-    return *it;
-}
-
-std::vector<apps::AppInstance*> Chip::bound_tasks() const {
-    std::vector<apps::AppInstance*> out;
-    out.reserve(tasks_.size());
-    tasks_.for_each([&out](int, apps::AppInstance* task) { out.push_back(task); });
-    return out;
-}
-
-pmu::CounterBank Chip::task_counters(int task_id) const {
-    apps::AppInstance* const* it = tasks_.find(task_id);
-    if (it == nullptr) throw std::logic_error("Chip::task_counters: unknown task");
-    return (*it)->counters();
 }
 
 void Chip::refresh_rates() {

@@ -1,5 +1,7 @@
 // The chip: N SMT cores (runtime width smt_ways, 1..kMaxSmtWays) sharing a
-// last-level cache and the DRAM system.
+// last-level cache and the DRAM system.  The chip only simulates: which
+// task runs where is the Platform's (uarch/platform.hpp), which binds tasks
+// into the chip's hardware threads through the slot accessor below.
 //
 // The chip owns the quantum loop.  At each quantum boundary it derives every
 // bound thread's EffectiveRates from:
@@ -25,9 +27,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "apps/instance.hpp"
-#include "common/flat_map.hpp"
-#include "pmu/perf_session.hpp"
 #include "uarch/memory.hpp"
 #include "uarch/sim_config.hpp"
 #include "uarch/smt_core.hpp"
@@ -41,34 +40,15 @@ struct CpuSlot {
     friend bool operator==(const CpuSlot&, const CpuSlot&) = default;
 };
 
-class Chip : public pmu::CounterSource {
+class Platform;
+
+class Chip {
 public:
     explicit Chip(const SimConfig& cfg);
 
     const SimConfig& config() const noexcept { return cfg_; }
     int core_count() const noexcept { return static_cast<int>(cores_.size()); }
     const SmtCore& core(int c) const { return cores_.at(static_cast<std::size_t>(c)); }
-
-    /// Binds a task to a hardware thread (the sched_setaffinity analogue).
-    /// Rebinding to a *different core* than the task last ran on starts a
-    /// cold-cache warmup window.  The slot must currently be free.
-    void bind(apps::AppInstance& task, CpuSlot where);
-
-    /// Removes the task from its hardware thread (it keeps architectural
-    /// state and can be bound again later).
-    void unbind(int task_id);
-
-    /// Drops the task's migration history (last-core memory).  For tasks
-    /// that retired for good — their ids are never reused, so keeping the
-    /// entry would only grow the map for the lifetime of the run.
-    void forget_task(int task_id) noexcept { last_core_.erase(task_id); }
-
-    /// Where a task currently runs; throws if not bound.
-    CpuSlot placement(int task_id) const;
-    bool is_bound(int task_id) const noexcept { return placement_.contains(task_id); }
-
-    /// All currently bound tasks (unspecified order).
-    std::vector<apps::AppInstance*> bound_tasks() const;
 
     /// Runs one scheduling quantum (config().cycles_per_quantum cycles):
     /// refreshes contention rates, runs every core through the quantum,
@@ -86,10 +66,14 @@ public:
 
     const MemorySystem& memory() const noexcept { return memory_; }
 
-    // pmu::CounterSource: cumulative counters for a bound-or-known task.
-    pmu::CounterBank task_counters(int task_id) const override;
-
 private:
+    friend class Platform;
+    /// The hardware thread at a chip-local slot; the Platform binds and
+    /// unbinds tasks here.
+    ThreadContext& slot(CpuSlot local) {
+        return cores_.at(static_cast<std::size_t>(local.core)).slot(local.slot);
+    }
+
     void refresh_rates();
 
     SimConfig cfg_;
@@ -97,13 +81,6 @@ private:
     MemorySystem memory_;
     std::uint64_t now_ = 0;
     std::uint64_t quanta_ = 0;
-
-    // Flat (id-indexed) maps: every one is probed per live task per
-    // quantum on the counter/bind paths, where hashing showed up at 512
-    // hardware contexts.
-    common::FlatIdMap<apps::AppInstance*> tasks_;  ///< bound tasks by id
-    common::FlatIdMap<CpuSlot> placement_;
-    common::FlatIdMap<int> last_core_;  ///< survives unbind; drives warmup
 };
 
 }  // namespace synpa::uarch

@@ -16,53 +16,55 @@ Platform::Platform(const SimConfig& cfg) : cfg_(cfg.validate()) {
 }
 
 void Platform::bind(apps::AppInstance& task, CpuSlot where) {
-    if (where.core < 0 || where.core >= core_count())
-        throw std::out_of_range("Platform::bind: bad global core");
-    const int target_chip = chip_of_core(where.core);
-    chip(target_chip).bind(task, {.core = local_core(where.core), .slot = where.slot});
+    if (where.core < 0 || where.core >= core_count() || where.slot < 0 ||
+        where.slot >= cfg_.smt_ways)
+        throw std::out_of_range("Platform::bind: bad slot");
+    const CpuSlot* last = placement_.find(task.id());
+    if (last != nullptr && last->slot != kUnbound)
+        throw std::logic_error("Platform::bind: task already bound");
+    ThreadContext& ctx = context(where);
+    if (ctx.bound()) throw std::logic_error("Platform::bind: slot occupied");
 
-    // Cross-chip move: override the chip's local warmup (if any) with the
-    // larger remote window.  Charged after the chip bind so the bigger
-    // penalty wins regardless of the task's history on the target chip.
-    const int* prev = last_chip_.find(task.id());
-    if (prev != nullptr && *prev != target_chip) {
-        task.start_warmup(cfg_.cross_chip_warmup_insts(), cfg_.cross_chip_miss_multiplier);
-        ++cross_chip_migrations_;
+    // Local window on any core move, then the cross-chip window on top of
+    // it when the chip changes (start_warmup keeps the larger window).
+    if (last != nullptr && last->core != where.core) {
+        task.start_warmup(cfg_.warmup_insts, cfg_.warmup_miss_multiplier);
+        if (chip_of_core(last->core) != chip_of_core(where.core)) {
+            task.start_warmup(cfg_.cross_chip_warmup_insts(), cfg_.cross_chip_miss_multiplier);
+            ++cross_chip_migrations_;
+        }
     }
-    last_chip_.insert_or_assign(task.id(), target_chip);
+    ctx.bind(&task);
+    placement_.insert_or_assign(task.id(), where);
 }
 
 void Platform::unbind(int task_id) {
-    const int* it = last_chip_.find(task_id);
-    if (it == nullptr || !chip(*it).is_bound(task_id))
+    CpuSlot* where = placement_.find(task_id);
+    if (where == nullptr || where->slot == kUnbound)
         throw std::logic_error("Platform::unbind: task not bound");
-    chip(*it).unbind(task_id);
+    context(*where).unbind();
+    where->slot = kUnbound;
 }
 
-void Platform::forget_task(int task_id) noexcept {
-    for (const auto& chip : chips_) chip->forget_task(task_id);
-    last_chip_.erase(task_id);
-}
+void Platform::forget_task(int task_id) noexcept { placement_.erase(task_id); }
 
 CpuSlot Platform::placement(int task_id) const {
-    const int* it = last_chip_.find(task_id);
-    if (it == nullptr || !chip(*it).is_bound(task_id))
+    const CpuSlot* where = placement_.find(task_id);
+    if (where == nullptr || where->slot == kUnbound)
         throw std::logic_error("Platform::placement: task not bound");
-    const CpuSlot local = chip(*it).placement(task_id);
-    return {.core = *it * cores_per_chip() + local.core, .slot = local.slot};
+    return *where;
 }
 
 bool Platform::is_bound(int task_id) const noexcept {
-    const int* it = last_chip_.find(task_id);
-    return it != nullptr && chip(*it).is_bound(task_id);
+    const CpuSlot* where = placement_.find(task_id);
+    return where != nullptr && where->slot != kUnbound;
 }
 
-std::vector<apps::AppInstance*> Platform::bound_tasks() const {
-    std::vector<apps::AppInstance*> out;
-    for (const auto& chip : chips_) {
-        const std::vector<apps::AppInstance*> local = chip->bound_tasks();
-        out.insert(out.end(), local.begin(), local.end());
-    }
+std::vector<const apps::AppInstance*> Platform::bound_tasks() const {
+    std::vector<const apps::AppInstance*> out;
+    placement_.for_each([&](int, CpuSlot where) {
+        if (where.slot != kUnbound) out.push_back(core(where.core).slot(where.slot).task());
+    });
     return out;
 }
 
@@ -117,12 +119,6 @@ CycleCounts Platform::cycle_counts() const noexcept {
     CycleCounts n;
     for (const auto& chip : chips_) n += chip->cycle_counts();
     return n;
-}
-
-pmu::CounterBank Platform::task_counters(int task_id) const {
-    const int* it = last_chip_.find(task_id);
-    if (it == nullptr) throw std::logic_error("Platform::task_counters: unknown task");
-    return chip(*it).task_counters(task_id);
 }
 
 void validate_platform(const Platform& platform) {

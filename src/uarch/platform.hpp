@@ -3,18 +3,23 @@
 // space: global core g lives on chip g / cores_per_chip at local index
 // g % cores_per_chip.
 //
-// The platform is the drivers' substrate (ThreadManager and ScenarioRunner
-// bind through it) and the owner of the topology-aware migration-cost
-// model.  Moves form a cost hierarchy:
+// The platform is every driver's substrate (NodeLoop, the trainer, the
+// benches) and the only owner of placement: one id-keyed table holds each
+// task's global core and slot, and the chips only simulate (the bound task
+// itself is read back from the slot's ThreadContext).  It also owns the
+// topology-aware migration-cost model.  Moves form a cost hierarchy,
+// charged from the task's last global core:
 //   * slot move within a core        — free (architectural state follows),
-//   * core move within a chip        — the chip's own L1/L2 warmup window
-//     (SimConfig::warmup_insts / warmup_miss_multiplier, the PR-0 model),
-//   * move across chips              — everything is cold *and* remote: the
-//     platform charges cross_chip_warmup_quanta quanta of degraded IPC at
-//     cross_chip_miss_multiplier, decaying linearly (cold L2/TLB plus
-//     remote-memory latency until the working set migrates).
-// A single-chip platform is bit-identical to driving the chip directly:
-// every bind forwards unchanged and the cross-chip path never triggers.
+//   * core move within a chip        — the local L1/L2 warmup window
+//     (SimConfig::warmup_insts / warmup_miss_multiplier),
+//   * move across chips              — the local window, then on top of it
+//     (AppInstance::start_warmup keeps the larger) the cross-chip window:
+//     everything is cold *and* remote, so cross_chip_warmup_quanta quanta
+//     of degraded IPC at cross_chip_miss_multiplier, decaying linearly
+//     (cold L2/TLB plus remote-memory latency until the working set
+//     migrates).
+// A one-chip platform (num_chips = 1) is how the trainer and the benches
+// run a bare chip: the cross-chip path never triggers.
 //
 // Execution can be chip-sharded: with SimConfig::sim_threads > 1 (env
 // SYNPA_SIM_THREADS) run_quantum dispatches each chip's quantum to a
@@ -32,7 +37,6 @@
 
 #include "apps/instance.hpp"
 #include "common/flat_map.hpp"
-#include "pmu/perf_session.hpp"
 #include "uarch/chip.hpp"
 #include "uarch/parallel_engine.hpp"
 #include "uarch/sim_config.hpp"
@@ -43,7 +47,7 @@ class Tracer;
 
 namespace synpa::uarch {
 
-class Platform : public pmu::CounterSource {
+class Platform {
 public:
     /// Builds cfg.num_chips chips of cfg.cores cores each (all identical).
     explicit Platform(const SimConfig& cfg);
@@ -69,10 +73,10 @@ public:
         return chip(chip_of_core(global_core)).core(local_core(global_core));
     }
 
-    /// Binds a task to a hardware thread; `where.core` is a *global* core
-    /// id.  Rebinding onto a different chip than the task last ran on
-    /// charges the cross-chip warmup window (see file comment); a core move
-    /// within the last chip charges the chip's cheaper local window.
+    /// Binds a task to a free hardware thread (the sched_setaffinity
+    /// analogue); `where.core` is a *global* core id.  A core move charges
+    /// the local warmup window, a chip move the cross-chip one on top (see
+    /// file comment).
     void bind(apps::AppInstance& task, CpuSlot where);
 
     /// Removes the task from its hardware thread (architectural state and
@@ -81,8 +85,8 @@ public:
 
     /// Drops a task's migration history platform-wide.  Drivers call this
     /// when a task leaves the system for good (retirement, relaunch
-    /// replacement): ids are never reused, so the last-chip/last-core maps
-    /// would otherwise grow by one dead entry per task ever admitted.
+    /// replacement): ids are never reused, so the placement table would
+    /// otherwise keep one dead entry per task ever admitted.
     void forget_task(int task_id) noexcept;
 
     /// Where a task currently runs (global core id); throws if not bound.
@@ -90,7 +94,7 @@ public:
     bool is_bound(int task_id) const noexcept;
 
     /// All currently bound tasks across every chip (unspecified order).
-    std::vector<apps::AppInstance*> bound_tasks() const;
+    std::vector<const apps::AppInstance*> bound_tasks() const;
 
     /// Runs one scheduling quantum on every chip in lockstep.  With
     /// cfg.sim_threads > 1 the per-chip work is sharded across host
@@ -120,9 +124,6 @@ public:
     /// warmup window on the moved task).
     std::uint64_t cross_chip_migrations() const noexcept { return cross_chip_migrations_; }
 
-    // pmu::CounterSource: cumulative counters for a bound-or-known task.
-    pmu::CounterBank task_counters(int task_id) const override;
-
 private:
     SimConfig cfg_;
     /// unique_ptr: Chip's SmtCores point into the owning Chip's SimConfig,
@@ -133,10 +134,20 @@ private:
     std::unique_ptr<ParallelQuantumEngine> engine_;
     /// Flight recorder (not owned); null when detached or disabled.
     obs::Tracer* tracer_ = nullptr;
-    /// Task id -> chip it last ran on; survives unbind and drives the
-    /// cross-chip warmup.  Flat (id-indexed): probed for every live task
-    /// every quantum through bind/placement/task_counters.
-    common::FlatIdMap<int> last_chip_;
+    /// Slot value of a task that is known but not bound.
+    static constexpr int kUnbound = -1;
+    /// The hardware thread behind a global placement.
+    ThreadContext& context(CpuSlot where) {
+        return chip(chip_of_core(where.core))
+            .slot({.core = local_core(where.core), .slot = where.slot});
+    }
+
+    /// Task id -> the global core it runs on and its slot there; after
+    /// unbind the core it last ran on, with slot kUnbound.  Survives
+    /// unbind until forget_task, since the last core drives the warmup
+    /// windows.  Flat (id-indexed): probed for every live task every
+    /// quantum through bind/placement.
+    common::FlatIdMap<CpuSlot> placement_;
     std::uint64_t now_ = 0;
     std::uint64_t quanta_ = 0;
     std::uint64_t cross_chip_migrations_ = 0;

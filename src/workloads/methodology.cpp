@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "apps/spec_suite.hpp"
+#include "common/config.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "exp/campaign.hpp"
@@ -61,7 +62,7 @@ TargetProfile profile_target(const std::string& app_name, const uarch::SimConfig
     return result;
 }
 
-void require(bool ok, const char* field, const char* rule, const std::string& got) {
+void require(bool ok, const char* field, const std::string& rule, const std::string& got) {
     if (!ok)
         throw std::invalid_argument(std::string("MethodologyOptions::") + field + " must be " +
                                     rule + ", got " + got);
@@ -78,7 +79,18 @@ const MethodologyOptions& MethodologyOptions::validate() const {
     require(as_signed(max_quanta) > 0, "max_quanta", "> 0", std::to_string(as_signed(max_quanta)));
     require(!std::isnan(cv_limit) && cv_limit >= 0.0, "cv_limit", ">= 0",
             std::to_string(cv_limit));
+    require(threads <= kMaxThreads, "threads", "<= " + std::to_string(kMaxThreads),
+            std::to_string(as_signed(threads)));
     return *this;
+}
+
+std::size_t bench_threads_from_env() {
+    const std::int64_t threads = common::env_int("SYNPA_BENCH_THREADS", 0);
+    const auto max = static_cast<std::int64_t>(MethodologyOptions::kMaxThreads);
+    if (threads < 0 || threads > max)
+        throw std::invalid_argument("SYNPA_BENCH_THREADS must be in [0, " + std::to_string(max) +
+                                    "], got " + std::to_string(threads));
+    return static_cast<std::size_t>(threads);
 }
 
 PreparedWorkload prepare_workload(const WorkloadSpec& spec, const uarch::SimConfig& cfg,
@@ -120,11 +132,10 @@ sched::RunResult run_workload_once(const PreparedWorkload& prepared,
     return manager.run();
 }
 
-// run_workload and compare_policies are thin wrappers over the campaign
-// engine: they declare a one-column (or two-column) grid and let
-// exp::CampaignRunner execute the repetitions over its persistent pool,
-// with artifacts (per-rep prepared workloads) memoized process-wide in
-// exp::ArtifactCache::global().
+// run_workload is a thin wrapper over the campaign engine: it declares a
+// one-cell grid and lets exp::CampaignRunner execute the repetitions over
+// its persistent pool, with artifacts (per-rep prepared workloads)
+// memoized process-wide in exp::ArtifactCache::global().
 
 RepeatedResult run_workload(const WorkloadSpec& spec, const uarch::SimConfig& cfg,
                             const PolicyFactory& make_policy,
@@ -134,27 +145,10 @@ RepeatedResult run_workload(const WorkloadSpec& spec, const uarch::SimConfig& cf
     campaign.configs = {cfg};
     campaign.workloads = {spec};
     campaign.policies = {exp::policy("policy", make_policy)};
-    campaign.methodology = opts;
+    campaign.methodology = opts.validate();
     exp::CampaignRunner runner({.threads = opts.threads});
     exp::CampaignResult result = runner.run(campaign);
     return std::move(result.cells.front().result);
-}
-
-std::vector<PolicyComparison> compare_policies(const std::vector<WorkloadSpec>& specs,
-                                               const uarch::SimConfig& cfg,
-                                               const PolicyFactory& make_baseline,
-                                               const PolicyFactory& make_treatment,
-                                               const MethodologyOptions& opts) {
-    exp::Campaign campaign;
-    campaign.name = "compare_policies";
-    campaign.configs = {cfg};
-    campaign.workloads = specs;
-    campaign.policies = {exp::policy("baseline", make_baseline),
-                         exp::policy("treatment", make_treatment)};
-    campaign.methodology = opts;
-    exp::CampaignRunner runner({.threads = opts.threads});
-    const exp::CampaignResult result = runner.run(campaign);
-    return exp::compare_to_baseline(result, 0, 1);
 }
 
 }  // namespace synpa::workloads

@@ -38,7 +38,11 @@ struct MethodologyOptions {
     std::uint64_t seed = 42;
     std::uint64_t max_quanta = 20'000;
     bool record_traces = true;
-    std::size_t threads = 0;  ///< parallelism across repetitions/workloads
+    /// Parallelism across repetitions/workloads; 0 = hardware concurrency.
+    std::size_t threads = 0;
+    /// Ceiling on `threads`: each is a host thread the campaign pool
+    /// starts, so a larger value (or a wrapped negative) is a typo.
+    static constexpr std::size_t kMaxThreads = 256;
     /// Flight recorder handed to the run's ThreadManager (not owned; may be
     /// null).  Campaign drivers derive a per-cell tracer from SYNPA_TRACE_*
     /// instead of sharing one across parallel cells.
@@ -46,13 +50,19 @@ struct MethodologyOptions {
 
     /// Throws std::invalid_argument naming `MethodologyOptions::<field>`
     /// for reps < 1, a target_isolated_quanta or max_quanta that is zero or
-    /// a wrapped negative, or a NaN or negative cv_limit (an infinite one
-    /// never discards); returns
-    /// *this.  prepare_workload, run_workload_once and
-    /// exp::CampaignRunner::run (which run_workload and compare_policies
-    /// go through) call it before any simulation.
+    /// a wrapped negative, a NaN or negative cv_limit (an infinite one
+    /// never discards), or threads above kMaxThreads (a wrapped negative
+    /// included); returns *this.  prepare_workload, run_workload_once,
+    /// run_workload and exp::CampaignRunner::run call it before any
+    /// simulation, and run_workload before it builds its thread pool.
     const MethodologyOptions& validate() const;
 };
+
+/// Reads SYNPA_BENCH_THREADS (unset: 0, hardware concurrency) for the
+/// benches' campaign pools; throws std::invalid_argument naming the
+/// variable for a negative value or one above
+/// MethodologyOptions::kMaxThreads, before any pool is built.
+std::size_t bench_threads_from_env();
 
 /// Fresh policy per repetition (policies hold run state).
 using PolicyFactory =
@@ -93,8 +103,8 @@ RepeatedResult run_workload(const WorkloadSpec& spec, const uarch::SimConfig& cf
                             const PolicyFactory& make_policy,
                             const MethodologyOptions& opts);
 
-/// Convenience for the evaluation benches: runs every workload under both a
-/// baseline and a treatment policy and reports the paired results.
+/// One workload's paired results under a baseline and a treatment policy
+/// (exp::compare_to_baseline, exp::PairedSpeedupAggregator).
 struct PolicyComparison {
     std::string workload;
     metrics::WorkloadMetrics baseline;
@@ -103,12 +113,5 @@ struct PolicyComparison {
     double ipc_speedup = 0.0;
     double fairness_delta = 0.0;
 };
-
-/// Also a thin campaign wrapper: one grid of specs x {baseline, treatment}.
-std::vector<PolicyComparison> compare_policies(const std::vector<WorkloadSpec>& specs,
-                                               const uarch::SimConfig& cfg,
-                                               const PolicyFactory& make_baseline,
-                                               const PolicyFactory& make_treatment,
-                                               const MethodologyOptions& opts);
 
 }  // namespace synpa::workloads

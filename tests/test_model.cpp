@@ -16,7 +16,7 @@
 #include "apps/spec_suite.hpp"
 #include "common/rng.hpp"
 #include "linalg/matrix.hpp"
-#include "uarch/chip.hpp"
+#include "uarch/platform.hpp"
 #include "model/categories.hpp"
 #include "model/extended_model.hpp"
 #include "model/interference_model.hpp"
@@ -666,10 +666,10 @@ TEST(Trainer, ResultIsIdenticalForOneAndManyThreads) {
 
 TEST(Extended, CategoriesSumToCycles) {
     uarch::SimConfig cfg = train_config();
-    uarch::Chip chip(cfg);
+    uarch::Platform platform(cfg);
     apps::AppInstance t(1, apps::find_app("leela_r"), 4);
-    chip.bind(t, {.core = 0, .slot = 0});
-    for (int q = 0; q < 4; ++q) chip.run_quantum();
+    platform.bind(t, {.core = 0, .slot = 0});
+    for (int q = 0; q < 4; ++q) platform.run_quantum();
     const ExtendedVector v = characterize_extended(t.counters(), cfg);
     double sum = 0.0;
     for (double x : v) sum += x;
@@ -678,10 +678,10 @@ TEST(Extended, CategoriesSumToCycles) {
 
 TEST(Extended, RefinesTheCoarseCategories) {
     uarch::SimConfig cfg = train_config();
-    uarch::Chip chip(cfg);
+    uarch::Platform platform(cfg);
     apps::AppInstance t(1, apps::find_app("mcf"), 4);
-    chip.bind(t, {.core = 0, .slot = 0});
-    for (int q = 0; q < 4; ++q) chip.run_quantum();
+    platform.bind(t, {.core = 0, .slot = 0});
+    for (int q = 0; q < 4; ++q) platform.run_quantum();
     const ExtendedVector v = characterize_extended(t.counters(), cfg);
     const auto coarse = characterize(t.counters(), cfg.dispatch_width);
     EXPECT_NEAR(v[0], coarse.categories[0], 1e-6);                    // full dispatch

@@ -294,7 +294,157 @@ TEST(IncrementalTrainer, DecayAgesOutOldEvidence) {
               static_cast<double>(decayed.sample_count()));
 }
 
+TEST(IncrementalTrainer, OptionsRejectBadValuesByFieldName) {
+    constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const model::InterferenceModel prior = model::InterferenceModel::paper_table4();
+    const std::vector<model::TrainingSample> none;
+    for (const double bad : {-1.0, kNaN, kInf}) {
+        const online::IncrementalTrainer::Options opts{.prior_strength = bad};
+        for (const bool offline : {false, true}) {
+            try {
+                if (offline)
+                    (void)online::IncrementalTrainer::fit_offline(none, prior, opts);
+                else
+                    online::IncrementalTrainer trainer(prior, opts);
+                ADD_FAILURE() << "prior_strength " << bad << " accepted";
+            } catch (const std::invalid_argument& e) {
+                EXPECT_NE(std::string(e.what()).find(
+                              "IncrementalTrainer::Options::prior_strength"),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
+    // The boundary: 0 is a pure least-squares fit, singular without samples.
+    online::IncrementalTrainer trainer(prior, {.prior_strength = 0.0});
+    EXPECT_THROW(trainer.fit(), std::runtime_error);
+}
+
 // ---------- adaptive policy, end to end ----------
+
+/// A short open run under the adaptive policy with `online`.
+scenario::ScenarioResult run_adaptive(const online::OnlineOptions& online) {
+    uarch::SimConfig cfg;
+    cfg.cores = 2;
+    cfg.cycles_per_quantum = 2'000;
+    scenario::ScenarioSpec spec;
+    spec.name = "adaptive-options";
+    spec.process = scenario::ArrivalProcess::kPoisson;
+    spec.app_mix = {"leela_r", "gobmk", "mcf"};
+    spec.initial_tasks = 4;
+    spec.arrival_rate = 0.5;
+    spec.service_quanta = 6;
+    spec.horizon_quanta = 16;
+    spec.seed = 3;
+    const scenario::ScenarioTrace trace = scenario::build_trace(spec, cfg);
+    uarch::Platform platform(cfg);
+    online::AdaptiveSynpaPolicy policy(model::InterferenceModel::paper_table4(), {}, online);
+    scenario::ScenarioRunner runner(platform, policy, trace, {.max_quanta = 1'000});
+    return runner.run();
+}
+
+TEST(AdaptiveSynpaPolicy, OptionsRejectBadValuesByFieldName) {
+    // One row per numeric field: every bad value throws from the policy's
+    // constructor naming the field, and the boundary-good value runs.
+    using online::OnlineOptions;
+    constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    struct Row {
+        const char* field;
+        std::vector<void (*)(OnlineOptions&)> bad;
+        void (*good)(OnlineOptions&);
+    };
+    const std::vector<Row> rows = {
+        {"OnlineOptions::prior_strength",
+         {[](OnlineOptions& o) { o.prior_strength = -1.0; },
+          [](OnlineOptions& o) { o.prior_strength = kNaN; },
+          [](OnlineOptions& o) { o.prior_strength = kInf; }},
+         [](OnlineOptions& o) { o.prior_strength = 0.0; }},
+        {"OnlineOptions::refit_period",
+         {[](OnlineOptions& o) { o.refit_period = 0; },
+          [](OnlineOptions& o) { o.refit_period = static_cast<std::uint64_t>(-1); }},
+         [](OnlineOptions& o) { o.refit_period = 1; }},
+        {"OnlineOptions::min_samples",
+         {[](OnlineOptions& o) { o.min_samples = 0; },
+          [](OnlineOptions& o) { o.min_samples = static_cast<std::size_t>(-2); }},
+         [](OnlineOptions& o) { o.min_samples = 1; }},
+        {"OnlineOptions::reference_max_age",
+         {[](OnlineOptions& o) { o.reference_max_age = 0; }},
+         [](OnlineOptions& o) { o.reference_max_age = 1; }},
+        {"OnlineOptions::forgetting",
+         {[](OnlineOptions& o) { o.forgetting = -0.1; },
+          [](OnlineOptions& o) { o.forgetting = 1.5; },
+          [](OnlineOptions& o) { o.forgetting = kNaN; }},
+         [](OnlineOptions& o) { o.forgetting = 0.0; }},
+        {"OnlineOptions::validation_window",
+         {[](OnlineOptions& o) { o.validation_window = 0; }},
+         [](OnlineOptions& o) {
+             o.validation_window = 1;
+             o.min_validation = 1;
+         }},
+        {"OnlineOptions::min_validation",
+         {[](OnlineOptions& o) { o.min_validation = 0; },
+          [](OnlineOptions& o) { o.min_validation = o.validation_window + 1; }},
+         [](OnlineOptions& o) { o.min_validation = o.validation_window; }},
+        {"OnlineOptions::adopt_factor",
+         {[](OnlineOptions& o) { o.adopt_factor = -0.5; },
+          [](OnlineOptions& o) { o.adopt_factor = kNaN; }},
+         [](OnlineOptions& o) { o.adopt_factor = 0.0; }},
+        {"OnlineOptions::adopt_factor",  // infinite: the gate is off
+         {},
+         [](OnlineOptions& o) { o.adopt_factor = kInf; }},
+        {"OnlineOptions::max_sample_slowdown",
+         {[](OnlineOptions& o) { o.max_sample_slowdown = 0.49; },
+          [](OnlineOptions& o) { o.max_sample_slowdown = kNaN; }},
+         [](OnlineOptions& o) { o.max_sample_slowdown = 0.5; }},
+        {"OnlineOptions::max_sample_slowdown",  // infinite: no upper filter
+         {},
+         [](OnlineOptions& o) { o.max_sample_slowdown = kInf; }},
+        {"PhaseDetector::Options::warmup_quanta",  // the nested detector's
+         {[](OnlineOptions& o) { o.detector.warmup_quanta = 1; }},
+         [](OnlineOptions& o) { o.detector.warmup_quanta = 2; }},
+    };
+    for (const Row& row : rows) {
+        for (const auto set_bad : row.bad) {
+            OnlineOptions opts;
+            set_bad(opts);
+            try {
+                online::AdaptiveSynpaPolicy policy(model::InterferenceModel::paper_table4(), {},
+                                                   opts);
+                ADD_FAILURE() << row.field << ": bad value accepted";
+            } catch (const std::invalid_argument& e) {
+                EXPECT_NE(std::string(e.what()).find(row.field), std::string::npos) << e.what();
+            }
+        }
+        OnlineOptions good;
+        row.good(good);
+        EXPECT_TRUE(run_adaptive(good).completed) << row.field;
+    }
+}
+
+TEST(AdaptiveSynpaPolicy, EnvCountsBelowOneThrowNamingTheKnob) {
+    for (const char* knob :
+         {"SYNPA_ONLINE_REFIT_QUANTA", "SYNPA_ONLINE_MIN_SAMPLES", "SYNPA_ONLINE_REF_MAX_AGE"}) {
+        const char* const inherited = std::getenv(knob);
+        const std::string saved = inherited != nullptr ? inherited : "";
+        for (const char* bad : {"0", "-1"}) {
+            ::setenv(knob, bad, 1);
+            try {
+                (void)online::OnlineOptions::from_env();
+                ADD_FAILURE() << knob << "=" << bad << " accepted";
+            } catch (const std::invalid_argument& e) {
+                EXPECT_NE(std::string(e.what()).find(knob), std::string::npos) << e.what();
+            }
+        }
+        ::setenv(knob, "1", 1);
+        EXPECT_NO_THROW((void)online::OnlineOptions::from_env()) << knob;
+        if (inherited != nullptr)
+            ::setenv(knob, saved.c_str(), 1);
+        else
+            ::unsetenv(knob);
+    }
+}
 
 TEST(AdaptiveSynpaPolicy, ReportsAdaptationThroughScenarioResult) {
     uarch::SimConfig cfg;

@@ -1,13 +1,10 @@
-// Tests for the PMU substrate: event metadata, counter banks, and the
-// perf-like per-task session semantics.
+// Tests for the PMU substrate: event metadata and counter banks.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <set>
 
 #include "pmu/counters.hpp"
 #include "pmu/events.hpp"
-#include "pmu/perf_session.hpp"
 
 namespace {
 
@@ -66,107 +63,6 @@ TEST(CounterBank, ResetAndAccumulate) {
     EXPECT_EQ(a.value(Event::kBrMisPred), 7u);
     a.reset();
     EXPECT_EQ(a.value(Event::kBrMisPred), 0u);
-}
-
-/// Test double for the chip.
-class FakeSource final : public CounterSource {
-public:
-    CounterBank task_counters(int task_id) const override {
-        const auto it = banks.find(task_id);
-        if (it == banks.end()) throw std::logic_error("unknown task");
-        return it->second;
-    }
-    std::map<int, CounterBank> banks;
-};
-
-TEST(PerfSession, AttachReadDeltaSemantics) {
-    FakeSource src;
-    src.banks[1].increment(Event::kCpuCycles, 1000);
-    PerfSession session(src);
-    session.attach(1);
-    src.banks[1].increment(Event::kCpuCycles, 500);
-    const CounterBank d1 = session.read(1);
-    EXPECT_EQ(d1.value(Event::kCpuCycles), 500u);
-    const CounterBank d2 = session.read(1);
-    EXPECT_EQ(d2.value(Event::kCpuCycles), 0u);  // snapshot advanced
-}
-
-TEST(PerfSession, PeekDoesNotAdvance) {
-    FakeSource src;
-    src.banks[1];
-    PerfSession session(src);
-    session.attach(1);
-    src.banks[1].increment(Event::kInstSpec, 42);
-    EXPECT_EQ(session.peek(1).value(Event::kInstSpec), 42u);
-    EXPECT_EQ(session.read(1).value(Event::kInstSpec), 42u);
-}
-
-TEST(PerfSession, EventFilterRestrictsReads) {
-    FakeSource src;
-    src.banks[1].increment(Event::kCpuCycles, 5);
-    src.banks[1].increment(Event::kBrMisPred, 5);
-    PerfSession session(src, {Event::kCpuCycles});
-    session.attach(1);
-    src.banks[1].increment(Event::kCpuCycles, 5);
-    src.banks[1].increment(Event::kBrMisPred, 5);
-    const CounterBank d = session.read(1);
-    EXPECT_EQ(d.value(Event::kCpuCycles), 5u);
-    EXPECT_EQ(d.value(Event::kBrMisPred), 0u);  // filtered out
-}
-
-TEST(PerfSession, UnattachedTaskThrows) {
-    FakeSource src;
-    PerfSession session(src);
-    EXPECT_THROW(session.read(9), std::runtime_error);
-    EXPECT_THROW(session.peek(9), std::runtime_error);
-    EXPECT_FALSE(session.attached(9));
-}
-
-TEST(PerfSession, TaskReplacementDoesNotInheritStaleSnapshots) {
-    // Regression: the manager relaunches finished tasks, and a counter
-    // source may reuse an id for the fresh instance whose cumulative
-    // counters restart from zero.  Re-attaching across the replacement must
-    // rebaseline the snapshot — reads after it must report only the new
-    // instance's deltas, never a wrapped difference against the old task's
-    // (larger) cumulative values.
-    FakeSource src;
-    src.banks[1].increment(Event::kCpuCycles, 10'000);
-    src.banks[1].increment(Event::kInstSpec, 5'000);
-    PerfSession session(src);
-    session.attach(1);
-    src.banks[1].increment(Event::kCpuCycles, 500);
-    EXPECT_EQ(session.read(1).value(Event::kCpuCycles), 500u);
-
-    // The task finishes; a fresh instance takes over id 1 from zero.
-    src.banks[1] = CounterBank{};
-    src.banks[1].increment(Event::kCpuCycles, 42);
-    session.detach(1);
-    session.attach(1);
-
-    src.banks[1].increment(Event::kCpuCycles, 8);
-    src.banks[1].increment(Event::kInstSpec, 3);
-    const CounterBank d = session.read(1);
-    EXPECT_EQ(d.value(Event::kCpuCycles), 8u);  // not 42, and no wrap-around
-    EXPECT_EQ(d.value(Event::kInstSpec), 3u);
-
-    // attach() on an already-attached id also rebaselines (same guarantee
-    // without the detach).
-    src.banks[1] = CounterBank{};
-    src.banks[1].increment(Event::kInstSpec, 7);
-    session.attach(1);
-    src.banks[1].increment(Event::kInstSpec, 2);
-    EXPECT_EQ(session.read(1).value(Event::kInstSpec), 2u);
-}
-
-TEST(PerfSession, DetachForgetsSnapshot) {
-    FakeSource src;
-    src.banks[1];
-    PerfSession session(src);
-    session.attach(1);
-    EXPECT_TRUE(session.attached(1));
-    session.detach(1);
-    EXPECT_FALSE(session.attached(1));
-    EXPECT_THROW(session.read(1), std::runtime_error);
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 #include "apps/spec_suite.hpp"
 #include "model/categories.hpp"
 #include "model/trainer.hpp"
-#include "uarch/chip.hpp"
+#include "uarch/platform.hpp"
 
 namespace {
 
@@ -31,10 +31,10 @@ class PerApplication : public ::testing::TestWithParam<std::string> {};
 TEST_P(PerApplication, IsolatedCounterIdentity) {
     uarch::SimConfig cfg = prop_config();
     cfg.cores = 1;
-    uarch::Chip chip(cfg);
+    uarch::Platform platform(cfg);
     apps::AppInstance task(1, apps::find_app(GetParam()), 3);
-    chip.bind(task, {.core = 0, .slot = 0});
-    for (int q = 0; q < 6; ++q) chip.run_quantum();
+    platform.bind(task, {.core = 0, .slot = 0});
+    for (int q = 0; q < 6; ++q) platform.run_quantum();
 
     const auto b = model::characterize(task.counters(), cfg.dispatch_width);
     // The three categories tile the execution exactly.
@@ -66,12 +66,12 @@ TEST_P(PerApplication, SmtWithSelfCostsThroughput) {
     const model::IsolatedProfile prof =
         model::profile_isolated(apps::find_app(GetParam()), cfg, 10, 7);
 
-    uarch::Chip chip(cfg);
+    uarch::Platform platform(cfg);
     apps::AppInstance a(1, apps::find_app(GetParam()), 7);
     apps::AppInstance b(2, apps::find_app(GetParam()), 8);
-    chip.bind(a, {.core = 0, .slot = 0});
-    chip.bind(b, {.core = 0, .slot = 1});
-    for (int q = 0; q < 10; ++q) chip.run_quantum();
+    platform.bind(a, {.core = 0, .slot = 0});
+    platform.bind(b, {.core = 0, .slot = 1});
+    for (int q = 0; q < 10; ++q) platform.run_quantum();
 
     const double ipc_a = model::characterize(a.counters(), cfg.dispatch_width).ipc();
     EXPECT_LT(ipc_a, prof.ipc() * 1.01) << "SMT should not beat isolated";

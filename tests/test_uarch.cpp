@@ -1,7 +1,8 @@
 // Tests for the simulator substrate: cache-sharing math, the DRAM queue,
 // configuration, the SMT core's run() shortcuts (against repeated tick()),
-// and chip-level invariants (counter identities, determinism,
-// SMT slowdown, migration warmup, fetch-port contention).
+// chip-level invariants on one-chip platforms (counter identities,
+// determinism, SMT slowdown, fetch-port contention), and the platform's
+// placement table and migration warmup.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -186,7 +187,7 @@ TEST(ConfigValidation, RejectsEveryOtherOutOfRangeKnob) {
 }
 
 TEST(ConfigValidation, ChipValidatesToo) {
-    // Trainer and the extended model build bare chips.
+    // A chip built on its own checks its config as the platform does.
     SimConfig cfg;
     cfg.cores = 0;
     EXPECT_THROW(Chip chip(cfg), std::invalid_argument);
@@ -224,8 +225,9 @@ TEST(Config, FingerprintSensitivity) {
     EXPECT_NE(config_fingerprint(a), config_fingerprint(b));
 }
 
-// ---------- chip ----------
+// ---------- chip (driven through one-chip platforms) ----------
 
+/// One chip of `cores` cores: the platform shape the trainer runs.
 SimConfig small_config(int cores = 1) {
     SimConfig cfg;
     cfg.cores = cores;
@@ -233,28 +235,37 @@ SimConfig small_config(int cores = 1) {
     return cfg;
 }
 
-TEST(Chip, BindUnbindLifecycle) {
-    Chip chip(small_config());
+TEST(PlatformTest, BindUnbindLifecycle) {
+    Platform chip(small_config());
     apps::AppInstance t(1, apps::find_app("mcf"), 1);
     chip.bind(t, {.core = 0, .slot = 0});
     EXPECT_TRUE(chip.is_bound(1));
-    EXPECT_EQ(chip.placement(1).core, 0);
+    EXPECT_EQ(chip.placement(1), (CpuSlot{.core = 0, .slot = 0}));
     EXPECT_EQ(chip.bound_tasks().size(), 1u);
+    EXPECT_EQ(chip.core(0).slot(0).task(), &t);
     chip.unbind(1);
     EXPECT_FALSE(chip.is_bound(1));
     EXPECT_THROW(chip.placement(1), std::logic_error);
+    EXPECT_FALSE(chip.core(0).slot(0).bound());
+    EXPECT_EQ(chip.bound_tasks().size(), 0u);
+    chip.bind(t, {.core = 0, .slot = 1});  // known but unbound: binds again
+    EXPECT_EQ(chip.placement(1), (CpuSlot{.core = 0, .slot = 1}));
+    chip.unbind(1);
+    chip.forget_task(1);
+    EXPECT_FALSE(chip.is_bound(1));
+    EXPECT_THROW(chip.unbind(1), std::logic_error);
 }
 
 TEST(Chip, SmtWidthBoundsSlots) {
     // SMT-2 chips reject slot 2; SMT-4 chips accept four threads per core
     // and report them all as co-runners of each other.
-    Chip narrow(small_config());
+    Platform narrow(small_config());
     apps::AppInstance n1(1, apps::find_app("mcf"), 1);
     EXPECT_THROW(narrow.bind(n1, {.core = 0, .slot = 2}), std::out_of_range);
 
     SimConfig cfg = small_config();
     cfg.smt_ways = 4;
-    Chip wide(cfg);
+    Platform wide(cfg);
     std::vector<std::unique_ptr<apps::AppInstance>> tasks;
     const std::vector<std::string> names = {"mcf", "lbm_r", "leela_r", "nab_r"};
     for (int s = 0; s < 4; ++s) {
@@ -269,22 +280,27 @@ TEST(Chip, SmtWidthBoundsSlots) {
     for (const auto& t : tasks) EXPECT_GT(t->insts_retired(), 0u);
 }
 
-TEST(Chip, BindErrors) {
-    Chip chip(small_config());
+TEST(PlatformTest, BindErrors) {
+    Platform chip(small_config());
     apps::AppInstance a(1, apps::find_app("mcf"), 1);
     apps::AppInstance b(2, apps::find_app("lbm_r"), 2);
     EXPECT_THROW(chip.bind(a, {.core = 5, .slot = 0}), std::out_of_range);
+    EXPECT_THROW(chip.bind(a, {.core = -1, .slot = 0}), std::out_of_range);
+    EXPECT_THROW(chip.bind(a, {.core = 0, .slot = -1}), std::out_of_range);
     chip.bind(a, {.core = 0, .slot = 0});
     EXPECT_THROW(chip.bind(a, {.core = 0, .slot = 1}), std::logic_error);  // double bind
     EXPECT_THROW(chip.bind(b, {.core = 0, .slot = 0}), std::logic_error);  // occupied
     EXPECT_THROW(chip.unbind(99), std::logic_error);
+    EXPECT_EQ(chip.placement(1), (CpuSlot{.core = 0, .slot = 0}));  // errors left no trace
+    EXPECT_FALSE(chip.is_bound(2));
+    validate_platform(chip);
 }
 
 TEST(Chip, CycleAccountingIdentity) {
     // CPU_CYCLES must exactly equal full-dispatch + frontend + backend after
     // the three-step characterization, for any application.
     for (const char* app : {"mcf", "leela_r", "nab_r", "perlbench"}) {
-        Chip chip(small_config());
+        Platform chip(small_config());
         apps::AppInstance t(1, apps::find_app(app), 7);
         chip.bind(t, {.core = 0, .slot = 0});
         for (int q = 0; q < 5; ++q) chip.run_quantum();
@@ -297,7 +313,7 @@ TEST(Chip, CycleAccountingIdentity) {
 
 TEST(Chip, DeterministicAcrossRuns) {
     auto run = [] {
-        Chip chip(small_config());
+        Platform chip(small_config());
         apps::AppInstance t(1, apps::find_app("leela_r"), 99);
         chip.bind(t, {.core = 0, .slot = 0});
         for (int q = 0; q < 4; ++q) chip.run_quantum();
@@ -314,13 +330,13 @@ TEST(Chip, DeterministicAcrossRuns) {
 TEST(Chip, SmtSlowsBothThreadsDown) {
     // Any co-runner must cost some throughput vs isolated execution.
     auto isolated_ipc = [](const char* app) {
-        Chip chip(small_config());
+        Platform chip(small_config());
         apps::AppInstance t(1, apps::find_app(app), 5);
         chip.bind(t, {.core = 0, .slot = 0});
         for (int q = 0; q < 6; ++q) chip.run_quantum();
         return model::characterize(t.counters(), 4).ipc();
     };
-    Chip chip(small_config());
+    Platform chip(small_config());
     apps::AppInstance a(1, apps::find_app("mcf"), 5);
     apps::AppInstance b(2, apps::find_app("milc"), 6);
     chip.bind(a, {.core = 0, .slot = 0});
@@ -330,8 +346,8 @@ TEST(Chip, SmtSlowsBothThreadsDown) {
     EXPECT_LT(model::characterize(b.counters(), 4).ipc(), isolated_ipc("milc"));
 }
 
-TEST(Chip, MigrationTriggersWarmup) {
-    Chip chip(small_config(2));
+TEST(PlatformTest, MigrationTriggersWarmup) {
+    Platform chip(small_config(2));
     apps::AppInstance t(1, apps::find_app("mcf"), 5);
     chip.bind(t, {.core = 0, .slot = 0});
     chip.run_quantum();
@@ -340,8 +356,8 @@ TEST(Chip, MigrationTriggersWarmup) {
     EXPECT_GT(t.warmup_multiplier(), 1.0);
 }
 
-TEST(Chip, SameCoreRebindIsFree) {
-    Chip chip(small_config(2));
+TEST(PlatformTest, SameCoreRebindIsFree) {
+    Platform chip(small_config(2));
     apps::AppInstance t(1, apps::find_app("mcf"), 5);
     chip.bind(t, {.core = 0, .slot = 0});
     chip.run_quantum();
@@ -356,7 +372,7 @@ TEST(Chip, FrontendPairContention) {
     // memory-bound thread.
     auto frontend_fraction = [](const char* partner) {
         SimConfig cfg = small_config();
-        Chip chip(cfg);
+        Platform chip(cfg);
         apps::AppInstance a(1, apps::find_app("gobmk"), 3);
         apps::AppInstance b(2, apps::find_app(partner), 4);
         chip.bind(a, {.core = 0, .slot = 0});
@@ -368,18 +384,13 @@ TEST(Chip, FrontendPairContention) {
 }
 
 TEST(Chip, QuantaAndCyclesAdvance) {
-    Chip chip(small_config());
+    Platform chip(small_config());
     apps::AppInstance t(1, apps::find_app("nab_r"), 1);
     chip.bind(t, {.core = 0, .slot = 0});
     chip.run_quantum();
     chip.run_quantum();
     EXPECT_EQ(chip.quanta_elapsed(), 2u);
     EXPECT_EQ(chip.now(), 2 * chip.config().cycles_per_quantum);
-}
-
-TEST(Chip, TaskCountersThrowOnUnknown) {
-    Chip chip(small_config());
-    EXPECT_THROW(chip.task_counters(3), std::logic_error);
 }
 
 // ---------- SmtCore::run vs repeated tick ----------
@@ -504,7 +515,7 @@ FuzzCase make_fuzz_case(std::uint64_t c) {
 
     // Rates come from a one-cycle chip quantum over a separate set of
     // identical instances.
-    Chip probe(cfg);
+    Platform probe(cfg);
     std::vector<std::unique_ptr<apps::AppInstance>> probe_tasks;
     std::vector<int> probed = bound;
     if (late >= 0) probed.push_back(late);
@@ -904,7 +915,7 @@ TEST(SmtCore, EmptyCoreSkipsTheWholeRun) {
 TEST(Chip, TickedPlusSkippedCoversEveryCoreCycle) {
     SimConfig cfg = small_config(3);
     cfg.smt_ways = 4;
-    Chip chip(cfg);
+    Platform chip(cfg);
     apps::AppInstance a(1, apps::find_app("mcf"), 3);
     apps::AppInstance b(2, apps::find_app("lbm_r"), 4);
     chip.bind(a, {.core = 0, .slot = 0});
@@ -916,7 +927,7 @@ TEST(Chip, TickedPlusSkippedCoversEveryCoreCycle) {
     EXPECT_GE(n.skipped, 2 * chip.now());  // the empty cores
 }
 
-TEST(Chip, CountersCompleteAfterEveryQuantum) {
+TEST(PlatformTest, CountersCompleteAfterEveryQuantum) {
     // The core keeps cycle, dispatch and stall tallies itself and hands
     // them to each task, with one retire, when its run() ends: after every
     // quantum each bound task's counters must already be complete.
@@ -924,7 +935,7 @@ TEST(Chip, CountersCompleteAfterEveryQuantum) {
     for (const int ways : {1, 2, 4}) {
         SimConfig cfg = small_config(4);
         cfg.smt_ways = ways;
-        Chip chip(cfg);
+        Platform chip(cfg);
         std::vector<std::unique_ptr<apps::AppInstance>> tasks;
         std::vector<std::uint64_t> bound_cycles;
         const auto add = [&](CpuSlot where) {
@@ -1008,8 +1019,8 @@ TEST(PlatformTest, BindPlacementAndValidationSpanChips) {
     EXPECT_EQ(platform.placement(1).core, 1);
     EXPECT_EQ(platform.placement(2).core, 3);
     EXPECT_EQ(platform.bound_tasks().size(), 2u);
-    EXPECT_TRUE(platform.chip(0).is_bound(1));
-    EXPECT_TRUE(platform.chip(1).is_bound(2));
+    EXPECT_EQ(platform.core(1).slot(0).task(), &a);
+    EXPECT_EQ(platform.core(3).slot(1).task(), &b);
     EXPECT_THROW(platform.bind(a, {.core = 0, .slot = 0}), std::logic_error);
     synpa::apps::AppInstance c(3, synpa::apps::find_app("nab_r"), 3);
     EXPECT_THROW(platform.bind(c, {.core = 4, .slot = 0}), std::out_of_range);
@@ -1017,26 +1028,6 @@ TEST(PlatformTest, BindPlacementAndValidationSpanChips) {
     platform.unbind(2);
     EXPECT_THROW(platform.placement(1), std::logic_error);
     EXPECT_EQ(platform.bound_tasks().size(), 0u);
-}
-
-TEST(PlatformTest, SingleChipMatchesDirectChipBitForBit) {
-    // The whole refactor rests on this: a 1-chip platform must reproduce a
-    // direct Chip run exactly (same counters after the same quanta).
-    const synpa::uarch::SimConfig cfg = platform_config(1);
-    synpa::uarch::Chip chip(cfg);
-    Platform platform(cfg);
-    synpa::apps::AppInstance t_chip(1, synpa::apps::find_app("mcf"), 9);
-    synpa::apps::AppInstance t_plat(1, synpa::apps::find_app("mcf"), 9);
-    chip.bind(t_chip, {.core = 0, .slot = 0});
-    platform.bind(t_plat, {.core = 0, .slot = 0});
-    for (int q = 0; q < 5; ++q) {
-        chip.run_quantum();
-        platform.run_quantum();
-    }
-    EXPECT_EQ(t_chip.insts_retired(), t_plat.insts_retired());
-    EXPECT_EQ(platform.quanta_elapsed(), chip.quanta_elapsed());
-    EXPECT_EQ(platform.now(), chip.now());
-    EXPECT_EQ(platform.cross_chip_migrations(), 0u);
 }
 
 TEST(PlatformTest, ChipsHavePrivateLlcAndDram) {
@@ -1060,13 +1051,16 @@ TEST(PlatformTest, WarmupRuleByMove) {
     // multiplier right after its last bind (a fresh window's peak: 1.0 when
     // none, 1.5 for the chip's local window, 2.5 for the cross-chip one)
     // and the cross-chip migrations charged.  2 chips x 2 cores x SMT-2:
-    // global cores 0-1 are chip 0, 2-3 chip 1.
+    // global cores 0-1 are chip 0, 2-3 chip 1.  A chip move charges the
+    // local window and the cross-chip one on top, and the larger is kept,
+    // so with no cross-chip window (0 quanta) it still costs the local one.
     constexpr double kKeeps = -1.0;  // the last bind leaves the window as it was
     struct Row {
         const char* name;
         std::vector<synpa::uarch::CpuSlot> binds;
         double multiplier;
         std::uint64_t cross_chip;
+        int cross_chip_quanta = 2;
     };
     const std::vector<Row> rows = {
         {"slot move on the same core", {{0, 0}, {0, 1}}, 1.0, 0},
@@ -1075,9 +1069,14 @@ TEST(PlatformTest, WarmupRuleByMove) {
         {"return to a chip's old core", {{0, 0}, {2, 0}, {0, 0}}, 2.5, 2},
         {"return to a chip's other core", {{0, 0}, {2, 0}, {1, 1}}, 2.5, 2},
         {"core move inside a cross-chip window", {{0, 0}, {2, 0}, {3, 0}}, kKeeps, 1},
+        {"chip move, no cross-chip window", {{0, 0}, {2, 0}}, 1.5, 1, 0},
+        {"return to a chip's old core, no cross-chip window", {{0, 0}, {2, 0}, {0, 0}}, 1.5, 2,
+         0},
     };
     for (const Row& row : rows) {
-        Platform platform(platform_config(2, 2, 2));
+        synpa::uarch::SimConfig cfg = platform_config(2, 2, 2);
+        cfg.cross_chip_warmup_quanta = row.cross_chip_quanta;
+        Platform platform(cfg);
         synpa::apps::AppInstance t(1, synpa::apps::find_app("mcf"), 11);
         double before = 0.0;
         for (std::size_t i = 0; i < row.binds.size(); ++i) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <map>
 #include <memory>
@@ -210,28 +211,6 @@ TEST(Methodology, RunWorkloadAggregatesRepetitions) {
     EXPECT_TRUE(r.exemplar.completed);
 }
 
-TEST(Methodology, ComparePoliciesPairsUpResults) {
-    uarch::SimConfig cfg = test_config();
-    MethodologyOptions opts;
-    opts.reps = 1;
-    opts.target_isolated_quanta = 8;
-    opts.record_traces = false;
-    const auto chars = characterize_suite(cfg, 20, 42);
-    auto specs = paper_workloads(chars, 42);
-    specs.resize(2);  // keep the test fast
-    const PolicyFactory linux_factory = [](std::uint64_t) {
-        return std::make_unique<sched::LinuxPolicy>();
-    };
-    const auto rows = compare_policies(specs, cfg, linux_factory, linux_factory, opts);
-    ASSERT_EQ(rows.size(), 2u);
-    for (const auto& row : rows) {
-        // Same policy on both sides: identical deterministic results.
-        EXPECT_NEAR(row.tt_speedup, 1.0, 1e-9);
-        EXPECT_NEAR(row.ipc_speedup, 1.0, 1e-9);
-        EXPECT_NEAR(row.fairness_delta, 0.0, 1e-9);
-    }
-}
-
 TEST(Methodology, OptionsRejectBadValuesByFieldName) {
     // One row per bad value: it throws naming the field from every entry
     // point that takes the options, before any simulation; the row's
@@ -301,6 +280,35 @@ TEST(Methodology, OptionsRejectBadValuesByFieldName) {
         const RepeatedResult r = run_workload(paper_fb2(), cfg, linux_factory, good);
         EXPECT_GE(r.turnaround_samples.size(), 1u) << field;
     }
+
+    // `threads` (and SYNPA_BENCH_THREADS, the benches' source for it) is
+    // checked through validate() and the env reader only: a run at the
+    // ceiling would start that many pool threads.
+    const auto expect_named = [](const std::string& name, auto&& call) {
+        try {
+            call();
+            ADD_FAILURE() << "accepted a bad " << name;
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
+        }
+    };
+    constexpr std::size_t kMax = MethodologyOptions::kMaxThreads;
+    for (const std::size_t threads : {kMax + 1, static_cast<std::size_t>(-1)}) {
+        MethodologyOptions bad = small();
+        bad.threads = threads;
+        expect_named("MethodologyOptions::threads", [&] { bad.validate(); });
+    }
+    MethodologyOptions good = small();
+    good.threads = kMax;
+    EXPECT_NO_THROW(good.validate());
+    for (const std::string& value : {std::string("-1"), std::to_string(kMax + 1)}) {
+        ::setenv("SYNPA_BENCH_THREADS", value.c_str(), 1);
+        expect_named("SYNPA_BENCH_THREADS", [] { bench_threads_from_env(); });
+    }
+    ::setenv("SYNPA_BENCH_THREADS", std::to_string(kMax).c_str(), 1);
+    EXPECT_EQ(bench_threads_from_env(), kMax);
+    ::unsetenv("SYNPA_BENCH_THREADS");
+    EXPECT_EQ(bench_threads_from_env(), 0u);
 }
 
 }  // namespace
