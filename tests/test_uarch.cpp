@@ -1022,6 +1022,7 @@ TEST(PlatformTest, BindPlacementAndValidationSpanChips) {
     EXPECT_EQ(platform.core(1).slot(0).task(), &a);
     EXPECT_EQ(platform.core(3).slot(1).task(), &b);
     EXPECT_THROW(platform.bind(a, {.core = 0, .slot = 0}), std::logic_error);
+    EXPECT_THROW(platform.bind(a, {.core = 2, .slot = 0}), std::logic_error);  // other chip
     synpa::apps::AppInstance c(3, synpa::apps::find_app("nab_r"), 3);
     EXPECT_THROW(platform.bind(c, {.core = 4, .slot = 0}), std::out_of_range);
     platform.unbind(1);
