@@ -7,6 +7,7 @@
 
 #include "common/rng.hpp"
 #include "fleet/policy.hpp"
+#include "workloads/methodology.hpp"
 
 namespace synpa::exp {
 
@@ -17,15 +18,20 @@ const FleetCellResult* FleetGridResult::find(const std::string& scenario,
     return nullptr;
 }
 
+const FleetCampaign& FleetCampaign::validate() const {
+    if (node_configs.empty()) throw std::invalid_argument("fleet grid: no configs");
+    if (scenarios.empty()) throw std::invalid_argument("fleet grid: no scenarios");
+    if (fleet_policies.empty()) throw std::invalid_argument("fleet grid: no fleet policies");
+    workloads::require_thread_cap("FleetCampaign::fleet_threads", fleet_threads);
+    return *this;
+}
+
 FleetGridRunner::FleetGridRunner(Options opts, ArtifactCache* cache) : engine_(opts, cache) {}
 
 FleetGridResult FleetGridRunner::run(const FleetCampaign& campaign,
                                      const std::vector<FleetAggregator*>& aggregators) {
     const auto start = GridEngine::Clock::now();
-    if (campaign.node_configs.empty()) throw std::invalid_argument("fleet grid: no configs");
-    if (campaign.scenarios.empty()) throw std::invalid_argument("fleet grid: no scenarios");
-    if (campaign.fleet_policies.empty())
-        throw std::invalid_argument("fleet grid: no fleet policies");
+    campaign.validate();
     for (const std::string& name : campaign.fleet_policies)
         (void)fleet::make_fleet_policy(name, {});  // throws with the inventory
 

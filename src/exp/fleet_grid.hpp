@@ -47,6 +47,12 @@ struct FleetCampaign {
     /// (e.g. the paper's Table IV coefficients) — lets acceptance benches
     /// skip the training phase without losing model-based policies.
     std::shared_ptr<const model::InterferenceModel> model;
+
+    /// Throws std::invalid_argument for an empty config, scenario or
+    /// fleet-policy axis, or naming `FleetCampaign::fleet_threads` above
+    /// workloads::MethodologyOptions::kMaxThreads; returns *this.
+    /// FleetGridRunner::run calls it before any repetition runs.
+    const FleetCampaign& validate() const;
 };
 
 /// One finished grid point.

@@ -4,13 +4,19 @@
 
 #include "common/rng.hpp"
 #include "workloads/groups.hpp"
+#include "workloads/methodology.hpp"
 
 namespace synpa::exp {
+
+const GridOptions& GridOptions::validate() const {
+    workloads::require_thread_cap("GridOptions::threads", threads);
+    return *this;
+}
 
 GridEngine::GridEngine(GridOptions opts, ArtifactCache* cache)
     : log_(opts.log),
       cache_(cache != nullptr ? cache : &ArtifactCache::global()),
-      pool_(opts.threads) {}
+      pool_(opts.validate().threads) {}
 
 std::vector<ArtifactSet> GridEngine::training(std::span<const uarch::SimConfig> configs,
                                               bool needs_training,

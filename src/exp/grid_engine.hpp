@@ -82,6 +82,11 @@ struct GridResult {
 struct GridOptions {
     std::size_t threads = 0;      ///< workers; 0 = hardware concurrency
     std::ostream* log = nullptr;  ///< optional per-cell progress lines
+
+    /// Throws std::invalid_argument naming `GridOptions::threads` above
+    /// workloads::MethodologyOptions::kMaxThreads; returns *this.
+    /// GridEngine calls it before it builds its pool.
+    const GridOptions& validate() const;
 };
 
 /// One cell of the grid: its index on each axis.

@@ -8,10 +8,11 @@
 // Weights are doubled internally so vertex duals stay integral.
 //
 // The public entry points convert double weights to integers with a fixed
-// scale (exact for SYNPA's slowdown range) and reduce min-weight perfect
-// matching to max-weight matching via weight reflection: with
-// w'(u,v) = BIG - w(u,v) and BIG large enough, every maximum-weight matching
-// is perfect (complete graph, even n) and minimizes the original total.
+// scale (kBlossomScale, exact for SYNPA's slowdown range) and reduce
+// min-weight perfect matching to max-weight matching via weight reflection:
+// with w'(u,v) = BIG - w(u,v) and BIG large enough, every maximum-weight
+// matching is perfect (complete graph, even n) and minimizes the original
+// total.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -138,8 +139,8 @@ private:
     }
 
     int get_lca(int u, int v) {
-        static thread_local int t = 0;
-        for (++t; u != 0 || v != 0; std::swap(u, v)) {
+        const int t = ++lca_stamp_;
+        for (; u != 0 || v != 0; std::swap(u, v)) {
             if (u == 0) continue;
             if (vis_[u] == t) return u;
             vis_[u] = t;
@@ -303,12 +304,11 @@ private:
     std::vector<std::vector<Edge>> g_;
     std::vector<i64> lab_;  ///< Dual variables (doubled weights convention).
     std::vector<int> match_, slack_, st_, pa_, S_, vis_;
+    int lca_stamp_ = 0;  ///< get_lca walk counter; vis_ holds each vertex's last walk
     std::vector<std::vector<int>> flower_;
     std::vector<std::vector<int>> flower_from_;
     std::deque<int> queue_;
 };
-
-constexpr double kScale = 1 << 20;  ///< double -> integer weight scale
 
 /// Solves a perfect matching via weight reflection (see file comment).
 MatchingResult solve_perfect(const WeightMatrix& w) {
@@ -326,7 +326,8 @@ MatchingResult solve_perfect(const WeightMatrix& w) {
             // Reflect into a positive range for the max-search, leaving
             // headroom so every edge weight is >= 1 (0 would mean no edge).
             const double reflected = hi - w.get(u, v);
-            const auto scaled = static_cast<i64>(std::llround(reflected / span * kScale)) + 1;
+            const auto scaled =
+                static_cast<i64>(std::llround(reflected / span * kBlossomScale)) + 1;
             solver.set_weight(static_cast<int>(u) + 1, static_cast<int>(v) + 1, scaled);
         }
     solver.solve();

@@ -96,10 +96,15 @@ public:
     MatchingResult min_weight_perfect(const WeightMatrix& w) const override;
 };
 
+/// BlossomMatcher's double -> integer weight scale: each weight, reflected
+/// and divided by the instance's span max(1, hi - lo), is rounded to the
+/// nearest multiple of 1/kBlossomScale.
+inline constexpr double kBlossomScale = 1 << 20;
+
 /// Edmonds' Blossom algorithm (primal-dual, dense O(n^3)); the general
 /// solver the paper cites and SYNPA's runtime solver.  Weights are scaled
-/// to integers internally (53-bit budget), which is exact for the slowdown
-/// magnitudes involved.
+/// to integers internally (kBlossomScale steps per span), which is exact
+/// for the slowdown magnitudes involved.
 class BlossomMatcher final : public Matcher {
 public:
     MatchingResult min_weight_perfect(const WeightMatrix& w) const override;
@@ -135,8 +140,29 @@ struct PartialMatching {
 /// 0-weight dummy–dummy edges cannot bias an optimal solver — but a greedy
 /// heuristic grabs those lightest edges first and then force-pairs every
 /// real task.  Pass BlossomMatcher or SubsetDpMatcher here.
+///
+/// When every_task_runs_alone holds, no matcher runs: the answer is every
+/// task single, no pairs, and total_weight sums the solos in ascending
+/// index order, the order in which the padded solve lists its task–dummy
+/// edges.  That is bit for bit what an exact matcher returns: see below.
 PartialMatching min_weight_partial(const WeightMatrix& w, std::span<const double> solo,
                                    std::size_t cores, const Matcher& matcher);
+
+/// The guard of min_weight_partial's shortcut.  True when n <= cores and
+/// every pair's excess w(u,v) - solo[u] - solo[v] exceeds the margin
+/// (cores + 1) * max(1, hi - lo) / kBlossomScale, where lo and hi bound the
+/// padded instance's weights: the pairs, the solos and the idle cores'
+/// zeros.  False when solo.size() != n.
+///
+/// Why it is exact: with n <= cores every task can run alone, and every
+/// perfect matching of the padded graph has `cores` edges.  Blossom rounds
+/// each edge to within half a scaled step, so a matching holding a real
+/// pair scores at least (its excess) * kBlossomScale / span - cores steps
+/// below an all-alone matching, which the margin makes positive.  Blossom,
+/// like any exact solver, therefore returns an all-alone matching, and all
+/// of them give the same PartialMatching.
+bool every_task_runs_alone(const WeightMatrix& w, std::span<const double> solo,
+                           std::size_t cores);
 
 /// Default hysteresis of min_weight_pairs, shared by SYNPA and the oracle.
 inline constexpr double kDefaultStabilityBias = 0.002;

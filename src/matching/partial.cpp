@@ -8,11 +8,38 @@
 // assignment costs.
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "matching/matching.hpp"
 
 namespace synpa::matching {
+
+bool every_task_runs_alone(const WeightMatrix& w, std::span<const double> solo,
+                           std::size_t cores) {
+    const std::size_t n = w.size();
+    if (n > cores || solo.size() != n) return false;
+    // lo and hi start at the dummy–dummy zeros: n <= cores leaves at least
+    // two dummies whenever there is a pair to weigh.
+    double lo = 0.0, hi = 0.0;
+    for (const double s : solo) {
+        lo = std::min(lo, s);
+        hi = std::max(hi, s);
+    }
+    double min_excess = std::numeric_limits<double>::infinity();
+    for (std::size_t u = 0; u < n; ++u)
+        for (std::size_t v = u + 1; v < n; ++v) {
+            const double pair = w.get(u, v);
+            const double excess = pair - solo[u] - solo[v];
+            if (!(excess > 0.0)) return false;  // pairing helps (or NaN)
+            min_excess = std::min(min_excess, excess);
+            lo = std::min(lo, pair);
+            hi = std::max(hi, pair);
+        }
+    const double margin =
+        static_cast<double>(cores + 1) * std::max(1.0, hi - lo) / kBlossomScale;
+    return min_excess > margin;
+}
 
 PartialMatching min_weight_partial(const WeightMatrix& w, std::span<const double> solo,
                                    std::size_t cores, const Matcher& matcher) {
@@ -24,10 +51,11 @@ PartialMatching min_weight_partial(const WeightMatrix& w, std::span<const double
         throw std::invalid_argument("min_weight_partial: more tasks than hardware contexts");
 
     PartialMatching out;
-    if (n == 0) return out;
-    if (n == 1) {
-        out.singles.push_back(0);
-        out.total_weight = solo[0];
+    if (every_task_runs_alone(w, solo, cores)) {
+        for (std::size_t u = 0; u < n; ++u) {
+            out.singles.push_back(static_cast<int>(u));
+            out.total_weight += solo[u];
+        }
         return out;
     }
 

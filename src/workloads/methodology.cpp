@@ -79,9 +79,15 @@ const MethodologyOptions& MethodologyOptions::validate() const {
     require(as_signed(max_quanta) > 0, "max_quanta", "> 0", std::to_string(as_signed(max_quanta)));
     require(!std::isnan(cv_limit) && cv_limit >= 0.0, "cv_limit", ">= 0",
             std::to_string(cv_limit));
-    require(threads <= kMaxThreads, "threads", "<= " + std::to_string(kMaxThreads),
-            std::to_string(as_signed(threads)));
+    require_thread_cap("MethodologyOptions::threads", threads);
     return *this;
+}
+
+void require_thread_cap(const std::string& field, std::size_t threads) {
+    constexpr std::size_t kMax = MethodologyOptions::kMaxThreads;
+    if (threads > kMax)
+        throw std::invalid_argument(field + " must be <= " + std::to_string(kMax) + ", got " +
+                                    std::to_string(static_cast<std::int64_t>(threads)));
 }
 
 std::size_t bench_threads_from_env() {

@@ -58,6 +58,12 @@ struct MethodologyOptions {
     const MethodologyOptions& validate() const;
 };
 
+/// Throws std::invalid_argument naming `field` ("<Struct>::<member>") when
+/// `threads` is above MethodologyOptions::kMaxThreads, a wrapped negative
+/// included.  Every option that sizes a host thread pool checks through it
+/// before the pool is built.
+void require_thread_cap(const std::string& field, std::size_t threads);
+
 /// Reads SYNPA_BENCH_THREADS (unset: 0, hardware concurrency) for the
 /// benches' campaign pools; throws std::invalid_argument naming the
 /// variable for a negative value or one above

@@ -49,6 +49,10 @@ EXPECTED_FIXTURE_FINDINGS = {
     ("src/sched/marker_violation.cpp", 12, "DET-01"),
     ("src/sched/perf01_violation.cpp", 9, "PERF-01"),
     ("src/sched/perf01_violation.cpp", 12, "PERF-01"),
+    ("src/matching/shard01_local_violation.cpp", 12, "SHARD-01"),
+    ("src/matching/shard01_local_violation.cpp", 13, "SHARD-01"),
+    ("src/matching/shard01_local_violation.cpp", 14, "SHARD-01"),
+    ("src/matching/shard01_local_violation.cpp", 15, "SHARD-01"),
     ("src/uarch/env01_violation.cpp", 9, "ENV-01"),
     ("src/uarch/shard01_violation.cpp", 8, "SHARD-01"),
     ("src/uarch/shard01_violation.cpp", 11, "SHARD-01"),
@@ -60,6 +64,7 @@ CLEAN_FIXTURES = [
     "src/common/config.cpp",
     "src/core/det02_clean.cpp",
     "src/fleet/det01_clean.cpp",
+    "src/matching/shard01_local_clean.cpp",
     "src/model/obs01_clean.cpp",
     "src/obs/obs01_allowed.cpp",
     "src/sched/det01_clean.cpp",

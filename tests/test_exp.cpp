@@ -348,4 +348,46 @@ TEST(Campaign, RepFailuresSurfaceAsExceptions) {
     EXPECT_THROW(runner.run(campaign), std::invalid_argument);
 }
 
+/// A fleet grid that validates except, perhaps, for its node-stepping threads.
+exp::FleetCampaign fleet_campaign(std::size_t fleet_threads) {
+    exp::FleetCampaign c;
+    c.node_configs = {small_config()};
+    c.scenarios = {scenario::ScenarioSpec{}};
+    c.fleet_policies = {"fleet-least-loaded"};
+    c.fleet_threads = fleet_threads;
+    return c;
+}
+
+TEST(GridOptions, ThreadCountsRejectBadValuesByFieldName) {
+    // One row per entry point that takes a pool size.  Each bad count
+    // throws naming the field before any pool exists, so this test starts
+    // no threads; the boundary counts pass validate() alone, since running
+    // them would start that many workers.
+    constexpr std::size_t kMax = workloads::MethodologyOptions::kMaxThreads;
+    struct Row {
+        const char* field;
+        void (*start)(std::size_t threads);
+    };
+    const Row rows[] = {
+        {"GridOptions::threads", [](std::size_t t) { exp::GridEngine({.threads = t}); }},
+        {"GridOptions::threads", [](std::size_t t) { exp::CampaignRunner({.threads = t}); }},
+        {"GridOptions::threads", [](std::size_t t) { exp::ScenarioGridRunner({.threads = t}); }},
+        {"GridOptions::threads", [](std::size_t t) { exp::FleetGridRunner({.threads = t}); }},
+        {"FleetCampaign::fleet_threads", [](std::size_t t) { fleet_campaign(t).validate(); }},
+    };
+    for (const Row& row : rows)
+        for (const std::size_t bad : {kMax + 1, static_cast<std::size_t>(-1)}) {
+            try {
+                row.start(bad);
+                ADD_FAILURE() << row.field << " accepted " << bad;
+            } catch (const std::invalid_argument& e) {
+                EXPECT_NE(std::string(e.what()).find(row.field), std::string::npos) << e.what();
+            }
+        }
+    for (const std::size_t good : {std::size_t{0}, kMax}) {
+        EXPECT_NO_THROW(exp::GridOptions{.threads = good}.validate());
+        EXPECT_NO_THROW(fleet_campaign(good).validate());
+    }
+}
+
 }  // namespace

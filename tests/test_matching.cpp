@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -164,6 +165,112 @@ TEST(PartialMatching, RejectsOverloadAndBadInputs) {
     EXPECT_THROW(min_weight_partial(w, std::vector<double>(5, 1.0), 4, BlossomMatcher{}),
                  std::invalid_argument);
     EXPECT_THROW(min_weight_partial(w, solo, 0, BlossomMatcher{}), std::invalid_argument);
+}
+
+/// The dummy-node reduction done by hand: pad to 2*cores vertices, solve
+/// with `matcher`, and map the padded pairs back.  The reference the
+/// all-alone shortcut must reproduce bit for bit.
+PartialMatching padded_solve(const WeightMatrix& w, const std::vector<double>& solo,
+                             std::size_t cores, const Matcher& matcher) {
+    const std::size_t n = w.size();
+    WeightMatrix padded(2 * cores);
+    for (std::size_t u = 0; u < n; ++u) {
+        for (std::size_t v = u + 1; v < n; ++v) padded.set(u, v, w.get(u, v));
+        for (std::size_t d = n; d < 2 * cores; ++d) padded.set(u, d, solo[u]);
+    }
+    PartialMatching out;
+    for (auto [u, v] : matcher.min_weight_perfect(padded).pairs) {
+        const auto uu = static_cast<std::size_t>(u);
+        const auto vv = static_cast<std::size_t>(v);
+        if (vv < n) {
+            out.pairs.emplace_back(u, v);
+            out.total_weight += w.get(uu, vv);
+        } else if (uu < n) {
+            out.singles.push_back(u);
+            out.total_weight += solo[uu];
+        }
+    }
+    std::sort(out.singles.begin(), out.singles.end());
+    return out;
+}
+
+void expect_same_bits(const PartialMatching& got, const PartialMatching& want,
+                      const std::string& where) {
+    EXPECT_EQ(got.pairs, want.pairs) << where;
+    EXPECT_EQ(got.singles, want.singles) << where;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.total_weight),
+              std::bit_cast<std::uint64_t>(want.total_weight))
+        << where << ": " << got.total_weight << " vs " << want.total_weight;
+}
+
+TEST(PartialMatching, AllAloneShortcutEqualsThePaddedSolve) {
+    // n <= cores: half the instances price every pair above its two solos
+    // (the shortcut's regime), half draw pairs that may beat them.  Every
+    // result must equal a padded Blossom solve; where the guard holds, a
+    // padded subset-DP solve must run every task alone too.
+    int taken = 0, fell_through = 0;
+    for (const std::size_t cores : {2u, 4u, 8u}) {
+        for (std::uint64_t seed = 0; seed < 40; ++seed) {
+            const std::size_t n = 2 + seed % (cores - 1);  // 2..cores
+            Rng rng(seed, 0xa10e + cores);
+            std::vector<double> solo(n);
+            for (double& s : solo) s = rng.uniform(0.8, 1.6);
+            WeightMatrix w = random_matrix(n, seed, 1.2, 3.6);
+            if (seed % 2 == 0)
+                for (std::size_t u = 0; u < n; ++u)
+                    for (std::size_t v = u + 1; v < n; ++v)
+                        w.set(u, v, solo[u] + solo[v] + rng.uniform(1e-4, 1.0));
+            const std::string where =
+                "cores " + std::to_string(cores) + " seed " + std::to_string(seed);
+            const PartialMatching got = min_weight_partial(w, solo, cores, BlossomMatcher{});
+            expect_same_bits(got, padded_solve(w, solo, cores, BlossomMatcher{}), where);
+            if (every_task_runs_alone(w, solo, cores)) {
+                ++taken;
+                EXPECT_TRUE(got.pairs.empty()) << where;
+                expect_same_bits(got, padded_solve(w, solo, cores, SubsetDpMatcher{}), where);
+            } else {
+                ++fell_through;
+            }
+        }
+    }
+    EXPECT_GT(taken, 30) << fell_through;
+    EXPECT_GT(fell_through, 30) << taken;
+}
+
+TEST(PartialMatching, AllAloneGuardSitsAtTheMargin) {
+    // Three tasks on four cores.  Pair (0,2) fixes hi = 6 and the idle
+    // cores fix lo = 0, so the margin is 5 * 6 / kBlossomScale; pair (0,1)
+    // carries the smallest excess, placed relative to that margin.
+    const std::size_t cores = 4;
+    const std::vector<double> solo = {1.0, 1.25, 1.5};
+    const double margin = 5.0 * 6.0 / kBlossomScale;
+    struct Case {
+        const char* name;
+        double excess;  ///< of pair (0,1)
+        bool guard;
+    };
+    const Case cases[] = {
+        {"just above", 1.02 * margin, true},
+        {"just below", 0.98 * margin, false},
+        {"exact tie", 0.0, false},
+        {"pairing helps", -0.25, false},
+    };
+    for (const Case& c : cases) {
+        WeightMatrix w(3);
+        w.set(0, 1, solo[0] + solo[1] + c.excess);
+        w.set(0, 2, 6.0);
+        w.set(1, 2, 4.0);
+        EXPECT_EQ(every_task_runs_alone(w, solo, cores), c.guard) << c.name;
+        const PartialMatching got = min_weight_partial(w, solo, cores, BlossomMatcher{});
+        expect_same_bits(got, padded_solve(w, solo, cores, BlossomMatcher{}), c.name);
+    }
+
+    // Outside n <= cores, or with solos that do not cover the tasks, the
+    // guard never holds.
+    WeightMatrix w(3, 10.0);
+    EXPECT_FALSE(every_task_runs_alone(w, solo, 2));
+    EXPECT_FALSE(every_task_runs_alone(w, std::vector<double>(2, 1.0), cores));
+    EXPECT_TRUE(every_task_runs_alone(w, solo, cores));
 }
 
 TEST(Matchers, TrivialTwoVertices) {

@@ -27,10 +27,13 @@ Rules
            recorder so traced and untraced runs stay bit-identical.
            `trace-ok(<reason>)`.
   SHARD-01 no mutable namespace-scope state (non-const globals; non-const
-           `static` locals or data members in headers) in the layers that
-           run inside the parallel-engine barrier (src/{uarch,apps,pmu}).
-           Chip shards share no mutable state by construction; a global
-           would be an unsynchronized cross-shard race.
+           `static` locals or data members in headers; non-const `static`
+           and `thread_local` locals in .cpp files) in the layers that run
+           inside a fork/join barrier (src/{uarch,apps,pmu,fleet,matching}).
+           Chip shards and fleet nodes share no mutable state by
+           construction; a global would be an unsynchronized cross-shard
+           race, and a thread_local one carries state from one run into
+           the next on a long-lived pool thread.
            `shard-ok(<reason>)`.
   PERF-01  no function-local common::FlatIdMap in src/**/*.cpp.  Its table
            is as long as the largest task id ever handed out (fleet-wide in
@@ -84,9 +87,10 @@ MARKER_TAGS = {
 DET_LAYERS = ("src/core/", "src/sched/", "src/uarch/", "src/scenario/",
               "src/matching/", "src/online/", "src/model/", "src/fleet/")
 # Layers whose code runs inside a fork/join barrier: chip shards
-# (uarch/apps/pmu) and fleet nodes stepped concurrently over the fleet
-# thread pool.
-BARRIER_LAYERS = ("src/uarch/", "src/apps/", "src/pmu/", "src/fleet/")
+# (uarch/apps/pmu), fleet nodes stepped concurrently over the fleet thread
+# pool, and the Step-3 solvers those nodes call (matching).
+BARRIER_LAYERS = ("src/uarch/", "src/apps/", "src/pmu/", "src/fleet/",
+                  "src/matching/")
 
 CPP_SUFFIXES = {".cpp", ".cc", ".cxx", ".hpp", ".hh", ".h", ".ipp"}
 
@@ -128,6 +132,15 @@ class Finding:
         return f"{self.path}:{self.line}: {self.rule}: {self.message}"
 
 
+def _is_digit_separator(text: str, i: int) -> bool:
+    """True when the quote at text[i] ends a token that starts with a digit
+    (450'000, 0x1'ff): a C++14 digit separator, not a char literal."""
+    j = i
+    while j > 0 and (text[j - 1].isalnum() or text[j - 1] in "_'."):
+        j -= 1
+    return j < i and text[j].isdigit()
+
+
 def strip_comments_and_strings(text: str) -> str:
     """Blanks comment and string/char-literal contents, preserving line
     structure, so token scans cannot match inside either."""
@@ -158,6 +171,9 @@ def strip_comments_and_strings(text: str) -> str:
             else:
                 out.append(c)
                 i += 1
+        elif c == "'" and _is_digit_separator(text, i):
+            out.append(c)  # a digit separator (1'000), not a char literal
+            i += 1
         elif c in "\"'":
             j = i + 1
             while j < n and text[j] != c:
@@ -285,6 +301,10 @@ _DECL_SKIP_RE = re.compile(
     r"class|struct|union|enum)\b")
 
 
+# A static-storage local: `static`, `thread_local`, or both, in either order.
+_STATIC_LOCAL_RE = re.compile(r"^(?:static|thread_local)\b(?:\s+(?:static|thread_local)\b)?")
+
+
 def _classify_scope(stmt: str) -> str:
     stmt = stmt.strip()
     if re.search(r"\bnamespace\b", stmt) or 'extern "C"' in stmt:
@@ -358,6 +378,9 @@ def iter_statements(stripped_lines):
 
 def check_shard01_token(rel, raw_lines, stripped_lines, suppressed, findings):
     is_header = Path(rel).suffix in {".hpp", ".hh", ".h", ".ipp"}
+    # Scopes whose non-const statics are shared: any in a header (every
+    # includer gets the one instance), function bodies in a .cpp.
+    static_scopes = ("function", "class", "block") if is_header else ("function", "block")
 
     def analyze(statement: str, at_line: int, current: str):
         statement = re.sub(r"^(?:(?:public|private|protected)\s*:\s*)+", "",
@@ -372,15 +395,19 @@ def check_shard01_token(rel, raw_lines, stripped_lines, suppressed, findings):
                     f"mutable namespace-scope state '{name}': chip shards must "
                     "share no mutable globals — make it const/constexpr or move "
                     "it into the owning object", raw_lines[at_line - 1]))
-        elif is_header and current in ("function", "class", "block"):
-            sm = re.match(r"^static\b(?!\s+(?:const\b|constexpr\b))", statement)
-            if sm and "(" not in statement.split("=", 1)[0] \
-                    and not _DECL_SKIP_RE.search(statement.split("=", 1)[0].replace("static", "", 1)):
+        elif current in static_scopes:
+            head = statement.split("=", 1)[0]
+            sm = _STATIC_LOCAL_RE.match(head)
+            if sm and "(" not in head and not _DECL_SKIP_RE.search(head[sm.end():]):
                 if not is_suppressed(suppressed, at_line, "SHARD-01"):
                     findings.append(Finding(
                         rel, at_line, "SHARD-01",
-                        "non-const static in a header: every includer shares one "
-                        "mutable instance across shards", raw_lines[at_line - 1]))
+                        ("non-const static in a header: every includer shares one "
+                         "mutable instance across shards") if is_header else
+                        ("non-const function-local static: every caller on every "
+                         "thread shares it, and a thread_local one outlives the run "
+                         "on a pool thread — move it into the owning object"),
+                        raw_lines[at_line - 1]))
 
     for statement, at_line, scopes, end in iter_statements(stripped_lines):
         current = scopes[-1] if scopes else "namespace"
@@ -390,6 +417,10 @@ def check_shard01_token(rel, raw_lines, stripped_lines, suppressed, findings):
             # An init brace at namespace scope still carries the declarator:
             # analyze it now so `Foo x = {...};` is seen.
             analyze(statement.rstrip().rstrip("=").rstrip(), at_line, current)
+        elif current in static_scopes and _STATIC_LOCAL_RE.match(statement.strip()):
+            # Likewise a static initialized by braces or a lambda
+            # (`static Foo x{...};`, `static Foo x = [] {...}();`).
+            analyze(statement, at_line, current)
 
 
 def check_perf01_token(rel, raw_lines, stripped_lines, suppressed, findings):
