@@ -60,11 +60,14 @@ void ThreadPool::worker_loop() {
             ++in_flight_;
         }
         task();  // submit() wrapped this; it cannot throw
+        bool idle = false;
         {
             std::lock_guard lock(mutex_);
-            --in_flight_;
+            idle = --in_flight_ == 0 && tasks_.empty();
         }
-        cv_idle_.notify_all();
+        // Only the last task of a batch can make wait_idle()'s predicate
+        // true; waking the waiter for any other one only makes it re-check.
+        if (idle) cv_idle_.notify_all();
     }
 }
 

@@ -32,25 +32,24 @@ using i64 = std::int64_t;
 /// Weight 0 means "no edge".  Vertices above n are contracted blossoms.
 class DenseBlossom {
 public:
-    explicit DenseBlossom(int n) : n_(n), n_x_(n) {
-        const int cap = 2 * n_ + 1;
-        g_.assign(cap, std::vector<Edge>(cap));
-        for (int u = 0; u < cap; ++u)
-            for (int v = 0; v < cap; ++v) g_[u][v] = Edge{u, v, 0};
-        lab_.assign(cap, 0);
-        match_.assign(cap, 0);
-        slack_.assign(cap, 0);
-        st_.assign(cap, 0);
-        pa_.assign(cap, 0);
-        S_.assign(cap, -1);
-        vis_.assign(cap, 0);
-        flower_.assign(cap, {});
-        flower_from_.assign(cap, std::vector<int>(n_ + 1, 0));
+    explicit DenseBlossom(int n) : n_(n), n_x_(n), cap_(2 * n + 1) {
+        g_.resize(static_cast<std::size_t>(cap_) * cap_);
+        for (int u = 0; u < cap_; ++u)
+            for (int v = 0; v < cap_; ++v) g(u, v) = Edge{u, v, 0};
+        lab_.assign(cap_, 0);
+        match_.assign(cap_, 0);
+        slack_.assign(cap_, 0);
+        st_.assign(cap_, 0);
+        pa_.assign(cap_, 0);
+        S_.assign(cap_, -1);
+        vis_.assign(cap_, 0);
+        flower_.assign(cap_, {});
+        flower_from_.assign(static_cast<std::size_t>(cap_) * (n_ + 1), 0);
     }
 
     void set_weight(int u, int v, i64 w) {
-        g_[u][v].w = w;
-        g_[v][u].w = w;
+        g(u, v).w = w;
+        g(v, u).w = w;
     }
 
     /// Runs the algorithm; afterwards mate(u) is u's partner or 0.
@@ -62,8 +61,8 @@ public:
         i64 w_max = 0;
         for (int u = 1; u <= n_; ++u)
             for (int v = 1; v <= n_; ++v) {
-                flower_from_[u][v] = (u == v ? u : 0);
-                w_max = std::max(w_max, g_[u][v].w);
+                flower_from(u, v) = (u == v ? u : 0);
+                w_max = std::max(w_max, g(u, v).w);
             }
         for (int u = 1; u <= n_; ++u) lab_[u] = w_max;
         while (grow_and_augment()) {
@@ -79,16 +78,16 @@ private:
     };
 
     /// Reduced cost of an edge: zero means "tight", usable by the forest.
-    i64 edge_slack(const Edge& e) const { return lab_[e.u] + lab_[e.v] - g_[e.u][e.v].w * 2; }
+    i64 edge_slack(const Edge& e) const { return lab_[e.u] + lab_[e.v] - g(e.u, e.v).w * 2; }
 
     void update_slack(int u, int x) {
-        if (slack_[x] == 0 || edge_slack(g_[u][x]) < edge_slack(g_[slack_[x]][x])) slack_[x] = u;
+        if (slack_[x] == 0 || edge_slack(g(u, x)) < edge_slack(g(slack_[x], x))) slack_[x] = u;
     }
 
     void set_slack(int x) {
         slack_[x] = 0;
         for (int u = 1; u <= n_; ++u)
-            if (g_[u][x].w > 0 && st_[u] != x && S_[st_[u]] == 0) update_slack(u, x);
+            if (g(u, x).w > 0 && st_[u] != x && S_[st_[u]] == 0) update_slack(u, x);
     }
 
     void queue_push(int x) {
@@ -117,10 +116,10 @@ private:
     }
 
     void set_match(int u, int v) {
-        match_[u] = g_[u][v].v;
+        match_[u] = g(u, v).v;
         if (u <= n_) return;
-        const Edge& e = g_[u][v];
-        const int xr = flower_from_[u][e.u];
+        const Edge& e = g(u, v);
+        const int xr = flower_from(u, e.u);
         const int pr = get_pr(u, xr);
         for (int i = 0; i < pr; ++i) set_match(flower_[u][i], flower_[u][i ^ 1]);
         set_match(xr, v);
@@ -173,28 +172,28 @@ private:
             queue_push(y);
         }
         set_st(b, b);
-        for (int x = 1; x <= n_x_; ++x) g_[b][x].w = g_[x][b].w = 0;
-        for (int x = 1; x <= n_; ++x) flower_from_[b][x] = 0;
+        for (int x = 1; x <= n_x_; ++x) g(b, x).w = g(x, b).w = 0;
+        for (int x = 1; x <= n_; ++x) flower_from(b, x) = 0;
         for (int xs : flower_[b]) {
             for (int x = 1; x <= n_x_; ++x)
-                if (g_[b][x].w == 0 || edge_slack(g_[xs][x]) < edge_slack(g_[b][x])) {
-                    g_[b][x] = g_[xs][x];
-                    g_[x][b] = g_[x][xs];
+                if (g(b, x).w == 0 || edge_slack(g(xs, x)) < edge_slack(g(b, x))) {
+                    g(b, x) = g(xs, x);
+                    g(x, b) = g(x, xs);
                 }
             for (int x = 1; x <= n_; ++x)
-                if (flower_from_[xs][x] != 0) flower_from_[b][x] = xs;
+                if (flower_from(xs, x) != 0) flower_from(b, x) = xs;
         }
         set_slack(b);
     }
 
     void expand_blossom(int b) {
         for (int sub : flower_[b]) set_st(sub, sub);
-        const int xr = flower_from_[b][g_[b][pa_[b]].u];
+        const int xr = flower_from(b, g(b, pa_[b]).u);
         const int pr = get_pr(b, xr);
         for (int i = 0; i < pr; i += 2) {
             const int xs = flower_[b][i];
             const int xns = flower_[b][i + 1];
-            pa_[xs] = g_[xns][xs].u;
+            pa_[xs] = g(xns, xs).u;
             S_[xs] = 1;
             S_[xns] = 0;
             slack_[xs] = 0;
@@ -253,9 +252,9 @@ private:
                 queue_.pop_front();
                 if (S_[st_[u]] == 1) continue;
                 for (int v = 1; v <= n_; ++v)
-                    if (g_[u][v].w > 0 && st_[u] != st_[v]) {
-                        if (edge_slack(g_[u][v]) == 0) {
-                            if (on_found_edge(g_[u][v])) return true;
+                    if (g(u, v).w > 0 && st_[u] != st_[v]) {
+                        if (edge_slack(g(u, v)) == 0) {
+                            if (on_found_edge(g(u, v))) return true;
                         } else {
                             update_slack(u, st_[v]);
                         }
@@ -269,9 +268,9 @@ private:
             for (int x = 1; x <= n_x_; ++x)
                 if (st_[x] == x && slack_[x] != 0) {
                     if (S_[x] == -1)
-                        d = std::min(d, edge_slack(g_[slack_[x]][x]));
+                        d = std::min(d, edge_slack(g(slack_[x], x)));
                     else if (S_[x] == 0)
-                        d = std::min(d, edge_slack(g_[slack_[x]][x]) / 2);
+                        d = std::min(d, edge_slack(g(slack_[x], x)) / 2);
                 }
             for (int u = 1; u <= n_; ++u) {
                 if (S_[st_[u]] == 0) {
@@ -292,21 +291,29 @@ private:
             queue_.clear();
             for (int x = 1; x <= n_x_; ++x)
                 if (st_[x] == x && slack_[x] != 0 && st_[slack_[x]] != x &&
-                    edge_slack(g_[slack_[x]][x]) == 0)
-                    if (on_found_edge(g_[slack_[x]][x])) return true;
+                    edge_slack(g(slack_[x], x)) == 0)
+                    if (on_found_edge(g(slack_[x], x))) return true;
             for (int b = n_ + 1; b <= n_x_; ++b)
                 if (st_[b] == b && S_[b] == 1 && lab_[b] == 0) expand_blossom(b);
         }
     }
 
+    Edge& g(int u, int v) { return g_[static_cast<std::size_t>(u) * cap_ + v]; }
+    const Edge& g(int u, int v) const { return g_[static_cast<std::size_t>(u) * cap_ + v]; }
+    /// The sub-blossom of blossom b that holds original vertex x, or 0.
+    int& flower_from(int b, int x) {
+        return flower_from_[static_cast<std::size_t>(b) * (n_ + 1) + x];
+    }
+
     int n_;
     int n_x_;  ///< Highest vertex id in use (originals + live blossoms).
-    std::vector<std::vector<Edge>> g_;
+    int cap_;  ///< Vertex ids 0..cap_-1: n originals, up to n blossoms, and 0.
+    std::vector<Edge> g_;  ///< cap_ x cap_ edges, row-major (g(u, v))
     std::vector<i64> lab_;  ///< Dual variables (doubled weights convention).
     std::vector<int> match_, slack_, st_, pa_, S_, vis_;
     int lca_stamp_ = 0;  ///< get_lca walk counter; vis_ holds each vertex's last walk
     std::vector<std::vector<int>> flower_;
-    std::vector<std::vector<int>> flower_from_;
+    std::vector<int> flower_from_;  ///< cap_ x (n_ + 1), row-major (flower_from(b, x))
     std::deque<int> queue_;
 };
 

@@ -170,7 +170,13 @@ struct SmtCore::LaneState<W, std::integer_sequence<int, I...>> {
         double dispatch_demand = 0.0;
 
         bool bound = false;
-        std::uint64_t steady_rate = kNoSteady;  ///< (demand - 2) in units, see steady<L>
+        /// The demand above its steady base, in units (see steady<L>): d - 2
+        /// for d in [2, 3], d - 3 for d in (3, 4), where `steady_rounds`.
+        std::uint64_t steady_rate = kNoSteady;
+        bool steady_rounds = false;
+        /// With `steady_rounds`: the cycles that grant 3 between two carries
+        /// from a credit of 0, floor((2^51 - 1) / steady_rate).
+        std::uint64_t steady_run = 0;
         double fe_p = 0.0, fe_log = 0.0;  ///< frontend event probability per inst
         double be_p = 0.0, be_log = 0.0;  ///< backend episode probability per inst
 
@@ -198,13 +204,20 @@ struct SmtCore::LaneState<W, std::integer_sequence<int, I...>> {
             return;
         }
         load<L>();
-        l.dispatch_demand = t.rates.dispatch_demand;
-        // The steady stretch needs a demand in [2, 3], and a core that grants
-        // floor(credit + demand) <= 3 from a buffer that fetch keeps at 3 or
-        // more: fetch, buffer and dispatch widths of 3 or more.
-        if (l.dispatch_demand >= 2.0 && l.dispatch_demand <= 3.0 && fetch_width >= 3 &&
-            entries >= 3 && width >= 3)
-            l.steady_rate = static_cast<std::uint64_t>((l.dispatch_demand - 2.0) * kPerUnit);
+        const double d = t.rates.dispatch_demand;
+        l.dispatch_demand = d;
+        // The steady stretch needs a core that grants floor(credit + demand)
+        // from a buffer that fetch keeps at least that full: fetch, buffer
+        // and dispatch widths of 3 or more for a demand in [2, 3] (grants of
+        // at most 3), of 4 or more for a demand in (3, 4) (at most 4).
+        const int narrowest = std::min({fetch_width, entries, width});
+        if (d >= 2.0 && d <= 3.0 && narrowest >= 3) {
+            l.steady_rate = static_cast<std::uint64_t>((d - 2.0) * kPerUnit);
+        } else if (d > 3.0 && d < 4.0 && narrowest >= 4) {
+            l.steady_rate = static_cast<std::uint64_t>((d - 3.0) * kPerUnit);
+            l.steady_rounds = true;
+            l.steady_run = (kOne - 1) / l.steady_rate;
+        }
         l.fe_p = std::max(t.rates.p_branch + t.rates.p_icache, 1e-9);
         l.fe_log = common::Rng::geometric_log(l.fe_p);
         l.be_p = std::max(t.rates.p_episode, 1e-9);
@@ -354,19 +367,19 @@ struct SmtCore::LaneState<W, std::integer_sequence<int, I...>> {
     /// so no other lane fetches or dispatches) in which L fetches and
     /// dispatches undisturbed, applied in one step.  L qualifies with no
     /// backend stall, a frontend stall that ends in the next cycle, both
-    /// event distances drawn, a demand d in [2, 3] and a credit c in
-    /// [0, 1).  In units of 2^-51, the spacing of the doubles in [2, 4),
-    /// c is an integer C and d - 2 an integer R, and every sum c + d stays
-    /// below 4 and is exact: the credit after n cycles is
-    /// ((C + nR) mod 2^51) units, and the n cycles grant
-    /// G(n) = 2n + floor((C + nR) / 2^51), floor(c + d) in {2, 3} each, so
-    /// no stall is counted.  The fetch port refills the buffer b0 up to E
-    /// entries at fetch width fw (>= 3, so dispatch never waits on it): it
-    /// fetches F(n) = min(fw n, E - b0 + G(n-1)).  The stretch ends before
-    /// the grant that reaches insts_until_be and after the fetch that
-    /// reaches insts_until_fe at the latest, so no event fires and no
-    /// random number is drawn inside it; it also ends at kMaxSteady cycles,
-    /// which keeps nR within 64 bits.
+    /// event distances drawn, a steady demand d (see open<L>) and a credit
+    /// c in [0, 1).  In units of 2^-51, the spacing of the doubles in
+    /// [2, 4), c is an integer C: the credit and the grants of the n cycles
+    /// follow from C in integers, in closed form for d in [2, 3]
+    /// (closed_stretch) and one cycle at a time for d in (3, 4)
+    /// (stepped_stretch).  Every grant is 2, 3 or 4, so no stall is counted.
+    /// The fetch port refills the buffer b0 up to E entries at fetch width
+    /// fw (at least every grant, so dispatch never waits on it): it fetches
+    /// F(n) = min(fw n, E - b0 + G(n-1)) over the n cycles that grant G(n).
+    /// The stretch ends before the grant that reaches insts_until_be and
+    /// after the fetch that reaches insts_until_fe at the latest, so no
+    /// event fires and no random number is drawn inside it; it also ends at
+    /// kMaxSteady cycles.
     template <int L>
     [[gnu::always_inline]] std::uint64_t steady(std::uint64_t cap) noexcept {
         Lane& l = lanes[L];
@@ -377,7 +390,45 @@ struct SmtCore::LaneState<W, std::integer_sequence<int, I...>> {
         const double c_units = c * kPerUnit;
         const auto C = static_cast<std::uint64_t>(c_units);
         if (static_cast<double>(C) != c_units) return 0;
+        const std::uint64_t most = std::min(cap, kMaxSteady);
+        const Stretch s =
+            l.steady_rounds ? stepped_stretch(l, C, most) : closed_stretch(l, C, most);
+        if (s.cycles == 0) return 0;
+
+        l.fetch_buffer += static_cast<int>(s.fetched - s.granted);
+        l.fe_stall = 0;
+        l.insts_until_fe -= s.fetched;
+        l.insts_until_be -= s.granted;
+        l.dispatch_credit = static_cast<double>(s.credit) / kPerUnit;
+        l.granted += static_cast<std::uint64_t>(s.granted);
+        if (s.fetched > 0) {
+            fetch_rr = L + 1 == W ? 0 : L + 1;
+            if constexpr (W == 1) l.fetched = true;
+        }
+        return s.cycles;
+    }
+    /// A steady stretch's length and totals, and the credit it leaves in
+    /// units.
+    struct Stretch {
+        std::uint64_t cycles = 0;
+        std::int64_t granted = 0;
+        std::int64_t fetched = 0;
+        std::uint64_t credit = 0;
+    };
+    /// F(n) for lane `l` after n cycles whose first n - 1 granted `g_prev`.
+    std::int64_t fetched_by(const Lane& l, std::uint64_t n, std::int64_t g_prev) const noexcept {
+        return std::min(std::int64_t{fetch_width} * static_cast<std::int64_t>(n),
+                        entries - l.fetch_buffer + g_prev);
+    }
+
+    /// The stretch for d in [2, 3], d - 2 = R units, in closed form: every
+    /// sum c + d stays below 4 and is exact, so the credit after n cycles is
+    /// ((C + nR) mod 2^51) units and the n cycles grant
+    /// G(n) = 2n + floor((C + nR) / 2^51).  kMaxSteady keeps nR in 64 bits.
+    [[gnu::always_inline]] Stretch closed_stretch(const Lane& l, std::uint64_t C,
+                                                  std::uint64_t most) const noexcept {
         const std::uint64_t R = l.steady_rate;
+        const double c = l.dispatch_credit;
         const double d = l.dispatch_demand;
         const auto grants = [C, R](std::uint64_t n) {
             return static_cast<std::int64_t>(2 * n + ((C + n * R) >> kUnitBits));
@@ -394,39 +445,68 @@ struct SmtCore::LaneState<W, std::integer_sequence<int, I...>> {
             while (n < most && grants(n + 1) < t) ++n;
             return n;
         };
-        const std::int64_t b0 = l.fetch_buffer;
-        const std::int64_t fw = fetch_width;
-        const std::int64_t room = entries - b0;
-        const auto fetched = [&](std::uint64_t n) {
-            return std::min(fw * static_cast<std::int64_t>(n), room + grants(n - 1));
-        };
-        std::uint64_t n = most_below(l.insts_until_be, std::min(cap, kMaxSteady));
-        if (n == 0) return 0;
-        if (fetched(n) > l.insts_until_fe) {
+        std::uint64_t n = most_below(l.insts_until_be, most);
+        if (n == 0) return {};
+        if (fetched_by(l, n, grants(n - 1)) > l.insts_until_fe) {
             // Cut at the last cycle whose fetch fits: fw n fits, or the
             // buffer's refill does.
-            const std::int64_t refill_left = l.insts_until_fe - room;
-            n = std::max(static_cast<std::uint64_t>(l.insts_until_fe / fw),
+            const std::int64_t refill_left = l.insts_until_fe - (entries - l.fetch_buffer);
+            n = std::max(static_cast<std::uint64_t>(l.insts_until_fe / fetch_width),
                          refill_left < 0 ? 0 : most_below(refill_left + 1, n - 1) + 1);
-            if (n == 0) return 0;
+            if (n == 0) return {};
         }
+        return {.cycles = n,
+                .granted = grants(n),
+                .fetched = fetched_by(l, n, grants(n - 1)),
+                .credit = (C + n * R) & (kOne - 1)};
+    }
 
-        const std::int64_t g = grants(n);
-        const std::int64_t g_prev = grants(n - 1);
-        const std::int64_t f = fetched(n);
-        l.fetch_buffer = static_cast<int>(
-            std::min<std::int64_t>(entries, b0 + fw * static_cast<std::int64_t>(n) - g_prev) -
-            (g - g_prev));
-        l.fe_stall = 0;
-        l.insts_until_fe -= f;
-        l.insts_until_be -= g;
-        l.dispatch_credit = static_cast<double>((C + n * R) & (kOne - 1)) / kPerUnit;
-        l.granted += static_cast<std::uint64_t>(g);
-        if (f > 0) {
-            fetch_rr = L + 1 == W ? 0 : L + 1;
-            if constexpr (W == 1) l.fetched = true;
+    /// The stretch for d in (3, 4), d - 3 = R units, stepped in integers.
+    /// A sum C + R below 2^51 is exact and grants 3.  Otherwise c + d is
+    /// 4 + X units with X = C + R - 2^51 <= 2^51 - 2, which rounds to the
+    /// 2^-50 spacing of the doubles in [4, 8) (after_carry), so the sum
+    /// stays below 5: the grant is 4 and the credit cap (2 x width >= 8)
+    /// never binds.  The rounding leaves no closed form in n, so the
+    /// stretch goes a run at a time, k cycles that grant 3 and the carry
+    /// that ends them, and steps the cycles short of a cut one at a time.
+    [[gnu::always_inline]] Stretch stepped_stretch(const Lane& l, std::uint64_t C,
+                                                   std::uint64_t most) const noexcept {
+        const std::uint64_t R = l.steady_rate;
+        Stretch s{.credit = C};
+        for (;;) {
+            // A carry leaves a credit X <= R, from which the run is
+            // steady_run cycles long or one shorter; only the first run may
+            // start higher.
+            const std::uint64_t k = s.credit > R ? (kOne - 1 - s.credit) / R
+                                    : s.credit + l.steady_run * R < kOne ? l.steady_run
+                                                                         : l.steady_run - 1;
+            const std::uint64_t n = s.cycles + k + 1;
+            const std::int64_t before_carry = s.granted + 3 * static_cast<std::int64_t>(k);
+            const std::int64_t f = fetched_by(l, n, before_carry);
+            if (n > most || before_carry + 4 >= l.insts_until_be || f > l.insts_until_fe) break;
+            s = {.cycles = n,
+                 .granted = before_carry + 4,
+                 .fetched = f,
+                 .credit = after_carry(s.credit + (k + 1) * R - kOne)};
         }
-        return n;
+        while (s.cycles < most) {
+            const std::uint64_t sum = s.credit + R;
+            const bool carry = sum >= kOne;
+            const std::int64_t g = s.granted + (carry ? 4 : 3);
+            const std::int64_t f = fetched_by(l, s.cycles + 1, s.granted);
+            if (g >= l.insts_until_be || f > l.insts_until_fe) break;
+            s = {.cycles = s.cycles + 1,
+                 .granted = g,
+                 .fetched = f,
+                 .credit = carry ? after_carry(sum - kOne) : sum};
+        }
+        return s;
+    }
+    /// The credit, in units, that a sum of 4 + X units leaves: the sum
+    /// rounds to a multiple of 2 units, ties to even, so an odd X becomes
+    /// whichever of X - 1 and X + 1 is a multiple of 4.
+    static std::uint64_t after_carry(std::uint64_t x) noexcept {
+        return (x & 1) == 0 ? x : (x + 1) & ~std::uint64_t{3};
     }
 
     /// The start of a busy cycle: the ICache port and every frontend stall

@@ -22,16 +22,21 @@
 //    random number and only moves stall timers, stall counters, dispatch
 //    credit and the dispatch-priority rotator, all of which advance in
 //    closed form.  A core with no bound slot is idle for the whole call;
-//  * exactly one busy slot, in the steady class: its stretch in closed
-//    form, the other slots passing it as idle.  The slot qualifies with
+//  * exactly one busy slot, in the steady class: its stretch in one
+//    step, the other slots passing it as idle.  The slot qualifies with
 //    no backend stall, a frontend stall that ends next cycle, both event
-//    distances drawn, a demand d in [2, 3] and a credit c in [0, 1) on a
-//    core that fetches, buffers and dispatches at least 3.  In units of
-//    2^-51 (the spacing of the doubles in [2, 4)) c and d are integers
-//    and every c + d < 4 is exact, so the n cycles' grants, fetches,
-//    buffer and credit are integer formulas.  The stretch stops before
-//    any event (no random number is drawn inside it), at the quiet
-//    horizon and at 4096 cycles;
+//    distances drawn and a credit c in [0, 1), with a demand d in [2, 3]
+//    on a core that fetches, buffers and dispatches at least 3, or in
+//    (3, 4) on one that does at least 4 (the most a cycle grants, so the
+//    buffer never limits a grant).  In units of 2^-51 (the spacing of the
+//    doubles in [2, 4)) c and d are integers.  For d in [2, 3] every
+//    c + d < 4 is exact, so the n cycles' grants, fetches, buffer and
+//    credit are closed formulas.  For d in (3, 4) a sum from 4 up rounds
+//    to the 2^-50 spacing of [4, 8), ties to even, and stays below 5, so
+//    each cycle grants 3 or 4 and leaves an integer credit: the stretch
+//    steps that integer recurrence, a run of grant-3 cycles and its carry
+//    at a time.  The stretch stops before any event (no random number is
+//    drawn inside it), at the quiet horizon and at 4096 cycles;
 //  * a core with exactly one bound slot runs on the width-1 loop, whose
 //    rotators never move, and afterwards catches the rotators up to where
 //    the configured width would have left them.
@@ -65,8 +70,8 @@
 namespace synpa::uarch {
 
 /// Core-cycles SmtCore stepped as busy cycles and core-cycles it applied
-/// in bulk as idle; `jumped` is the part of `ticked` run() applied in
-/// closed form as one lane's steady stretch.  Deterministic work: all three
+/// in bulk as idle; `jumped` is the part of `ticked` run() applied in one
+/// step as one lane's steady stretch.  Deterministic work: all three
 /// depend only on the simulated state, never on the host.
 struct CycleCounts {
     std::uint64_t ticked = 0;

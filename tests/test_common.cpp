@@ -325,6 +325,24 @@ TEST(ThreadPool, RunsAllTasks) {
     EXPECT_EQ(counter.load(), 100);
 }
 
+TEST(ThreadPool, ManyShortBatchesEachWaitForEveryTask) {
+    // wait_idle() is woken only when a batch's last task finishes, so each
+    // of these short batches must still return with every task run and its
+    // write visible.
+    ThreadPool pool(2);
+    std::vector<int> done(8, 0);
+    std::vector<int> want(8, 0);
+    for (int batch = 0; batch < 2'000; ++batch) {
+        const std::size_t tasks = 1 + static_cast<std::size_t>(batch) % done.size();
+        for (std::size_t i = 0; i < tasks; ++i) {
+            pool.submit([&done, i] { ++done[i]; });
+            ++want[i];
+        }
+        pool.wait_idle();
+        ASSERT_EQ(done, want) << "batch " << batch;
+    }
+}
+
 TEST(ThreadPool, WaitIdleOnEmptyPool) {
     ThreadPool pool(2);
     pool.wait_idle();  // must not hang

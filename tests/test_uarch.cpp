@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -647,19 +648,25 @@ LoneLaneTotals lone_lane_totals(const SimConfig& cfg, int buffer, int fe_stall, 
 
 TEST(SmtCore, SteadyStretchEqualsStepping) {
     // run() applies a lone busy lane's steady stretch (no backend stall,
-    // demand in [2, 3], credit below 1) in closed form.  Each row sets
-    // slot 0's public state directly, then compares run() with stepping,
-    // on one core at widths 1, 2 and 4, and checks how many cycles were
-    // applied as stretches.  A boundary row aims an event at the cycle
-    // after n cycles and runs up to it: the n cycles, less any first
-    // cycles outside the class, are jumped and the event cycle is stepped.
-    // kFetch and kDispatch put the event distance one fetch or one
-    // instruction past the n cycles; kLastGrant picks the credit so that
-    // (n + 1) d + c lands exactly on the dispatch event distance, where the
-    // double estimate of the stretch length may round either way.
-    enum class Edge { kNone, kFetch, kDispatch, kLastGrant };
+    // demand in [2, 3] or (3, 4), credit below 1) in one step.  Each row
+    // sets slot 0's public state directly, then compares run() with
+    // stepping, on one core at widths 1, 2 and 4, and checks how many
+    // cycles were applied as stretches.  A boundary row aims an event at
+    // the cycle after n cycles and runs up to it: the n cycles, less any
+    // first cycles outside the class, are jumped and the event cycle is
+    // stepped.  kFetch and kDispatch put the event distance one fetch or
+    // one instruction past the n cycles; kGrant puts it exactly at the
+    // grants of n + 1 cycles; kLastGrant (d in [2, 3]) picks the credit so
+    // that (n + 1) d + c lands exactly on the dispatch event distance,
+    // where the double estimate of the stretch length may round either way.
+    // With d in (3, 4), a sum c + d from 4 up is 4 + X units of 2^-51 and
+    // rounds to even units of 2 when X is odd: X = 1 mod 4 rounds down,
+    // X = 3 mod 4 up.
+    enum class Edge { kNone, kFetch, kDispatch, kGrant, kLastGrant };
     enum class CoRunner { kNone, kBeStall1, kBeStall500, kEmptyUnderFrontendStall };
     constexpr double kTopCredit = 1.0 - 0x1p-51;
+    constexpr double kJustAbove3 = 3.0 + 0x1p-51;
+    const double kJustBelow4 = std::nextafter(4.0, 0.0);
     constexpr int kE = -1;         ///< buffer: full
     constexpr int kEMinusFw = -2;  ///< buffer: one fetch group short of full
     struct Row {
@@ -680,7 +687,19 @@ TEST(SmtCore, SteadyStretchEqualsStepping) {
         {"d 2.5 top credit buffer E", 2.5, kTopCredit, kE, Edge::kNone, 0, CoRunner::kNone,
          3'000, 1},
         {"d 3.0 top credit", 3.0, kTopCredit, 0, Edge::kNone, 0, CoRunner::kNone, 3'000, 1},
-        {"d 3.1 never jumps", 3.1, 0.0, 0, Edge::kNone, 0, CoRunner::kNone, 3'000, 0},
+        {"d 3.1", 3.1, 0.0, 0, Edge::kNone, 0, CoRunner::kNone, 3'000, 1},
+        {"d 3.5 buffer E-fw", 3.5, 0.0, kEMinusFw, Edge::kNone, 0, CoRunner::kNone, 3'000, 1},
+        {"d 3 + 2^-51 top credit buffer E", kJustAbove3, kTopCredit, kE, Edge::kNone, 0,
+         CoRunner::kNone, 3'000, 1},
+        {"d below 4 top credit", kJustBelow4, kTopCredit, 0, Edge::kNone, 0, CoRunner::kNone,
+         3'000, 1},
+        // The first cycle's sum is 4 + X units.
+        {"d 3.5 carry X 1 mod 4", 3.5, 0.5 + 0x1p-51, 0, Edge::kGrant, 3, CoRunner::kNone, 0, 3},
+        {"d 3.5 carry X 3 mod 4", 3.5, 0.5 + 0x3p-51, 0, Edge::kGrant, 3, CoRunner::kNone, 0, 3},
+        {"d below 4 carry X 2^51 - 3", kJustBelow4, 1.0 - 0x2p-51, kE, Edge::kGrant, 1,
+         CoRunner::kNone, 0, 1},
+        {"d 3.1 carry X 3 mod 4", 3.1, (4.0 - 3.1) + 0x3p-51, 0, Edge::kGrant, 50,
+         CoRunner::kNone, 0, 50},
         // Outside the class for the first cycle, so one cycle short: a
         // credit of 1 (here the only fetch is the event's), a credit finer
         // than 2^-51 that the first sum rounds up, a buffer draining under
@@ -705,12 +724,43 @@ TEST(SmtCore, SteadyStretchEqualsStepping) {
         {"fetch edge d 2.2", 2.2, 0.0, 0, Edge::kFetch, 9, CoRunner::kNone, 0, 9},
         {"fetch edge d 2.0 buffer E-fw", 2.0, kTopCredit, kEMinusFw, Edge::kFetch, 2,
          CoRunner::kNone, 0, 2},
+        {"last grant d 3.1", 3.1, 0.0, 0, Edge::kGrant, 45, CoRunner::kNone, 0, 45},
+        {"last grant d 3.1 later", 3.1, 0.25, 0, Edge::kGrant, 1'203, CoRunner::kNone, 0,
+         1'203},
+        {"last grant d 3.5", 3.5, 0.0, 0, Edge::kGrant, 20, CoRunner::kNone, 0, 20},
+        {"last grant d 3 + 2^-51", kJustAbove3, kTopCredit, 0, Edge::kGrant, 30, CoRunner::kNone,
+         0, 30},
+        {"last grant d below 4", kJustBelow4, 0.0, kE, Edge::kGrant, 17, CoRunner::kNone, 0, 17},
+        {"dispatch edge d 3.1", 3.1, 0.5, 0, Edge::kDispatch, 33, CoRunner::kNone, 0, 33},
+        {"fetch edge d 3.1", 3.1, 0.0, 0, Edge::kFetch, 9, CoRunner::kNone, 0, 9},
+        {"fetch edge d 3.5 buffer E", 3.5, kTopCredit, kE, Edge::kFetch, 40, CoRunner::kNone, 0,
+         40},
+        {"fetch edge d below 4 buffer E-fw", kJustBelow4, 0.0, kEMinusFw, Edge::kFetch, 2,
+         CoRunner::kNone, 0, 2},
+        {"fetch edge d 3 + 2^-51", kJustAbove3, 0.0, 0, Edge::kFetch, 300, CoRunner::kNone, 0,
+         300},
+        {"dispatch edge d 3.1 frontend stall 1", 3.1, 0.0, 10, Edge::kDispatch, 8,
+         CoRunner::kNone, 0, 8, 1},
+        {"dispatch edge d 3.5 frontend stall 2", 3.5, 0.0, 10, Edge::kDispatch, 8,
+         CoRunner::kNone, 0, 7, 2},
         {"co-runner be_stall 1", 2.5, 0.0, 0, Edge::kNone, 0, CoRunner::kBeStall1, 3'000, 1},
         {"co-runner be_stall 500", 2.2, 0.0, 0, Edge::kNone, 0, CoRunner::kBeStall500, 3'000,
          500},
         {"co-runner empty under fe stall", 3.0, 0.0, kE, Edge::kNone, 0,
          CoRunner::kEmptyUnderFrontendStall, 3'000, 299},
+        {"co-runner be_stall 1 d 3.1", 3.1, 0.0, 0, Edge::kNone, 0, CoRunner::kBeStall1, 3'000,
+         1},
+        {"co-runner be_stall 500 d 3.5", 3.5, 0.0, 0, Edge::kNone, 0, CoRunner::kBeStall500,
+         3'000, 500},
+        {"co-runner empty under fe stall d below 4", kJustBelow4, 0.0, kE, Edge::kNone, 0,
+         CoRunner::kEmptyUnderFrontendStall, 3'000, 299},
         {"longer than the cap", 2.5, 0.0, 0, Edge::kNone, 0, CoRunner::kNone, 20'000, 4 * 4'096},
+        // The cap cuts every stretch of d = 3 + 2^-51: it carries once in
+        // 2^51 cycles.
+        {"longer than the cap d 3 + 2^-51", kJustAbove3, 0.0, 0, Edge::kNone, 0,
+         CoRunner::kNone, 20'000, 4 * 4'096},
+        {"longer than the cap d 3.1", 3.1, 0.0, 0, Edge::kNone, 0, CoRunner::kNone, 20'000,
+         4 * 4'096},
     };
     constexpr std::int64_t kFar = 1'000'000'000;  ///< an event distance no row reaches
     for (const int ways : {1, 2, 4}) {
@@ -742,7 +792,13 @@ TEST(SmtCore, SteadyStretchEqualsStepping) {
                 const int n = row.edge_cycles;
                 const LoneLaneTotals at_n =
                     lone_lane_totals(cfg, buffer, row.fe_stall, row.credit, row.demand, n);
-                if (row.edge == Edge::kFetch) {
+                if (row.edge == Edge::kGrant) {
+                    until_fe = kFar;
+                    until_be = lone_lane_totals(cfg, buffer, row.fe_stall, row.credit, row.demand,
+                                                n + 1)
+                                   .granted;
+                    ASSERT_GT(until_be, at_n.granted) << at << ": cycle n + 1 must grant";
+                } else if (row.edge == Edge::kFetch) {
                     ASSERT_GT(lone_lane_totals(cfg, buffer, row.fe_stall, row.credit, row.demand,
                                                n + 1)
                                   .fetched,
@@ -809,14 +865,20 @@ TEST(SmtCore, SteadyStretchEqualsStepping) {
 
 TEST(SmtCore, NarrowCoreStepsSteadyLanes) {
     // The steady stretch assumes a core that grants up to 3 instructions a
-    // cycle and refills at least that many: a fetch width, buffer or
-    // dispatch width below 3 keeps run() on the busy cycle.
+    // cycle (4 for a demand in (3, 4)) and refills at least that many: a
+    // fetch width, buffer or dispatch width below that keeps run() on the
+    // busy cycle.
     struct Narrow {
         const char* name;
         int fetch_width, entries, dispatch_width;
+        double demand;
     };
-    for (const Narrow& n : {Narrow{"fetch width 2", 2, 24, 4}, Narrow{"buffer 2", 4, 2, 4},
-                            Narrow{"dispatch width 2", 4, 24, 2}}) {
+    for (const Narrow& n : {Narrow{"fetch width 2", 2, 24, 4, 2.5},
+                            Narrow{"buffer 2", 4, 2, 4, 2.5},
+                            Narrow{"dispatch width 2", 4, 24, 2, 2.5},
+                            Narrow{"d 3.1 fetch width 3", 3, 24, 4, 3.1},
+                            Narrow{"d 3.1 buffer 3", 4, 3, 4, 3.1},
+                            Narrow{"d 3.1 dispatch width 3", 4, 24, 3, 3.1}}) {
         SimConfig cfg;
         cfg.cores = 1;
         cfg.smt_ways = 1;
@@ -831,7 +893,7 @@ TEST(SmtCore, NarrowCoreStepsSteadyLanes) {
             ThreadContext& t = side->core.slot(0);
             t.bind(side->tasks[0].get());
             t.rates = EffectiveRates{.p_branch = 0.004, .p_icache = 0.002, .p_episode = 0.003,
-                                     .dispatch_demand = 2.5};
+                                     .dispatch_demand = n.demand};
         }
         std::uint64_t want = 0;
         for (int i = 0; i < 3'000; ++i) want += stepped.core.tick();
@@ -839,6 +901,23 @@ TEST(SmtCore, NarrowCoreStepsSteadyLanes) {
         expect_same_core(chunked, stepped, n.name);
         EXPECT_EQ(chunked.core.cycle_counts().jumped, 0u) << n.name;
     }
+}
+
+TEST(SmtCore, LoneHighDemandAppJumpsMostCycles) {
+    // A work count, not a bit check: nab_r (demand 3.1) alone on a
+    // one-chip platform applies most of its busy cycles as steady
+    // stretches.  Every bit check still passes if the class stops firing.
+    SimConfig cfg;
+    cfg.cores = 1;
+    cfg.cycles_per_quantum = 2'000;
+    Platform platform(cfg);
+    apps::AppInstance task(1, apps::find_app("nab_r"), 42);
+    ASSERT_EQ(task.phase().dispatch_demand, 3.1);
+    platform.bind(task, {.core = 0, .slot = 0});
+    for (int q = 0; q < 200; ++q) platform.run_quantum();
+    const CycleCounts n = platform.cycle_counts();
+    EXPECT_GT(n.ticked, 200'000u);
+    EXPECT_GT(n.jumped, n.ticked / 2);
 }
 
 TEST(SmtCore, EndStateDigestPinned) {

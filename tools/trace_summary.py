@@ -4,7 +4,11 @@
 Summary mode prints the run timeline (quantum span, live-task range), the
 per-quantum policy-latency percentiles (p50/p90/p99 of the observe/decide/
 bind wall-clock from the policy_wall_us counter track), the simulate-phase
-latency, and a count of every structured event kind.
+latency, a count of every structured event kind, and the cycle-loop split
+from the metrics-registry CSV next to the trace: the core-cycles stepped
+busy (uarch.cycles_ticked), applied in bulk as idle (uarch.cycles_skipped)
+and, of the ticked ones, applied as one lane's steady stretch
+(uarch.cycles_jumped), with the jumped and stepped shares of the ticked.
 
 Usage:
     tools/trace_summary.py trace.json            # human summary
@@ -21,6 +25,7 @@ present, and the metrics-registry CSV the recorder writes next to the trace
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from collections import Counter
@@ -60,6 +65,35 @@ def validate_registry(path: str) -> list[str]:
     if header != REGISTRY_HEADER:
         return [f"{path}: unexpected header {header!r}"]
     return []
+
+
+def registry_counters(path: str) -> dict[str, int]:
+    """The counter rows of a metrics-registry CSV, by name ({} if absent)."""
+    try:
+        with open(path, newline="") as f:
+            rows = list(csv.DictReader(f))
+    except OSError:
+        return {}
+    return {r["name"]: int(r["value"]) for r in rows if r.get("kind") == "counter"}
+
+
+def cycle_split(counters: dict[str, int]) -> list[str]:
+    """Report lines for the cycle-loop counters, [] when the run has none."""
+    if "uarch.cycles_ticked" not in counters:
+        return []
+    ticked = counters["uarch.cycles_ticked"]
+    skipped = counters.get("uarch.cycles_skipped", 0)
+    jumped = counters.get("uarch.cycles_jumped", 0)
+    lines = [
+        "cycle loop (core-cycles):",
+        f"  ticked {ticked}, skipped {skipped}, jumped {jumped}",
+    ]
+    if ticked:
+        lines.append(
+            f"  of ticked: jumped {jumped / ticked:.1%}, "
+            f"stepped {(ticked - jumped) / ticked:.1%}"
+        )
+    return lines
 
 
 def validate(doc: dict) -> list[str]:
@@ -176,6 +210,8 @@ def main() -> int:
         return 0
 
     summarize(doc)
+    for line in cycle_split(registry_counters(registry_path(args.trace))):
+        print(line)
     return 0
 
 
