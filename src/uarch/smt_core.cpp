@@ -351,7 +351,7 @@ struct SmtCore::LaneState<W, std::integer_sequence<int, I...>> {
     }
 
     /// Applies up to `cap` cycles, cap <= outlook().quiet, in which lane
-    /// `busy` is the only busy lane, in closed form (see steady<L>); the
+    /// `busy` is the only busy lane, in one step (see steady<L>); the
     /// other lanes pass them as idle.  Returns how many, 0 when the next
     /// cycle must be stepped.
     [[gnu::always_inline]] std::uint64_t jump(int busy, std::uint64_t cap) noexcept {
