@@ -1,11 +1,69 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <exception>
+#include <stdexcept>
 
 namespace synpa::common {
+namespace {
+
+std::size_t hardware_threads() noexcept {
+    return std::max(1u, std::thread::hardware_concurrency());
+}
+
+/// One parallel_for call: the next unclaimed index and the first failure.
+class Batch {
+public:
+    Batch(std::size_t n, const IndexFn& fn) : n_(n), fn_(fn) {}
+
+    /// Claims and runs indices until none is left.  A throwing fn(i) is
+    /// recorded, not propagated, so the rest of the batch still runs.
+    void drain() noexcept {
+        for (std::size_t i = claim(); i < n_; i = claim()) {
+            try {
+                fn_(i);
+            } catch (...) {
+                const std::lock_guard lock(mutex_);
+                if (!error_) error_ = std::current_exception();
+            }
+        }
+    }
+
+    /// Rethrows the first recorded failure; call after every drain() ended.
+    void rethrow() const {
+        if (error_) std::rethrow_exception(error_);
+    }
+
+private:
+    std::size_t claim() noexcept { return next_.fetch_add(1, std::memory_order_relaxed); }
+
+    const std::size_t n_;
+    const IndexFn& fn_;
+    std::atomic<std::size_t> next_{0};
+    std::mutex mutex_;
+    std::exception_ptr error_;
+};
+
+}  // namespace
+
+void require_thread_cap(const std::string& field, std::size_t threads) {
+    if (threads > kMaxThreads)
+        throw std::invalid_argument(field + " must be <= " + std::to_string(kMaxThreads) +
+                                    ", got " +
+                                    std::to_string(static_cast<std::int64_t>(threads)));
+}
+
+int nested_sim_threads(int requested, std::size_t outer_workers) noexcept {
+    if (requested <= 1 || outer_workers <= 1) return std::max(requested, 1);
+    const std::size_t budget = std::max<std::size_t>(1, hardware_threads() / outer_workers);
+    return static_cast<int>(std::min(static_cast<std::size_t>(requested), budget));
+}
 
 ThreadPool::ThreadPool(std::size_t threads) {
-    if (threads == 0) threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+    require_thread_cap("ThreadPool threads", threads);
+    if (threads == 0) threads = hardware_threads();
     workers_.reserve(threads);
     for (std::size_t i = 0; i < threads; ++i) workers_.emplace_back([this] { worker_loop(); });
 }
@@ -19,18 +77,16 @@ ThreadPool::~ThreadPool() {
     for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::submit(std::function<void()> task) {
-    enqueue([task = std::move(task), this] {
-        try {
-            task();
-        } catch (...) {
-            const std::lock_guard lock(mutex_);
-            if (!first_exception_) first_exception_ = std::current_exception();
-        }
-    });
+void ThreadPool::parallel_for(std::size_t n, const IndexFn& fn) {
+    // One claiming task per worker that can get an index; each drains the
+    // shared counter, so a free worker always takes the next index.
+    Batch batch(n, fn);
+    for (std::size_t w = std::min(n, size()); w > 0; --w) submit([&batch] { batch.drain(); });
+    wait_idle();
+    batch.rethrow();
 }
 
-void ThreadPool::enqueue(std::function<void()> task) {
+void ThreadPool::submit(std::function<void()> task) {
     {
         std::lock_guard lock(mutex_);
         tasks_.push(std::move(task));
@@ -41,11 +97,6 @@ void ThreadPool::enqueue(std::function<void()> task) {
 void ThreadPool::wait_idle() {
     std::unique_lock lock(mutex_);
     cv_idle_.wait(lock, [this] { return tasks_.empty() && in_flight_ == 0; });
-    if (first_exception_) {
-        const std::exception_ptr error = std::exchange(first_exception_, nullptr);
-        lock.unlock();
-        std::rethrow_exception(error);
-    }
 }
 
 void ThreadPool::worker_loop() {
@@ -59,7 +110,7 @@ void ThreadPool::worker_loop() {
             tasks_.pop();
             ++in_flight_;
         }
-        task();  // submit() wrapped this; it cannot throw
+        task();
         bool idle = false;
         {
             std::lock_guard lock(mutex_);
@@ -71,12 +122,24 @@ void ThreadPool::worker_loop() {
     }
 }
 
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
-                  std::size_t threads) {
-    if (n == 0) return;
-    ThreadPool pool(threads);
-    for (std::size_t i = 0; i < n; ++i) pool.submit([i, &fn] { fn(i); });
-    pool.wait_idle();
+void parallel_for(ThreadPool* pool, std::size_t n, const IndexFn& fn) {
+    if (pool != nullptr) {
+        pool->parallel_for(n, fn);
+        return;
+    }
+    Batch batch(n, fn);
+    batch.drain();
+    batch.rethrow();
+}
+
+void parallel_for(std::size_t n, const IndexFn& fn, std::size_t threads) {
+    const std::size_t workers = std::min(threads == 0 ? hardware_threads() : threads, n);
+    if (workers <= 1) {
+        parallel_for(nullptr, n, fn);
+        return;
+    }
+    ThreadPool pool(workers);
+    pool.parallel_for(n, fn);
 }
 
 }  // namespace synpa::common

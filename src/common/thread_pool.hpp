@@ -1,35 +1,63 @@
-// A small fixed-size thread pool with a parallel_for_each helper.
+// The one way this code base runs work on host threads: parallel_for.
 //
-// The evaluation sweeps (20 workloads x 2 policies x N repetitions, and the
-// all-pairs training runs) are embarrassingly parallel across independent
-// simulator instances, so the benches fan them out over hardware threads.
-// On a single-core host the pool degrades gracefully to near-serial
-// execution with the same deterministic results (each task owns its RNG).
+// Every fork/join in the simulator is one parallel_for(n, fn) — a quantum's
+// chips (uarch::Platform), a fleet quantum's nodes (fleet::FleetRunner), an
+// evaluation grid's repetitions (exp::GridEngine), the trainer's pair and
+// isolated runs, workload preparation and suite characterization.  It runs
+// fn(i) exactly once for every i in [0, n): whichever worker is free claims
+// the next unclaimed index (items vary in cost, so the range is never
+// pre-split), and the caller blocks until the whole batch has run.  Each
+// index owns its own state and RNG streams, so results are identical at
+// every worker count; only the interleaving changes.
 //
-// Error handling: a task that throws does not terminate the process.  The
-// first exception is captured and rethrown from the next wait_idle() (and
-// therefore from parallel_for); later exceptions from the same batch are
-// dropped.  Tasks submitted through submit_waitable() instead deliver their
-// exception through the returned future.
+// Error handling: an fn(i) that throws does not stop the batch.  Every
+// other index still runs, then the first exception caught is rethrown to
+// the caller; later ones are dropped.  The pool stays usable afterwards.
+//
+// The thread-count rules live here too: every option that sizes a pool is
+// capped at kMaxThreads through require_thread_cap before the pool is
+// built, and nested_sim_threads splits the host between an outer pool and
+// the chip pools of the simulations it runs.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
-#include <exception>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <queue>
+#include <string>
 #include <thread>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 namespace synpa::common {
 
+/// The body of a parallel_for: called once with each index.
+using IndexFn = std::function<void(std::size_t)>;
+
+/// Ceiling on every option that sizes a host thread pool: each unit is a
+/// thread the pool starts, so a larger value (or a wrapped negative) is a
+/// typo.
+inline constexpr std::size_t kMaxThreads = 256;
+
+/// Throws std::invalid_argument naming `field` ("<Struct>::<member>" or an
+/// environment variable) when `threads` is above kMaxThreads, a wrapped
+/// negative included.  Every option that sizes a pool checks through it
+/// before the pool is built.
+void require_thread_cap(const std::string& field, std::size_t threads);
+
+/// The sim_threads a nested simulation should actually use when its
+/// *caller* already fans out over `outer_workers` pool threads (grid
+/// repetitions, fleet nodes).  Caps requested threads so outer x inner
+/// never oversubscribes the host: with a saturated outer pool this returns
+/// 1 (the parallelism is already at the outer grain), on an idle host it
+/// returns the request unchanged.  Purely a scheduling decision; results
+/// are identical either way.
+int nested_sim_threads(int requested, std::size_t outer_workers) noexcept;
+
 class ThreadPool {
 public:
-    /// Creates `threads` workers; 0 means std::thread::hardware_concurrency().
+    /// Starts `threads` workers; 0 means std::thread::hardware_concurrency().
+    /// Throws std::invalid_argument above kMaxThreads.
     explicit ThreadPool(std::size_t threads = 0);
     ~ThreadPool();
 
@@ -38,28 +66,17 @@ public:
 
     std::size_t size() const noexcept { return workers_.size(); }
 
-    /// Enqueues a task for asynchronous execution.  If the task throws, the
-    /// first such exception is rethrown by the next wait_idle().
-    void submit(std::function<void()> task);
-
-    /// Enqueues a task and returns a future carrying its result; exceptions
-    /// propagate through the future instead of wait_idle().
-    template <class F>
-    [[nodiscard]] std::future<std::invoke_result_t<F&>> submit_waitable(F task) {
-        using R = std::invoke_result_t<F&>;
-        auto packaged = std::make_shared<std::packaged_task<R()>>(std::move(task));
-        std::future<R> result = packaged->get_future();
-        enqueue([packaged] { (*packaged)(); });
-        return result;
-    }
-
-    /// Blocks until every submitted task has finished, then rethrows the
-    /// first exception captured from a plain submit() task (if any).  The
-    /// pool stays usable after the rethrow.
-    void wait_idle();
+    /// Runs fn(i) once for every i in [0, n) on the workers and returns when
+    /// all have run, rethrowing the first exception any of them threw (see
+    /// the file comment).  One caller at a time; fn must not call back into
+    /// this pool.
+    void parallel_for(std::size_t n, const IndexFn& fn);
 
 private:
-    void enqueue(std::function<void()> task);
+    /// Queues a task for the next free worker; the task must not throw.
+    void submit(std::function<void()> task);
+    /// Blocks until every submitted task has finished.
+    void wait_idle();
     void worker_loop();
 
     std::vector<std::thread> workers_;
@@ -69,13 +86,14 @@ private:
     std::condition_variable cv_idle_;
     std::size_t in_flight_ = 0;
     bool stop_ = false;
-    std::exception_ptr first_exception_;
 };
 
-/// Runs fn(i) for i in [0, n) across a temporary pool and waits.  If any
-/// invocation throws, the first exception is rethrown here after every task
-/// has drained.
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
-                  std::size_t threads = 0);
+/// pool->parallel_for(n, fn), or with a null `pool` the same loop inline on
+/// the caller, in index order, with the same run-all-then-rethrow rule.
+void parallel_for(ThreadPool* pool, std::size_t n, const IndexFn& fn);
+
+/// One-shot parallel_for over a temporary pool of min(threads, n) workers
+/// (threads 0 = hardware concurrency); runs inline when that count is 1.
+void parallel_for(std::size_t n, const IndexFn& fn, std::size_t threads = 0);
 
 }  // namespace synpa::common

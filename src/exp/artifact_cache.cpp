@@ -35,6 +35,7 @@ template <class T, class Build>
 std::shared_ptr<const T> ArtifactCache::memoize(
     std::unordered_map<std::uint64_t, Slot<T>>& map, std::uint64_t key,
     std::size_t Stats::*counter, Build&& build) {
+    // synpa-lint: fork-ok(a once-only memo: the first requester builds on its own thread)
     std::promise<std::shared_ptr<const T>> promise;
     Slot<T> slot;
     bool owner = false;

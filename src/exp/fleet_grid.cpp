@@ -6,8 +6,8 @@
 #include <stdexcept>
 
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "fleet/policy.hpp"
-#include "workloads/methodology.hpp"
 
 namespace synpa::exp {
 
@@ -22,7 +22,7 @@ const FleetCampaign& FleetCampaign::validate() const {
     if (node_configs.empty()) throw std::invalid_argument("fleet grid: no configs");
     if (scenarios.empty()) throw std::invalid_argument("fleet grid: no scenarios");
     if (fleet_policies.empty()) throw std::invalid_argument("fleet grid: no fleet policies");
-    workloads::require_thread_cap("FleetCampaign::fleet_threads", fleet_threads);
+    common::require_thread_cap("FleetCampaign::fleet_threads", fleet_threads);
     return *this;
 }
 

@@ -7,7 +7,8 @@
 // files, and finished cells streamed to aggregators in grid order, so
 // results are bit-identical for threads=1 and threads=N.  Each cell's
 // FleetRunner keeps its own node-stepping threads capped under the grid
-// pool (nested_sim_threads), like grid cells cap their chip shards.
+// pool (common::nested_sim_threads), like grid cells cap their chip
+// shards.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +35,7 @@ struct FleetCampaign {
     std::uint64_t max_quanta = 50'000;
     bool preemption = true;
     /// Node-stepping threads inside each cell's FleetRunner (capped under
-    /// the grid pool via nested_sim_threads).
+    /// the grid pool via common::nested_sim_threads).
     std::size_t fleet_threads = 1;
     bool record_timelines = false;
 
@@ -50,7 +51,7 @@ struct FleetCampaign {
 
     /// Throws std::invalid_argument for an empty config, scenario or
     /// fleet-policy axis, or naming `FleetCampaign::fleet_threads` above
-    /// workloads::MethodologyOptions::kMaxThreads; returns *this.
+    /// common::kMaxThreads; returns *this.
     /// FleetGridRunner::run calls it before any repetition runs.
     const FleetCampaign& validate() const;
 };

@@ -4,12 +4,11 @@
 
 #include "common/rng.hpp"
 #include "workloads/groups.hpp"
-#include "workloads/methodology.hpp"
 
 namespace synpa::exp {
 
 const GridOptions& GridOptions::validate() const {
-    workloads::require_thread_cap("GridOptions::threads", threads);
+    common::require_thread_cap("GridOptions::threads", threads);
     return *this;
 }
 

@@ -84,7 +84,7 @@ struct GridOptions {
     std::ostream* log = nullptr;  ///< optional per-cell progress lines
 
     /// Throws std::invalid_argument naming `GridOptions::threads` above
-    /// workloads::MethodologyOptions::kMaxThreads; returns *this.
+    /// common::kMaxThreads; returns *this.
     /// GridEngine calls it before it builds its pool.
     const GridOptions& validate() const;
 };
@@ -116,7 +116,7 @@ public:
     /// over this pool, so a cell keeps only the inner threads the host has
     /// spare (results are identical at any thread count).
     int nested_threads(int requested) const noexcept {
-        return uarch::nested_sim_threads(requested, pool_.size());
+        return common::nested_sim_threads(requested, pool_.size());
     }
 
     /// Each config's trained model when `needs_training` (null otherwise);
@@ -147,6 +147,7 @@ public:
              const std::vector<CellSink<Cell>*>& sinks) {
         using Run = std::invoke_result_t<RunRep&, const GridPoint&, int, obs::Tracer*>;
         const int reps = std::max(1, shape.reps);
+        const auto rep_count = static_cast<std::size_t>(reps);
         struct CellState {
             std::vector<Run> runs;
             std::atomic<int> finished_reps{0};
@@ -155,7 +156,7 @@ public:
         };
         const std::size_t per_config = shape.rows * shape.policies;
         std::vector<CellState> cells(shape.configs * per_config);
-        for (CellState& cell : cells) cell.runs.resize(static_cast<std::size_t>(reps));
+        for (CellState& cell : cells) cell.runs.resize(rep_count);
 
         // Reorder buffer: a cell is folded by whichever worker finishes its last
         // repetition, then every folded cell at the head of the grid is released.
@@ -163,39 +164,37 @@ public:
         std::size_t next_emit = 0;
         out.cells.reserve(cells.size());
         const obs::TraceConfig trace_cfg = obs::TraceConfig::from_env();
-        for (std::size_t i = 0; i < cells.size(); ++i) {
+        // Index k is repetition k % reps of cell k / reps: cell-major, so
+        // early cells finish first.  Rethrows the first repetition failure,
+        // if any, once every repetition has run.
+        pool_.parallel_for(cells.size() * rep_count, [&](std::size_t k) {
+            const std::size_t i = k / rep_count;
+            const int rep = static_cast<int>(k % rep_count);
             const GridPoint point{.config = i / per_config,
                                   .row = i % per_config / shape.policies,
                                   .policy = i % shape.policies};
-            for (int rep = 0; rep < reps; ++rep) {
-                pool_.submit([&, i, point, rep] {
-                    CellState& cell = cells[i];
-                    const std::unique_ptr<obs::Tracer> tracer =
-                        rep_tracer(trace_cfg, shape, point, rep);
-                    cell.runs[static_cast<std::size_t>(rep)] = run_rep(point, rep, tracer.get());
-                    if (tracer) tracer->finish();
-                    if (cell.finished_reps.fetch_add(1, std::memory_order_acq_rel) + 1 != reps)
-                        return;
-                    cell.result = fold(point, std::move(cell.runs));
-                    const std::lock_guard lock(emit_mutex);
-                    cell.folded = true;
-                    for (; next_emit < cells.size() && cells[next_emit].folded; ++next_emit) {
-                        Cell& done = cells[next_emit].result;
-                        for (CellSink<Cell>* sink : sinks) sink->on_cell(done);
-                        if (log_ != nullptr) {
-                            *log_ << "[" << (next_emit + 1) << "/" << cells.size() << "] ";
-                            describe(*log_, done);
-                            *log_ << "\n";
-                        }
-                        out.cells.push_back(std::move(done));
-                    }
-                });
+            CellState& cell = cells[i];
+            const std::unique_ptr<obs::Tracer> tracer = rep_tracer(trace_cfg, shape, point, rep);
+            cell.runs[static_cast<std::size_t>(rep)] = run_rep(point, rep, tracer.get());
+            if (tracer) tracer->finish();
+            if (cell.finished_reps.fetch_add(1, std::memory_order_acq_rel) + 1 != reps) return;
+            cell.result = fold(point, std::move(cell.runs));
+            const std::lock_guard lock(emit_mutex);
+            cell.folded = true;
+            for (; next_emit < cells.size() && cells[next_emit].folded; ++next_emit) {
+                Cell& done = cells[next_emit].result;
+                for (CellSink<Cell>* sink : sinks) sink->on_cell(done);
+                if (log_ != nullptr) {
+                    *log_ << "[" << (next_emit + 1) << "/" << cells.size() << "] ";
+                    describe(*log_, done);
+                    *log_ << "\n";
+                }
+                out.cells.push_back(std::move(done));
             }
-        }
-        pool_.wait_idle();  // rethrows the first repetition failure, if any
+        });
 
         for (CellSink<Cell>* sink : sinks) sink->finish();
-        out.reps_executed = cells.size() * static_cast<std::size_t>(reps);
+        out.reps_executed = cells.size() * rep_count;
         out.wall_seconds = std::chrono::duration<double>(Clock::now() - start).count();
     }
 

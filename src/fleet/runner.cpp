@@ -25,6 +25,7 @@ FleetRunner::FleetRunner(const scenario::ScenarioTrace& trace, FleetOptions opts
               throw std::invalid_argument("FleetRunner: trace tasks must be arrival-sorted");
           if (opts_.max_quanta == 0)
               throw std::invalid_argument("FleetRunner: max_quanta must be > 0");
+          common::require_thread_cap("FleetOptions::threads", opts_.threads);
           const FleetPolicyInfo* info = find_fleet_policy(opts_.fleet_policy);
           if (info == nullptr)
               make_fleet_policy(opts_.fleet_policy, {});  // throws with inventory
@@ -34,8 +35,8 @@ FleetRunner::FleetRunner(const scenario::ScenarioTrace& trace, FleetOptions opts
           // Nested parallelism: per-node chip shards share the host with the
           // fleet pool, exactly like grid cells over campaign pools.
           fc.node_config.sim_threads =
-              uarch::nested_sim_threads(opts_.node_config.sim_threads,
-                                        opts_.threads > 1 ? opts_.threads : 0);
+              common::nested_sim_threads(opts_.node_config.sim_threads,
+                                         opts_.threads > 1 ? opts_.threads : 0);
           fc.node_policy = opts_.node_policy;
           fc.policy_config = opts_.policy_config;
           fc.with_estimators = info != nullptr && info->needs_model;
@@ -203,16 +204,9 @@ FleetResult FleetRunner::run() {
         // Step every node — concurrently when a pool exists.  Nodes share no
         // mutable state; results are folded in ascending node order below,
         // so the fold is identical at every fleet-thread count.
-        for (int n = 0; n < fleet_.node_count(); ++n) {
-            const auto step = [this, &steps, n, quantum] {
-                steps[static_cast<std::size_t>(n)] = fleet_.node(n).step(quantum);
-            };
-            if (pool_ == nullptr)
-                step();
-            else
-                pool_->submit(step);
-        }
-        if (pool_ != nullptr) pool_->wait_idle();
+        common::parallel_for(pool_.get(), steps.size(), [this, &steps, quantum](std::size_t n) {
+            steps[n] = fleet_.node(static_cast<int>(n)).step(quantum);
+        });
         qstats.simulate_us = sw.lap_us();
         if (tracer_ != nullptr) {
             const uarch::CycleCounts now = fleet_cycles();

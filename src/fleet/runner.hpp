@@ -106,7 +106,8 @@ struct FleetOptions {
     std::uint64_t fleet_seed = 1;  ///< seed for randomized fleet policies
     /// Allow latency-critical arrivals to demote lower-priority residents.
     bool preemption = true;
-    /// Host threads stepping nodes concurrently (1 = serial coordinator).
+    /// Host threads stepping nodes concurrently (0 or 1 = serial
+    /// coordinator; at most common::kMaxThreads).
     std::size_t threads = 1;
     std::uint64_t max_quanta = 50'000;  ///< safety cap
     bool record_timeline = false;
@@ -121,7 +122,9 @@ struct FleetOptions {
 class FleetRunner {
 public:
     /// Throws std::invalid_argument when the trace is not arrival-sorted,
-    /// max_quanta is 0 or a policy name is unknown.
+    /// max_quanta is 0, threads is above common::kMaxThreads (naming
+    /// FleetOptions::threads, before any pool is built) or a policy name is
+    /// unknown.
     FleetRunner(const scenario::ScenarioTrace& trace, FleetOptions opts);
 
     FleetResult run();

@@ -122,6 +122,7 @@ void validate(const TrainerOptions& opts) {
             "TrainerOptions::pair_quanta must exceed TrainerOptions::warmup_quanta");
     if (!(opts.sample_fraction > 0.0 && opts.sample_fraction <= 1.0))
         throw std::invalid_argument("TrainerOptions::sample_fraction must be in (0, 1]");
+    common::require_thread_cap("TrainerOptions::threads", opts.threads);
 }
 
 }  // namespace

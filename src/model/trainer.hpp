@@ -136,7 +136,7 @@ struct TrainerOptions {
     std::uint64_t warmup_quanta = 2;      ///< leading quanta dropped from pair runs
     double sample_fraction = 0.8;         ///< random subset used for the fit
     std::uint64_t seed = 1;
-    std::size_t threads = 0;              ///< worker threads (0 = hardware)
+    std::size_t threads = 0;              ///< worker threads (0 = hardware; <= 256)
     bool include_self_pairs = true;       ///< also train on (A, A) pairs
 };
 
@@ -161,7 +161,8 @@ struct TrainingSet {
 /// covered, then alignment in pair order.  The result is a pure function
 /// of its arguments at any `opts.threads`.  Throws std::invalid_argument
 /// naming the field when isolated_quanta is 0, pair_quanta does not exceed
-/// warmup_quanta, or sample_fraction is outside (0, 1].
+/// warmup_quanta, sample_fraction is outside (0, 1], or threads is above
+/// common::kMaxThreads.
 template <std::size_t N>
 TrainingSet<N> collect_training_set(const uarch::SimConfig& cfg, const TrainerOptions& opts,
                                     std::span<const std::string> app_names,

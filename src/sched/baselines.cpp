@@ -168,6 +168,15 @@ CoreAllocation OraclePolicy::reallocate(std::span<const TaskObservation> observa
 
 namespace synpa::sched {
 
+const SamplingPolicy::Options& SamplingPolicy::Options::validate() const {
+    for (const auto& [value, field] : {std::pair{explore_quanta, "explore_quanta"},
+                                       std::pair{exploit_quanta, "exploit_quanta"}})
+        if (value < 1)
+            throw std::invalid_argument(std::string("SamplingPolicy::Options::") + field +
+                                        " must be >= 1, got " + std::to_string(value));
+    return *this;
+}
+
 SamplingPolicy::SlotGrouping SamplingPolicy::random_grouping(std::size_t n,
                                                              std::size_t width,
                                                              std::size_t cores) {

@@ -88,10 +88,15 @@ public:
     struct Options {
         int explore_quanta = 6;   ///< sampled configurations per cycle
         int exploit_quanta = 40;  ///< quanta to run the winner before resampling
+
+        /// Throws std::invalid_argument naming the first field below 1;
+        /// returns *this for constructor initializer lists.
+        const Options& validate() const;
     };
 
+    /// Throws std::invalid_argument when `opts` does not validate().
     SamplingPolicy(std::uint64_t seed, Options opts)
-        : rng_(seed, 0x5a31), opts_(opts) {}
+        : rng_(seed, 0x5a31), opts_(opts.validate()) {}
     explicit SamplingPolicy(std::uint64_t seed) : SamplingPolicy(seed, Options()) {}
 
     std::string name() const override { return "sampling"; }

@@ -1,5 +1,6 @@
 #include "uarch/platform.hpp"
 
+#include <algorithm>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -11,8 +12,9 @@ namespace synpa::uarch {
 Platform::Platform(const SimConfig& cfg) : cfg_(cfg.validate()) {
     chips_.reserve(static_cast<std::size_t>(cfg_.num_chips));
     for (int c = 0; c < cfg_.num_chips; ++c) chips_.push_back(std::make_unique<Chip>(cfg_));
-    if (cfg_.sim_threads > 1 && cfg_.num_chips > 1)
-        engine_ = std::make_unique<ParallelQuantumEngine>(cfg_.sim_threads, cfg_.num_chips);
+    const int workers = std::min(cfg_.sim_threads, cfg_.num_chips);
+    if (workers > 1)
+        pool_ = std::make_unique<common::ThreadPool>(static_cast<std::size_t>(workers));
 }
 
 void Platform::bind(apps::AppInstance& task, CpuSlot where) {
@@ -76,40 +78,27 @@ void Platform::set_tracer(obs::Tracer* tracer) {
 void Platform::run_quantum() {
     const bool trace_chips =
         tracer_ != nullptr && tracer_->wants(obs::EventKind::kChipQuantum);
-    // One chip's traced quantum: the shard measures its own wall-clock and
-    // writes only its chip's ring — no shared mutable state before the
-    // barrier (the coordinator merges rings after the join, in ascending
-    // chip order, so traces are identical at every SYNPA_SIM_THREADS).
-    const auto run_chip_traced = [this](int c) {
+    // Chips share no mutable state inside a quantum, so the join is the
+    // only ordering that matters.  A traced chip measures its own
+    // wall-clock and writes only its own ring; the coordinator merges the
+    // rings after the join, in ascending chip order, so traces are
+    // identical at every SYNPA_SIM_THREADS.
+    common::parallel_for(pool_.get(), chips_.size(), [this, trace_chips](std::size_t c) {
+        Chip& chip = *chips_[c];
+        if (!trace_chips) {
+            chip.run_quantum();
+            return;
+        }
         const double start_us = obs::host_now_us();
-        chips_[static_cast<std::size_t>(c)]->run_quantum();
+        chip.run_quantum();
         const double stop_us = obs::host_now_us();
         obs::TraceEvent e;
         e.kind = obs::EventKind::kChipQuantum;
         e.quantum = quanta_;
-        e.chip = c;
+        e.chip = static_cast<int>(c);
         e.value = stop_us - start_us;
-        tracer_->emit_chip(c, std::move(e));
-    };
-    if (engine_) {
-        // Fork/join: each chip's quantum runs on one shard; the barrier
-        // inside run_chips completes before any platform-level state (or
-        // any driver observe/bind code) runs.  Chip order within a shard
-        // is ascending, so execution only differs from the serial loop by
-        // interleaving across chips that share no state.
-        if (trace_chips) {
-            engine_->run_chips(run_chip_traced);
-        } else {
-            engine_->run_chips(
-                [this](int c) { chips_[static_cast<std::size_t>(c)]->run_quantum(); });
-        }
-    } else {
-        if (trace_chips) {
-            for (int c = 0; c < chip_count(); ++c) run_chip_traced(c);
-        } else {
-            for (const auto& chip : chips_) chip->run_quantum();
-        }
-    }
+        tracer_->emit_chip(static_cast<int>(c), std::move(e));
+    });
     if (trace_chips) tracer_->merge_chip_events();
     now_ += cfg_.cycles_per_quantum;
     ++quanta_;

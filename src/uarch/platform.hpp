@@ -22,13 +22,14 @@
 // run a bare chip: the cross-chip path never triggers.
 //
 // Execution can be chip-sharded: with SimConfig::sim_threads > 1 (env
-// SYNPA_SIM_THREADS) run_quantum dispatches each chip's quantum to a
-// ParallelQuantumEngine and joins on a barrier before returning, so the
-// observe/decide/bind phases of the drivers stay on the coordinating
-// thread.  Results are bit-identical to the serial path at every thread
-// count: chips share no mutable state inside a quantum (RNG streams live
-// in the per-task AppInstances, each bound to exactly one chip) and the
-// platform's own counters advance only after the join.
+// SYNPA_SIM_THREADS) run_quantum steps the chips with one
+// common::parallel_for over a pool of min(sim_threads, chips) workers, and
+// the join completes before it returns, so the observe/decide/bind phases
+// of the drivers stay on the coordinating thread.  Results are
+// bit-identical to the serial path at every thread count: chips share no
+// mutable state inside a quantum (RNG streams live in the per-task
+// AppInstances, each bound to exactly one chip) and the platform's own
+// counters advance only after the join.
 #pragma once
 
 #include <cstdint>
@@ -37,8 +38,8 @@
 
 #include "apps/instance.hpp"
 #include "common/flat_map.hpp"
+#include "common/thread_pool.hpp"
 #include "uarch/chip.hpp"
-#include "uarch/parallel_engine.hpp"
 #include "uarch/sim_config.hpp"
 
 namespace synpa::obs {
@@ -101,14 +102,15 @@ public:
     /// threads and joined before returning (bit-identical to serial).
     void run_quantum();
 
-    /// Host threads a quantum actually uses (1 = serial path).
-    int sim_shards() const noexcept { return engine_ ? engine_->shard_count() : 1; }
+    /// Host threads a quantum actually uses: min(sim_threads, chips), and 1
+    /// on the serial path.
+    int sim_shards() const noexcept { return pool_ ? static_cast<int>(pool_->size()) : 1; }
 
     /// Attaches the drivers' flight recorder (not owned; nullptr detaches).
     /// With tracing on, run_quantum times each chip's quantum with host
-    /// wall-clock: shards write their own per-chip rings during the
-    /// quantum and the coordinator merges them after the barrier, so the
-    /// trace stream is identical at every SYNPA_SIM_THREADS.
+    /// wall-clock: each chip writes its own ring during the quantum and
+    /// the coordinator merges them after the join, so the trace stream is
+    /// identical at every SYNPA_SIM_THREADS.
     void set_tracer(obs::Tracer* tracer);
 
     /// Cycles simulated so far.
@@ -129,9 +131,9 @@ private:
     /// unique_ptr: Chip's SmtCores point into the owning Chip's SimConfig,
     /// so Chip must never relocate once constructed.
     std::vector<std::unique_ptr<Chip>> chips_;
-    /// Chip-sharded quantum execution; null on the serial path
+    /// Workers stepping the chips of a quantum; null on the serial path
     /// (sim_threads <= 1 or a single chip).
-    std::unique_ptr<ParallelQuantumEngine> engine_;
+    std::unique_ptr<common::ThreadPool> pool_;
     /// Flight recorder (not owned); null when detached or disabled.
     obs::Tracer* tracer_ = nullptr;
     /// Slot value of a task that is known but not bound.

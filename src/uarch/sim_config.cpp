@@ -1,14 +1,13 @@
 #include "uarch/sim_config.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <type_traits>
 
 #include "common/config.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 
 namespace synpa::uarch {
 
@@ -58,15 +57,6 @@ std::uint64_t config_fingerprint(const SimConfig& cfg) noexcept {
     return h;
 }
 
-int nested_sim_threads(int requested, std::size_t outer_workers) noexcept {
-    if (requested <= 1 || outer_workers <= 1) return std::max(requested, 1);
-    const auto hw = static_cast<std::size_t>(
-        std::max(1u, std::thread::hardware_concurrency()));
-    const auto budget = std::max<std::size_t>(1, hw / outer_workers);
-    return static_cast<int>(
-        std::min<std::size_t>(static_cast<std::size_t>(requested), budget));
-}
-
 SimConfig SimConfig::from_env() {
     using common::env_double;
     using common::env_int;
@@ -97,7 +87,8 @@ SimConfig SimConfig::from_env() {
 }
 
 const SimConfig& SimConfig::validate() const {
-    const auto require = [](bool ok, const char* knob, const char* rule, const std::string& got) {
+    const auto require = [](bool ok, const char* knob, const std::string& rule,
+                            const std::string& got) {
         if (!ok)
             throw std::invalid_argument(std::string("SimConfig: ") + knob + " must be " + rule +
                                         ", got " + got);
@@ -109,7 +100,8 @@ const SimConfig& SimConfig::validate() const {
     require(smt_ways == 1 || smt_ways == 2 || smt_ways == 4, "SYNPA_SMT_WAYS", "1, 2 or 4",
             str(smt_ways));
     require(num_chips >= 1, "SYNPA_NUM_CHIPS", ">= 1", str(num_chips));
-    require(sim_threads >= 1, "SYNPA_SIM_THREADS", ">= 1", str(sim_threads));
+    require(sim_threads >= 1 && static_cast<std::size_t>(sim_threads) <= common::kMaxThreads,
+            "SYNPA_SIM_THREADS", "in [1, " + str(common::kMaxThreads) + "]", str(sim_threads));
     require(as_signed(cycles_per_quantum) >= 1, "SYNPA_QUANTUM_CYCLES", ">= 1",
             str(as_signed(cycles_per_quantum)));
     require(cross_chip_warmup_quanta >= 0, "SYNPA_XCHIP_WARMUP_QUANTA", ">= 0",

@@ -52,12 +52,12 @@ struct SimConfig {
     // ---- simulator execution (not modeled hardware) -----------------------
     // Chips are independent between allocation decisions, so a Platform can
     // run each quantum's per-chip simulation on up to `sim_threads` threads
-    // (clamped to num_chips) with a barrier at the quantum boundary.
+    // (clamped to num_chips) with a join at the quantum boundary.
     // Results are bit-identical at every thread count — this knob trades
     // host CPUs for wall time and changes nothing the simulation observes,
     // which is why it is deliberately EXCLUDED from config_fingerprint():
     // cached artifacts stay valid across thread counts.
-    int sim_threads = 1;                    ///< host threads per quantum (>=1)
+    int sim_threads = 1;                    ///< host threads per quantum (1-256)
 
     // ---- latencies (cycles) ---------------------------------------------
     int l2_latency = 12;
@@ -115,8 +115,8 @@ struct SimConfig {
     static SimConfig from_env();
 
     /// Throws std::invalid_argument naming the SYNPA_* knob of the first
-    /// field out of range (cores, chips, sim threads and cycles per quantum
-    /// >= 1; smt_ways 1, 2 or 4; latencies, caps and warmup windows >= 0;
+    /// field out of range (cores, chips and cycles per quantum >= 1; sim
+    /// threads in [1, common::kMaxThreads]; smt_ways 1, 2 or 4; latencies, caps and warmup windows >= 0;
     /// the cross-chip miss multiplier >= 1; memory bandwidth > 0).  Returns
     /// *this so constructors can validate in their initializer lists; every
     /// Chip and Platform does.
@@ -125,18 +125,9 @@ struct SimConfig {
 
 /// Deterministic fingerprint over every configuration field that can
 /// affect simulation *results*; used to key caches of simulation results
-/// (e.g. isolated profiles) safely.  `sim_threads` is excluded: the
-/// parallel quantum engine is bit-identical to the serial path, so
-/// artifacts are shared across thread counts.
+/// (e.g. isolated profiles) safely.  `sim_threads` is excluded: a
+/// chip-sharded quantum is bit-identical to the serial path, so artifacts
+/// are shared across thread counts.
 std::uint64_t config_fingerprint(const SimConfig& cfg) noexcept;
-
-/// The sim_threads a nested simulation should actually use when its
-/// *caller* already fans out over `outer_workers` pool threads (campaign /
-/// scenario-grid cells).  Caps requested threads so outer x inner never
-/// oversubscribes the host: with a saturated outer pool this returns 1
-/// (cells stay serial inside — the parallelism is already at the cell
-/// grain), on an idle host it returns the request unchanged.  Purely a
-/// scheduling decision; results are identical either way.
-int nested_sim_threads(int requested, std::size_t outer_workers) noexcept;
 
 }  // namespace synpa::uarch

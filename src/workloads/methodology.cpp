@@ -79,20 +79,13 @@ const MethodologyOptions& MethodologyOptions::validate() const {
     require(as_signed(max_quanta) > 0, "max_quanta", "> 0", std::to_string(as_signed(max_quanta)));
     require(!std::isnan(cv_limit) && cv_limit >= 0.0, "cv_limit", ">= 0",
             std::to_string(cv_limit));
-    require_thread_cap("MethodologyOptions::threads", threads);
+    common::require_thread_cap("MethodologyOptions::threads", threads);
     return *this;
-}
-
-void require_thread_cap(const std::string& field, std::size_t threads) {
-    constexpr std::size_t kMax = MethodologyOptions::kMaxThreads;
-    if (threads > kMax)
-        throw std::invalid_argument(field + " must be <= " + std::to_string(kMax) + ", got " +
-                                    std::to_string(static_cast<std::int64_t>(threads)));
 }
 
 std::size_t bench_threads_from_env() {
     const std::int64_t threads = common::env_int("SYNPA_BENCH_THREADS", 0);
-    const auto max = static_cast<std::int64_t>(MethodologyOptions::kMaxThreads);
+    const auto max = static_cast<std::int64_t>(common::kMaxThreads);
     if (threads < 0 || threads > max)
         throw std::invalid_argument("SYNPA_BENCH_THREADS must be in [0, " + std::to_string(max) +
                                     "], got " + std::to_string(threads));

@@ -38,11 +38,9 @@ struct MethodologyOptions {
     std::uint64_t seed = 42;
     std::uint64_t max_quanta = 20'000;
     bool record_traces = true;
-    /// Parallelism across repetitions/workloads; 0 = hardware concurrency.
+    /// Parallelism across repetitions/workloads; 0 = hardware concurrency,
+    /// at most common::kMaxThreads.
     std::size_t threads = 0;
-    /// Ceiling on `threads`: each is a host thread the campaign pool
-    /// starts, so a larger value (or a wrapped negative) is a typo.
-    static constexpr std::size_t kMaxThreads = 256;
     /// Flight recorder handed to the run's ThreadManager (not owned; may be
     /// null).  Campaign drivers derive a per-cell tracer from SYNPA_TRACE_*
     /// instead of sharing one across parallel cells.
@@ -51,23 +49,18 @@ struct MethodologyOptions {
     /// Throws std::invalid_argument naming `MethodologyOptions::<field>`
     /// for reps < 1, a target_isolated_quanta or max_quanta that is zero or
     /// a wrapped negative, a NaN or negative cv_limit (an infinite one
-    /// never discards), or threads above kMaxThreads (a wrapped negative
-    /// included); returns *this.  prepare_workload, run_workload_once,
-    /// run_workload and exp::CampaignRunner::run call it before any
-    /// simulation, and run_workload before it builds its thread pool.
+    /// never discards), or threads above common::kMaxThreads (a wrapped
+    /// negative included); returns *this.  prepare_workload,
+    /// run_workload_once, run_workload and exp::CampaignRunner::run call it
+    /// before any simulation, and run_workload before it builds its thread
+    /// pool.
     const MethodologyOptions& validate() const;
 };
 
-/// Throws std::invalid_argument naming `field` ("<Struct>::<member>") when
-/// `threads` is above MethodologyOptions::kMaxThreads, a wrapped negative
-/// included.  Every option that sizes a host thread pool checks through it
-/// before the pool is built.
-void require_thread_cap(const std::string& field, std::size_t threads);
-
 /// Reads SYNPA_BENCH_THREADS (unset: 0, hardware concurrency) for the
 /// benches' campaign pools; throws std::invalid_argument naming the
-/// variable for a negative value or one above
-/// MethodologyOptions::kMaxThreads, before any pool is built.
+/// variable for a negative value or one above common::kMaxThreads, before
+/// any pool is built.
 std::size_t bench_threads_from_env();
 
 /// Fresh policy per repetition (policies hold run state).

@@ -37,6 +37,11 @@ EXPECTED_FIXTURE_FINDINGS = {
     ("src/fleet/det01_violation.cpp", 16, "DET-02"),
     ("src/core/det02_violation.cpp", 11, "DET-02"),
     ("src/core/det02_violation.cpp", 12, "DET-02"),
+    ("src/exp/fork01_violation.cpp", 10, "FORK-01"),
+    ("src/exp/fork01_violation.cpp", 11, "FORK-01"),
+    ("src/exp/fork01_violation.cpp", 12, "FORK-01"),
+    ("src/exp/fork01_violation.cpp", 13, "FORK-01"),
+    ("src/exp/fork01_violation.cpp", 14, "FORK-01"),
     ("src/model/obs01_violation.cpp", 8, "OBS-01"),
     ("src/model/obs01_violation.cpp", 9, "OBS-01"),
     ("src/model/obs01_violation.cpp", 10, "OBS-01"),
@@ -62,6 +67,8 @@ EXPECTED_FIXTURE_FINDINGS = {
 
 CLEAN_FIXTURES = [
     "src/common/config.cpp",
+    "src/common/thread_pool.cpp",
+    "src/exp/fork01_clean.cpp",
     "src/core/det02_clean.cpp",
     "src/fleet/det01_clean.cpp",
     "src/matching/shard01_local_clean.cpp",
@@ -105,6 +112,26 @@ class FixtureFindings(unittest.TestCase):
     def test_every_rule_is_exercised(self):
         exercised = {rule for _, _, rule in EXPECTED_FIXTURE_FINDINGS}
         self.assertEqual(exercised, set(synpa_lint.RULES))
+
+
+class ForkScope(unittest.TestCase):
+    def test_only_src_outside_the_pool_is_checked(self):
+        # The same hand-rolled fork/join is a finding anywhere in src/ but
+        # the pool's own files, and out of scope in bench/ and examples/.
+        violation = (FIXTURES / "src" / "exp" / "fork01_violation.cpp").read_text()
+        with tempfile.TemporaryDirectory() as td:
+            for rel in ("src/uarch/fork.cpp", "src/common/thread_pool.hpp",
+                        "src/common/thread_pool.cpp", "bench/fork.cpp",
+                        "examples/fork.cpp"):
+                path = Path(td) / rel
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text(violation)
+            code, out, _ = run_lint(["--root", td, "src", "bench", "examples",
+                                     "--baseline", str(Path(td) / "none.json")])
+            self.assertEqual(code, 1)
+            self.assertEqual({(p, r) for p, _, r in parse_findings(out)},
+                             {("src/uarch/fork.cpp", "FORK-01")})
+            self.assertEqual(len(parse_findings(out)), 5)
 
 
 class BaselineRoundTrip(unittest.TestCase):

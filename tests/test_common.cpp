@@ -5,10 +5,12 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -320,33 +322,23 @@ TEST(Config, EnvDoubleAndString) {
 TEST(ThreadPool, RunsAllTasks) {
     ThreadPool pool(4);
     std::atomic<int> counter{0};
-    for (int i = 0; i < 100; ++i) pool.submit([&] { counter.fetch_add(1); });
-    pool.wait_idle();
+    pool.parallel_for(100, [&](std::size_t) { counter.fetch_add(1); });
     EXPECT_EQ(counter.load(), 100);
 }
 
 TEST(ThreadPool, ManyShortBatchesEachWaitForEveryTask) {
-    // wait_idle() is woken only when a batch's last task finishes, so each
-    // of these short batches must still return with every task run and its
-    // write visible.
+    // The caller is woken only when a batch's last task finishes, so each
+    // of these short batches must still return with every index run and
+    // its write visible.
     ThreadPool pool(2);
     std::vector<int> done(8, 0);
     std::vector<int> want(8, 0);
     for (int batch = 0; batch < 2'000; ++batch) {
         const std::size_t tasks = 1 + static_cast<std::size_t>(batch) % done.size();
-        for (std::size_t i = 0; i < tasks; ++i) {
-            pool.submit([&done, i] { ++done[i]; });
-            ++want[i];
-        }
-        pool.wait_idle();
+        pool.parallel_for(tasks, [&done](std::size_t i) { ++done[i]; });
+        for (std::size_t i = 0; i < tasks; ++i) ++want[i];
         ASSERT_EQ(done, want) << "batch " << batch;
     }
-}
-
-TEST(ThreadPool, WaitIdleOnEmptyPool) {
-    ThreadPool pool(2);
-    pool.wait_idle();  // must not hang
-    SUCCEED();
 }
 
 TEST(ThreadPool, ParallelForCoversRange) {
@@ -360,14 +352,13 @@ TEST(ThreadPool, ParallelForZeroIsNoop) {
     SUCCEED();
 }
 
-TEST(ThreadPool, WaitIdleRethrowsFirstTaskException) {
+TEST(ThreadPool, RethrowsFirstTaskExceptionAndStaysUsable) {
     ThreadPool pool(2);
-    pool.submit([] { throw std::runtime_error("boom"); });
-    EXPECT_THROW(pool.wait_idle(), std::runtime_error);
+    EXPECT_THROW(pool.parallel_for(1, [](std::size_t) { throw std::runtime_error("boom"); }),
+                 std::runtime_error);
     // The pool stays usable and the exception is not rethrown twice.
     std::atomic<int> counter{0};
-    pool.submit([&] { counter.fetch_add(1); });
-    pool.wait_idle();
+    pool.parallel_for(1, [&](std::size_t) { counter.fetch_add(1); });
     EXPECT_EQ(counter.load(), 1);
 }
 
@@ -384,18 +375,55 @@ TEST(ThreadPool, ParallelForPropagatesException) {
     EXPECT_EQ(ran.load(), 16);  // the batch still drains
 }
 
-TEST(ThreadPool, SubmitWaitableDeliversResult) {
-    ThreadPool pool(2);
-    auto doubled = pool.submit_waitable([] { return 21 * 2; });
-    EXPECT_EQ(doubled.get(), 42);
+TEST(ThreadPool, InlineLoopRunsInIndexOrderAndRethrowsTheFirstFailure) {
+    std::vector<std::size_t> order;
+    try {
+        parallel_for(nullptr, 6, [&order](std::size_t i) {
+            order.push_back(i);
+            if (i == 2 || i == 4) throw std::runtime_error("index " + std::to_string(i));
+        });
+        ADD_FAILURE() << "no exception";
+    } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "index 2");
+    }
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
 }
 
-TEST(ThreadPool, SubmitWaitableDeliversExceptionThroughFuture) {
-    ThreadPool pool(2);
-    auto failing = pool.submit_waitable([]() -> int { throw std::domain_error("nope"); });
-    EXPECT_THROW(failing.get(), std::domain_error);
-    pool.wait_idle();  // the future owned the exception; wait_idle stays clean
-    SUCCEED();
+TEST(ThreadPool, OneShotStartsNoMoreWorkersThanItems) {
+    // When at most one worker would run, the loop runs on the caller;
+    // otherwise at most n pool threads take part, whatever the requested
+    // count.
+    const std::thread::id caller = std::this_thread::get_id();
+    for (const std::size_t threads : {std::size_t{0}, std::size_t{1}, std::size_t{8}}) {
+        std::thread::id ran_on;
+        parallel_for(1, [&](std::size_t) { ran_on = std::this_thread::get_id(); }, threads);
+        EXPECT_EQ(ran_on, caller) << "threads=" << threads;
+    }
+    std::vector<std::thread::id> ran_on(4);
+    parallel_for(ran_on.size(), [&](std::size_t i) { ran_on[i] = std::this_thread::get_id(); }, 1);
+    EXPECT_EQ(ran_on, std::vector<std::thread::id>(4, caller));
+    std::mutex mutex;
+    std::set<std::thread::id> ids;
+    parallel_for(2, [&](std::size_t) {
+        const std::lock_guard lock(mutex);
+        ids.insert(std::this_thread::get_id());
+    }, 8);
+    EXPECT_LE(ids.size(), 2u);
+    EXPECT_EQ(ids.count(caller), 0u);  // the caller blocks; it steps nothing
+}
+
+TEST(ThreadPool, ThreadCapNamesTheField) {
+    EXPECT_NO_THROW(require_thread_cap("Opts::threads", kMaxThreads));
+    for (const std::size_t bad : {kMaxThreads + 1, static_cast<std::size_t>(-1)}) {
+        try {
+            require_thread_cap("Opts::threads", bad);
+            ADD_FAILURE() << "accepted " << bad;
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find("Opts::threads"), std::string::npos);
+        }
+    }
+    // Rejected before any worker starts.
+    EXPECT_THROW(ThreadPool(static_cast<std::size_t>(-1)), std::invalid_argument);
 }
 
 TEST(FlatIdMap, InsertFindErase) {

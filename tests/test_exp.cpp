@@ -14,6 +14,7 @@
 
 #include <unistd.h>
 
+#include "common/thread_pool.hpp"
 #include "exp/aggregators.hpp"
 #include "exp/artifact_cache.hpp"
 #include "exp/campaign.hpp"
@@ -23,6 +24,7 @@
 #include "obs/export.hpp"
 #include "scenario/scenario.hpp"
 #include "sched/baselines.hpp"
+#include "uarch/platform.hpp"
 #include "workloads/methodology.hpp"
 
 namespace {
@@ -363,7 +365,7 @@ TEST(GridOptions, ThreadCountsRejectBadValuesByFieldName) {
     // throws naming the field before any pool exists, so this test starts
     // no threads; the boundary counts pass validate() alone, since running
     // them would start that many workers.
-    constexpr std::size_t kMax = workloads::MethodologyOptions::kMaxThreads;
+    constexpr std::size_t kMax = common::kMaxThreads;
     struct Row {
         const char* field;
         void (*start)(std::size_t threads);
@@ -374,6 +376,24 @@ TEST(GridOptions, ThreadCountsRejectBadValuesByFieldName) {
         {"GridOptions::threads", [](std::size_t t) { exp::ScenarioGridRunner({.threads = t}); }},
         {"GridOptions::threads", [](std::size_t t) { exp::FleetGridRunner({.threads = t}); }},
         {"FleetCampaign::fleet_threads", [](std::size_t t) { fleet_campaign(t).validate(); }},
+        {"SYNPA_SIM_THREADS",
+         [](std::size_t t) {
+             uarch::SimConfig cfg = small_config();
+             cfg.sim_threads = static_cast<int>(t);
+             uarch::Platform platform(cfg);
+         }},
+        {"TrainerOptions::threads",
+         [](std::size_t t) {
+             const std::vector<std::string> apps = {"mcf", "hmmer"};
+             model::Trainer(small_config(), {.threads = t}).train(apps);
+         }},
+        {"FleetOptions::threads",
+         [](std::size_t t) {
+             const scenario::ScenarioTrace trace;
+             fleet::FleetOptions opts;
+             opts.threads = t;
+             (void)fleet::FleetRunner(trace, opts);
+         }},
     };
     for (const Row& row : rows)
         for (const std::size_t bad : {kMax + 1, static_cast<std::size_t>(-1)}) {
@@ -388,6 +408,9 @@ TEST(GridOptions, ThreadCountsRejectBadValuesByFieldName) {
         EXPECT_NO_THROW(exp::GridOptions{.threads = good}.validate());
         EXPECT_NO_THROW(fleet_campaign(good).validate());
     }
+    uarch::SimConfig widest = small_config();
+    widest.sim_threads = static_cast<int>(kMax);
+    EXPECT_NO_THROW(widest.validate());
 }
 
 }  // namespace

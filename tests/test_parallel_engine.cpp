@@ -1,8 +1,9 @@
-// The parallel quantum engine's two contracts:
+// The chip fork/join's two contracts:
 //
-//  1. Coverage — ParallelQuantumEngine runs every chip exactly once per
-//     quantum regardless of the (sim_threads, num_chips) shape, and shard
-//     failures surface as exceptions at the barrier.
+//  1. Coverage — common::parallel_for runs every index exactly once on
+//     every pool size (and inline on a null pool), failures surface at the
+//     caller after the whole batch has run, and a Platform forks over
+//     min(sim_threads, chips) workers.
 //  2. Bit-identity — a Platform with sim_threads=N reproduces the
 //     sim_threads=1 run EXACTLY (every double compared by bit pattern),
 //     for closed and open scenarios, SMT widths 2 and 4, 1-4 chips, and
@@ -11,18 +12,20 @@
 //
 // These tests are also the TSan surface for the parallel region: the CI
 // thread-sanitizer job runs this binary, so any cross-chip data race the
-// engine might introduce is caught structurally even on hosts where the
+// fork/join might introduce is caught structurally even on hosts where the
 // interleaving never corrupts a result.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "exp/artifact_cache.hpp"
 #include "exp/scenario_grid.hpp"
 #include "model/interference_model.hpp"
@@ -31,7 +34,6 @@
 #include "sched/registry.hpp"
 #include "sched/thread_manager.hpp"
 #include "signatures.hpp"
-#include "uarch/parallel_engine.hpp"
 #include "uarch/platform.hpp"
 
 namespace {
@@ -40,43 +42,69 @@ using namespace synpa;
 
 // ------------------------------------------------------------- coverage --
 
-TEST(ParallelQuantumEngine, EveryChipRunsExactlyOnce) {
-    for (const int chips : {1, 2, 3, 4, 7}) {
-        for (const int threads : {1, 2, 3, 4, 8}) {
-            uarch::ParallelQuantumEngine engine(threads, chips);
-            EXPECT_LE(engine.shard_count(), chips);
-            EXPECT_GE(engine.shard_count(), 1);
+/// A pool of `workers` threads, or null (the inline path) for 0.
+std::unique_ptr<common::ThreadPool> make_pool(std::size_t workers) {
+    if (workers == 0) return nullptr;
+    return std::make_unique<common::ThreadPool>(workers);
+}
 
-            std::vector<std::atomic<int>> runs(static_cast<std::size_t>(chips));
-            engine.run_chips([&runs](int c) {
-                runs[static_cast<std::size_t>(c)].fetch_add(1, std::memory_order_relaxed);
+TEST(ParallelFor, EveryIndexRunsExactlyOnce) {
+    for (const std::size_t workers : {0, 1, 2, 4, 8}) {
+        const auto pool = make_pool(workers);
+        for (const std::size_t n : {0, 1, 3, 4, 7}) {
+            std::vector<std::atomic<int>> runs(n);
+            common::parallel_for(pool.get(), n, [&runs](std::size_t i) {
+                runs[i].fetch_add(1, std::memory_order_relaxed);
             });
-            for (int c = 0; c < chips; ++c)
-                EXPECT_EQ(runs[static_cast<std::size_t>(c)].load(), 1)
-                    << "chips=" << chips << " threads=" << threads << " chip=" << c;
+            for (std::size_t i = 0; i < n; ++i)
+                EXPECT_EQ(runs[i].load(), 1)
+                    << "n=" << n << " workers=" << workers << " index=" << i;
         }
     }
 }
 
-TEST(ParallelQuantumEngine, ReusableAcrossQuanta) {
-    uarch::ParallelQuantumEngine engine(4, 4);
+TEST(ParallelFor, ReusableAcrossCalls) {
+    common::ThreadPool pool(4);
     std::atomic<int> total{0};
     for (int q = 0; q < 50; ++q)
-        engine.run_chips([&total](int) { total.fetch_add(1, std::memory_order_relaxed); });
+        pool.parallel_for(4, [&total](std::size_t) {
+            total.fetch_add(1, std::memory_order_relaxed);
+        });
     EXPECT_EQ(total.load(), 200);
 }
 
-TEST(ParallelQuantumEngine, ShardExceptionReachesTheBarrier) {
-    uarch::ParallelQuantumEngine engine(4, 4);
-    ASSERT_GT(engine.shard_count(), 1);
-    EXPECT_THROW(engine.run_chips([](int c) {
-        if (c == 3) throw std::runtime_error("chip 3 failed");
-    }),
-                 std::runtime_error);
-    // The engine survives a failed quantum.
-    std::atomic<int> total{0};
-    engine.run_chips([&total](int) { total.fetch_add(1, std::memory_order_relaxed); });
-    EXPECT_EQ(total.load(), 4);
+TEST(ParallelFor, ExceptionReachesTheCallerAfterTheWholeBatch) {
+    for (const std::size_t workers : {0, 4}) {
+        const auto pool = make_pool(workers);
+        std::vector<std::atomic<int>> runs(8);
+        EXPECT_THROW(common::parallel_for(pool.get(), runs.size(),
+                                          [&runs](std::size_t i) {
+                                              runs[i].fetch_add(1, std::memory_order_relaxed);
+                                              if (i == 3) throw std::runtime_error("index 3");
+                                          }),
+                     std::runtime_error)
+            << "workers=" << workers;
+        for (std::size_t i = 0; i < runs.size(); ++i)
+            EXPECT_EQ(runs[i].load(), 1) << "workers=" << workers << " index=" << i;
+        // The pool survives a failed batch.
+        std::atomic<int> total{0};
+        common::parallel_for(pool.get(), 4, [&total](std::size_t) {
+            total.fetch_add(1, std::memory_order_relaxed);
+        });
+        EXPECT_EQ(total.load(), 4) << "workers=" << workers;
+    }
+}
+
+TEST(ParallelFor, PlatformShardsAreMinOfSimThreadsAndChips) {
+    for (const int chips : {1, 2, 3, 4})
+        for (const int threads : {1, 2, 4, 8}) {
+            uarch::SimConfig cfg;
+            cfg.cores = 1;
+            cfg.num_chips = chips;
+            cfg.sim_threads = threads;
+            EXPECT_EQ(uarch::Platform(cfg).sim_shards(), std::min(threads, chips))
+                << "chips=" << chips << " threads=" << threads;
+        }
 }
 
 // --------------------------------------------------------- bit-identity --
@@ -195,16 +223,16 @@ TEST(ParallelBitIdentity, ConfigFingerprintIgnoresSimThreads) {
 }
 
 TEST(ParallelBitIdentity, NestedSimThreadsCapsAgainstOuterPool) {
-    EXPECT_EQ(uarch::nested_sim_threads(1, 8), 1);   // serial request stays serial
-    EXPECT_EQ(uarch::nested_sim_threads(4, 1), 4);   // no outer fan-out: keep all
-    EXPECT_EQ(uarch::nested_sim_threads(4, 0), 4);
+    EXPECT_EQ(common::nested_sim_threads(1, 8), 1);   // serial request stays serial
+    EXPECT_EQ(common::nested_sim_threads(4, 1), 4);   // no outer fan-out: keep all
+    EXPECT_EQ(common::nested_sim_threads(4, 0), 4);
     // With outer fan-out, the inner request is capped to the host's fair
     // share — min(requested, max(1, hw / outer)) — so campaign workers never
     // oversubscribe the machine with nested sim shards.
     const int hw = static_cast<int>(
         std::max(1u, std::thread::hardware_concurrency()));
     for (const std::size_t outer : {std::size_t{2}, std::size_t{4}, std::size_t{16}}) {
-        const int capped = uarch::nested_sim_threads(4, outer);
+        const int capped = common::nested_sim_threads(4, outer);
         EXPECT_EQ(capped,
                   std::min(4, std::max(1, hw / static_cast<int>(outer))))
             << "outer=" << outer;

@@ -12,6 +12,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/instance.hpp"
@@ -423,6 +424,27 @@ TEST(SamplingPolicyTest, ExploresThenSettles) {
     EXPECT_LT(static_cast<double>(r.migrations) /
                   static_cast<double>(r.quanta_executed),
               2.0);
+}
+
+TEST(SamplingPolicyTest, OptionsRejectPhasesShorterThanOneQuantum) {
+    // An exploit phase of 0 quanta used to drive the phase counter negative,
+    // so the first winner was exploited for the rest of the run; an explore
+    // phase below 1 silently behaved as 1.
+    const std::pair<SamplingPolicy::Options, const char*> bad[] = {
+        {{.explore_quanta = 3, .exploit_quanta = 0}, "SamplingPolicy::Options::exploit_quanta"},
+        {{.explore_quanta = 3, .exploit_quanta = -5}, "SamplingPolicy::Options::exploit_quanta"},
+        {{.explore_quanta = 0, .exploit_quanta = 10}, "SamplingPolicy::Options::explore_quanta"},
+        {{.explore_quanta = -1, .exploit_quanta = 10}, "SamplingPolicy::Options::explore_quanta"},
+    };
+    for (const auto& [opts, field] : bad) {
+        try {
+            SamplingPolicy policy(5, opts);
+            ADD_FAILURE() << "accepted a bad " << field;
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+        }
+    }
+    EXPECT_NO_THROW(SamplingPolicy(5, {.explore_quanta = 1, .exploit_quanta = 1}));
 }
 
 TEST(SamplingPolicyTest, ProducesValidAllocationsEveryQuantum) {

@@ -182,7 +182,7 @@ TEST(ConfigValidation, RejectsEveryOtherOutOfRangeKnob) {
         {"SYNPA_MEM_LATENCY", "-50"},       {"SYNPA_LLC_LATENCY", "-1"},
         {"SYNPA_L2_LATENCY", "-1"},         {"SYNPA_MEM_BW", "0"},
         {"SYNPA_CACHE_PRESSURE_EXP", "-1"}, {"SYNPA_WARMUP_INSTS", "-1"},
-        {"SYNPA_MSHR_CAP", "-1"},
+        {"SYNPA_MSHR_CAP", "-1"},           {"SYNPA_SIM_THREADS", "257"},
     };
     for (const auto& [knob, value] : bad) expect_env_rejected(knob, value);
 }

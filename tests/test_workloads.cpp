@@ -12,6 +12,7 @@
 #include <string>
 
 #include "apps/spec_suite.hpp"
+#include "common/thread_pool.hpp"
 #include "sched/baselines.hpp"
 #include "workloads/groups.hpp"
 #include "workloads/methodology.hpp"
@@ -292,7 +293,7 @@ TEST(Methodology, OptionsRejectBadValuesByFieldName) {
             EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
         }
     };
-    constexpr std::size_t kMax = MethodologyOptions::kMaxThreads;
+    constexpr std::size_t kMax = synpa::common::kMaxThreads;
     for (const std::size_t threads : {kMax + 1, static_cast<std::size_t>(-1)}) {
         MethodologyOptions bad = small();
         bad.threads = threads;

@@ -40,6 +40,11 @@ Rules
            a fleet), so one built per call zeroes that much memory to look
            up a few live tasks; per-call lookups use common::SmallIdMap.
            `flat-map-ok(<reason>)`.
+  FORK-01  no std::thread/jthread/async/future/promise/packaged_task in
+           src/ outside src/common/thread_pool.*.  Every fork/join goes
+           through common::parallel_for, so there is one pool, one join
+           and one error rule to reason about (and to race under TSan).
+           `fork-ok(<reason>)`.
   MARKER-01  a `// synpa-lint: <tag>(<reason>)` marker with an unknown tag
            or an empty reason.  Every suppression is an audit record; it
            must say why the exception is sound.
@@ -69,6 +74,7 @@ RULES = {
     "OBS-01": "direct stdout/stderr tracing outside obs/",
     "SHARD-01": "mutable namespace-scope state in a barrier layer",
     "PERF-01": "function-local FlatIdMap (a per-call, id-sized table)",
+    "FORK-01": "host-thread primitive outside common/thread_pool",
     "MARKER-01": "malformed synpa-lint suppression marker",
 }
 
@@ -80,6 +86,7 @@ MARKER_TAGS = {
     "trace-ok": "OBS-01",
     "shard-ok": "SHARD-01",
     "flat-map-ok": "PERF-01",
+    "fork-ok": "FORK-01",
 }
 
 # Layers whose results are pinned bit-identical by goldens and the
@@ -105,6 +112,8 @@ ENV01_RE = re.compile(r"\bgetenv\s*\(|\bsecure_getenv\s*\(")
 OBS01_RE = re.compile(
     r"\bprintf\s*\(|\bfprintf\s*\(|\bfputs\s*\(|\bputs\s*\(|\bputchar\s*\("
     r"|std::cout\b|std::cerr\b|std::clog\b")
+FORK01_RE = re.compile(
+    r"\bstd::(?:j?thread|async|future|promise|packaged_task)\b")
 UNORDERED_DECL_RE = re.compile(r"\bunordered_(?:map|set|multimap|multiset)\s*<")
 RANGE_FOR_RE = re.compile(r"\bfor\s*\(([^()]*(?:\([^()]*\)[^()]*)*)\)")
 BEGIN_CALL_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\.\s*c?begin\s*\(")
@@ -523,6 +532,13 @@ def scan_file(path: Path, root: Path, engine) -> list[Finding]:
             "direct stdout/stderr tracing outside obs/ — emit through the "
             "flight recorder (obs::Tracer) or return data to the caller",
             suppressed, findings)
+
+    if rel.startswith("src/") and not rel.startswith("src/common/thread_pool."):
+        check_regex_rule(
+            rel, raw_lines, stripped_lines, "FORK-01", FORK01_RE,
+            "host-thread primitive outside common/thread_pool — fork work "
+            "with common::parallel_for, the one fork/join", suppressed,
+            findings)
 
     if in_layer(rel, BARRIER_LAYERS):
         check_shard01_token(rel, raw_lines, stripped_lines, suppressed, findings)
