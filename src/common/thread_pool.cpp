@@ -13,6 +13,10 @@ std::size_t hardware_threads() noexcept {
     return std::max(1u, std::thread::hardware_concurrency());
 }
 
+}  // namespace
+
+namespace detail {
+
 /// One parallel_for call: the next unclaimed index and the first failure.
 class Batch {
 public:
@@ -46,7 +50,7 @@ private:
     std::exception_ptr error_;
 };
 
-}  // namespace
+}  // namespace detail
 
 void require_thread_cap(const std::string& field, std::size_t threads) {
     if (threads > kMaxThreads)
@@ -64,8 +68,9 @@ int nested_sim_threads(int requested, std::size_t outer_workers) noexcept {
 ThreadPool::ThreadPool(std::size_t threads) {
     require_thread_cap("ThreadPool threads", threads);
     if (threads == 0) threads = hardware_threads();
-    workers_.reserve(threads);
-    for (std::size_t i = 0; i < threads; ++i) workers_.emplace_back([this] { worker_loop(); });
+    // The caller of parallel_for is one of the `threads`.
+    workers_.reserve(threads - 1);
+    for (std::size_t i = 1; i < threads; ++i) workers_.emplace_back([this] { worker_loop(); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -73,52 +78,51 @@ ThreadPool::~ThreadPool() {
         std::lock_guard lock(mutex_);
         stop_ = true;
     }
-    cv_task_.notify_all();
+    cv_start_.notify_all();
     for (auto& w : workers_) w.join();
 }
 
 void ThreadPool::parallel_for(std::size_t n, const IndexFn& fn) {
-    // One claiming task per worker that can get an index; each drains the
-    // shared counter, so a free worker always takes the next index.
-    Batch batch(n, fn);
-    for (std::size_t w = std::min(n, size()); w > 0; --w) submit([&batch] { batch.drain(); });
-    wait_idle();
+    // The workers and the caller all drain the shared counter, so whichever
+    // is free takes the next index; the last worker out wakes the caller.
+    detail::Batch batch(n, fn);
+    const bool fork = n > 1 && !workers_.empty();
+    if (fork) {
+        {
+            const std::lock_guard lock(mutex_);
+            batch_ = &batch;
+            active_ = workers_.size();
+            ++generation_;
+        }
+        cv_start_.notify_all();
+    }
+    batch.drain();
+    if (fork) {
+        std::unique_lock lock(mutex_);
+        cv_done_.wait(lock, [this] { return active_ == 0; });
+        batch_ = nullptr;
+    }
     batch.rethrow();
 }
 
-void ThreadPool::submit(std::function<void()> task) {
-    {
-        std::lock_guard lock(mutex_);
-        tasks_.push(std::move(task));
-    }
-    cv_task_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-    std::unique_lock lock(mutex_);
-    cv_idle_.wait(lock, [this] { return tasks_.empty() && in_flight_ == 0; });
-}
-
 void ThreadPool::worker_loop() {
+    std::uint64_t seen = 0;
     for (;;) {
-        std::function<void()> task;
+        detail::Batch* batch = nullptr;
         {
             std::unique_lock lock(mutex_);
-            cv_task_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
-            if (stop_ && tasks_.empty()) return;
-            task = std::move(tasks_.front());
-            tasks_.pop();
-            ++in_flight_;
+            cv_start_.wait(lock, [&] { return stop_ || generation_ != seen; });
+            if (stop_) return;
+            seen = generation_;
+            batch = batch_;
         }
-        task();
-        bool idle = false;
+        batch->drain();
+        bool last = false;
         {
-            std::lock_guard lock(mutex_);
-            idle = --in_flight_ == 0 && tasks_.empty();
+            const std::lock_guard lock(mutex_);
+            last = --active_ == 0;
         }
-        // Only the last task of a batch can make wait_idle()'s predicate
-        // true; waking the waiter for any other one only makes it re-check.
-        if (idle) cv_idle_.notify_all();
+        if (last) cv_done_.notify_one();
     }
 }
 
@@ -127,19 +131,15 @@ void parallel_for(ThreadPool* pool, std::size_t n, const IndexFn& fn) {
         pool->parallel_for(n, fn);
         return;
     }
-    Batch batch(n, fn);
+    detail::Batch batch(n, fn);
     batch.drain();
     batch.rethrow();
 }
 
 void parallel_for(std::size_t n, const IndexFn& fn, std::size_t threads) {
-    const std::size_t workers = std::min(threads == 0 ? hardware_threads() : threads, n);
-    if (workers <= 1) {
-        parallel_for(nullptr, n, fn);
-        return;
-    }
-    ThreadPool pool(workers);
-    pool.parallel_for(n, fn);
+    // A one-thread pool starts no worker: the loop runs on the caller.
+    const std::size_t cap = threads == 0 ? hardware_threads() : threads;
+    ThreadPool(std::clamp<std::size_t>(n, 1, cap)).parallel_for(n, fn);
 }
 
 }  // namespace synpa::common

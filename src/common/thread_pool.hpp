@@ -4,11 +4,15 @@
 // chips (uarch::Platform), a fleet quantum's nodes (fleet::FleetRunner), an
 // evaluation grid's repetitions (exp::GridEngine), the trainer's pair and
 // isolated runs, workload preparation and suite characterization.  It runs
-// fn(i) exactly once for every i in [0, n): whichever worker is free claims
-// the next unclaimed index (items vary in cost, so the range is never
-// pre-split), and the caller blocks until the whole batch has run.  Each
-// index owns its own state and RNG streams, so results are identical at
-// every worker count; only the interleaving changes.
+// fn(i) exactly once for every i in [0, n): the calling thread and the
+// pool's workers each claim the next unclaimed index when free (items vary
+// in cost, so the range is never pre-split), and the call returns once the
+// whole batch has run.  A T-thread pool is the caller plus T - 1 workers:
+// the caller works through the batch instead of sleeping on it, which saves
+// a sleep and a wake-up on every join (at a quantum's chip grain a blocked
+// caller measurably cost throughput).  Each index owns its own state and
+// RNG streams, so results are identical at every thread count; only the
+// interleaving changes.
 //
 // Error handling: an fn(i) that throws does not stop the batch.  Every
 // other index still runs, then the first exception caught is rethrown to
@@ -22,9 +26,9 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <mutex>
-#include <queue>
 #include <string>
 #include <thread>
 #include <vector>
@@ -54,37 +58,41 @@ void require_thread_cap(const std::string& field, std::size_t threads);
 /// are identical either way.
 int nested_sim_threads(int requested, std::size_t outer_workers) noexcept;
 
+namespace detail {
+class Batch;  // one parallel_for call's claim counter and first failure
+}  // namespace detail
+
 class ThreadPool {
 public:
-    /// Starts `threads` workers; 0 means std::thread::hardware_concurrency().
-    /// Throws std::invalid_argument above kMaxThreads.
+    /// A pool of `threads` threads: the caller of parallel_for and
+    /// `threads` - 1 workers (so 1 starts none); 0 means
+    /// std::thread::hardware_concurrency().  Throws std::invalid_argument
+    /// above kMaxThreads.
     explicit ThreadPool(std::size_t threads = 0);
     ~ThreadPool();
 
     ThreadPool(const ThreadPool&) = delete;
     ThreadPool& operator=(const ThreadPool&) = delete;
 
-    std::size_t size() const noexcept { return workers_.size(); }
+    /// Threads that run a batch, the caller included.
+    std::size_t size() const noexcept { return workers_.size() + 1; }
 
-    /// Runs fn(i) once for every i in [0, n) on the workers and returns when
-    /// all have run, rethrowing the first exception any of them threw (see
-    /// the file comment).  One caller at a time; fn must not call back into
-    /// this pool.
+    /// Runs fn(i) once for every i in [0, n) on the caller and the workers
+    /// and returns when all have run, rethrowing the first exception any of
+    /// them threw (see the file comment).  One caller at a time; fn must not
+    /// call back into this pool.
     void parallel_for(std::size_t n, const IndexFn& fn);
 
 private:
-    /// Queues a task for the next free worker; the task must not throw.
-    void submit(std::function<void()> task);
-    /// Blocks until every submitted task has finished.
-    void wait_idle();
     void worker_loop();
 
     std::vector<std::thread> workers_;
-    std::queue<std::function<void()>> tasks_;
     std::mutex mutex_;
-    std::condition_variable cv_task_;
-    std::condition_variable cv_idle_;
-    std::size_t in_flight_ = 0;
+    std::condition_variable cv_start_;  // a new batch was published, or stop_
+    std::condition_variable cv_done_;   // the last worker left the batch
+    detail::Batch* batch_ = nullptr;    // the batch being run, under mutex_
+    std::uint64_t generation_ = 0;      // bumped once per published batch
+    std::size_t active_ = 0;            // workers not yet done with batch_
     bool stop_ = false;
 };
 
@@ -92,7 +100,7 @@ private:
 /// the caller, in index order, with the same run-all-then-rethrow rule.
 void parallel_for(ThreadPool* pool, std::size_t n, const IndexFn& fn);
 
-/// One-shot parallel_for over a temporary pool of min(threads, n) workers
+/// One-shot parallel_for over a temporary pool of min(threads, n) threads
 /// (threads 0 = hardware concurrency); runs inline when that count is 1.
 void parallel_for(std::size_t n, const IndexFn& fn, std::size_t threads = 0);
 

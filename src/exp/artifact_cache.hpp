@@ -75,6 +75,7 @@ public:
 
 private:
     template <class T>
+    // synpa-lint: fork-ok(a once-only memo slot: later requesters wait on the first build)
     using Slot = std::shared_future<std::shared_ptr<const T>>;
 
     /// Returns the artifact for `key`, computing it via `build` exactly once.

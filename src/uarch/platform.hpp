@@ -23,8 +23,8 @@
 //
 // Execution can be chip-sharded: with SimConfig::sim_threads > 1 (env
 // SYNPA_SIM_THREADS) run_quantum steps the chips with one
-// common::parallel_for over a pool of min(sim_threads, chips) workers, and
-// the join completes before it returns, so the observe/decide/bind phases
+// common::parallel_for over a pool of min(sim_threads, chips) threads (the
+// caller among them), and the join completes before it returns, so the observe/decide/bind phases
 // of the drivers stay on the coordinating thread.  Results are
 // bit-identical to the serial path at every thread count: chips share no
 // mutable state inside a quantum (RNG streams live in the per-task
@@ -131,8 +131,8 @@ private:
     /// unique_ptr: Chip's SmtCores point into the owning Chip's SimConfig,
     /// so Chip must never relocate once constructed.
     std::vector<std::unique_ptr<Chip>> chips_;
-    /// Workers stepping the chips of a quantum; null on the serial path
-    /// (sim_threads <= 1 or a single chip).
+    /// Threads stepping the chips of a quantum, the caller included; null on
+    /// the serial path (sim_threads <= 1 or a single chip).
     std::unique_ptr<common::ThreadPool> pool_;
     /// Flight recorder (not owned); null when detached or disabled.
     obs::Tracer* tracer_ = nullptr;

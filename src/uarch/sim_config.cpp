@@ -1,6 +1,7 @@
 #include "uarch/sim_config.hpp"
 
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -60,28 +61,35 @@ std::uint64_t config_fingerprint(const SimConfig& cfg) noexcept {
 SimConfig SimConfig::from_env() {
     using common::env_double;
     using common::env_int;
+    // An int knob is range-checked as read: narrowing first would turn
+    // 4294967298 into 2 and let it past validate().
+    const auto env_int32 = [](const char* knob, int fallback) {
+        const std::int64_t v = env_int(knob, fallback);
+        if (v < std::numeric_limits<int>::min() || v > std::numeric_limits<int>::max())
+            throw std::invalid_argument(std::string("SimConfig: ") + knob +
+                                        " must fit in an int, got " + std::to_string(v));
+        return static_cast<int>(v);
+    };
     SimConfig c;
-    c.cores = static_cast<int>(env_int("SYNPA_CORES", c.cores));
-    c.num_chips = static_cast<int>(env_int("SYNPA_NUM_CHIPS", c.num_chips));
-    c.cross_chip_warmup_quanta =
-        static_cast<int>(env_int("SYNPA_XCHIP_WARMUP_QUANTA", c.cross_chip_warmup_quanta));
+    c.cores = env_int32("SYNPA_CORES", c.cores);
+    c.num_chips = env_int32("SYNPA_NUM_CHIPS", c.num_chips);
+    c.cross_chip_warmup_quanta = env_int32("SYNPA_XCHIP_WARMUP_QUANTA", c.cross_chip_warmup_quanta);
     c.cross_chip_miss_multiplier =
         env_double("SYNPA_XCHIP_MISS_MULT", c.cross_chip_miss_multiplier);
-    c.sim_threads = static_cast<int>(env_int("SYNPA_SIM_THREADS", c.sim_threads));
-    c.smt_ways = static_cast<int>(env_int("SYNPA_SMT_WAYS", c.smt_ways));
+    c.sim_threads = env_int32("SYNPA_SIM_THREADS", c.sim_threads);
+    c.smt_ways = env_int32("SYNPA_SMT_WAYS", c.smt_ways);
     c.cycles_per_quantum = static_cast<std::uint64_t>(
         env_int("SYNPA_QUANTUM_CYCLES", static_cast<std::int64_t>(c.cycles_per_quantum)));
-    c.mem_latency = static_cast<int>(env_int("SYNPA_MEM_LATENCY", c.mem_latency));
-    c.llc_latency = static_cast<int>(env_int("SYNPA_LLC_LATENCY", c.llc_latency));
-    c.l2_latency = static_cast<int>(env_int("SYNPA_L2_LATENCY", c.l2_latency));
+    c.mem_latency = env_int32("SYNPA_MEM_LATENCY", c.mem_latency);
+    c.llc_latency = env_int32("SYNPA_LLC_LATENCY", c.llc_latency);
+    c.l2_latency = env_int32("SYNPA_L2_LATENCY", c.l2_latency);
     c.mem_bw_accesses_per_cycle =
         env_double("SYNPA_MEM_BW", c.mem_bw_accesses_per_cycle);
     c.cache_pressure_exponent =
         env_double("SYNPA_CACHE_PRESSURE_EXP", c.cache_pressure_exponent);
     c.warmup_insts = static_cast<std::uint64_t>(
         env_int("SYNPA_WARMUP_INSTS", static_cast<std::int64_t>(c.warmup_insts)));
-    c.mshr_serialization_cap =
-        static_cast<int>(env_int("SYNPA_MSHR_CAP", c.mshr_serialization_cap));
+    c.mshr_serialization_cap = env_int32("SYNPA_MSHR_CAP", c.mshr_serialization_cap);
     c.validate();
     return c;
 }

@@ -12,10 +12,11 @@ int fan_out() {
     std::promise<int> promise;                             // line 12: flagged
     std::jthread joined([] {});                            // line 13: flagged
     std::packaged_task<int()> third([] { return 3; });     // line 14: flagged
+    std::shared_future<int> fourth = third.get_future();   // line 15: flagged
     worker.join();
     promise.set_value(2);
     third();
-    return first.get() + promise.get_future().get();
+    return first.get() + promise.get_future().get() + fourth.get();
 }
 
 }  // namespace synpa::exp

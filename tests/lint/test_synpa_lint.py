@@ -42,6 +42,7 @@ EXPECTED_FIXTURE_FINDINGS = {
     ("src/exp/fork01_violation.cpp", 12, "FORK-01"),
     ("src/exp/fork01_violation.cpp", 13, "FORK-01"),
     ("src/exp/fork01_violation.cpp", 14, "FORK-01"),
+    ("src/exp/fork01_violation.cpp", 15, "FORK-01"),
     ("src/model/obs01_violation.cpp", 8, "OBS-01"),
     ("src/model/obs01_violation.cpp", 9, "OBS-01"),
     ("src/model/obs01_violation.cpp", 10, "OBS-01"),
@@ -131,7 +132,7 @@ class ForkScope(unittest.TestCase):
             self.assertEqual(code, 1)
             self.assertEqual({(p, r) for p, _, r in parse_findings(out)},
                              {("src/uarch/fork.cpp", "FORK-01")})
-            self.assertEqual(len(parse_findings(out)), 5)
+            self.assertEqual(len(parse_findings(out)), 6)
 
 
 class BaselineRoundTrip(unittest.TestCase):

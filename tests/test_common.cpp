@@ -390,9 +390,9 @@ TEST(ThreadPool, InlineLoopRunsInIndexOrderAndRethrowsTheFirstFailure) {
 }
 
 TEST(ThreadPool, OneShotStartsNoMoreWorkersThanItems) {
-    // When at most one worker would run, the loop runs on the caller;
-    // otherwise at most n pool threads take part, whatever the requested
-    // count.
+    // When at most one thread would run, the loop runs on the caller alone;
+    // otherwise at most n threads take part (the caller and n - 1 workers),
+    // whatever the requested count.
     const std::thread::id caller = std::this_thread::get_id();
     for (const std::size_t threads : {std::size_t{0}, std::size_t{1}, std::size_t{8}}) {
         std::thread::id ran_on;
@@ -409,7 +409,22 @@ TEST(ThreadPool, OneShotStartsNoMoreWorkersThanItems) {
         ids.insert(std::this_thread::get_id());
     }, 8);
     EXPECT_LE(ids.size(), 2u);
-    EXPECT_EQ(ids.count(caller), 0u);  // the caller blocks; it steps nothing
+}
+
+TEST(ThreadPool, CallerIsOneOfThePoolThreads) {
+    // In a two-thread pool each index waits for the other to start, so the
+    // two run at once, on the one worker and on the caller.
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::thread::id> ran_on(2);
+    ThreadPool pool(2);
+    std::atomic<int> started{0};
+    pool.parallel_for(2, [&](std::size_t i) {
+        started.fetch_add(1);
+        while (started.load() < 2) std::this_thread::yield();
+        ran_on[i] = std::this_thread::get_id();
+    });
+    EXPECT_NE(ran_on[0], ran_on[1]);
+    EXPECT_TRUE(ran_on[0] == caller || ran_on[1] == caller);
 }
 
 TEST(ThreadPool, ThreadCapNamesTheField) {

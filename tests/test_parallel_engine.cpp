@@ -3,7 +3,7 @@
 //  1. Coverage — common::parallel_for runs every index exactly once on
 //     every pool size (and inline on a null pool), failures surface at the
 //     caller after the whole batch has run, and a Platform forks over
-//     min(sim_threads, chips) workers.
+//     min(sim_threads, chips) threads.
 //  2. Bit-identity — a Platform with sim_threads=N reproduces the
 //     sim_threads=1 run EXACTLY (every double compared by bit pattern),
 //     for closed and open scenarios, SMT widths 2 and 4, 1-4 chips, and
@@ -42,15 +42,16 @@ using namespace synpa;
 
 // ------------------------------------------------------------- coverage --
 
-/// A pool of `workers` threads, or null (the inline path) for 0.
-std::unique_ptr<common::ThreadPool> make_pool(std::size_t workers) {
-    if (workers == 0) return nullptr;
-    return std::make_unique<common::ThreadPool>(workers);
+/// A pool of `threads` threads (the caller and threads - 1 workers), or
+/// null (the inline path) for 0.
+std::unique_ptr<common::ThreadPool> make_pool(std::size_t threads) {
+    if (threads == 0) return nullptr;
+    return std::make_unique<common::ThreadPool>(threads);
 }
 
 TEST(ParallelFor, EveryIndexRunsExactlyOnce) {
-    for (const std::size_t workers : {0, 1, 2, 4, 8}) {
-        const auto pool = make_pool(workers);
+    for (const std::size_t threads : {0, 1, 2, 4, 8}) {
+        const auto pool = make_pool(threads);
         for (const std::size_t n : {0, 1, 3, 4, 7}) {
             std::vector<std::atomic<int>> runs(n);
             common::parallel_for(pool.get(), n, [&runs](std::size_t i) {
@@ -58,7 +59,7 @@ TEST(ParallelFor, EveryIndexRunsExactlyOnce) {
             });
             for (std::size_t i = 0; i < n; ++i)
                 EXPECT_EQ(runs[i].load(), 1)
-                    << "n=" << n << " workers=" << workers << " index=" << i;
+                    << "n=" << n << " threads=" << threads << " index=" << i;
         }
     }
 }
@@ -74,8 +75,8 @@ TEST(ParallelFor, ReusableAcrossCalls) {
 }
 
 TEST(ParallelFor, ExceptionReachesTheCallerAfterTheWholeBatch) {
-    for (const std::size_t workers : {0, 4}) {
-        const auto pool = make_pool(workers);
+    for (const std::size_t threads : {0, 4}) {
+        const auto pool = make_pool(threads);
         std::vector<std::atomic<int>> runs(8);
         EXPECT_THROW(common::parallel_for(pool.get(), runs.size(),
                                           [&runs](std::size_t i) {
@@ -83,15 +84,15 @@ TEST(ParallelFor, ExceptionReachesTheCallerAfterTheWholeBatch) {
                                               if (i == 3) throw std::runtime_error("index 3");
                                           }),
                      std::runtime_error)
-            << "workers=" << workers;
+            << "threads=" << threads;
         for (std::size_t i = 0; i < runs.size(); ++i)
-            EXPECT_EQ(runs[i].load(), 1) << "workers=" << workers << " index=" << i;
+            EXPECT_EQ(runs[i].load(), 1) << "threads=" << threads << " index=" << i;
         // The pool survives a failed batch.
         std::atomic<int> total{0};
         common::parallel_for(pool.get(), 4, [&total](std::size_t) {
             total.fetch_add(1, std::memory_order_relaxed);
         });
-        EXPECT_EQ(total.load(), 4) << "workers=" << workers;
+        EXPECT_EQ(total.load(), 4) << "threads=" << threads;
     }
 }
 

@@ -183,6 +183,8 @@ TEST(ConfigValidation, RejectsEveryOtherOutOfRangeKnob) {
         {"SYNPA_L2_LATENCY", "-1"},         {"SYNPA_MEM_BW", "0"},
         {"SYNPA_CACHE_PRESSURE_EXP", "-1"}, {"SYNPA_WARMUP_INSTS", "-1"},
         {"SYNPA_MSHR_CAP", "-1"},           {"SYNPA_SIM_THREADS", "257"},
+        // Past the int range: would wrap to 2 and 1 if narrowed before the check.
+        {"SYNPA_SIM_THREADS", "4294967298"}, {"SYNPA_CORES", "4294967297"},
     };
     for (const auto& [knob, value] : bad) expect_env_rejected(knob, value);
 }

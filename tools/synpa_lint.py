@@ -40,8 +40,8 @@ Rules
            a fleet), so one built per call zeroes that much memory to look
            up a few live tasks; per-call lookups use common::SmallIdMap.
            `flat-map-ok(<reason>)`.
-  FORK-01  no std::thread/jthread/async/future/promise/packaged_task in
-           src/ outside src/common/thread_pool.*.  Every fork/join goes
+  FORK-01  no std::thread/jthread/async/future/shared_future/promise/
+           packaged_task in src/ outside src/common/thread_pool.*.  Every fork/join goes
            through common::parallel_for, so there is one pool, one join
            and one error rule to reason about (and to race under TSan).
            `fork-ok(<reason>)`.
@@ -113,7 +113,7 @@ OBS01_RE = re.compile(
     r"\bprintf\s*\(|\bfprintf\s*\(|\bfputs\s*\(|\bputs\s*\(|\bputchar\s*\("
     r"|std::cout\b|std::cerr\b|std::clog\b")
 FORK01_RE = re.compile(
-    r"\bstd::(?:j?thread|async|future|promise|packaged_task)\b")
+    r"\bstd::(?:j?thread|async|(?:shared_)?future|promise|packaged_task)\b")
 UNORDERED_DECL_RE = re.compile(r"\bunordered_(?:map|set|multimap|multiset)\s*<")
 RANGE_FOR_RE = re.compile(r"\bfor\s*\(([^()]*(?:\([^()]*\)[^()]*)*)\)")
 BEGIN_CALL_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\.\s*c?begin\s*\(")
