@@ -12,6 +12,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/spec_suite.hpp"
@@ -23,6 +24,7 @@
 #include "scenario/runner.hpp"
 #include "scenario/scenario.hpp"
 #include "uarch/platform.hpp"
+#include "signatures.hpp"
 
 namespace {
 
@@ -220,6 +222,28 @@ TEST(IncrementalTrainer, IncrementalEqualsOfflineRetrainBitExactly) {
             EXPECT_EQ(ks.gamma, kb.gamma);
             EXPECT_EQ(ks.rho, kb.rho);
         }
+    }
+}
+
+// The incremental-vs-offline test above cannot see a change to the 4x4
+// solver both sides share, so the fitted bits are pinned here against
+// values captured from the original build.
+TEST(IncrementalTrainer, FitBitsArePinned) {
+    const std::vector<model::TrainingSample> samples = pipeline_samples();
+    const model::InterferenceModel prior = model::InterferenceModel::paper_table4();
+    const std::pair<double, std::uint64_t> pins[] = {{0.0, 0xe93550eb164cca62ull}, {4.0, 0x858042c539375019ull}};
+    for (const auto& [prior_strength, pin] : pins) {
+        online::IncrementalTrainer trainer(prior, {.prior_strength = prior_strength});
+        for (const model::TrainingSample& s : samples) trainer.add_sample(s);
+        const model::InterferenceModel fit = trainer.fit();
+        std::string sig;
+        for (std::size_t c = 0; c < model::kCategoryCount; ++c) {
+            const auto& k = fit.coefficients(static_cast<model::Category>(c));
+            for (const double v : {k.alpha, k.beta, k.gamma, k.rho})
+                sig += std::to_string(testsig::bits(v)) + ";";
+        }
+        EXPECT_EQ(testsig::digest(sig), pin) << "prior_strength " << prior_strength << ": 0x"
+                                             << std::hex << testsig::digest(sig);
     }
 }
 
