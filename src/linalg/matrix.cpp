@@ -81,13 +81,4 @@ std::vector<double> solve_gaussian(Matrix a, std::vector<double> b) {
     return x;
 }
 
-bool solve2x2(double a11, double a12, double a21, double a22, double b1, double b2,
-              double& x1, double& x2) noexcept {
-    const double det = a11 * a22 - a12 * a21;
-    if (std::abs(det) < 1e-14) return false;
-    x1 = (b1 * a22 - b2 * a12) / det;
-    x2 = (a11 * b2 - a21 * b1) / det;
-    return true;
-}
-
 }  // namespace synpa::linalg

@@ -98,8 +98,4 @@ bool solve_gaussian_fixed(std::array<double, N * N>& a, std::array<double, N>& b
         N, [&a](std::size_t r, std::size_t c) -> double& { return a[r * N + c]; }, b, x);
 }
 
-/// Solves a 2x2 linear system; returns false when the determinant is ~0.
-bool solve2x2(double a11, double a12, double a21, double a22, double b1, double b2,
-              double& x1, double& x2) noexcept;
-
 }  // namespace synpa::linalg

@@ -6,41 +6,12 @@
 #include <string>
 #include <utility>
 
+#include "linalg/matrix.hpp"
+
 namespace synpa::online {
 namespace {
 
 constexpr std::size_t kCols = model::kDesignColumns;
-
-/// Solves the 4x4 system M x = b by Gaussian elimination with partial
-/// pivoting.  Throws on a (numerically) singular matrix.
-std::array<double, kCols> solve4(std::array<double, kCols * kCols> m,
-                                 std::array<double, kCols> b) {
-    for (std::size_t col = 0; col < kCols; ++col) {
-        std::size_t pivot = col;
-        for (std::size_t r = col + 1; r < kCols; ++r)
-            if (std::abs(m[r * kCols + col]) > std::abs(m[pivot * kCols + col])) pivot = r;
-        if (std::abs(m[pivot * kCols + col]) < 1e-12)
-            throw std::runtime_error("IncrementalTrainer: singular normal equations");
-        if (pivot != col) {
-            for (std::size_t k = 0; k < kCols; ++k)
-                std::swap(m[col * kCols + k], m[pivot * kCols + k]);
-            std::swap(b[col], b[pivot]);
-        }
-        for (std::size_t r = col + 1; r < kCols; ++r) {
-            const double f = m[r * kCols + col] / m[col * kCols + col];
-            if (f == 0.0) continue;
-            for (std::size_t k = col; k < kCols; ++k) m[r * kCols + k] -= f * m[col * kCols + k];
-            b[r] -= f * b[col];
-        }
-    }
-    std::array<double, kCols> x{};
-    for (std::size_t ri = kCols; ri-- > 0;) {
-        double acc = b[ri];
-        for (std::size_t k = ri + 1; k < kCols; ++k) acc -= m[ri * kCols + k] * x[k];
-        x[ri] = acc / m[ri * kCols + ri];
-    }
-    return x;
-}
 
 std::array<double, kCols> coefficients_of(const model::CategoryCoefficients& k) {
     return {k.alpha, k.beta, k.gamma, k.rho};
@@ -96,7 +67,9 @@ model::InterferenceModel IncrementalTrainer::solve(
                 moment[i] += prior_strength * anchor[i];
             }
         }
-        const auto theta = solve4(gram, moment);
+        std::array<double, kCols> theta{};
+        if (!linalg::solve_gaussian_fixed<kCols>(gram, moment, theta))
+            throw std::runtime_error("IncrementalTrainer: singular normal equations");
         out.coefficients(static_cast<model::Category>(c)) = {
             .alpha = theta[0], .beta = theta[1], .gamma = theta[2], .rho = theta[3]};
     }

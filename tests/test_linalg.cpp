@@ -142,14 +142,6 @@ TEST(Gaussian, FixedSizeSolveMatchesBitForBit) {
     EXPECT_GT(refused, 250);
 }
 
-TEST(Solve2x2, BasicAndSingular) {
-    double x = 0, y = 0;
-    ASSERT_TRUE(solve2x2(1, 1, 1, -1, 3, 1, x, y));
-    EXPECT_NEAR(x, 2.0, 1e-12);
-    EXPECT_NEAR(y, 1.0, 1e-12);
-    EXPECT_FALSE(solve2x2(1, 2, 2, 4, 1, 2, x, y));
-}
-
 TEST(LeastSquares, ExactFitRecoversCoefficients) {
     // y = 2 + 3x, noise-free.
     Matrix a(5, 2);
