@@ -1,8 +1,11 @@
 #include "core/estimator.hpp"
 
+#include <array>
 #include <stdexcept>
 #include <string>
 #include <utility>
+
+#include "uarch/sim_config.hpp"
 
 namespace synpa::core {
 
@@ -16,7 +19,6 @@ const SynpaEstimator::Options& SynpaEstimator::Options::validate() const {
 
 SynpaEstimator::SynpaEstimator(model::InterferenceModel model, Options opts)
     : model_(std::move(model)),
-      flat_(model_),
       opts_(opts.validate()),
       inverter_(model_, opts_.inversion) {}
 
@@ -113,37 +115,31 @@ model::CategoryVector SynpaEstimator::estimate(int task_id) const {
 
 namespace {
 
-/// Stack-first member-vector gather: Step-2 groups are at most SMT-width
-/// wide, so the common case never touches the heap.
-constexpr std::size_t kInlineMembers = 8;
-
-/// Returns fn(the members' current estimates, in task_ids order).
+/// Returns fn(the members' current estimates, in task_ids order), gathered
+/// on the stack: a group never holds more tasks than an SMT core has ways.
 template <typename Fn>
 auto with_estimates(const SynpaEstimator& est, std::span<const int> task_ids, Fn&& fn) {
-    std::array<model::CategoryVector, kInlineMembers> inline_buf;
-    std::vector<model::CategoryVector> heap;
-    model::CategoryVector* members = inline_buf.data();
-    if (task_ids.size() > kInlineMembers) {
-        heap.resize(task_ids.size());
-        members = heap.data();
-    }
+    constexpr auto kWays = static_cast<std::size_t>(uarch::kMaxSmtWays);
+    if (task_ids.size() > kWays)
+        throw std::length_error("SynpaEstimator: a group of " + std::to_string(task_ids.size()) +
+                                " ids exceeds kMaxSmtWays (" + std::to_string(kWays) + ")");
+    std::array<model::CategoryVector, kWays> members;
     for (std::size_t i = 0; i < task_ids.size(); ++i) members[i] = est.estimate(task_ids[i]);
-    return fn(std::span<const model::CategoryVector>(members, task_ids.size()));
+    return fn(std::span<const model::CategoryVector>(members.data(), task_ids.size()));
 }
 
 }  // namespace
 
 double SynpaEstimator::group_weight(std::span<const int> task_ids) const {
     return with_estimates(*this, task_ids, [this](std::span<const model::CategoryVector> m) {
-        return flat_.group_slowdown(m);
+        return model::predict_group_slowdown(model_, m);
     });
 }
 
 void SynpaEstimator::member_slowdowns(std::span<const int> task_ids,
-                                      std::vector<double>& out) const {
-    out.resize(task_ids.size());
+                                      std::span<double> out) const {
     with_estimates(*this, task_ids, [&](std::span<const model::CategoryVector> m) {
-        flat_.member_slowdowns(m, out);
+        model::predict_member_slowdowns(model_, m, out);
     });
 }
 

@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <span>
 #include <utility>
-#include <vector>
 
 #include "common/flat_map.hpp"
 #include "model/interference_model.hpp"
@@ -65,16 +64,18 @@ public:
     /// exactly the slowdown of each member next to the other, summed (in
     /// either member order), and a 1-group the "runs alone" term: the
     /// forward model against an all-zero co-runner, which the partial
-    /// allocator weighs against pair slowdowns.
+    /// allocator weighs against pair slowdowns.  model::predict_group_slowdown
+    /// over the members' estimates; throws std::length_error for more than
+    /// uarch::kMaxSmtWays ids.
     double group_weight(std::span<const int> task_ids) const;
 
     /// The per-member addends of group_weight: each member's predicted
     /// slowdown against the superposed pressure of the rest of the group (a
-    /// singleton gets its solo term), written into `out` (resized to
-    /// task_ids.size()) so per-quantum callers can reuse one scratch vector
-    /// across the whole Step-2 sweep.  The objective-parameterized policies
-    /// (STP, fairness, tail) fold these nonlinearly instead of summing them.
-    void member_slowdowns(std::span<const int> task_ids, std::vector<double>& out) const;
+    /// singleton gets its solo term), written into `out` (out.size() must
+    /// equal task_ids.size()).  The objective-parameterized policies (STP,
+    /// fairness, tail) fold these nonlinearly instead of summing them.
+    /// Throws like group_weight.
+    void member_slowdowns(std::span<const int> task_ids, std::span<double> out) const;
 
     /// Transfers the estimate across a relaunch (same application, so the
     /// behaviour estimate remains the best prior available).
@@ -90,7 +91,6 @@ public:
     /// against the new coefficients.
     void set_model(model::InterferenceModel model) {
         model_ = std::move(model);
-        flat_ = model::FlatModel(model_);
         inverter_ = model::ModelInverter(model_, opts_.inversion);
     }
 
@@ -114,7 +114,6 @@ private:
                                   const model::CategoryVector& smt_j);
 
     model::InterferenceModel model_;
-    model::FlatModel flat_;  ///< SoA snapshot of model_ for the hot paths
     Options opts_;
     model::ModelInverter inverter_;  ///< over model_ with opts_.inversion
     InversionStats inversion_stats_;

@@ -137,8 +137,10 @@ double SynpaPolicy::group_cost(std::span<const int> task_ids) const {
     ++cost_evaluations_;
     if (opts_.objective == Objective::kTotalSlowdown)
         return estimator_.group_weight(task_ids);
-    estimator_.member_slowdowns(task_ids, slowdown_scratch_);
-    return objective_cost(opts_.objective, slowdown_scratch_);
+    std::array<double, uarch::kMaxSmtWays> slowdowns{};
+    const auto members = std::span(slowdowns).first(std::min(task_ids.size(), slowdowns.size()));
+    estimator_.member_slowdowns(task_ids, members);  // throws above kMaxSmtWays ids
+    return objective_cost(opts_.objective, members);
 }
 
 const matching::Matcher& SynpaPolicy::matcher() const {

@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "core/estimator.hpp"
 #include "core/weight_cache.hpp"
@@ -145,7 +144,6 @@ private:
     SynpaEstimator estimator_;
     matching::BlossomMatcher blossom_;
     obs::Tracer* tracer_ = nullptr;  ///< flight recorder (not owned)
-    mutable std::vector<double> slowdown_scratch_;  ///< member_slowdowns reuse
     mutable std::uint64_t cost_evaluations_ = 0;
 };
 

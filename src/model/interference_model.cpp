@@ -30,79 +30,33 @@ InterferenceModel InterferenceModel::paper_table4() {
     return InterferenceModel(coeffs);
 }
 
-FlatModel::FlatModel(const InterferenceModel& model) {
-    for (std::size_t c = 0; c < kCategoryCount; ++c) {
-        const CategoryCoefficients& k = model.coefficients(static_cast<Category>(c));
-        alpha_[c] = k.alpha;
-        beta_[c] = k.beta;
-        gamma_[c] = k.gamma;
-        rho_[c] = k.rho;
+namespace {
+
+/// Member i's predicted slowdown against the superposed category pressure
+/// of every other member.
+double member_slowdown(const InterferenceModel& model, std::span<const CategoryVector> members,
+                       std::size_t i) noexcept {
+    CategoryVector pressure{};
+    for (std::size_t j = 0; j < members.size(); ++j) {
+        if (j == i) continue;
+        for (std::size_t c = 0; c < kCategoryCount; ++c) pressure[c] += members[j][c];
     }
+    return model.predict_slowdown(members[i], pressure);
 }
 
-double FlatModel::predict_slowdown(const CategoryVector& st_i,
-                                   const CategoryVector& st_j) const noexcept {
-    // Mirror of InterferenceModel::predict + the p[0]+p[1]+p[2] fold: the
-    // per-category results land in a temporary first, so the summation
-    // order (and therefore every rounding step) matches bit for bit.
-    CategoryVector p{};
-    for (std::size_t c = 0; c < kCategoryCount; ++c)
-        p[c] = predict_category(c, st_i[c], st_j[c]);
-    return p[0] + p[1] + p[2];
-}
-
-double FlatModel::group_slowdown(std::span<const CategoryVector> members) const noexcept {
-    double total = 0.0;
-    for (std::size_t i = 0; i < members.size(); ++i) {
-        CategoryVector pressure{};
-        for (std::size_t j = 0; j < members.size(); ++j) {
-            if (j == i) continue;
-            for (std::size_t c = 0; c < kCategoryCount; ++c) pressure[c] += members[j][c];
-        }
-        total += predict_slowdown(members[i], pressure);
-    }
-    return total;
-}
-
-void FlatModel::member_slowdowns(std::span<const CategoryVector> members,
-                                 std::span<double> out) const noexcept {
-    for (std::size_t i = 0; i < members.size(); ++i) {
-        CategoryVector pressure{};
-        for (std::size_t j = 0; j < members.size(); ++j) {
-            if (j == i) continue;
-            for (std::size_t c = 0; c < kCategoryCount; ++c) pressure[c] += members[j][c];
-        }
-        out[i] = predict_slowdown(members[i], pressure);
-    }
-}
+}  // namespace
 
 double predict_group_slowdown(const InterferenceModel& model,
-                              std::span<const CategoryVector> members) {
+                              std::span<const CategoryVector> members) noexcept {
     double total = 0.0;
-    for (std::size_t i = 0; i < members.size(); ++i) {
-        CategoryVector pressure{};
-        for (std::size_t j = 0; j < members.size(); ++j) {
-            if (j == i) continue;
-            for (std::size_t c = 0; c < kCategoryCount; ++c) pressure[c] += members[j][c];
-        }
-        total += model.predict_slowdown(members[i], pressure);
-    }
+    for (std::size_t i = 0; i < members.size(); ++i) total += member_slowdown(model, members, i);
     return total;
 }
 
-std::vector<double> predict_member_slowdowns(const InterferenceModel& model,
-                                             std::span<const CategoryVector> members) {
-    std::vector<double> out;
-    out.reserve(members.size());
-    for (std::size_t i = 0; i < members.size(); ++i) {
-        CategoryVector pressure{};
-        for (std::size_t j = 0; j < members.size(); ++j) {
-            if (j == i) continue;
-            for (std::size_t c = 0; c < kCategoryCount; ++c) pressure[c] += members[j][c];
-        }
-        out.push_back(model.predict_slowdown(members[i], pressure));
-    }
-    return out;
+void predict_member_slowdowns(const InterferenceModel& model,
+                              std::span<const CategoryVector> members,
+                              std::span<double> out) noexcept {
+    for (std::size_t i = 0; i < members.size(); ++i) out[i] = member_slowdown(model, members, i);
 }
 
 std::string InterferenceModel::to_string() const {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
+#include <vector>
 
 #include "core/estimator.hpp"
 #include "core/synpa_policy.hpp"
@@ -116,6 +118,21 @@ TEST(Estimator, PairWeightSymmetricSum) {
     const std::vector<int> vu = {2, 1};
     EXPECT_DOUBLE_EQ(est.group_weight(uv), est.group_weight(vu));
     EXPECT_GT(est.group_weight(uv), 2.0);  // two slowdowns, each >= ~1
+}
+
+TEST(Estimator, GroupWiderThanAnSmtCoreThrows) {
+    // Step-2 groups never hold more tasks than an SMT core has ways, so the
+    // estimator gathers members on the stack and refuses a wider group.
+    const SynpaEstimator est(model::InterferenceModel::paper_table4());
+    std::vector<int> ids(uarch::kMaxSmtWays);
+    for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<int>(i);
+    std::vector<double> out(ids.size());
+    EXPECT_NO_THROW(est.group_weight(ids));
+    EXPECT_NO_THROW(est.member_slowdowns(ids, out));
+    ids.push_back(uarch::kMaxSmtWays);
+    out.push_back(0.0);
+    EXPECT_THROW(est.group_weight(ids), std::length_error);
+    EXPECT_THROW(est.member_slowdowns(ids, out), std::length_error);
 }
 
 TEST(Estimator, SetModelInvertsAgainstTheNewModelAndCountsInversions) {

@@ -745,11 +745,11 @@ TEST(ExtendedTrainer, ResultIsIdenticalForOneAndManyThreads) {
         EXPECT_EQ(extended_signature(small_extended_run(4)), serial) << "run " << run;
 }
 
-// FlatModel promises the exact floating-point operations of the
-// InterferenceModel path, so its group and per-member predictors must match
-// predict_group_slowdown / predict_member_slowdowns bit for bit on any
+// predict_group_slowdown is the in-order sum from 0.0 of the per-member
+// terms predict_member_slowdowns writes, and each term is Equation 1
+// against the superposed pressure of the other members, bit for bit on any
 // coefficients and any group of 1..kMaxSmtWays members.
-TEST(FlatModel, GroupPredictorsAreBitIdenticalToTheReference) {
+TEST(GroupPredictor, GroupIsTheInOrderSumOfMemberTerms) {
     common::Rng rng(20240521, 0xf1a7);
     for (int trial = 0; trial < 200; ++trial) {
         std::array<CategoryCoefficients, kCategoryCount> coeffs{};
@@ -757,28 +757,30 @@ TEST(FlatModel, GroupPredictorsAreBitIdenticalToTheReference) {
             c = {.alpha = rng.uniform(-0.5, 0.5), .beta = rng.uniform(0.0, 2.0),
                  .gamma = rng.uniform(-1.0, 1.0), .rho = rng.uniform(-2.0, 2.0)};
         const InterferenceModel model(coeffs);
-        const FlatModel flat(model);
         const std::size_t k = 1 + rng.below(uarch::kMaxSmtWays);
         std::vector<CategoryVector> members(k);
         for (CategoryVector& m : members)
             for (double& x : m) x = rng.uniform();
         const std::string where = "trial " + std::to_string(trial);
 
-        EXPECT_EQ(testsig::bits(flat.group_slowdown(members)),
-                  testsig::bits(predict_group_slowdown(model, members)))
-            << where;
-        const std::vector<double> reference = predict_member_slowdowns(model, members);
-        std::vector<double> out(k);
-        flat.member_slowdowns(members, out);
-        ASSERT_EQ(reference.size(), k);
-        for (std::size_t i = 0; i < k; ++i)
-            EXPECT_EQ(testsig::bits(out[i]), testsig::bits(reference[i])) << where << " i " << i;
-        EXPECT_EQ(testsig::bits(flat.predict_slowdown(members.front(), members.back())),
-                  testsig::bits(model.predict_slowdown(members.front(), members.back())))
+        std::vector<double> terms(k);
+        predict_member_slowdowns(model, members, terms);
+        double sum = 0.0;
+        for (std::size_t i = 0; i < k; ++i) {
+            CategoryVector pressure{};
+            for (std::size_t j = 0; j < k; ++j)
+                if (j != i)
+                    for (std::size_t c = 0; c < kCategoryCount; ++c) pressure[c] += members[j][c];
+            EXPECT_EQ(testsig::bits(terms[i]),
+                      testsig::bits(model.predict_slowdown(members[i], pressure)))
+                << where << " i " << i;
+            sum += terms[i];
+        }
+        EXPECT_EQ(testsig::bits(predict_group_slowdown(model, members)), testsig::bits(sum))
             << where;
 
         // Step 3 prices a task alone as a 1-member group and a pair as a
-        // 2-member group, so both group predictors must reduce exactly:
+        // 2-member group, so the group predictor must reduce exactly:
         // {a} to the "runs alone" term, {a, b} to the both-directions pair
         // weight, in either member order.
         CategoryVector a{}, b{};
@@ -789,15 +791,10 @@ TEST(FlatModel, GroupPredictorsAreBitIdenticalToTheReference) {
         const std::array<CategoryVector, 2> ba = {b, a};
         const double solo = model.predict_slowdown(a, CategoryVector{});
         const double pair = model.predict_slowdown(a, b) + model.predict_slowdown(b, a);
-        const auto check = [&](const char* predictor, const auto& group) {
-            EXPECT_EQ(testsig::bits(group(alone)), testsig::bits(solo)) << where << predictor;
-            EXPECT_EQ(testsig::bits(group(ab)), testsig::bits(pair)) << where << predictor;
-            EXPECT_EQ(testsig::bits(group(ab)), testsig::bits(group(ba))) << where << predictor;
-        };
-        check(" flat", [&](std::span<const CategoryVector> g) { return flat.group_slowdown(g); });
-        check(" reference", [&](std::span<const CategoryVector> g) {
-            return predict_group_slowdown(model, g);
-        });
+        EXPECT_EQ(testsig::bits(predict_group_slowdown(model, alone)), testsig::bits(solo))
+            << where;
+        EXPECT_EQ(testsig::bits(predict_group_slowdown(model, ab)), testsig::bits(pair)) << where;
+        EXPECT_EQ(testsig::bits(predict_group_slowdown(model, ba)), testsig::bits(pair)) << where;
     }
 }
 
