@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <ostream>
 #include <sstream>
+#include <utility>
 
 #include "metrics/metrics.hpp"
 
@@ -35,15 +36,10 @@ std::string joined_samples(const std::vector<double>& xs, char sep) {
 
 }  // namespace
 
-GroupFn workload_prefix_group() {
-    return [](const std::string& workload) { return workload.substr(0, 2); };
-}
-
-GroupMeanAggregator::GroupMeanAggregator(MetricFn metric, GroupFn group)
-    : metric_(std::move(metric)), group_(std::move(group)) {}
+GroupMeanAggregator::GroupMeanAggregator(MetricFn metric) : metric_(std::move(metric)) {}
 
 void GroupMeanAggregator::on_cell(const CellResult& cell) {
-    const std::string group = group_(cell.workload);
+    const std::string group = cell.workload.substr(0, 2);
     if (std::find(group_order_.begin(), group_order_.end(), group) == group_order_.end())
         group_order_.push_back(group);
     groups_[{cell.policy, group}].add(metric_(cell));

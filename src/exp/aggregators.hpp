@@ -19,16 +19,11 @@ namespace synpa::exp {
 /// Extracts one scalar per finished cell (e.g. mean turnaround).
 using MetricFn = std::function<double(const CellResult&)>;
 
-/// Maps a workload name to its group label; the default takes the paper's
-/// two-letter prefix (be/fe/fb).
-using GroupFn = std::function<std::string(const std::string& workload)>;
-
-GroupFn workload_prefix_group();
-
-/// Mean/stddev of a metric per (policy label, workload group).
+/// Mean/stddev of a metric per (policy label, workload group), where a
+/// workload's group is its name's two-letter prefix (the paper's be/fe/fb).
 class GroupMeanAggregator final : public Aggregator {
 public:
-    explicit GroupMeanAggregator(MetricFn metric, GroupFn group = workload_prefix_group());
+    explicit GroupMeanAggregator(MetricFn metric);
 
     void on_cell(const CellResult& cell) override;
 
@@ -42,7 +37,6 @@ public:
 
 private:
     MetricFn metric_;
-    GroupFn group_;
     std::map<std::pair<std::string, std::string>, common::RunningStats> groups_;
     std::vector<std::string> group_order_;
 };

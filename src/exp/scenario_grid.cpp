@@ -4,6 +4,8 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "common/stats.hpp"
+
 namespace synpa::exp {
 
 ScenarioSummary summarize_runs(std::span<const scenario::ScenarioResult> runs) {
@@ -150,58 +152,5 @@ void ScenarioCsvAggregator::on_cell(const ScenarioCellResult& cell) {
 }
 
 void ScenarioCsvAggregator::finish() { os_.flush(); }
-
-UtilizationSeriesAggregator::UtilizationSeriesAggregator(std::size_t buckets)
-    : buckets_(std::max<std::size_t>(buckets, 1)) {}
-
-void UtilizationSeriesAggregator::on_cell(const ScenarioCellResult& cell) {
-    Series series;
-    series.scenario = cell.scenario;
-    series.policy = cell.policy;
-    series.mean_utilization.assign(buckets_, 0.0);
-    std::vector<std::size_t> counts(buckets_, 0);
-    for (const scenario::ScenarioResult& run : cell.runs) {
-        if (run.timeline.empty()) continue;
-        const auto span = static_cast<double>(run.timeline.size());
-        for (const scenario::QuantumSample& sample : run.timeline) {
-            const auto bucket = std::min(
-                buckets_ - 1, static_cast<std::size_t>(
-                                  static_cast<double>(sample.quantum) / span *
-                                  static_cast<double>(buckets_)));
-            series.mean_utilization[bucket] += sample.utilization;
-            ++counts[bucket];
-        }
-    }
-    for (std::size_t b = 0; b < buckets_; ++b)
-        if (counts[b] > 0)
-            series.mean_utilization[b] /= static_cast<double>(counts[b]);
-    series_.push_back(std::move(series));
-}
-
-void SlowdownAggregator::on_cell(const ScenarioCellResult& cell) {
-    common::RunningStats& stats = stats_[{cell.scenario, cell.policy}];
-    for (const scenario::ScenarioResult& run : cell.runs)
-        for (const scenario::TaskRecord& rec : run.tasks)
-            if (rec.completed) stats.add(rec.slowdown);
-}
-
-void TurnaroundTailAggregator::on_cell(const ScenarioCellResult& cell) {
-    std::vector<double> turnarounds;
-    for (const scenario::ScenarioResult& run : cell.runs)
-        for (const scenario::TaskRecord& rec : run.tasks)
-            if (rec.completed) turnarounds.push_back(rec.turnaround_quanta);
-    Row row;
-    row.scenario = cell.scenario;
-    row.policy = cell.policy;
-    row.samples = turnarounds.size();
-    if (!turnarounds.empty()) {
-        std::sort(turnarounds.begin(), turnarounds.end());
-        row.p50 = common::percentile_sorted(turnarounds, 0.50);
-        row.p95 = common::percentile_sorted(turnarounds, 0.95);
-        row.p99 = common::percentile_sorted(turnarounds, 0.99);
-        row.max = turnarounds.back();
-    }
-    rows_.push_back(std::move(row));
-}
 
 }  // namespace synpa::exp

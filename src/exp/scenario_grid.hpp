@@ -10,13 +10,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "exp/campaign.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/scenario.hpp"
@@ -117,58 +114,6 @@ public:
 private:
     std::ostream& os_;
     bool header_written_ = false;
-};
-
-/// Time-series utilization: mean utilization per quantum bucket, one series
-/// per (scenario, policy) cell (averaged across repetitions).  Requires
-/// record_timelines.
-class UtilizationSeriesAggregator final : public ScenarioAggregator {
-public:
-    struct Series {
-        std::string scenario;
-        std::string policy;
-        std::vector<double> mean_utilization;  ///< one value per bucket
-    };
-
-    explicit UtilizationSeriesAggregator(std::size_t buckets = 20);
-    void on_cell(const ScenarioCellResult& cell) override;
-    const std::vector<Series>& series() const noexcept { return series_; }
-
-private:
-    std::size_t buckets_;
-    std::vector<Series> series_;
-};
-
-/// Per-task slowdown-vs-isolated distribution per (scenario, policy).
-class SlowdownAggregator final : public ScenarioAggregator {
-public:
-    void on_cell(const ScenarioCellResult& cell) override;
-    /// (scenario, policy) -> running stats over completed tasks' slowdowns.
-    const std::map<std::pair<std::string, std::string>, common::RunningStats>& stats()
-        const noexcept {
-        return stats_;
-    }
-
-private:
-    std::map<std::pair<std::string, std::string>, common::RunningStats> stats_;
-};
-
-/// Turnaround tail latency per (scenario, policy): p50/p95/p99/max over the
-/// pooled completed tasks of every repetition.
-class TurnaroundTailAggregator final : public ScenarioAggregator {
-public:
-    struct Row {
-        std::string scenario;
-        std::string policy;
-        double p50 = 0.0, p95 = 0.0, p99 = 0.0, max = 0.0;
-        std::size_t samples = 0;
-    };
-
-    void on_cell(const ScenarioCellResult& cell) override;
-    const std::vector<Row>& rows() const noexcept { return rows_; }
-
-private:
-    std::vector<Row> rows_;
 };
 
 }  // namespace synpa::exp

@@ -579,12 +579,9 @@ TEST(ScenarioGrid, AggregatorsStreamInGridOrder) {
 
     std::ostringstream csv;
     exp::ScenarioCsvAggregator csv_agg(csv);
-    exp::UtilizationSeriesAggregator util_agg(8);
-    exp::SlowdownAggregator slow_agg;
-    exp::TurnaroundTailAggregator tail_agg;
     exp::ArtifactCache cache;
     exp::ScenarioGridRunner runner({.threads = 4}, &cache);
-    runner.run(campaign, {&csv_agg, &util_agg, &slow_agg, &tail_agg});
+    const exp::ScenarioGridResult result = runner.run(campaign, {&csv_agg});
 
     const std::string text = csv.str();
     std::size_t lines = 0;
@@ -593,26 +590,15 @@ TEST(ScenarioGrid, AggregatorsStreamInGridOrder) {
     EXPECT_NE(text.find("poisson,linux"), std::string::npos);
     EXPECT_NE(text.find("poisson,random"), std::string::npos);
 
-    ASSERT_EQ(util_agg.series().size(), 2u);
-    EXPECT_EQ(util_agg.series()[0].policy, "linux");
-    EXPECT_EQ(util_agg.series()[0].mean_utilization.size(), 8u);
-    for (double u : util_agg.series()[0].mean_utilization) {
-        EXPECT_GE(u, 0.0);
-        EXPECT_LE(u, 1.0);
-    }
-
-    ASSERT_EQ(slow_agg.stats().size(), 2u);
-    for (const auto& [key, stats] : slow_agg.stats()) {
-        EXPECT_GT(stats.count(), 0u);
-        EXPECT_GE(stats.mean(), 1.0);  // sharing can only slow tasks down
-    }
-
-    ASSERT_EQ(tail_agg.rows().size(), 2u);
-    for (const auto& row : tail_agg.rows()) {
-        EXPECT_GT(row.samples, 0u);
-        EXPECT_LE(row.p50, row.p95);
-        EXPECT_LE(row.p95, row.p99);
-        EXPECT_LE(row.p99, row.max);
+    ASSERT_EQ(result.cells.size(), 2u);
+    for (const exp::ScenarioCellResult& cell : result.cells) {
+        const exp::ScenarioSummary& s = cell.summary;
+        EXPECT_GT(s.completed_tasks, 0u) << cell.policy;
+        EXPECT_GE(s.mean_slowdown, 1.0) << cell.policy;  // sharing can only slow tasks down
+        EXPECT_LE(s.p50_turnaround, s.p95_turnaround) << cell.policy;
+        EXPECT_LE(s.p95_turnaround, s.p99_turnaround) << cell.policy;
+        EXPECT_GE(s.mean_utilization, 0.0) << cell.policy;
+        EXPECT_LE(s.mean_utilization, 1.0) << cell.policy;
     }
 }
 
