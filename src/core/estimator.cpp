@@ -57,16 +57,17 @@ void SynpaEstimator::observe(std::span<const sched::TaskObservation> observation
             continue;
         }
         if (o.corunner_task_ids.size() == 1) {
-            const auto* partner = by_id.find(o.corunner_task_id);
+            const int partner_id = o.corunner_task_ids.front();
+            const auto* partner = by_id.find(partner_id);
             if (partner != nullptr) {
                 // A fully observed 2-group: one inversion recovers both
                 // isolated vectors, owned by the lower-id member (whose
                 // observation we just confirmed present).
-                if (o.corunner_task_id < o.task_id) continue;  // handle each pair once
+                if (partner_id < o.task_id) continue;  // handle each pair once
                 const model::InversionResult inv =
                     invert(o.breakdown.fractions(), (*partner)->breakdown.fractions());
                 ema_update(o.task_id, inv.st_i);
-                ema_update(o.corunner_task_id, inv.st_j);
+                ema_update(partner_id, inv.st_j);
                 continue;
             }
             // The partner retired mid-quantum (open system): its observation
@@ -76,7 +77,7 @@ void SynpaEstimator::observe(std::span<const sched::TaskObservation> observation
             // current estimates and invert as usual, updating only the
             // survivor — ownership falls to whichever member is present.
             const model::CategoryVector partner_smt =
-                model_.predict(estimate(o.corunner_task_id), estimate(o.task_id));
+                model_.predict(estimate(partner_id), estimate(o.task_id));
             double sum = 0.0;
             for (const double x : partner_smt) sum += x;
             if (sum <= 1e-9) continue;

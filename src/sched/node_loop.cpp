@@ -214,7 +214,6 @@ TaskObservation NodeLoop::observe(const Resident& r) const {
         const auto& sibling = core.slot(s);
         if (sibling.bound()) o.corunner_task_ids.push_back(sibling.task()->id());
     }
-    o.corunner_task_id = o.corunner_task_ids.empty() ? -1 : o.corunner_task_ids.front();
     o.smt_ways = platform_.config().smt_ways;
     o.num_chips = platform_.chip_count();
     o.total_cores = platform_.core_count();
@@ -272,7 +271,6 @@ void NodeLoop::finish(std::uint64_t quantum, Lifecycle& life, std::vector<TaskOb
             const int* partner = replaced.find(partner_id);
             if (partner != nullptr) partner_id = *partner;
         }
-        o.corunner_task_id = o.corunner_task_ids.empty() ? -1 : o.corunner_task_ids.front();
     }
 }
 

@@ -93,7 +93,6 @@ struct TaskObservation {
     std::string app_name;
     int core = -1;              ///< *global* core it ran on during the quantum
     int chip = 0;               ///< chip owning that core (core / cores-per-chip)
-    int corunner_task_id = -1;  ///< first task sharing the core (-1 when alone)
     std::vector<int> corunner_task_ids;  ///< every task sharing the core, slot order
     int smt_ways = 2;           ///< the platform's runtime SMT width
     int num_chips = 1;          ///< chips in the platform

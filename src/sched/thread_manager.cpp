@@ -39,8 +39,8 @@ void ThreadManager::observed(std::uint64_t quantum, std::span<const TaskObservat
             QuantumTrace t;
             t.quantum = quantum;
             t.fractions = fr;
-            if (o.corunner_task_id >= 0) {
-                const int* it = slot_by_task.find(o.corunner_task_id);
+            if (!o.corunner_task_ids.empty()) {
+                const int* it = slot_by_task.find(o.corunner_task_ids.front());
                 t.corunner_slot = it != nullptr ? *it : -1;
             }
             t.ipc = o.breakdown.ipc();

@@ -163,8 +163,8 @@ CoreAllocation solve_one_chip(std::span<const TaskObservation> observations,
         const common::SmallIdMap<std::size_t> index_of(std::move(local));
         std::vector<std::pair<int, int>> current;
         for (std::size_t i = 0; i < n; ++i) {
-            const int partner = observations[idx[i]].corunner_task_id;
-            const std::size_t* it = partner >= 0 ? index_of.find(partner) : nullptr;
+            const std::vector<int>& partners = observations[idx[i]].corunner_task_ids;
+            const std::size_t* it = partners.empty() ? nullptr : index_of.find(partners.front());
             if (it != nullptr && *it > i)
                 current.emplace_back(static_cast<int>(i), static_cast<int>(*it));
         }

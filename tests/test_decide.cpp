@@ -43,7 +43,6 @@ sched::TaskObservation make_obs(int task, int core, int partner,
     sched::TaskObservation o;
     o.task_id = task;
     o.core = core;
-    o.corunner_task_id = partner;
     if (partner >= 0) o.corunner_task_ids.push_back(partner);
     o.smt_ways = 2;
     o.total_cores = 2;

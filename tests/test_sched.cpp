@@ -36,7 +36,6 @@ TaskObservation make_obs(int task, int core, int partner, int total_cores = 4,
     TaskObservation o;
     o.task_id = task;
     o.core = core;
-    o.corunner_task_id = partner;
     if (partner >= 0) o.corunner_task_ids.push_back(partner);
     o.total_cores = total_cores;
     o.smt_ways = smt_ways;
