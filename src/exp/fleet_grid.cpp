@@ -33,7 +33,7 @@ FleetGridResult FleetGridRunner::run(const FleetCampaign& campaign,
     const auto start = GridEngine::Clock::now();
     campaign.validate();
     for (const std::string& name : campaign.fleet_policies)
-        (void)fleet::make_fleet_policy(name, {});  // throws with the inventory
+        (void)fleet::make_fleet_policy(name, 1);  // throws with the inventory
 
     FleetGridResult result;
     result.artifacts = engine_.training(campaign.node_configs, campaign.needs_training,

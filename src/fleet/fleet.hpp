@@ -6,33 +6,25 @@
 #pragma once
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "fleet/node.hpp"
-#include "sched/registry.hpp"
-#include "uarch/sim_config.hpp"
 
 namespace synpa::fleet {
 
-/// How to build a fleet: the node shape, how many, and which registered
-/// sched policy runs node-locally.
-struct FleetConfig {
-    int nodes = 4;
-    uarch::SimConfig node_config{};
-    /// Any name from sched::registered_policies(); each node gets its own
-    /// instance with a per-node derived seed.
-    std::string node_policy = "synpa";
-    sched::PolicyConfig policy_config{};
-    /// Build a per-node SynpaEstimator for fleet-level interference scoring
-    /// (requires policy_config.model).  Policies that never score leave it
-    /// off and skip the per-quantum inversion work.
-    bool with_estimators = false;
-};
+struct FleetOptions;  // fleet/runner.hpp
 
 class Fleet {
 public:
-    explicit Fleet(const FleetConfig& cfg);
+    /// opts.nodes nodes of opts.node_config, each running its own instance
+    /// of the registered sched policy opts.node_policy with a per-node
+    /// derived seed.  `node_sim_threads` replaces node_config.sim_threads
+    /// (the runner nests chip shards under its node pool).
+    /// `with_estimators` gives every node a SynpaEstimator for fleet-level
+    /// interference scoring (requires opts.policy_config.model); policies
+    /// that never score leave it off and skip the per-quantum inversion
+    /// work.
+    Fleet(const FleetOptions& opts, int node_sim_threads, bool with_estimators);
 
     int node_count() const noexcept { return static_cast<int>(nodes_.size()); }
     FleetNode& node(int i) { return *nodes_.at(static_cast<std::size_t>(i)); }

@@ -90,9 +90,8 @@ const FleetPolicyInfo* find_fleet_policy(std::string_view name) {
     return nullptr;
 }
 
-std::unique_ptr<FleetPolicy> make_fleet_policy(std::string_view name,
-                                               const FleetPolicyConfig& config) {
-    if (name == "fleet-random") return std::make_unique<FleetRandomPolicy>(config.seed);
+std::unique_ptr<FleetPolicy> make_fleet_policy(std::string_view name, std::uint64_t seed) {
+    if (name == "fleet-random") return std::make_unique<FleetRandomPolicy>(seed);
     if (name == "fleet-least-loaded") return std::make_unique<FleetLeastLoadedPolicy>();
     if (name == "fleet-interference-aware")
         return std::make_unique<FleetInterferenceAwarePolicy>();

@@ -1,7 +1,7 @@
 // String-keyed fleet-policy registry: the admission front end's node
 // selectors, constructible as
 //
-//   auto policy = fleet::make_fleet_policy("fleet-interference-aware", cfg);
+//   auto policy = fleet::make_fleet_policy("fleet-interference-aware", seed);
 //
 // so benches, grids and CI select fleet policies by name exactly like node
 // policies.  registered_fleet_policies() is the single source of truth for
@@ -39,11 +39,6 @@ public:
                           std::span<const int> candidates) = 0;
 };
 
-struct FleetPolicyConfig {
-    /// Seed for randomized fleet policies.
-    std::uint64_t seed = 1;
-};
-
 struct FleetPolicyInfo {
     std::string_view name;
     std::string_view objective;  ///< what the selector optimizes (docs table)
@@ -57,9 +52,9 @@ std::span<const FleetPolicyInfo> registered_fleet_policies();
 /// Registry entry for a name; nullptr when unknown.
 const FleetPolicyInfo* find_fleet_policy(std::string_view name);
 
-/// Instantiates a registered fleet policy.  Throws std::invalid_argument
-/// for an unknown name (the message lists the inventory).
-std::unique_ptr<FleetPolicy> make_fleet_policy(std::string_view name,
-                                               const FleetPolicyConfig& config);
+/// Instantiates a registered fleet policy; `seed` drives the randomized
+/// ones.  Throws std::invalid_argument for an unknown name (the message
+/// lists the inventory).
+std::unique_ptr<FleetPolicy> make_fleet_policy(std::string_view name, std::uint64_t seed);
 
 }  // namespace synpa::fleet

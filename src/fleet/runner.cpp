@@ -28,21 +28,15 @@ FleetRunner::FleetRunner(const scenario::ScenarioTrace& trace, FleetOptions opts
           common::require_thread_cap("FleetOptions::threads", opts_.threads);
           const FleetPolicyInfo* info = find_fleet_policy(opts_.fleet_policy);
           if (info == nullptr)
-              make_fleet_policy(opts_.fleet_policy, {});  // throws with inventory
-          FleetConfig fc;
-          fc.nodes = opts_.nodes;
-          fc.node_config = opts_.node_config;
+              make_fleet_policy(opts_.fleet_policy, opts_.fleet_seed);  // throws with inventory
           // Nested parallelism: per-node chip shards share the host with the
           // fleet pool, exactly like grid cells over campaign pools.
-          fc.node_config.sim_threads =
-              common::nested_sim_threads(opts_.node_config.sim_threads,
-                                         opts_.threads > 1 ? opts_.threads : 0);
-          fc.node_policy = opts_.node_policy;
-          fc.policy_config = opts_.policy_config;
-          fc.with_estimators = info != nullptr && info->needs_model;
-          return FleetConfig(fc);
+          return Fleet(opts_,
+                       common::nested_sim_threads(opts_.node_config.sim_threads,
+                                                  opts_.threads > 1 ? opts_.threads : 0),
+                       info != nullptr && info->needs_model);
       }()),
-      policy_(make_fleet_policy(opts_.fleet_policy, {.seed = opts_.fleet_seed})) {
+      policy_(make_fleet_policy(opts_.fleet_policy, opts_.fleet_seed)) {
     if (opts_.threads > 1 && fleet_.node_count() > 1)
         pool_ = std::make_unique<common::ThreadPool>(
             std::min<std::size_t>(opts_.threads,

@@ -33,6 +33,8 @@
 #include "fleet/policy.hpp"
 #include "obs/trace.hpp"
 #include "scenario/scenario.hpp"
+#include "sched/registry.hpp"
+#include "uarch/sim_config.hpp"
 
 namespace synpa::fleet {
 

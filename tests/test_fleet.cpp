@@ -194,7 +194,7 @@ TEST(FleetRegistry, TableAndLookup) {
 
 TEST(FleetRegistry, UnknownNameThrowsWithInventory) {
     try {
-        fleet::make_fleet_policy("fleet-nope", {});
+        fleet::make_fleet_policy("fleet-nope", 1);
         FAIL() << "expected std::invalid_argument";
     } catch (const std::invalid_argument& e) {
         // The message must teach the caller the valid names.
@@ -205,7 +205,7 @@ TEST(FleetRegistry, UnknownNameThrowsWithInventory) {
 
 TEST(FleetRegistry, MakeInstantiatesEveryEntry) {
     for (const fleet::FleetPolicyInfo& info : fleet::registered_fleet_policies()) {
-        const auto policy = fleet::make_fleet_policy(info.name, {.seed = 3});
+        const auto policy = fleet::make_fleet_policy(info.name, 3);
         ASSERT_NE(policy, nullptr) << info.name;
         EXPECT_EQ(policy->name(), info.name);
     }
