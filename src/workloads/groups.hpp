@@ -40,7 +40,9 @@ std::vector<AppCharacterization> characterize_suite(const uarch::SimConfig& cfg,
 
 /// Fills in AppProfile::phase_categories for the whole suite by running each
 /// phase in isolation (used by the Oracle policy and by phase-aware tests).
-/// Idempotent; cheap after the first call.
+/// The phase truth is process-wide and the first call wins: once every app
+/// has phase_categories, later calls return at once whatever their
+/// (cfg, quanta, seed).
 void calibrate_suite(const uarch::SimConfig& cfg, std::uint64_t quanta, std::uint64_t seed);
 
 /// The paper's training/evaluation split: 22 of the 28 applications train

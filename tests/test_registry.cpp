@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
@@ -66,11 +67,12 @@ scenario::ScenarioSpec open_spec() {
     return spec;
 }
 
-/// The oracle policy needs calibrated per-phase categories; calibrate once
-/// per config shape, cheaply.
-void ensure_calibrated(const uarch::SimConfig& cfg) {
-    static std::set<int> done;
-    if (done.insert(cfg.smt_ways).second) workloads::calibrate_suite(cfg, 4, 1);
+/// The oracle policy needs calibrated per-phase categories.  Phase truth is
+/// process-wide and the first calibrate_suite call wins, so the suite is
+/// calibrated once, at SMT-2, for both widths.
+void ensure_calibrated() {
+    static std::once_flag once;
+    std::call_once(once, [] { workloads::calibrate_suite(test_config(2), 4, 1); });
 }
 
 
@@ -124,7 +126,7 @@ TEST_P(RegistryPolicyTest, RunsClosedAndOpenAtBothWidthsDeterministically) {
     const sched::PolicyInfo info = GetParam();
     for (const int width : {2, 4}) {
         const uarch::SimConfig cfg = test_config(width);
-        ensure_calibrated(cfg);
+        ensure_calibrated();
 
         // Closed: the paper's methodology shape (full chip, relaunches).
         const std::vector<sched::TaskSpec> specs = closed_specs();
