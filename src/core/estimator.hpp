@@ -64,9 +64,9 @@ public:
     /// exactly the slowdown of each member next to the other, summed (in
     /// either member order), and a 1-group the "runs alone" term: the
     /// forward model against an all-zero co-runner, which the partial
-    /// allocator weighs against pair slowdowns.  model::predict_group_slowdown
-    /// over the members' estimates; throws std::length_error for more than
-    /// uarch::kMaxSmtWays ids.
+    /// allocator weighs against pair slowdowns.  It is
+    /// model::predict_group_slowdown over the members' estimates.  Throws
+    /// std::length_error for more than uarch::kMaxSmtWays ids.
     double group_weight(std::span<const int> task_ids) const;
 
     /// The per-member addends of group_weight: each member's predicted

@@ -138,8 +138,8 @@ double SynpaPolicy::group_cost(std::span<const int> task_ids) const {
     if (opts_.objective == Objective::kTotalSlowdown)
         return estimator_.group_weight(task_ids);
     std::array<double, uarch::kMaxSmtWays> slowdowns{};
-    const auto members = std::span(slowdowns).first(std::min(task_ids.size(), slowdowns.size()));
-    estimator_.member_slowdowns(task_ids, members);  // throws above kMaxSmtWays ids
+    const auto members = std::span(slowdowns).first(task_ids.size());
+    estimator_.member_slowdowns(task_ids, members);
     return objective_cost(opts_.objective, members);
 }
 

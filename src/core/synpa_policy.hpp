@@ -133,10 +133,11 @@ private:
     /// only when the tracer wants allocation events.
     void trace_allocation(const sched::CoreAllocation& alloc) const;
 
-    /// Objective-folded cost of one candidate group, counted in
-    /// cost_evaluations().  Under kTotalSlowdown this is exactly the
-    /// estimator's group_weight (the bit-exact golden path); other
-    /// objectives fold the per-member slowdowns.
+    /// Objective-folded cost of one candidate group of at most
+    /// uarch::kMaxSmtWays ids, counted in cost_evaluations().  Under
+    /// kTotalSlowdown this is exactly the estimator's group_weight (the
+    /// bit-exact golden path); other objectives fold the per-member
+    /// slowdowns.
     double group_cost(std::span<const int> task_ids) const;
 
     model::InterferenceModel model_;

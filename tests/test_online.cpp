@@ -226,12 +226,13 @@ TEST(IncrementalTrainer, IncrementalEqualsOfflineRetrainBitExactly) {
 }
 
 // The incremental-vs-offline test above cannot see a change to the 4x4
-// solver both sides share, so the fitted bits are pinned here against
-// values captured from the original build.
+// solver both sides share, so the fitted bits at prior strengths 0 and 4
+// are pinned here.
 TEST(IncrementalTrainer, FitBitsArePinned) {
     const std::vector<model::TrainingSample> samples = pipeline_samples();
     const model::InterferenceModel prior = model::InterferenceModel::paper_table4();
-    const std::pair<double, std::uint64_t> pins[] = {{0.0, 0xe93550eb164cca62ull}, {4.0, 0x858042c539375019ull}};
+    const std::pair<double, std::uint64_t> pins[] = {{0.0, 0xe93550eb164cca62ull},
+                                                     {4.0, 0x858042c539375019ull}};
     for (const auto& [prior_strength, pin] : pins) {
         online::IncrementalTrainer trainer(prior, {.prior_strength = prior_strength});
         for (const model::TrainingSample& s : samples) trainer.add_sample(s);
